@@ -38,6 +38,25 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _float(value, key: str) -> float:
+    """A finite number; the error names the dotted config key."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigurationError(f"config: {key} must be a number, got {value!r}") from err
+    if not math.isfinite(number):
+        raise ConfigurationError(f"config: {key} must be finite, got {value!r}")
+    return number
+
+
+def _int(value, key: str) -> int:
+    """An integral number (JSON 16.0 is accepted, 16.9 is not)."""
+    number = _float(value, key)
+    if not number.is_integer():
+        raise ConfigurationError(f"config: {key} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _section(raw: dict, key: str, required: bool = True) -> dict:
     sec = raw.get(key)
     if sec is None:
@@ -58,42 +77,42 @@ def load_config(path) -> RunConfig:
         raise ConfigurationError(f"config is not valid JSON: {err}") from err
 
     dom_sec = _section(raw, "domain")
-    dim = int(dom_sec.get("dim", 1))
+    dim = _int(dom_sec.get("dim", 1), "domain.dim")
     if dim not in (1, 2):
         raise ConfigurationError(f"config: domain.dim must be 1 or 2, got {dim}")
-    Lx = float(_require(dom_sec, "Lx", "domain"))
-    T = float(_require(dom_sec, "T", "domain"))
+    Lx = _float(_require(dom_sec, "Lx", "domain"), "domain.Lx")
+    T = _float(_require(dom_sec, "T", "domain"), "domain.T")
     if dim == 2:
-        lengths = (Lx, float(_require(dom_sec, "Ly", "domain")))
+        lengths = (Lx, _float(_require(dom_sec, "Ly", "domain"), "domain.Ly"))
     else:
         lengths = (Lx,)
     domain = Domain(lengths, T)
 
     grid_sec = _section(raw, "grid")
-    Nx = int(_require(grid_sec, "Nx", "grid"))
-    Nt = int(_require(grid_sec, "Nt", "grid"))
-    Ny = int(_require(grid_sec, "Ny", "grid")) if dim == 2 else None
+    Nx = _int(_require(grid_sec, "Nx", "grid"), "grid.Nx")
+    Nt = _int(_require(grid_sec, "Nt", "grid"), "grid.Nt")
+    Ny = _int(_require(grid_sec, "Ny", "grid"), "grid.Ny") if dim == 2 else None
     grid = build_grid(domain, Nx=Nx, Nt=Nt, Ny=Ny)
 
     spec_sec = _section(raw, "spectral")
     params = SpectralParams(
-        K=int(_require(spec_sec, "K", "spectral")),
-        epsilon=float(spec_sec.get("epsilon", 1.0)),
-        Ny=int(grid_sec["Ny_quad"]) if "Ny_quad" in grid_sec else None,
+        K=_int(_require(spec_sec, "K", "spectral"), "spectral.K"),
+        epsilon=_float(spec_sec.get("epsilon", 1.0), "spectral.epsilon"),
+        Ny=_int(grid_sec["Ny_quad"], "grid.Ny_quad") if "Ny_quad" in grid_sec else None,
     )
 
-    theta = float(_section(raw, "scheme", required=False).get("theta", 0.5))
+    theta = _float(_section(raw, "scheme", required=False).get("theta", 0.5), "scheme.theta")
 
     cert_sec = _section(raw, "certify", required=False)
     certify = CertifyOptions(
-        C_S=float(cert_sec.get("C_S", 1.0)),
-        boundary_margin=int(cert_sec.get("boundary_margin", 2)),
-        psi_floor=float(cert_sec.get("psi_floor", 1e-12)),
+        C_S=_float(cert_sec.get("C_S", 1.0), "certify.C_S"),
+        boundary_margin=_int(cert_sec.get("boundary_margin", 2), "certify.boundary_margin"),
+        psi_floor=_float(cert_sec.get("psi_floor", 1e-12), "certify.psi_floor"),
     )
 
     pic_sec = _section(raw, "picard", required=False)
-    tol_F = float(pic_sec.get("tol_F", 1e-10))
-    max_iters = int(pic_sec.get("max_iters", 50))
+    tol_F = _float(pic_sec.get("tol_F", 1e-10), "picard.tol_F")
+    max_iters = _int(pic_sec.get("max_iters", 50), "picard.max_iters")
     force = bool(pic_sec.get("force_on_failed_certificate", False))
     if tol_F <= 0 or max_iters < 1:
         raise ConfigurationError("config: picard.tol_F must be > 0 and max_iters >= 1")
@@ -111,7 +130,7 @@ def load_config(path) -> RunConfig:
         if scenario_name not in SCENARIO_NAMES:
             raise ConfigurationError(
                 f"config: unknown scenario {scenario_name!r}; choose from {SCENARIO_NAMES}")
-        scenario_scale = float(scn_sec.get("scale", 1.0))
+        scenario_scale = _float(scn_sec.get("scale", 1.0), "scenario.scale")
         if scenario_scale <= 0:
             raise ConfigurationError("config: scenario.scale must be positive")
     else:
@@ -127,7 +146,7 @@ def load_config(path) -> RunConfig:
     bad = [f for f in formats if f not in ("csv", "json")]
     if bad:
         raise ConfigurationError(f"config: unsupported output formats {bad}")
-    synth_ny = int(out_sec.get("synth_ny", 32))
+    synth_ny = _int(out_sec.get("synth_ny", 32), "output.synth_ny")
     if synth_ny < 2:
         raise ConfigurationError("config: output.synth_ny must be >= 2")
 

@@ -1,15 +1,20 @@
 """CSV field files and JSON artifacts.
 
-Field CSVs carry a header row and one value per line in row-major
-time-then-space order; floats are printed with 17 significant digits so a
-written field re-reads bitwise identical.  Space-time fields use columns
-t,x[,x2],value; y-profiles use y,value; mode bundles prepend a k column.
+Field CSVs carry a header row, then one node per line with the last key
+column varying fastest: space-time fields t,x[,x2],value, y-profiles
+y,value, and mode bundles an integer k column first.  Output lines end in
+CRLF (as the csv module writes them) and floats print as "%.17g", 17
+significant digits, so a written field re-reads bitwise identical.  Input
+lines may end in LF or CRLF; quoted numeric cells ("1.5") and blank lines
+are accepted.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +26,26 @@ from .sinebasis import ModeFieldSet, SpectralParams
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
+
+
+def _write_grid_csv(path, header: list[str], axes, values) -> None:
+    """One row per node of the product of ``axes`` (last axis fastest):
+    coordinates then value, all "%.17g" (so a mode index k prints as an
+    integer).  Each leading-index slice is one format string with the
+    trailing coordinates as literal text; memory is bounded by one slice."""
+    cols = [["%.17g" % c for c in np.asarray(axis, dtype=float).tolist()] for axis in axes]
+    values = np.asarray(values, dtype=float)
+    if values.shape != tuple(map(len, cols)):
+        raise ValueError(f"{path}: values of shape {values.shape} do not match the axes")
+    tails = ["".join("," + c for c in node) for node in itertools.product(*cols[1:])]
+    template = "".join(["%s" + tail + ",%.17g\r\n" for tail in tails])
+    fields = [None] * (2 * len(tails))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for head, block in zip(cols[0], values):
+            fields[0::2] = [head] * len(tails)
+            fields[1::2] = block.ravel().tolist()
+            fh.write(template % tuple(fields))
 
 
 def _axis_from_column(values: np.ndarray, name: str) -> np.ndarray:
@@ -35,15 +60,19 @@ def _axis_from_column(values: np.ndarray, name: str) -> np.ndarray:
 
 def _read_rows(path, expected_header: list[str]) -> np.ndarray:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected_header:
-            raise DataError(
-                f"{path}: expected header {','.join(expected_header)}, got {header}")
-        try:
-            rows = np.array([[float(cell) for cell in row] for row in reader if row])
-        except ValueError as err:
-            raise DataError(f"{path}: non-numeric cell ({err})") from err
+        header = next(csv.reader(fh), None)
+    if header is None or [h.strip() for h in header] != expected_header:
+        raise DataError(
+            f"{path}: expected header {','.join(expected_header)}, got {header}")
+    try:
+        # a path, not a handle: loadtxt then reads in its own, faster chunks
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            rows = np.loadtxt(path, delimiter=",", quotechar='"', comments=None,
+                              skiprows=1, ndmin=2, dtype=float, encoding="utf-8")
+    except ValueError as err:
+        raise DataError(f"{path}: malformed data row ({err})") from err
     if rows.size == 0:
         raise DataError(f"{path}: no data rows")
     return rows
@@ -51,20 +80,11 @@ def _read_rows(path, expected_header: list[str]) -> np.ndarray:
 
 def write_field_csv(path, field: ScalarField) -> None:
     grid = field.grid
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if grid.dim == 1:
-            writer.writerow(["t", "x", "value"])
-            for n, t in enumerate(grid.t):
-                for i, x in enumerate(grid.x):
-                    writer.writerow([_fmt(t), _fmt(x), _fmt(field.values[n, i])])
-        else:
-            writer.writerow(["t", "x", "x2", "value"])
-            for n, t in enumerate(grid.t):
-                for i, x in enumerate(grid.x):
-                    for j, y in enumerate(grid.y):
-                        writer.writerow([_fmt(t), _fmt(x), _fmt(y),
-                                         _fmt(field.values[n, i, j])])
+    if grid.dim == 1:
+        _write_grid_csv(path, ["t", "x", "value"], [grid.t, grid.x], field.values)
+    else:
+        _write_grid_csv(path, ["t", "x", "x2", "value"], [grid.t, grid.x, grid.y],
+                        field.values)
 
 
 def read_field_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,11 +104,7 @@ def read_field_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def write_profile_csv(path, y: np.ndarray, values: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "value"])
-        for yj, v in zip(y, values):
-            writer.writerow([_fmt(yj), _fmt(v)])
+    _write_grid_csv(path, ["y", "value"], [y], values)
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -103,14 +119,8 @@ def write_modes_csv(path, modes: ModeFieldSet) -> None:
     grid = modes.grid
     if grid.dim != 1:
         raise DataError("mode bundles are written for 1-d grids only")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "t", "x", "value"])
-        for k in range(1, modes.K + 1):
-            for n, t in enumerate(grid.t):
-                for i, x in enumerate(grid.x):
-                    writer.writerow([k, _fmt(t), _fmt(x),
-                                     _fmt(modes.values[k - 1, n, i])])
+    _write_grid_csv(path, ["k", "t", "x", "value"],
+                    [range(1, modes.K + 1), grid.t, grid.x], modes.values)
 
 
 def read_modes_csv(path, grid: Grid, params: SpectralParams) -> ModeFieldSet:
@@ -135,12 +145,8 @@ def read_modes_csv(path, grid: Grid, params: SpectralParams) -> ModeFieldSet:
 
 def write_mode_profiles_csv(path, phi_modes: np.ndarray, x: np.ndarray) -> None:
     phi_modes = np.asarray(phi_modes)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "x", "value"])
-        for k in range(phi_modes.shape[0]):
-            for i, xi in enumerate(x):
-                writer.writerow([k + 1, _fmt(xi), _fmt(phi_modes[k, i])])
+    _write_grid_csv(path, ["k", "x", "value"], [range(1, phi_modes.shape[0] + 1), x],
+                    phi_modes)
 
 
 def read_mode_profiles_csv(path, grid: Grid, params: SpectralParams) -> np.ndarray:
@@ -174,14 +180,7 @@ def read_field_as_scalar(path, grid: Grid) -> ScalarField:
 
 
 def write_synth_csv(path, u_synth: np.ndarray, grid: Grid, y: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "value"])
-        for n, t in enumerate(grid.t):
-            for i, x in enumerate(grid.x):
-                for j, yj in enumerate(y):
-                    writer.writerow([_fmt(t), _fmt(x), _fmt(yj),
-                                     _fmt(u_synth[n, i, j])])
+    _write_grid_csv(path, ["t", "x", "y", "value"], [grid.t, grid.x, y], u_synth)
 
 
 def write_history_csv(path, F_diff_history, ratio_history) -> None:

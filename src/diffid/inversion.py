@@ -21,7 +21,6 @@ import numpy as np
 from .certificates import Certificate, CertifyOptions, compute_Psi, compute_certificate
 from .errors import CertificateFailure, DivisionHazardError
 from .grids import (
-    Grid,
     ScalarField,
     grad_sq,
     integrate_G,
@@ -35,18 +34,17 @@ from .sinebasis import F_functional, ModeFieldSet, eigenvalues
 
 @dataclass(frozen=True)
 class IterationState:
-    """One rung of the sweep ladder: u^i, u^{i-1}, and the recorded energies."""
+    """One rung of the sweep ladder: u^i and the recorded energies."""
 
     iteration: int
     current: ModeFieldSet
-    previous: ModeFieldSet | None
     F_diff_history: tuple[float, ...] = ()
     ratio_history: tuple[float, ...] = ()
 
 
 def initial_state(data: ProblemData, initial: ModeFieldSet | None = None) -> IterationState:
     start = initial if initial is not None else ModeFieldSet.zeros(data.grid, data.params)
-    return IterationState(iteration=0, current=start, previous=None)
+    return IterationState(iteration=0, current=start)
 
 
 def _series_over_psi(modes: ModeFieldSet, psi: ScalarField, couplings: np.ndarray,
@@ -98,7 +96,6 @@ def iterate(state: IterationState, data: ProblemData, Psi: ScalarField | None = 
     return IterationState(
         iteration=state.iteration + 1,
         current=new,
-        previous=state.current,
         F_diff_history=hist,
         ratio_history=ratios,
     )
@@ -124,11 +121,6 @@ def reconstruct_a(u: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
         a_vals[:, :, :lo] = a_vals[:, :, lo:lo + 1]
         a_vals[:, :, hi_y:] = a_vals[:, :, hi_y - 1:hi_y]
     return ScalarField(grid, a_vals)
-
-
-def extrapolation_mask(grid: Grid, margin: int) -> np.ndarray:
-    """Space nodes whose coefficient values are copied, not computed."""
-    return ~interior_margin_mask(grid, margin)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import pytest
 
 from diffid import Domain, SpectralParams, build_grid, build_scenario
 from diffid.cli import main
+from diffid.config import load_config
+from diffid.errors import ConfigurationError
 from diffid.fileio import (
     read_field_csv,
     write_field_csv,
@@ -78,6 +80,25 @@ def test_missing_grid_Ny_for_2d_exits_one(tmp_path, capsys):
     code = main(["certify", "--config", str(write_config(tmp_path, cfg))])
     assert code == 1
     assert "grid.Ny" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("picard", "tol_F", float("nan")),
+    ("certify", "psi_floor", float("nan")),
+    ("domain", "T", float("nan")),
+    ("grid", "Nx", 16.9),
+])
+def test_config_rejects_nan_and_non_integral_numbers(tmp_path, section, key, value):
+    cfg = base_config(tmp_path / "out")
+    cfg[section][key] = value
+    with pytest.raises(ConfigurationError, match=rf"{section}\.{key}"):
+        load_config(write_config(tmp_path, cfg))
+
+
+def test_config_accepts_integral_float(tmp_path):
+    cfg = base_config(tmp_path / "out", N=16)
+    cfg["grid"]["Nx"] = 16.0
+    assert load_config(write_config(tmp_path, cfg)).grid.Nx == 16
 
 
 def test_both_scenario_and_data_rejected(tmp_path):

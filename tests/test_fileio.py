@@ -1,5 +1,12 @@
+import csv
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from diffid import Domain, ModeFieldSet, ScalarField, SpectralParams, build_grid
 from diffid.errors import DataError
@@ -14,6 +21,7 @@ from diffid.fileio import (
     write_mode_profiles_csv,
     write_modes_csv,
     write_profile_csv,
+    write_synth_csv,
 )
 
 
@@ -103,3 +111,130 @@ def test_history_format(tmp_path):
     assert lines[0] == "iter,F_diff,q_hat"
     assert lines[1].startswith("1,1,")  # nan ratio for the first sweep
     assert float(lines[2].split(",")[2]) == 0.25
+
+
+def reference_grid_csv(path, header, axes, values):
+    """The per-cell csv.writer loop the grid writers must match byte for byte."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for node, v in zip(itertools.product(*axes), np.ravel(values)):
+            writer.writerow([c if isinstance(c, int) else format(float(c), ".17g")
+                             for c in node] + [format(float(v), ".17g")])
+
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+            -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1 / 3]
+any_float = st.one_of(st.sampled_from(EXTREMES + [np.nan, np.inf, -np.inf]), st.floats())
+finite_float = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False,
+                                                              allow_infinity=False))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@st.composite
+def grid_case(draw, dim=1, elements=any_float):
+    lengths = (np.pi,) * dim
+    grid = build_grid(Domain(lengths, draw(st.sampled_from([0.5, 1.0, 0.3]))),
+                      Nx=draw(st.integers(2, 6)), Nt=draw(st.integers(2, 5)),
+                      Ny=draw(st.integers(2, 4)) if dim == 2 else None)
+    K = draw(st.integers(1, 4))
+    values = draw(hnp.arrays(np.float64, (K,) + grid.field_shape, elements=elements))
+    return grid, values
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=grid_case(), field_2d=grid_case(dim=2),
+       y=hnp.arrays(np.float64, st.integers(4, 7), elements=any_float))
+def test_writers_match_reference_bytes(tmp_path_factory, case, field_2d, y):
+    tmp = tmp_path_factory.mktemp("bytes")
+    (grid, values), (grid2, values2) = case, field_2d
+    K = values.shape[0]
+    ks = range(1, K + 1)
+    # stand-ins for ScalarField / ModeFieldSet so non-finite cells reach the writer
+    cases = [
+        (write_field_csv, (SimpleNamespace(grid=grid, values=values[0]),),
+         ["t", "x", "value"], [grid.t, grid.x], values[0]),
+        (write_field_csv, (SimpleNamespace(grid=grid2, values=values2[0]),),
+         ["t", "x", "x2", "value"], [grid2.t, grid2.x, grid2.y], values2[0]),
+        (write_profile_csv, (y, y[::-1]), ["y", "value"], [y], y[::-1]),
+        (write_modes_csv, (SimpleNamespace(grid=grid, K=K, values=values),),
+         ["k", "t", "x", "value"], [ks, grid.t, grid.x], values),
+        (write_mode_profiles_csv, (values[:, 0], grid.x),
+         ["k", "x", "value"], [ks, grid.x], values[:, 0]),
+        (write_synth_csv, (values.transpose(1, 2, 0), grid, y[:K]),
+         ["t", "x", "y", "value"], [grid.t, grid.x, y[:K]], values.transpose(1, 2, 0)),
+    ]
+    for n, (writer, args, header, axes, expected) in enumerate(cases):
+        got, ref = tmp / f"got{n}.csv", tmp / f"ref{n}.csv"
+        writer(got, *args)
+        reference_grid_csv(ref, header, axes, expected)
+        assert got.read_bytes() == ref.read_bytes(), writer.__name__
+
+
+# y nodes at +-max float make read_profile_csv's increment check overflow to
+# +inf, which still reads as increasing
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(case=grid_case(elements=finite_float),
+       y=st.lists(finite_float, min_size=2, max_size=8, unique=True))
+def test_readers_roundtrip_bitwise(tmp_path_factory, case, y):
+    tmp = tmp_path_factory.mktemp("roundtrip")
+    grid, values = case
+    params = SpectralParams(K=values.shape[0], Ny=64)
+
+    write_field_csv(tmp / "psi.csv", ScalarField(grid, values[0]))
+    assert np.array_equal(_bits(read_field_as_scalar(tmp / "psi.csv", grid).values),
+                          _bits(values[0]))
+
+    write_modes_csv(tmp / "f.csv", ModeFieldSet(grid, params, values))
+    assert np.array_equal(_bits(read_modes_csv(tmp / "f.csv", grid, params).values),
+                          _bits(values))
+
+    write_mode_profiles_csv(tmp / "phi.csv", values[:, 0], grid.x)
+    assert np.array_equal(_bits(read_mode_profiles_csv(tmp / "phi.csv", grid, params)),
+                          _bits(values[:, 0]))
+
+    y = np.array(sorted(y))  # unique=True draws no -0.0 next to 0.0
+    write_profile_csv(tmp / "omega.csv", y, y[::-1])
+    y_back, v_back = read_profile_csv(tmp / "omega.csv")
+    assert np.array_equal(_bits(y_back), _bits(y))
+    assert np.array_equal(_bits(v_back), _bits(y[::-1]))
+
+
+FIELD_ROWS = ["0,0,1.5", "0,1,2.5", "1,0,3.5", "1,1,4.5"]
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_reader_accepts_lf_and_crlf(tmp_path, newline):
+    path = tmp_path / "psi.csv"
+    path.write_bytes(newline.join(["t,x,value"] + FIELD_ROWS + [""]).encode())
+    t, x, values = read_field_csv(path)
+    assert np.array_equal(t, [0.0, 1.0]) and np.array_equal(x, [0.0, 1.0])
+    assert np.array_equal(values, [[1.5, 2.5], [3.5, 4.5]])
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_reader_accepts_quoted_cells_and_blank_lines(tmp_path):
+    path = tmp_path / "omega.csv"
+    path.write_bytes(b'y,value\r\n\r\n"0","1.5"\r\n\n1,"-2e-3"\r\n\r\n')
+    y, values = read_profile_csv(path)
+    assert np.array_equal(y, [0.0, 1.0])
+    assert np.array_equal(values, [1.5, -2e-3])
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@pytest.mark.parametrize("body, message", [
+    ("", "no data rows"),
+    ("\r\n\r\n", "no data rows"),
+    ("0,1\r\n1\r\n", "omega.csv"),
+    ("0,1\r\n1,abc\r\n", "omega.csv"),
+])
+def test_reader_rejects_malformed_data(tmp_path, body, message):
+    path = tmp_path / "omega.csv"
+    path.write_text("y,value\r\n" + body, encoding="utf-8", newline="")
+    with pytest.raises(DataError, match=message):
+        read_profile_csv(path)
