@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DivisionHazardError
-from .grids import Grid, ScalarField, grad_sq, integrate_G, interior_margin_mask, laplacian_x
+from .grids import Grid, ScalarField, interior_margin_mask, l2_sq_GT, laplacian_x
 from .problem import ProblemData
 from .sinebasis import ModeFieldSet, OmegaData, frac_norm
 
@@ -87,6 +87,16 @@ def first_dirichlet_eigenvalue(grid: Grid) -> float:
     return np.pi**2 * (1.0 / grid.domain.Lx**2 + 1.0 / grid.domain.Ly**2)
 
 
+def _check_psi_floor(psi_values: np.ndarray, region: np.ndarray, floor: float) -> None:
+    """Raise DivisionHazardError naming the first node of region (broadcast
+    against psi_values) where |psi| < floor."""
+    hazard = (np.abs(psi_values) < floor) & region
+    if np.any(hazard):
+        node = tuple(int(i) for i in np.argwhere(hazard)[0])
+        raise DivisionHazardError(
+            f"|psi| < {floor:g} at grid node {node}; cannot divide", node=node)
+
+
 def compute_Psi(psi: ScalarField, f_modes: ModeFieldSet, omega: OmegaData,
                 grid: Grid, floor: float = 1e-12) -> ScalarField:
     """The lifted source field (-psi_t + Lap psi + (f, omega)) / psi.
@@ -97,16 +107,12 @@ def compute_Psi(psi: ScalarField, f_modes: ModeFieldSet, omega: OmegaData,
     """
     vals = psi.values
     interior = interior_margin_mask(grid, 1)
-    hazard = (np.abs(vals) < floor) & interior[None, ...]
-    if np.any(hazard):
-        node = tuple(int(i) for i in np.argwhere(hazard)[0])
-        raise DivisionHazardError(
-            f"|psi| < {floor:g} at grid node {node}; cannot divide", node=node)
+    _check_psi_floor(vals, interior, floor)
 
     if omega.K < f_modes.K:
         raise DataError(f"omega carries {omega.K} coefficients, need {f_modes.K}")
     dpsi_dt = np.gradient(vals, grid.dt, axis=0, edge_order=2)
-    lap = np.stack([laplacian_x(vals[n], grid) for n in range(vals.shape[0])])
+    lap = laplacian_x(vals, grid)
     w = omega.omega_coeffs[: f_modes.K]
     f_omega = (np.pi / 2.0) * np.tensordot(w, f_modes.values, axes=(0, 0))
 
@@ -125,12 +131,8 @@ def compute_certificate(data: ProblemData, options: CertifyOptions) -> Certifica
     mask = interior_margin_mask(grid, margin)
     region = np.broadcast_to(mask, grid.field_shape)
 
+    _check_psi_floor(data.psi.values, region, options.psi_floor)
     psi_vals = np.abs(data.psi.values[region])
-    if np.min(psi_vals) < options.psi_floor:
-        node = tuple(int(i) for i in np.argwhere(
-            (np.abs(data.psi.values) < options.psi_floor) & region)[0])
-        raise DivisionHazardError(
-            f"|psi| < {options.psi_floor:g} inside the margin at node {node}", node=node)
     inv_psi_max = float(np.max(1.0 / psi_vals))
 
     A_eps = float(np.sqrt(np.pi) * np.sqrt(1.0 + 1.0 / (2.0 * eps))
@@ -242,27 +244,12 @@ def estimate_sobolev_constant(grid: Grid, trials: int = 200, seed: int = 0,
                 profile2 = profile[:, None] * np.sin(
                     np.pi * grid.y / grid.domain.Ly)[None, :]
                 v += wt[:, None, None] * profile2[None, :, :]
-        l4 = _lp_norm_GT(v, grid, 4.0)
+        l4 = l2_sq_GT(v**2, grid) ** 0.25
         w12 = np.sqrt(
-            _sq_GT(v, grid)
-            + _sq_GT(np.gradient(v, grid.dt, axis=0, edge_order=2), grid)
-            + _grad_sq_GT(v, grid)
+            l2_sq_GT(v, grid)
+            + l2_sq_GT(np.gradient(v, grid.dt, axis=0, edge_order=2), grid)
+            + l2_sq_GT(v, grid, grad=True)
         )
         if w12 > 0:
             best = max(best, l4 / w12)
     return best
-
-
-def _sq_GT(v: np.ndarray, grid: Grid) -> float:
-    per_t = np.array([integrate_G(v[n] ** 2, grid) for n in range(v.shape[0])])
-    return float(np.trapezoid(per_t, dx=grid.dt))
-
-
-def _grad_sq_GT(v: np.ndarray, grid: Grid) -> float:
-    per_t = np.array([integrate_G(grad_sq(v[n], grid), grid) for n in range(v.shape[0])])
-    return float(np.trapezoid(per_t, dx=grid.dt))
-
-
-def _lp_norm_GT(v: np.ndarray, grid: Grid, p: float) -> float:
-    per_t = np.array([integrate_G(np.abs(v[n]) ** p, grid) for n in range(v.shape[0])])
-    return float(np.trapezoid(per_t, dx=grid.dt) ** (1.0 / p))

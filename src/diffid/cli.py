@@ -1,6 +1,6 @@
 """Command-line front end: certify | forward | invert | mms, each driven by a
 JSON config.  Exit codes: 0 success, 1 usage/data error, 2 certificate
-failure, 3 non-convergence.  DIFFID_THREADS caps the mode-solve worker count.
+failure, 3 non-convergence.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ class RunConfig:
     scenario_scale: float
     data_files: dict | None
     output_dir: Path
-    formats: tuple[str, ...]
     synth_ny: int
 
 
@@ -142,10 +141,6 @@ def load_config(path) -> RunConfig:
 
     out_sec = _section(raw, "output")
     output_dir = Path(str(_require(out_sec, "dir", "output")))
-    formats = tuple(out_sec.get("formats", ["csv", "json"]))
-    bad = [f for f in formats if f not in ("csv", "json")]
-    if bad:
-        raise ConfigurationError(f"config: unsupported output formats {bad}")
     synth_ny = _int(out_sec.get("synth_ny", 32), "output.synth_ny")
     if synth_ny < 2:
         raise ConfigurationError("config: output.synth_ny must be >= 2")
@@ -162,7 +157,6 @@ def load_config(path) -> RunConfig:
         scenario_scale=scenario_scale,
         data_files=data_files,
         output_dir=output_dir,
-        formats=formats,
         synth_ny=synth_ny,
     )
 

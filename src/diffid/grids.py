@@ -5,6 +5,12 @@ grids are uniform tensor products with boundary nodes stored explicitly so
 homogeneous Dirichlet conditions can be enforced and checked.  All integrals
 are composite trapezoidal, consistent with the second-order difference
 stencils used everywhere else.
+
+Batch axes: the quadrature and stencil functions act on the trailing space
+axes (one in 1-d, two in 2-d) and treat every leading axis as a batch axis,
+so a mode stack (K, Nt+1, <space>) goes through one call.  l2_sq_GT also
+takes the axis just before the space axes as time.  Each batched result is
+bitwise equal to the per-slice one.
 """
 
 from __future__ import annotations
@@ -143,14 +149,20 @@ class ScalarField:
         return cls(grid, np.zeros(grid.field_shape))
 
 
-def integrate_G(slice_values: np.ndarray, grid: Grid) -> float:
-    """Composite trapezoidal integral of a space slice over G."""
-    v = np.asarray(slice_values, dtype=float)
-    if v.shape != grid.space_shape:
-        raise DataError(f"slice shape {v.shape} does not match grid space shape {grid.space_shape}")
-    if grid.dim == 1:
-        return float(np.trapezoid(v, dx=grid.hx))
-    return float(np.trapezoid(np.trapezoid(v, dx=grid.hy, axis=1), dx=grid.hx))
+def _check_space_axes(v: np.ndarray, grid: Grid) -> None:
+    if v.shape[v.ndim - grid.dim:] != grid.space_shape:
+        raise DataError(f"trailing axes of shape {v.shape} do not match grid space shape {grid.space_shape}")
+
+
+def integrate_G(values: np.ndarray, grid: Grid):
+    """Composite trapezoidal integral over G of the trailing space axes: a
+    float for one slice, an array over the leading axes for a batch."""
+    v = np.asarray(values, dtype=float)
+    _check_space_axes(v, grid)
+    if grid.dim == 2:
+        v = np.trapezoid(v, dx=grid.hy, axis=-1)
+    out = np.trapezoid(v, dx=grid.hx, axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def l2_norm_G(slice_values: np.ndarray, grid: Grid) -> float:
@@ -163,28 +175,31 @@ def l2_norm_GT(fld: ScalarField) -> float:
     return float(np.sqrt(l2_sq_GT(fld.values, fld.grid)))
 
 
-def l2_sq_GT(values: np.ndarray, grid: Grid) -> float:
-    """Squared L2 norm over the space-time cylinder for raw value arrays."""
+def l2_sq_GT(values: np.ndarray, grid: Grid, grad: bool = False):
+    """Squared L2 norm over the space-time cylinder of v, or of |grad_x v|
+    with grad=True; values are (..., Nt+1, <space>), trapezoidal in time."""
     v = np.asarray(values, dtype=float)
-    per_t = np.array([integrate_G(v[n] ** 2, grid) for n in range(v.shape[0])])
-    return float(np.trapezoid(per_t, dx=grid.dt))
+    per_t = integrate_G(grad_sq(v, grid) if grad else v**2, grid)
+    out = np.trapezoid(per_t, dx=grid.dt, axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def grad_x(slice_values: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
-    """Spatial gradient of a slice: second-order central in the interior,
-    one-sided second-order at boundary nodes.  Returns one array per axis."""
-    v = np.asarray(slice_values, dtype=float)
+def grad_x(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
+    """Spatial gradient over the trailing space axes: second-order central in
+    the interior, one-sided second-order at boundary nodes.  Returns one
+    array per space axis."""
+    v = np.asarray(values, dtype=float)
     if grid.dim == 1:
-        return (np.gradient(v, grid.hx, edge_order=2),)
+        return (np.gradient(v, grid.hx, axis=-1, edge_order=2),)
     return (
-        np.gradient(v, grid.hx, axis=0, edge_order=2),
-        np.gradient(v, grid.hy, axis=1, edge_order=2),
+        np.gradient(v, grid.hx, axis=-2, edge_order=2),
+        np.gradient(v, grid.hy, axis=-1, edge_order=2),
     )
 
 
-def grad_sq(slice_values: np.ndarray, grid: Grid) -> np.ndarray:
-    """|grad v|^2 pointwise on a space slice."""
-    parts = grad_x(slice_values, grid)
+def grad_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """|grad v|^2 pointwise over the trailing space axes."""
+    parts = grad_x(values, grid)
     out = parts[0] ** 2
     for p in parts[1:]:
         out = out + p**2
@@ -208,14 +223,13 @@ def _second_derivative(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def laplacian_x(slice_values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spatial Laplacian of a slice via second differences."""
-    v = np.asarray(slice_values, dtype=float)
-    if v.shape != grid.space_shape:
-        raise DataError(f"slice shape {v.shape} does not match grid space shape {grid.space_shape}")
-    out = _second_derivative(v, grid.hx, axis=0)
+def laplacian_x(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Spatial Laplacian over the trailing space axes via second differences."""
+    v = np.asarray(values, dtype=float)
+    _check_space_axes(v, grid)
+    out = _second_derivative(v, grid.hx, axis=-grid.dim)
     if grid.dim == 2:
-        out = out + _second_derivative(v, grid.hy, axis=1)
+        out = out + _second_derivative(v, grid.hy, axis=-1)
     return out
 
 

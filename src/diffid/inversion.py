@@ -18,16 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import Certificate, CertifyOptions, compute_Psi, compute_certificate
-from .errors import CertificateFailure, DivisionHazardError
-from .grids import (
-    ScalarField,
-    grad_sq,
-    integrate_G,
-    interior_margin_mask,
-    l2_sq_GT,
+from .certificates import (
+    Certificate,
+    CertifyOptions,
+    _check_psi_floor,
+    compute_Psi,
+    compute_certificate,
 )
-from .parabolic import ModeProblem, map_modes, overdetermination_residual, solve_mode
+from .errors import CertificateFailure
+from .grids import ScalarField, interior_margin_mask, l2_sq_GT
+from .parabolic import ModeProblem, overdetermination_residual, solve_mode
 from .problem import ProblemData
 from .sinebasis import F_functional, ModeFieldSet, eigenvalues
 
@@ -53,11 +53,7 @@ def _series_over_psi(modes: ModeFieldSet, psi: ScalarField, couplings: np.ndarra
     grid = modes.grid
     series = np.tensordot(couplings[: modes.K], modes.values, axes=(0, 0))
     interior = np.broadcast_to(interior_margin_mask(grid, 1), grid.field_shape)
-    hazard = (np.abs(psi.values) < floor) & interior
-    if np.any(hazard):
-        node = tuple(int(i) for i in np.argwhere(hazard)[0])
-        raise DivisionHazardError(
-            f"|psi| < {floor:g} at grid node {node}; cannot divide", node=node)
+    _check_psi_floor(psi.values, interior, floor)
     out = np.zeros_like(series)
     out[interior] = series[interior] / psi.values[interior]
     return out
@@ -87,7 +83,7 @@ def iterate(state: IterationState, data: ProblemData, Psi: ScalarField | None = 
                               initial=data.phi_modes[k - 1], theta=theta)
         return solve_mode(problem, grid).values
 
-    new = ModeFieldSet(grid, params, np.stack(map_modes(advance, params.K)))
+    new = ModeFieldSet(grid, params, np.stack([advance(k) for k in range(1, params.K + 1)]))
     f_diff = F_functional(new - state.current)
     hist = state.F_diff_history + (f_diff,)
     ratios = state.ratio_history
@@ -146,16 +142,9 @@ def solution_norms(u: ModeFieldSet, a: ScalarField) -> dict:
     lam = eigenvalues(params.K)
     tau1, tau2 = params.tau1, params.tau2
 
-    sq_GT = np.array([l2_sq_GT(u.values[k], grid) for k in range(params.K)])
-    dt_sq = np.array([
-        l2_sq_GT(np.gradient(u.values[k], grid.dt, axis=0, edge_order=2), grid)
-        for k in range(params.K)
-    ])
-    grad_sq_GT = np.empty(params.K)
-    for k in range(params.K):
-        per_t = np.array([integrate_G(grad_sq(u.values[k][n], grid), grid)
-                          for n in range(grid.Nt + 1)])
-        grad_sq_GT[k] = np.trapezoid(per_t, dx=grid.dt)
+    sq_GT = l2_sq_GT(u.values, grid)
+    dt_sq = l2_sq_GT(np.gradient(u.values, grid.dt, axis=1, edge_order=2), grid)
+    grad_sq_GT = l2_sq_GT(u.values, grid, grad=True)
 
     w1 = lam ** (2.0 * tau1)
     return {

@@ -10,9 +10,7 @@ linear solves stay tridiagonal (1-d) or one sparse solve per step (2-d).
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,24 +42,6 @@ class ModeProblem:
     @property
     def lambda_k(self) -> float:
         return eigenvalue(self.k)
-
-
-def worker_count() -> int:
-    """Worker cap from DIFFID_THREADS (default 1: sequential, deterministic)."""
-    try:
-        return max(1, int(os.environ.get("DIFFID_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def map_modes(fn, count: int) -> list:
-    """Apply fn(k) for k = 1..count, optionally on a thread pool; results are
-    collected in mode order so the output is independent of scheduling."""
-    workers = worker_count()
-    if workers == 1 or count == 1:
-        return [fn(k) for k in range(1, count + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(1, count + 1)))
 
 
 def solve_mode(problem: ModeProblem, grid: Grid) -> ScalarField:
@@ -208,7 +188,7 @@ def solve_forward(a: ScalarField | None, f_modes: ModeFieldSet, phi_modes: np.nd
         except NumericalBlowupError as err:
             raise NumericalBlowupError(f"forward solve failed: {err}", mode=k, step=err.step) from err
 
-    stack = np.stack(map_modes(solve_one, params.K))
+    stack = np.stack([solve_one(k) for k in range(1, params.K + 1)])
     return ModeFieldSet(grid, params, stack)
 
 

@@ -183,7 +183,7 @@ def strong_diagnostics(result: InversionResult, grid: Grid) -> dict:
     u = result.u_modes
     params = u.params
     lam = eigenvalues(params.K)
-    sq_GT = np.array([l2_sq_GT(u.values[k], grid) for k in range(params.K)])
+    sq_GT = l2_sq_GT(u.values, grid)
 
     if params.epsilon == 5.0 and params.K >= 2:
         total = float(np.sum(lam**2 * sq_GT))
@@ -193,14 +193,8 @@ def strong_diagnostics(result: InversionResult, grid: Grid) -> dict:
                 f"mode K={params.K} still carries {tail / total:.1%} of the u_yy norm; "
                 "increase K to resolve the weighted tail", RuntimeWarning)
 
-    dt_sq = np.array([
-        l2_sq_GT(np.gradient(u.values[k], grid.dt, axis=0, edge_order=2), grid)
-        for k in range(params.K)
-    ])
-    lap_sq = np.empty(params.K)
-    for k in range(params.K):
-        lap_k = np.stack([laplacian_x(u.values[k][n], grid) for n in range(grid.Nt + 1)])
-        lap_sq[k] = l2_sq_GT(lap_k, grid)
+    dt_sq = l2_sq_GT(np.gradient(u.values, grid.dt, axis=1, edge_order=2), grid)
+    lap_sq = l2_sq_GT(laplacian_x(u.values, grid), grid)
 
     half_pi = np.pi / 2.0
     return {

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .grids import Grid, grad_sq, integrate_G, l2_sq_GT
+from .grids import Grid, _second_derivative, grad_sq, integrate_G, l2_sq_GT
 
 #: default tolerance on |omega(0)|, |omega(pi)| relative to max|omega|
 OMEGA_BOUNDARY_TOL = 1e-9
@@ -125,11 +125,7 @@ class OmegaData:
         lam = eigenvalues(K)
         c_ibp = -lam * (np.pi / 2.0) * coeffs
         if omega_dd is None:
-            h = y[1] - y[0]
-            dd = np.empty_like(omega)
-            dd[1:-1] = (omega[:-2] - 2.0 * omega[1:-1] + omega[2:]) / h**2
-            dd[0] = (2.0 * omega[0] - 5.0 * omega[1] + 4.0 * omega[2] - omega[3]) / h**2
-            dd[-1] = (2.0 * omega[-1] - 5.0 * omega[-2] + 4.0 * omega[-3] - omega[-4]) / h**2
+            dd = _second_derivative(omega, y[1] - y[0], axis=0)
             return cls(y, omega, dd, coeffs, c_ibp.copy(), c_ibp)
         omega_dd = np.asarray(omega_dd, dtype=float)
         c_quad = np.array([_coupling_quadrature(y, omega_dd, j) for j in range(1, K + 1)])
@@ -217,37 +213,33 @@ def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0,
     if isinstance(mode_values, ModeFieldSet):
         mode_values = mode_values.values
     v = np.asarray(mode_values, dtype=float)
-    K = v.shape[0]
-    lam = eigenvalues(K)
+    if measure == "G":
+        parts = integrate_G(v**2, grid)
+        if level == 1:
+            parts = parts + integrate_G(grad_sq(v, grid), grid)
+    elif measure == "GT":
+        parts = l2_sq_GT(v, grid)
+        if level == 1:
+            parts = parts + l2_sq_GT(v, grid, grad=True)
+    else:
+        raise ConfigurationError(f"unknown measure {measure!r}")
+    lam = eigenvalues(v.shape[0])
     total = 0.0
-    for k in range(K):
-        if measure == "G":
-            part = integrate_G(v[k] ** 2, grid)
-            if level == 1:
-                part += integrate_G(grad_sq(v[k], grid), grid)
-        elif measure == "GT":
-            part = l2_sq_GT(v[k], grid)
-            if level == 1:
-                gsq = np.array([integrate_G(grad_sq(v[k][n], grid), grid) for n in range(v.shape[1])])
-                part += float(np.trapezoid(gsq, dx=grid.dt))
-        else:
-            raise ConfigurationError(f"unknown measure {measure!r}")
-        total += lam[k] ** (2.0 * tau) * part
+    for k in range(len(lam)):
+        total += lam[k] ** (2.0 * tau) * parts[k]
     return float(total)
 
 
 def F_functional(modes: ModeFieldSet) -> float:
     """Contraction energy: sum_k lambda_k^{(1+eps)/2} [ ||D_t u_k||^2_{GT}
     + sup_t ||grad u_k||^2_G + lambda_k sup_t ||u_k||^2_G ]."""
-    grid = modes.grid
+    grid, v = modes.grid, modes.values
     eps = modes.params.epsilon
+    dt_term = l2_sq_GT(np.gradient(v, grid.dt, axis=1, edge_order=2), grid)
+    grad_term = np.max(integrate_G(grad_sq(v, grid), grid), axis=1)
+    l2_term = np.max(integrate_G(v**2, grid), axis=1)
     lam = eigenvalues(modes.K)
     total = 0.0
     for k in range(modes.K):
-        v = modes.values[k]
-        dvt = np.gradient(v, grid.dt, axis=0, edge_order=2)
-        dt_term = l2_sq_GT(dvt, grid)
-        grad_term = max(integrate_G(grad_sq(v[n], grid), grid) for n in range(v.shape[0]))
-        l2_term = max(integrate_G(v[n] ** 2, grid) for n in range(v.shape[0]))
-        total += lam[k] ** ((1.0 + eps) / 2.0) * (dt_term + grad_term + lam[k] * l2_term)
+        total += lam[k] ** ((1.0 + eps) / 2.0) * (dt_term[k] + grad_term[k] + lam[k] * l2_term[k])
     return float(total)

@@ -101,6 +101,13 @@ def test_config_accepts_integral_float(tmp_path):
     assert load_config(write_config(tmp_path, cfg)).grid.Nx == 16
 
 
+def test_config_ignores_removed_output_formats_key(tmp_path):
+    for formats in ("csv", ["csv", "json"], ["xml"]):
+        cfg = base_config(tmp_path / "out")
+        cfg["output"]["formats"] = formats
+        assert load_config(write_config(tmp_path, cfg)).synth_ny == 8
+
+
 def test_both_scenario_and_data_rejected(tmp_path):
     cfg = base_config(tmp_path / "out")
     cfg["data"] = {"psi_file": "x", "f_file": "x", "phi_file": "x", "omega_file": "x"}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from conftest import grid_and_stack
+from hypothesis import given, settings
 
 from diffid import (
     ConfigurationError,
@@ -15,7 +17,7 @@ from diffid import (
     l2_norm_GT,
     laplacian_x,
 )
-from diffid.grids import grad_sq
+from diffid.grids import grad_sq, l2_sq_GT
 
 
 def grid_1d(Nx=128, Nt=128, Lx=np.pi, T=1.0):
@@ -147,3 +149,40 @@ def test_interior_margin_mask():
     assert mask.tolist() == [False, False, True, True, True, True, False, False]
     with pytest.raises(ConfigurationError):
         interior_margin_mask(g, 5)
+
+
+def _ref_sq_GT(v, grid, grad=False):
+    """The per-time-slice loop the batched l2_sq_GT replaced, kept as the
+    reference: one trapezoid over each space slice, then one in time."""
+    def integrate(s):
+        if grid.dim == 1:
+            return float(np.trapezoid(s, dx=grid.hx))
+        return float(np.trapezoid(np.trapezoid(s, dx=grid.hy, axis=1), dx=grid.hx))
+
+    def gsq(s):
+        if grid.dim == 1:
+            return np.gradient(s, grid.hx, edge_order=2) ** 2
+        return (np.gradient(s, grid.hx, axis=0, edge_order=2) ** 2
+                + np.gradient(s, grid.hy, axis=1, edge_order=2) ** 2)
+
+    per_t = np.array([integrate(gsq(v[n]) if grad else v[n] ** 2) for n in range(v.shape[0])])
+    return float(np.trapezoid(per_t, dx=grid.dt))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grid_and_stack())
+def test_l2_sq_GT_batched_matches_slice_loop(case):
+    grid, stack = case
+    for grad in (False, True):
+        ref = np.array([_ref_sq_GT(v, grid, grad) for v in stack])
+        assert np.array_equal(l2_sq_GT(stack, grid, grad=grad), ref)
+        assert l2_sq_GT(stack[0], grid, grad=grad) == ref[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=grid_and_stack())
+def test_stencils_batched_match_per_slice(case):
+    grid, stack = case
+    for fn in (laplacian_x, grad_sq):
+        per_slice = np.array([[fn(s, grid) for s in v] for v in stack])
+        assert np.array_equal(fn(stack, grid), per_slice)

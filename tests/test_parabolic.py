@@ -175,22 +175,6 @@ def test_2d_decay_with_reaction():
     assert np.max(np.abs(u.values - exact)) <= 5e-3
 
 
-def test_thread_count_does_not_change_bits(monkeypatch):
-    g = grid_1d(Nx=32, Nt=16)
-    params = SpectralParams(K=4, Ny=64)
-    rng = np.random.default_rng(33)
-    f_vals = rng.standard_normal((4,) + g.field_shape)
-    phi = rng.standard_normal((4,) + g.space_shape)
-    phi[:, 0] = phi[:, -1] = 0.0
-    f = ModeFieldSet(g, params, f_vals)
-
-    monkeypatch.setenv("DIFFID_THREADS", "1")
-    u1 = solve_forward(None, f, phi, g, params)
-    monkeypatch.setenv("DIFFID_THREADS", "3")
-    u3 = solve_forward(None, f, phi, g, params)
-    assert np.array_equal(u1.values, u3.values)
-
-
 def test_overdetermination_residual_exact_fields():
     g = grid_1d(Nx=64, Nt=32, T=1.0)
     params = SpectralParams(K=2, Ny=128)

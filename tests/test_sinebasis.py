@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from conftest import grid_and_stack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffid import (
     ConfigurationError,
@@ -17,6 +20,7 @@ from diffid import (
     synthesize,
 )
 from diffid.errors import DataError
+from diffid.grids import grad_sq, integrate_G, l2_sq_GT
 
 
 def test_eigenvalue():
@@ -211,3 +215,47 @@ def test_params_validation():
     p5 = SpectralParams(K=4, epsilon=5.0)
     assert p5.tau1 == pytest.approx(1.5)
     assert p5.tau2 == pytest.approx(2.0)
+
+
+def _ref_frac_norm(v, grid, tau, level, measure):
+    """The per-mode, per-time-slice loop the batched frac_norm replaced."""
+    lam = np.arange(1, v.shape[0] + 1, dtype=float) ** 2
+    total = 0.0
+    for k in range(v.shape[0]):
+        if measure == "G":
+            part = integrate_G(v[k] ** 2, grid)
+            if level == 1:
+                part += integrate_G(grad_sq(v[k], grid), grid)
+        else:
+            part = l2_sq_GT(v[k], grid)
+            if level == 1:
+                gsq = np.array([integrate_G(grad_sq(v[k][n], grid), grid) for n in range(v.shape[1])])
+                part += float(np.trapezoid(gsq, dx=grid.dt))
+        total += lam[k] ** (2.0 * tau) * part
+    return float(total)
+
+
+def _ref_F(modes):
+    """The per-mode, per-time-slice loop the batched F_functional replaced."""
+    grid, eps = modes.grid, modes.params.epsilon
+    lam = np.arange(1, modes.K + 1, dtype=float) ** 2
+    total = 0.0
+    for k in range(modes.K):
+        v = modes.values[k]
+        dt_term = l2_sq_GT(np.gradient(v, grid.dt, axis=0, edge_order=2), grid)
+        grad_term = max(integrate_G(grad_sq(v[n], grid), grid) for n in range(v.shape[0]))
+        l2_term = max(integrate_G(v[n] ** 2, grid) for n in range(v.shape[0]))
+        total += lam[k] ** ((1.0 + eps) / 2.0) * (dt_term + grad_term + lam[k] * l2_term)
+    return float(total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grid_and_stack(), tau=st.floats(0.0, 2.0), eps=st.floats(0.1, 5.0))
+def test_batched_mode_norms_match_slice_loops(case, tau, eps):
+    grid, stack = case
+    for level in (0, 1):
+        assert frac_norm(stack, grid, tau, level, "GT") == _ref_frac_norm(stack, grid, tau, level, "GT")
+        assert frac_norm(stack[:, 0], grid, tau, level, "G") == _ref_frac_norm(
+            stack[:, 0], grid, tau, level, "G")
+    modes = ModeFieldSet(grid, SpectralParams(K=stack.shape[0], epsilon=eps), stack)
+    assert F_functional(modes) == _ref_F(modes)
