@@ -123,15 +123,22 @@ def compute_Psi(psi: ScalarField, f_modes: ModeFieldSet, omega: OmegaData,
     return ScalarField(grid, out)
 
 
-def compute_certificate(data: ProblemData, options: CertifyOptions) -> Certificate:
-    """Evaluate every solvability constant and the local/global conditions."""
+def compute_certificate(data: ProblemData, options: CertifyOptions,
+                        Psi: ScalarField | None = None) -> Certificate:
+    """Evaluate every solvability constant and the local/global conditions.
+
+    Psi, when given, must be compute_Psi of the same data and psi floor; it
+    is computed here otherwise.  Its psi-floor check covers every interior
+    node, so it covers the boundary-margin region used below.
+    """
     grid = data.grid
     eps = data.params.epsilon
     margin = options.boundary_margin
     mask = interior_margin_mask(grid, margin)
     region = np.broadcast_to(mask, grid.field_shape)
 
-    _check_psi_floor(data.psi.values, region, options.psi_floor)
+    if Psi is None:
+        Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=options.psi_floor)
     psi_vals = np.abs(data.psi.values[region])
     inv_psi_max = float(np.max(1.0 / psi_vals))
 
@@ -139,7 +146,6 @@ def compute_certificate(data: ProblemData, options: CertifyOptions) -> Certifica
                   * data.omega.omega_dd_l2 * inv_psi_max)
     B = 2.0 * A_eps**2 * options.C_S**2
 
-    Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=options.psi_floor)
     Psi_M = float(np.max(np.abs(Psi.values[region])))
 
     tau1, tau2 = data.params.tau1, data.params.tau2

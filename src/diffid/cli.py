@@ -179,8 +179,11 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     write_json(cfg.output_dir / "summary.json", summary)
 
     if not result.converged:
-        print(f"did not converge in {result.iterations} sweeps "
-              f"(last F_diff = {result.F_diff_history[-1]:.3e})", file=sys.stderr)
+        # run_inversion stops short of max_iters only when the sweeps run away
+        verdict = "diverged after" if result.iterations < cfg.max_iters else "did not converge in"
+        last = f"{result.F_diff_history[-1]:.3e}" if result.F_diff_history else "none"
+        print(f"{verdict} {result.iterations} sweeps (last kept F_diff = {last})",
+              file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     print(f"converged in {result.iterations} sweeps; "
           f"residual = {result.residual_norm:.6e}")
@@ -219,9 +222,10 @@ def _cmd_mms(cfg: RunConfig, base_dir: Path, force: bool) -> int:
                     ["N", "err_a", "err_u", "residual", "iterations", "converged", "order_a"],
                     conv_rows)
 
-    scn_top, _ = results[levels[-1]]
+    scn_top, result_top = results[levels[-1]]
     distance = uniqueness_probe(scn_top, cfg.certify, tol_F=cfg.tol_F,
-                                max_iters=cfg.max_iters)
+                                max_iters=cfg.max_iters, theta=cfg.theta,
+                                zero_start=result_top)
     write_table_csv(cfg.output_dir / "uniqueness.csv",
                     ["scenario", "distance"], [[cfg.scenario_name, distance]])
 

@@ -94,13 +94,18 @@ def load_config(path) -> RunConfig:
     grid = build_grid(domain, Nx=Nx, Nt=Nt, Ny=Ny)
 
     spec_sec = _section(raw, "spectral")
+    epsilon = _float(spec_sec.get("epsilon", 1.0), "spectral.epsilon")
+    if epsilon <= 0:
+        raise ConfigurationError(f"config: spectral.epsilon must be positive, got {epsilon!r}")
     params = SpectralParams(
         K=_int(_require(spec_sec, "K", "spectral"), "spectral.K"),
-        epsilon=_float(spec_sec.get("epsilon", 1.0), "spectral.epsilon"),
+        epsilon=epsilon,
         Ny=_int(grid_sec["Ny_quad"], "grid.Ny_quad") if "Ny_quad" in grid_sec else None,
     )
 
     theta = _float(_section(raw, "scheme", required=False).get("theta", 0.5), "scheme.theta")
+    if not 0.5 <= theta <= 1.0:
+        raise ConfigurationError(f"config: scheme.theta must lie in [0.5, 1], got {theta!r}")
 
     cert_sec = _section(raw, "certify", required=False)
     certify = CertifyOptions(

@@ -8,7 +8,12 @@ coefficient fully lagged into the source:
 starting from u^0 = 0, and the recovered coefficient is defined (not fitted)
 by a = Psi + (sum_j c_j u_j) / psi once the sweep-to-sweep energy
 F(u^i - u^{i-1}) drops below tolerance.  Non-convergence is a result, not an
-exception, so certificate-violating inputs can still be studied.
+exception, so certificate-violating inputs can still be studied; a sweep
+whose energy runs away (see _RUNAWAY) stops the loop as well.
+
+The division by psi is guarded once per run: compute_Psi rejects psi below
+the floor at every interior node, and the helpers below divide by the same
+psi on those nodes only.
 """
 
 from __future__ import annotations
@@ -18,18 +23,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import (
-    Certificate,
-    CertifyOptions,
-    _check_psi_floor,
-    compute_Psi,
-    compute_certificate,
-)
+from .certificates import Certificate, CertifyOptions, compute_Psi, compute_certificate
 from .errors import CertificateFailure
 from .grids import ScalarField, interior_margin_mask, l2_sq_GT
 from .parabolic import ModeProblem, overdetermination_residual, solve_mode
 from .problem import ProblemData
 from .sinebasis import F_functional, ModeFieldSet, eigenvalues
+
+# F is a squared norm, so a sweep energy 2**104 times the first one means a
+# sweep-to-sweep change 1/eps (2**52) times the first iterate: the data that
+# set the first sweep are below the iterate's roundoff.  A contracting run
+# never gets there (F falls every sweep); a diverging one overflows a few
+# sweeps later, since the lagged product a*u makes F roughly square per sweep.
+_RUNAWAY = 2.0**104
 
 
 @dataclass(frozen=True)
@@ -47,36 +53,36 @@ def initial_state(data: ProblemData, initial: ModeFieldSet | None = None) -> Ite
     return IterationState(iteration=0, current=start)
 
 
-def _series_over_psi(modes: ModeFieldSet, psi: ScalarField, couplings: np.ndarray,
-                     floor: float) -> np.ndarray:
-    """(sum_j c_j u_j) / psi on interior nodes, zero on the spatial boundary."""
+def _series_over_psi(modes: ModeFieldSet, psi: ScalarField, couplings: np.ndarray) -> np.ndarray:
+    """(sum_j c_j u_j) / psi on interior nodes, zero on the spatial boundary;
+    psi has passed compute_Psi's floor check on those nodes."""
     grid = modes.grid
     series = np.tensordot(couplings[: modes.K], modes.values, axes=(0, 0))
     interior = np.broadcast_to(interior_margin_mask(grid, 1), grid.field_shape)
-    _check_psi_floor(psi.values, interior, floor)
     out = np.zeros_like(series)
     out[interior] = series[interior] / psi.values[interior]
     return out
 
 
 def picard_source(prev: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
-                  f_modes: ModeFieldSet, couplings: np.ndarray,
-                  floor: float = 1e-12) -> np.ndarray:
+                  f_modes: ModeFieldSet, couplings: np.ndarray) -> np.ndarray:
     """Per-mode source stack for the next sweep; the coupling series is
-    evaluated once and reused for every k."""
-    ratio = _series_over_psi(prev, psi, couplings, floor)
+    evaluated once and reused for every k.  Psi comes from compute_Psi of
+    this psi."""
+    ratio = _series_over_psi(prev, psi, couplings)
     lag = Psi.values + ratio
     return f_modes.values - lag[None, ...] * prev.values
 
 
 def iterate(state: IterationState, data: ProblemData, Psi: ScalarField | None = None,
             theta: float = 0.5, floor: float = 1e-12) -> IterationState:
-    """Advance all modes by one sweep and append F(u^{i+1} - u^i)."""
+    """Advance all modes by one sweep and append F(u^{i+1} - u^i).  Psi is
+    computed (and psi checked against the floor) when not given."""
     grid, params = data.grid, data.params
     if Psi is None:
         Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=floor)
     couplings = data.omega.couplings[: params.K]
-    sources = picard_source(state.current, Psi, data.psi, data.f_modes, couplings, floor)
+    sources = picard_source(state.current, Psi, data.psi, data.f_modes, couplings)
 
     def advance(k: int) -> np.ndarray:
         problem = ModeProblem(k=k, source=ScalarField(grid, sources[k - 1]),
@@ -98,12 +104,12 @@ def iterate(state: IterationState, data: ProblemData, Psi: ScalarField | None = 
 
 
 def reconstruct_a(u: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
-                  couplings: np.ndarray, margin: int = 2,
-                  floor: float = 1e-12) -> ScalarField:
+                  couplings: np.ndarray, margin: int = 2) -> ScalarField:
     """Coefficient formula a = Psi + (sum_j c_j u_j)/psi on the interior
-    margin; nodes outside the margin copy the nearest margin node."""
+    margin; nodes outside the margin copy the nearest margin node.  Psi
+    comes from compute_Psi of this psi."""
     grid = u.grid
-    ratio = _series_over_psi(u, psi, couplings, floor)
+    ratio = _series_over_psi(u, psi, couplings)
     a_vals = Psi.values + ratio
 
     lo, hi_x = margin, grid.Nx + 2 - margin
@@ -162,8 +168,16 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
                   synth_y: np.ndarray | None = None) -> InversionResult:
     """Certificate check, sweep loop, coefficient reconstruction, and the
     residual/norm bundle.  A failing certificate aborts unless force=True,
-    in which case the run continues with a warning and the verdict recorded."""
-    cert = compute_certificate(data, options)
+    in which case the run continues with a warning and the verdict recorded.
+
+    The loop stops with converged=False after max_iters sweeps, or earlier
+    when a sweep energy is non-finite or exceeds _RUNAWAY times the first
+    one; that sweep is dropped and the result is built from the iterate
+    before it.
+    """
+    grid, params = data.grid, data.params
+    Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=options.psi_floor)
+    cert = compute_certificate(data, options, Psi=Psi)
     if not cert.local_pass:
         if not force:
             raise CertificateFailure(
@@ -173,20 +187,20 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
             f"running despite failed certificate (q_local = {cert.q_local:.6g})",
             RuntimeWarning)
 
-    grid, params = data.grid, data.params
-    Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=options.psi_floor)
-
     state = initial_state(data, initial)
     converged = False
     for _ in range(max_iters):
-        state = iterate(state, data, Psi=Psi, theta=theta, floor=options.psi_floor)
-        if state.F_diff_history[-1] <= tol_F:
+        swept = iterate(state, data, Psi=Psi, theta=theta)
+        f_diff = swept.F_diff_history[-1]
+        if not (np.isfinite(f_diff) and f_diff <= _RUNAWAY * swept.F_diff_history[0]):
+            break
+        state = swept
+        if f_diff <= tol_F:
             converged = True
             break
 
     couplings = data.omega.couplings[: params.K]
-    a = reconstruct_a(state.current, Psi, data.psi, couplings,
-                      margin=options.boundary_margin, floor=options.psi_floor)
+    a = reconstruct_a(state.current, Psi, data.psi, couplings, margin=options.boundary_margin)
     if synth_y is None:
         synth_y = np.linspace(0.0, np.pi, 33)
     u_synth = state.current.synthesize_y(synth_y)

@@ -163,18 +163,26 @@ def convergence_study(name: str, resolutions: list[int], params: SpectralParams,
 
 
 def uniqueness_probe(scenario: Scenario, options: CertifyOptions = CertifyOptions(),
-                     tol_F: float = 1e-10, max_iters: int = 50) -> float:
+                     tol_F: float = 1e-10, max_iters: int = 50, theta: float = 0.5,
+                     zero_start: InversionResult | None = None) -> float:
     """Distance between coefficients recovered from two different starting
-    iterates: zero modes versus the result of one sweep from zero."""
+    iterates: zero modes versus the result of one sweep from zero.
+
+    zero_start is the caller's finished zero-start inversion of this
+    scenario with the same options, tol_F, max_iters and theta; it is run
+    here when not given.
+    """
     data = scenario.data
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        res_zero = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters, force=True)
-        warm = iterate(initial_state(data), data, floor=options.psi_floor)
+        if zero_start is None:
+            zero_start = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters,
+                                       theta=theta, force=True)
+        warm = iterate(initial_state(data), data, theta=theta, floor=options.psi_floor)
         res_warm = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters,
-                                 force=True, initial=warm.current)
+                                 theta=theta, force=True, initial=warm.current)
     mask = interior_margin_mask(data.grid, options.boundary_margin)
-    return _masked_rel_l2(res_zero.a.values, res_warm.a.values, mask)
+    return _masked_rel_l2(zero_start.a.values, res_warm.a.values, mask)
 
 
 def strong_diagnostics(result: InversionResult, grid: Grid) -> dict:

@@ -95,6 +95,17 @@ def test_config_rejects_nan_and_non_integral_numbers(tmp_path, section, key, val
         load_config(write_config(tmp_path, cfg))
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("scheme", "theta", 0.3),
+    ("spectral", "epsilon", 0.0),
+])
+def test_config_rejects_out_of_range_values(tmp_path, section, key, value):
+    cfg = base_config(tmp_path / "out")
+    cfg[section][key] = value
+    with pytest.raises(ConfigurationError, match=rf"{section}\.{key}"):
+        load_config(write_config(tmp_path, cfg))
+
+
 def test_config_accepts_integral_float(tmp_path):
     cfg = base_config(tmp_path / "out", N=16)
     cfg["grid"]["Nx"] = 16.0
@@ -172,6 +183,24 @@ def test_invert_nonconvergence_exit_code(tmp_path):
     assert (out / "history.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert not summary["converged"]
+
+
+def test_invert_divergence_is_a_result(tmp_path, capsys):
+    # the sweep energy grows without bound (2e53 by sweep 8, inf by sweep 11)
+    out = tmp_path / "out"
+    cfg = base_config(out, scenario="MMS-A", N=32, K=4)
+    cfg["scenario"]["scale"] = 10
+    code = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--force"])
+    assert code == 3
+    assert "diverged after" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert not summary["converged"]
+    assert 1 <= summary["iterations"] < cfg["picard"]["max_iters"]
+    history = np.loadtxt(out / "history.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert history.shape[0] == summary["iterations"]
+    assert np.all(np.isfinite(history[:, 1]))
+    _, _, a = read_field_csv(out / "a.csv")
+    assert np.all(np.isfinite(a))
 
 
 def test_invert_data_file_mode_matches_scenario(tmp_path):

@@ -1,5 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sps
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from diffid import (
     Domain,
@@ -15,6 +21,7 @@ from diffid import (
     solve_mode,
 )
 from diffid.errors import NumericalBlowupError
+from diffid.tridiag import thomas_solve
 
 
 def grid_1d(Nx=128, Nt=128, T=1.0):
@@ -200,3 +207,97 @@ def test_overdetermination_residual_linearity():
     _, norm1 = overdetermination_residual(u, om, delta)
     from diffid import l2_norm_GT
     assert norm1 == pytest.approx(l2_norm_GT(delta), rel=1e-12)
+
+
+def thomas_march(S, phi, g, k, theta):
+    """Reaction-free theta march, one Thomas solve per step: the reference
+    for the DST-I path."""
+    dt, r, lam = g.dt, g.dt / g.hx**2, float(k * k)
+    off = np.full(g.Nx - 1, -theta * r)
+    diag = np.full(g.Nx, 1.0 + theta * (2.0 * r + dt * lam))
+    out = np.zeros(g.field_shape)
+    v = phi.copy()
+    v[0] = v[-1] = 0.0
+    out[0] = v
+    for n in range(g.Nt):
+        rhs = (v[1:-1] * (1.0 - (1.0 - theta) * (2.0 * r + dt * lam))
+               + (1.0 - theta) * r * (v[:-2] + v[2:])
+               + dt * (theta * S[n + 1, 1:-1] + (1.0 - theta) * S[n, 1:-1]))
+        v = np.zeros_like(v)
+        v[1:-1] = thomas_solve(off, diag, off, rhs)
+        out[n + 1] = v
+    return out
+
+
+def splu_march_2d(S, phi, g, k, theta):
+    """Reaction-free 2-d theta march, one sparse LU of the step operator:
+    the reference for the DST-I path."""
+    nx, ny, dt = g.Nx, g.Ny, g.dt
+    Ax = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(nx, nx)) / g.hx**2
+    Ay = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(ny, ny)) / g.hy**2
+    eye = sps.identity(nx * ny, format="csr")
+    M = sps.kron(Ax, sps.eye(ny)) + sps.kron(sps.eye(nx), Ay) + k * k * eye
+    lu = splu((eye + theta * dt * M).tocsc())
+    explicit = (eye - (1.0 - theta) * dt * M).tocsr()
+    out = np.zeros(g.field_shape)
+    out[0, 1:-1, 1:-1] = phi[1:-1, 1:-1]
+    for n in range(g.Nt):
+        rhs = explicit @ out[n, 1:-1, 1:-1].ravel() + dt * (
+            theta * S[n + 1, 1:-1, 1:-1] + (1.0 - theta) * S[n, 1:-1, 1:-1]).ravel()
+        out[n + 1, 1:-1, 1:-1] = lu.solve(rhs).reshape(nx, ny)
+    return out
+
+
+def rel_max_diff(u, ref):
+    return float(np.max(np.abs(u - ref)) / np.max(np.abs(ref)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(Nx=st.integers(4, 200), Nt=st.integers(2, 48), k=st.integers(1, 16),
+       theta=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(Nx=96, Nt=48, k=16, theta=0.5, seed=1)   # Nx+1 = 97 is prime
+@example(Nx=192, Nt=24, k=1, theta=1.0, seed=2)   # Nx+1 = 193 is prime
+def test_spectral_march_matches_thomas_reference(Nx, Nt, k, theta, seed):
+    g = grid_1d(Nx=Nx, Nt=Nt, T=0.5)
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal(g.field_shape)
+    phi = rng.standard_normal(g.space_shape)
+    u = solve_mode(ModeProblem(k=k, source=ScalarField(g, S), initial=phi, theta=theta), g)
+    assert rel_max_diff(u.values, thomas_march(S, phi, g, k, theta)) <= 1e-12
+    assert np.all(u.values[:, 0] == 0.0) and np.all(u.values[:, -1] == 0.0)
+    assert np.array_equal(u.values[0, 1:-1], phi[1:-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(Nx=st.integers(2, 24), Ny=st.integers(2, 24), Nt=st.integers(2, 16),
+       Lx=st.floats(0.5, 4.0), Ly=st.floats(0.5, 4.0), k=st.integers(1, 16),
+       theta=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_spectral_march_2d_matches_splu_reference(Nx, Ny, Nt, Lx, Ly, k, theta, seed):
+    g = build_grid(Domain((Lx, Ly), 0.5), Nx=Nx, Nt=Nt, Ny=Ny)
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal(g.field_shape)
+    phi = rng.standard_normal(g.space_shape)
+    u = solve_mode(ModeProblem(k=k, source=ScalarField(g, S), initial=phi, theta=theta), g)
+    assert rel_max_diff(u.values, splu_march_2d(S, phi, g, k, theta)) <= 1e-12
+    for edge in (u.values[:, 0], u.values[:, -1], u.values[:, :, 0], u.values[:, :, -1]):
+        assert np.all(edge == 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from((1, 2)), Nt=st.integers(2, 16), data=st.data(),
+       theta=st.floats(0.5, 1.0), value=st.sampled_from((np.inf, -np.inf, np.nan)))
+def test_spectral_blowup_names_first_bad_step(dim, Nt, data, theta, value):
+    # ScalarField rejects non-finite values, so a stand-in carries the source
+    lengths = (np.pi,) * dim
+    g = build_grid(Domain(lengths, 1.0), Nx=12, Nt=Nt, Ny=9 if dim == 2 else None)
+    step = data.draw(st.integers(1, Nt))
+    node = tuple(data.draw(st.integers(1, n)) for n in (g.Nx, g.Ny)[:dim])
+    S = np.zeros(g.field_shape)
+    S[(step,) + node] = value
+    prob = ModeProblem(k=3, source=SimpleNamespace(grid=g, values=S),
+                       initial=np.zeros(g.space_shape), theta=theta)
+    with pytest.raises(NumericalBlowupError) as err:
+        solve_mode(prob, g)
+    assert err.value.step == step
+    assert err.value.mode == 3

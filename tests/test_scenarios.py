@@ -194,6 +194,40 @@ def test_uniqueness_probe_reports_on_failing_certificate():
     assert np.isfinite(d)
 
 
+def test_uniqueness_probe_reuses_zero_start_and_passes_theta(monkeypatch):
+    import diffid.inversion as inversion
+    import diffid.scenarios as scenarios
+
+    scn = make_scenario("MMS-A", N=24, K=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        zero = run_inversion(scn.data, max_iters=8, theta=0.8, force=True)
+
+    runs, thetas = [], []
+    real_run, real_solve = scenarios.run_inversion, inversion.solve_mode
+
+    def run_spy(*args, **kwargs):
+        runs.append(kwargs.get("initial") is None)
+        return real_run(*args, **kwargs)
+
+    def solve_spy(problem, grid):
+        thetas.append(problem.theta)
+        return real_solve(problem, grid)
+
+    monkeypatch.setattr(scenarios, "run_inversion", run_spy)
+    monkeypatch.setattr(inversion, "solve_mode", solve_spy)
+
+    given = uniqueness_probe(scn, max_iters=8, theta=0.8, zero_start=zero)
+    assert runs == [False]  # only the warm-start inversion is run
+    assert thetas and set(thetas) == {0.8}
+
+    runs.clear()
+    thetas.clear()
+    assert uniqueness_probe(scn, max_iters=8, theta=0.8) == given
+    assert runs == [True, False]
+    assert thetas and set(thetas) == {0.8}
+
+
 def single_mode_result(grid, params, mode_field):
     vals = np.zeros((params.K,) + grid.field_shape)
     vals[0] = mode_field
