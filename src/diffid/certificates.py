@@ -81,10 +81,8 @@ class Certificate:
 
 
 def first_dirichlet_eigenvalue(grid: Grid) -> float:
-    """Exact lambda_1 of -Lap on the interval/rectangle."""
-    if grid.dim == 1:
-        return (np.pi / grid.domain.Lx) ** 2
-    return np.pi**2 * (1.0 / grid.domain.Lx**2 + 1.0 / grid.domain.Ly**2)
+    """Exact lambda_1 of -d^2/dx^2 on the interval (0, Lx)."""
+    return (np.pi / grid.domain.Lx) ** 2
 
 
 def _check_psi_floor(psi_values: np.ndarray, region: np.ndarray, floor: float) -> None:
@@ -244,12 +242,7 @@ def estimate_sobolev_constant(grid: Grid, trials: int = 200, seed: int = 0,
             profile = np.sin(k * np.pi * x / grid.domain.Lx)
             wt = amp_s * np.sin(k * np.pi * t / grid.domain.T) + amp_c * np.cos(
                 k * np.pi * t / grid.domain.T)
-            if grid.dim == 1:
-                v += wt[:, None] * profile[None, :]
-            else:
-                profile2 = profile[:, None] * np.sin(
-                    np.pi * grid.y / grid.domain.Ly)[None, :]
-                v += wt[:, None, None] * profile2[None, :, :]
+            v += wt[:, None] * profile[None, :]
         l4 = l2_sq_GT(v**2, grid) ** 0.25
         w12 = np.sqrt(
             l2_sq_GT(v, grid)

@@ -23,10 +23,9 @@ from .fileio import (
     write_synth_csv,
     write_table_csv,
 )
-from .grids import build_grid
 from .inversion import run_inversion
 from .parabolic import overdetermination_residual, solve_forward
-from .scenarios import build_scenario, recovery_error, strong_diagnostics, uniqueness_probe
+from .scenarios import convergence_study, recovery_error, strong_diagnostics, uniqueness_probe
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -167,6 +166,7 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
 
     summary = {
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "iterations": result.iterations,
         "residual_norm": result.residual_norm,
         "certificate_local_pass": result.certificate.local_pass,
@@ -179,8 +179,7 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     write_json(cfg.output_dir / "summary.json", summary)
 
     if not result.converged:
-        # run_inversion stops short of max_iters only when the sweeps run away
-        verdict = "diverged after" if result.iterations < cfg.max_iters else "did not converge in"
+        verdict = "diverged after" if result.stop_reason == "diverged" else "did not converge in"
         last = f"{result.F_diff_history[-1]:.3e}" if result.F_diff_history else "none"
         print(f"{verdict} {result.iterations} sweeps (last kept F_diff = {last})",
               file=sys.stderr)
@@ -195,54 +194,35 @@ def _cmd_mms(cfg: RunConfig, base_dir: Path, force: bool) -> int:
         print("error: mms studies need a scenario config", file=sys.stderr)
         return EXIT_ERROR
 
-    levels = sorted({max(8, cfg.grid.Nx // 4), max(8, cfg.grid.Nx // 2), cfg.grid.Nx})
-    conv_rows = []
-    results = {}
-    prev_err = None
-    for N in levels:
-        grid = build_grid(cfg.grid.domain, Nx=N, Nt=max(8, round(cfg.grid.Nt * N / cfg.grid.Nx)))
-        scn = build_scenario(cfg.scenario_name, grid, cfg.params, scale=cfg.scenario_scale)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = run_inversion(scn.data, cfg.certify, tol_F=cfg.tol_F,
-                                   max_iters=cfg.max_iters, theta=cfg.theta, force=True)
-        results[N] = (scn, result)
-        if scn.truth_a is not None:
-            err_a = recovery_error(result, scn, which="a")
-            err_u = recovery_error(result, scn, which="u")
-        else:
-            err_a = err_u = float("nan")
-        order = float("nan")
-        if prev_err is not None and prev_err > 0 and err_a > 0:
-            order = float(np.log2(prev_err / err_a))
-        conv_rows.append([N, err_a, err_u, result.residual_norm,
-                          result.iterations, int(result.converged), order])
-        prev_err = err_a
+    rows = convergence_study(cfg.scenario_name, cfg.grid, cfg.params,
+                             scale=cfg.scenario_scale, options=cfg.certify, tol_F=cfg.tol_F,
+                             max_iters=cfg.max_iters, theta=cfg.theta)
     write_table_csv(cfg.output_dir / "convergence.csv",
                     ["N", "err_a", "err_u", "residual", "iterations", "converged", "order_a"],
-                    conv_rows)
+                    [[row["N"], row["err_a"], row["err_u"], row["residual"], row["iterations"],
+                      int(row["converged"]), row["order_a"]] for row in rows])
 
-    scn_top, result_top = results[levels[-1]]
-    distance = uniqueness_probe(scn_top, cfg.certify, tol_F=cfg.tol_F,
+    top = rows[-1]
+    distance = uniqueness_probe(top["scenario"], cfg.certify, tol_F=cfg.tol_F,
                                 max_iters=cfg.max_iters, theta=cfg.theta,
-                                zero_start=result_top)
+                                zero_start=top["result"])
     write_table_csv(cfg.output_dir / "uniqueness.csv",
                     ["scenario", "distance"], [[cfg.scenario_name, distance]])
 
     strong_rows = []
-    for N in levels[-2:]:
-        scn, result = results[N]
+    for row in rows[-2:]:
+        result = row["result"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             d = strong_diagnostics(result, result.a.grid)
-        strong_rows.append([N, d["u_sq_Q"], d["lap_u_sq_Q"], d["u_t_sq_Q"],
+        strong_rows.append([row["N"], d["u_sq_Q"], d["lap_u_sq_Q"], d["u_t_sq_Q"],
                             d["u_yy_sq_Q"], d["a_sq_GT"]])
     write_table_csv(cfg.output_dir / "strong_diagnostics.csv",
                     ["N", "u_sq_Q", "lap_u_sq_Q", "u_t_sq_Q", "u_yy_sq_Q", "a_sq_GT"],
                     strong_rows)
 
     print(f"mms studies written for {cfg.scenario_name}: "
-          f"levels {levels}, uniqueness distance {distance:.3e}")
+          f"levels {[row['N'] for row in rows]}, uniqueness distance {distance:.3e}")
     return EXIT_OK
 
 

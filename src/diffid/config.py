@@ -77,21 +77,16 @@ def load_config(path) -> RunConfig:
 
     dom_sec = _section(raw, "domain")
     dim = _int(dom_sec.get("dim", 1), "domain.dim")
-    if dim not in (1, 2):
-        raise ConfigurationError(f"config: domain.dim must be 1 or 2, got {dim}")
+    if dim != 1:
+        raise ConfigurationError(f"config: domain.dim must be 1 (G is an interval), got {dim}")
     Lx = _float(_require(dom_sec, "Lx", "domain"), "domain.Lx")
     T = _float(_require(dom_sec, "T", "domain"), "domain.T")
-    if dim == 2:
-        lengths = (Lx, _float(_require(dom_sec, "Ly", "domain"), "domain.Ly"))
-    else:
-        lengths = (Lx,)
-    domain = Domain(lengths, T)
+    domain = Domain((Lx,), T)
 
     grid_sec = _section(raw, "grid")
     Nx = _int(_require(grid_sec, "Nx", "grid"), "grid.Nx")
     Nt = _int(_require(grid_sec, "Nt", "grid"), "grid.Nt")
-    Ny = _int(_require(grid_sec, "Ny", "grid"), "grid.Ny") if dim == 2 else None
-    grid = build_grid(domain, Nx=Nx, Nt=Nt, Ny=Ny)
+    grid = build_grid(domain, Nx=Nx, Nt=Nt)
 
     spec_sec = _section(raw, "spectral")
     epsilon = _float(spec_sec.get("epsilon", 1.0), "spectral.epsilon")
@@ -180,8 +175,6 @@ def assemble_data(cfg: RunConfig, base_dir: Path) -> ProblemData:
     from .fileio import read_field_as_scalar, read_mode_profiles_csv, read_modes_csv, read_profile_csv
 
     files = {k: _resolve(base_dir, v) for k, v in cfg.data_files.items()}
-    if cfg.grid.dim != 1:
-        raise ConfigurationError("data-file runs support 1-d domains only")
     psi = read_field_as_scalar(files["psi_file"], cfg.grid)
     f_modes = read_modes_csv(files["f_file"], cfg.grid, cfg.params)
     phi_modes = read_mode_profiles_csv(files["phi_file"], cfg.grid, cfg.params)

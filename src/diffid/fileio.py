@@ -1,7 +1,7 @@
 """CSV field files and JSON artifacts.
 
 Field CSVs carry a header row, then one node per line with the last key
-column varying fastest: space-time fields t,x[,x2],value, y-profiles
+column varying fastest: space-time fields t,x,value, y-profiles
 y,value, and mode bundles an integer k column first.  Output lines end in
 CRLF (as the csv module writes them) and floats print as "%.17g", 17
 significant digits, so a written field re-reads bitwise identical.  Input
@@ -80,15 +80,11 @@ def _read_rows(path, expected_header: list[str]) -> np.ndarray:
 
 def write_field_csv(path, field: ScalarField) -> None:
     grid = field.grid
-    if grid.dim == 1:
-        _write_grid_csv(path, ["t", "x", "value"], [grid.t, grid.x], field.values)
-    else:
-        _write_grid_csv(path, ["t", "x", "x2", "value"], [grid.t, grid.x, grid.y],
-                        field.values)
+    _write_grid_csv(path, ["t", "x", "value"], [grid.t, grid.x], field.values)
 
 
 def read_field_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a 1-d space-time field; returns (t_nodes, x_nodes, values)."""
+    """Read a space-time field; returns (t_nodes, x_nodes, values)."""
     rows = _read_rows(path, ["t", "x", "value"])
     t_nodes = _axis_from_column(rows[:, 0], "t")
     x_nodes = _axis_from_column(rows[:, 1], "x")
@@ -117,8 +113,6 @@ def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_modes_csv(path, modes: ModeFieldSet) -> None:
     grid = modes.grid
-    if grid.dim != 1:
-        raise DataError("mode bundles are written for 1-d grids only")
     _write_grid_csv(path, ["k", "t", "x", "value"],
                     [range(1, modes.K + 1), grid.t, grid.x], modes.values)
 

@@ -37,7 +37,6 @@ from .sinebasis import F_functional, ModeFieldSet, eigenvalues
 # sweeps later, since the lagged product a*u makes F roughly square per sweep.
 _RUNAWAY = 2.0**104
 
-
 @dataclass(frozen=True)
 class IterationState:
     """One rung of the sweep ladder: u^i and the recorded energies."""
@@ -112,21 +111,18 @@ def reconstruct_a(u: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
     ratio = _series_over_psi(u, psi, couplings)
     a_vals = Psi.values + ratio
 
-    lo, hi_x = margin, grid.Nx + 2 - margin
-    if grid.dim == 1:
-        a_vals[:, :lo] = a_vals[:, lo:lo + 1]
-        a_vals[:, hi_x:] = a_vals[:, hi_x - 1:hi_x]
-    else:
-        hi_y = grid.Ny + 2 - margin
-        a_vals[:, :lo, :] = a_vals[:, lo:lo + 1, :]
-        a_vals[:, hi_x:, :] = a_vals[:, hi_x - 1:hi_x, :]
-        a_vals[:, :, :lo] = a_vals[:, :, lo:lo + 1]
-        a_vals[:, :, hi_y:] = a_vals[:, :, hi_y - 1:hi_y]
+    lo, hi = margin, grid.Nx + 2 - margin
+    a_vals[:, :lo] = a_vals[:, lo:lo + 1]
+    a_vals[:, hi:] = a_vals[:, hi - 1:hi]
     return ScalarField(grid, a_vals)
 
 
 @dataclass(frozen=True)
 class InversionResult:
+    """Outcome of run_inversion.  stop_reason is "converged" (F_diff fell
+    below tol_F), "max_iters" (the sweep budget ran out) or "diverged" (a
+    sweep ran away)."""
+
     a: ScalarField
     u_modes: ModeFieldSet
     u_synth: np.ndarray = field(repr=False)
@@ -135,10 +131,14 @@ class InversionResult:
     F_diff_history: tuple[float, ...]
     ratio_history: tuple[float, ...]
     iterations: int
-    converged: bool
+    stop_reason: str
     residual_norm: float
     norms: dict
     margin: int
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def solution_norms(u: ModeFieldSet, a: ScalarField) -> dict:
@@ -170,10 +170,10 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
     residual/norm bundle.  A failing certificate aborts unless force=True,
     in which case the run continues with a warning and the verdict recorded.
 
-    The loop stops with converged=False after max_iters sweeps, or earlier
-    when a sweep energy is non-finite or exceeds _RUNAWAY times the first
-    one; that sweep is dropped and the result is built from the iterate
-    before it.
+    The loop stops with stop_reason "max_iters" after max_iters sweeps, or
+    "diverged" earlier when a sweep energy is non-finite or exceeds _RUNAWAY
+    times the first one; that sweep is dropped and the result is built from
+    the iterate before it.
     """
     grid, params = data.grid, data.params
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=options.psi_floor)
@@ -188,15 +188,16 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
             RuntimeWarning)
 
     state = initial_state(data, initial)
-    converged = False
+    stop_reason = "max_iters"
     for _ in range(max_iters):
         swept = iterate(state, data, Psi=Psi, theta=theta)
         f_diff = swept.F_diff_history[-1]
         if not (np.isfinite(f_diff) and f_diff <= _RUNAWAY * swept.F_diff_history[0]):
+            stop_reason = "diverged"
             break
         state = swept
         if f_diff <= tol_F:
-            converged = True
+            stop_reason = "converged"
             break
 
     couplings = data.omega.couplings[: params.K]
@@ -215,7 +216,7 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
         F_diff_history=state.F_diff_history,
         ratio_history=state.ratio_history,
         iterations=state.iteration,
-        converged=converged,
+        stop_reason=stop_reason,
         residual_norm=residual_norm,
         norms=solution_norms(state.current, a),
         margin=options.boundary_margin,

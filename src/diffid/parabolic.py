@@ -6,18 +6,17 @@ advanced by a theta-scheme (theta = 0.5 is Crank-Nicolson).
 
 Without a reaction term (every Picard sweep lags the coefficient into the
 source) the step operator I + theta dt (-Lap_h + lambda_k) is the same at
-every step, and on the uniform Dirichlet grid the orthonormal DST-I along
-each space axis diagonalises it exactly (the fast-Poisson idea of Buzbee,
-Golub & Nielson, 1970).  The march is then one transform of the source, a
-scalar recurrence per sine lane, and one transform back, in 1-d and 2-d
-alike.  The transform is a dense sine-matrix product: for the grid sizes
-used here it beats an FFT-based DST, whose speed depends on the factors of
-Nx+1.
+every step, and on the uniform Dirichlet grid the orthonormal DST-I
+diagonalises it exactly (the fast-Poisson idea of Buzbee, Golub & Nielson,
+1970).  The march is then one transform of the source, a scalar recurrence
+per sine lane, and one transform back.  The transform is a dense
+sine-matrix product: for the grid sizes used here it beats an FFT-based
+DST, whose speed depends on the factors of Nx+1.
 
 With a known reaction a(t,x) the term is taken implicitly at level n+1 and
 explicitly at level n with the same theta weights, which keeps the step
-unconditionally stable for a >= 0 while the linear solves stay tridiagonal
-(1-d) or one sparse solve per step (2-d).
+unconditionally stable for a >= 0 while each step stays one tridiagonal
+solve.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalBlowupError
 from .grids import Grid, ScalarField, l2_norm_GT
@@ -75,8 +72,7 @@ def solve_mode(problem: ModeProblem, grid: Grid) -> ScalarField:
                 f"dt*max(-a) = {grid.dt * (-a_min):.3g} > 1; negative reaction may be under-resolved",
                 RuntimeWarning,
             )
-        march = _march_1d if grid.dim == 1 else _march_2d
-        values = march(problem, grid, phi)
+        values = _march_tridiagonal(problem, grid, phi)
     return ScalarField(grid, values)
 
 
@@ -111,13 +107,10 @@ def _dirichlet_symbol(n: int, h: float) -> np.ndarray:
     return (4.0 / h**2) * np.sin(m * np.pi / (2 * (n + 1))) ** 2
 
 
-def _sine_transform(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """DST-I of interior values (..., Nx[, Ny]) along every space axis; the
-    same call inverts it."""
-    out = values @ _sine_matrix(values.shape[-1])
-    if grid.dim == 2:
-        out = _sine_matrix(grid.Nx) @ out
-    return out
+def _sine_transform(values: np.ndarray) -> np.ndarray:
+    """DST-I of interior values (..., Nx) along the last axis; the same call
+    inverts it."""
+    return values @ _sine_matrix(values.shape[-1])
 
 
 def _march_spectral(problem: ModeProblem, grid: Grid, phi: np.ndarray) -> np.ndarray:
@@ -125,32 +118,28 @@ def _march_spectral(problem: ModeProblem, grid: Grid, phi: np.ndarray) -> np.nda
     v^{n+1} = amp v^n + p dt (theta S^{n+1} + (1-theta) S^n), where
     p = 1/(1 + theta dt mu) and amp = (1 - (1-theta) dt mu) p."""
     theta, dt = problem.theta, grid.dt
-    inner = (slice(1, -1),) * grid.dim
 
-    mu = _dirichlet_symbol(grid.Nx, grid.hx)
-    if grid.dim == 2:
-        mu = mu[:, None] + _dirichlet_symbol(grid.Ny, grid.hy)[None, :]
-    mu = mu + problem.lambda_k
+    mu = _dirichlet_symbol(grid.Nx, grid.hx) + problem.lambda_k
     p = 1.0 / (1.0 + theta * dt * mu)
     amp = (1.0 - (1.0 - theta) * dt * mu) * p
 
-    S_hat = _sine_transform(problem.source.values[(slice(None),) + inner], grid)
+    S_hat = _sine_transform(problem.source.values[:, 1:-1])
     v_hat = np.empty(S_hat.shape)
-    v_hat[0] = _sine_transform(phi[inner], grid)
+    v_hat[0] = _sine_transform(phi[1:-1])
     v_hat[1:] = (p * dt) * (theta * S_hat[1:] + (1.0 - theta) * S_hat[:-1])
     for n in range(1, grid.Nt + 1):
         v_hat[n] += amp * v_hat[n - 1]
 
     out = np.zeros(grid.field_shape)
-    out[(0,) + inner] = phi[inner]
-    out[(slice(1, None),) + inner] = _sine_transform(v_hat[1:], grid)
-    finite = np.isfinite(out[1:].reshape(grid.Nt, -1)).all(axis=1)
+    out[0, 1:-1] = phi[1:-1]
+    out[1:, 1:-1] = _sine_transform(v_hat[1:])
+    finite = np.isfinite(out[1:]).all(axis=1)
     if not finite.all():
         raise _blowup(problem, int(np.argmin(finite)) + 1)
     return out
 
 
-def _march_1d(problem: ModeProblem, grid: Grid, phi: np.ndarray) -> np.ndarray:
+def _march_tridiagonal(problem: ModeProblem, grid: Grid, phi: np.ndarray) -> np.ndarray:
     theta = problem.theta
     dt, hx = grid.dt, grid.hx
     lam = problem.lambda_k
@@ -183,51 +172,6 @@ def _march_1d(problem: ModeProblem, grid: Grid, phi: np.ndarray) -> np.ndarray:
             raise _blowup(problem, n + 1)
         v = np.zeros_like(v)
         v[1:-1] = interior
-        out[n + 1] = v
-    return out
-
-
-def _neg_laplacian_2d(grid: Grid) -> sps.csr_matrix:
-    """Second-order FD Dirichlet -Laplacian on the interior nodes, row-major
-    in (x, y)."""
-    nx, ny = grid.Nx, grid.Ny
-    ex = np.ones(nx)
-    ey = np.ones(ny)
-    Ax = sps.diags([-ex[:-1], 2.0 * ex, -ex[:-1]], [-1, 0, 1]) / grid.hx**2
-    Ay = sps.diags([-ey[:-1], 2.0 * ey, -ey[:-1]], [-1, 0, 1]) / grid.hy**2
-    return (sps.kron(Ax, sps.eye(ny)) + sps.kron(sps.eye(nx), Ay)).tocsr()
-
-
-def _march_2d(problem: ModeProblem, grid: Grid, phi: np.ndarray) -> np.ndarray:
-    theta = problem.theta
-    dt = grid.dt
-    lam = problem.lambda_k
-    S = problem.source.values
-    a = problem.reaction.values
-
-    nx, ny = grid.Nx, grid.Ny
-    n_unknown = nx * ny
-    A = _neg_laplacian_2d(grid)
-    eye = sps.identity(n_unknown, format="csr")
-    M = A + lam * eye
-
-    out = np.zeros(grid.field_shape)
-    v = phi.copy()
-    v[0, :] = v[-1, :] = 0.0
-    v[:, 0] = v[:, -1] = 0.0
-    out[0] = v
-
-    for n in range(grid.Nt):
-        v_int = v[1:-1, 1:-1].ravel()
-        s_mid = dt * (theta * S[n + 1, 1:-1, 1:-1] + (1.0 - theta) * S[n, 1:-1, 1:-1]).ravel()
-        Dn = sps.diags(a[n, 1:-1, 1:-1].ravel())
-        Dnp1 = sps.diags(a[n + 1, 1:-1, 1:-1].ravel())
-        rhs = (eye - (1.0 - theta) * dt * (M + Dn)) @ v_int + s_mid
-        sol = splu((eye + theta * dt * (M + Dnp1)).tocsc()).solve(rhs)
-        if not np.all(np.isfinite(sol)):
-            raise _blowup(problem, n + 1)
-        v = np.zeros_like(v)
-        v[1:-1, 1:-1] = sol.reshape(nx, ny)
         out[n + 1] = v
     return out
 

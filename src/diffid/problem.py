@@ -17,7 +17,7 @@ class ProblemData:
     grid: Grid
     psi: ScalarField
     f_modes: ModeFieldSet
-    phi_modes: np.ndarray = field(repr=False)  # (K, <space>)
+    phi_modes: np.ndarray = field(repr=False)  # (K, Nx+2)
     omega: OmegaData
     params: SpectralParams
 

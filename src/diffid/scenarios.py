@@ -28,7 +28,7 @@ import numpy as np
 
 from .certificates import CertifyOptions
 from .errors import ConfigurationError, DataError
-from .grids import Grid, ScalarField, interior_margin_mask, l2_sq_GT, laplacian_x
+from .grids import Grid, ScalarField, build_grid, interior_margin_mask, l2_sq_GT, laplacian_x
 from .inversion import InversionResult, initial_state, iterate, run_inversion
 from .problem import ProblemData
 from .sinebasis import ModeFieldSet, OmegaData, SpectralParams, eigenvalues
@@ -58,8 +58,8 @@ def build_scenario(name: str, grid: Grid, params: SpectralParams,
                    scale: float = 1.0) -> Scenario:
     if name not in SCENARIO_NAMES:
         raise ConfigurationError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-    if grid.dim != 1 or not math.isclose(grid.domain.Lx, math.pi, rel_tol=1e-9):
-        raise DataError(f"scenario {name} is defined on G = (0, pi) in one dimension")
+    if not math.isclose(grid.domain.Lx, math.pi, rel_tol=1e-9):
+        raise DataError(f"scenario {name} is defined on G = (0, pi)")
 
     omega = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     t, x = grid.t, grid.x
@@ -123,28 +123,36 @@ def recovery_error(result: InversionResult, scenario: Scenario,
     raise ConfigurationError(f"which must be 'a' or 'u', got {which!r}")
 
 
-def convergence_study(name: str, resolutions: list[int], params: SpectralParams,
-                      T: float = 0.5, options: CertifyOptions = CertifyOptions(),
-                      tol_F: float = 1e-10, max_iters: int = 50) -> list[dict]:
-    """Run the full inversion at each resolution (Nx = Nt = N) and report
-    errors, residuals, and pairwise observed orders."""
-    from .grids import Domain, build_grid
-
-    if len(resolutions) < 3:
-        raise ConfigurationError("a convergence study needs at least 3 resolutions")
+def convergence_study(name: str, grid: Grid, params: SpectralParams, scale: float = 1.0,
+                      options: CertifyOptions = CertifyOptions(), tol_F: float = 1e-10,
+                      max_iters: int = 50, theta: float = 0.5) -> list[dict]:
+    """Run the full inversion on grid and on coarser levels, Nx = N for N in
+    Nx//4, Nx//2, Nx (at least 8, duplicates dropped) with Nt scaled in
+    proportion.  Each level's row holds N, err_a, err_u, residual,
+    iterations, converged, the observed order_a against the level before,
+    and the level's scenario and result.  Errors are NaN for a scaled
+    scenario, which has no truth.  A grid with fewer than three distinct
+    levels (Nx < 18) is a ConfigurationError."""
+    levels = sorted({max(8, grid.Nx // 4), max(8, grid.Nx // 2), grid.Nx})
+    if len(levels) < 3 or levels[-1] > grid.Nx:
+        raise ConfigurationError(
+            f"a convergence study needs three distinct levels Nx//4, Nx//2, Nx of at "
+            f"least 8; grid.Nx = {grid.Nx} gives {levels}")
     rows = []
-    for N in resolutions:
-        grid = build_grid(Domain((math.pi,), T), Nx=N, Nt=N)
-        scn = build_scenario(name, grid, params)
+    prev_err = float("nan")
+    for N in levels:
+        level = build_grid(grid.domain, Nx=N, Nt=max(8, round(grid.Nt * N / grid.Nx)))
+        scn = build_scenario(name, level, params, scale=scale)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             result = run_inversion(scn.data, options, tol_F=tol_F, max_iters=max_iters,
-                                   force=True)
+                                   theta=theta, force=True)
         if scn.truth_a is not None:
             err_a = recovery_error(result, scn, which="a")
             err_u = recovery_error(result, scn, which="u")
         else:
             err_a = err_u = float("nan")
+        order = float(np.log2(prev_err / err_a)) if prev_err > 0 and err_a > 0 else float("nan")
         rows.append({
             "N": N,
             "err_a": err_a,
@@ -152,13 +160,11 @@ def convergence_study(name: str, resolutions: list[int], params: SpectralParams,
             "residual": result.residual_norm,
             "iterations": result.iterations,
             "converged": result.converged,
+            "order_a": order,
+            "scenario": scn,
+            "result": result,
         })
-    for prev, cur in zip(rows, rows[1:]):
-        if prev["err_a"] > 0 and cur["err_a"] > 0:
-            cur["order_a"] = math.log2(prev["err_a"] / cur["err_a"])
-        else:
-            cur["order_a"] = float("nan")
-    rows[0]["order_a"] = float("nan")
+        prev_err = err_a
     return rows
 
 
@@ -166,7 +172,9 @@ def uniqueness_probe(scenario: Scenario, options: CertifyOptions = CertifyOption
                      tol_F: float = 1e-10, max_iters: int = 50, theta: float = 0.5,
                      zero_start: InversionResult | None = None) -> float:
     """Distance between coefficients recovered from two different starting
-    iterates: zero modes versus the result of one sweep from zero.
+    iterates: zero modes versus twice the result of one sweep from zero.
+    The second start is off the zero-start trajectory (u^1 itself is on
+    it, and would replay the same iterates to a distance of exactly 0).
 
     zero_start is the caller's finished zero-start inversion of this
     scenario with the same options, tol_F, max_iters and theta; it is run
@@ -179,8 +187,9 @@ def uniqueness_probe(scenario: Scenario, options: CertifyOptions = CertifyOption
             zero_start = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters,
                                        theta=theta, force=True)
         warm = iterate(initial_state(data), data, theta=theta, floor=options.psi_floor)
+        start = ModeFieldSet(data.grid, data.params, 2.0 * warm.current.values)
         res_warm = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters,
-                                 theta=theta, force=True, initial=warm.current)
+                                 theta=theta, force=True, initial=start)
     mask = interior_margin_mask(data.grid, options.boundary_margin)
     return _masked_rel_l2(zero_start.a.values, res_warm.a.values, mask)
 

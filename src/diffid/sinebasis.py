@@ -165,7 +165,7 @@ class ModeFieldSet:
 
     grid: Grid
     params: SpectralParams
-    values: np.ndarray = field(repr=False)  # shape (K, Nt+1, <space>)
+    values: np.ndarray = field(repr=False)  # shape (K, Nt+1, Nx+2)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -205,8 +205,8 @@ def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0,
               measure: str = "GT") -> float:
     """Weighted mode sum sum_k lambda_k^{2 tau} (|v_k|^2 [+ |grad v_k|^2]).
 
-    mode_values is a ModeFieldSet or an array: (K, <space>) with measure="G",
-    (K, Nt+1, <space>) with measure="GT"; level 1 adds the spatial-gradient
+    mode_values is a ModeFieldSet or an array: (K, Nx+2) with measure="G",
+    (K, Nt+1, Nx+2) with measure="GT"; level 1 adds the spatial-gradient
     term.  The value is the squared-norm convention used by the certificate
     formulas.
     """

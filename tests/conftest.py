@@ -9,13 +9,9 @@ from diffid import Domain, SpectralParams, build_grid, build_scenario, run_inver
 
 @st.composite
 def grid_and_stack(draw):
-    """A random 1-d or 2-d grid and a random (B, Nt+1, <space>) value stack."""
-    dim = draw(st.sampled_from((1, 2)))
-    hi = 40 if dim == 1 else 10
-    lengths = tuple(draw(st.floats(0.5, 4.0)) for _ in range(dim))
-    grid = build_grid(Domain(lengths, draw(st.floats(0.1, 2.0))),
-                      Nx=draw(st.integers(2, hi)), Nt=draw(st.integers(2, 2 * hi // 5)),
-                      Ny=draw(st.integers(2, hi)) if dim == 2 else None)
+    """A random grid and a random (B, Nt+1, Nx+2) value stack."""
+    grid = build_grid(Domain((draw(st.floats(0.5, 4.0)),), draw(st.floats(0.1, 2.0))),
+                      Nx=draw(st.integers(2, 40)), Nt=draw(st.integers(2, 16)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (draw(st.integers(1, 10)),) + grid.field_shape
     return grid, rng.standard_normal(shape) * 10.0 ** draw(st.integers(-3, 3))

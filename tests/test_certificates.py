@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffid import (
+    SCENARIO_NAMES,
     CertifyOptions,
     ConfigurationError,
     Domain,
@@ -85,15 +90,30 @@ def test_Psi_division_hazard_names_node():
     assert err.value.node is not None
 
 
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(SCENARIO_NAMES), N=st.integers(8, 32), K=st.integers(1, 4),
+       T=st.floats(0.1, 2.0), s=st.floats(1e-3, 1e3))
+def test_q_invariant_under_rescaling_whole_data_set(name, N, K, T, s):
+    # psi, f and phi all times s: A_eps and B scale by 1/s and 1/s^2, R and
+    # R1 by s^2, and Psi is a ratio, so q_local and q_global are unchanged
+    grid = build_grid(Domain((np.pi,), T), Nx=N, Nt=N)
+    data = build_scenario(name, grid, SpectralParams(K=K, Ny=64)).data
+    rescaled = replace(data.scaled(s), psi=ScalarField(grid, s * data.psi.values))
+    base = compute_certificate(data, CertifyOptions())
+    cert = compute_certificate(rescaled, CertifyOptions())
+    assert cert.q_local == pytest.approx(base.q_local, rel=1e-10, abs=0.0)
+    assert cert.q_global == pytest.approx(base.q_global, rel=1e-10, abs=0.0)
+
+
 def test_poincare_constant_interval_and_rectangle():
     g1 = build_grid(Domain((np.pi,), 1.0), Nx=8, Nt=4)
     assert abs(1.0 / first_dirichlet_eigenvalue(g1) - 1.0) <= 1e-12
     g2 = build_grid(Domain((2.0,), 1.0), Nx=8, Nt=4)
     assert 1.0 / first_dirichlet_eigenvalue(g2) == pytest.approx(
         (2.0 / np.pi) ** 2, abs=1e-12)
-    g3 = build_grid(Domain((np.pi, np.pi / 2), 1.0), Nx=8, Nt=4, Ny=8)
-    lam = np.pi**2 * (1 / np.pi**2 + 4 / np.pi**2)
-    assert 1.0 / first_dirichlet_eigenvalue(g3) == pytest.approx(1.0 / lam, abs=1e-12)
+    # G is an interval: a rectangle domain is rejected before any constant
+    with pytest.raises(ConfigurationError, match="1-dimensional"):
+        Domain((np.pi, np.pi / 2), 1.0)
 
 
 def test_A_eps_closed_form():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffid
 from diffid import Domain, SpectralParams, build_grid, build_scenario
 from diffid.cli import main
 from diffid.config import load_config
@@ -73,13 +78,22 @@ def test_missing_config_key_exits_one(tmp_path, capsys):
     assert "domain.Lx" in capsys.readouterr().err
 
 
-def test_missing_grid_Ny_for_2d_exits_one(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = base_config(out)
-    cfg["domain"] = {"dim": 2, "Lx": np.pi, "Ly": np.pi, "T": 0.5}
-    code = main(["certify", "--config", str(write_config(tmp_path, cfg))])
-    assert code == 1
-    assert "grid.Ny" in capsys.readouterr().err
+def test_domain_dim_2_exits_one_on_every_command(tmp_path, capsys):
+    cfg = base_config(tmp_path / "out")
+    cfg["domain"]["dim"] = 2
+    path = str(write_config(tmp_path, cfg))
+    for command in ("certify", "forward", "invert", "mms"):
+        assert main([command, "--config", path, "--force"]) == 1, command
+        assert "domain.dim" in capsys.readouterr().err, command
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(diffid.__file__).resolve().parents[1])
+    probe = ("import sys, diffid.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -161,6 +175,7 @@ def test_invert_requires_certificate_or_force(tmp_path):
     assert main(["invert", "--config", str(path), "--force"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"]
+    assert summary["stop_reason"] == "converged"
     assert summary["recovery_error_a"] <= 0.05
     for name in ("a.csv", "u_synth.csv", "history.csv", "certificate.json"):
         assert (out / name).exists()
@@ -183,6 +198,7 @@ def test_invert_nonconvergence_exit_code(tmp_path):
     assert (out / "history.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert not summary["converged"]
+    assert summary["stop_reason"] == "max_iters"
 
 
 def test_invert_divergence_is_a_result(tmp_path, capsys):
@@ -195,6 +211,7 @@ def test_invert_divergence_is_a_result(tmp_path, capsys):
     assert "diverged after" in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert not summary["converged"]
+    assert summary["stop_reason"] == "diverged"
     assert 1 <= summary["iterations"] < cfg["picard"]["max_iters"]
     history = np.loadtxt(out / "history.csv", delimiter=",", skiprows=1, ndmin=2)
     assert history.shape[0] == summary["iterations"]
@@ -286,3 +303,13 @@ def test_mms_null_zeros(tmp_path):
     assert code == 0
     conv = np.loadtxt(out / "convergence.csv", delimiter=",", skiprows=1)
     assert np.max(conv[:, 1]) <= 1e-10
+
+
+@pytest.mark.parametrize("N", [6, 8, 16])
+def test_mms_rejects_grid_with_fewer_than_three_levels(tmp_path, capsys, N):
+    out = tmp_path / "out"
+    cfg = base_config(out, scenario="MMS-A", N=N, K=2)
+    code = main(["mms", "--config", str(write_config(tmp_path, cfg))])
+    assert code == 1
+    assert f"grid.Nx = {N}" in capsys.readouterr().err
+    assert not (out / "convergence.csv").exists()

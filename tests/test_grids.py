@@ -44,6 +44,15 @@ def test_build_grid_rejects_small_counts():
         Domain((np.pi,), -1.0)
 
 
+def test_domain_is_an_interval():
+    for lengths in ((), (np.pi, np.pi)):
+        with pytest.raises(ConfigurationError, match="1-dimensional"):
+            Domain(lengths, 1.0)
+    g = build_grid(Domain((np.pi,), 1.0), Nx=8, Nt=4)
+    assert g.Ny is None
+    assert g.space_shape == (10,)
+
+
 def test_integrate_constant_exact():
     g = grid_1d(Nx=17)
     assert integrate_G(np.ones(g.space_shape), g) == pytest.approx(np.pi, abs=1e-12)
@@ -122,17 +131,6 @@ def test_laplacian_quadratic_exact():
     assert np.max(np.abs(lap - 2.0)) < 1e-9
 
 
-def test_2d_grid_and_quadrature():
-    dom = Domain((np.pi, np.pi), 1.0)
-    g = build_grid(dom, Nx=40, Nt=4, Ny=40)
-    xx, yy = np.meshgrid(g.x, g.y, indexing="ij")
-    val = integrate_G(np.sin(xx) * np.sin(yy), g)
-    assert val == pytest.approx(4.0, abs=5e-3)
-    gsq = grad_sq(np.sin(xx) * np.sin(yy), g)
-    exact = (np.cos(xx) * np.sin(yy)) ** 2 + (np.sin(xx) * np.cos(yy)) ** 2
-    assert np.max(np.abs(gsq - exact)) < 5e-3
-
-
 def test_field_validation():
     g = grid_1d(Nx=8, Nt=4)
     with pytest.raises(Exception):
@@ -155,15 +153,10 @@ def _ref_sq_GT(v, grid, grad=False):
     """The per-time-slice loop the batched l2_sq_GT replaced, kept as the
     reference: one trapezoid over each space slice, then one in time."""
     def integrate(s):
-        if grid.dim == 1:
-            return float(np.trapezoid(s, dx=grid.hx))
-        return float(np.trapezoid(np.trapezoid(s, dx=grid.hy, axis=1), dx=grid.hx))
+        return float(np.trapezoid(s, dx=grid.hx))
 
     def gsq(s):
-        if grid.dim == 1:
-            return np.gradient(s, grid.hx, edge_order=2) ** 2
-        return (np.gradient(s, grid.hx, axis=0, edge_order=2) ** 2
-                + np.gradient(s, grid.hy, axis=1, edge_order=2) ** 2)
+        return np.gradient(s, grid.hx, edge_order=2) ** 2
 
     per_t = np.array([integrate(gsq(v[n]) if grad else v[n] ** 2) for n in range(v.shape[0])])
     return float(np.trapezoid(per_t, dx=grid.dt))

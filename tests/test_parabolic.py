@@ -2,10 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu
 
 from diffid import (
     Domain,
@@ -158,30 +156,6 @@ def test_blowup_reported_with_step():
     assert err.value.step is not None
 
 
-def test_2d_analytic_decay():
-    dom = Domain((np.pi, np.pi), 0.5)
-    g = build_grid(dom, Nx=24, Nt=32, Ny=24)
-    xx, yy = np.meshgrid(g.x, g.y, indexing="ij")
-    phi = np.sin(xx) * np.sin(yy)
-    prob = ModeProblem(k=1, source=ScalarField.zeros(g), initial=phi)
-    u = solve_mode(prob, g)
-    exact = np.exp(-3.0 * g.t)[:, None, None] * phi[None, :, :]
-    assert np.max(np.abs(u.values - exact)) <= 5e-3
-
-
-def test_2d_decay_with_reaction():
-    # constant reaction a = 1 adds one more unit to the decay rate
-    dom = Domain((np.pi, np.pi), 0.5)
-    g = build_grid(dom, Nx=20, Nt=32, Ny=20)
-    xx, yy = np.meshgrid(g.x, g.y, indexing="ij")
-    phi = np.sin(xx) * np.sin(yy)
-    a = ScalarField(g, np.ones(g.field_shape))
-    prob = ModeProblem(k=1, source=ScalarField.zeros(g), initial=phi, reaction=a)
-    u = solve_mode(prob, g)
-    exact = np.exp(-4.0 * g.t)[:, None, None] * phi[None, :, :]
-    assert np.max(np.abs(u.values - exact)) <= 5e-3
-
-
 def test_overdetermination_residual_exact_fields():
     g = grid_1d(Nx=64, Nt=32, T=1.0)
     params = SpectralParams(K=2, Ny=128)
@@ -229,25 +203,6 @@ def thomas_march(S, phi, g, k, theta):
     return out
 
 
-def splu_march_2d(S, phi, g, k, theta):
-    """Reaction-free 2-d theta march, one sparse LU of the step operator:
-    the reference for the DST-I path."""
-    nx, ny, dt = g.Nx, g.Ny, g.dt
-    Ax = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(nx, nx)) / g.hx**2
-    Ay = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(ny, ny)) / g.hy**2
-    eye = sps.identity(nx * ny, format="csr")
-    M = sps.kron(Ax, sps.eye(ny)) + sps.kron(sps.eye(nx), Ay) + k * k * eye
-    lu = splu((eye + theta * dt * M).tocsc())
-    explicit = (eye - (1.0 - theta) * dt * M).tocsr()
-    out = np.zeros(g.field_shape)
-    out[0, 1:-1, 1:-1] = phi[1:-1, 1:-1]
-    for n in range(g.Nt):
-        rhs = explicit @ out[n, 1:-1, 1:-1].ravel() + dt * (
-            theta * S[n + 1, 1:-1, 1:-1] + (1.0 - theta) * S[n, 1:-1, 1:-1]).ravel()
-        out[n + 1, 1:-1, 1:-1] = lu.solve(rhs).reshape(nx, ny)
-    return out
-
-
 def rel_max_diff(u, ref):
     return float(np.max(np.abs(u - ref)) / np.max(np.abs(ref)))
 
@@ -268,33 +223,17 @@ def test_spectral_march_matches_thomas_reference(Nx, Nt, k, theta, seed):
     assert np.array_equal(u.values[0, 1:-1], phi[1:-1])
 
 
-@settings(max_examples=30, deadline=None)
-@given(Nx=st.integers(2, 24), Ny=st.integers(2, 24), Nt=st.integers(2, 16),
-       Lx=st.floats(0.5, 4.0), Ly=st.floats(0.5, 4.0), k=st.integers(1, 16),
-       theta=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_spectral_march_2d_matches_splu_reference(Nx, Ny, Nt, Lx, Ly, k, theta, seed):
-    g = build_grid(Domain((Lx, Ly), 0.5), Nx=Nx, Nt=Nt, Ny=Ny)
-    rng = np.random.default_rng(seed)
-    S = rng.standard_normal(g.field_shape)
-    phi = rng.standard_normal(g.space_shape)
-    u = solve_mode(ModeProblem(k=k, source=ScalarField(g, S), initial=phi, theta=theta), g)
-    assert rel_max_diff(u.values, splu_march_2d(S, phi, g, k, theta)) <= 1e-12
-    for edge in (u.values[:, 0], u.values[:, -1], u.values[:, :, 0], u.values[:, :, -1]):
-        assert np.all(edge == 0.0)
-
-
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=30, deadline=None)
-@given(dim=st.sampled_from((1, 2)), Nt=st.integers(2, 16), data=st.data(),
+@given(Nt=st.integers(2, 16), data=st.data(),
        theta=st.floats(0.5, 1.0), value=st.sampled_from((np.inf, -np.inf, np.nan)))
-def test_spectral_blowup_names_first_bad_step(dim, Nt, data, theta, value):
+def test_spectral_blowup_names_first_bad_step(Nt, data, theta, value):
     # ScalarField rejects non-finite values, so a stand-in carries the source
-    lengths = (np.pi,) * dim
-    g = build_grid(Domain(lengths, 1.0), Nx=12, Nt=Nt, Ny=9 if dim == 2 else None)
+    g = build_grid(Domain((np.pi,), 1.0), Nx=12, Nt=Nt)
     step = data.draw(st.integers(1, Nt))
-    node = tuple(data.draw(st.integers(1, n)) for n in (g.Nx, g.Ny)[:dim])
+    node = data.draw(st.integers(1, g.Nx))
     S = np.zeros(g.field_shape)
-    S[(step,) + node] = value
+    S[step, node] = value
     prob = ModeProblem(k=3, source=SimpleNamespace(grid=g, values=S),
                        initial=np.zeros(g.space_shape), theta=theta)
     with pytest.raises(NumericalBlowupError) as err:
