@@ -15,7 +15,6 @@ from .grids import (
     Grid,
     ScalarField,
     build_grid,
-    dt_derivative,
     grad_x,
     integrate_G,
     interior_margin_mask,
@@ -28,18 +27,15 @@ from .sinebasis import (
     ModeFieldSet,
     OmegaData,
     SpectralParams,
-    eigenvalue,
     frac_norm,
-    omega_couplings,
     sine_coeff,
     sine_coeffs,
     synthesize,
 )
 from .parabolic import (
-    ModeProblem,
+    march_modes,
     overdetermination_residual,
     solve_forward,
-    solve_mode,
 )
 from .problem import ProblemData
 from .certificates import (
@@ -55,8 +51,6 @@ from .certificates import (
 )
 from .inversion import (
     InversionResult,
-    IterationState,
-    initial_state,
     iterate,
     picard_source,
     reconstruct_a,

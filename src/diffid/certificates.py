@@ -195,24 +195,27 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
     )
 
 
-def check_local(cert: Certificate) -> tuple[bool, dict[str, float]]:
-    """Local verdict plus the signed margin of each inequality (positive
-    means it holds)."""
-    margins = {
-        "2*Psi_M*T <= A_eps*C_S": cert.A_eps * cert.C_S - 2.0 * cert.Psi_M * cert.T,
-        "T <= 1": 1.0 - cert.T,
-        "4*R*B < 1": 1.0 - cert.q_local,
+def check_local(cert: Certificate) -> tuple[bool, dict[str, tuple[float, bool]]]:
+    """Local verdict plus, per inequality, its signed margin (positive means
+    it holds) and the certificate's own verdict on it."""
+    conditions = {
+        "2*Psi_M*T <= A_eps*C_S": (cert.A_eps * cert.C_S - 2.0 * cert.Psi_M * cert.T,
+                                   cert.cond_local_T),
+        "T <= 1": (1.0 - cert.T, cert.cond_T_le_1),
+        "4*R*B < 1": (1.0 - cert.q_local, cert.cond_local_q),
     }
-    return cert.local_pass, margins
+    return cert.local_pass, conditions
 
 
-def check_global(cert: Certificate) -> tuple[bool, dict[str, float]]:
-    margins = {
-        "2*Psi_M^2*C_P <= A_eps^2*C_S^2": cert.A_eps**2 * cert.C_S**2
-        - 2.0 * cert.Psi_M**2 * cert.C_P,
-        "4*R1*B < 1": 1.0 - cert.q_global,
+def check_global(cert: Certificate) -> tuple[bool, dict[str, tuple[float, bool]]]:
+    """Global verdict plus each inequality's margin and verdict, as check_local."""
+    conditions = {
+        "2*Psi_M^2*C_P <= A_eps^2*C_S^2": (cert.A_eps**2 * cert.C_S**2
+                                           - 2.0 * cert.Psi_M**2 * cert.C_P,
+                                           cert.cond_global_poincare),
+        "4*R1*B < 1": (1.0 - cert.q_global, cert.cond_global_q),
     }
-    return cert.global_pass, margins
+    return cert.global_pass, conditions
 
 
 def poincare_time_check(g: np.ndarray, T: float) -> tuple[float, float]:

@@ -71,29 +71,24 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+def _conditions(cert) -> list[tuple[str, str, float, bool]]:
+    """(scope, label, margin, holds) of every certificate condition, local first."""
+    return [(scope, label, margin, holds)
+            for scope, check in (("local", check_local), ("global", check_global))
+            for label, (margin, holds) in check(cert)[1].items()]
+
+
 def _print_margin_table(cert) -> None:
-    local_pass, local_margins = check_local(cert)
-    global_pass, global_margins = check_global(cert)
     print(f"{'condition':38s} {'margin':>14s}  holds")
-    for scope, margins in (("local", local_margins), ("global", global_margins)):
-        for cond, margin in margins.items():
-            print(f"[{scope}] {cond:30s} {margin:+14.6e}  {'yes' if margin >= 0 else 'NO'}")
-    print(f"local verdict:  {'PASS' if local_pass else 'FAIL'}")
-    print(f"global verdict: {'PASS' if global_pass else 'FAIL'}")
+    for scope, label, margin, holds in _conditions(cert):
+        print(f"[{scope}] {label:30s} {margin:+14.6e}  {'yes' if holds else 'NO'}")
+    print(f"local verdict:  {'PASS' if cert.local_pass else 'FAIL'}")
+    print(f"global verdict: {'PASS' if cert.global_pass else 'FAIL'}")
 
 
-def _failing_conditions(cert) -> list[str]:
-    names = []
-    for label, ok in (
-        ("2*Psi_M*T <= A_eps*C_S", cert.cond_local_T),
-        ("T <= 1", cert.cond_T_le_1),
-        ("4*R*B < 1", cert.cond_local_q),
-        ("2*Psi_M^2*C_P <= A_eps^2*C_S^2", cert.cond_global_poincare),
-        ("4*R1*B < 1", cert.cond_global_q),
-    ):
-        if not ok:
-            names.append(label)
-    return names
+def _failing_line(cert) -> str:
+    return "failing conditions: " + "; ".join(
+        label for _, label, _, holds in _conditions(cert) if not holds)
 
 
 def _cmd_certify(cfg: RunConfig, base_dir: Path, force: bool) -> int:
@@ -103,7 +98,7 @@ def _cmd_certify(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     _print_margin_table(cert)
     if cert.local_pass or cert.global_pass:
         return EXIT_OK
-    print("failing conditions: " + "; ".join(_failing_conditions(cert)))
+    print(_failing_line(cert))
     return EXIT_CERT_FAIL
 
 
@@ -152,8 +147,7 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
         (cfg.output_dir / "certificate.json").write_text(
             err.certificate.to_json() + "\n", encoding="utf-8")
         print(f"certificate failed: {err}", file=sys.stderr)
-        print("failing conditions: " + "; ".join(_failing_conditions(err.certificate)),
-              file=sys.stderr)
+        print(_failing_line(err.certificate), file=sys.stderr)
         return EXIT_CERT_FAIL
 
     write_field_csv(cfg.output_dir / "a.csv", result.a)

@@ -31,6 +31,45 @@ class RunConfig:
     synth_ny: int
 
 
+# Every key load_config reads, per section, plus output.formats: retired and
+# ignored, but older configs still carry it.
+_KNOWN_KEYS = {
+    "domain": ("dim", "Lx", "T"),
+    "grid": ("Nx", "Nt", "Ny_quad"),
+    "spectral": ("K", "epsilon"),
+    "scheme": ("theta",),
+    "certify": ("C_S", "boundary_margin", "psi_floor"),
+    "picard": ("tol_F", "max_iters", "force_on_failed_certificate"),
+    "scenario": ("name", "scale"),
+    "data": ("psi_file", "f_file", "phi_file", "omega_file", "a_file"),
+    "output": ("dir", "synth_ny", "formats"),
+}
+
+
+def _check_known_keys(raw) -> None:
+    """Reject a section or key load_config does not read, naming the dotted
+    key and the closest known one."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError("config: the top level must be an object")
+    for section, body in raw.items():
+        known = _KNOWN_KEYS.get(section)
+        if known is None:
+            raise ConfigurationError(
+                f"config: unknown section '{section}'{_hint(section, _KNOWN_KEYS)}")
+        for key in body if isinstance(body, dict) else ():
+            if key not in known:
+                raise ConfigurationError(
+                    f"config: unknown key {section}.{key}"
+                    f"{_hint(key, known, prefix=section + '.')}")
+
+
+def _hint(name: str, known, prefix: str = "") -> str:
+    import difflib
+
+    match = difflib.get_close_matches(name, list(known), n=1)
+    return f" (did you mean {prefix}{match[0]}?)" if match else ""
+
+
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigurationError(f"config: missing required key {where}.{key}")
@@ -74,6 +113,7 @@ def load_config(path) -> RunConfig:
         raise ConfigurationError(f"config file not found: {path}") from err
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from err
+    _check_known_keys(raw)
 
     dom_sec = _section(raw, "domain")
     dim = _int(dom_sec.get("dim", 1), "domain.dim")
@@ -112,7 +152,10 @@ def load_config(path) -> RunConfig:
     pic_sec = _section(raw, "picard", required=False)
     tol_F = _float(pic_sec.get("tol_F", 1e-10), "picard.tol_F")
     max_iters = _int(pic_sec.get("max_iters", 50), "picard.max_iters")
-    force = bool(pic_sec.get("force_on_failed_certificate", False))
+    force = pic_sec.get("force_on_failed_certificate", False)
+    if not isinstance(force, bool):
+        raise ConfigurationError(
+            f"config: picard.force_on_failed_certificate must be true or false, got {force!r}")
     if tol_F <= 0 or max_iters < 1:
         raise ConfigurationError("config: picard.tol_F must be > 0 and max_iters >= 1")
 

@@ -151,23 +151,15 @@ def l2_sq_GT(values: np.ndarray, grid: Grid, grad: bool = False):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def grad_x(values: np.ndarray, grid: Grid) -> tuple[np.ndarray]:
-    """Spatial gradient along the trailing space axis: second-order central
-    in the interior, one-sided second-order at boundary nodes.  Returns the
-    tuple of per-axis derivatives, here the single d/dx."""
-    return (np.gradient(np.asarray(values, dtype=float), grid.hx, axis=-1, edge_order=2),)
+def grad_x(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """d/dx along the trailing space axis: second-order central in the
+    interior, one-sided second-order at boundary nodes."""
+    return np.gradient(np.asarray(values, dtype=float), grid.hx, axis=-1, edge_order=2)
 
 
 def grad_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
     """|grad v|^2 pointwise along the trailing space axis."""
-    (dx,) = grad_x(values, grid)
-    return dx**2
-
-
-def dt_derivative(fld: ScalarField) -> ScalarField:
-    """Time derivative along axis 0, forward/backward second-order at the ends."""
-    dv = np.gradient(fld.values, fld.grid.dt, axis=0, edge_order=2)
-    return ScalarField(fld.grid, dv)
+    return grad_x(values, grid) ** 2
 
 
 def _second_derivative(v: np.ndarray, h: float, axis: int) -> np.ndarray:

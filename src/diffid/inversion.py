@@ -26,7 +26,7 @@ import numpy as np
 from .certificates import Certificate, CertifyOptions, compute_Psi, compute_certificate
 from .errors import CertificateFailure
 from .grids import ScalarField, interior_margin_mask, l2_sq_GT
-from .parabolic import ModeProblem, overdetermination_residual, solve_mode
+from .parabolic import march_modes, overdetermination_residual
 from .problem import ProblemData
 from .sinebasis import F_functional, ModeFieldSet, eigenvalues
 
@@ -36,20 +36,6 @@ from .sinebasis import F_functional, ModeFieldSet, eigenvalues
 # never gets there (F falls every sweep); a diverging one overflows a few
 # sweeps later, since the lagged product a*u makes F roughly square per sweep.
 _RUNAWAY = 2.0**104
-
-@dataclass(frozen=True)
-class IterationState:
-    """One rung of the sweep ladder: u^i and the recorded energies."""
-
-    iteration: int
-    current: ModeFieldSet
-    F_diff_history: tuple[float, ...] = ()
-    ratio_history: tuple[float, ...] = ()
-
-
-def initial_state(data: ProblemData, initial: ModeFieldSet | None = None) -> IterationState:
-    start = initial if initial is not None else ModeFieldSet.zeros(data.grid, data.params)
-    return IterationState(iteration=0, current=start)
 
 
 def _series_over_psi(modes: ModeFieldSet, psi: ScalarField, couplings: np.ndarray) -> np.ndarray:
@@ -73,33 +59,15 @@ def picard_source(prev: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
     return f_modes.values - lag[None, ...] * prev.values
 
 
-def iterate(state: IterationState, data: ProblemData, Psi: ScalarField | None = None,
-            theta: float = 0.5, floor: float = 1e-12) -> IterationState:
-    """Advance all modes by one sweep and append F(u^{i+1} - u^i).  Psi is
-    computed (and psi checked against the floor) when not given."""
-    grid, params = data.grid, data.params
-    if Psi is None:
-        Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=floor)
-    couplings = data.omega.couplings[: params.K]
-    sources = picard_source(state.current, Psi, data.psi, data.f_modes, couplings)
-
-    def advance(k: int) -> np.ndarray:
-        problem = ModeProblem(k=k, source=ScalarField(grid, sources[k - 1]),
-                              initial=data.phi_modes[k - 1], theta=theta)
-        return solve_mode(problem, grid).values
-
-    new = ModeFieldSet(grid, params, np.stack([advance(k) for k in range(1, params.K + 1)]))
-    f_diff = F_functional(new - state.current)
-    hist = state.F_diff_history + (f_diff,)
-    ratios = state.ratio_history
-    if len(hist) >= 2 and hist[-2] > 0.0:
-        ratios = ratios + (f_diff / hist[-2],)
-    return IterationState(
-        iteration=state.iteration + 1,
-        current=new,
-        F_diff_history=hist,
-        ratio_history=ratios,
-    )
+def iterate(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,
+            theta: float = 0.5) -> tuple[ModeFieldSet, float]:
+    """One sweep: u^{i+1} from u^i by one march of the whole mode stack, and
+    the energy F(u^{i+1} - u^i).  Psi comes from compute_Psi of data.psi."""
+    couplings = data.omega.couplings[: data.params.K]
+    sources = picard_source(u, Psi, data.psi, data.f_modes, couplings)
+    new = ModeFieldSet(data.grid, data.params,
+                       march_modes(sources, data.phi_modes, data.grid, theta=theta))
+    return new, F_functional(new - u)
 
 
 def reconstruct_a(u: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
@@ -187,37 +155,42 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
             f"running despite failed certificate (q_local = {cert.q_local:.6g})",
             RuntimeWarning)
 
-    state = initial_state(data, initial)
+    u = initial if initial is not None else ModeFieldSet.zeros(grid, params)
+    F_diffs: list[float] = []
+    ratios: list[float] = []
     stop_reason = "max_iters"
     for _ in range(max_iters):
-        swept = iterate(state, data, Psi=Psi, theta=theta)
-        f_diff = swept.F_diff_history[-1]
-        if not (np.isfinite(f_diff) and f_diff <= _RUNAWAY * swept.F_diff_history[0]):
+        swept, f_diff = iterate(u, data, Psi, theta=theta)
+        first = F_diffs[0] if F_diffs else f_diff
+        if not (np.isfinite(f_diff) and f_diff <= _RUNAWAY * first):
             stop_reason = "diverged"
             break
-        state = swept
+        if F_diffs and F_diffs[-1] > 0.0:
+            ratios.append(f_diff / F_diffs[-1])
+        F_diffs.append(f_diff)
+        u = swept
         if f_diff <= tol_F:
             stop_reason = "converged"
             break
 
     couplings = data.omega.couplings[: params.K]
-    a = reconstruct_a(state.current, Psi, data.psi, couplings, margin=options.boundary_margin)
+    a = reconstruct_a(u, Psi, data.psi, couplings, margin=options.boundary_margin)
     if synth_y is None:
         synth_y = np.linspace(0.0, np.pi, 33)
-    u_synth = state.current.synthesize_y(synth_y)
-    _, residual_norm = overdetermination_residual(state.current, data.omega, data.psi)
+    u_synth = u.synthesize_y(synth_y)
+    _, residual_norm = overdetermination_residual(u, data.omega, data.psi)
 
     return InversionResult(
         a=a,
-        u_modes=state.current,
+        u_modes=u,
         u_synth=u_synth,
         synth_y=np.asarray(synth_y, dtype=float),
         certificate=cert,
-        F_diff_history=state.F_diff_history,
-        ratio_history=state.ratio_history,
-        iterations=state.iteration,
+        F_diff_history=tuple(F_diffs),
+        ratio_history=tuple(ratios),
+        iterations=len(F_diffs),
         stop_reason=stop_reason,
         residual_norm=residual_norm,
-        norms=solution_norms(state.current, a),
+        norms=solution_norms(u, a),
         margin=options.boundary_margin,
     )

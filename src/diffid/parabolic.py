@@ -1,86 +1,87 @@
-"""Linear parabolic solver for one sine mode:
+"""Linear parabolic solver for a stack of sine modes k = 1..K:
 
-    v_t - Lap v + lambda_k v + a(t,x) v = S(t,x),  v|_{bdry} = 0,  v(0) = phi,
+    v_t - Lap v + lambda_k v + a(t,x) v = S_k(t,x),  v|_{bdry} = 0,  v(0) = phi_k,
 
-advanced by a theta-scheme (theta = 0.5 is Crank-Nicolson).
+advanced by a theta-scheme (theta = 0.5 is Crank-Nicolson).  Since a does not
+depend on y, the modes share the grid, theta and a, and differ only in
+lambda_k = k^2 and their data; march_modes advances the whole stack.
 
 Without a reaction term (every Picard sweep lags the coefficient into the
 source) the step operator I + theta dt (-Lap_h + lambda_k) is the same at
 every step, and on the uniform Dirichlet grid the orthonormal DST-I
 diagonalises it exactly (the fast-Poisson idea of Buzbee, Golub & Nielson,
-1970).  The march is then one transform of the source, a scalar recurrence
-per sine lane, and one transform back.  The transform is a dense
-sine-matrix product: for the grid sizes used here it beats an FFT-based
-DST, whose speed depends on the factors of Nx+1.
+1970).  The march is then one transform of the source stack, a scalar
+recurrence over the (K, Nx) sine lanes, and one transform back.  The
+transform is a dense sine-matrix product: for the grid sizes used here it
+beats an FFT-based DST, whose speed depends on the factors of Nx+1.
 
 With a known reaction a(t,x) the term is taken implicitly at level n+1 and
 explicitly at level n with the same theta weights, which keeps the step
 unconditionally stable for a >= 0 while each step stays one tridiagonal
-solve.
+solve.  Each mode's tridiagonal diagonal differs, so that path marches mode
+by mode.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalBlowupError
 from .grids import Grid, ScalarField, l2_norm_GT
-from .sinebasis import ModeFieldSet, OmegaData, SpectralParams, eigenvalue
+from .sinebasis import ModeFieldSet, OmegaData, SpectralParams, eigenvalues
 from .tridiag import thomas_solve
 
 
-@dataclass(frozen=True)
-class ModeProblem:
-    """Data for one mode solve; reaction=None drops the a-term entirely."""
+def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: float = 0.5,
+                reaction: np.ndarray | None = None) -> np.ndarray:
+    """Time-march every mode of the stack; row k-1 of the (K, Nt+1, Nx+2)
+    source stack and of the (K, Nx+2) initial stack is mode k.  reaction,
+    a (Nt+1, Nx+2) field, adds the a-term; None drops it.
 
-    k: int
-    source: ScalarField
-    initial: np.ndarray
-    reaction: ScalarField | None = None
-    theta: float = 0.5
+    Returns the (K, Nt+1, Nx+2) solution stack.  Raises NumericalBlowupError
+    naming the first mode with a non-finite value and that mode's first
+    non-finite step.
+    """
+    if not 0.5 <= theta <= 1.0:
+        raise ConfigurationError(f"theta must lie in [0.5, 1], got {theta}")
+    sources = np.asarray(sources, dtype=float)
+    phi_modes = np.asarray(phi_modes, dtype=float)
+    K = sources.shape[0] if sources.ndim == 3 else 0
+    if K < 1 or sources.shape[1:] != grid.field_shape:
+        raise ConfigurationError(
+            f"source stack shape {sources.shape} != (K,) + {grid.field_shape} with K >= 1")
+    if phi_modes.shape != (K,) + grid.space_shape:
+        raise ConfigurationError(
+            f"initial stack shape {phi_modes.shape} != {(K,) + grid.space_shape}")
 
-    def __post_init__(self):
-        if not 0.5 <= self.theta <= 1.0:
-            raise ConfigurationError(f"theta must lie in [0.5, 1], got {self.theta}")
-        if self.k < 1:
-            raise ConfigurationError(f"mode index must be >= 1, got {self.k}")
-
-    @property
-    def lambda_k(self) -> float:
-        return eigenvalue(self.k)
-
-
-def solve_mode(problem: ModeProblem, grid: Grid) -> ScalarField:
-    """Time-march one mode; raises NumericalBlowupError at the first
-    non-finite step."""
-    if problem.source.grid != grid:
-        raise ConfigurationError("source grid does not match solve grid")
-    phi = np.asarray(problem.initial, dtype=float)
-    if phi.shape != grid.space_shape:
-        raise ConfigurationError(f"initial profile shape {phi.shape} != {grid.space_shape}")
-
-    if problem.reaction is None:
-        values = _march_spectral(problem, grid, phi)
+    out = np.zeros(sources.shape)
+    if reaction is None:
+        _march_spectral(out, sources, phi_modes, grid, theta)
     else:
-        a_min = float(np.min(problem.reaction.values))
+        reaction = np.asarray(reaction, dtype=float)
+        if reaction.shape != grid.field_shape:
+            raise ConfigurationError(f"reaction shape {reaction.shape} != {grid.field_shape}")
+        a_min = float(np.min(reaction))
         if a_min < 0 and grid.dt * (-a_min) > 1.0:
             warnings.warn(
                 f"dt*max(-a) = {grid.dt * (-a_min):.3g} > 1; negative reaction may be under-resolved",
                 RuntimeWarning,
             )
-        values = _march_tridiagonal(problem, grid, phi)
-    return ScalarField(grid, values)
+        for k in range(1, K + 1):
+            if not _march_tridiagonal(out[k - 1], sources[k - 1], phi_modes[k - 1], k,
+                                      reaction, grid, theta):
+                break
 
-
-def _blowup(problem: ModeProblem, step: int) -> NumericalBlowupError:
-    return NumericalBlowupError(
-        f"mode {problem.k}: non-finite values at time step {step}",
-        mode=problem.k, step=step,
-    )
+    finite = np.isfinite(out[:, 1:]).all(axis=2)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=1))) + 1
+        step = int(np.argmin(finite[k - 1])) + 1
+        raise NumericalBlowupError(f"mode {k}: non-finite values at time step {step}",
+                                   mode=k, step=step)
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -107,48 +108,52 @@ def _dirichlet_symbol(n: int, h: float) -> np.ndarray:
     return (4.0 / h**2) * np.sin(m * np.pi / (2 * (n + 1))) ** 2
 
 
-def _sine_transform(values: np.ndarray) -> np.ndarray:
-    """DST-I of interior values (..., Nx) along the last axis; the same call
-    inverts it."""
-    return values @ _sine_matrix(values.shape[-1])
-
-
-def _march_spectral(problem: ModeProblem, grid: Grid, phi: np.ndarray) -> np.ndarray:
-    """Reaction-free theta march in DST-I coordinates: per lane with symbol mu,
+def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
+                    grid: Grid, theta: float) -> None:
+    """Reaction-free theta march in DST-I coordinates, written into the zeroed
+    stack out: per lane with symbol mu,
     v^{n+1} = amp v^n + p dt (theta S^{n+1} + (1-theta) S^n), where
-    p = 1/(1 + theta dt mu) and amp = (1 - (1-theta) dt mu) p."""
-    theta, dt = problem.theta, grid.dt
+    p = 1/(1 + theta dt mu) and amp = (1 - (1-theta) dt mu) p.
 
-    mu = _dirichlet_symbol(grid.Nx, grid.hx) + problem.lambda_k
+    The recurrence overwrites the transformed source stack one time level at
+    a time, and the transform back writes straight into out, so the march
+    holds no full-stack temporaries.
+    """
+    dt, Q = grid.dt, _sine_matrix(grid.Nx)
+    mu = _dirichlet_symbol(grid.Nx, grid.hx)[None, :] + eigenvalues(len(sources))[:, None]
     p = 1.0 / (1.0 + theta * dt * mu)
     amp = (1.0 - (1.0 - theta) * dt * mu) * p
+    pdt = p * dt
 
-    S_hat = _sine_transform(problem.source.values[:, 1:-1])
-    v_hat = np.empty(S_hat.shape)
-    v_hat[0] = _sine_transform(phi[1:-1])
-    v_hat[1:] = (p * dt) * (theta * S_hat[1:] + (1.0 - theta) * S_hat[:-1])
+    # time-major (Nt+1, K, Nx), so each level the recurrence touches is one
+    # contiguous block; it holds S_hat, then v_hat level by level
+    v_hat = np.empty((grid.Nt + 1, len(sources), grid.Nx))
+    np.matmul(sources[:, :, 1:-1], Q, out=v_hat.transpose(1, 0, 2))
+    for n in range(grid.Nt, 0, -1):   # backwards: level n-1 still holds S_hat
+        mixed = v_hat[n]
+        mixed *= theta
+        mixed += (1.0 - theta) * v_hat[n - 1]
+        mixed *= pdt
+    # one vector product per mode: a (K, Nx) @ Q product differs in the last bits
+    for k, phi in enumerate(phi_modes):
+        v_hat[0, k] = phi[1:-1] @ Q
     for n in range(1, grid.Nt + 1):
         v_hat[n] += amp * v_hat[n - 1]
 
-    out = np.zeros(grid.field_shape)
-    out[0, 1:-1] = phi[1:-1]
-    out[1:, 1:-1] = _sine_transform(v_hat[1:])
-    finite = np.isfinite(out[1:]).all(axis=1)
-    if not finite.all():
-        raise _blowup(problem, int(np.argmin(finite)) + 1)
-    return out
+    out[:, 0, 1:-1] = phi_modes[:, 1:-1]
+    np.matmul(v_hat[1:].transpose(1, 0, 2), Q, out=out[:, 1:, 1:-1])
 
 
-def _march_tridiagonal(problem: ModeProblem, grid: Grid, phi: np.ndarray) -> np.ndarray:
-    theta = problem.theta
+def _march_tridiagonal(out: np.ndarray, S: np.ndarray, phi: np.ndarray, k: int,
+                       a: np.ndarray, grid: Grid, theta: float) -> bool:
+    """Theta march of mode k with the known reaction a, one Thomas solve per
+    step, written into the zeroed (Nt+1, Nx+2) array out.  Stops at the
+    first non-finite step, which it leaves in out, and returns False."""
     dt, hx = grid.dt, grid.hx
-    lam = problem.lambda_k
+    lam = float(k * k)
     r = dt / hx**2
-    S = problem.source.values
-    a = problem.reaction.values
 
     n_int = grid.Nx  # interior nodes 1..Nx
-    out = np.zeros(grid.field_shape)
     v = phi.copy()
     v[0] = 0.0
     v[-1] = 0.0
@@ -167,38 +172,23 @@ def _march_tridiagonal(problem: ModeProblem, grid: Grid, phi: np.ndarray) -> np.
         )
         diag = base_diag + theta * dt * a[n + 1, 1:-1]
 
-        interior = thomas_solve(lower, diag, upper, rhs)
-        if not np.all(np.isfinite(interior)):
-            raise _blowup(problem, n + 1)
-        v = np.zeros_like(v)
-        v[1:-1] = interior
-        out[n + 1] = v
-    return out
+        v = out[n + 1]
+        v[1:-1] = thomas_solve(lower, diag, upper, rhs)
+        if not np.all(np.isfinite(v)):
+            return False
+    return True
 
 
 def solve_forward(a: ScalarField | None, f_modes: ModeFieldSet, phi_modes: np.ndarray,
                   grid: Grid, params: SpectralParams, theta: float = 0.5) -> ModeFieldSet:
     """Solve the decoupled mode equations with a known reaction coefficient."""
-    phi_modes = np.asarray(phi_modes, dtype=float)
-    if phi_modes.shape != (params.K,) + grid.space_shape:
-        raise ConfigurationError(
-            f"phi mode stack shape {phi_modes.shape} != {(params.K,) + grid.space_shape}")
-
-    def solve_one(k: int) -> np.ndarray:
-        problem = ModeProblem(
-            k=k,
-            source=ScalarField(grid, f_modes.values[k - 1]),
-            initial=phi_modes[k - 1],
-            reaction=a,
-            theta=theta,
-        )
-        try:
-            return solve_mode(problem, grid).values
-        except NumericalBlowupError as err:
-            raise NumericalBlowupError(f"forward solve failed: {err}", mode=k, step=err.step) from err
-
-    stack = np.stack([solve_one(k) for k in range(1, params.K + 1)])
-    return ModeFieldSet(grid, params, stack)
+    try:
+        values = march_modes(f_modes.values, phi_modes, grid, theta,
+                             reaction=None if a is None else a.values)
+    except NumericalBlowupError as err:
+        raise NumericalBlowupError(f"forward solve failed: {err}",
+                                   mode=err.mode, step=err.step) from err
+    return ModeFieldSet(grid, params, values)
 
 
 def overdetermination_residual(u: ModeFieldSet, omega: OmegaData,

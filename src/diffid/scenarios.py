@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import CertifyOptions
+from .certificates import CertifyOptions, compute_Psi
 from .errors import ConfigurationError, DataError
 from .grids import Grid, ScalarField, build_grid, interior_margin_mask, l2_sq_GT, laplacian_x
-from .inversion import InversionResult, initial_state, iterate, run_inversion
+from .inversion import InversionResult, iterate, run_inversion
 from .problem import ProblemData
 from .sinebasis import ModeFieldSet, OmegaData, SpectralParams, eigenvalues
 
@@ -186,8 +186,9 @@ def uniqueness_probe(scenario: Scenario, options: CertifyOptions = CertifyOption
         if zero_start is None:
             zero_start = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters,
                                        theta=theta, force=True)
-        warm = iterate(initial_state(data), data, theta=theta, floor=options.psi_floor)
-        start = ModeFieldSet(data.grid, data.params, 2.0 * warm.current.values)
+        Psi = compute_Psi(data.psi, data.f_modes, data.omega, data.grid, floor=options.psi_floor)
+        warm, _ = iterate(ModeFieldSet.zeros(data.grid, data.params), data, Psi, theta=theta)
+        start = ModeFieldSet(data.grid, data.params, 2.0 * warm.values)
         res_warm = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters,
                                  theta=theta, force=True, initial=start)
     mask = interior_margin_mask(data.grid, options.boundary_margin)

@@ -56,14 +56,8 @@ class SpectralParams:
         return np.linspace(0.0, np.pi, self.Ny + 1)
 
 
-def eigenvalue(k: int) -> float:
-    """k-th Dirichlet eigenvalue of -d^2/dy^2 on (0, pi): k^2."""
-    if k < 1:
-        raise ConfigurationError(f"mode index must be >= 1, got {k}")
-    return float(k * k)
-
-
 def eigenvalues(K: int) -> np.ndarray:
+    """Dirichlet eigenvalues k^2 of -d^2/dy^2 on (0, pi), k = 1..K."""
     return np.arange(1, K + 1, dtype=float) ** 2
 
 
@@ -152,13 +146,6 @@ def _coupling_quadrature(y: np.ndarray, omega_dd: np.ndarray, j: int) -> float:
     return t - h**2 / 12.0 * j * (sign * omega_dd[-1] - omega_dd[0])
 
 
-def omega_couplings(omega: OmegaData, K: int) -> np.ndarray:
-    """Couplings c_j = (sin(j y), omega'') for j = 1..K."""
-    if K > omega.K:
-        raise ConfigurationError(f"requested {K} couplings but only {omega.K} are stored")
-    return omega.couplings[:K]
-
-
 @dataclass(frozen=True)
 class ModeFieldSet:
     """Stack of K mode fields u_k(t, x) sharing one grid."""
@@ -180,19 +167,12 @@ class ModeFieldSet:
     def K(self) -> int:
         return self.params.K
 
-    def mode(self, k: int) -> np.ndarray:
-        """Field of mode k (1-based)."""
-        return self.values[k - 1]
-
     @classmethod
     def zeros(cls, grid: Grid, params: SpectralParams) -> "ModeFieldSet":
         return cls(grid, params, np.zeros((params.K,) + grid.field_shape))
 
     def __sub__(self, other: "ModeFieldSet") -> "ModeFieldSet":
         return ModeFieldSet(self.grid, self.params, self.values - other.values)
-
-    def __add__(self, other: "ModeFieldSet") -> "ModeFieldSet":
-        return ModeFieldSet(self.grid, self.params, self.values + other.values)
 
     def synthesize_y(self, y: np.ndarray) -> np.ndarray:
         """Sample u(t, x, y) = sum_k u_k(t, x) sin(k y) on the given y nodes."""

@@ -137,10 +137,11 @@ def test_failing_q_names_condition():
     scn = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=64))
     cert = compute_certificate(scn.data, CertifyOptions())
     assert cert.q_local > 1.0
-    passed, margins = check_local(cert)
+    passed, conditions = check_local(cert)
     assert not passed
-    assert margins["4*R*B < 1"] < 0
-    assert margins["2*Psi_M*T <= A_eps*C_S"] > 0
+    assert conditions["4*R*B < 1"] == (1.0 - cert.q_local, False)
+    margin, holds = conditions["2*Psi_M*T <= A_eps*C_S"]
+    assert margin > 0 and holds
 
 
 def test_homothety_flips_global_poincare_condition():
@@ -217,9 +218,14 @@ def test_certificate_json_roundtrip():
 def test_check_global_margins():
     data = constant_psi_data(f_const=1.0, Lx=2.0)
     cert = compute_certificate(data, CertifyOptions())
-    passed, margins = check_global(cert)
+    passed, conditions = check_global(cert)
     assert passed == cert.global_pass
-    assert set(margins) == {"2*Psi_M^2*C_P <= A_eps^2*C_S^2", "4*R1*B < 1"}
+    assert conditions == {
+        "2*Psi_M^2*C_P <= A_eps^2*C_S^2": (
+            cert.A_eps**2 * cert.C_S**2 - 2.0 * cert.Psi_M**2 * cert.C_P,
+            cert.cond_global_poincare),
+        "4*R1*B < 1": (1.0 - cert.q_global, cert.cond_global_q),
+    }
 
 
 def test_invalid_options():

@@ -69,6 +69,20 @@ def test_certify_failure_names_condition(tmp_path, capsys):
     assert "4*R*B < 1" in capsys.readouterr().out
 
 
+def test_certify_readme_config_prints_failing_conditions(tmp_path, capsys):
+    cfg = base_config(tmp_path / "out", N=128, K=16)
+    cfg["grid"]["Ny_quad"] = 256
+    cfg["picard"]["max_iters"] = 30
+    code = main(["certify", "--config", str(write_config(tmp_path, cfg))])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "failing conditions: 4*R*B < 1; 4*R1*B < 1"
+    table = {line.split("] ")[1].rsplit(None, 2)[0]: line.rsplit(None, 1)[1]
+             for line in lines if line.startswith("[")}
+    assert table == {"2*Psi_M*T <= A_eps*C_S": "yes", "T <= 1": "yes", "4*R*B < 1": "NO",
+                     "2*Psi_M^2*C_P <= A_eps^2*C_S^2": "yes", "4*R1*B < 1": "NO"}
+
+
 def test_missing_config_key_exits_one(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = base_config(out)
@@ -117,6 +131,49 @@ def test_config_rejects_out_of_range_values(tmp_path, section, key, value):
     cfg = base_config(tmp_path / "out")
     cfg[section][key] = value
     with pytest.raises(ConfigurationError, match=rf"{section}\.{key}"):
+        load_config(write_config(tmp_path, cfg))
+
+
+@pytest.mark.parametrize("section, key, hint", [
+    ("domain", "Ly", None),
+    ("grid", "Ny", None),
+    ("spectral", "eps", "spectral.epsilon"),
+    ("scheme", "thetta", "scheme.theta"),
+    ("certify", "C_s", "certify.C_S"),
+    ("picard", "max_iter", "picard.max_iters"),
+    ("scenario", "nme", "scenario.name"),
+    ("data", "a_files", "data.a_file"),
+    ("output", "directory", None),
+])
+def test_config_rejects_unknown_key(tmp_path, capsys, section, key, hint):
+    cfg = base_config(tmp_path / "out")
+    if section == "data":
+        del cfg["scenario"]
+        cfg["data"] = {"psi_file": "psi.csv", "f_file": "f.csv", "phi_file": "phi.csv",
+                       "omega_file": "omega.csv"}
+    cfg[section][key] = 1
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigurationError, match=rf"unknown key {section}\.{key}\b") as err:
+        load_config(path)
+    if hint is not None:
+        assert f"did you mean {hint}?" in str(err.value)
+    assert main(["invert", "--config", str(path)]) == 1
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_rejects_unknown_section(tmp_path):
+    cfg = base_config(tmp_path / "out")
+    cfg["scenarios"] = {"name": "MMS-A"}
+    with pytest.raises(ConfigurationError, match=r"unknown section 'scenarios' \(did you mean scenario\?\)"):
+        load_config(write_config(tmp_path, cfg))
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_config_force_flag_must_be_boolean(tmp_path, value):
+    cfg = base_config(tmp_path / "out")
+    cfg["picard"]["force_on_failed_certificate"] = value
+    with pytest.raises(ConfigurationError, match=r"picard\.force_on_failed_certificate"):
         load_config(write_config(tmp_path, cfg))
 
 

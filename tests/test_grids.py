@@ -9,7 +9,6 @@ from diffid import (
     Grid,
     ScalarField,
     build_grid,
-    dt_derivative,
     grad_x,
     integrate_G,
     interior_margin_mask,
@@ -101,28 +100,21 @@ def test_l2_norm_GT_refinement_order():
 
 def test_grad_linear_exact():
     g = grid_1d(Nx=33)
-    (d,) = grad_x(2.0 * g.x, g)
+    d = grad_x(2.0 * g.x, g)
     assert np.max(np.abs(d - 2.0)) < 1e-12
 
 
 def test_grad_quadratic_exact():
     g = grid_1d(Nx=41, Lx=2.0)
     v = 3.0 * g.x**2 - g.x + 0.5
-    (d,) = grad_x(v, g)
+    d = grad_x(v, g)
     assert np.max(np.abs(d - (6.0 * g.x - 1.0))) < 1e-10
 
 
 def test_grad_sin():
     g = grid_1d(Nx=128)
-    (d,) = grad_x(np.sin(g.x), g)
+    d = grad_x(np.sin(g.x), g)
     assert np.max(np.abs(d - np.cos(g.x))) < 1e-3
-
-
-def test_dt_derivative_constant_in_time():
-    g = grid_1d(Nx=16, Nt=8)
-    f = ScalarField.from_function(g, lambda t, x: np.sin(x) + 0.0 * t)
-    df = dt_derivative(f)
-    assert np.max(np.abs(df.values)) < 1e-12
 
 
 def test_laplacian_quadratic_exact():

@@ -13,7 +13,6 @@ from diffid import (
     build_scenario,
     compute_Psi,
     compute_certificate,
-    initial_state,
     iterate,
     picard_source,
     reconstruct_a,
@@ -78,16 +77,19 @@ def test_source_scaling_degrees():
 def test_first_sweep_is_pure_linear_solve():
     scn = mmsa(N=32, K=3)
     data = scn.data
-    state = iterate(initial_state(data), data)
+    Psi = compute_Psi(data.psi, data.f_modes, data.omega, data.grid)
+    u1, _ = iterate(ModeFieldSet.zeros(data.grid, data.params), data, Psi)
     direct = solve_forward(None, data.f_modes, data.phi_modes, data.grid, data.params)
-    assert np.array_equal(state.current.values, direct.values)
+    assert np.array_equal(u1.values, direct.values)
 
 
 def test_zero_data_fixed_point_immediately():
     grid = build_grid(Domain((np.pi,), 0.5), Nx=24, Nt=12)
     scn = build_scenario("NULL", grid, SpectralParams(K=2, Ny=64))
-    state = iterate(initial_state(scn.data), scn.data)
-    assert state.F_diff_history[-1] == 0.0
+    data = scn.data
+    Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
+    _, f_diff = iterate(ModeFieldSet.zeros(grid, data.params), data, Psi)
+    assert f_diff == 0.0
 
 
 def test_reconstruct_zero_modes_gives_Psi():
@@ -162,9 +164,10 @@ def test_fixed_point_one_extra_sweep():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = run_inversion(scn.data, tol_F=tol, max_iters=30, force=True)
-    state = initial_state(scn.data, initial=res.u_modes)
-    extra = iterate(state, scn.data)
-    assert extra.F_diff_history[-1] <= 10.0 * tol
+    data = scn.data
+    Psi = compute_Psi(data.psi, data.f_modes, data.omega, data.grid)
+    _, f_diff = iterate(res.u_modes, data, Psi)
+    assert f_diff <= 10.0 * tol
 
 
 def test_reconstruction_identity_bitwise():

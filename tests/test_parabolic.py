@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,17 +6,16 @@ from hypothesis import strategies as st
 from diffid import (
     Domain,
     ModeFieldSet,
-    ModeProblem,
     OmegaData,
     ScalarField,
     SpectralParams,
     build_grid,
     l2_norm_G,
+    march_modes,
     overdetermination_residual,
     solve_forward,
-    solve_mode,
 )
-from diffid.errors import NumericalBlowupError
+from diffid.errors import ConfigurationError, NumericalBlowupError
 from diffid.tridiag import thomas_solve
 
 
@@ -26,13 +23,23 @@ def grid_1d(Nx=128, Nt=128, T=1.0):
     return build_grid(Domain((np.pi,), T), Nx=Nx, Nt=Nt)
 
 
+def march_one(k, g, source=None, initial=None, theta=0.5, reaction=None):
+    """Mode k alone: row k-1 of a K = k stack whose other rows are zero."""
+    sources = np.zeros((k,) + g.field_shape)
+    phis = np.zeros((k,) + g.space_shape)
+    if source is not None:
+        sources[k - 1] = source
+    if initial is not None:
+        phis[k - 1] = initial
+    return march_modes(sources, phis, g, theta, reaction)[k - 1]
+
+
 def decay_error(Nx, Nt):
     """Max error against u = e^{-2t} sin x for v_t = v_xx - v, phi = sin x."""
     g = grid_1d(Nx=Nx, Nt=Nt, T=1.0)
-    prob = ModeProblem(k=1, source=ScalarField.zeros(g), initial=np.sin(g.x))
-    u = solve_mode(prob, g)
+    u = march_one(1, g, initial=np.sin(g.x))
     exact = np.exp(-2.0 * g.t)[:, None] * np.sin(g.x)[None, :]
-    return float(np.max(np.abs(u.values - exact)))
+    return float(np.max(np.abs(u - exact)))
 
 
 def test_analytic_decay():
@@ -41,9 +48,8 @@ def test_analytic_decay():
 
 def test_zero_data_stays_zero():
     g = grid_1d(Nx=32, Nt=16)
-    prob = ModeProblem(k=3, source=ScalarField.zeros(g), initial=np.zeros(g.space_shape))
-    u = solve_mode(prob, g)
-    assert np.max(np.abs(u.values)) == 0.0
+    u = march_modes(np.zeros((3,) + g.field_shape), np.zeros((3,) + g.space_shape), g)
+    assert np.max(np.abs(u)) == 0.0
 
 
 def test_stationary_solution():
@@ -51,9 +57,8 @@ def test_stationary_solution():
     # the discrete fixed point is offset by ~hx^2/24, so a fine x-grid is used.
     g = grid_1d(Nx=1024, Nt=16, T=0.25)
     source = ScalarField.from_function(g, lambda t, x: 2.0 * np.sin(x))
-    prob = ModeProblem(k=1, source=source, initial=np.sin(g.x))
-    u = solve_mode(prob, g)
-    assert np.max(np.abs(u.values - np.sin(g.x)[None, :])) <= 1e-6
+    u = march_one(1, g, source=source.values, initial=np.sin(g.x))
+    assert np.max(np.abs(u - np.sin(g.x)[None, :])) <= 1e-6
 
 
 def test_refinement_order():
@@ -64,10 +69,9 @@ def test_refinement_order():
 def test_dirichlet_boundary_exact_zero():
     g = grid_1d(Nx=24, Nt=12)
     source = ScalarField.from_function(g, lambda t, x: np.cos(t) * x * (np.pi - x))
-    prob = ModeProblem(k=2, source=source, initial=np.sin(2 * g.x))
-    u = solve_mode(prob, g)
-    assert np.all(u.values[:, 0] == 0.0)
-    assert np.all(u.values[:, -1] == 0.0)
+    u = march_one(2, g, source=source.values, initial=np.sin(2 * g.x))
+    assert np.all(u[:, 0] == 0.0)
+    assert np.all(u[:, -1] == 0.0)
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
@@ -75,13 +79,11 @@ def test_l2_stability_nonnegative_reaction(theta):
     g = grid_1d(Nx=48, Nt=24, T=2.0)
     rng = np.random.default_rng(9)
     a_profile = rng.random(g.space_shape) * 2.0
-    reaction = ScalarField(g, np.broadcast_to(a_profile, g.field_shape).copy())
+    reaction = np.broadcast_to(a_profile, g.field_shape)
     phi = rng.standard_normal(g.space_shape)
     phi[0] = phi[-1] = 0.0
-    prob = ModeProblem(k=1, source=ScalarField.zeros(g), initial=phi,
-                       reaction=reaction, theta=theta)
-    u = solve_mode(prob, g)
-    norms = [l2_norm_G(u.values[n], g) for n in range(g.Nt + 1)]
+    u = march_one(1, g, initial=phi, theta=theta, reaction=reaction)
+    norms = [l2_norm_G(u[n], g) for n in range(g.Nt + 1)]
     for prev, cur in zip(norms, norms[1:]):
         assert cur <= prev * (1.0 + 1e-12)
 
@@ -135,10 +137,9 @@ def test_forward_with_reaction_manufactured():
 
 def test_negative_reaction_warning():
     g = grid_1d(Nx=16, Nt=4, T=1.0)  # dt = 0.25
-    a = ScalarField(g, np.full(g.field_shape, -5.0))
-    prob = ModeProblem(k=1, source=ScalarField.zeros(g), initial=np.sin(g.x), reaction=a)
+    a = np.full(g.field_shape, -5.0)
     with pytest.warns(RuntimeWarning):
-        solve_mode(prob, g)
+        march_one(1, g, initial=np.sin(g.x), reaction=a)
 
 
 def test_blowup_reported_with_step():
@@ -147,12 +148,11 @@ def test_blowup_reported_with_step():
     g = grid_1d(Nx=16, Nt=64, T=1.0)
     theta = 0.5
     a_sing = -(1.0 / (theta * g.dt) + 2.0 / g.hx**2 + 1.0)
-    a = ScalarField(g, np.full(g.field_shape, a_sing))
-    prob = ModeProblem(k=1, source=ScalarField.zeros(g), initial=np.sin(g.x),
-                       reaction=a, theta=theta)
+    a = np.full(g.field_shape, a_sing)
     with pytest.warns(RuntimeWarning):
         with pytest.raises(NumericalBlowupError) as err:
-            solve_mode(prob, g)
+            march_one(1, g, initial=np.sin(g.x), theta=theta, reaction=a)
+    assert err.value.mode == 1
     assert err.value.step is not None
 
 
@@ -208,19 +208,20 @@ def rel_max_diff(u, ref):
 
 
 @settings(max_examples=40, deadline=None)
-@given(Nx=st.integers(4, 200), Nt=st.integers(2, 48), k=st.integers(1, 16),
+@given(Nx=st.integers(4, 200), Nt=st.integers(2, 48), K=st.integers(1, 16),
        theta=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
-@example(Nx=96, Nt=48, k=16, theta=0.5, seed=1)   # Nx+1 = 97 is prime
-@example(Nx=192, Nt=24, k=1, theta=1.0, seed=2)   # Nx+1 = 193 is prime
-def test_spectral_march_matches_thomas_reference(Nx, Nt, k, theta, seed):
+@example(Nx=96, Nt=48, K=16, theta=0.5, seed=1)   # Nx+1 = 97 is prime
+@example(Nx=192, Nt=24, K=1, theta=1.0, seed=2)   # Nx+1 = 193 is prime
+def test_spectral_march_matches_thomas_reference(Nx, Nt, K, theta, seed):
     g = grid_1d(Nx=Nx, Nt=Nt, T=0.5)
     rng = np.random.default_rng(seed)
-    S = rng.standard_normal(g.field_shape)
-    phi = rng.standard_normal(g.space_shape)
-    u = solve_mode(ModeProblem(k=k, source=ScalarField(g, S), initial=phi, theta=theta), g)
-    assert rel_max_diff(u.values, thomas_march(S, phi, g, k, theta)) <= 1e-12
-    assert np.all(u.values[:, 0] == 0.0) and np.all(u.values[:, -1] == 0.0)
-    assert np.array_equal(u.values[0, 1:-1], phi[1:-1])
+    S = rng.standard_normal((K,) + g.field_shape)
+    phi = rng.standard_normal((K,) + g.space_shape)
+    u = march_modes(S, phi, g, theta)
+    for k in range(1, K + 1):
+        assert rel_max_diff(u[k - 1], thomas_march(S[k - 1], phi[k - 1], g, k, theta)) <= 1e-12
+    assert np.all(u[:, :, 0] == 0.0) and np.all(u[:, :, -1] == 0.0)
+    assert np.array_equal(u[:, 0, 1:-1], phi[:, 1:-1])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -228,15 +229,33 @@ def test_spectral_march_matches_thomas_reference(Nx, Nt, k, theta, seed):
 @given(Nt=st.integers(2, 16), data=st.data(),
        theta=st.floats(0.5, 1.0), value=st.sampled_from((np.inf, -np.inf, np.nan)))
 def test_spectral_blowup_names_first_bad_step(Nt, data, theta, value):
-    # ScalarField rejects non-finite values, so a stand-in carries the source
+    # the bad value sits in mode 3 of a K = 4 stack; mode 4 goes bad at an
+    # earlier step, but the error names the first bad mode
     g = build_grid(Domain((np.pi,), 1.0), Nx=12, Nt=Nt)
     step = data.draw(st.integers(1, Nt))
     node = data.draw(st.integers(1, g.Nx))
-    S = np.zeros(g.field_shape)
-    S[step, node] = value
-    prob = ModeProblem(k=3, source=SimpleNamespace(grid=g, values=S),
-                       initial=np.zeros(g.space_shape), theta=theta)
+    S = np.zeros((4,) + g.field_shape)
+    S[2, step, node] = value
+    S[3, 1, node] = value
     with pytest.raises(NumericalBlowupError) as err:
-        solve_mode(prob, g)
-    assert err.value.step == step
+        march_modes(S, np.zeros((4,) + g.space_shape), g, theta)
     assert err.value.mode == 3
+    assert err.value.step == step
+
+
+def test_march_modes_rejects_bad_theta_and_shapes():
+    g = grid_1d(Nx=8, Nt=4)
+    S = np.zeros((3,) + g.field_shape)
+    phi = np.zeros((3,) + g.space_shape)
+    for theta in (0.4, 1.1):
+        with pytest.raises(ConfigurationError, match="theta"):
+            march_modes(S, phi, g, theta)
+    for bad_S, bad_phi in ((S, phi[:2]),                           # K differs
+                           (S[:, :-1], phi),                       # Nt+1 rows off
+                           (S[:, :, :-1], phi),                    # Nx+2 columns off
+                           (S[0], phi[0]),                         # no mode axis
+                           (S[:0], phi[:0])):                      # K = 0
+        with pytest.raises(ConfigurationError):
+            march_modes(bad_S, bad_phi, g)
+    with pytest.raises(ConfigurationError, match="reaction"):
+        march_modes(S, phi, g, reaction=np.zeros(g.space_shape))

@@ -211,18 +211,18 @@ def test_uniqueness_probe_reuses_zero_start_and_passes_theta(monkeypatch):
         zero = run_inversion(scn.data, max_iters=8, theta=0.8, force=True)
 
     runs, thetas = [], []
-    real_run, real_solve = scenarios.run_inversion, inversion.solve_mode
+    real_run, real_march = scenarios.run_inversion, inversion.march_modes
 
     def run_spy(*args, **kwargs):
         runs.append(kwargs.get("initial") is None)
         return real_run(*args, **kwargs)
 
-    def solve_spy(problem, grid):
-        thetas.append(problem.theta)
-        return real_solve(problem, grid)
+    def march_spy(sources, phi_modes, grid, theta=0.5, reaction=None):
+        thetas.append(theta)
+        return real_march(sources, phi_modes, grid, theta, reaction)
 
     monkeypatch.setattr(scenarios, "run_inversion", run_spy)
-    monkeypatch.setattr(inversion, "solve_mode", solve_spy)
+    monkeypatch.setattr(inversion, "march_modes", march_spy)
 
     given = uniqueness_probe(scn, max_iters=8, theta=0.8, zero_start=zero)
     assert runs == [False]  # only the warm-start inversion is run

@@ -12,23 +12,20 @@ from diffid import (
     OmegaData,
     SpectralParams,
     build_grid,
-    eigenvalue,
     frac_norm,
-    omega_couplings,
     sine_coeff,
     sine_coeffs,
     synthesize,
 )
 from diffid.errors import DataError
 from diffid.grids import grad_sq, integrate_G, l2_sq_GT
+from diffid.sinebasis import eigenvalues
 
 
-def test_eigenvalue():
-    assert eigenvalue(1) == 1.0
-    assert eigenvalue(3) == 9.0
-    assert eigenvalue(10) == 100.0
-    with pytest.raises(ConfigurationError):
-        eigenvalue(0)
+def test_eigenvalues():
+    lam = eigenvalues(10)
+    assert lam.dtype == float
+    assert np.array_equal(lam, np.arange(1, 11) ** 2)
 
 
 def test_sine_coeff_orthonormal():
@@ -102,7 +99,7 @@ def test_parseval_band_limited():
 def test_couplings_sin():
     params = SpectralParams(K=6, Ny=256)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
-    c = omega_couplings(om, 6)
+    c = om.couplings[:6]
     assert c[0] == pytest.approx(-np.pi / 2, abs=1e-10)
     assert np.max(np.abs(c[1:])) < 1e-10
 
@@ -111,7 +108,7 @@ def test_couplings_sin2():
     params = SpectralParams(K=6, Ny=256)
     om = OmegaData.from_callables(
         lambda y: np.sin(2 * y), lambda y: -4.0 * np.sin(2 * y), params)
-    c = omega_couplings(om, 6)
+    c = om.couplings[:6]
     assert c[1] == pytest.approx(-2.0 * np.pi, abs=1e-10)
     mask = np.ones(6, dtype=bool)
     mask[1] = False
@@ -197,7 +194,7 @@ def test_F_functional_triangle_inequality():
     for _ in range(5):
         u = ModeFieldSet(g, params, 0.1 * rng.standard_normal((3,) + g.field_shape))
         v = ModeFieldSet(g, params, 0.1 * rng.standard_normal((3,) + g.field_shape))
-        lhs = np.sqrt(F_functional(u + v))
+        lhs = np.sqrt(F_functional(ModeFieldSet(g, params, u.values + v.values)))
         rhs = np.sqrt(F_functional(u)) + np.sqrt(F_functional(v))
         assert lhs <= rhs + 1e-10
 
