@@ -16,6 +16,7 @@ from .certificates import check_global, check_local, compute_certificate
 from .config import RunConfig, assemble_data, assemble_scenario, load_config
 from .errors import CertificateFailure, DiffidError
 from .fileio import (
+    read_field_csv,
     write_field_csv,
     write_history_csv,
     write_json,
@@ -115,13 +116,11 @@ def _cmd_forward(cfg: RunConfig, base_dir: Path, force: bool) -> int:
             return EXIT_ERROR
         data, a = scn.data, scn.truth_a
     else:
-        data = assemble_data(cfg, base_dir)
         if "a_file" not in cfg.data_files:
             print("error: forward runs in data mode need data.a_file", file=sys.stderr)
             return EXIT_ERROR
-        from .fileio import read_field_as_scalar
-
-        a = read_field_as_scalar(base_dir / cfg.data_files["a_file"], cfg.grid)
+        data = assemble_data(cfg, base_dir)
+        a = read_field_csv(base_dir / cfg.data_files["a_file"], cfg.grid)
 
     u = solve_forward(a, data.f_modes, data.phi_modes, cfg.grid, cfg.params,
                       theta=cfg.theta)
@@ -135,8 +134,8 @@ def _cmd_forward(cfg: RunConfig, base_dir: Path, force: bool) -> int:
 
 
 def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
-    data = assemble_data(cfg, base_dir)
     scn = assemble_scenario(cfg) if cfg.scenario_name is not None else None
+    data = scn.data if scn is not None else assemble_data(cfg, base_dir)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

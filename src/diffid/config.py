@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .certificates import CertifyOptions
 from .errors import ConfigurationError
+from .fileio import read_field_csv, read_mode_profiles_csv, read_modes_csv, read_profile_csv
 from .grids import Domain, Grid, build_grid
 from .problem import ProblemData
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
@@ -215,10 +216,8 @@ def assemble_data(cfg: RunConfig, base_dir: Path) -> ProblemData:
     if cfg.scenario_name is not None:
         return assemble_scenario(cfg).data
 
-    from .fileio import read_field_as_scalar, read_mode_profiles_csv, read_modes_csv, read_profile_csv
-
     files = {k: _resolve(base_dir, v) for k, v in cfg.data_files.items()}
-    psi = read_field_as_scalar(files["psi_file"], cfg.grid)
+    psi = read_field_csv(files["psi_file"], cfg.grid)
     f_modes = read_modes_csv(files["f_file"], cfg.grid, cfg.params)
     phi_modes = read_mode_profiles_csv(files["phi_file"], cfg.grid, cfg.params)
     y, omega_vals = read_profile_csv(files["omega_file"])

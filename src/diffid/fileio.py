@@ -7,6 +7,14 @@ CRLF (as the csv module writes them) and floats print as "%.17g", 17
 significant digits, so a written field re-reads bitwise identical.  Input
 lines may end in LF or CRLF; quoted numeric cells ("1.5") and blank lines
 are accepted.
+
+One function pair knows the grid layout: _write_grid_csv and its inverse
+_read_grid_csv, which reads a file against the node lists the config
+defines (grid.t, grid.x, k = 1..K).  Rows may come in any order; an
+off-grid coordinate and a missing or repeated node are rejected with a
+DataError naming the file, and so is a non-finite cell in any input file.
+The omega profile is the one input whose nodes come from the file:
+read_profile_csv.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -48,16 +57,6 @@ def _write_grid_csv(path, header: list[str], axes, values) -> None:
             fh.write(template % tuple(fields))
 
 
-def _axis_from_column(values: np.ndarray, name: str) -> np.ndarray:
-    nodes = np.unique(values)
-    if len(nodes) < 2:
-        raise DataError(f"column {name} has fewer than 2 distinct nodes")
-    steps = np.diff(nodes)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(nodes[-1]), 1.0):
-        raise DataError(f"column {name} is not uniformly spaced")
-    return nodes
-
-
 def _read_rows(path, expected_header: list[str]) -> np.ndarray:
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
@@ -75,7 +74,46 @@ def _read_rows(path, expected_header: list[str]) -> np.ndarray:
         raise DataError(f"{path}: malformed data row ({err})") from err
     if rows.size == 0:
         raise DataError(f"{path}: no data rows")
+    if rows.shape[1] != len(expected_header):
+        raise DataError(f"{path}: data rows have {rows.shape[1]} columns, "
+                        f"the header {len(expected_header)}")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: non-finite cell in data row "
+                        + ",".join(f"{c:.15g}" for c in rows[bad[0]]))
     return rows
+
+
+def _read_grid_csv(path, header: list[str], axes) -> np.ndarray:
+    """The inverse of _write_grid_csv: the values on the product of ``axes``.
+    Rows may come in any order, but each coordinate must lie within 1e-9 of
+    a node of its uniform axis and each node must appear exactly once."""
+    rows = _read_rows(path, header)
+    axes = [np.asarray(axis, dtype=float) for axis in axes]
+    shape = tuple(map(len, axes))
+    flat = np.zeros(len(rows), dtype=np.intp)
+    for col, axis in enumerate(axes):
+        coord = rows[:, col]
+        step = axis[1] - axis[0] if len(axis) > 1 else 1.0  # one node: no step
+        with np.errstate(over="ignore"):
+            idx = np.rint((coord - axis[0]) / step)
+        idx = np.where((idx >= 0) & (idx < len(axis)), idx, 0).astype(np.intp)
+        off = np.flatnonzero(np.abs(coord - axis[idx]) > 1e-9)
+        if off.size:
+            raise DataError(
+                f"{path}: {header[col]} = {coord[off[0]]:.15g} is not one of the "
+                f"{len(axis)} configured nodes {axis[0]:.15g}..{axis[-1]:.15g}")
+        flat = flat * len(axis) + idx
+    counts = np.bincount(flat, minlength=math.prod(shape))
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        node = ", ".join(f"{name} = {axis[i]:.15g}" for name, axis, i
+                         in zip(header, axes, np.unravel_index(bad[0], shape)))
+        raise DataError(f"{path}: node {node} appears {counts[bad[0]]} times; "
+                        "every node of the configured grid must appear once")
+    values = np.empty(len(rows))
+    values[flat] = rows[:, -1]
+    return values.reshape(shape)
 
 
 def write_field_csv(path, field: ScalarField) -> None:
@@ -83,20 +121,8 @@ def write_field_csv(path, field: ScalarField) -> None:
     _write_grid_csv(path, ["t", "x", "value"], [grid.t, grid.x], field.values)
 
 
-def read_field_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a space-time field; returns (t_nodes, x_nodes, values)."""
-    rows = _read_rows(path, ["t", "x", "value"])
-    t_nodes = _axis_from_column(rows[:, 0], "t")
-    x_nodes = _axis_from_column(rows[:, 1], "x")
-    if len(rows) != len(t_nodes) * len(x_nodes):
-        raise DataError(f"{path}: grid has missing or duplicate cells")
-    values = np.full((len(t_nodes), len(x_nodes)), np.nan)
-    ti = np.searchsorted(t_nodes, rows[:, 0])
-    xi = np.searchsorted(x_nodes, rows[:, 1])
-    values[ti, xi] = rows[:, 2]
-    if np.any(np.isnan(values)):
-        raise DataError(f"{path}: grid has missing cells")
-    return t_nodes, x_nodes, values
+def read_field_csv(path, grid: Grid) -> ScalarField:
+    return ScalarField(grid, _read_grid_csv(path, ["t", "x", "value"], [grid.t, grid.x]))
 
 
 def write_profile_csv(path, y: np.ndarray, values: np.ndarray) -> None:
@@ -106,7 +132,7 @@ def write_profile_csv(path, y: np.ndarray, values: np.ndarray) -> None:
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
     rows = _read_rows(path, ["y", "value"])
     y = rows[:, 0]
-    if np.any(np.diff(y) <= 0):
+    if np.any(y[1:] <= y[:-1]):
         raise DataError(f"{path}: y nodes must be strictly increasing")
     return y, rows[:, 1]
 
@@ -118,23 +144,8 @@ def write_modes_csv(path, modes: ModeFieldSet) -> None:
 
 
 def read_modes_csv(path, grid: Grid, params: SpectralParams) -> ModeFieldSet:
-    rows = _read_rows(path, ["k", "t", "x", "value"])
-    ks = np.unique(rows[:, 0]).astype(int)
-    if ks[0] != 1 or ks[-1] != len(ks):
-        raise DataError(f"{path}: mode indices must be 1..K, got {ks.tolist()}")
-    if len(ks) != params.K:
-        raise DataError(f"{path}: {len(ks)} modes in file, config says K={params.K}")
-    t_nodes = _axis_from_column(rows[:, 1], "t")
-    x_nodes = _axis_from_column(rows[:, 2], "x")
-    _check_axes(path, grid, t_nodes, x_nodes)
-    values = np.full((params.K,) + grid.field_shape, np.nan)
-    ki = rows[:, 0].astype(int) - 1
-    ti = np.searchsorted(t_nodes, rows[:, 1])
-    xi = np.searchsorted(x_nodes, rows[:, 2])
-    values[ki, ti, xi] = rows[:, 3]
-    if np.any(np.isnan(values)):
-        raise DataError(f"{path}: mode grid has missing cells")
-    return ModeFieldSet(grid, params, values)
+    return ModeFieldSet(grid, params, _read_grid_csv(
+        path, ["k", "t", "x", "value"], [range(1, params.K + 1), grid.t, grid.x]))
 
 
 def write_mode_profiles_csv(path, phi_modes: np.ndarray, x: np.ndarray) -> None:
@@ -144,33 +155,7 @@ def write_mode_profiles_csv(path, phi_modes: np.ndarray, x: np.ndarray) -> None:
 
 
 def read_mode_profiles_csv(path, grid: Grid, params: SpectralParams) -> np.ndarray:
-    rows = _read_rows(path, ["k", "x", "value"])
-    ks = np.unique(rows[:, 0]).astype(int)
-    if len(ks) != params.K:
-        raise DataError(f"{path}: {len(ks)} modes in file, config says K={params.K}")
-    x_nodes = _axis_from_column(rows[:, 1], "x")
-    _check_axes(path, grid, None, x_nodes)
-    values = np.full((params.K,) + grid.space_shape, np.nan)
-    ki = rows[:, 0].astype(int) - 1
-    xi = np.searchsorted(x_nodes, rows[:, 1])
-    values[ki, xi] = rows[:, 2]
-    if np.any(np.isnan(values)):
-        raise DataError(f"{path}: profile grid has missing cells")
-    return values
-
-
-def _check_axes(path, grid: Grid, t_nodes, x_nodes) -> None:
-    if t_nodes is not None:
-        if len(t_nodes) != grid.Nt + 1 or np.max(np.abs(t_nodes - grid.t)) > 1e-9:
-            raise DataError(f"{path}: time nodes do not match the configured grid")
-    if len(x_nodes) != grid.Nx + 2 or np.max(np.abs(x_nodes - grid.x)) > 1e-9:
-        raise DataError(f"{path}: space nodes do not match the configured grid")
-
-
-def read_field_as_scalar(path, grid: Grid) -> ScalarField:
-    t_nodes, x_nodes, values = read_field_csv(path)
-    _check_axes(path, grid, t_nodes, x_nodes)
-    return ScalarField(grid, values)
+    return _read_grid_csv(path, ["k", "x", "value"], [range(1, params.K + 1), grid.x])
 
 
 def write_synth_csv(path, u_synth: np.ndarray, grid: Grid, y: np.ndarray) -> None:

@@ -108,7 +108,8 @@ class OmegaData:
 
         Without omega'' samples the couplings come from the integration-by-parts
         identity c_j = -lambda_j (pi/2) omega_j, which needs only omega itself;
-        omega'' is then reconstructed by second differences for reporting.
+        omega'' (whose norm enters the certificate) is then rebuilt by second
+        differences, so the y nodes must be uniform.
         """
         y = np.asarray(y, dtype=float)
         omega = np.asarray(omega, dtype=float)
@@ -119,7 +120,12 @@ class OmegaData:
         lam = eigenvalues(K)
         c_ibp = -lam * (np.pi / 2.0) * coeffs
         if omega_dd is None:
-            dd = _second_derivative(omega, y[1] - y[0], axis=0)
+            h = np.diff(y)
+            if not np.max(np.abs(h - h[0])) <= 1e-9 * max(abs(y[-1]), 1.0):
+                raise DataError(
+                    f"omega's y nodes must be uniformly spaced to rebuild omega'' by second "
+                    f"differences; steps range from {h.min():.6g} to {h.max():.6g}")
+            dd = _second_derivative(omega, h[0], axis=0)
             return cls(y, omega, dd, coeffs, c_ibp.copy(), c_ibp)
         omega_dd = np.asarray(omega_dd, dtype=float)
         c_quad = np.array([_coupling_quadrature(y, omega_dd, j) for j in range(1, K + 1)])

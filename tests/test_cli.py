@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -213,11 +214,8 @@ def test_forward_mmsa_residual_refines(tmp_path):
         cfg = base_config(out, scenario="MMS-A", N=N)
         code = main(["forward", "--config", str(write_config(tmp_path, cfg, f"c{N}.json"))])
         assert code == 0
-        _, _, res = read_field_csv(out / "residual.csv")
         grid = build_grid(Domain((np.pi,), 0.5), Nx=N, Nt=N)
-        from diffid import ScalarField, l2_norm_GT
-
-        norms[N] = l2_norm_GT(ScalarField(grid, res))
+        norms[N] = diffid.l2_norm_GT(read_field_csv(out / "residual.csv", grid))
     assert norms[24] <= 1e-3
     assert norms[24] / norms[48] >= 3.0
 
@@ -263,7 +261,8 @@ def test_invert_divergence_is_a_result(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = base_config(out, scenario="MMS-A", N=32, K=4)
     cfg["scenario"]["scale"] = 10
-    code = main(["invert", "--config", str(write_config(tmp_path, cfg)), "--force"])
+    path = write_config(tmp_path, cfg)
+    code = main(["invert", "--config", str(path), "--force"])
     assert code == 3
     assert "diverged after" in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
@@ -273,53 +272,94 @@ def test_invert_divergence_is_a_result(tmp_path, capsys):
     history = np.loadtxt(out / "history.csv", delimiter=",", skiprows=1, ndmin=2)
     assert history.shape[0] == summary["iterations"]
     assert np.all(np.isfinite(history[:, 1]))
-    _, _, a = read_field_csv(out / "a.csv")
+    a = read_field_csv(out / "a.csv", load_config(path).grid).values
     assert np.all(np.isfinite(a))
+
+
+def write_mmsa_data(tmp_path, out, N=24, K=3):
+    """Write the MMS-A data as CSV files; return a data-mode config for them."""
+    grid = build_grid(Domain((np.pi,), 0.5), Nx=N, Nt=N)
+    scn = build_scenario("MMS-A", grid, SpectralParams(K=K, Ny=128))
+    write_field_csv(tmp_path / "psi.csv", scn.data.psi)
+    write_modes_csv(tmp_path / "f.csv", scn.data.f_modes)
+    write_mode_profiles_csv(tmp_path / "phi.csv", scn.data.phi_modes, grid.x)
+    write_profile_csv(tmp_path / "omega.csv", scn.omega.y, scn.omega.omega)
+    cfg = base_config(out, N=N, K=K)
+    del cfg["scenario"]
+    cfg["data"] = {"psi_file": "psi.csv", "f_file": "f.csv",
+                   "phi_file": "phi.csv", "omega_file": "omega.csv"}
+    return cfg
 
 
 def test_invert_data_file_mode_matches_scenario(tmp_path):
     # write the MMS-A fields to CSV, run in data mode, compare to scenario mode
-    N, K = 24, 3
-    grid = build_grid(Domain((np.pi,), 0.5), Nx=N, Nt=N)
-    params = SpectralParams(K=K, Ny=128)
-    scn = build_scenario("MMS-A", grid, params)
-    write_field_csv(tmp_path / "psi.csv", scn.data.psi)
-    write_modes_csv(tmp_path / "f.csv", scn.data.f_modes)
-    write_mode_profiles_csv(tmp_path / "phi.csv", scn.data.phi_modes, grid.x)
-    write_profile_csv(tmp_path / "omega.csv", scn.omega.y, scn.omega.omega)
-
     out_data = tmp_path / "out_data"
-    cfg = base_config(out_data, N=N, K=K)
-    del cfg["scenario"]
-    cfg["data"] = {"psi_file": "psi.csv", "f_file": "f.csv",
-                   "phi_file": "phi.csv", "omega_file": "omega.csv"}
+    cfg = write_mmsa_data(tmp_path, out_data)
     assert main(["invert", "--config", str(write_config(tmp_path, cfg)), "--force"]) == 0
 
     out_scn = tmp_path / "out_scn"
-    cfg2 = base_config(out_scn, N=N, K=K)
-    assert main(["invert", "--config", str(write_config(tmp_path, cfg2, "c2.json")),
-                 "--force"]) == 0
+    cfg2 = base_config(out_scn, N=24, K=3)
+    path2 = write_config(tmp_path, cfg2, "c2.json")
+    assert main(["invert", "--config", str(path2), "--force"]) == 0
 
-    _, _, a_data = read_field_csv(out_data / "a.csv")
-    _, _, a_scn = read_field_csv(out_scn / "a.csv")
+    grid = load_config(path2).grid
+    a_data = read_field_csv(out_data / "a.csv", grid).values
+    a_scn = read_field_csv(out_scn / "a.csv", grid).values
     assert np.max(np.abs(a_data - a_scn)) <= 1e-8
 
 
-def test_invert_data_mode_grid_mismatch(tmp_path):
-    N, K = 24, 3
-    grid = build_grid(Domain((np.pi,), 0.5), Nx=N, Nt=N)
-    params = SpectralParams(K=K, Ny=128)
-    scn = build_scenario("MMS-A", grid, params)
-    write_field_csv(tmp_path / "psi.csv", scn.data.psi)
-    write_modes_csv(tmp_path / "f.csv", scn.data.f_modes)
-    write_mode_profiles_csv(tmp_path / "phi.csv", scn.data.phi_modes, grid.x)
-    write_profile_csv(tmp_path / "omega.csv", scn.omega.y, scn.omega.omega)
+def test_forward_data_mode_matches_scenario(tmp_path, capsys):
+    cfg = write_mmsa_data(tmp_path, tmp_path / "out_data")
+    cfg_path = write_config(tmp_path, cfg)
+    psi = (tmp_path / "psi.csv").read_bytes()
+    (tmp_path / "psi.csv").unlink()  # the a_file check comes before any read
+    assert main(["forward", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: forward runs in data mode need data.a_file\n"
 
-    cfg = base_config(tmp_path / "out", N=32, K=K)  # config grid disagrees
-    del cfg["scenario"]
-    cfg["data"] = {"psi_file": "psi.csv", "f_file": "f.csv",
-                   "phi_file": "phi.csv", "omega_file": "omega.csv"}
+    (tmp_path / "psi.csv").write_bytes(psi)
+    grid = load_config(cfg_path).grid
+    truth = build_scenario("MMS-A", grid, SpectralParams(K=3, Ny=128)).truth_a
+    write_field_csv(tmp_path / "a.csv", truth)
+    cfg["data"]["a_file"] = "a.csv"
+    assert main(["forward", "--config", str(write_config(tmp_path, cfg))]) == 0
+    scn_cfg = base_config(tmp_path / "out_scn", N=24, K=3)
+    assert main(["forward", "--config", str(write_config(tmp_path, scn_cfg, "c2.json"))]) == 0
+    assert ((tmp_path / "out_data" / "u_modes.csv").read_bytes()
+            == (tmp_path / "out_scn" / "u_modes.csv").read_bytes())
+
+
+def _shift_mode_labels(shift):
+    def edit(tmp_path, cfg):
+        path = tmp_path / "phi.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        rows = [f"{int(k) + shift},{rest}" for k, rest in (row.split(",", 1) for row in rows)]
+        path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    return edit
+
+
+def _nonuniform_omega(tmp_path, cfg):
+    s = np.linspace(0.0, 1.0, 129)
+    y = np.pi * (s + 0.05 * np.sin(2 * np.pi * s))  # strictly increasing, spans [0, pi]
+    write_profile_csv(tmp_path / "omega.csv", y, np.sin(y))
+
+
+def _config_grid_disagrees(tmp_path, cfg):
+    cfg["grid"]["Nx"] = cfg["grid"]["Nt"] = 32
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_config_grid_disagrees, r"psi\.csv: t = \S+ is not one of the 33 configured nodes"),
+    (_shift_mode_labels(-1), r"phi\.csv: k = 0 is not one of the 3 configured nodes"),
+    (_shift_mode_labels(+1), r"phi\.csv: k = 4 is not one of the 3 configured nodes"),
+    (_nonuniform_omega, r"omega's y nodes must be uniformly spaced"),
+], ids=["grid", "k-from-0", "k-from-2", "omega-nonuniform"])
+def test_invert_data_mode_bad_input_exits_1(tmp_path, capsys, edit, message):
+    cfg = write_mmsa_data(tmp_path, tmp_path / "out")
+    edit(tmp_path, cfg)
     assert main(["invert", "--config", str(write_config(tmp_path, cfg)), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: .*{message}.*\n", err), err
+    assert not (tmp_path / "out" / "a.csv").exists()
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from diffid import Domain, ModeFieldSet, ScalarField, SpectralParams, build_grid
 from diffid.errors import DataError
 from diffid.fileio import (
-    read_field_as_scalar,
     read_field_csv,
     read_mode_profiles_csv,
     read_modes_csv,
@@ -35,7 +34,7 @@ def test_field_roundtrip_bitwise(tmp_path, grid):
     field = ScalarField(grid, rng.standard_normal(grid.field_shape))
     path = tmp_path / "field.csv"
     write_field_csv(path, field)
-    back = read_field_as_scalar(path, grid)
+    back = read_field_csv(path, grid)
     assert np.array_equal(back.values, field.values)
 
 
@@ -78,11 +77,11 @@ def test_mode_profiles_roundtrip(tmp_path, grid):
     assert np.array_equal(back, phi)
 
 
-def test_read_rejects_bad_header(tmp_path):
+def test_read_rejects_bad_header(tmp_path, grid):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")
-    with pytest.raises(DataError):
-        read_field_csv(path)
+    with pytest.raises(DataError, match="bad.csv: expected header t,x,value"):
+        read_field_csv(path, grid)
 
 
 def test_read_rejects_missing_cells(tmp_path, grid):
@@ -91,8 +90,8 @@ def test_read_rejects_missing_cells(tmp_path, grid):
     write_field_csv(path, field)
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-    with pytest.raises(DataError):
-        read_field_csv(path)
+    with pytest.raises(DataError, match=r"field.csv: node t = 0.5, x = 3.14\S* appears 0 times"):
+        read_field_csv(path, grid)
 
 
 def test_grid_mismatch_detected(tmp_path, grid):
@@ -100,8 +99,8 @@ def test_grid_mismatch_detected(tmp_path, grid):
     field = ScalarField(other, np.ones(other.field_shape))
     path = tmp_path / "field.csv"
     write_field_csv(path, field)
-    with pytest.raises(DataError):
-        read_field_as_scalar(path, grid)
+    with pytest.raises(DataError, match="field.csv: x = .* is not one of the 8 configured nodes"):
+        read_field_csv(path, grid)
 
 
 def test_history_format(tmp_path):
@@ -170,9 +169,6 @@ def test_writers_match_reference_bytes(tmp_path_factory, case, y):
         assert got.read_bytes() == ref.read_bytes(), writer.__name__
 
 
-# y nodes at +-max float make read_profile_csv's increment check overflow to
-# +inf, which still reads as increasing
-@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(case=grid_case(elements=finite_float),
        y=st.lists(finite_float, min_size=2, max_size=8, unique=True))
@@ -182,7 +178,7 @@ def test_readers_roundtrip_bitwise(tmp_path_factory, case, y):
     params = SpectralParams(K=values.shape[0], Ny=64)
 
     write_field_csv(tmp / "psi.csv", ScalarField(grid, values[0]))
-    assert np.array_equal(_bits(read_field_as_scalar(tmp / "psi.csv", grid).values),
+    assert np.array_equal(_bits(read_field_csv(tmp / "psi.csv", grid).values),
                           _bits(values[0]))
 
     write_modes_csv(tmp / "f.csv", ModeFieldSet(grid, params, values))
@@ -200,7 +196,9 @@ def test_readers_roundtrip_bitwise(tmp_path_factory, case, y):
     assert np.array_equal(_bits(v_back), _bits(y[::-1]))
 
 
-FIELD_ROWS = ["0,0,1.5", "0,1,2.5", "1,0,3.5", "1,1,4.5"]
+# t = 0, 1, 2 and x = 0, 1, 2, 3 with value 10 t + x + 0.5
+FIELD_GRID = build_grid(Domain((3.0,), 2.0), Nx=2, Nt=2)
+FIELD_ROWS = [f"{t},{x},{10 * t + x + 0.5}" for t in range(3) for x in range(4)]
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
@@ -208,9 +206,8 @@ FIELD_ROWS = ["0,0,1.5", "0,1,2.5", "1,0,3.5", "1,1,4.5"]
 def test_reader_accepts_lf_and_crlf(tmp_path, newline):
     path = tmp_path / "psi.csv"
     path.write_bytes(newline.join(["t,x,value"] + FIELD_ROWS + [""]).encode())
-    t, x, values = read_field_csv(path)
-    assert np.array_equal(t, [0.0, 1.0]) and np.array_equal(x, [0.0, 1.0])
-    assert np.array_equal(values, [[1.5, 2.5], [3.5, 4.5]])
+    values = read_field_csv(path, FIELD_GRID).values
+    assert np.array_equal(values, 10 * FIELD_GRID.t[:, None] + FIELD_GRID.x + 0.5)
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
@@ -222,15 +219,92 @@ def test_reader_accepts_quoted_cells_and_blank_lines(tmp_path):
     assert np.array_equal(values, [1.5, -2e-3])
 
 
-@pytest.mark.filterwarnings("error::UserWarning")
+@pytest.mark.filterwarnings("error::UserWarning", "error::RuntimeWarning")
 @pytest.mark.parametrize("body, message", [
     ("", "no data rows"),
     ("\r\n\r\n", "no data rows"),
     ("0,1\r\n1\r\n", "omega.csv"),
     ("0,1\r\n1,abc\r\n", "omega.csv"),
+    ("0\r\n1\r\n", "omega.csv: data rows have 1 columns, the header 2"),
+    ("0,1\r\n1,nan\r\n", "omega.csv: non-finite cell in data row 1,nan"),
+    ("0,1\r\ninf,0\r\n", "omega.csv: non-finite cell in data row inf,0"),
+    ("0,0\r\n1,0\r\n1,0\r\n", "omega.csv: y nodes must be strictly increasing"),
+    ("-1.7976931348623157e308,0\r\n1.7976931348623157e308,0\r\n0,0\r\n",
+     "omega.csv: y nodes must be strictly increasing"),
 ])
 def test_reader_rejects_malformed_data(tmp_path, body, message):
     path = tmp_path / "omega.csv"
     path.write_text("y,value\r\n" + body, encoding="utf-8", newline="")
     with pytest.raises(DataError, match=message):
         read_profile_csv(path)
+
+
+def _write_grid_file(path, grid, K):
+    """Write psi.csv, f.csv or phi.csv (by name) with random values; return the
+    reader call and the written array."""
+    rng = np.random.default_rng(4)
+    params = SpectralParams(K=K, Ny=64)
+    if path.name == "psi.csv":
+        values = rng.standard_normal(grid.field_shape)
+        write_field_csv(path, ScalarField(grid, values))
+        return lambda: read_field_csv(path, grid).values, values
+    if path.name == "f.csv":
+        values = rng.standard_normal((K,) + grid.field_shape)
+        write_modes_csv(path, ModeFieldSet(grid, params, values))
+        return lambda: read_modes_csv(path, grid, params).values, values
+    values = rng.standard_normal((K,) + grid.space_shape)
+    write_mode_profiles_csv(path, values, grid.x)
+    return lambda: read_mode_profiles_csv(path, grid, params), values
+
+
+def _edit_rows(path, edit):
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    rows = edit([row.split(",") for row in rows])
+    path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n",
+                    encoding="utf-8")
+
+
+def _relabel(label):
+    def edit(rows):
+        for row in rows:
+            row[0] = label(row[0])
+        return rows
+    return edit
+
+
+def _set(row, col, cell):
+    def edit(rows):
+        rows[row][col] = cell(rows[row][col]) if callable(cell) else cell
+        return rows
+    return edit
+
+
+@pytest.mark.parametrize("name", ["f.csv", "phi.csv"])
+@pytest.mark.parametrize("edit, message", [
+    (_relabel(lambda k: str(int(k) - 1)), r"k = 0 is not one of the 3 configured nodes 1\.\.3"),
+    (_relabel(lambda k: str(int(k) + 1)), r"k = 4 is not one of the 3 configured nodes 1\.\.3"),
+    (_relabel(lambda k: "2.7" if k == "2" else k),
+     r"k = 2\.7 is not one of the 3 configured nodes"),
+    (_set(7, -2, lambda x: repr(float(x) + 1e-6)),
+     r"x = \S+ is not one of the 8 configured nodes 0\.\.3\.14"),
+    (_set(7, -2, "-1.7976931348623157e308"), r"x = -1\.79769313486232e\+308 is not one of"),
+    (lambda rows: rows + rows[3:4], r"node k = 1, (t = 0, )?x = 1\.34\S* appears 2 times"),
+    (lambda rows: rows[:-1], r"node k = 3, (t = 0\.5, )?x = 3\.14\S* appears 0 times"),
+    (_set(5, -1, "nan"), r"non-finite cell in data row 1,(0,)?\d\S*,nan$"),
+], ids=["k-from-0", "k-from-2", "k-2.7", "off-grid", "huge", "duplicate", "missing", "nan"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_grid_readers_reject_bad_rows(tmp_path, grid, name, edit, message):
+    path = tmp_path / name
+    read, _ = _write_grid_file(path, grid, K=3)
+    _edit_rows(path, edit)
+    with pytest.raises(DataError, match=rf"{name}: {message}"):
+        read()
+
+
+@pytest.mark.parametrize("name", ["psi.csv", "f.csv", "phi.csv"])
+@pytest.mark.parametrize("K", [1, 3])
+def test_grid_readers_accept_shuffled_rows(tmp_path, grid, name, K):
+    path = tmp_path / name
+    read, values = _write_grid_file(path, grid, K)
+    _edit_rows(path, lambda rows: [rows[i] for i in np.random.default_rng(5).permutation(len(rows))])
+    assert np.array_equal(_bits(read()), _bits(values))

@@ -137,6 +137,16 @@ def test_coupling_identity_smooth_omegas():
         assert np.max(np.abs(om.couplings - om.couplings_ibp)) <= 1e-8
 
 
+def test_omega_nonuniform_nodes_rejected():
+    # second differences with h = y[1] - y[0] would put ||omega''|| at 0.940, not 1.253
+    s = np.linspace(0.0, 1.0, 129)
+    y = np.pi * (s + 0.05 * np.sin(2 * np.pi * s))
+    with pytest.raises(DataError, match="uniformly spaced"):
+        OmegaData.from_profiles(y, np.sin(y), 4)
+    om = OmegaData.from_profiles(y, np.sin(y), 4, omega_dd=-np.sin(y))
+    assert om.omega_dd_l2 == pytest.approx(np.sqrt(np.pi / 2), rel=1e-3)
+
+
 def test_omega_boundary_check():
     params = SpectralParams(K=4, Ny=128)
     with pytest.raises(DataError):
