@@ -28,7 +28,6 @@ from .sinebasis import (
     OmegaData,
     SpectralParams,
     frac_norm,
-    sine_coeff,
     sine_coeffs,
     synthesize,
 )

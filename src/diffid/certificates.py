@@ -104,8 +104,7 @@ def compute_Psi(psi: ScalarField, f_modes: ModeFieldSet, omega: OmegaData,
     A node where |psi| drops below the floor is a division hazard.
     """
     vals = psi.values
-    interior = interior_margin_mask(grid, 1)
-    _check_psi_floor(vals, interior, floor)
+    _check_psi_floor(vals, interior_margin_mask(grid, 1), floor)
 
     if omega.K < f_modes.K:
         raise DataError(f"omega carries {omega.K} coefficients, need {f_modes.K}")
@@ -116,8 +115,7 @@ def compute_Psi(psi: ScalarField, f_modes: ModeFieldSet, omega: OmegaData,
 
     numer = -dpsi_dt + lap + f_omega
     out = np.zeros_like(vals)
-    region = np.broadcast_to(interior, vals.shape)
-    out[region] = numer[region] / vals[region]
+    np.divide(numer[:, 1:-1], vals[:, 1:-1], out=out[:, 1:-1])
     return ScalarField(grid, out)
 
 

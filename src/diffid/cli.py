@@ -137,11 +137,12 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     scn = assemble_scenario(cfg) if cfg.scenario_name is not None else None
     data = scn.data if scn is not None else assemble_data(cfg, base_dir)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            # "always": a message already shown in this process is kept too
+            warnings.simplefilter("always", RuntimeWarning)
             result = run_inversion(
                 data, cfg.certify, tol_F=cfg.tol_F, max_iters=cfg.max_iters,
-                theta=cfg.theta, force=force or cfg.force, synth_y=_synth_y(cfg))
+                theta=cfg.theta, force=force or cfg.force)
     except CertificateFailure as err:
         (cfg.output_dir / "certificate.json").write_text(
             err.certificate.to_json() + "\n", encoding="utf-8")
@@ -150,8 +151,8 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
         return EXIT_CERT_FAIL
 
     write_field_csv(cfg.output_dir / "a.csv", result.a)
-    write_synth_csv(cfg.output_dir / "u_synth.csv", result.u_synth, cfg.grid,
-                    result.synth_y)
+    y = _synth_y(cfg)
+    write_synth_csv(cfg.output_dir / "u_synth.csv", result.u_modes.synthesize_y(y), cfg.grid, y)
     write_history_csv(cfg.output_dir / "history.csv", result.F_diff_history,
                       result.ratio_history)
     (cfg.output_dir / "certificate.json").write_text(
@@ -169,6 +170,7 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     if scn is not None and scn.truth_a is not None:
         summary["recovery_error_a"] = recovery_error(result, scn, which="a")
         summary["recovery_error_u"] = recovery_error(result, scn, which="u")
+    summary["warnings"] = list(dict.fromkeys(str(w.message) for w in caught))
     write_json(cfg.output_dir / "summary.json", summary)
 
     if not result.converged:

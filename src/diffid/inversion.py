@@ -19,13 +19,13 @@ psi on those nodes only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import Certificate, CertifyOptions, compute_Psi, compute_certificate
 from .errors import CertificateFailure
-from .grids import ScalarField, interior_margin_mask, l2_sq_GT
+from .grids import ScalarField, l2_sq_GT
 from .parabolic import march_modes, overdetermination_residual
 from .problem import ProblemData
 from .sinebasis import F_functional, ModeFieldSet, eigenvalues
@@ -41,11 +41,9 @@ _RUNAWAY = 2.0**104
 def _series_over_psi(modes: ModeFieldSet, psi: ScalarField, couplings: np.ndarray) -> np.ndarray:
     """(sum_j c_j u_j) / psi on interior nodes, zero on the spatial boundary;
     psi has passed compute_Psi's floor check on those nodes."""
-    grid = modes.grid
     series = np.tensordot(couplings[: modes.K], modes.values, axes=(0, 0))
-    interior = np.broadcast_to(interior_margin_mask(grid, 1), grid.field_shape)
     out = np.zeros_like(series)
-    out[interior] = series[interior] / psi.values[interior]
+    np.divide(series[:, 1:-1], psi.values[:, 1:-1], out=out[:, 1:-1])
     return out
 
 
@@ -93,8 +91,6 @@ class InversionResult:
 
     a: ScalarField
     u_modes: ModeFieldSet
-    u_synth: np.ndarray = field(repr=False)
-    synth_y: np.ndarray = field(repr=False)
     certificate: Certificate
     F_diff_history: tuple[float, ...]
     ratio_history: tuple[float, ...]
@@ -132,8 +128,7 @@ def solution_norms(u: ModeFieldSet, a: ScalarField) -> dict:
 
 def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(), *,
                   tol_F: float = 1e-10, max_iters: int = 50, theta: float = 0.5,
-                  force: bool = False, initial: ModeFieldSet | None = None,
-                  synth_y: np.ndarray | None = None) -> InversionResult:
+                  force: bool = False, initial: ModeFieldSet | None = None) -> InversionResult:
     """Certificate check, sweep loop, coefficient reconstruction, and the
     residual/norm bundle.  A failing certificate aborts unless force=True,
     in which case the run continues with a warning and the verdict recorded.
@@ -175,16 +170,11 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
 
     couplings = data.omega.couplings[: params.K]
     a = reconstruct_a(u, Psi, data.psi, couplings, margin=options.boundary_margin)
-    if synth_y is None:
-        synth_y = np.linspace(0.0, np.pi, 33)
-    u_synth = u.synthesize_y(synth_y)
     _, residual_norm = overdetermination_residual(u, data.omega, data.psi)
 
     return InversionResult(
         a=a,
         u_modes=u,
-        u_synth=u_synth,
-        synth_y=np.asarray(synth_y, dtype=float),
         certificate=cert,
         F_diff_history=tuple(F_diffs),
         ratio_history=tuple(ratios),

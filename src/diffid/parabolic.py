@@ -18,8 +18,9 @@ beats an FFT-based DST, whose speed depends on the factors of Nx+1.
 With a known reaction a(t,x) the term is taken implicitly at level n+1 and
 explicitly at level n with the same theta weights, which keeps the step
 unconditionally stable for a >= 0 while each step stays one tridiagonal
-solve.  Each mode's tridiagonal diagonal differs, so that path marches mode
-by mode.
+solve per mode.  Every step's matrix is known before the march, so the
+Thomas elimination of all Nt x K systems runs once up front, and each step
+is one substitution across the (K, Nx) lanes of the whole stack.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalBlowupError
 from .grids import Grid, ScalarField, l2_norm_GT
 from .sinebasis import ModeFieldSet, OmegaData, SpectralParams, eigenvalues
-from .tridiag import thomas_solve
+from .tridiag import thomas_factor, thomas_substitute
 
 
 def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: float = 0.5,
@@ -70,10 +71,8 @@ def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: f
                 f"dt*max(-a) = {grid.dt * (-a_min):.3g} > 1; negative reaction may be under-resolved",
                 RuntimeWarning,
             )
-        for k in range(1, K + 1):
-            if not _march_tridiagonal(out[k - 1], sources[k - 1], phi_modes[k - 1], k,
-                                      reaction, grid, theta):
-                break
+        with np.errstate(all="ignore"):
+            _march_tridiagonal(out, sources, phi_modes, reaction, grid, theta)
 
     finite = np.isfinite(out[:, 1:]).all(axis=2)
     if not finite.all():
@@ -134,9 +133,9 @@ def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
         mixed *= theta
         mixed += (1.0 - theta) * v_hat[n - 1]
         mixed *= pdt
-    # one vector product per mode: a (K, Nx) @ Q product differs in the last bits
-    for k, phi in enumerate(phi_modes):
-        v_hat[0, k] = phi[1:-1] @ Q
+    # a stack of (1, Nx) @ Q vector products: one (K, Nx) @ Q matrix product
+    # differs in the last bits
+    np.matmul(phi_modes[:, None, 1:-1], Q, out=v_hat[0, :, None, :])
     for n in range(1, grid.Nt + 1):
         v_hat[n] += amp * v_hat[n - 1]
 
@@ -144,39 +143,31 @@ def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
     np.matmul(v_hat[1:].transpose(1, 0, 2), Q, out=out[:, 1:, 1:-1])
 
 
-def _march_tridiagonal(out: np.ndarray, S: np.ndarray, phi: np.ndarray, k: int,
-                       a: np.ndarray, grid: Grid, theta: float) -> bool:
-    """Theta march of mode k with the known reaction a, one Thomas solve per
-    step, written into the zeroed (Nt+1, Nx+2) array out.  Stops at the
-    first non-finite step, which it leaves in out, and returns False."""
-    dt, hx = grid.dt, grid.hx
-    lam = float(k * k)
-    r = dt / hx**2
+def _march_tridiagonal(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
+                       a: np.ndarray, grid: Grid, theta: float) -> None:
+    """Theta march of the whole stack with the known reaction a, written into
+    the zeroed stack out; a blowup runs on as inf/nan for march_modes to
+    report."""
+    dt, r = grid.dt, grid.dt / grid.hx**2
+    c0 = 2.0 * r + dt * eigenvalues(len(sources))[:, None]   # (K, 1)
 
-    n_int = grid.Nx  # interior nodes 1..Nx
-    v = phi.copy()
-    v[0] = 0.0
-    v[-1] = 0.0
-    out[0] = v
+    off = np.full(grid.Nx - 1, -theta * r)
+    # the (Nt, K, Nx) diagonals of steps 1..Nt
+    cp, m = thomas_factor(off, (1.0 + theta * c0) + theta * dt * a[1:, None, 1:-1], off)
 
-    lower = np.full(n_int - 1, -theta * r)
-    upper = lower.copy()
-    base_diag = 1.0 + theta * (2.0 * r + dt * lam)
-
+    # out's interior holds the mixed source dt (theta S^{n+1} + (1-theta) S^n)
+    # at level n+1 until step n overwrites it with the solution
+    mixed = out[:, 1:, 1:-1]
+    np.multiply(sources[:, 1:, 1:-1], theta, out=mixed)
+    mixed += (1.0 - theta) * sources[:, :-1, 1:-1]
+    mixed *= dt
+    out[:, 0, 1:-1] = phi_modes[:, 1:-1]
     for n in range(grid.Nt):
-        s_mid = dt * (theta * S[n + 1, 1:-1] + (1.0 - theta) * S[n, 1:-1])
-        rhs = (
-            v[1:-1] * (1.0 - (1.0 - theta) * (2.0 * r + dt * lam + dt * a[n, 1:-1]))
-            + (1.0 - theta) * r * (v[:-2] + v[2:])
-            + s_mid
-        )
-        diag = base_diag + theta * dt * a[n + 1, 1:-1]
-
-        v = out[n + 1]
-        v[1:-1] = thomas_solve(lower, diag, upper, rhs)
-        if not np.all(np.isfinite(v)):
-            return False
-    return True
+        v = out[:, n]
+        rhs = v[:, 1:-1] * (1.0 - (1.0 - theta) * (c0 + dt * a[n, 1:-1]))
+        rhs += (1.0 - theta) * r * (v[:, :-2] + v[:, 2:])
+        rhs += out[:, n + 1, 1:-1]
+        out[:, n + 1, 1:-1] = thomas_substitute(off, cp[n], m[n], rhs)
 
 
 def solve_forward(a: ScalarField | None, f_modes: ModeFieldSet, phi_modes: np.ndarray,

@@ -61,23 +61,24 @@ def eigenvalues(K: int) -> np.ndarray:
     return np.arange(1, K + 1, dtype=float) ** 2
 
 
-def sine_coeff(v: np.ndarray, k: int, y: np.ndarray) -> float:
-    """Coefficient of sin(k y): (2/pi) * int_0^pi v(y) sin(k y) dy, trapezoidal."""
-    v = np.asarray(v, dtype=float)
-    return float(2.0 / np.pi * np.trapezoid(v * np.sin(k * y), y))
+def _sine_table(K: int, y: np.ndarray) -> np.ndarray:
+    """sin(k y) for k = 1..K on the nodes y, as a (K, len(y)) table."""
+    return np.sin(np.outer(np.arange(1, K + 1, dtype=float), y))
 
 
 def sine_coeffs(v: np.ndarray, K: int, y: np.ndarray) -> np.ndarray:
-    return np.array([sine_coeff(v, k, y) for k in range(1, K + 1)])
+    """Coefficients of sin(k y), k = 1..K: (2/pi) * int_0^pi v(y) sin(k y) dy,
+    trapezoidal."""
+    v = np.asarray(v, dtype=float)
+    return 2.0 / np.pi * np.trapezoid(v * _sine_table(K, y), y, axis=-1)
 
 
 def synthesize(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Partial sum sum_k coeffs[k-1] * sin(k y) on the given nodes."""
+    """Partial sum sum_k coeffs[k-1] * sin(k y) on the given nodes; coeffs of
+    shape (K, ...) give a result of shape (..., len(y))."""
     coeffs = np.asarray(coeffs, dtype=float)
-    out = np.zeros_like(np.asarray(y, dtype=float))
-    for k, c in enumerate(coeffs, start=1):
-        out += c * np.sin(k * y)
-    return out
+    return np.tensordot(coeffs, _sine_table(len(coeffs), np.asarray(y, dtype=float)),
+                        axes=(0, 0))
 
 
 @dataclass(frozen=True)
@@ -109,27 +110,28 @@ class OmegaData:
         Without omega'' samples the couplings come from the integration-by-parts
         identity c_j = -lambda_j (pi/2) omega_j, which needs only omega itself;
         omega'' (whose norm enters the certificate) is then rebuilt by second
-        differences, so the y nodes must be uniform.
+        differences.  The y nodes must be uniform: those differences and the
+        coupling quadrature's endpoint correction both assume one step.
         """
         y = np.asarray(y, dtype=float)
         omega = np.asarray(omega, dtype=float)
         scale = max(float(np.max(np.abs(omega))), 1.0)
         if abs(omega[0]) > OMEGA_BOUNDARY_TOL * scale or abs(omega[-1]) > OMEGA_BOUNDARY_TOL * scale:
             raise DataError(f"omega must vanish at y=0 and y=pi, got {omega[0]:.3e}, {omega[-1]:.3e}")
+        h = np.diff(y)
+        if not np.max(np.abs(h - h[0])) <= 1e-9 * max(abs(y[-1]), 1.0):
+            raise DataError(
+                f"omega's y nodes must be uniformly spaced for the y quadrature and for "
+                f"rebuilding omega'' by second differences; steps range from "
+                f"{h.min():.6g} to {h.max():.6g}")
         coeffs = sine_coeffs(omega, K, y)
         lam = eigenvalues(K)
         c_ibp = -lam * (np.pi / 2.0) * coeffs
         if omega_dd is None:
-            h = np.diff(y)
-            if not np.max(np.abs(h - h[0])) <= 1e-9 * max(abs(y[-1]), 1.0):
-                raise DataError(
-                    f"omega's y nodes must be uniformly spaced to rebuild omega'' by second "
-                    f"differences; steps range from {h.min():.6g} to {h.max():.6g}")
             dd = _second_derivative(omega, h[0], axis=0)
             return cls(y, omega, dd, coeffs, c_ibp.copy(), c_ibp)
         omega_dd = np.asarray(omega_dd, dtype=float)
-        c_quad = np.array([_coupling_quadrature(y, omega_dd, j) for j in range(1, K + 1)])
-        return cls(y, omega, omega_dd, coeffs, c_quad, c_ibp)
+        return cls(y, omega, omega_dd, coeffs, _coupling_quadrature(y, omega_dd, K), c_ibp)
 
     @classmethod
     def from_callables(cls, fn, fn_dd, params: SpectralParams) -> "OmegaData":
@@ -137,9 +139,9 @@ class OmegaData:
         return cls.from_profiles(y, fn(y), params.K, omega_dd=fn_dd(y))
 
 
-def _coupling_quadrature(y: np.ndarray, omega_dd: np.ndarray, j: int) -> float:
-    """Trapezoid of sin(j y) * omega'' with the Euler-Maclaurin endpoint
-    correction -h^2/12 [f'(pi) - f'(0)].
+def _coupling_quadrature(y: np.ndarray, omega_dd: np.ndarray, K: int) -> np.ndarray:
+    """Trapezoid of sin(j y) * omega'', j = 1..K, with the Euler-Maclaurin
+    endpoint correction -h^2/12 [f'(pi) - f'(0)] on the uniform nodes y.
 
     Since sin(j y) vanishes at both ends, f' there is j * (+-1)^j * omega'',
     so the correction needs no derivatives of omega''.  Without it the bare
@@ -147,9 +149,9 @@ def _coupling_quadrature(y: np.ndarray, omega_dd: np.ndarray, j: int) -> float:
     cannot be met at 1e-8 for polynomial-type weights.
     """
     h = y[1] - y[0]
-    t = float(np.trapezoid(np.sin(j * y) * omega_dd, y))
-    sign = -1.0 if j % 2 else 1.0
-    return t - h**2 / 12.0 * j * (sign * omega_dd[-1] - omega_dd[0])
+    j = np.arange(1, K + 1, dtype=float)
+    t = np.trapezoid(_sine_table(K, y) * omega_dd, y, axis=-1)
+    return t - h**2 / 12.0 * j * ((-1.0) ** j * omega_dd[-1] - omega_dd[0])
 
 
 @dataclass(frozen=True)
@@ -182,9 +184,7 @@ class ModeFieldSet:
 
     def synthesize_y(self, y: np.ndarray) -> np.ndarray:
         """Sample u(t, x, y) = sum_k u_k(t, x) sin(k y) on the given y nodes."""
-        ks = np.arange(1, self.K + 1, dtype=float)
-        sines = np.sin(np.outer(ks, np.asarray(y, dtype=float)))  # (K, len(y))
-        return np.tensordot(self.values, sines, axes=(0, 0))
+        return synthesize(self.values, y)
 
 
 def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0,

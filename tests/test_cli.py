@@ -236,6 +236,24 @@ def test_invert_requires_certificate_or_force(tmp_path):
         assert (out / name).exists()
 
 
+def test_invert_summary_keeps_warnings(tmp_path):
+    cfg = base_config(tmp_path / "forced", N=128, K=16)
+    cfg["grid"]["Ny_quad"] = 256
+    cfg["picard"]["max_iters"] = 30
+    assert main(["invert", "--config", str(write_config(tmp_path, cfg, "forced.json")),
+                 "--force"]) == 0
+    summary = json.loads((tmp_path / "forced" / "summary.json").read_text())
+    assert len(summary["warnings"]) == 1
+    assert re.fullmatch(r"running despite failed certificate \(q_local = \S+\)",
+                        summary["warnings"][0])
+
+    cfg = base_config(tmp_path / "passing", N=32, T=0.1)
+    cfg["scenario"]["scale"] = 1e-3
+    assert main(["invert", "--config", str(write_config(tmp_path, cfg, "passing.json"))]) == 0
+    summary = json.loads((tmp_path / "passing" / "summary.json").read_text())
+    assert summary["warnings"] == []
+
+
 def test_invert_force_via_config_flag(tmp_path):
     out = tmp_path / "out"
     cfg = base_config(out, scenario="MMS-A", N=24)

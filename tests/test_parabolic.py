@@ -16,7 +16,6 @@ from diffid import (
     solve_forward,
 )
 from diffid.errors import ConfigurationError, NumericalBlowupError
-from diffid.tridiag import thomas_solve
 
 
 def grid_1d(Nx=128, Nt=128, T=1.0):
@@ -183,23 +182,42 @@ def test_overdetermination_residual_linearity():
     assert norm1 == pytest.approx(l2_norm_GT(delta), rel=1e-12)
 
 
-def thomas_march(S, phi, g, k, theta):
-    """Reaction-free theta march, one Thomas solve per step: the reference
-    for the DST-I path."""
-    dt, r, lam = g.dt, g.dt / g.hx**2, float(k * k)
-    off = np.full(g.Nx - 1, -theta * r)
-    diag = np.full(g.Nx, 1.0 + theta * (2.0 * r + dt * lam))
-    out = np.zeros(g.field_shape)
-    v = phi.copy()
-    v[0] = v[-1] = 0.0
-    out[0] = v
-    for n in range(g.Nt):
-        rhs = (v[1:-1] * (1.0 - (1.0 - theta) * (2.0 * r + dt * lam))
-               + (1.0 - theta) * r * (v[:-2] + v[2:])
-               + dt * (theta * S[n + 1, 1:-1] + (1.0 - theta) * S[n, 1:-1]))
-        v = np.zeros_like(v)
-        v[1:-1] = thomas_solve(off, diag, off, rhs)
-        out[n + 1] = v
+def scalar_thomas(b, a, c, d):
+    """Thomas solve of one system on Python floats (lists in, list out)."""
+    n = len(a)
+    cp, dp = [0.0] * n, [0.0] * n
+    cp[0], dp[0] = c[0] / a[0], d[0] / a[0]
+    for i in range(1, n):
+        m = a[i] - b[i - 1] * cp[i - 1]
+        if i < n - 1:
+            cp[i] = c[i] / m
+        dp[i] = (d[i] - b[i - 1] * dp[i - 1]) / m
+    x = dp[:]
+    for i in range(n - 2, -1, -1):
+        x[i] = dp[i] - cp[i] * x[i + 1]
+    return x
+
+
+def thomas_march(S, phi, a, g, theta):
+    """Theta march with the reaction a, mode by mode and one scalar Thomas
+    solve per step: the reference for both paths of march_modes."""
+    dt, r = g.dt, g.dt / g.hx**2
+    off = [-theta * r] * (g.Nx - 1)
+    out = np.zeros(S.shape)
+    for k in range(1, len(S) + 1):
+        lam = float(k * k)
+        v = phi[k - 1].copy()
+        v[0] = v[-1] = 0.0
+        out[k - 1, 0] = v
+        base_diag = 1.0 + theta * (2.0 * r + dt * lam)
+        for n in range(g.Nt):
+            s_mid = dt * (theta * S[k - 1, n + 1, 1:-1] + (1.0 - theta) * S[k - 1, n, 1:-1])
+            rhs = (v[1:-1] * (1.0 - (1.0 - theta) * (2.0 * r + dt * lam + dt * a[n, 1:-1]))
+                   + (1.0 - theta) * r * (v[:-2] + v[2:])
+                   + s_mid)
+            diag = base_diag + theta * dt * a[n + 1, 1:-1]
+            v = out[k - 1, n + 1]
+            v[1:-1] = scalar_thomas(off, diag.tolist(), off, rhs.tolist())
     return out
 
 
@@ -218,10 +236,25 @@ def test_spectral_march_matches_thomas_reference(Nx, Nt, K, theta, seed):
     S = rng.standard_normal((K,) + g.field_shape)
     phi = rng.standard_normal((K,) + g.space_shape)
     u = march_modes(S, phi, g, theta)
+    ref = thomas_march(S, phi, np.zeros(g.field_shape), g, theta)
     for k in range(1, K + 1):
-        assert rel_max_diff(u[k - 1], thomas_march(S[k - 1], phi[k - 1], g, k, theta)) <= 1e-12
+        assert rel_max_diff(u[k - 1], ref[k - 1]) <= 1e-12
     assert np.all(u[:, :, 0] == 0.0) and np.all(u[:, :, -1] == 0.0)
     assert np.array_equal(u[:, 0, 1:-1], phi[:, 1:-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(Nx=st.integers(4, 200), Nt=st.integers(2, 48), K=st.integers(1, 16),
+       theta=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(Nx=128, Nt=48, K=16, theta=0.5, seed=1)
+def test_reaction_march_matches_per_mode_reference(Nx, Nt, K, theta, seed):
+    g = grid_1d(Nx=Nx, Nt=Nt, T=0.5)
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((K,) + g.field_shape)
+    phi = rng.standard_normal((K,) + g.space_shape)
+    a = 10.0 * rng.random(g.field_shape)
+    u = march_modes(S, phi, g, theta, reaction=a)
+    assert u.tobytes() == thomas_march(S, phi, a, g, theta).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

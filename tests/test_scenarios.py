@@ -103,8 +103,6 @@ def test_recovery_error_basics():
     dummy = InversionResult(
         a=ScalarField(grid, scn.truth_a.values.copy()),
         u_modes=scn.truth_u_modes,
-        u_synth=np.zeros((1,)),
-        synth_y=np.zeros((1,)),
         certificate=None,
         F_diff_history=(),
         ratio_history=(),
@@ -119,8 +117,6 @@ def test_recovery_error_basics():
     shifted = InversionResult(
         a=ScalarField(grid, scn.truth_a.values + 0.01),
         u_modes=scn.truth_u_modes,
-        u_synth=np.zeros((1,)),
-        synth_y=np.zeros((1,)),
         certificate=None,
         F_diff_history=(),
         ratio_history=(),
@@ -242,8 +238,6 @@ def single_mode_result(grid, params, mode_field):
     return InversionResult(
         a=ScalarField(grid, np.zeros(grid.field_shape)),
         u_modes=modes,
-        u_synth=np.zeros((1,)),
-        synth_y=np.zeros((1,)),
         certificate=None,
         F_diff_history=(),
         ratio_history=(),
@@ -283,8 +277,6 @@ def test_strong_diagnostics_tail_warning():
     res = InversionResult(
         a=ScalarField(grid, np.zeros(grid.field_shape)),
         u_modes=ModeFieldSet(grid, params, vals),
-        u_synth=np.zeros((1,)),
-        synth_y=np.zeros((1,)),
         certificate=None,
         F_diff_history=(),
         ratio_history=(),

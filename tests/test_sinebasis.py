@@ -13,7 +13,6 @@ from diffid import (
     SpectralParams,
     build_grid,
     frac_norm,
-    sine_coeff,
     sine_coeffs,
     synthesize,
 )
@@ -32,10 +31,11 @@ def test_sine_coeff_orthonormal():
     params = SpectralParams(K=8, Ny=256)
     y = params.y
     v = np.sin(2 * y)
-    assert sine_coeff(v, 2, y) == pytest.approx(1.0, abs=1e-10)
-    assert sine_coeff(v, 1, y) == pytest.approx(0.0, abs=1e-10)
-    assert sine_coeff(v, 3, y) == pytest.approx(0.0, abs=1e-10)
-    assert sine_coeff(np.zeros_like(y), 5, y) == 0.0
+    c = sine_coeffs(v, 3, y)   # c[k-1] is the coefficient of sin(k y)
+    assert c[1] == pytest.approx(1.0, abs=1e-10)
+    assert c[0] == pytest.approx(0.0, abs=1e-10)
+    assert c[2] == pytest.approx(0.0, abs=1e-10)
+    assert sine_coeffs(np.zeros_like(y), 5, y)[4] == 0.0
 
 
 def test_sine_coeff_parabola():
@@ -43,9 +43,10 @@ def test_sine_coeff_parabola():
     params = SpectralParams(K=9, Ny=256)
     y = params.y
     v = y * (np.pi - y)
+    c = sine_coeffs(v, 9, y)
     for k in range(1, 10):
         exact = 8.0 / (np.pi * k**3) if k % 2 == 1 else 0.0
-        assert sine_coeff(v, k, y) == pytest.approx(exact, abs=1e-6)
+        assert c[k - 1] == pytest.approx(exact, abs=1e-6)
 
 
 def test_orthogonality_matrix():
@@ -143,6 +144,12 @@ def test_omega_nonuniform_nodes_rejected():
     y = np.pi * (s + 0.05 * np.sin(2 * np.pi * s))
     with pytest.raises(DataError, match="uniformly spaced"):
         OmegaData.from_profiles(y, np.sin(y), 4)
+    # the coupling quadrature's endpoint correction assumes the same step:
+    # it would give c_1 = -1.57055 here, not -pi/2
+    with pytest.raises(DataError, match="uniformly spaced"):
+        OmegaData.from_profiles(y, np.sin(y) + 0.3 * np.sin(3 * y), 4,
+                                omega_dd=-np.sin(y) - 2.7 * np.sin(3 * y))
+    y = SpectralParams(K=4, Ny=128).y
     om = OmegaData.from_profiles(y, np.sin(y), 4, omega_dd=-np.sin(y))
     assert om.omega_dd_l2 == pytest.approx(np.sqrt(np.pi / 2), rel=1e-3)
 
