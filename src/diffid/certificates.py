@@ -110,10 +110,7 @@ def compute_Psi(psi: ScalarField, f_modes: ModeFieldSet, omega: OmegaData,
         raise DataError(f"omega carries {omega.K} coefficients, need {f_modes.K}")
     dpsi_dt = np.gradient(vals, grid.dt, axis=0, edge_order=2)
     lap = laplacian_x(vals, grid)
-    w = omega.omega_coeffs[: f_modes.K]
-    f_omega = (np.pi / 2.0) * np.tensordot(w, f_modes.values, axes=(0, 0))
-
-    numer = -dpsi_dt + lap + f_omega
+    numer = -dpsi_dt + lap + omega.measure(f_modes.values)
     out = np.zeros_like(vals)
     np.divide(numer[:, 1:-1], vals[:, 1:-1], out=out[:, 1:-1])
     return ScalarField(grid, out)

@@ -32,36 +32,91 @@ class RunConfig:
     synth_ny: int
 
 
-# Every key load_config reads, per section, plus output.formats: retired and
-# ignored, but older configs still carry it.
-_KNOWN_KEYS = {
-    "domain": ("dim", "Lx", "T"),
-    "grid": ("Nx", "Nt", "Ny_quad"),
-    "spectral": ("K", "epsilon"),
-    "scheme": ("theta",),
-    "certify": ("C_S", "boundary_margin", "psi_floor"),
-    "picard": ("tol_F", "max_iters", "force_on_failed_certificate"),
-    "scenario": ("name", "scale"),
-    "data": ("psi_file", "f_file", "phi_file", "omega_file", "a_file"),
-    "output": ("dir", "synth_ny", "formats"),
+def _number(value) -> float:
+    """A finite JSON number; a boolean is not one."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise ValueError("must be a finite number")
+
+
+def _int(value) -> int:
+    """An integral JSON number (16.0 is accepted, 16.9 is not)."""
+    number = _number(value)
+    if not number.is_integer():
+        raise ValueError("must be an integer")
+    return int(number)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("must be a string")
+    return value
+
+
+_REQUIRED = object()
+_POSITIVE = (lambda v: v > 0, "must be positive")
+
+# section -> key -> (parser, default or _REQUIRED, (check, requirement) or
+# None).  A parser raises ValueError(requirement); the parser and the check
+# apply to given values only, a default is taken as is.  Checks that span
+# keys follow in load_config.
+_SCHEMA = {
+    "domain": {
+        "dim": (_int, 1, (lambda v: v == 1, "must be 1 (G is an interval)")),
+        "Lx": (_number, _REQUIRED, _POSITIVE),
+        "T": (_number, _REQUIRED, _POSITIVE),
+    },
+    "grid": {
+        "Nx": (_int, _REQUIRED, (lambda v: v >= 2, "must be >= 2")),
+        "Nt": (_int, _REQUIRED, (lambda v: v >= 2, "must be >= 2")),
+        "Ny_quad": (_int, None, None),
+    },
+    "spectral": {
+        "K": (_int, _REQUIRED, (lambda v: v >= 1, "must be >= 1")),
+        "epsilon": (_number, 1.0, _POSITIVE),
+    },
+    "scheme": {"theta": (_number, 0.5, (lambda v: 0.5 <= v <= 1.0, "must lie in [0.5, 1]"))},
+    "certify": {
+        "C_S": (_number, 1.0, _POSITIVE),
+        "boundary_margin": (_int, 2, (lambda v: v >= 1, "must be >= 1")),
+        "psi_floor": (_number, 1e-12, _POSITIVE),
+    },
+    "picard": {
+        "tol_F": (_number, 1e-10, _POSITIVE),
+        "max_iters": (_int, 50, (lambda v: v >= 1, "must be >= 1")),
+        "force_on_failed_certificate": (_bool, False, None),
+    },
+    "scenario": {
+        "name": (_string, _REQUIRED,
+                 (lambda v: v in SCENARIO_NAMES, f"must be one of {', '.join(SCENARIO_NAMES)}")),
+        "scale": (_number, 1.0, _POSITIVE),
+    },
+    "data": {
+        "psi_file": (_string, _REQUIRED, None),
+        "f_file": (_string, _REQUIRED, None),
+        "phi_file": (_string, _REQUIRED, None),
+        "omega_file": (_string, _REQUIRED, None),
+        "a_file": (_string, None, None),
+    },
+    "output": {
+        "dir": (_string, _REQUIRED, None),
+        "synth_ny": (_int, 32, (lambda v: v >= 2, "must be >= 2")),
+        "formats": (lambda v: v, None, None),  # retired and ignored; old configs carry it
+    },
 }
 
 
-def _check_known_keys(raw) -> None:
-    """Reject a section or key load_config does not read, naming the dotted
-    key and the closest known one."""
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config: the top level must be an object")
-    for section, body in raw.items():
-        known = _KNOWN_KEYS.get(section)
-        if known is None:
-            raise ConfigurationError(
-                f"config: unknown section '{section}'{_hint(section, _KNOWN_KEYS)}")
-        for key in body if isinstance(body, dict) else ():
-            if key not in known:
-                raise ConfigurationError(
-                    f"config: unknown key {section}.{key}"
-                    f"{_hint(key, known, prefix=section + '.')}")
+def _invalid(key: str, requirement: str, value) -> ConfigurationError:
+    return ConfigurationError(f"config: {key} {requirement}, got {value!r}")
 
 
 def _hint(name: str, known, prefix: str = "") -> str:
@@ -71,40 +126,24 @@ def _hint(name: str, known, prefix: str = "") -> str:
     return f" (did you mean {prefix}{match[0]}?)" if match else ""
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigurationError(f"config: missing required key {where}.{key}")
-    return section[key]
-
-
-def _float(value, key: str) -> float:
-    """A finite number; the error names the dotted config key."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigurationError(f"config: {key} must be a number, got {value!r}") from err
-    if not math.isfinite(number):
-        raise ConfigurationError(f"config: {key} must be finite, got {value!r}")
-    return number
-
-
-def _int(value, key: str) -> int:
-    """An integral number (JSON 16.0 is accepted, 16.9 is not)."""
-    number = _float(value, key)
-    if not number.is_integer():
-        raise ConfigurationError(f"config: {key} must be an integer, got {value!r}")
-    return int(number)
-
-
-def _section(raw: dict, key: str, required: bool = True) -> dict:
-    sec = raw.get(key)
-    if sec is None:
-        if required:
-            raise ConfigurationError(f"config: missing required section '{key}'")
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigurationError(f"config: section '{key}' must be an object")
-    return sec
+def _read_section(section: str, body: dict) -> dict:
+    """Every key of the section's schema: parsed and range-checked when
+    given, its default otherwise."""
+    values = {}
+    for key, (parse, default, check) in _SCHEMA[section].items():
+        if key not in body:
+            if default is _REQUIRED:
+                raise ConfigurationError(f"config: missing required key {section}.{key}")
+            values[key] = default
+            continue
+        value = body[key]
+        try:
+            values[key] = parse(value)
+        except ValueError as err:
+            raise _invalid(f"{section}.{key}", str(err), value) from None
+        if check is not None and not check[0](values[key]):
+            raise _invalid(f"{section}.{key}", check[1], value)
+    return values
 
 
 def load_config(path) -> RunConfig:
@@ -114,94 +153,50 @@ def load_config(path) -> RunConfig:
         raise ConfigurationError(f"config file not found: {path}") from err
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from err
-    _check_known_keys(raw)
-
-    dom_sec = _section(raw, "domain")
-    dim = _int(dom_sec.get("dim", 1), "domain.dim")
-    if dim != 1:
-        raise ConfigurationError(f"config: domain.dim must be 1 (G is an interval), got {dim}")
-    Lx = _float(_require(dom_sec, "Lx", "domain"), "domain.Lx")
-    T = _float(_require(dom_sec, "T", "domain"), "domain.T")
-    domain = Domain((Lx,), T)
-
-    grid_sec = _section(raw, "grid")
-    Nx = _int(_require(grid_sec, "Nx", "grid"), "grid.Nx")
-    Nt = _int(_require(grid_sec, "Nt", "grid"), "grid.Nt")
-    grid = build_grid(domain, Nx=Nx, Nt=Nt)
-
-    spec_sec = _section(raw, "spectral")
-    epsilon = _float(spec_sec.get("epsilon", 1.0), "spectral.epsilon")
-    if epsilon <= 0:
-        raise ConfigurationError(f"config: spectral.epsilon must be positive, got {epsilon!r}")
-    params = SpectralParams(
-        K=_int(_require(spec_sec, "K", "spectral"), "spectral.K"),
-        epsilon=epsilon,
-        Ny=_int(grid_sec["Ny_quad"], "grid.Ny_quad") if "Ny_quad" in grid_sec else None,
-    )
-
-    theta = _float(_section(raw, "scheme", required=False).get("theta", 0.5), "scheme.theta")
-    if not 0.5 <= theta <= 1.0:
-        raise ConfigurationError(f"config: scheme.theta must lie in [0.5, 1], got {theta!r}")
-
-    cert_sec = _section(raw, "certify", required=False)
-    certify = CertifyOptions(
-        C_S=_float(cert_sec.get("C_S", 1.0), "certify.C_S"),
-        boundary_margin=_int(cert_sec.get("boundary_margin", 2), "certify.boundary_margin"),
-        psi_floor=_float(cert_sec.get("psi_floor", 1e-12), "certify.psi_floor"),
-    )
-
-    pic_sec = _section(raw, "picard", required=False)
-    tol_F = _float(pic_sec.get("tol_F", 1e-10), "picard.tol_F")
-    max_iters = _int(pic_sec.get("max_iters", 50), "picard.max_iters")
-    force = pic_sec.get("force_on_failed_certificate", False)
-    if not isinstance(force, bool):
-        raise ConfigurationError(
-            f"config: picard.force_on_failed_certificate must be true or false, got {force!r}")
-    if tol_F <= 0 or max_iters < 1:
-        raise ConfigurationError("config: picard.tol_F must be > 0 and max_iters >= 1")
-
-    scn_sec = raw.get("scenario")
-    data_sec = raw.get("data")
-    if (scn_sec is None) == (data_sec is None):
+    if not isinstance(raw, dict):
+        raise ConfigurationError("config: the top level must be an object")
+    for section, body in raw.items():
+        if section not in _SCHEMA:
+            raise ConfigurationError(
+                f"config: unknown section '{section}'{_hint(section, _SCHEMA)}")
+        if body is not None and not isinstance(body, dict):
+            raise ConfigurationError(f"config: section '{section}' must be an object")
+        for key in body or ():
+            if key not in _SCHEMA[section]:
+                raise ConfigurationError(
+                    f"config: unknown key {section}.{key}"
+                    f"{_hint(key, _SCHEMA[section], prefix=section + '.')}")
+    if (raw.get("scenario") is None) == (raw.get("data") is None):
         raise ConfigurationError("config: exactly one of 'scenario' or 'data' must be present")
 
-    scenario_name = None
-    scenario_scale = 1.0
-    data_files = None
-    if scn_sec is not None:
-        scenario_name = str(_require(scn_sec, "name", "scenario"))
-        if scenario_name not in SCENARIO_NAMES:
-            raise ConfigurationError(
-                f"config: unknown scenario {scenario_name!r}; choose from {SCENARIO_NAMES}")
-        scenario_scale = _float(scn_sec.get("scale", 1.0), "scenario.scale")
-        if scenario_scale <= 0:
-            raise ConfigurationError("config: scenario.scale must be positive")
-    else:
-        data_files = {}
-        for key in ("psi_file", "f_file", "phi_file", "omega_file"):
-            data_files[key] = str(_require(data_sec, key, "data"))
-        if "a_file" in data_sec:
-            data_files["a_file"] = str(data_sec["a_file"])
+    cfg = {section: _read_section(section, raw.get(section) or {}) for section in _SCHEMA
+           if raw.get(section) is not None or section not in ("scenario", "data")}
+    domain, grid, spectral = cfg["domain"], cfg["grid"], cfg["spectral"]
+    margin = cfg["certify"]["boundary_margin"]
+    if grid["Ny_quad"] is not None and grid["Ny_quad"] < 4 * spectral["K"]:
+        raise _invalid("grid.Ny_quad", f"must be >= 4 * spectral.K = {4 * spectral['K']}",
+                       grid["Ny_quad"])
+    if 2 * margin >= grid["Nx"] + 2:
+        raise _invalid("certify.boundary_margin", "must be <= (grid.Nx + 1) // 2 = "
+                       f"{(grid['Nx'] + 1) // 2} to leave interior nodes", margin)
+    scenario = cfg.get("scenario")
+    if scenario is not None and not math.isclose(domain["Lx"], math.pi, rel_tol=1e-9):
+        raise _invalid("domain.Lx", "must be pi for a scenario", domain["Lx"])
 
-    out_sec = _section(raw, "output")
-    output_dir = Path(str(_require(out_sec, "dir", "output")))
-    synth_ny = _int(out_sec.get("synth_ny", 32), "output.synth_ny")
-    if synth_ny < 2:
-        raise ConfigurationError("config: output.synth_ny must be >= 2")
-
+    data = cfg.get("data")
     return RunConfig(
-        grid=grid,
-        params=params,
-        theta=theta,
-        certify=certify,
-        tol_F=tol_F,
-        max_iters=max_iters,
-        force=force,
-        scenario_name=scenario_name,
-        scenario_scale=scenario_scale,
-        data_files=data_files,
-        output_dir=output_dir,
-        synth_ny=synth_ny,
+        grid=build_grid(Domain((domain["Lx"],), domain["T"]), Nx=grid["Nx"], Nt=grid["Nt"]),
+        params=SpectralParams(K=spectral["K"], epsilon=spectral["epsilon"], Ny=grid["Ny_quad"]),
+        theta=cfg["scheme"]["theta"],
+        certify=CertifyOptions(**cfg["certify"]),
+        tol_F=cfg["picard"]["tol_F"],
+        max_iters=cfg["picard"]["max_iters"],
+        force=cfg["picard"]["force_on_failed_certificate"],
+        scenario_name=None if scenario is None else scenario["name"],
+        scenario_scale=1.0 if scenario is None else scenario["scale"],
+        data_files=None if data is None else {k: v for k, v in data.items() if v is not None},
+        output_dir=Path(cfg["output"]["dir"]),
+        synth_ny=cfg["output"]["synth_ny"],
     )
 
 

@@ -58,11 +58,6 @@ class Grid:
             raise ConfigurationError(f"node/step counts must be >= 2, got Nx={self.Nx}, Nt={self.Nt}")
 
     @property
-    def Ny(self) -> None:
-        # always None: bench/tracing.py counts mode cells as Nx * (Ny or 1) * Nt
-        return None
-
-    @property
     def hx(self) -> float:
         return self.domain.Lx / (self.Nx + 1)
 

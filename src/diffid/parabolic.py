@@ -186,7 +186,5 @@ def overdetermination_residual(u: ModeFieldSet, omega: OmegaData,
                                psi: ScalarField) -> tuple[ScalarField, float]:
     """Residual of the integral measurement: (pi/2) sum_k u_k omega_k - psi,
     returned as a field together with its L2(G_T) norm."""
-    w = omega.omega_coeffs[: u.K]
-    measured = (np.pi / 2.0) * np.tensordot(w, u.values, axes=(0, 0))
-    res = ScalarField(u.grid, measured - psi.values)
+    res = ScalarField(u.grid, omega.measure(u.values) - psi.values)
     return res, l2_norm_GT(res)

@@ -45,6 +45,4 @@ class ProblemData:
         """L2(G) norm of (pi/2) sum_k phi_k omega_k - psi(0, .)."""
         from .grids import l2_norm_G
 
-        w = self.omega.omega_coeffs[: self.params.K]
-        measured = (np.pi / 2.0) * np.tensordot(w, self.phi_modes, axes=(0, 0))
-        return l2_norm_G(measured - self.psi.values[0], self.grid)
+        return l2_norm_G(self.omega.measure(self.phi_modes) - self.psi.values[0], self.grid)

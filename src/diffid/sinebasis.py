@@ -102,6 +102,11 @@ class OmegaData:
         """||omega''|| in L2(0, pi)."""
         return float(np.sqrt(np.trapezoid(self.omega_dd**2, self.y)))
 
+    def measure(self, stack: np.ndarray) -> np.ndarray:
+        """The integral measurement (pi/2) sum_k omega_k v_k of a mode stack
+        v_1..v_K along the leading axis."""
+        return (np.pi / 2.0) * np.tensordot(self.omega_coeffs[: len(stack)], stack, axes=(0, 0))
+
     @classmethod
     def from_profiles(cls, y: np.ndarray, omega: np.ndarray, K: int,
                       omega_dd: np.ndarray | None = None) -> "OmegaData":

@@ -124,15 +124,81 @@ def test_config_rejects_nan_and_non_integral_numbers(tmp_path, section, key, val
         load_config(write_config(tmp_path, cfg))
 
 
+DATA_FILES = {"psi_file": "psi.csv", "f_file": "f.csv", "phi_file": "phi.csv",
+              "omega_file": "omega.csv"}
+
+
 @pytest.mark.parametrize("section, key, value", [
-    ("scheme", "theta", 0.3),
+    # one range check per key
+    ("domain", "dim", 2),
+    ("domain", "Lx", -1.0),
+    ("domain", "T", 0.0),
+    ("grid", "Nx", 1),
+    ("grid", "Nt", 1),
+    ("spectral", "K", 0),
     ("spectral", "epsilon", 0.0),
+    ("scheme", "theta", 0.3),
+    ("scheme", "theta", 1.5),
+    ("certify", "C_S", -1.0),
+    ("certify", "boundary_margin", 0),
+    ("certify", "psi_floor", 0.0),
+    ("picard", "tol_F", 0.0),
+    ("picard", "max_iters", 0),
+    ("scenario", "name", "MMS-C"),
+    ("scenario", "scale", 0.0),
+    ("output", "synth_ny", 1),
+    # rules that span keys (base_config has K = 3, Nx = 24)
+    ("grid", "Ny_quad", 8),
+    ("certify", "boundary_margin", 13),
+    ("domain", "Lx", 3.0),
+    ("scenario", None, None),
+    ("data", None, DATA_FILES),
+    # paths and names must be JSON strings
+    ("output", "dir", None),
+    ("output", "dir", 5),
+    ("scenario", "name", 1),
+    ("data", "psi_file", None),
+    ("data", "f_file", 5),
+    ("data", "phi_file", ["phi.csv"]),
+    ("data", "omega_file", None),
+    ("data", "a_file", None),
+    ("grid", "Nx", "16"),
+    ("spectral", "K", True),
 ])
-def test_config_rejects_out_of_range_values(tmp_path, section, key, value):
+def test_config_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
+    """A bad value fails load_config and exits 1 with one error line, each
+    naming the dotted key (or, for scenario-vs-data, both sections)."""
     cfg = base_config(tmp_path / "out")
-    cfg[section][key] = value
-    with pytest.raises(ConfigurationError, match=rf"{section}\.{key}"):
-        load_config(write_config(tmp_path, cfg))
+    if key is None:
+        cfg[section] = value
+    else:
+        if section == "data":
+            del cfg["scenario"]
+            cfg["data"] = dict(DATA_FILES)
+        cfg[section][key] = value
+    name = re.escape(section if key is None else f"{section}.{key}")
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigurationError, match=name):
+        load_config(path)
+    assert main(["certify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: config: [^\n]*{name}[^\n]*\n", err), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_example_config_loads(tmp_path):
+    """The README's example config loads to the grid, K and theta it
+    documents, and its key table lists exactly the keys load_config reads."""
+    from diffid.config import _SCHEMA
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    cfg = load_config(write_config(tmp_path, json.loads(example)))
+    assert (cfg.grid.Nx, cfg.grid.Nt, cfg.grid.domain.T) == (128, 128, 0.5)
+    assert (cfg.params.K, cfg.params.Ny, cfg.theta) == (16, 256, 0.5)
+    assert cfg.scenario_name == "MMS-A"
+    documented = re.findall(r"^\| `(\w+\.\w+)` \|", readme, re.M)
+    assert documented == [f"{s}.{k}" for s, keys in _SCHEMA.items() for k in keys]
 
 
 @pytest.mark.parametrize("section, key, hint", [

@@ -48,7 +48,6 @@ def test_domain_is_an_interval():
         with pytest.raises(ConfigurationError, match="1-dimensional"):
             Domain(lengths, 1.0)
     g = build_grid(Domain((np.pi,), 1.0), Nx=8, Nt=4)
-    assert g.Ny is None
     assert g.space_shape == (10,)
 
 

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diffid import (
     CertifyOptions,
@@ -90,6 +92,24 @@ def test_zero_data_fixed_point_immediately():
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
     _, f_diff = iterate(ModeFieldSet.zeros(grid, data.params), data, Psi)
     assert f_diff == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(Nx=st.integers(8, 200), Nt=st.integers(4, 64), K=st.integers(1, 16),
+       T=st.floats(1e-150, 1.0))  # below ~1e-160, eps/dt roundoff overflows Psi_M**2
+@example(Nx=8, Nt=4, K=1, T=0.5)
+@example(Nx=96, Nt=40, K=16, T=1.0)
+def test_null_is_a_one_sweep_fixed_point(Nx, Nt, K, T):
+    # f = phi = 0: the first sweep returns u = 0 exactly, so a is Psi itself
+    grid = build_grid(Domain((np.pi,), T), Nx=Nx, Nt=Nt)
+    data = build_scenario("NULL", grid, SpectralParams(K=K)).data
+    res = run_inversion(data, tol_F=1e-10, max_iters=5)
+    assert res.stop_reason == "converged" and res.iterations == 1
+    assert res.F_diff_history == (0.0,)
+    assert not np.any(res.u_modes.values)
+    Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
+    mask = interior_margin_mask(grid, res.margin)
+    assert np.array_equal(res.a.values[:, mask], Psi.values[:, mask])
 
 
 def test_reconstruct_zero_modes_gives_Psi():
