@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DivisionHazardError
-from .grids import Grid, ScalarField, interior_margin_mask, l2_sq_GT, laplacian_x
+from .grids import Grid, ScalarField, diff, interior_margin_mask, l2_sq_GT, laplacian_x
 from .problem import ProblemData
 from .sinebasis import ModeFieldSet, OmegaData, frac_norm
 
@@ -82,7 +82,7 @@ class Certificate:
 
 def first_dirichlet_eigenvalue(grid: Grid) -> float:
     """Exact lambda_1 of -d^2/dx^2 on the interval (0, Lx)."""
-    return (np.pi / grid.domain.Lx) ** 2
+    return np.float64(np.pi / grid.domain.Lx) ** 2
 
 
 def _check_psi_floor(psi_values: np.ndarray, region: np.ndarray, floor: float) -> None:
@@ -108,7 +108,7 @@ def compute_Psi(psi: ScalarField, f_modes: ModeFieldSet, omega: OmegaData,
 
     if omega.K < f_modes.K:
         raise DataError(f"omega carries {omega.K} coefficients, need {f_modes.K}")
-    dpsi_dt = np.gradient(vals, grid.dt, axis=0, edge_order=2)
+    dpsi_dt = diff(vals, grid.dt, axis=0)
     lap = laplacian_x(vals, grid)
     numer = -dpsi_dt + lap + omega.measure(f_modes.values)
     out = np.zeros_like(vals)
@@ -133,33 +133,38 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
     if Psi is None:
         Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=options.psi_floor)
     psi_vals = np.abs(data.psi.values[region])
-    inv_psi_max = float(np.max(1.0 / psi_vals))
-
-    A_eps = float(np.sqrt(np.pi) * np.sqrt(1.0 + 1.0 / (2.0 * eps))
-                  * data.omega.omega_dd_l2 * inv_psi_max)
-    B = 2.0 * A_eps**2 * options.C_S**2
-
-    Psi_M = float(np.max(np.abs(Psi.values[region])))
-
     tau1, tau2 = data.params.tau1, data.params.tau2
     T = grid.domain.T
-    phi_1_tau1 = frac_norm(data.phi_modes, grid, tau1, level=1, measure="G")
-    phi_0_tau1 = frac_norm(data.phi_modes, grid, tau1, level=0, measure="G")
-    phi_0_tau2 = frac_norm(data.phi_modes, grid, tau2, level=0, measure="G")
-    f_tau1 = frac_norm(data.f_modes.values, grid, tau1, level=0, measure="GT")
+    C_S = np.float64(options.C_S)
 
-    R = phi_1_tau1 + 8.0 * Psi_M**2 * T * phi_0_tau1 + phi_0_tau2 + 4.0 * f_tau1
-    R1 = phi_1_tau1 + phi_0_tau2 + 4.0 * f_tau1
-    q_local = 4.0 * R * B
-    q_global = 4.0 * R1 * B
+    # numpy float64 throughout: a constant beyond float range becomes inf or
+    # nan, which Certificate rejects by name, where a Python float power
+    # would raise OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_psi_max = np.max(1.0 / psi_vals)
+        A_eps = (np.sqrt(np.pi) * np.sqrt(1.0 + 1.0 / (2.0 * eps))
+                 * data.omega.omega_dd_l2 * inv_psi_max)
+        B = 2.0 * A_eps**2 * C_S**2
 
-    C_P = 1.0 / first_dirichlet_eigenvalue(grid)
+        Psi_M = np.max(np.abs(Psi.values[region]))
 
-    cond_local_T = bool(2.0 * Psi_M * T <= A_eps * options.C_S)
-    cond_T_le_1 = bool(T <= 1.0)
-    cond_local_q = bool(q_local < 1.0)
-    cond_global_poincare = bool(2.0 * Psi_M**2 * C_P <= A_eps**2 * options.C_S**2)
-    cond_global_q = bool(q_global < 1.0)
+        phi_1_tau1 = frac_norm(data.phi_modes, grid, tau1, level=1, measure="G")
+        phi_0_tau1 = frac_norm(data.phi_modes, grid, tau1, level=0, measure="G")
+        phi_0_tau2 = frac_norm(data.phi_modes, grid, tau2, level=0, measure="G")
+        f_tau1 = frac_norm(data.f_modes.values, grid, tau1, level=0, measure="GT")
+
+        R = phi_1_tau1 + 8.0 * Psi_M**2 * T * phi_0_tau1 + phi_0_tau2 + 4.0 * f_tau1
+        R1 = phi_1_tau1 + phi_0_tau2 + 4.0 * f_tau1
+        q_local = 4.0 * R * B
+        q_global = 4.0 * R1 * B
+
+        C_P = 1.0 / first_dirichlet_eigenvalue(grid)
+
+        cond_local_T = bool(2.0 * Psi_M * T <= A_eps * C_S)
+        cond_T_le_1 = bool(T <= 1.0)
+        cond_local_q = bool(q_local < 1.0)
+        cond_global_poincare = bool(2.0 * Psi_M**2 * C_P <= A_eps**2 * C_S**2)
+        cond_global_q = bool(q_global < 1.0)
 
     provenance = (
         f"R-terms are squared weighted-mode norms; sup over nodes >= {margin} cells "
@@ -168,11 +173,11 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
     )
     return Certificate(
         epsilon=eps,
-        A_eps=A_eps,
+        A_eps=float(A_eps),
         C_S=options.C_S,
         C_P=float(C_P),
-        B=B,
-        Psi_M=Psi_M,
+        B=float(B),
+        Psi_M=float(Psi_M),
         R=float(R),
         R1=float(R1),
         q_local=float(q_local),
@@ -220,7 +225,7 @@ def poincare_time_check(g: np.ndarray, T: float) -> tuple[float, float]:
     n = len(g) - 1
     dt = T / n
     lhs = float(np.trapezoid(g**2, dx=dt))
-    dg = np.gradient(g, dt, edge_order=2)
+    dg = diff(g, dt, axis=0)
     rhs = float(T**2 * np.trapezoid(dg**2, dx=dt) + 2.0 * T * g[0] ** 2)
     return lhs, rhs
 
@@ -244,7 +249,7 @@ def estimate_sobolev_constant(grid: Grid, trials: int = 200, seed: int = 0,
         l4 = l2_sq_GT(v**2, grid) ** 0.25
         w12 = np.sqrt(
             l2_sq_GT(v, grid)
-            + l2_sq_GT(np.gradient(v, grid.dt, axis=0, edge_order=2), grid)
+            + l2_sq_GT(diff(v, grid.dt, axis=0), grid)
             + l2_sq_GT(v, grid, grad=True)
         )
         if w12 > 0:

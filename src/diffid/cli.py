@@ -140,6 +140,9 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
         with warnings.catch_warnings(record=True) as caught:
             # "always": a message already shown in this process is kept too
             warnings.simplefilter("always", RuntimeWarning)
+            message = data.compatibility_warning()
+            if message is not None:
+                warnings.warn(message, RuntimeWarning)
             result = run_inversion(
                 data, cfg.certify, tol_F=cfg.tol_F, max_iters=cfg.max_iters,
                 theta=cfg.theta, force=force or cfg.force)
@@ -163,6 +166,7 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
         "stop_reason": result.stop_reason,
         "iterations": result.iterations,
         "residual_norm": result.residual_norm,
+        "compatibility_residual": data.compatibility_residual(),
         "certificate_local_pass": result.certificate.local_pass,
         "certificate_global_pass": result.certificate.global_pass,
         "norms": result.norms,

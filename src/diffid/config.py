@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -179,6 +180,9 @@ def load_config(path) -> RunConfig:
     if 2 * margin >= grid["Nx"] + 2:
         raise _invalid("certify.boundary_margin", "must be <= (grid.Nx + 1) // 2 = "
                        f"{(grid['Nx'] + 1) // 2} to leave interior nodes", margin)
+    if domain["T"] / grid["Nt"] < sys.float_info.min:
+        raise _invalid("domain.T", f"must be >= grid.Nt * {sys.float_info.min:.6g} so that the "
+                       "time step T / grid.Nt is a normal float", domain["T"])
     scenario = cfg.get("scenario")
     if scenario is not None and not math.isclose(domain["Lx"], math.pi, rel_tol=1e-9):
         raise _invalid("domain.Lx", "must be pi for a scenario", domain["Lx"])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .certificates import Certificate, CertifyOptions, compute_Psi, compute_certificate
 from .errors import CertificateFailure
-from .grids import ScalarField, l2_sq_GT
+from .grids import ScalarField, diff, l2_sq_GT
 from .parabolic import march_modes, overdetermination_residual
 from .problem import ProblemData
 from .sinebasis import F_functional, ModeFieldSet, eigenvalues
@@ -113,7 +113,7 @@ def solution_norms(u: ModeFieldSet, a: ScalarField) -> dict:
     tau1, tau2 = params.tau1, params.tau2
 
     sq_GT = l2_sq_GT(u.values, grid)
-    dt_sq = l2_sq_GT(np.gradient(u.values, grid.dt, axis=1, edge_order=2), grid)
+    dt_sq = l2_sq_GT(diff(u.values, grid.dt, axis=1), grid)
     grad_sq_GT = l2_sq_GT(u.values, grid, grad=True)
 
     w1 = lam ** (2.0 * tau1)

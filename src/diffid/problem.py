@@ -8,8 +8,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError
-from .grids import Grid, ScalarField
+from .grids import Grid, ScalarField, l2_norm_G
 from .sinebasis import ModeFieldSet, OmegaData, SpectralParams
+
+
+#: bound on compatibility_residual relative to ||psi(0, .)|| in L2(G), above
+#: which the data's phi and psi(0) are reported as disagreeing
+COMPATIBILITY_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,15 @@ class ProblemData:
 
     def compatibility_residual(self) -> float:
         """L2(G) norm of (pi/2) sum_k phi_k omega_k - psi(0, .)."""
-        from .grids import l2_norm_G
-
         return l2_norm_G(self.omega.measure(self.phi_modes) - self.psi.values[0], self.grid)
+
+    def compatibility_warning(self) -> str | None:
+        """The message reporting a compatibility residual above COMPATIBILITY_RTOL
+        times ||psi(0, .)||, or None.  Never an error: NULL is inconsistent on
+        purpose, and so are scaled scenarios (phi scaled, psi kept)."""
+        residual = self.compatibility_residual()
+        bound = COMPATIBILITY_RTOL * l2_norm_G(self.psi.values[0], self.grid)
+        if residual > bound:
+            return (f"data compatibility residual {residual:.3e} exceeds "
+                    f"{COMPATIBILITY_RTOL:g} * ||psi(0, .)|| = {bound:.3e}: phi and psi(0) disagree")
+        return None

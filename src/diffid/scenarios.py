@@ -28,7 +28,7 @@ import numpy as np
 
 from .certificates import CertifyOptions, compute_Psi
 from .errors import ConfigurationError, DataError
-from .grids import Grid, ScalarField, build_grid, interior_margin_mask, l2_sq_GT, laplacian_x
+from .grids import Grid, ScalarField, build_grid, diff, interior_margin_mask, l2_sq_GT, laplacian_x
 from .inversion import InversionResult, iterate, run_inversion
 from .problem import ProblemData
 from .sinebasis import ModeFieldSet, OmegaData, SpectralParams, eigenvalues
@@ -104,9 +104,9 @@ def build_scenario(name: str, grid: Grid, params: SpectralParams,
 
 def _masked_rel_l2(values: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
     """Relative RMS over masked space nodes (absolute when the truth vanishes)."""
-    diff = np.sqrt(np.mean((values - truth)[..., mask] ** 2))
+    dev = np.sqrt(np.mean((values - truth)[..., mask] ** 2))
     ref = np.sqrt(np.mean(truth[..., mask] ** 2))
-    return float(diff / ref) if ref > 0 else float(diff)
+    return float(dev / ref) if ref > 0 else float(dev)
 
 
 def recovery_error(result: InversionResult, scenario: Scenario,
@@ -211,7 +211,7 @@ def strong_diagnostics(result: InversionResult, grid: Grid) -> dict:
                 f"mode K={params.K} still carries {tail / total:.1%} of the u_yy norm; "
                 "increase K to resolve the weighted tail", RuntimeWarning)
 
-    dt_sq = l2_sq_GT(np.gradient(u.values, grid.dt, axis=1, edge_order=2), grid)
+    dt_sq = l2_sq_GT(diff(u.values, grid.dt, axis=1), grid)
     lap_sq = l2_sq_GT(laplacian_x(u.values, grid), grid)
 
     half_pi = np.pi / 2.0

@@ -12,6 +12,7 @@ import diffid
 from diffid import Domain, SpectralParams, build_grid, build_scenario
 from diffid.cli import main
 from diffid.config import load_config
+from diffid.problem import COMPATIBILITY_RTOL
 from diffid.errors import ConfigurationError
 from diffid.fileio import (
     read_field_csv,
@@ -313,11 +314,56 @@ def test_invert_summary_keeps_warnings(tmp_path):
     assert re.fullmatch(r"running despite failed certificate \(q_local = \S+\)",
                         summary["warnings"][0])
 
+    # a passing certificate needs scaled data (phi scaled, psi kept), which
+    # disagrees with psi(0): its one warning is the compatibility report
     cfg = base_config(tmp_path / "passing", N=32, T=0.1)
     cfg["scenario"]["scale"] = 1e-3
     assert main(["invert", "--config", str(write_config(tmp_path, cfg, "passing.json"))]) == 0
     summary = json.loads((tmp_path / "passing" / "summary.json").read_text())
-    assert summary["warnings"] == []
+    assert len(summary["warnings"]) == 1
+    assert summary["warnings"][0].startswith("data compatibility residual")
+
+
+@pytest.mark.parametrize("scenario, force, incompatible", [
+    ("MMS-A", True, False),
+    ("NULL", False, True),
+])
+def test_invert_reports_data_compatibility(tmp_path, scenario, force, incompatible):
+    """summary.json carries the compatibility residual; above the relative
+    bound the run warns, and still runs."""
+    out = tmp_path / "out"
+    args = ["invert", "--config", str(write_config(tmp_path, base_config(out, scenario)))]
+    assert main(args + ["--force"] * force) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    data = build_scenario(scenario, build_grid(Domain((np.pi,), 0.5), Nx=24, Nt=24),
+                          SpectralParams(K=3, Ny=128)).data
+    assert summary["compatibility_residual"] == data.compatibility_residual()
+    bound = COMPATIBILITY_RTOL * diffid.l2_norm_G(data.psi.values[0], data.grid)
+    compat = [w for w in summary["warnings"] if w.startswith("data compatibility residual")]
+    if incompatible:
+        assert summary["compatibility_residual"] > bound
+        assert summary["warnings"] == compat
+        assert re.fullmatch(r"data compatibility residual \S+ exceeds 1e-06 \* \|\|psi\(0, \.\)\|\| "
+                            r"= \S+: phi and psi\(0\) disagree", compat[0])
+    else:
+        assert summary["compatibility_residual"] <= 1e-12 * bound
+        assert compat == []
+
+
+@pytest.mark.parametrize("scenario, edit", [
+    ("MMS-A", lambda cfg: cfg["scenario"].update(scale=1e200)),
+    ("NULL", lambda cfg: cfg["domain"].update(T=1e-200)),
+    ("NULL", lambda cfg: cfg["domain"].update(T=5e-324)),
+], ids=["scale-1e200", "T-1e-200", "T-5e-324"])
+def test_extreme_magnitudes_exit_1(tmp_path, capsys, scenario, edit):
+    """Finite data beyond float range for the certificate constants, or a
+    time step below the smallest normal float, fail with one named error."""
+    cfg = base_config(tmp_path / "out", scenario)
+    edit(cfg)
+    assert main(["certify", "--config", str(write_config(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: (certificate constant \w+ = (inf|nan) is not a finite "
+                        r"nonnegative number|config: domain\.T [^\n]*)\n", err), err
 
 
 def test_invert_force_via_config_flag(tmp_path):

@@ -16,7 +16,7 @@ from diffid import (
     l2_norm_GT,
     laplacian_x,
 )
-from diffid.grids import grad_sq, l2_sq_GT
+from diffid.grids import diff, l2_sq_G, l2_sq_GT
 
 
 def grid_1d(Nx=128, Nt=128, Lx=np.pi, T=1.0):
@@ -142,14 +142,10 @@ def test_interior_margin_mask():
 
 def _ref_sq_GT(v, grid, grad=False):
     """The per-time-slice loop the batched l2_sq_GT replaced, kept as the
-    reference: one trapezoid over each space slice, then one in time."""
-    def integrate(s):
-        return float(np.trapezoid(s, dx=grid.hx))
-
-    def gsq(s):
-        return np.gradient(s, grid.hx, edge_order=2) ** 2
-
-    per_t = np.array([integrate(gsq(v[n]) if grad else v[n] ** 2) for n in range(v.shape[0])])
+    reference: one squared norm of each space slice, then one trapezoid in
+    time."""
+    per_t = np.array([l2_sq_G(grad_x(v[n], grid) if grad else v[n], grid)
+                      for n in range(v.shape[0])])
     return float(np.trapezoid(per_t, dx=grid.dt))
 
 
@@ -167,6 +163,32 @@ def test_l2_sq_GT_batched_matches_slice_loop(case):
 @given(case=grid_and_stack())
 def test_stencils_batched_match_per_slice(case):
     grid, stack = case
-    for fn in (laplacian_x, grad_sq):
+    for fn in (laplacian_x, grad_x):
         per_slice = np.array([[fn(s, grid) for s in v] for v in stack])
         assert np.array_equal(fn(stack, grid), per_slice)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grid_and_stack())
+def test_diff_matches_np_gradient(case):
+    grid, stack = case
+    for h, axis in ((grid.dt, 1), (grid.dt, -2), (grid.hx, 2), (grid.hx, -1)):
+        ref = np.gradient(stack, h, axis=axis, edge_order=2)
+        assert np.array_equal(diff(stack, h, axis), ref)
+        out = np.full_like(stack, np.nan)
+        assert diff(stack, h, axis, out=out) is out
+        assert np.array_equal(out, ref)
+    assert np.array_equal(diff(stack[0, 0], grid.hx, 0),
+                          np.gradient(stack[0, 0], grid.hx, edge_order=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grid_and_stack())
+def test_l2_sq_G_matches_trapezoid_of_square(case):
+    grid, stack = case
+    ref = np.trapezoid(stack**2, dx=grid.hx, axis=-1)
+    got = l2_sq_G(stack, grid)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+    assert l2_sq_G(stack[0, 0], grid) == got[0, 0]
+    assert l2_sq_G(np.zeros(grid.space_shape), grid) == 0.0

@@ -17,7 +17,7 @@ from diffid import (
     synthesize,
 )
 from diffid.errors import DataError
-from diffid.grids import grad_sq, integrate_G, l2_sq_GT
+from diffid.grids import grad_x, l2_sq_G, l2_sq_GT
 from diffid.sinebasis import eigenvalues
 
 
@@ -237,13 +237,13 @@ def _ref_frac_norm(v, grid, tau, level, measure):
     total = 0.0
     for k in range(v.shape[0]):
         if measure == "G":
-            part = integrate_G(v[k] ** 2, grid)
+            part = l2_sq_G(v[k], grid)
             if level == 1:
-                part += integrate_G(grad_sq(v[k], grid), grid)
+                part += l2_sq_G(grad_x(v[k], grid), grid)
         else:
             part = l2_sq_GT(v[k], grid)
             if level == 1:
-                gsq = np.array([integrate_G(grad_sq(v[k][n], grid), grid) for n in range(v.shape[1])])
+                gsq = np.array([l2_sq_G(grad_x(v[k][n], grid), grid) for n in range(v.shape[1])])
                 part += float(np.trapezoid(gsq, dx=grid.dt))
         total += lam[k] ** (2.0 * tau) * part
     return float(total)
@@ -257,8 +257,8 @@ def _ref_F(modes):
     for k in range(modes.K):
         v = modes.values[k]
         dt_term = l2_sq_GT(np.gradient(v, grid.dt, axis=0, edge_order=2), grid)
-        grad_term = max(integrate_G(grad_sq(v[n], grid), grid) for n in range(v.shape[0]))
-        l2_term = max(integrate_G(v[n] ** 2, grid) for n in range(v.shape[0]))
+        grad_term = max(l2_sq_G(grad_x(v[n], grid), grid) for n in range(v.shape[0]))
+        l2_term = max(l2_sq_G(v[n], grid) for n in range(v.shape[0]))
         total += lam[k] ** ((1.0 + eps) / 2.0) * (dt_term + grad_term + lam[k] * l2_term)
     return float(total)
 
