@@ -16,7 +16,6 @@ from .grids import (
     ScalarField,
     build_grid,
     grad_x,
-    integrate_G,
     interior_margin_mask,
     l2_norm_G,
     l2_norm_GT,
@@ -50,6 +49,7 @@ from .certificates import (
 )
 from .inversion import (
     InversionResult,
+    excited_modes,
     iterate,
     picard_source,
     reconstruct_a,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -95,8 +96,14 @@ def _failing_line(cert) -> str:
 def _cmd_certify(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     data = assemble_data(cfg, base_dir)
     cert = compute_certificate(data, cfg.certify)
-    (cfg.output_dir / "certificate.json").write_text(cert.to_json() + "\n", encoding="utf-8")
+    residual = data.compatibility_residual()
+    write_json(cfg.output_dir / "certificate.json",
+               {**asdict(cert), "compatibility_residual": residual})
     _print_margin_table(cert)
+    print(f"data compatibility residual: {residual:.6e}")
+    message = data.compatibility_warning()
+    if message is not None:
+        print(f"warning: {message}", file=sys.stderr)
     if cert.local_pass or cert.global_pass:
         return EXIT_OK
     print(_failing_line(cert))
@@ -174,7 +181,7 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     if scn is not None and scn.truth_a is not None:
         summary["recovery_error_a"] = recovery_error(result, scn, which="a")
         summary["recovery_error_u"] = recovery_error(result, scn, which="u")
-    summary["warnings"] = list(dict.fromkeys(str(w.message) for w in caught))
+    summary["warnings"] = _recorded_warnings(caught)
     write_json(cfg.output_dir / "summary.json", summary)
 
     if not result.converged:
@@ -188,11 +195,25 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     return EXIT_OK
 
 
+def _recorded_warnings(caught) -> list[str]:
+    """Each distinct warning message once, in the order first raised."""
+    return list(dict.fromkeys(str(w.message) for w in caught))
+
+
 def _cmd_mms(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     if cfg.scenario_name is None:
         print("error: mms studies need a scenario config", file=sys.stderr)
         return EXIT_ERROR
 
+    with warnings.catch_warnings(record=True) as caught:
+        # "always": a message already shown in this process is kept too
+        warnings.simplefilter("always", RuntimeWarning)
+        _mms_studies(cfg)
+    write_json(cfg.output_dir / "summary.json", {"warnings": _recorded_warnings(caught)})
+    return EXIT_OK
+
+
+def _mms_studies(cfg: RunConfig) -> None:
     rows = convergence_study(cfg.scenario_name, cfg.grid, cfg.params,
                              scale=cfg.scenario_scale, options=cfg.certify, tol_F=cfg.tol_F,
                              max_iters=cfg.max_iters, theta=cfg.theta)
@@ -211,9 +232,7 @@ def _cmd_mms(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     strong_rows = []
     for row in rows[-2:]:
         result = row["result"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            d = strong_diagnostics(result, result.a.grid)
+        d = strong_diagnostics(result, result.a.grid)
         strong_rows.append([row["N"], d["u_sq_Q"], d["lap_u_sq_Q"], d["u_t_sq_Q"],
                             d["u_yy_sq_Q"], d["a_sq_GT"]])
     write_table_csv(cfg.output_dir / "strong_diagnostics.csv",
@@ -222,7 +241,6 @@ def _cmd_mms(cfg: RunConfig, base_dir: Path, force: bool) -> int:
 
     print(f"mms studies written for {cfg.scenario_name}: "
           f"levels {[row['N'] for row in rows]}, uniqueness distance {distance:.3e}")
-    return EXIT_OK
 
 
 if __name__ == "__main__":

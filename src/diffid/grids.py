@@ -122,21 +122,12 @@ def _check_space_axes(v: np.ndarray, grid: Grid) -> None:
         raise DataError(f"trailing axis of shape {v.shape} does not match grid space shape {grid.space_shape}")
 
 
-def integrate_G(values: np.ndarray, grid: Grid):
-    """Composite trapezoidal integral over G of the trailing space axis: a
-    float for one slice, an array over the leading axes for a batch."""
-    v = np.asarray(values, dtype=float)
-    _check_space_axes(v, grid)
-    out = np.trapezoid(v, dx=grid.hx, axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def l2_sq_G(values: np.ndarray, grid: Grid):
     """Squared L2(G) norm of each space slice: the trapezoid over G of v**2,
     computed as the dot product of the interior nodes plus half of the two
     end squares, so v**2 is never formed and no term cancels (an overflow
-    reads inf, never nan).  It equals integrate_G(v**2) within 1e-14
-    relative."""
+    reads inf, never nan).  It equals np.trapezoid(v**2, dx=hx) within
+    1e-14 relative."""
     v = np.asarray(values, dtype=float)
     _check_space_axes(v, grid)
     inner = v[..., 1:-1]

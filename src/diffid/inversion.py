@@ -1,15 +1,22 @@
 """Successive-approximation inverse solver.
 
-Each sweep advances every mode through the linear parabolic solve with the
+Each sweep advances the modes through the linear parabolic solve with the
 coefficient fully lagged into the source:
 
     S_k = f_k - Psi * u_k^{i-1} - (sum_j c_j u_j^{i-1} / psi) * u_k^{i-1},
 
-starting from u^0 = 0, and the recovered coefficient is defined (not fitted)
-by a = Psi + (sum_j c_j u_j) / psi once the sweep-to-sweep energy
-F(u^i - u^{i-1}) drops below tolerance.  Non-convergence is a result, not an
-exception, so certificate-violating inputs can still be studied; a sweep
-whose energy runs away (see _RUNAWAY) stops the loop as well.
+starting from u^0 = 0 (or a given iterate), and the recovered coefficient is
+defined (not fitted) by a = Psi + (sum_j c_j u_j) / psi once the
+sweep-to-sweep energy F(u^i - u^{i-1}) drops below tolerance.
+Non-convergence is a result, not an exception, so certificate-violating
+inputs can still be studied; a sweep whose energy runs away (see _RUNAWAY)
+stops the loop as well.
+
+The modes are coupled only through that series.  A mode whose f_k, phi_k and
+starting u_k are all zero has S_k = 0 at every sweep and so stays exactly
+zero; the loop sweeps only the other, excited modes (excited_modes), and its
+cost scales with their number.  The series is summed row by row in ascending
+k, so the compact stack gives the same bits as the full one would.
 
 The division by psi is guarded once per run: compute_Psi rejects psi below
 the floor at every interior node, and the helpers below divide by the same
@@ -28,7 +35,7 @@ from .errors import CertificateFailure
 from .grids import ScalarField, diff, l2_sq_GT
 from .parabolic import march_modes, overdetermination_residual
 from .problem import ProblemData
-from .sinebasis import F_functional, ModeFieldSet, eigenvalues
+from .sinebasis import F_functional, ModeFieldSet
 
 # F is a squared norm, so a sweep energy 2**104 times the first one means a
 # sweep-to-sweep change 1/eps (2**52) times the first iterate: the data that
@@ -38,10 +45,14 @@ from .sinebasis import F_functional, ModeFieldSet, eigenvalues
 _RUNAWAY = 2.0**104
 
 
-def _series_over_psi(modes: ModeFieldSet, psi: ScalarField, couplings: np.ndarray) -> np.ndarray:
-    """(sum_j c_j u_j) / psi on interior nodes, zero on the spatial boundary;
-    psi has passed compute_Psi's floor check on those nodes."""
-    series = np.tensordot(couplings[: modes.K], modes.values, axes=(0, 0))
+def _series_over_psi(u: ModeFieldSet, psi: ScalarField, couplings: np.ndarray) -> np.ndarray:
+    """(sum_j c_j u_j) / psi over u's rows on interior nodes, zero on the
+    spatial boundary; psi has passed compute_Psi's floor check on those
+    nodes.  Summed one row at a time in ascending j: a zero row adds exactly
+    0, whereas a BLAS contraction groups its terms by the row count."""
+    series = np.zeros(u.grid.field_shape)
+    for c_j, u_j in zip(couplings[u.modes - 1], u.values):
+        series += c_j * u_j
     out = np.zeros_like(series)
     np.divide(series[:, 1:-1], psi.values[:, 1:-1], out=out[:, 1:-1])
     return out
@@ -49,23 +60,36 @@ def _series_over_psi(modes: ModeFieldSet, psi: ScalarField, couplings: np.ndarra
 
 def picard_source(prev: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
                   f_modes: ModeFieldSet, couplings: np.ndarray) -> np.ndarray:
-    """Per-mode source stack for the next sweep; the coupling series is
-    evaluated once and reused for every k.  Psi comes from compute_Psi of
-    this psi."""
+    """Source stack for the next sweep, one row per row of prev; the coupling
+    series is evaluated once and reused for every k.  Psi comes from
+    compute_Psi of this psi."""
     ratio = _series_over_psi(prev, psi, couplings)
     lag = Psi.values + ratio
-    return f_modes.values - lag[None, ...] * prev.values
+    return f_modes.select(prev.modes).values - lag[None, ...] * prev.values
 
 
 def iterate(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,
             theta: float = 0.5) -> tuple[ModeFieldSet, float]:
-    """One sweep: u^{i+1} from u^i by one march of the whole mode stack, and
-    the energy F(u^{i+1} - u^i).  Psi comes from compute_Psi of data.psi."""
+    """One sweep: u^{i+1} from u^i by one march of u's mode rows, and the
+    energy F(u^{i+1} - u^i).  An empty stack (nothing excited) marches
+    nothing.  Psi comes from compute_Psi of data.psi."""
     couplings = data.omega.couplings[: data.params.K]
     sources = picard_source(u, Psi, data.psi, data.f_modes, couplings)
-    new = ModeFieldSet(data.grid, data.params,
-                       march_modes(sources, data.phi_modes, data.grid, theta=theta))
+    if len(u.modes):
+        sources = march_modes(sources, data.phi_modes[u.modes - 1], data.grid,
+                              theta=theta, modes=u.modes)
+    # march_modes has checked every swept value finite
+    new = ModeFieldSet(data.grid, data.params, sources, u.modes, check_finite=False)
     return new, F_functional(new - u)
+
+
+def excited_modes(data: ProblemData, start: ModeFieldSet) -> np.ndarray:
+    """Ascending mode numbers k whose f_k, phi_k or starting u_k has a
+    nonzero node.  Every other mode has S_k = f_k - lag * u_k = 0 at each
+    sweep and marches from phi_k = 0, so it stays exactly zero."""
+    live = np.any(data.f_modes.values, axis=(1, 2)) | np.any(data.phi_modes, axis=1)
+    live |= np.any(start.full().values, axis=(1, 2))
+    return np.flatnonzero(live) + 1
 
 
 def reconstruct_a(u: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
@@ -109,7 +133,7 @@ def solution_norms(u: ModeFieldSet, a: ScalarField) -> dict:
     """Weak-solution norm bundle: the quantities the solvability estimates
     bound (squared-norm convention throughout)."""
     grid, params = u.grid, u.params
-    lam = eigenvalues(params.K)
+    lam = u.eigenvalues
     tau1, tau2 = params.tau1, params.tau2
 
     sq_GT = l2_sq_GT(u.values, grid)
@@ -137,6 +161,9 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
     "diverged" earlier when a sweep energy is non-finite or exceeds _RUNAWAY
     times the first one; that sweep is dropped and the result is built from
     the iterate before it.
+
+    The loop carries only the excited modes' rows; they are scattered into
+    the full (K, Nt+1, Nx+2) stack once, after it.
     """
     grid, params = data.grid, data.params
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=options.psi_floor)
@@ -150,7 +177,8 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
             f"running despite failed certificate (q_local = {cert.q_local:.6g})",
             RuntimeWarning)
 
-    u = initial if initial is not None else ModeFieldSet.zeros(grid, params)
+    start = initial if initial is not None else ModeFieldSet.zeros(grid, params)
+    u = start.full().select(excited_modes(data, start))
     F_diffs: list[float] = []
     ratios: list[float] = []
     stop_reason = "max_iters"
@@ -168,6 +196,7 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
             stop_reason = "converged"
             break
 
+    u = u.full()
     couplings = data.omega.couplings[: params.K]
     a = reconstruct_a(u, Psi, data.psi, couplings, margin=options.boundary_margin)
     _, residual_norm = overdetermination_residual(u, data.omega, data.psi)

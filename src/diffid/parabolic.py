@@ -4,7 +4,9 @@
 
 advanced by a theta-scheme (theta = 0.5 is Crank-Nicolson).  Since a does not
 depend on y, the modes share the grid, theta and a, and differ only in
-lambda_k = k^2 and their data; march_modes advances the whole stack.
+lambda_k = k^2 and their data; march_modes advances the stack of mode rows it
+is given (all of 1..K, or the excited ones the sweep loop carries), and each
+row's result does not depend on which other rows are in the stack.
 
 Without a reaction term (every Picard sweep lags the coefficient into the
 source) the step operator I + theta dt (-Lap_h + lambda_k) is the same at
@@ -37,14 +39,14 @@ from .tridiag import thomas_factor, thomas_substitute
 
 
 def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: float = 0.5,
-                reaction: np.ndarray | None = None) -> np.ndarray:
-    """Time-march every mode of the stack; row k-1 of the (K, Nt+1, Nx+2)
-    source stack and of the (K, Nx+2) initial stack is mode k.  reaction,
-    a (Nt+1, Nx+2) field, adds the a-term; None drops it.
+                reaction: np.ndarray | None = None, modes: np.ndarray | None = None) -> np.ndarray:
+    """Time-march every row of the stack; row i of the (E, Nt+1, Nx+2) source
+    stack and of the (E, Nx+2) initial stack is mode modes[i], by default
+    mode i+1.  reaction, a (Nt+1, Nx+2) field, adds the a-term; None drops it.
 
-    Returns the (K, Nt+1, Nx+2) solution stack.  Raises NumericalBlowupError
-    naming the first mode with a non-finite value and that mode's first
-    non-finite step.
+    Returns the (E, Nt+1, Nx+2) solution stack.  Raises NumericalBlowupError
+    naming the mode of the first row with a non-finite value and that row's
+    first non-finite step.
     """
     if not 0.5 <= theta <= 1.0:
         raise ConfigurationError(f"theta must lie in [0.5, 1], got {theta}")
@@ -57,10 +59,14 @@ def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: f
     if phi_modes.shape != (K,) + grid.space_shape:
         raise ConfigurationError(
             f"initial stack shape {phi_modes.shape} != {(K,) + grid.space_shape}")
+    modes = np.arange(1, K + 1) if modes is None else np.asarray(modes)
+    if modes.shape != (K,) or modes.dtype.kind not in "iu" or np.any(modes < 1):
+        raise ConfigurationError(f"mode numbers {modes} are not {K} positive integers")
+    lam = eigenvalues(modes)
 
     out = np.zeros(sources.shape)
     if reaction is None:
-        _march_spectral(out, sources, phi_modes, grid, theta)
+        _march_spectral(out, sources, phi_modes, lam, grid, theta)
     else:
         reaction = np.asarray(reaction, dtype=float)
         if reaction.shape != grid.field_shape:
@@ -72,12 +78,12 @@ def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: f
                 RuntimeWarning,
             )
         with np.errstate(all="ignore"):
-            _march_tridiagonal(out, sources, phi_modes, reaction, grid, theta)
+            _march_tridiagonal(out, sources, phi_modes, lam, reaction, grid, theta)
 
     finite = np.isfinite(out[:, 1:]).all(axis=2)
     if not finite.all():
-        k = int(np.argmin(finite.all(axis=1))) + 1
-        step = int(np.argmin(finite[k - 1])) + 1
+        row = int(np.argmin(finite.all(axis=1)))
+        k, step = int(modes[row]), int(np.argmin(finite[row])) + 1
         raise NumericalBlowupError(f"mode {k}: non-finite values at time step {step}",
                                    mode=k, step=step)
     return out
@@ -108,9 +114,9 @@ def _dirichlet_symbol(n: int, h: float) -> np.ndarray:
 
 
 def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
-                    grid: Grid, theta: float) -> None:
+                    lam: np.ndarray, grid: Grid, theta: float) -> None:
     """Reaction-free theta march in DST-I coordinates, written into the zeroed
-    stack out: per lane with symbol mu,
+    stack out; lam holds each row's lambda_k.  Per lane with symbol mu,
     v^{n+1} = amp v^n + p dt (theta S^{n+1} + (1-theta) S^n), where
     p = 1/(1 + theta dt mu) and amp = (1 - (1-theta) dt mu) p.
 
@@ -119,7 +125,7 @@ def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
     holds no full-stack temporaries.
     """
     dt, Q = grid.dt, _sine_matrix(grid.Nx)
-    mu = _dirichlet_symbol(grid.Nx, grid.hx)[None, :] + eigenvalues(len(sources))[:, None]
+    mu = _dirichlet_symbol(grid.Nx, grid.hx)[None, :] + lam[:, None]
     p = 1.0 / (1.0 + theta * dt * mu)
     amp = (1.0 - (1.0 - theta) * dt * mu) * p
     pdt = p * dt
@@ -144,12 +150,12 @@ def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
 
 
 def _march_tridiagonal(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
-                       a: np.ndarray, grid: Grid, theta: float) -> None:
+                       lam: np.ndarray, a: np.ndarray, grid: Grid, theta: float) -> None:
     """Theta march of the whole stack with the known reaction a, written into
-    the zeroed stack out; a blowup runs on as inf/nan for march_modes to
-    report."""
+    the zeroed stack out; lam holds each row's lambda_k.  A blowup runs on as
+    inf/nan for march_modes to report."""
     dt, r = grid.dt, grid.dt / grid.hx**2
-    c0 = 2.0 * r + dt * eigenvalues(len(sources))[:, None]   # (K, 1)
+    c0 = 2.0 * r + dt * lam[:, None]   # (K, 1)
 
     off = np.full(grid.Nx - 1, -theta * r)
     # the (Nt, K, Nx) diagonals of steps 1..Nt
@@ -186,5 +192,5 @@ def overdetermination_residual(u: ModeFieldSet, omega: OmegaData,
                                psi: ScalarField) -> tuple[ScalarField, float]:
     """Residual of the integral measurement: (pi/2) sum_k u_k omega_k - psi,
     returned as a field together with its L2(G_T) norm."""
-    res = ScalarField(u.grid, omega.measure(u.values) - psi.values)
+    res = ScalarField(u.grid, omega.measure(u.full().values) - psi.values)
     return res, l2_norm_GT(res)

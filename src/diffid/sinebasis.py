@@ -10,7 +10,7 @@ ascending order for bit-reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -56,9 +56,11 @@ class SpectralParams:
         return np.linspace(0.0, np.pi, self.Ny + 1)
 
 
-def eigenvalues(K: int) -> np.ndarray:
-    """Dirichlet eigenvalues k^2 of -d^2/dy^2 on (0, pi), k = 1..K."""
-    return np.arange(1, K + 1, dtype=float) ** 2
+def eigenvalues(modes) -> np.ndarray:
+    """Dirichlet eigenvalues k^2 of -d^2/dy^2 on (0, pi): of k = 1..K for a
+    count K, or of each mode number k in an array."""
+    k = np.arange(1, modes + 1) if np.ndim(modes) == 0 else np.asarray(modes)
+    return k.astype(float) ** 2
 
 
 def _sine_table(K: int, y: np.ndarray) -> np.ndarray:
@@ -161,35 +163,77 @@ def _coupling_quadrature(y: np.ndarray, omega_dd: np.ndarray, K: int) -> np.ndar
 
 @dataclass(frozen=True)
 class ModeFieldSet:
-    """Stack of K mode fields u_k(t, x) sharing one grid."""
+    """Stack of mode fields u_k(t, x) sharing one grid; row i holds mode
+    modes[i].  modes defaults to 1..K, the full stack; a compact stack holds
+    some of the modes in ascending order (the sweep loop carries only the
+    excited ones), and full() scatters it back with zero rows.
+
+    The values are checked finite unless check_finite is False, which is for
+    a stack its producer has just checked (march_modes scans its output).
+    """
 
     grid: Grid
     params: SpectralParams
-    values: np.ndarray = field(repr=False)  # shape (K, Nt+1, Nx+2)
+    values: np.ndarray = field(repr=False)  # shape (len(modes), Nt+1, Nx+2)
+    modes: np.ndarray | None = field(default=None, repr=False)
+    check_finite: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check_finite: bool):
         v = np.asarray(self.values, dtype=float)
-        expected = (self.params.K,) + self.grid.field_shape
+        K = self.params.K
+        modes = np.arange(1, K + 1) if self.modes is None else np.asarray(self.modes)
+        if (modes.ndim != 1 or modes.dtype.kind not in "iu"
+                or np.any(modes < 1) or np.any(modes > K) or np.any(np.diff(modes) <= 0)):
+            raise DataError(f"mode numbers {modes} are not ascending integers in 1..{K}")
+        expected = (len(modes),) + self.grid.field_shape
         if v.shape != expected:
             raise DataError(f"mode stack shape {v.shape} does not match {expected}")
-        if not np.all(np.isfinite(v)):
+        if check_finite and not np.all(np.isfinite(v)):
             raise DataError("mode stack contains non-finite values")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "modes", modes)
 
     @property
     def K(self) -> int:
         return self.params.K
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """k^2 of each row's mode k."""
+        return eigenvalues(self.modes)
+
     @classmethod
     def zeros(cls, grid: Grid, params: SpectralParams) -> "ModeFieldSet":
         return cls(grid, params, np.zeros((params.K,) + grid.field_shape))
 
+    def select(self, modes: np.ndarray) -> "ModeFieldSet":
+        """The rows of the given ascending mode numbers, all held by this
+        stack; this stack itself when they are all of its rows."""
+        modes = np.asarray(modes)
+        if np.array_equal(modes, self.modes):
+            return self
+        if not np.all(np.isin(modes, self.modes)):
+            raise DataError(f"modes {modes} are not all among the stack's {self.modes}")
+        rows = np.searchsorted(self.modes, modes)
+        return ModeFieldSet(self.grid, self.params, self.values[rows], modes, check_finite=False)
+
+    def full(self) -> "ModeFieldSet":
+        """The (K, Nt+1, Nx+2) stack of modes 1..K, zero in the rows this
+        stack does not hold; this stack itself when it is full."""
+        if len(self.modes) == self.K:
+            return self
+        values = np.zeros((self.K,) + self.grid.field_shape)
+        values[self.modes - 1] = self.values
+        return ModeFieldSet(self.grid, self.params, values, check_finite=False)
+
     def __sub__(self, other: "ModeFieldSet") -> "ModeFieldSet":
-        return ModeFieldSet(self.grid, self.params, self.values - other.values)
+        if not np.array_equal(self.modes, other.modes):
+            raise DataError(f"mode rows {self.modes} and {other.modes} differ")
+        return ModeFieldSet(self.grid, self.params, self.values - other.values, self.modes)
 
     def synthesize_y(self, y: np.ndarray) -> np.ndarray:
         """Sample u(t, x, y) = sum_k u_k(t, x) sin(k y) on the given y nodes."""
-        return synthesize(self.values, y)
+        return synthesize(self.full().values, y)
 
 
 def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0,
@@ -202,8 +246,10 @@ def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0,
     formulas.
     """
     if isinstance(mode_values, ModeFieldSet):
-        mode_values = mode_values.values
-    v = np.asarray(mode_values, dtype=float)
+        lam, v = mode_values.eigenvalues, mode_values.values
+    else:
+        v = np.asarray(mode_values, dtype=float)
+        lam = eigenvalues(v.shape[0])
     if measure == "G":
         parts = l2_sq_G(v, grid)
         if level == 1:
@@ -214,7 +260,6 @@ def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0,
             parts = parts + l2_sq_GT(v, grid, grad=True)
     else:
         raise ConfigurationError(f"unknown measure {measure!r}")
-    lam = eigenvalues(v.shape[0])
     total = 0.0
     for k in range(len(lam)):
         total += lam[k] ** (2.0 * tau) * parts[k]
@@ -223,15 +268,17 @@ def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0,
 
 def F_functional(modes: ModeFieldSet) -> float:
     """Contraction energy: sum_k lambda_k^{(1+eps)/2} [ ||D_t u_k||^2_{GT}
-    + sup_t ||grad u_k||^2_G + lambda_k sup_t ||u_k||^2_G ]."""
+    + sup_t ||grad u_k||^2_G + lambda_k sup_t ||u_k||^2_G ] over the stack's
+    rows, in ascending k.  A zero row adds exactly 0, so a compact stack
+    gives the bits of its full() stack."""
     grid, v = modes.grid, modes.values
     eps = modes.params.epsilon
     buf = diff(v, grid.dt, axis=1)  # D_t v, then D_x v in the same buffer
     dt_term = l2_sq_GT(buf, grid)
     grad_term = np.max(l2_sq_G(diff(v, grid.hx, axis=-1, out=buf), grid), axis=1)
     l2_term = np.max(l2_sq_G(v, grid), axis=1)
-    lam = eigenvalues(modes.K)
+    lam = modes.eigenvalues
     total = 0.0
-    for k in range(modes.K):
+    for k in range(len(lam)):
         total += lam[k] ** ((1.0 + eps) / 2.0) * (dt_term[k] + grad_term[k] + lam[k] * l2_term[k])
     return float(total)

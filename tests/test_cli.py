@@ -85,6 +85,25 @@ def test_certify_readme_config_prints_failing_conditions(tmp_path, capsys):
                      "2*Psi_M^2*C_P <= A_eps^2*C_S^2": "yes", "4*R1*B < 1": "NO"}
 
 
+@pytest.mark.parametrize("scenario, incompatible", [("MMS-A", False), ("NULL", True)])
+def test_certify_reports_data_compatibility(tmp_path, capsys, scenario, incompatible):
+    out = tmp_path / "out"
+    main(["certify", "--config", str(write_config(tmp_path, base_config(out, scenario)))])
+    data = build_scenario(scenario, build_grid(Domain((np.pi,), 0.5), Nx=24, Nt=24),
+                          SpectralParams(K=3, Ny=128)).data
+    residual = data.compatibility_residual()
+    assert json.loads((out / "certificate.json").read_text())["compatibility_residual"] == residual
+    captured = capsys.readouterr()
+    assert f"data compatibility residual: {residual:.6e}" in captured.out.splitlines()
+    bound = COMPATIBILITY_RTOL * diffid.l2_norm_G(data.psi.values[0], data.grid)
+    if incompatible:
+        assert residual > bound
+        assert captured.err == f"warning: {data.compatibility_warning()}\n"
+    else:
+        assert residual <= 1e-12 * bound
+        assert captured.err == ""
+
+
 def test_missing_config_key_exits_one(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = base_config(out)
@@ -521,6 +540,16 @@ def test_mms_command_outputs(tmp_path):
     strong = np.loadtxt(out / "strong_diagnostics.csv", delimiter=",", skiprows=1)
     assert strong.shape[0] == 2
     assert np.all(np.isfinite(strong))
+
+
+def test_mms_summary_keeps_warnings(tmp_path):
+    # MMS-B fails the certificate at every level, and each run says so once
+    out = tmp_path / "out"
+    cfg = base_config(out, scenario="MMS-B", N=32, K=3)
+    assert main(["mms", "--config", str(write_config(tmp_path, cfg))]) == 0
+    warned = json.loads((out / "summary.json").read_text())["warnings"]
+    failed = [w for w in warned if w.startswith("running despite failed certificate")]
+    assert failed and len(set(warned)) == len(warned)
 
 
 def test_mms_null_zeros(tmp_path):

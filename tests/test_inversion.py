@@ -15,6 +15,7 @@ from diffid import (
     build_scenario,
     compute_Psi,
     compute_certificate,
+    excited_modes,
     iterate,
     picard_source,
     reconstruct_a,
@@ -24,6 +25,7 @@ from diffid import (
 )
 from diffid.errors import CertificateFailure
 from diffid.grids import interior_margin_mask
+from diffid.problem import ProblemData
 
 
 def mmsa(N=64, T=0.5, K=8, scale=1.0):
@@ -110,6 +112,71 @@ def test_null_is_a_one_sweep_fixed_point(Nx, Nt, K, T):
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
     mask = interior_margin_mask(grid, res.margin)
     assert np.array_equal(res.a.values[:, mask], Psi.values[:, mask])
+
+
+def _full_stack_loop(data, Psi, tol_F, max_iters, theta, initial, margin):
+    """Reference: run_inversion's sweep loop marching all K rows at every
+    sweep.  Returns (a, u, F_diff_history, stop_reason)."""
+    u = initial if initial is not None else ModeFieldSet.zeros(data.grid, data.params)
+    F_diffs, stop_reason = [], "max_iters"
+    for _ in range(max_iters):
+        swept, f_diff = iterate(u, data, Psi, theta=theta)
+        first = F_diffs[0] if F_diffs else f_diff
+        if not (np.isfinite(f_diff) and f_diff <= 2.0**104 * first):
+            stop_reason = "diverged"
+            break
+        F_diffs.append(f_diff)
+        u = swept
+        if f_diff <= tol_F:
+            stop_reason = "converged"
+            break
+    a = reconstruct_a(u, Psi, data.psi, data.omega.couplings[: data.params.K], margin=margin)
+    return a, u, tuple(F_diffs), stop_reason
+
+
+@st.composite
+def sparse_mode_problem(draw):
+    """MMS-A's psi and omega with random f and phi rows, a random subset of
+    them zero, and an optional starting iterate with its own nonzero rows."""
+    K = draw(st.integers(1, 16))
+    grid = build_grid(Domain((np.pi,), 0.5), Nx=draw(st.integers(8, 96)),
+                      Nt=draw(st.integers(4, 48)))
+    params = SpectralParams(K=K)
+    base = build_scenario("MMS-A", grid, params).data
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-4, 1e-2))
+
+    def rows(shape):
+        live = np.array(draw(st.lists(st.booleans(), min_size=K, max_size=K)))
+        return scale * rng.standard_normal((K,) + shape) * live.reshape((K,) + (1,) * len(shape))
+
+    f_modes = ModeFieldSet(grid, params, rows(grid.field_shape))
+    data = ProblemData(grid=grid, psi=base.psi, f_modes=f_modes, phi_modes=rows(grid.space_shape),
+                       omega=base.omega, params=params)
+    initial = ModeFieldSet(grid, params, rows(grid.field_shape)) if draw(st.booleans()) else None
+    return data, initial, draw(st.floats(0.5, 1.0)), draw(st.integers(1, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=sparse_mode_problem())
+def test_sweeping_excited_modes_matches_full_stack(problem):
+    # the modes with zero f, phi and start stay exactly zero, so carrying only
+    # the others gives exactly the full-stack result, not a close one
+    data, initial, theta, max_iters = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = run_inversion(data, tol_F=1e-20, max_iters=max_iters, theta=theta, force=True,
+                            initial=initial)
+    Psi = compute_Psi(data.psi, data.f_modes, data.omega, data.grid)
+    a, u, F_diffs, stop_reason = _full_stack_loop(data, Psi, 1e-20, max_iters, theta, initial,
+                                                  res.margin)
+    assert res.F_diff_history == F_diffs
+    assert res.stop_reason == stop_reason
+    assert np.array_equal(res.u_modes.values, u.values)
+    assert np.array_equal(res.a.values, a.values)
+    start = initial if initial is not None else ModeFieldSet.zeros(data.grid, data.params)
+    quiet = np.setdiff1d(np.arange(1, data.params.K + 1), excited_modes(data, start))
+    assert not np.any(res.u_modes.values[quiet - 1])
 
 
 def test_reconstruct_zero_modes_gives_Psi():

@@ -276,6 +276,26 @@ def test_spectral_blowup_names_first_bad_step(Nt, data, theta, value):
     assert err.value.step == step
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_march_of_mode_rows_matches_full_stack_and_names_true_mode():
+    # rows for modes 3 and 5 march as rows 3 and 5 of a K = 5 stack do, and a
+    # blowup in the second row is reported as mode 5
+    g = grid_1d(Nx=16, Nt=8)
+    rng = np.random.default_rng(5)
+    S = rng.standard_normal((5,) + g.field_shape)
+    phi = rng.standard_normal((5,) + g.space_shape)
+    rows = np.array([3, 5])
+    full = march_modes(S, phi, g)
+    assert np.array_equal(march_modes(S[rows - 1], phi[rows - 1], g, modes=rows), full[rows - 1])
+    bad = S[rows - 1]
+    bad[1, 4, 7] = np.nan
+    with pytest.raises(NumericalBlowupError) as err:
+        march_modes(bad, phi[rows - 1], g, modes=rows)
+    assert (err.value.mode, err.value.step) == (5, 4)
+    with pytest.raises(ConfigurationError, match="mode numbers"):
+        march_modes(S[:2], phi[:2], g, modes=np.array([0, 1]))
+
+
 def test_march_modes_rejects_bad_theta_and_shapes():
     g = grid_1d(Nx=8, Nt=4)
     S = np.zeros((3,) + g.field_shape)

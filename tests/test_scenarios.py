@@ -159,7 +159,8 @@ def test_scaled_scenario_has_no_truth():
 def test_convergence_study_monotone():
     params = SpectralParams(K=4, Ny=256)
     grid = build_grid(Domain((np.pi,), 0.5), Nx=64, Nt=32)
-    rows = convergence_study("MMS-A", grid, params)
+    with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
+        rows = convergence_study("MMS-A", grid, params)
     # levels Nx//4, Nx//2, Nx with Nt scaled in proportion
     assert [(row["N"], row["result"].a.grid.Nt) for row in rows] == [(16, 8), (32, 16), (64, 32)]
     assert all(row["scenario"].grid == row["result"].a.grid for row in rows)
@@ -193,7 +194,8 @@ def test_uniqueness_probe_null():
 def test_uniqueness_probe_reports_on_failing_certificate():
     # T > 1 fails the certificate outright; the probe still reports a distance
     scn = make_scenario("MMS-A", N=24, T=2.0, K=2)
-    d = uniqueness_probe(scn, max_iters=8)
+    with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
+        d = uniqueness_probe(scn, max_iters=8)
     assert np.isfinite(d)
 
 
@@ -213,9 +215,9 @@ def test_uniqueness_probe_reuses_zero_start_and_passes_theta(monkeypatch):
         runs.append(kwargs.get("initial") is None)
         return real_run(*args, **kwargs)
 
-    def march_spy(sources, phi_modes, grid, theta=0.5, reaction=None):
+    def march_spy(sources, phi_modes, grid, theta=0.5, reaction=None, modes=None):
         thetas.append(theta)
-        return real_march(sources, phi_modes, grid, theta, reaction)
+        return real_march(sources, phi_modes, grid, theta, reaction, modes)
 
     monkeypatch.setattr(scenarios, "run_inversion", run_spy)
     monkeypatch.setattr(inversion, "march_modes", march_spy)
@@ -269,7 +271,9 @@ def test_strong_diagnostics_zero_solution():
     assert all(v == 0.0 for v in d.values())
 
 
-def test_strong_diagnostics_tail_warning():
+def test_strong_diagnostics_weights_last_mode():
+    # all energy in mode 2: u_yy carries lambda_2^2 = 16 times the u norm, and
+    # no epsilon value makes the diagnostics warn
     grid = build_grid(Domain((np.pi,), 1.0), Nx=16, Nt=8)
     params = SpectralParams(K=2, epsilon=5.0, Ny=64)
     vals = np.zeros((2,) + grid.field_shape)
@@ -286,5 +290,7 @@ def test_strong_diagnostics_tail_warning():
         norms={},
         margin=2,
     )
-    with pytest.warns(RuntimeWarning):
-        strong_diagnostics(res, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = strong_diagnostics(res, grid)
+    assert d["u_yy_sq_Q"] == 16.0 * d["u_sq_Q"] > 0.0

@@ -204,6 +204,29 @@ def test_F_functional_static_mode():
     assert F_functional(ModeFieldSet.zeros(g, params)) == 0.0
 
 
+def test_mode_rows_select_and_scatter():
+    g = make_grid(Nx=12, Nt=6)
+    params = SpectralParams(K=4, epsilon=1.0, Ny=64)
+    vals = np.random.default_rng(3).standard_normal((4,) + g.field_shape)
+    vals[[0, 2]] = 0.0
+    full = ModeFieldSet(g, params, vals)
+    compact = full.select(np.array([2, 4]))
+    assert np.array_equal(compact.values, vals[[1, 3]])
+    assert np.array_equal(compact.eigenvalues, [4.0, 16.0])
+    assert full.select(np.arange(1, 5)) is full and full.full() is full
+    assert np.array_equal(compact.full().values, vals)
+    # a zero row adds exactly 0 to the energy
+    assert F_functional(compact) == F_functional(full)
+    assert np.array_equal(compact.synthesize_y(params.y), full.synthesize_y(params.y))
+    for bad in (np.array([3, 2]), np.array([0, 1]), np.array([5]), np.array([1.0, 2.0])):
+        with pytest.raises(DataError, match="mode numbers"):
+            ModeFieldSet(g, params, vals[: len(bad)], bad)
+    with pytest.raises(DataError, match="not all among"):
+        compact.select(np.array([1, 2]))
+    with pytest.raises(DataError, match="differ"):
+        compact - full
+
+
 def test_F_functional_triangle_inequality():
     g = make_grid(Nx=24, Nt=8)
     params = SpectralParams(K=3, epsilon=1.0, Ny=64)
