@@ -45,7 +45,6 @@ from .certificates import (
     compute_certificate,
     estimate_sobolev_constant,
     first_dirichlet_eigenvalue,
-    poincare_time_check,
 )
 from .inversion import (
     InversionResult,

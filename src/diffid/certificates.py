@@ -110,7 +110,7 @@ def compute_Psi(psi: ScalarField, f_modes: ModeFieldSet, omega: OmegaData,
         raise DataError(f"omega carries {omega.K} coefficients, need {f_modes.K}")
     dpsi_dt = diff(vals, grid.dt, axis=0)
     lap = laplacian_x(vals, grid)
-    numer = -dpsi_dt + lap + omega.measure(f_modes.values)
+    numer = -dpsi_dt + lap + omega.measure(f_modes.values, f_modes.modes)
     out = np.zeros_like(vals)
     np.divide(numer[:, 1:-1], vals[:, 1:-1], out=out[:, 1:-1])
     return ScalarField(grid, out)
@@ -151,7 +151,7 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
         phi_1_tau1 = frac_norm(data.phi_modes, grid, tau1, level=1, measure="G")
         phi_0_tau1 = frac_norm(data.phi_modes, grid, tau1, level=0, measure="G")
         phi_0_tau2 = frac_norm(data.phi_modes, grid, tau2, level=0, measure="G")
-        f_tau1 = frac_norm(data.f_modes.values, grid, tau1, level=0, measure="GT")
+        f_tau1 = frac_norm(data.f_modes, grid, tau1, level=0, measure="GT")
 
         R = phi_1_tau1 + 8.0 * Psi_M**2 * T * phi_0_tau1 + phi_0_tau2 + 4.0 * f_tau1
         R1 = phi_1_tau1 + phi_0_tau2 + 4.0 * f_tau1
@@ -216,18 +216,6 @@ def check_global(cert: Certificate) -> tuple[bool, dict[str, tuple[float, bool]]
         "4*R1*B < 1": (1.0 - cert.q_global, cert.cond_global_q),
     }
     return cert.global_pass, conditions
-
-
-def poincare_time_check(g: np.ndarray, T: float) -> tuple[float, float]:
-    """Both sides of the time inequality int g^2 <= T^2 int (g')^2 + 2T g(0)^2,
-    realized with trapezoid quadrature and second-order differences."""
-    g = np.asarray(g, dtype=float)
-    n = len(g) - 1
-    dt = T / n
-    lhs = float(np.trapezoid(g**2, dx=dt))
-    dg = diff(g, dt, axis=0)
-    rhs = float(T**2 * np.trapezoid(dg**2, dx=dt) + 2.0 * T * g[0] ** 2)
-    return lhs, rhs
 
 
 def estimate_sobolev_constant(grid: Grid, trials: int = 200, seed: int = 0,

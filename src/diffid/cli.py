@@ -6,6 +6,7 @@ failure, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import warnings
 from dataclasses import asdict
@@ -129,13 +130,16 @@ def _cmd_forward(cfg: RunConfig, base_dir: Path, force: bool) -> int:
         data = assemble_data(cfg, base_dir)
         a = read_field_csv(base_dir / cfg.data_files["a_file"], cfg.grid)
 
-    u = solve_forward(a, data.f_modes, data.phi_modes, cfg.grid, cfg.params,
-                      theta=cfg.theta)
-    res_field, res_norm = overdetermination_residual(u, data.omega, data.psi)
+    with _recording_warnings() as caught:
+        _warn_compatibility(data)
+        u = solve_forward(a, data.f_modes, data.phi_modes, cfg.grid, cfg.params,
+                          theta=cfg.theta)
+        res_field, res_norm = overdetermination_residual(u, data.omega, data.psi)
     y = _synth_y(cfg)
     write_modes_csv(cfg.output_dir / "u_modes.csv", u)
     write_synth_csv(cfg.output_dir / "u_synth.csv", u.synthesize_y(y), cfg.grid, y)
     write_field_csv(cfg.output_dir / "residual.csv", res_field)
+    write_json(cfg.output_dir / "summary.json", {"warnings": _recorded_warnings(caught)})
     print(f"forward solve done; overdetermination residual = {res_norm:.6e}")
     return EXIT_OK
 
@@ -144,12 +148,8 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     scn = assemble_scenario(cfg) if cfg.scenario_name is not None else None
     data = scn.data if scn is not None else assemble_data(cfg, base_dir)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            # "always": a message already shown in this process is kept too
-            warnings.simplefilter("always", RuntimeWarning)
-            message = data.compatibility_warning()
-            if message is not None:
-                warnings.warn(message, RuntimeWarning)
+        with _recording_warnings() as caught:
+            _warn_compatibility(data)
             result = run_inversion(
                 data, cfg.certify, tol_F=cfg.tol_F, max_iters=cfg.max_iters,
                 theta=cfg.theta, force=force or cfg.force)
@@ -195,9 +195,24 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _recording_warnings():
+    """Record every RuntimeWarning raised in the block into the yielded list."""
+    with warnings.catch_warnings(record=True) as caught:
+        # "always": a message already shown in this process is kept too
+        warnings.simplefilter("always", RuntimeWarning)
+        yield caught
+
+
 def _recorded_warnings(caught) -> list[str]:
     """Each distinct warning message once, in the order first raised."""
     return list(dict.fromkeys(str(w.message) for w in caught))
+
+
+def _warn_compatibility(data) -> None:
+    message = data.compatibility_warning()
+    if message is not None:
+        warnings.warn(message, RuntimeWarning)
 
 
 def _cmd_mms(cfg: RunConfig, base_dir: Path, force: bool) -> int:
@@ -205,9 +220,7 @@ def _cmd_mms(cfg: RunConfig, base_dir: Path, force: bool) -> int:
         print("error: mms studies need a scenario config", file=sys.stderr)
         return EXIT_ERROR
 
-    with warnings.catch_warnings(record=True) as caught:
-        # "always": a message already shown in this process is kept too
-        warnings.simplefilter("always", RuntimeWarning)
+    with _recording_warnings() as caught:
         _mms_studies(cfg)
     write_json(cfg.output_dir / "summary.json", {"warnings": _recorded_warnings(caught)})
     return EXIT_OK

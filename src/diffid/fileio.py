@@ -37,24 +37,38 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+#: rows per write of _write_grid_csv.  A piece of text (at most ~100 bytes a
+#: row) and its encoded copy stay below glibc's default 128 kB mmap and trim
+#: thresholds, so the heap reuses one region for every piece.  A whole slice
+#: at once (~240 kB of text for the README config's u_synth.csv, twice with
+#: the encoded copy) crosses them: unless an earlier large free has raised the
+#: thresholds, every time level is then mapped, or trimmed and faulted in,
+#: afresh (about 14 000 extra page faults for that file).
+_ROWS_PER_WRITE = 512
+
+
 def _write_grid_csv(path, header: list[str], axes, values) -> None:
     """One row per node of the product of ``axes`` (last axis fastest):
     coordinates then value, all "%.17g" (so a mode index k prints as an
-    integer).  Each leading-index slice is one format string with the
-    trailing coordinates as literal text; memory is bounded by one slice."""
+    integer).  Each leading-index slice is written in pieces of at most
+    _ROWS_PER_WRITE rows, each one format string with the trailing
+    coordinates as literal text; memory is bounded by one slice."""
     cols = [["%.17g" % c for c in np.asarray(axis, dtype=float).tolist()] for axis in axes]
     values = np.asarray(values, dtype=float)
     if values.shape != tuple(map(len, cols)):
         raise ValueError(f"{path}: values of shape {values.shape} do not match the axes")
     tails = ["".join("," + c for c in node) for node in itertools.product(*cols[1:])]
-    template = "".join(["%s" + tail + ",%.17g\r\n" for tail in tails])
-    fields = [None] * (2 * len(tails))
+    pieces = [(i, "".join(["%s" + tail + ",%.17g\r\n" for tail in tails[i:i + _ROWS_PER_WRITE]]))
+              for i in range(0, len(tails), _ROWS_PER_WRITE)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for head, block in zip(cols[0], values):
-            fields[0::2] = [head] * len(tails)
-            fields[1::2] = block.ravel().tolist()
-            fh.write(template % tuple(fields))
+            row = block.ravel().tolist()
+            for i, template in pieces:
+                part = row[i:i + _ROWS_PER_WRITE]
+                fields = [head] * (2 * len(part))
+                fields[1::2] = part
+                fh.write(template % tuple(fields))
 
 
 def _read_rows(path, expected_header: list[str]) -> np.ndarray:
@@ -138,9 +152,10 @@ def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_modes_csv(path, modes: ModeFieldSet) -> None:
+    """Every mode k = 1..K, zero rows included."""
     grid = modes.grid
     _write_grid_csv(path, ["k", "t", "x", "value"],
-                    [range(1, modes.K + 1), grid.t, grid.x], modes.values)
+                    [range(1, modes.K + 1), grid.t, grid.x], modes.full().values)
 
 
 def read_modes_csv(path, grid: Grid, params: SpectralParams) -> ModeFieldSet:

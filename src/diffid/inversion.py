@@ -15,8 +15,11 @@ stops the loop as well.
 The modes are coupled only through that series.  A mode whose f_k, phi_k and
 starting u_k are all zero has S_k = 0 at every sweep and so stays exactly
 zero; the loop sweeps only the other, excited modes (excited_modes), and its
-cost scales with their number.  The series is summed row by row in ascending
-k, so the compact stack gives the same bits as the full one would.
+cost scales with their number.  The result keeps that compact stack: the
+reconstruction, the measurement residual and the norm bundle all run on the
+swept rows, and InversionResult.u_modes.full() gives the dense stack.  The
+series is summed row by row in ascending k, so the compact stack gives the
+same bits as the dense one would.
 
 The division by psi is guarded once per run: compute_Psi rejects psi below
 the floor at every interior node, and the helpers below divide by the same
@@ -31,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Certificate, CertifyOptions, compute_Psi, compute_certificate
-from .errors import CertificateFailure
+from .errors import CertificateFailure, DataError, NumericalBlowupError
 from .grids import ScalarField, diff, l2_sq_GT
-from .parabolic import march_modes, overdetermination_residual
+from .parabolic import forced_modes, march_modes, overdetermination_residual
 from .problem import ProblemData
 from .sinebasis import F_functional, ModeFieldSet
 
@@ -65,7 +68,7 @@ def picard_source(prev: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
     compute_Psi of this psi."""
     ratio = _series_over_psi(prev, psi, couplings)
     lag = Psi.values + ratio
-    return f_modes.select(prev.modes).values - lag[None, ...] * prev.values
+    return f_modes.rows(prev.modes).values - lag[None, ...] * prev.values
 
 
 def iterate(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,
@@ -87,9 +90,7 @@ def excited_modes(data: ProblemData, start: ModeFieldSet) -> np.ndarray:
     """Ascending mode numbers k whose f_k, phi_k or starting u_k has a
     nonzero node.  Every other mode has S_k = f_k - lag * u_k = 0 at each
     sweep and marches from phi_k = 0, so it stays exactly zero."""
-    live = np.any(data.f_modes.values, axis=(1, 2)) | np.any(data.phi_modes, axis=1)
-    live |= np.any(start.full().values, axis=(1, 2))
-    return np.flatnonzero(live) + 1
+    return forced_modes(data.phi_modes, data.f_modes, start)
 
 
 def reconstruct_a(u: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
@@ -111,7 +112,8 @@ def reconstruct_a(u: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
 class InversionResult:
     """Outcome of run_inversion.  stop_reason is "converged" (F_diff fell
     below tol_F), "max_iters" (the sweep budget ran out) or "diverged" (a
-    sweep ran away)."""
+    sweep ran away).  u_modes is the compact stack of the swept modes;
+    u_modes.full() is the dense one."""
 
     a: ScalarField
     u_modes: ModeFieldSet
@@ -162,10 +164,15 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
     times the first one; that sweep is dropped and the result is built from
     the iterate before it.
 
-    The loop carries only the excited modes' rows; they are scattered into
-    the full (K, Nt+1, Nx+2) stack once, after it.
+    The loop carries only the excited modes' rows, and so does the result:
+    u_modes is that compact stack, and u_modes.full() the dense one.  A
+    sweep whose march blows up (NumericalBlowupError) counts as a non-finite
+    sweep energy.
     """
     grid, params = data.grid, data.params
+    if initial is not None and (initial.grid != grid or initial.K != params.K):
+        raise DataError(f"initial iterate (K = {initial.K}, {initial.grid}) does not match "
+                        f"the data (K = {params.K}, {grid})")
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=options.psi_floor)
     cert = compute_certificate(data, options, Psi=Psi)
     if not cert.local_pass:
@@ -177,13 +184,16 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
             f"running despite failed certificate (q_local = {cert.q_local:.6g})",
             RuntimeWarning)
 
-    start = initial if initial is not None else ModeFieldSet.zeros(grid, params)
-    u = start.full().select(excited_modes(data, start))
+    start = initial if initial is not None else ModeFieldSet.empty(grid, params)
+    u = start.rows(excited_modes(data, start))
     F_diffs: list[float] = []
     ratios: list[float] = []
     stop_reason = "max_iters"
     for _ in range(max_iters):
-        swept, f_diff = iterate(u, data, Psi, theta=theta)
+        try:
+            swept, f_diff = iterate(u, data, Psi, theta=theta)
+        except NumericalBlowupError:
+            f_diff = np.inf
         first = F_diffs[0] if F_diffs else f_diff
         if not (np.isfinite(f_diff) and f_diff <= _RUNAWAY * first):
             stop_reason = "diverged"
@@ -196,7 +206,6 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
             stop_reason = "converged"
             break
 
-    u = u.full()
     couplings = data.omega.couplings[: params.K]
     a = reconstruct_a(u, Psi, data.psi, couplings, margin=options.boundary_margin)
     _, residual_norm = overdetermination_residual(u, data.omega, data.psi)

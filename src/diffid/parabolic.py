@@ -5,8 +5,9 @@
 advanced by a theta-scheme (theta = 0.5 is Crank-Nicolson).  Since a does not
 depend on y, the modes share the grid, theta and a, and differ only in
 lambda_k = k^2 and their data; march_modes advances the stack of mode rows it
-is given (all of 1..K, or the excited ones the sweep loop carries), and each
-row's result does not depend on which other rows are in the stack.
+is given (all of 1..K, or the excited ones that the sweep loop and the
+forward solve carry), and each row's result does not depend on which other
+rows are in the stack.
 
 Without a reaction term (every Picard sweep lags the coefficient into the
 source) the step operator I + theta dt (-Lap_h + lambda_k) is the same at
@@ -176,21 +177,37 @@ def _march_tridiagonal(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarr
         out[:, n + 1, 1:-1] = thomas_substitute(off, cp[n], m[n], rhs)
 
 
+def forced_modes(phi_modes: np.ndarray, *stacks: ModeFieldSet) -> np.ndarray:
+    """Ascending mode numbers k whose initial profile phi_k, or whose row in
+    one of the mode stacks (a source f, a starting iterate), has a nonzero
+    node.  Any other mode marches from zero with a zero source, so its
+    solution is exactly zero, with or without a reaction term."""
+    live = np.any(phi_modes, axis=1)
+    for stack in stacks:
+        live[stack.modes[np.any(stack.values, axis=(1, 2))] - 1] = True
+    return np.flatnonzero(live) + 1
+
+
 def solve_forward(a: ScalarField | None, f_modes: ModeFieldSet, phi_modes: np.ndarray,
                   grid: Grid, params: SpectralParams, theta: float = 0.5) -> ModeFieldSet:
-    """Solve the decoupled mode equations with a known reaction coefficient."""
+    """Solve the decoupled mode equations with a known reaction coefficient.
+    Only the forced modes are marched; the result is their compact stack."""
+    modes = forced_modes(phi_modes, f_modes)
+    if not len(modes):
+        return ModeFieldSet.empty(grid, params)
     try:
-        values = march_modes(f_modes.values, phi_modes, grid, theta,
-                             reaction=None if a is None else a.values)
+        values = march_modes(f_modes.rows(modes).values, phi_modes[modes - 1], grid, theta,
+                             reaction=None if a is None else a.values, modes=modes)
     except NumericalBlowupError as err:
         raise NumericalBlowupError(f"forward solve failed: {err}",
                                    mode=err.mode, step=err.step) from err
-    return ModeFieldSet(grid, params, values)
+    # march_modes has checked every marched value finite
+    return ModeFieldSet(grid, params, values, modes, check_finite=False)
 
 
 def overdetermination_residual(u: ModeFieldSet, omega: OmegaData,
                                psi: ScalarField) -> tuple[ScalarField, float]:
-    """Residual of the integral measurement: (pi/2) sum_k u_k omega_k - psi,
-    returned as a field together with its L2(G_T) norm."""
-    res = ScalarField(u.grid, omega.measure(u.full().values) - psi.values)
+    """Residual of the integral measurement: (pi/2) sum_k u_k omega_k - psi
+    over u's rows, returned as a field together with its L2(G_T) norm."""
+    res = ScalarField(u.grid, omega.measure(u.values, u.modes) - psi.values)
     return res, l2_norm_GT(res)

@@ -21,7 +21,7 @@ COMPATIBILITY_RTOL = 1e-6
 class ProblemData:
     grid: Grid
     psi: ScalarField
-    f_modes: ModeFieldSet
+    f_modes: ModeFieldSet  # compact: the modes it does not hold are zero
     phi_modes: np.ndarray = field(repr=False)  # (K, Nx+2)
     omega: OmegaData
     params: SpectralParams
@@ -42,8 +42,10 @@ class ProblemData:
         object.__setattr__(self, "phi_modes", phi)
 
     def scaled(self, s: float) -> "ProblemData":
-        """Scale phi and f by s, leaving psi and omega untouched."""
-        f_scaled = ModeFieldSet(self.grid, self.params, s * self.f_modes.values)
+        """Scale phi and f by s, leaving psi and omega untouched; f keeps its
+        rows."""
+        f_scaled = ModeFieldSet(self.grid, self.params, s * self.f_modes.values,
+                                self.f_modes.modes)
         return replace(self, f_modes=f_scaled, phi_modes=s * self.phi_modes)
 
     def compatibility_residual(self) -> float:

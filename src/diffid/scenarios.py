@@ -5,7 +5,9 @@ problem data by substituting u* into the equation u_t - u_xx - u_yy + a u = f
 and into the measurement psi = int u* omega dy (the derivation was checked
 symbolically; the identities are stated with each scenario below).  Truths
 are single-mode in y so every y-integral is closed-form and the spectral
-truncation error is exactly zero.
+truncation error is exactly zero.  The source f and the truth u are stored as
+compact mode stacks: the row of mode 1 for MMS-A and MMS-B, no rows for
+NULL; every other mode is zero.
 
 MMS-A   u* = e^{-t} sin x sin y, a* = 1
         => f = 2 e^{-t} sin x sin y, psi = (pi/2) e^{-t} sin x, Psi = 2.
@@ -64,41 +66,26 @@ def build_scenario(name: str, grid: Grid, params: SpectralParams,
     t, x = grid.t, grid.x
     decay = np.exp(-t)[:, None] * np.sin(x)[None, :]
 
-    f_vals = np.zeros((params.K,) + grid.field_shape)
     phi = np.zeros((params.K,) + grid.space_shape)
-    if name == "MMS-A":
-        psi = ScalarField(grid, (np.pi / 2.0) * decay)
-        f_vals[0] = 2.0 * decay
-        phi[0] = np.sin(x)
-        truth_a = ScalarField(grid, np.ones(grid.field_shape))
-        truth_u = np.zeros((params.K,) + grid.field_shape)
-        truth_u[0] = decay
-    elif name == "MMS-B":
-        psi = ScalarField(grid, (np.pi / 2.0) * decay)
-        a_star = 1.0 + t[:, None] * np.sin(x)[None, :]
-        f_vals[0] = (1.0 + a_star) * decay
-        phi[0] = np.sin(x)
-        truth_a = ScalarField(grid, a_star)
-        truth_u = np.zeros((params.K,) + grid.field_shape)
-        truth_u[0] = decay
-    else:  # NULL
+    if name == "NULL":
         psi = ScalarField(grid, 1.0 + x[None, :] ** 2 + 2.0 * t[:, None])
         truth_a = ScalarField(grid, np.zeros(grid.field_shape))
-        truth_u = np.zeros((params.K,) + grid.field_shape)
+        f_modes = truth_u = ModeFieldSet.empty(grid, params)
+    else:
+        psi = ScalarField(grid, (np.pi / 2.0) * decay)
+        a_star = (np.ones(grid.field_shape) if name == "MMS-A"
+                  else 1.0 + t[:, None] * np.sin(x)[None, :])
+        f_vals = (1.0 + a_star) * decay  # f = u*_t - u*_xx + u* + a* u*
+        f_modes = ModeFieldSet(grid, params, f_vals[None], np.array([1]))
+        phi[0] = np.sin(x)
+        truth_a = ScalarField(grid, a_star)
+        truth_u = ModeFieldSet(grid, params, decay[None], np.array([1]))
 
-    data = ProblemData(
-        grid=grid,
-        psi=psi,
-        f_modes=ModeFieldSet(grid, params, f_vals),
-        phi_modes=phi,
-        omega=omega,
-        params=params,
-    )
+    data = ProblemData(grid=grid, psi=psi, f_modes=f_modes, phi_modes=phi,
+                       omega=omega, params=params)
     if scale != 1.0:
-        data = data.scaled(scale)
-        return Scenario(name, grid, params, omega, data, None, None, scale)
-    return Scenario(name, grid, params, omega, data,
-                    truth_a, ModeFieldSet(grid, params, truth_u), scale)
+        return Scenario(name, grid, params, omega, data.scaled(scale), None, None, scale)
+    return Scenario(name, grid, params, omega, data, truth_a, truth_u, scale)
 
 
 def _masked_rel_l2(values: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
@@ -110,7 +97,8 @@ def _masked_rel_l2(values: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> f
 
 def recovery_error(result: InversionResult, scenario: Scenario,
                    margin: int | None = None, which: str = "a") -> float:
-    """Relative interior L2(G_T) error of the recovered field against truth."""
+    """Relative interior L2(G_T) error of the recovered field against truth;
+    for u, over the modes either stack holds (the others are zero in both)."""
     if scenario.truth_a is None:
         raise DataError(f"scenario {scenario.name!r} at scale {scenario.scale} has no truth fields")
     grid = result.a.grid
@@ -118,7 +106,11 @@ def recovery_error(result: InversionResult, scenario: Scenario,
     if which == "a":
         return _masked_rel_l2(result.a.values, scenario.truth_a.values, mask)
     if which == "u":
-        return _masked_rel_l2(result.u_modes.values, scenario.truth_u_modes.values, mask)
+        held = np.zeros(result.u_modes.K + 1, dtype=bool)
+        held[result.u_modes.modes] = held[scenario.truth_u_modes.modes] = True
+        modes = np.flatnonzero(held)
+        return _masked_rel_l2(result.u_modes.rows(modes).values,
+                              scenario.truth_u_modes.rows(modes).values, mask)
     raise ConfigurationError(f"which must be 'a' or 'u', got {which!r}")
 
 
@@ -182,9 +174,9 @@ def uniqueness_probe(scenario: Scenario, options: CertifyOptions = CertifyOption
         zero_start = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters,
                                    theta=theta, force=True)
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, data.grid, floor=options.psi_floor)
-    zeros = ModeFieldSet.zeros(data.grid, data.params)
-    warm, _ = iterate(zeros.select(excited_modes(data, zeros)), data, Psi, theta=theta)
-    start = ModeFieldSet(data.grid, data.params, 2.0 * warm.full().values)
+    zero = ModeFieldSet.empty(data.grid, data.params)
+    warm, _ = iterate(zero.rows(excited_modes(data, zero)), data, Psi, theta=theta)
+    start = ModeFieldSet(data.grid, data.params, 2.0 * warm.values, warm.modes)
     res_warm = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters,
                              theta=theta, force=True, initial=start)
     mask = interior_margin_mask(data.grid, options.boundary_margin)
@@ -193,7 +185,8 @@ def uniqueness_probe(scenario: Scenario, options: CertifyOptions = CertifyOption
 
 def strong_diagnostics(result: InversionResult, grid: Grid) -> dict:
     """Squared norms of the strong-solution quantities over the full cylinder:
-    u, Lap_x u, u_t, u_yy (all spectrally via Parseval), and the coefficient."""
+    u, Lap_x u, u_t, u_yy (all spectrally via Parseval, over the result's
+    mode rows), and the coefficient."""
     u = result.u_modes
     lam = u.eigenvalues
     sq_GT = l2_sq_GT(u.values, grid)

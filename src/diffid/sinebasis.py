@@ -6,6 +6,14 @@ weighted sums sum_k lambda_k^{2*tau} * (|v_k|^2 [+ |grad v_k|^2]) without the
 pi/2 Parseval factor, so that the tau1 weight equals lambda_k^{(1+eps)/2}
 exactly as it appears in the contraction estimates.  Reductions over k run in
 ascending order for bit-reproducibility.
+
+A ModeFieldSet holds only the rows it carries, each labelled with its mode
+number; the modes it does not hold are zero.  Every function here weights a
+stack by its own rows' modes, so no zero row is ever built; full() builds the
+dense (K, Nt+1, Nx+2) form for file output only.  A zero row adds exactly 0
+to an ascending sum over k, so F and frac_norm of a compact stack have the
+bits of its dense form; a BLAS contraction over several nonzero rows
+(measure, synthesize) may group them otherwise, which moves last bits only.
 """
 
 from __future__ import annotations
@@ -63,24 +71,31 @@ def eigenvalues(modes) -> np.ndarray:
     return k.astype(float) ** 2
 
 
-def _sine_table(K: int, y: np.ndarray) -> np.ndarray:
-    """sin(k y) for k = 1..K on the nodes y, as a (K, len(y)) table."""
-    return np.sin(np.outer(np.arange(1, K + 1, dtype=float), y))
+def _modes(modes, count: int) -> np.ndarray:
+    """The mode numbers modes, or 1..count when modes is None."""
+    return np.arange(1, count + 1) if modes is None else np.asarray(modes)
+
+
+def _sine_table(modes: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sin(k y) for each mode number k on the nodes y, as a (len(modes),
+    len(y)) table."""
+    return np.sin(np.outer(np.asarray(modes, dtype=float), y))
 
 
 def sine_coeffs(v: np.ndarray, K: int, y: np.ndarray) -> np.ndarray:
     """Coefficients of sin(k y), k = 1..K: (2/pi) * int_0^pi v(y) sin(k y) dy,
     trapezoidal."""
     v = np.asarray(v, dtype=float)
-    return 2.0 / np.pi * np.trapezoid(v * _sine_table(K, y), y, axis=-1)
+    return 2.0 / np.pi * np.trapezoid(v * _sine_table(np.arange(1, K + 1), y), y, axis=-1)
 
 
-def synthesize(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Partial sum sum_k coeffs[k-1] * sin(k y) on the given nodes; coeffs of
-    shape (K, ...) give a result of shape (..., len(y))."""
+def synthesize(coeffs: np.ndarray, y: np.ndarray, modes: np.ndarray | None = None) -> np.ndarray:
+    """Partial sum sum_i coeffs[i] * sin(modes[i] y) on the given nodes, by
+    default over modes 1..len(coeffs); coeffs of shape (E, ...) give a result
+    of shape (..., len(y))."""
     coeffs = np.asarray(coeffs, dtype=float)
-    return np.tensordot(coeffs, _sine_table(len(coeffs), np.asarray(y, dtype=float)),
-                        axes=(0, 0))
+    table = _sine_table(_modes(modes, len(coeffs)), np.asarray(y, dtype=float))
+    return np.tensordot(coeffs, table, axes=(0, 0))
 
 
 @dataclass(frozen=True)
@@ -104,10 +119,12 @@ class OmegaData:
         """||omega''|| in L2(0, pi)."""
         return float(np.sqrt(np.trapezoid(self.omega_dd**2, self.y)))
 
-    def measure(self, stack: np.ndarray) -> np.ndarray:
-        """The integral measurement (pi/2) sum_k omega_k v_k of a mode stack
-        v_1..v_K along the leading axis."""
-        return (np.pi / 2.0) * np.tensordot(self.omega_coeffs[: len(stack)], stack, axes=(0, 0))
+    def measure(self, stack: np.ndarray, modes: np.ndarray | None = None) -> np.ndarray:
+        """The integral measurement (pi/2) sum_i omega_{k_i} v_i of a stack of
+        mode rows v_i along the leading axis, row i holding mode k_i =
+        modes[i] (by default i+1)."""
+        weights = self.omega_coeffs[_modes(modes, len(stack)) - 1]
+        return (np.pi / 2.0) * np.tensordot(weights, stack, axes=(0, 0))
 
     @classmethod
     def from_profiles(cls, y: np.ndarray, omega: np.ndarray, K: int,
@@ -157,16 +174,18 @@ def _coupling_quadrature(y: np.ndarray, omega_dd: np.ndarray, K: int) -> np.ndar
     """
     h = y[1] - y[0]
     j = np.arange(1, K + 1, dtype=float)
-    t = np.trapezoid(_sine_table(K, y) * omega_dd, y, axis=-1)
+    t = np.trapezoid(_sine_table(j, y) * omega_dd, y, axis=-1)
     return t - h**2 / 12.0 * j * ((-1.0) ** j * omega_dd[-1] - omega_dd[0])
 
 
 @dataclass(frozen=True)
 class ModeFieldSet:
     """Stack of mode fields u_k(t, x) sharing one grid; row i holds mode
-    modes[i].  modes defaults to 1..K, the full stack; a compact stack holds
-    some of the modes in ascending order (the sweep loop carries only the
-    excited ones), and full() scatters it back with zero rows.
+    modes[i], and every mode the stack does not hold is zero.  modes
+    defaults to 1..K, the dense stack; a compact stack holds some of the
+    modes in ascending order, and the empty stack (empty()) is the zero
+    field.  rows() aligns a stack to other mode numbers, and full() gives the
+    dense (K, Nt+1, Nx+2) stack.
 
     The values are checked finite unless check_finite is False, which is for
     a stack its producer has just checked (march_modes scans its output).
@@ -181,7 +200,7 @@ class ModeFieldSet:
     def __post_init__(self, check_finite: bool):
         v = np.asarray(self.values, dtype=float)
         K = self.params.K
-        modes = np.arange(1, K + 1) if self.modes is None else np.asarray(self.modes)
+        modes = _modes(self.modes, K)
         if (modes.ndim != 1 or modes.dtype.kind not in "iu"
                 or np.any(modes < 1) or np.any(modes > K) or np.any(np.diff(modes) <= 0)):
             raise DataError(f"mode numbers {modes} are not ascending integers in 1..{K}")
@@ -203,28 +222,26 @@ class ModeFieldSet:
         return eigenvalues(self.modes)
 
     @classmethod
-    def zeros(cls, grid: Grid, params: SpectralParams) -> "ModeFieldSet":
-        return cls(grid, params, np.zeros((params.K,) + grid.field_shape))
+    def empty(cls, grid: Grid, params: SpectralParams) -> "ModeFieldSet":
+        """The stack of no rows: the zero field."""
+        return cls(grid, params, np.zeros((0,) + grid.field_shape), np.zeros(0, dtype=int))
 
-    def select(self, modes: np.ndarray) -> "ModeFieldSet":
-        """The rows of the given ascending mode numbers, all held by this
-        stack; this stack itself when they are all of its rows."""
+    def rows(self, modes: np.ndarray) -> "ModeFieldSet":
+        """The stack of the given ascending mode numbers: this stack's row for
+        each mode it holds, a zero row for each mode it does not.  This stack
+        itself when the modes are its own."""
         modes = np.asarray(modes)
         if np.array_equal(modes, self.modes):
             return self
-        if not np.all(np.isin(modes, self.modes)):
-            raise DataError(f"modes {modes} are not all among the stack's {self.modes}")
-        rows = np.searchsorted(self.modes, modes)
-        return ModeFieldSet(self.grid, self.params, self.values[rows], modes, check_finite=False)
+        values = np.zeros((len(modes),) + self.grid.field_shape)
+        held = np.isin(modes, self.modes)
+        values[held] = self.values[np.searchsorted(self.modes, modes[held])]
+        return ModeFieldSet(self.grid, self.params, values, modes, check_finite=False)
 
     def full(self) -> "ModeFieldSet":
-        """The (K, Nt+1, Nx+2) stack of modes 1..K, zero in the rows this
-        stack does not hold; this stack itself when it is full."""
-        if len(self.modes) == self.K:
-            return self
-        values = np.zeros((self.K,) + self.grid.field_shape)
-        values[self.modes - 1] = self.values
-        return ModeFieldSet(self.grid, self.params, values, check_finite=False)
+        """The dense (K, Nt+1, Nx+2) stack of modes 1..K; for writing a file
+        that lists every k."""
+        return self.rows(np.arange(1, self.K + 1))
 
     def __sub__(self, other: "ModeFieldSet") -> "ModeFieldSet":
         if not np.array_equal(self.modes, other.modes):
@@ -233,17 +250,17 @@ class ModeFieldSet:
 
     def synthesize_y(self, y: np.ndarray) -> np.ndarray:
         """Sample u(t, x, y) = sum_k u_k(t, x) sin(k y) on the given y nodes."""
-        return synthesize(self.full().values, y)
+        return synthesize(self.values, y, self.modes)
 
 
 def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0,
               measure: str = "GT") -> float:
     """Weighted mode sum sum_k lambda_k^{2 tau} (|v_k|^2 [+ |grad v_k|^2]).
 
-    mode_values is a ModeFieldSet or an array: (K, Nx+2) with measure="G",
-    (K, Nt+1, Nx+2) with measure="GT"; level 1 adds the spatial-gradient
-    term.  The value is the squared-norm convention used by the certificate
-    formulas.
+    mode_values is a ModeFieldSet, weighted by its rows' modes, or an array
+    of modes 1..K: (K, Nx+2) with measure="G", (K, Nt+1, Nx+2) with
+    measure="GT".  Level 1 adds the spatial-gradient term.  The value is the
+    squared-norm convention used by the certificate formulas.
     """
     if isinstance(mode_values, ModeFieldSet):
         lam, v = mode_values.eigenvalues, mode_values.values

@@ -60,8 +60,3 @@ def thomas_substitute(lower: np.ndarray, cp: np.ndarray, m: np.ndarray,
         xs[i] -= cp[i] * xs[i + 1]
     return np.moveaxis(x[..., 0], 0, -1)
 
-
-def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal systems A x = rhs by LU sweep without pivoting."""
-    return thomas_substitute(lower, *thomas_factor(lower, diag, upper), rhs)

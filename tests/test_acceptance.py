@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per criterion, each printing a pass/fail line.
+"""Acceptance gate: one test per criterion, each printing a pass/fail line,
+plus unit tests of poincare_time_check, the quadrature criterion 8 runs on.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report.  The expensive inversions are shared through session fixtures.
@@ -8,6 +9,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from diffid import (
     CertifyOptions,
@@ -22,7 +24,6 @@ from diffid import (
     compute_Psi,
     compute_certificate,
     march_modes,
-    poincare_time_check,
     reconstruct_a,
     recovery_error,
     run_inversion,
@@ -31,7 +32,7 @@ from diffid import (
     synthesize,
     uniqueness_probe,
 )
-from diffid.grids import interior_margin_mask
+from diffid.grids import diff, interior_margin_mask
 
 
 def report(num, ok, detail):
@@ -159,6 +160,43 @@ def test_criterion_7_uniqueness(mmsa_study):
     ok = distance <= 1e-8 and elapsed <= 120.0
     report(7, ok, f"rel-L2 distance between initializations = {distance:.2e}, "
                   f"{elapsed:.1f}s")
+
+
+def poincare_time_check(g: np.ndarray, T: float) -> tuple[float, float]:
+    """Both sides of the time inequality int g^2 <= T^2 int (g')^2 + 2T g(0)^2,
+    realized with trapezoid quadrature and second-order differences."""
+    g = np.asarray(g, dtype=float)
+    n = len(g) - 1
+    dt = T / n
+    lhs = float(np.trapezoid(g**2, dx=dt))
+    dg = diff(g, dt, axis=0)
+    rhs = float(T**2 * np.trapezoid(dg**2, dx=dt) + 2.0 * T * g[0] ** 2)
+    return lhs, rhs
+
+
+def test_poincare_time_check_constant():
+    g = np.full(101, 3.0)
+    lhs, rhs = poincare_time_check(g, 1.0)
+    assert lhs == pytest.approx(9.0, rel=1e-12)
+    assert rhs == pytest.approx(18.0, rel=1e-12)
+
+
+def test_poincare_time_check_linear():
+    n = 4000
+    t = np.linspace(0.0, 1.0, n + 1)
+    lhs, rhs = poincare_time_check(t, 1.0)
+    assert lhs == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert rhs == pytest.approx(1.0, rel=1e-12)
+
+
+def test_poincare_time_check_random_cubics():
+    rng = np.random.default_rng(100)
+    for _ in range(200):
+        T = float(rng.choice([0.5, 1.0, 2.0]))
+        coefs = rng.standard_normal(4)
+        t = np.linspace(0.0, T, 2001)
+        lhs, rhs = poincare_time_check(np.polyval(coefs, t), T)
+        assert lhs <= rhs + 1e-8
 
 
 def test_criterion_8_time_poincare():

@@ -23,7 +23,6 @@ from diffid import (
     compute_certificate,
     estimate_sobolev_constant,
     first_dirichlet_eigenvalue,
-    poincare_time_check,
 )
 from diffid.errors import DivisionHazardError
 from diffid.grids import interior_margin_mask
@@ -63,7 +62,7 @@ def test_Psi_caloric_measurement_vanishes():
     params = SpectralParams(K=2, Ny=64)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     psi = ScalarField.from_function(grid, lambda t, x: np.exp(-t) * np.sin(x))
-    Psi = compute_Psi(psi, ModeFieldSet.zeros(grid, params), om, grid)
+    Psi = compute_Psi(psi, ModeFieldSet.empty(grid, params), om, grid)
     mask = interior_margin_mask(grid, 2)
     assert np.max(np.abs(Psi.values[:, mask])) <= 1e-3
 
@@ -75,7 +74,7 @@ def test_Psi_scale_invariance():
     Psi1 = compute_Psi(scn.data.psi, scn.data.f_modes, scn.omega, grid)
     s = 7.3
     psi_s = ScalarField(grid, s * scn.data.psi.values)
-    f_s = ModeFieldSet(grid, params, s * scn.data.f_modes.values)
+    f_s = ModeFieldSet(grid, params, s * scn.data.f_modes.values, scn.data.f_modes.modes)
     Psi2 = compute_Psi(psi_s, f_s, scn.omega, grid)
     assert np.max(np.abs(Psi1.values - Psi2.values)) <= 1e-12
 
@@ -86,7 +85,7 @@ def test_Psi_division_hazard_names_node():
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     psi = ScalarField(grid, np.zeros(grid.field_shape))
     with pytest.raises(DivisionHazardError) as err:
-        compute_Psi(psi, ModeFieldSet.zeros(grid, params), om, grid)
+        compute_Psi(psi, ModeFieldSet.empty(grid, params), om, grid)
     assert err.value.node is not None
 
 
@@ -183,7 +182,7 @@ def test_q_local_scale_covariance_with_fixed_Psi():
     psi = ScalarField(grid, np.ones(grid.field_shape))
 
     def cert_for(scale):
-        data = ProblemData(grid=grid, psi=psi, f_modes=ModeFieldSet.zeros(grid, params),
+        data = ProblemData(grid=grid, psi=psi, f_modes=ModeFieldSet.empty(grid, params),
                            phi_modes=scale * phi, omega=om, params=params)
         return compute_certificate(data, CertifyOptions())
 
@@ -233,31 +232,6 @@ def test_invalid_options():
         CertifyOptions(C_S=0.0)
     with pytest.raises(ConfigurationError):
         CertifyOptions(boundary_margin=0)
-
-
-def test_poincare_time_check_constant():
-    g = np.full(101, 3.0)
-    lhs, rhs = poincare_time_check(g, 1.0)
-    assert lhs == pytest.approx(9.0, rel=1e-12)
-    assert rhs == pytest.approx(18.0, rel=1e-12)
-
-
-def test_poincare_time_check_linear():
-    n = 4000
-    t = np.linspace(0.0, 1.0, n + 1)
-    lhs, rhs = poincare_time_check(t, 1.0)
-    assert lhs == pytest.approx(1.0 / 3.0, abs=1e-6)
-    assert rhs == pytest.approx(1.0, rel=1e-12)
-
-
-def test_poincare_time_check_random_cubics():
-    rng = np.random.default_rng(100)
-    for _ in range(200):
-        T = float(rng.choice([0.5, 1.0, 2.0]))
-        coefs = rng.standard_normal(4)
-        t = np.linspace(0.0, T, 2001)
-        lhs, rhs = poincare_time_check(np.polyval(coefs, t), T)
-        assert lhs <= rhs + 1e-8
 
 
 def test_sobolev_probe_is_plausible_lower_bound():

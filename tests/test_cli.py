@@ -477,6 +477,25 @@ def test_forward_data_mode_matches_scenario(tmp_path, capsys):
             == (tmp_path / "out_scn" / "u_modes.csv").read_bytes())
 
 
+def test_forward_summary_keeps_reaction_warning(tmp_path):
+    # a = -60 with dt = 0.5/24: dt*max(-a) = 1.25 > 1, which the march warns about
+    out = tmp_path / "out"
+    cfg = write_mmsa_data(tmp_path, out)
+    grid = load_config(write_config(tmp_path, cfg)).grid
+    write_field_csv(tmp_path / "a.csv", diffid.ScalarField(grid, np.full(grid.field_shape, -60.0)))
+    cfg["data"]["a_file"] = "a.csv"
+    assert main(["forward", "--config", str(write_config(tmp_path, cfg))]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {"warnings": ["dt*max(-a) = 1.25 > 1; negative reaction may be "
+                                    "under-resolved"]}
+
+    # a clean run keeps an empty list
+    scn_out = tmp_path / "out_scn"
+    assert main(["forward", "--config",
+                 str(write_config(tmp_path, base_config(scn_out), "c2.json"))]) == 0
+    assert json.loads((scn_out / "summary.json").read_text()) == {"warnings": []}
+
+
 def _shift_mode_labels(shift):
     def edit(tmp_path, cfg):
         path = tmp_path / "phi.csv"

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from diffid import Domain, ModeFieldSet, ScalarField, SpectralParams, build_grid
 from diffid.errors import DataError
 from diffid.fileio import (
+    _ROWS_PER_WRITE,
     read_field_csv,
     read_mode_profiles_csv,
     read_modes_csv,
@@ -150,12 +151,14 @@ def test_writers_match_reference_bytes(tmp_path_factory, case, y):
     grid, values = case
     K = values.shape[0]
     ks = range(1, K + 1)
-    # stand-ins for ScalarField / ModeFieldSet so non-finite cells reach the writer
+    # a stand-in for ScalarField and an unchecked ModeFieldSet, so non-finite
+    # cells reach the writer
+    modes = ModeFieldSet(grid, SpectralParams(K=K), values, check_finite=False)
     cases = [
         (write_field_csv, (SimpleNamespace(grid=grid, values=values[0]),),
          ["t", "x", "value"], [grid.t, grid.x], values[0]),
         (write_profile_csv, (y, y[::-1]), ["y", "value"], [y], y[::-1]),
-        (write_modes_csv, (SimpleNamespace(grid=grid, K=K, values=values),),
+        (write_modes_csv, (modes,),
          ["k", "t", "x", "value"], [ks, grid.t, grid.x], values),
         (write_mode_profiles_csv, (values[:, 0], grid.x),
          ["k", "x", "value"], [ks, grid.x], values[:, 0]),
@@ -167,6 +170,18 @@ def test_writers_match_reference_bytes(tmp_path_factory, case, y):
         writer(got, *args)
         reference_grid_csv(ref, header, axes, expected)
         assert got.read_bytes() == ref.read_bytes(), writer.__name__
+
+
+def test_slices_longer_than_one_write_match_reference_bytes(tmp_path):
+    # 42 x nodes times 30 y nodes: 1260 rows per time level, written in
+    # pieces of _ROWS_PER_WRITE rows with a partial last piece
+    grid = build_grid(Domain((np.pi,), 1.0), Nx=40, Nt=3)
+    y = np.linspace(0.0, np.pi, 30)
+    values = np.random.default_rng(5).standard_normal(grid.field_shape + (30,))
+    assert len(grid.x) * len(y) % _ROWS_PER_WRITE and len(grid.x) * len(y) > 2 * _ROWS_PER_WRITE
+    write_synth_csv(tmp_path / "got.csv", values, grid, y)
+    reference_grid_csv(tmp_path / "ref.csv", ["t", "x", "y", "value"], [grid.t, grid.x, y], values)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from diffid import (
     run_inversion,
     solve_forward,
 )
-from diffid.errors import CertificateFailure
+from diffid.errors import CertificateFailure, DataError
 from diffid.grids import interior_margin_mask
 from diffid.problem import ProblemData
 
@@ -38,9 +39,9 @@ def test_source_with_zero_previous_is_f():
     scn = mmsa(N=32, K=3)
     data = scn.data
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, data.grid)
-    prev = ModeFieldSet.zeros(data.grid, data.params)
+    prev = ModeFieldSet.empty(data.grid, data.params).full()
     S = picard_source(prev, Psi, data.psi, data.f_modes, data.omega.couplings[:3])
-    assert np.array_equal(S, data.f_modes.values)
+    assert np.array_equal(S, data.f_modes.full().values)
 
 
 def test_source_single_mode_algebra():
@@ -48,7 +49,7 @@ def test_source_single_mode_algebra():
     scn = mmsa(N=32, K=2)
     data, grid = scn.data, scn.grid
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
-    prev = ModeFieldSet(grid, data.params, scn.truth_u_modes.values.copy())
+    prev = ModeFieldSet(grid, data.params, scn.truth_u_modes.full().values.copy())
     S = picard_source(prev, Psi, data.psi, data.f_modes, data.omega.couplings[:2])
 
     u1 = prev.values[0]
@@ -68,11 +69,12 @@ def test_source_scaling_degrees():
     data, grid = scn.data, scn.grid
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
     c = data.omega.couplings[:2]
-    prev = ModeFieldSet(grid, data.params, scn.truth_u_modes.values.copy())
+    prev = ModeFieldSet(grid, data.params, scn.truth_u_modes.full().values.copy())
     double = ModeFieldSet(grid, data.params, 2.0 * prev.values)
 
-    lag1 = data.f_modes.values - picard_source(prev, Psi, data.psi, data.f_modes, c)
-    lag2 = data.f_modes.values - picard_source(double, Psi, data.psi, data.f_modes, c)
+    f = data.f_modes.full().values
+    lag1 = f - picard_source(prev, Psi, data.psi, data.f_modes, c)
+    lag2 = f - picard_source(double, Psi, data.psi, data.f_modes, c)
     linear = Psi.values[None] * prev.values
     quadratic = lag1 - linear
     assert np.max(np.abs(lag2 - (2.0 * linear + 4.0 * quadratic))) <= 1e-10
@@ -82,9 +84,9 @@ def test_first_sweep_is_pure_linear_solve():
     scn = mmsa(N=32, K=3)
     data = scn.data
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, data.grid)
-    u1, _ = iterate(ModeFieldSet.zeros(data.grid, data.params), data, Psi)
+    u1, _ = iterate(ModeFieldSet.empty(data.grid, data.params).full(), data, Psi)
     direct = solve_forward(None, data.f_modes, data.phi_modes, data.grid, data.params)
-    assert np.array_equal(u1.values, direct.values)
+    assert np.array_equal(u1.values, direct.full().values)
 
 
 def test_zero_data_fixed_point_immediately():
@@ -92,7 +94,7 @@ def test_zero_data_fixed_point_immediately():
     scn = build_scenario("NULL", grid, SpectralParams(K=2, Ny=64))
     data = scn.data
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
-    _, f_diff = iterate(ModeFieldSet.zeros(grid, data.params), data, Psi)
+    _, f_diff = iterate(ModeFieldSet.empty(grid, data.params).full(), data, Psi)
     assert f_diff == 0.0
 
 
@@ -117,7 +119,7 @@ def test_null_is_a_one_sweep_fixed_point(Nx, Nt, K, T):
 def _full_stack_loop(data, Psi, tol_F, max_iters, theta, initial, margin):
     """Reference: run_inversion's sweep loop marching all K rows at every
     sweep.  Returns (a, u, F_diff_history, stop_reason)."""
-    u = initial if initial is not None else ModeFieldSet.zeros(data.grid, data.params)
+    u = (initial if initial is not None else ModeFieldSet.empty(data.grid, data.params)).full()
     F_diffs, stop_reason = [], "max_iters"
     for _ in range(max_iters):
         swept, f_diff = iterate(u, data, Psi, theta=theta)
@@ -172,18 +174,19 @@ def test_sweeping_excited_modes_matches_full_stack(problem):
                                                   res.margin)
     assert res.F_diff_history == F_diffs
     assert res.stop_reason == stop_reason
-    assert np.array_equal(res.u_modes.values, u.values)
+    assert np.array_equal(res.u_modes.full().values, u.values)
     assert np.array_equal(res.a.values, a.values)
-    start = initial if initial is not None else ModeFieldSet.zeros(data.grid, data.params)
-    quiet = np.setdiff1d(np.arange(1, data.params.K + 1), excited_modes(data, start))
-    assert not np.any(res.u_modes.values[quiet - 1])
+    start = initial if initial is not None else ModeFieldSet.empty(data.grid, data.params)
+    assert np.array_equal(res.u_modes.modes, excited_modes(data, start))
+    quiet = np.setdiff1d(np.arange(1, data.params.K + 1), res.u_modes.modes)
+    assert not np.any(u.values[quiet - 1])
 
 
 def test_reconstruct_zero_modes_gives_Psi():
     scn = mmsa(N=48, K=2)
     data, grid = scn.data, scn.grid
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
-    a = reconstruct_a(ModeFieldSet.zeros(grid, data.params), Psi, data.psi,
+    a = reconstruct_a(ModeFieldSet.empty(grid, data.params).full(), Psi, data.psi,
                       data.omega.couplings[:2], margin=2)
     mask = interior_margin_mask(grid, 2)
     assert np.array_equal(a.values[:, mask], Psi.values[:, mask])
@@ -207,8 +210,9 @@ def test_reconstruct_joint_rescale_invariance():
 
     s = 4.2
     psi_s = ScalarField(grid, s * data.psi.values)
-    f_s = ModeFieldSet(grid, data.params, s * data.f_modes.values)
-    u_s = ModeFieldSet(grid, data.params, s * scn.truth_u_modes.values)
+    f_s = ModeFieldSet(grid, data.params, s * data.f_modes.values, data.f_modes.modes)
+    u_s = ModeFieldSet(grid, data.params, s * scn.truth_u_modes.values,
+                       scn.truth_u_modes.modes)
     Psi_s = compute_Psi(psi_s, f_s, data.omega, grid)
     a2 = reconstruct_a(u_s, Psi_s, psi_s, c, margin=2)
     assert np.max(np.abs(a1.values - a2.values)) <= 1e-12
@@ -290,7 +294,7 @@ def test_zero_measurement_rejected():
 
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     data = ProblemData(grid=grid, psi=ScalarField.zeros(grid),
-                       f_modes=ModeFieldSet.zeros(grid, params),
+                       f_modes=ModeFieldSet.empty(grid, params),
                        phi_modes=np.zeros((2,) + grid.space_shape),
                        omega=om, params=params)
     with pytest.raises(DivisionHazardError):
@@ -317,3 +321,60 @@ def test_norm_bundle_finite_and_positive():
                               "u_sq_tau2", "a_sq_GT"}
     for v in res.norms.values():
         assert np.isfinite(v) and v >= 0.0
+
+
+@pytest.mark.parametrize("name, modes", [("MMS-A", [1]), ("MMS-B", [1]), ("NULL", [])])
+def test_result_holds_only_the_excited_rows(name, modes):
+    grid = build_grid(Domain((np.pi,), 0.5), Nx=24, Nt=12)
+    scn = build_scenario(name, grid, SpectralParams(K=16))
+    assert scn.data.f_modes.modes.tolist() == modes
+    assert scn.truth_u_modes.modes.tolist() == modes
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = run_inversion(scn.data, tol_F=1e-10, max_iters=30, force=True)
+    assert res.u_modes.modes.tolist() == modes
+    dense = res.u_modes.full()
+    assert dense.values.shape == (16,) + grid.field_shape
+    assert not np.any(np.delete(dense.values, np.array(modes, dtype=int) - 1, axis=0))
+
+
+def test_run_inversion_peaks_below_one_dense_stack():
+    # MMS-B excites mode 1 only: no step of the run may build a dense
+    # (K, Nt+1, Nx+2) stack, which at N = 96, K = 16 is 1.2 MB
+    grid = build_grid(Domain((np.pi,), 0.5), Nx=96, Nt=96)
+    params = SpectralParams(K=16, Ny=256)
+    scn = build_scenario("MMS-B", grid, params)
+    dense_bytes = params.K * np.prod(grid.field_shape) * 8
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = run_inversion(scn.data, tol_F=1e-10, max_iters=30, force=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < dense_bytes, f"peak {peak} B, one dense stack {dense_bytes} B"
+
+
+def test_march_blowup_is_a_diverged_result():
+    # the lagged product of a 1e160 start overflows inside the first march,
+    # before any sweep energy exists: the run stops as diverged, from the start
+    scn = mmsa(N=16, K=2)
+    start = ModeFieldSet(scn.grid, scn.params, 1e160 * scn.truth_u_modes.values,
+                         scn.truth_u_modes.modes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = run_inversion(scn.data, tol_F=1e-10, max_iters=5, force=True, initial=start)
+    assert res.stop_reason == "diverged" and not res.converged
+    assert res.iterations == 0 and res.F_diff_history == ()
+    assert res.u_modes is start
+
+
+def test_initial_iterate_must_match_the_data():
+    scn = mmsa(N=16, K=2)
+    for grid, K in ((scn.grid, 4), (build_grid(Domain((np.pi,), 0.5), Nx=16, Nt=8), 2)):
+        start = ModeFieldSet(grid, SpectralParams(K=K), np.ones((1,) + grid.field_shape),
+                             np.array([K]))
+        with pytest.raises(DataError, match="initial iterate"):
+            run_inversion(scn.data, max_iters=2, force=True, initial=start)

@@ -110,13 +110,14 @@ def test_mode_decoupling_bitwise():
 def test_forward_mode2_decay():
     g = grid_1d(Nx=128, Nt=128, T=1.0)
     params = SpectralParams(K=2, Ny=64)
-    f = ModeFieldSet.zeros(g, params)
+    f = ModeFieldSet.empty(g, params)
     phi = np.zeros((2,) + g.space_shape)
     phi[1] = np.sin(g.x)
     u = solve_forward(None, f, phi, g, params)
     exact = np.exp(-5.0 * g.t)[:, None] * np.sin(g.x)[None, :]
-    assert np.max(np.abs(u.values[1] - exact)) <= 5e-4
-    assert np.max(np.abs(u.values[0])) == 0.0
+    assert u.modes.tolist() == [2]  # only the mode phi excites is marched
+    assert np.max(np.abs(u.full().values[1] - exact)) <= 5e-4
+    assert np.max(np.abs(u.full().values[0])) == 0.0
 
 
 def test_forward_with_reaction_manufactured():
@@ -128,7 +129,7 @@ def test_forward_with_reaction_manufactured():
     f_vals[0] = 2.0 * np.exp(-g.t)[:, None] * np.sin(g.x)[None, :]
     phi = np.zeros((2,) + g.space_shape)
     phi[0] = np.sin(g.x)
-    u = solve_forward(a, ModeFieldSet(g, params, f_vals), phi, g, params)
+    u = solve_forward(a, ModeFieldSet(g, params, f_vals), phi, g, params).full()
     exact = np.exp(-g.t)[:, None] * np.sin(g.x)[None, :]
     assert np.max(np.abs(u.values[0] - exact)) <= 5e-4
     assert np.max(np.abs(u.values[1])) <= 1e-12
@@ -171,7 +172,7 @@ def test_overdetermination_residual_linearity():
     g = grid_1d(Nx=32, Nt=16)
     params = SpectralParams(K=1, Ny=64)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
-    u = ModeFieldSet.zeros(g, params)
+    u = ModeFieldSet.empty(g, params)
     zero = ScalarField.zeros(g)
     _, norm0 = overdetermination_residual(u, om, zero)
     assert norm0 == 0.0

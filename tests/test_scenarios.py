@@ -54,11 +54,11 @@ def test_mmsa_numerator_identity():
     assert np.max(np.abs(psi - (np.pi / 2) * np.exp(-t)[:, None] * np.sin(x)[None, :])) <= 1e-15
     # (f, omega) = 2 psi for omega = sin y
     w = scn.omega.omega_coeffs[: scn.params.K]
-    f_om = (np.pi / 2.0) * np.tensordot(w, scn.data.f_modes.values, axes=(0, 0))
+    f_om = (np.pi / 2.0) * np.tensordot(w, scn.data.f_modes.full().values, axes=(0, 0))
     assert np.max(np.abs(f_om - 2.0 * psi)) <= 1e-10
     # (u, omega'') = sum_j c_j u_j = -psi
     series = np.tensordot(scn.omega.couplings[:scn.params.K],
-                          scn.truth_u_modes.values, axes=(0, 0))
+                          scn.truth_u_modes.full().values, axes=(0, 0))
     assert np.max(np.abs(series + psi)) <= 1e-10
 
 

@@ -201,7 +201,8 @@ def test_F_functional_static_mode():
     doubled = ModeFieldSet(g, params, 2.0 * vals)
     assert F_functional(doubled) == pytest.approx(4.0 * F_functional(modes), rel=1e-12)
 
-    assert F_functional(ModeFieldSet.zeros(g, params)) == 0.0
+    assert F_functional(ModeFieldSet.empty(g, params)) == 0.0
+    assert F_functional(ModeFieldSet.empty(g, params).full()) == 0.0
 
 
 def test_mode_rows_select_and_scatter():
@@ -210,21 +211,46 @@ def test_mode_rows_select_and_scatter():
     vals = np.random.default_rng(3).standard_normal((4,) + g.field_shape)
     vals[[0, 2]] = 0.0
     full = ModeFieldSet(g, params, vals)
-    compact = full.select(np.array([2, 4]))
+    compact = full.rows(np.array([2, 4]))
     assert np.array_equal(compact.values, vals[[1, 3]])
     assert np.array_equal(compact.eigenvalues, [4.0, 16.0])
-    assert full.select(np.arange(1, 5)) is full and full.full() is full
+    assert full.rows(np.arange(1, 5)) is full and full.full() is full
+    assert compact.rows(np.array([2, 4])) is compact
     assert np.array_equal(compact.full().values, vals)
-    # a zero row adds exactly 0 to the energy
+    # a zero row adds exactly 0 to the energy's ascending sum over k; a BLAS
+    # contraction over several nonzero rows may group them otherwise, which
+    # moves last bits only
     assert F_functional(compact) == F_functional(full)
-    assert np.array_equal(compact.synthesize_y(params.y), full.synthesize_y(params.y))
+    om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
+    for got, dense in ((compact.synthesize_y(params.y), full.synthesize_y(params.y)),
+                       (om.measure(compact.values, compact.modes), om.measure(full.values))):
+        assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
     for bad in (np.array([3, 2]), np.array([0, 1]), np.array([5]), np.array([1.0, 2.0])):
         with pytest.raises(DataError, match="mode numbers"):
             ModeFieldSet(g, params, vals[: len(bad)], bad)
-    with pytest.raises(DataError, match="not all among"):
-        compact.select(np.array([1, 2]))
     with pytest.raises(DataError, match="differ"):
         compact - full
+
+
+def test_rows_fill_absent_modes_with_zeros():
+    g = make_grid(Nx=10, Nt=5)
+    params = SpectralParams(K=6, Ny=64)
+    vals = np.random.default_rng(4).standard_normal((3,) + g.field_shape)
+    stack = ModeFieldSet(g, params, vals, np.array([2, 3, 5]))
+    aligned = stack.rows(np.array([1, 3, 4, 5, 6]))
+    assert aligned.modes.tolist() == [1, 3, 4, 5, 6]
+    assert not np.any(aligned.values[[0, 2, 4]])   # modes 1, 4, 6: absent
+    assert aligned.values[1].tobytes() == vals[1].tobytes()  # mode 3
+    assert aligned.values[3].tobytes() == vals[2].tobytes()  # mode 5
+    dense = stack.full()
+    assert dense.modes.tolist() == list(range(1, 7))
+    assert np.array_equal(dense.values[[1, 2, 4]], vals) and not np.any(dense.values[[0, 3, 5]])
+    empty = ModeFieldSet.empty(g, params)
+    assert empty.values.shape == (0,) + g.field_shape
+    assert not np.any(empty.rows(np.array([2, 6])).values)
+    assert stack.rows(np.zeros(0, dtype=int)).values.shape == (0,) + g.field_shape
+    with pytest.raises(DataError, match="mode numbers"):
+        stack.rows(np.array([7]))
 
 
 def test_F_functional_triangle_inequality():

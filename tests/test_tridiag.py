@@ -1,6 +1,10 @@
 import numpy as np
 
-from diffid.tridiag import thomas_solve
+from diffid.tridiag import thomas_factor, thomas_substitute
+
+
+def thomas_solve(lower, diag, upper, rhs):
+    return thomas_substitute(lower, *thomas_factor(lower, diag, upper), rhs)
 
 
 def dense(lower, diag, upper):
