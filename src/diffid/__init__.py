@@ -31,6 +31,7 @@ from .sinebasis import (
     synthesize,
 )
 from .parabolic import (
+    forced_modes,
     march_modes,
     overdetermination_residual,
     solve_forward,
@@ -48,7 +49,6 @@ from .certificates import (
 )
 from .inversion import (
     InversionResult,
-    excited_modes,
     iterate,
     picard_source,
     reconstruct_a,

@@ -14,12 +14,12 @@ stops the loop as well.
 
 The modes are coupled only through that series.  A mode whose f_k, phi_k and
 starting u_k are all zero has S_k = 0 at every sweep and so stays exactly
-zero; the loop sweeps only the other, excited modes (excited_modes), and its
-cost scales with their number.  The result keeps that compact stack: the
-reconstruction, the measurement residual and the norm bundle all run on the
-swept rows, and InversionResult.u_modes.full() gives the dense stack.  The
-series is summed row by row in ascending k, so the compact stack gives the
-same bits as the dense one would.
+zero; the loop sweeps only the other, excited modes (parabolic.forced_modes
+of phi, f and the start), and its cost scales with their number.  The result
+keeps that compact stack: the reconstruction, the measurement residual and
+the norm bundle all run on the swept rows, and InversionResult.u_modes.full()
+gives the dense stack.  The series is summed row by row in ascending k, so
+the compact stack gives the same bits as the dense one would.
 
 The division by psi is guarded once per run: compute_Psi rejects psi below
 the floor at every interior node, and the helpers below divide by the same
@@ -84,13 +84,6 @@ def iterate(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,
     # march_modes has checked every swept value finite
     new = ModeFieldSet(data.grid, data.params, sources, u.modes, check_finite=False)
     return new, F_functional(new - u)
-
-
-def excited_modes(data: ProblemData, start: ModeFieldSet) -> np.ndarray:
-    """Ascending mode numbers k whose f_k, phi_k or starting u_k has a
-    nonzero node.  Every other mode has S_k = f_k - lag * u_k = 0 at each
-    sweep and marches from phi_k = 0, so it stays exactly zero."""
-    return forced_modes(data.phi_modes, data.f_modes, start)
 
 
 def reconstruct_a(u: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
@@ -185,7 +178,7 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
             RuntimeWarning)
 
     start = initial if initial is not None else ModeFieldSet.empty(grid, params)
-    u = start.rows(excited_modes(data, start))
+    u = start.rows(forced_modes(data.phi_modes, data.f_modes, start))
     F_diffs: list[float] = []
     ratios: list[float] = []
     stop_reason = "max_iters"

@@ -181,7 +181,8 @@ def forced_modes(phi_modes: np.ndarray, *stacks: ModeFieldSet) -> np.ndarray:
     """Ascending mode numbers k whose initial profile phi_k, or whose row in
     one of the mode stacks (a source f, a starting iterate), has a nonzero
     node.  Any other mode marches from zero with a zero source, so its
-    solution is exactly zero, with or without a reaction term."""
+    solution is exactly zero, with or without a reaction term; in the
+    inverse sweep its lagged source f_k - lag * u_k is zero too."""
     live = np.any(phi_modes, axis=1)
     for stack in stacks:
         live[stack.modes[np.any(stack.values, axis=(1, 2))] - 1] = True

@@ -30,7 +30,8 @@ import numpy as np
 from .certificates import CertifyOptions, compute_Psi
 from .errors import ConfigurationError, DataError
 from .grids import Grid, ScalarField, build_grid, diff, interior_margin_mask, l2_sq_GT, laplacian_x
-from .inversion import InversionResult, excited_modes, iterate, run_inversion
+from .inversion import InversionResult, iterate, run_inversion
+from .parabolic import forced_modes
 from .problem import ProblemData
 from .sinebasis import ModeFieldSet, OmegaData, SpectralParams
 
@@ -88,17 +89,23 @@ def build_scenario(name: str, grid: Grid, params: SpectralParams,
     return Scenario(name, grid, params, omega, data, truth_a, truth_u, scale)
 
 
-def _masked_rel_l2(values: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
-    """Relative RMS over masked space nodes (absolute when the truth vanishes)."""
-    dev = np.sqrt(np.mean((values - truth)[..., mask] ** 2))
-    ref = np.sqrt(np.mean(truth[..., mask] ** 2))
+def _masked_rel_l2(values: np.ndarray, truth: np.ndarray, mask: np.ndarray,
+                   count: int | None = None) -> float:
+    """Relative RMS over masked space nodes (absolute when the truth vanishes).
+    count is the number of nodes averaged over, when the arrays leave out
+    zero rows; by default it is the number of masked nodes they hold."""
+    dev = (values - truth)[..., mask]
+    count = dev.size if count is None else count
+    dev = np.sqrt(np.sum(dev**2) / count)
+    ref = np.sqrt(np.sum(truth[..., mask] ** 2) / count)
     return float(dev / ref) if ref > 0 else float(dev)
 
 
 def recovery_error(result: InversionResult, scenario: Scenario,
                    margin: int | None = None, which: str = "a") -> float:
     """Relative interior L2(G_T) error of the recovered field against truth;
-    for u, over the modes either stack holds (the others are zero in both)."""
+    for u, over all K modes, of which only those either stack holds can be
+    nonzero."""
     if scenario.truth_a is None:
         raise DataError(f"scenario {scenario.name!r} at scale {scenario.scale} has no truth fields")
     grid = result.a.grid
@@ -106,11 +113,11 @@ def recovery_error(result: InversionResult, scenario: Scenario,
     if which == "a":
         return _masked_rel_l2(result.a.values, scenario.truth_a.values, mask)
     if which == "u":
-        held = np.zeros(result.u_modes.K + 1, dtype=bool)
-        held[result.u_modes.modes] = held[scenario.truth_u_modes.modes] = True
-        modes = np.flatnonzero(held)
-        return _masked_rel_l2(result.u_modes.rows(modes).values,
-                              scenario.truth_u_modes.rows(modes).values, mask)
+        u, truth = result.u_modes, scenario.truth_u_modes
+        # a set union, not np.union1d: np.unique imports numpy.ma (1.4 MB)
+        modes = np.array(sorted({*u.modes.tolist(), *truth.modes.tolist()}), dtype=int)
+        return _masked_rel_l2(u.rows(modes).values, truth.rows(modes).values, mask,
+                              count=u.K * (grid.Nt + 1) * int(np.count_nonzero(mask)))
     raise ConfigurationError(f"which must be 'a' or 'u', got {which!r}")
 
 
@@ -175,7 +182,8 @@ def uniqueness_probe(scenario: Scenario, options: CertifyOptions = CertifyOption
                                    theta=theta, force=True)
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, data.grid, floor=options.psi_floor)
     zero = ModeFieldSet.empty(data.grid, data.params)
-    warm, _ = iterate(zero.rows(excited_modes(data, zero)), data, Psi, theta=theta)
+    warm, _ = iterate(zero.rows(forced_modes(data.phi_modes, data.f_modes)), data, Psi,
+                      theta=theta)
     start = ModeFieldSet(data.grid, data.params, 2.0 * warm.values, warm.modes)
     res_warm = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters,
                              theta=theta, force=True, initial=start)

@@ -131,6 +131,17 @@ def test_cli_import_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
+def test_mms_loads_no_numpy_ma(tmp_path):
+    # np.unique (so np.union1d) imports numpy.ma, 1.4 MB of peak memory
+    src = str(Path(diffid.__file__).resolve().parents[1])
+    config = write_config(tmp_path, base_config(tmp_path / "out", N=24, K=2))
+    probe = (f"import sys, diffid.cli; diffid.cli.main(['mms', '--config', {str(config)!r}]); "
+             "print('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip().splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("picard", "tol_F", float("nan")),
     ("certify", "psi_floor", float("nan")),
@@ -361,12 +372,15 @@ def test_invert_reports_data_compatibility(tmp_path, scenario, force, incompatib
     compat = [w for w in summary["warnings"] if w.startswith("data compatibility residual")]
     if incompatible:
         assert summary["compatibility_residual"] > bound
-        assert summary["warnings"] == compat
+        assert summary["warnings"] == compat and len(compat) == 1
         assert re.fullmatch(r"data compatibility residual \S+ exceeds 1e-06 \* \|\|psi\(0, \.\)\|\| "
                             r"= \S+: phi and psi\(0\) disagree", compat[0])
     else:
         assert summary["compatibility_residual"] <= 1e-12 * bound
         assert compat == []
+    if scenario == "NULL":
+        # zero truth u, zero result u: an absolute error of exactly 0
+        assert summary["recovery_error_u"] == 0.0
 
 
 @pytest.mark.parametrize("scenario, edit", [
@@ -578,6 +592,9 @@ def test_mms_null_zeros(tmp_path):
     assert code == 0
     conv = np.loadtxt(out / "convergence.csv", delimiter=",", skiprows=1)
     assert np.max(conv[:, 1]) <= 1e-10
+    # NULL's truth u and recovered u both hold no rows: err_u is exactly 0
+    assert np.array_equal(conv[:, 2], np.zeros(3))
+    assert json.loads((out / "summary.json").read_text())["warnings"] == []
 
 
 @pytest.mark.parametrize("N", [6, 8, 16])

@@ -16,7 +16,7 @@ from diffid import (
     build_scenario,
     compute_Psi,
     compute_certificate,
-    excited_modes,
+    forced_modes,
     iterate,
     picard_source,
     reconstruct_a,
@@ -177,7 +177,8 @@ def test_sweeping_excited_modes_matches_full_stack(problem):
     assert np.array_equal(res.u_modes.full().values, u.values)
     assert np.array_equal(res.a.values, a.values)
     start = initial if initial is not None else ModeFieldSet.empty(data.grid, data.params)
-    assert np.array_equal(res.u_modes.modes, excited_modes(data, start))
+    excited = forced_modes(data.phi_modes, data.f_modes, start)
+    assert np.array_equal(res.u_modes.modes, excited)
     quiet = np.setdiff1d(np.arange(1, data.params.K + 1), res.u_modes.modes)
     assert not np.any(u.values[quiet - 1])
 

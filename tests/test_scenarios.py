@@ -173,10 +173,14 @@ def test_convergence_study_monotone():
 
 def test_convergence_study_null_zero_error():
     params = SpectralParams(K=2, Ny=64)
-    rows = convergence_study("NULL", build_grid(Domain((np.pi,), 0.5), Nx=32, Nt=32), params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = convergence_study("NULL", build_grid(Domain((np.pi,), 0.5), Nx=32, Nt=32),
+                                 params)
     assert [row["N"] for row in rows] == [8, 16, 32]
     for row in rows:
         assert row["err_a"] <= 1e-10
+        assert row["err_u"] == 0.0
 
 
 def test_uniqueness_probe_mmsa():
