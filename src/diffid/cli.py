@@ -137,7 +137,7 @@ def _cmd_forward(cfg: RunConfig, base_dir: Path, force: bool) -> int:
         res_field, res_norm = overdetermination_residual(u, data.omega, data.psi)
     y = _synth_y(cfg)
     write_modes_csv(cfg.output_dir / "u_modes.csv", u)
-    write_synth_csv(cfg.output_dir / "u_synth.csv", u.synthesize_y(y), cfg.grid, y)
+    write_synth_csv(cfg.output_dir / "u_synth.csv", u, y)
     write_field_csv(cfg.output_dir / "residual.csv", res_field)
     write_json(cfg.output_dir / "summary.json", {"warnings": _recorded_warnings(caught)})
     print(f"forward solve done; overdetermination residual = {res_norm:.6e}")
@@ -162,7 +162,7 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
 
     write_field_csv(cfg.output_dir / "a.csv", result.a)
     y = _synth_y(cfg)
-    write_synth_csv(cfg.output_dir / "u_synth.csv", result.u_modes.synthesize_y(y), cfg.grid, y)
+    write_synth_csv(cfg.output_dir / "u_synth.csv", result.u_modes, y)
     write_history_csv(cfg.output_dir / "history.csv", result.F_diff_history,
                       result.ratio_history)
     (cfg.output_dir / "certificate.json").write_text(

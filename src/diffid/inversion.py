@@ -38,7 +38,7 @@ from .errors import CertificateFailure, DataError, NumericalBlowupError
 from .grids import ScalarField, diff, l2_sq_GT
 from .parabolic import forced_modes, march_modes, overdetermination_residual
 from .problem import ProblemData
-from .sinebasis import F_functional, ModeFieldSet
+from .sinebasis import F_functional, ModeFieldSet, mode_sum
 
 # F is a squared norm, so a sweep energy 2**104 times the first one means a
 # sweep-to-sweep change 1/eps (2**52) times the first iterate: the data that
@@ -135,12 +135,11 @@ def solution_norms(u: ModeFieldSet, a: ScalarField) -> dict:
     dt_sq = l2_sq_GT(diff(u.values, grid.dt, axis=1), grid)
     grad_sq_GT = l2_sq_GT(u.values, grid, grad=True)
 
-    w1 = lam ** (2.0 * tau1)
     return {
-        "u_sq_Q": float(np.pi / 2.0 * np.sum(sq_GT)),
-        "grad_u_sq_tau1": float(np.sum(w1 * grad_sq_GT)),
-        "u_t_sq_tau1": float(np.sum(w1 * dt_sq)),
-        "u_sq_tau2": float(np.sum(lam ** (2.0 * tau2) * sq_GT)),
+        "u_sq_Q": np.pi / 2.0 * mode_sum(sq_GT),
+        "grad_u_sq_tau1": mode_sum(grad_sq_GT, lam, 2.0 * tau1),
+        "u_t_sq_tau1": mode_sum(dt_sq, lam, 2.0 * tau1),
+        "u_sq_tau2": mode_sum(sq_GT, lam, 2.0 * tau2),
         "a_sq_GT": float(l2_sq_GT(a.values, grid)),
     }
 

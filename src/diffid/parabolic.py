@@ -23,7 +23,10 @@ explicitly at level n with the same theta weights, which keeps the step
 unconditionally stable for a >= 0 while each step stays one tridiagonal
 solve per mode.  Every step's matrix is known before the march, so the
 Thomas elimination of all Nt x K systems runs once up front, and each step
-is one substitution across the (K, Nx) lanes of the whole stack.
+is one substitution across the (K, Nx) lanes of the whole stack.  The
+step's right-hand side, mixed source included, is formed on its (K, Nx)
+level, so the march holds no stack-sized array besides its output, the
+diagonals being factored and the factors.
 """
 
 from __future__ import annotations
@@ -162,18 +165,18 @@ def _march_tridiagonal(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarr
     # the (Nt, K, Nx) diagonals of steps 1..Nt
     cp, m = thomas_factor(off, (1.0 + theta * c0) + theta * dt * a[1:, None, 1:-1], off)
 
-    # out's interior holds the mixed source dt (theta S^{n+1} + (1-theta) S^n)
-    # at level n+1 until step n overwrites it with the solution
-    mixed = out[:, 1:, 1:-1]
-    np.multiply(sources[:, 1:, 1:-1], theta, out=mixed)
-    mixed += (1.0 - theta) * sources[:, :-1, 1:-1]
-    mixed *= dt
     out[:, 0, 1:-1] = phi_modes[:, 1:-1]
     for n in range(grid.Nt):
         v = out[:, n]
         rhs = v[:, 1:-1] * (1.0 - (1.0 - theta) * (c0 + dt * a[n, 1:-1]))
         rhs += (1.0 - theta) * r * (v[:, :-2] + v[:, 2:])
-        rhs += out[:, n + 1, 1:-1]
+        # the mixed source dt (theta S^{n+1} + (1-theta) S^n), staged in the
+        # level the step then overwrites with the solution
+        mixed = out[:, n + 1, 1:-1]
+        np.multiply(sources[:, n + 1, 1:-1], theta, out=mixed)
+        mixed += (1.0 - theta) * sources[:, n, 1:-1]
+        mixed *= dt
+        rhs += mixed
         out[:, n + 1, 1:-1] = thomas_substitute(off, cp[n], m[n], rhs)
 
 

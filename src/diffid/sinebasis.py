@@ -10,10 +10,12 @@ ascending order for bit-reproducibility.
 A ModeFieldSet holds only the rows it carries, each labelled with its mode
 number; the modes it does not hold are zero.  Every function here weights a
 stack by its own rows' modes, so no zero row is ever built; full() builds the
-dense (K, Nt+1, Nx+2) form for file output only.  A zero row adds exactly 0
-to an ascending sum over k, so F and frac_norm of a compact stack have the
-bits of its dense form; a BLAS contraction over several nonzero rows
-(measure, synthesize) may group them otherwise, which moves last bits only.
+dense (K, Nt+1, Nx+2) form for library callers, and the package itself never
+does (write_modes_csv writes absent modes from one zero slice).  Every norm
+sums over k through mode_sum, in ascending order, where a zero row adds
+exactly 0: the norms of a compact stack have the bits of its dense form.  A
+BLAS contraction over several nonzero rows (measure, synthesize) may group
+them otherwise, which moves last bits only.
 """
 
 from __future__ import annotations
@@ -239,8 +241,8 @@ class ModeFieldSet:
         return ModeFieldSet(self.grid, self.params, values, modes, check_finite=False)
 
     def full(self) -> "ModeFieldSet":
-        """The dense (K, Nt+1, Nx+2) stack of modes 1..K; for writing a file
-        that lists every k."""
+        """The dense (K, Nt+1, Nx+2) stack of modes 1..K, zero rows
+        included."""
         return self.rows(np.arange(1, self.K + 1))
 
     def __sub__(self, other: "ModeFieldSet") -> "ModeFieldSet":
@@ -248,9 +250,26 @@ class ModeFieldSet:
             raise DataError(f"mode rows {self.modes} and {other.modes} differ")
         return ModeFieldSet(self.grid, self.params, self.values - other.values, self.modes)
 
-    def synthesize_y(self, y: np.ndarray) -> np.ndarray:
-        """Sample u(t, x, y) = sum_k u_k(t, x) sin(k y) on the given y nodes."""
-        return synthesize(self.values, y, self.modes)
+    def synthesize_y(self, y: np.ndarray, level: int | None = None) -> np.ndarray:
+        """Sample u(t, x, y) = sum_k u_k(t, x) sin(k y) on the given y nodes:
+        the (Nt+1, Nx+2, len(y)) array, or its (Nx+2, len(y)) slice at one
+        time level.  A one-row stack gives the same bits either way; with
+        several rows a slice may group the BLAS sum over k otherwise than the
+        whole array, which moves last bits only."""
+        values = self.values if level is None else self.values[:, level]
+        return synthesize(values, y, self.modes)
+
+
+def mode_sum(terms: np.ndarray, lam: np.ndarray | None = None, power: float = 0.0) -> float:
+    """sum_k lam_k^power * terms_k over a stack's rows (the plain sum when lam
+    is None), one row at a time in ascending k.  Every norm's sum over k
+    goes through here: a zero row then adds exactly 0, so a compact stack
+    gives the bits of its full() stack, which np.sum's pairwise order does
+    not."""
+    total = 0.0
+    for k in range(len(terms)):
+        total += terms[k] if lam is None else lam[k] ** power * terms[k]
+    return float(total)
 
 
 def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0,
@@ -277,10 +296,7 @@ def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0,
             parts = parts + l2_sq_GT(v, grid, grad=True)
     else:
         raise ConfigurationError(f"unknown measure {measure!r}")
-    total = 0.0
-    for k in range(len(lam)):
-        total += lam[k] ** (2.0 * tau) * parts[k]
-    return float(total)
+    return mode_sum(parts, lam, 2.0 * tau)
 
 
 def F_functional(modes: ModeFieldSet) -> float:
@@ -295,7 +311,4 @@ def F_functional(modes: ModeFieldSet) -> float:
     grad_term = np.max(l2_sq_G(diff(v, grid.hx, axis=-1, out=buf), grid), axis=1)
     l2_term = np.max(l2_sq_G(v, grid), axis=1)
     lam = modes.eigenvalues
-    total = 0.0
-    for k in range(len(lam)):
-        total += lam[k] ** ((1.0 + eps) / 2.0) * (dt_term[k] + grad_term[k] + lam[k] * l2_term[k])
-    return float(total)
+    return mode_sum(dt_term + grad_term + lam * l2_term, lam, (1.0 + eps) / 2.0)

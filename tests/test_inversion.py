@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from diffid import (
     CertifyOptions,
     Domain,
+    F_functional,
     ModeFieldSet,
     ScalarField,
     SpectralParams,
@@ -17,15 +19,18 @@ from diffid import (
     compute_Psi,
     compute_certificate,
     forced_modes,
+    frac_norm,
     iterate,
     picard_source,
     reconstruct_a,
     recovery_error,
     run_inversion,
     solve_forward,
+    strong_diagnostics,
 )
 from diffid.errors import CertificateFailure, DataError
 from diffid.grids import interior_margin_mask
+from diffid.inversion import solution_norms
 from diffid.problem import ProblemData
 
 
@@ -337,6 +342,26 @@ def test_result_holds_only_the_excited_rows(name, modes):
     dense = res.u_modes.full()
     assert dense.values.shape == (16,) + grid.field_shape
     assert not np.any(np.delete(dense.values, np.array(modes, dtype=int) - 1, axis=0))
+
+
+def test_compact_and_dense_stacks_give_bitwise_equal_norms():
+    # every sum over k runs in ascending k, where a zero row adds exactly 0;
+    # np.sum's pairwise order over 16 rows would group them otherwise
+    grid = build_grid(Domain((np.pi,), 0.5), Nx=24, Nt=12)
+    params = SpectralParams(K=16, epsilon=0.7, Ny=64)
+    rng = np.random.default_rng(10)
+    a = ScalarField(grid, rng.random(grid.field_shape))
+    for _ in range(20):
+        modes = np.sort(rng.choice(np.arange(1, 17), size=rng.integers(6, 10), replace=False))
+        u = ModeFieldSet(grid, params, rng.standard_normal((len(modes),) + grid.field_shape)
+                         * 10.0 ** rng.integers(-3, 4, size=(len(modes), 1, 1)), modes)
+        dense = u.full()
+        assert solution_norms(u, a) == solution_norms(dense, a)
+        assert (strong_diagnostics(SimpleNamespace(u_modes=u, a=a), grid)
+                == strong_diagnostics(SimpleNamespace(u_modes=dense, a=a), grid))
+        assert F_functional(u) == F_functional(dense)
+        for tau, level in ((0.3, 1), (0.8, 0)):
+            assert frac_norm(u, grid, tau, level) == frac_norm(dense, grid, tau, level)
 
 
 def test_run_inversion_peaks_below_one_dense_stack():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -256,6 +258,24 @@ def test_reaction_march_matches_per_mode_reference(Nx, Nt, K, theta, seed):
     a = 10.0 * rng.random(g.field_shape)
     u = march_modes(S, phi, g, theta, reaction=a)
     assert u.tobytes() == thomas_march(S, phi, a, g, theta).tobytes()
+
+
+def test_reaction_march_peaks_below_four_stacks():
+    # besides its output the known-a march holds the step diagonals while
+    # they are factored and the two factors, each (Nt, K, Nx); the mixed
+    # source is formed one (K, Nx) level at a time
+    g = grid_1d(Nx=32, Nt=32, T=0.5)
+    rng = np.random.default_rng(9)
+    S = rng.standard_normal((16,) + g.field_shape)
+    phi = rng.standard_normal((16,) + g.space_shape)
+    a = rng.random(g.field_shape)
+    tracemalloc.start()
+    try:
+        march_modes(S, phi, g, reaction=a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * S.nbytes, f"peak {peak} B, one stack {S.nbytes} B"
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
