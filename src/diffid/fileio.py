@@ -27,7 +27,6 @@ fills or is written from plus one block or slice, never a copy of the file.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import warnings
@@ -70,7 +69,9 @@ def _write_grid_csv(path, header: list[str], axes, slices) -> None:
     coordinates as literal text; memory is bounded by one slice."""
     cols = [["%.17g" % c for c in np.asarray(axis, dtype=float).tolist()] for axis in axes]
     shape = tuple(map(len, cols[1:]))
-    tails = ["".join("," + c for c in node) for node in itertools.product(*cols[1:])]
+    tails = [""]
+    for col in cols[1:]:   # last axis fastest
+        tails = [tail + "," + c for tail in tails for c in col]
     pieces = [(i, "".join(["%s" + tail + ",%.17g\r\n" for tail in tails[i:i + _ROWS_PER_WRITE]]))
               for i in range(0, len(tails), _ROWS_PER_WRITE)]
     count = 0
@@ -114,15 +115,15 @@ def _row_blocks(path, expected_header: list[str]):
                     rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
                                       ndmin=2, dtype=float, max_rows=_ROWS_PER_READ)
             except ValueError as err:
-                raise DataError(f"{path}: malformed data row ({err}; numpy counts the rows "
-                                f"of a block that starts at data row {first})") from err
+                raise DataError(f"{path}: " + (_bad_row(path, len(expected_header), first)
+                                               or f"malformed data row ({err})")) from err
             if not len(rows):
                 if first == 1:
                     raise DataError(f"{path}: no data rows")
                 return
             if rows.shape[1] != len(expected_header):
                 raise DataError(f"{path}: data rows have {rows.shape[1]} columns, "
-                                f"the header {len(expected_header)}")
+                                f"the header {len(expected_header)}, from data row {first}")
             bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
             if bad.size:
                 raise DataError(f"{path}: non-finite cell in data row "
@@ -133,6 +134,38 @@ def _row_blocks(path, expected_header: list[str]):
             if count < _ROWS_PER_READ:
                 return
             first += count
+
+
+def _bad_row(path, columns: int, first: int) -> str | None:
+    """What is wrong with the first malformed data row from data row ``first``
+    on, named by its 1-based number among the file's non-blank rows, or None
+    if none is found.  The error path of _row_blocks: numpy's own row index
+    counts from the block, 0-based for a cell it cannot convert and 1-based
+    for a changed column count."""
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)   # the header, checked already
+        for number, cells in enumerate((cells for cells in reader if cells), start=1):
+            if number < first:
+                continue
+            if len(cells) != columns:
+                return f"malformed data row {number}: {len(cells)} columns, the header {columns}"
+            for cell in cells:
+                if not _is_number(cell):
+                    return f"malformed data row {number}: {cell!r} is not a number"
+    return None
+
+
+def _is_number(cell: str) -> bool:
+    """Whether np.loadtxt reads the cell as a float: float() does, less the
+    digit-group underscores and non-ASCII digits that numpy rejects."""
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _read_grid_csv(path, header: list[str], axes) -> np.ndarray:

@@ -21,12 +21,12 @@ beats an FFT-based DST, whose speed depends on the factors of Nx+1.
 With a known reaction a(t,x) the term is taken implicitly at level n+1 and
 explicitly at level n with the same theta weights, which keeps the step
 unconditionally stable for a >= 0 while each step stays one tridiagonal
-solve per mode.  Every step's matrix is known before the march, so the
-Thomas elimination of all Nt x K systems runs once up front, and each step
-is one substitution across the (K, Nx) lanes of the whole stack.  The
-step's right-hand side, mixed source included, is formed on its (K, Nx)
-level, so the march holds no stack-sized array besides its output, the
-diagonals being factored and the factors.
+solve per mode.  Each step solves the (K, Nx) systems of the whole stack at
+once by parallel cyclic reduction (tridiag.solve_in_place): ceil(log2 Nx)
+vectorised passes with no loop over x.  The step builds its diagonal from
+a^{n+1} and its right-hand side, mixed source included, in the output level
+it solves for, so the march holds its output plus a few (K, Nx) work
+arrays, and nothing is factored ahead or stored across steps.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalBlowupError
 from .grids import Grid, ScalarField, l2_norm_GT
 from .sinebasis import ModeFieldSet, OmegaData, SpectralParams, eigenvalues
-from .tridiag import thomas_factor, thomas_substitute
+from .tridiag import solve_in_place
 
 
 def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: float = 0.5,
@@ -84,7 +84,9 @@ def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: f
         with np.errstate(all="ignore"):
             _march_tridiagonal(out, sources, phi_modes, lam, reaction, grid, theta)
 
-    finite = np.isfinite(out[:, 1:]).all(axis=2)
+    # the whole contiguous stack: on the strided view of steps 1..Nt numpy
+    # would add a 64 kB buffer
+    finite = np.isfinite(out).all(axis=2)[:, 1:]
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))
         k, step = int(modes[row]), int(np.argmin(finite[row])) + 1
@@ -160,24 +162,20 @@ def _march_tridiagonal(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarr
     inf/nan for march_modes to report."""
     dt, r = grid.dt, grid.dt / grid.hx**2
     c0 = 2.0 * r + dt * lam[:, None]   # (K, 1)
-
     off = np.full(grid.Nx - 1, -theta * r)
-    # the (Nt, K, Nx) diagonals of steps 1..Nt
-    cp, m = thomas_factor(off, (1.0 + theta * c0) + theta * dt * a[1:, None, 1:-1], off)
 
     out[:, 0, 1:-1] = phi_modes[:, 1:-1]
     for n in range(grid.Nt):
-        v = out[:, n]
-        rhs = v[:, 1:-1] * (1.0 - (1.0 - theta) * (c0 + dt * a[n, 1:-1]))
-        rhs += (1.0 - theta) * r * (v[:, :-2] + v[:, 2:])
+        v, x = out[:, n], out[:, n + 1, 1:-1]
         # the mixed source dt (theta S^{n+1} + (1-theta) S^n), staged in the
-        # level the step then overwrites with the solution
-        mixed = out[:, n + 1, 1:-1]
-        np.multiply(sources[:, n + 1, 1:-1], theta, out=mixed)
-        mixed += (1.0 - theta) * sources[:, n, 1:-1]
-        mixed *= dt
-        rhs += mixed
-        out[:, n + 1, 1:-1] = thomas_substitute(off, cp[n], m[n], rhs)
+        # level the step then solves for in place
+        np.multiply(sources[:, n + 1, 1:-1], theta, out=x)
+        x += (1.0 - theta) * sources[:, n, 1:-1]
+        x *= dt
+        x += (v[:, 1:-1] * (1.0 - (1.0 - theta) * (c0 + dt * a[n, 1:-1]))
+              + (1.0 - theta) * r * (v[:, :-2] + v[:, 2:]))
+        diag = (1.0 + theta * c0) + theta * dt * a[n + 1, 1:-1]
+        solve_in_place(off, diag, off, x)
 
 
 def forced_modes(phi_modes: np.ndarray, *stacks: ModeFieldSet) -> np.ndarray:

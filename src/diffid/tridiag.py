@@ -1,4 +1,4 @@
-"""Tridiagonal direct solve (Thomas algorithm), O(n) per system.
+"""Batched tridiagonal solve by parallel cyclic reduction (Hockney, 1965).
 
 Storage convention:
     lower = [b_1, ..., b_{n-1}]   (sub-diagonal)
@@ -6,11 +6,20 @@ Storage convention:
     upper = [c_0, ..., c_{n-2}]   (super-diagonal)
 
 Batch axes: each system lies along the trailing axis and every leading axis
-is a batch axis, broadcast between the arguments.  Every lane goes through
-the same operations in the same order as a lone system, so a batched solve
-is bitwise equal to the per-system ones.  thomas_factor does the part of the
-elimination that depends on the matrix alone: a march whose matrices are
-known up front factors them once and then only substitutes.
+is a batch axis.  Every lane goes through the same elementwise operations
+in the same order as a lone system, so a batched solve is bitwise equal to
+the per-system ones.
+
+A pass at stride s = 1, 2, 4, ... lets every row i eliminate its couplings
+to rows i-s and i+s with those two rows, which leaves it coupled to rows
+i-2s and i+2s.  Once s reaches n no row has a neighbour left, so after
+ceil(log2 n) passes each unknown is its right-hand side over its diagonal.
+A pass is a dozen vectorised operations over all rows of every system, with
+no loop over the rows.  The solve works in place: its memory is six arrays
+the size of the batch, and nothing is factored ahead or kept between calls.
+No pivoting, which suits the diagonally dominant matrices of implicit
+diffusion steps, for which the reduction is stable and the couplings shrink
+pass by pass; a zero pivot surfaces as inf/nan in the solution.
 """
 
 from __future__ import annotations
@@ -18,45 +27,35 @@ from __future__ import annotations
 import numpy as np
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """(..., n) as an (n, ..., 1) view, row i holding entry i of every system;
-    the unit axis keeps each row an array, so in-place updates write through."""
-    return np.moveaxis(np.asarray(a, dtype=float), -1, 0)[..., None]
-
-
-def thomas_factor(lower: np.ndarray, diag: np.ndarray,
-                  upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elimination factors (cp, m), shaped (..., n-1) and (..., n): pivots
-    m_0 = a_0, m_i = a_i - b_i cp_{i-1}, and cp_i = c_i / m_i.
-
-    No pivoting, which suits the diagonally dominant matrices of implicit
-    diffusion steps; a zero pivot surfaces as inf/nan in the solution.
-    """
-    b, a, c = _rows(lower), _rows(diag), _rows(upper)
-    # system-major work arrays, walked through lists of row views (cheaper to index)
-    m = np.empty((len(a),) + np.broadcast_shapes(b.shape[1:], a.shape[1:], c.shape[1:]))
-    m[:] = a
-    cp = np.empty((len(a) - 1,) + m.shape[1:])
-    ms, cps = list(m), list(cp)
-    for i in range(len(a) - 1):
-        np.divide(c[i], ms[i], out=cps[i])
-        ms[i + 1] -= b[i] * cps[i]
-    return np.moveaxis(cp[..., 0], 0, -1), np.moveaxis(m[..., 0], 0, -1)
-
-
-def thomas_substitute(lower: np.ndarray, cp: np.ndarray, m: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored systems for rhs (..., n)."""
-    b, cp, m, d = _rows(lower), _rows(cp), _rows(m), _rows(rhs)
-    x = np.empty((len(m),) + np.broadcast_shapes(b.shape[1:], cp.shape[1:], m.shape[1:],
-                                                  d.shape[1:]))
-    x[:] = d
-    xs, b, cp, m = list(x), list(b), list(cp), list(m)
-    xs[0] /= m[0]
-    for i in range(1, len(m)):
-        xs[i] -= b[i - 1] * xs[i - 1]
-        xs[i] /= m[i]
-    for i in range(len(m) - 2, -1, -1):
-        xs[i] -= cp[i] * xs[i + 1]
-    return np.moveaxis(x[..., 0], 0, -1)
-
+def solve_in_place(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                   rhs: np.ndarray) -> None:
+    """Overwrite rhs with the solution x of the systems (lower, diag, upper)
+    x = rhs.  diag and rhs are float arrays of the batch's full shape
+    (..., n), and diag is overwritten too; lower and upper broadcast
+    against them."""
+    shape, n = rhs.shape, rhs.shape[-1]
+    # row i reads diag_i x_i - lo_i x_{i-s} - up_i x_{i+s} = rhs_i, a missing
+    # neighbour having a zero coupling
+    lo = np.zeros(shape)
+    np.negative(lower, out=lo[..., 1:])
+    up = np.zeros(shape)
+    np.negative(upper, out=up[..., :-1])
+    alpha, gamma, work, work2 = (np.empty(shape) for _ in range(4))
+    s = 1
+    while s < n:
+        # pass buffers, n-s long: row i >= s takes alpha times row i-s, and
+        # row i < n-s takes gamma times row i+s
+        al, ga, w, w2 = alpha[..., s:], gamma[..., s:], work[..., s:], work2[..., s:]
+        np.divide(lo[..., s:], diag[..., :-s], out=al)
+        np.divide(up[..., :-s], diag[..., s:], out=ga)
+        diag[..., s:] -= np.multiply(al, up[..., :-s], out=w)
+        diag[..., :-s] -= np.multiply(ga, lo[..., s:], out=w)
+        np.multiply(al, rhs[..., :-s], out=w)
+        np.multiply(ga, rhs[..., s:], out=w2)
+        rhs[..., s:] += w
+        rhs[..., :-s] += w2
+        if 2 * s < n:   # else the new couplings, to rows i -+ 2s, are all absent
+            lo[..., s:] = np.multiply(al, lo[..., :-s], out=w)
+            up[..., :-s] = np.multiply(ga, up[..., s:], out=w)
+        s *= 2
+    rhs /= diag

@@ -324,15 +324,34 @@ def test_duplicate_in_another_block_is_rejected(tmp_path):
 
 @pytest.mark.usefixtures("small_blocks")
 def test_malformed_row_in_a_later_block_is_located(tmp_path):
-    # data row 9 is the fourth row (numpy's row 3) of the block from row 6;
-    # a blank line before it does not count as a data row
+    # data row 9 is the fourth row of the block from row 6; a blank line
+    # before it does not count as a data row
     rows = FIELD_ROWS[:6] + [""] + FIELD_ROWS[6:8] + ["2,0,abc"] + FIELD_ROWS[9:]
     path = tmp_path / "psi.csv"
     path.write_text("\n".join(["t,x,value"] + rows) + "\n", encoding="utf-8")
-    with pytest.raises(DataError, match=r"psi.csv: malformed data row \(could not convert "
-                       r"string 'abc' .* at row 3, column 3\.; numpy counts the rows of a "
-                       r"block that starts at data row 6\)"):
+    with pytest.raises(DataError, match=r"psi.csv: malformed data row 9: 'abc' is not a "
+                       r"number$"):
         read_field_csv(path, FIELD_GRID)
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_short_row_in_a_later_block_is_located(tmp_path):
+    # data row 8 is the third row of the block from row 6, after a blank line
+    rows = FIELD_ROWS[:7] + ["", "1,3"] + FIELD_ROWS[8:]
+    path = tmp_path / "psi.csv"
+    path.write_text("\n".join(["t,x,value"] + rows) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"psi.csv: malformed data row 8: 2 columns, the "
+                       r"header 3$"):
+        read_field_csv(path, FIELD_GRID)
+
+
+@pytest.mark.parametrize("cell", ["abc", "1_0", "\u0661", "1d5", '"1,5"'])
+def test_unreadable_cell_is_named(tmp_path, cell):
+    # float() reads "1_0" and the Arabic-Indic digit one, numpy does not
+    path = tmp_path / "omega.csv"
+    path.write_text(f"y,value\n0,0\n\n1,{cell}\n2,0\n", encoding="utf-8")
+    with pytest.raises(DataError, match="omega.csv: malformed data row 2: "):
+        read_profile_csv(path)
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
@@ -355,11 +374,11 @@ MALFORMED = [
     ("0,0\r\n1,0\r\n1,0\r\n", "omega.csv: y nodes must be strictly increasing"),
     ("-1.7976931348623157e308,0\r\n1.7976931348623157e308,0\r\n0,0\r\n",
      "omega.csv: y nodes must be strictly increasing"),
-    # a short row after SMALL_BLOCK rows: numpy's own error in one block, a
-    # block of short rows in small blocks
+    # a short row after SMALL_BLOCK rows: a parse error in one block, a block
+    # of short rows in small blocks
     ("\r\n".join(["0,0"] * SMALL_BLOCK + ["1"]) + "\r\n",
-     r"omega.csv: (malformed data row \(the number of columns changed from 2 to 1 at row 6"
-     r"|data rows have 1 columns, the header 2)"),
+     r"omega.csv: (malformed data row 6: 1 columns, the header 2"
+     r"|data rows have 1 columns, the header 2, from data row 6)"),
     ("\r\n".join(["0,0"] * SMALL_BLOCK + ["1,nan"]) + "\r\n",
      "omega.csv: non-finite cell in data row 1,nan"),
 ]

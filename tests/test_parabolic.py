@@ -257,14 +257,17 @@ def test_reaction_march_matches_per_mode_reference(Nx, Nt, K, theta, seed):
     phi = rng.standard_normal((K,) + g.space_shape)
     a = 10.0 * rng.random(g.field_shape)
     u = march_modes(S, phi, g, theta, reaction=a)
-    assert u.tobytes() == thomas_march(S, phi, a, g, theta).tobytes()
+    ref = thomas_march(S, phi, a, g, theta)
+    for k in range(1, K + 1):
+        assert rel_max_diff(u[k - 1], ref[k - 1]) <= 1e-13
 
 
 def test_reaction_march_peaks_below_four_stacks():
-    # besides its output the known-a march holds the step diagonals while
-    # they are factored and the two factors, each (Nt, K, Nx); the mixed
-    # source is formed one (K, Nx) level at a time
-    g = grid_1d(Nx=32, Nt=32, T=0.5)
+    # besides its output the known-a march holds a few (K, Nx) work levels
+    # of the step being solved, never an (Nt, K, Nx) array; at N = 64 those
+    # levels and numpy's fixed per-call buffers stay well below a quarter
+    # stack (at N = 32 they alone are 0.3 stacks)
+    g = grid_1d(Nx=64, Nt=64, T=0.5)
     rng = np.random.default_rng(9)
     S = rng.standard_normal((16,) + g.field_shape)
     phi = rng.standard_normal((16,) + g.space_shape)
@@ -275,7 +278,7 @@ def test_reaction_march_peaks_below_four_stacks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * S.nbytes, f"peak {peak} B, one stack {S.nbytes} B"
+    assert peak < 1.25 * S.nbytes, f"peak {peak} B, one stack {S.nbytes} B"
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
