@@ -14,7 +14,6 @@ from .grids import (
     Domain,
     Grid,
     ScalarField,
-    build_grid,
     grad_x,
     interior_margin_mask,
     l2_norm_G,
@@ -40,11 +39,9 @@ from .problem import ProblemData
 from .certificates import (
     Certificate,
     CertifyOptions,
-    check_global,
-    check_local,
     compute_Psi,
     compute_certificate,
-    estimate_sobolev_constant,
+    conditions,
     first_dirichlet_eigenvalue,
 )
 from .inversion import (

@@ -1,24 +1,23 @@
 """Solvability certificates: the constants entering the local and global
-contraction conditions, with pass/fail verdicts and the margins by which each
-inequality holds.
+contraction conditions, with pass/fail verdicts, and conditions(cert), the
+one list of those conditions with the margin by which each inequality holds.
 
 Conventions baked in here and recorded in each certificate's provenance:
 the four terms of R/R1 are squared weighted-mode norms (see frac_norm); sup
 over (t, x) means max over grid nodes at least boundary_margin cells from the
 spatial boundary, since an admissible measurement vanishes on the boundary
 and the literal supremum of 1/|psi| would be infinite; C_S is a supplied
-constant, optionally sanity-checked by a random lower-bound probe.
+constant, and the certificate is conditional on it.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DivisionHazardError
-from .grids import Grid, ScalarField, diff, interior_margin_mask, l2_sq_GT, laplacian_x
+from .grids import Grid, ScalarField, diff, interior_margin_mask, laplacian_x
 from .problem import ProblemData
 from .sinebasis import ModeFieldSet, OmegaData, frac_norm
 
@@ -71,13 +70,6 @@ class Certificate:
             raise ConfigurationError("local verdict inconsistent with its conditions")
         if self.global_pass != (self.cond_global_poincare and self.cond_global_q):
             raise ConfigurationError("global verdict inconsistent with its conditions")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        return cls(**json.loads(text))
 
 
 def first_dirichlet_eigenvalue(grid: Grid) -> float:
@@ -148,10 +140,10 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
 
         Psi_M = np.max(np.abs(Psi.values[region]))
 
-        phi_1_tau1 = frac_norm(data.phi_modes, grid, tau1, level=1, measure="G")
-        phi_0_tau1 = frac_norm(data.phi_modes, grid, tau1, level=0, measure="G")
-        phi_0_tau2 = frac_norm(data.phi_modes, grid, tau2, level=0, measure="G")
-        f_tau1 = frac_norm(data.f_modes, grid, tau1, level=0, measure="GT")
+        phi_1_tau1 = frac_norm(data.phi_modes, grid, tau1, level=1)
+        phi_0_tau1 = frac_norm(data.phi_modes, grid, tau1, level=0)
+        phi_0_tau2 = frac_norm(data.phi_modes, grid, tau2, level=0)
+        f_tau1 = frac_norm(data.f_modes, grid, tau1, level=0)
 
         R = phi_1_tau1 + 8.0 * Psi_M**2 * T * phi_0_tau1 + phi_0_tau2 + 4.0 * f_tau1
         R1 = phi_1_tau1 + phi_0_tau2 + 4.0 * f_tau1
@@ -195,51 +187,16 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
     )
 
 
-def check_local(cert: Certificate) -> tuple[bool, dict[str, tuple[float, bool]]]:
-    """Local verdict plus, per inequality, its signed margin (positive means
-    it holds) and the certificate's own verdict on it."""
-    conditions = {
-        "2*Psi_M*T <= A_eps*C_S": (cert.A_eps * cert.C_S - 2.0 * cert.Psi_M * cert.T,
-                                   cert.cond_local_T),
-        "T <= 1": (1.0 - cert.T, cert.cond_T_le_1),
-        "4*R*B < 1": (1.0 - cert.q_local, cert.cond_local_q),
-    }
-    return cert.local_pass, conditions
-
-
-def check_global(cert: Certificate) -> tuple[bool, dict[str, tuple[float, bool]]]:
-    """Global verdict plus each inequality's margin and verdict, as check_local."""
-    conditions = {
-        "2*Psi_M^2*C_P <= A_eps^2*C_S^2": (cert.A_eps**2 * cert.C_S**2
-                                           - 2.0 * cert.Psi_M**2 * cert.C_P,
-                                           cert.cond_global_poincare),
-        "4*R1*B < 1": (1.0 - cert.q_global, cert.cond_global_q),
-    }
-    return cert.global_pass, conditions
-
-
-def estimate_sobolev_constant(grid: Grid, trials: int = 200, seed: int = 0,
-                              modes: int = 6) -> float:
-    """Empirical lower bound for C_S: maximize ||v||_L4 / ||v||_W12 over
-    random band-limited trial fields on the space-time cylinder."""
-    rng = np.random.default_rng(seed)
-    t = grid.t
-    x = grid.x
-    best = 0.0
-    for _ in range(trials):
-        v = np.zeros(grid.field_shape)
-        for k in range(1, modes + 1):
-            amp_s, amp_c = rng.standard_normal(2)
-            profile = np.sin(k * np.pi * x / grid.domain.Lx)
-            wt = amp_s * np.sin(k * np.pi * t / grid.domain.T) + amp_c * np.cos(
-                k * np.pi * t / grid.domain.T)
-            v += wt[:, None] * profile[None, :]
-        l4 = l2_sq_GT(v**2, grid) ** 0.25
-        w12 = np.sqrt(
-            l2_sq_GT(v, grid)
-            + l2_sq_GT(diff(v, grid.dt, axis=0), grid)
-            + l2_sq_GT(v, grid, grad=True)
-        )
-        if w12 > 0:
-            best = max(best, l4 / w12)
-    return best
+def conditions(cert: Certificate) -> list[tuple[str, str, float, bool]]:
+    """(scope, label, margin, holds) of every condition, local first: the
+    inequality's signed margin (positive means it holds) and the
+    certificate's own verdict on it."""
+    return [
+        ("local", "2*Psi_M*T <= A_eps*C_S",
+         cert.A_eps * cert.C_S - 2.0 * cert.Psi_M * cert.T, cert.cond_local_T),
+        ("local", "T <= 1", 1.0 - cert.T, cert.cond_T_le_1),
+        ("local", "4*R*B < 1", 1.0 - cert.q_local, cert.cond_local_q),
+        ("global", "2*Psi_M^2*C_P <= A_eps^2*C_S^2",
+         cert.A_eps**2 * cert.C_S**2 - 2.0 * cert.Psi_M**2 * cert.C_P, cert.cond_global_poincare),
+        ("global", "4*R1*B < 1", 1.0 - cert.q_global, cert.cond_global_q),
+    ]

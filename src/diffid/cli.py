@@ -14,13 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import check_global, check_local, compute_certificate
+from .certificates import compute_certificate, conditions
 from .config import RunConfig, assemble_data, assemble_scenario, load_config
 from .errors import CertificateFailure, DiffidError
 from .fileio import (
     read_field_csv,
     write_field_csv,
-    write_history_csv,
     write_json,
     write_modes_csv,
     write_synth_csv,
@@ -50,10 +49,15 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--force", action="store_true",
-                       help="run the inversion even if the certificate fails")
+        if name == "invert":
+            p.add_argument("--force", action="store_true",
+                           help="run the inversion even if the certificate fails")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as done:  # argparse has printed the help or the usage error
+        return EXIT_OK if done.code == 0 else EXIT_ERROR
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = load_config(args.config)
         out = cfg.output_dir
@@ -65,7 +69,7 @@ def main(argv=None) -> int:
             "invert": _cmd_invert,
             "mms": _cmd_mms,
         }[args.command]
-        return handler(cfg, base_dir, force=args.force)
+        return handler(cfg, base_dir, **options)
     except DiffidError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
@@ -74,16 +78,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
-def _conditions(cert) -> list[tuple[str, str, float, bool]]:
-    """(scope, label, margin, holds) of every certificate condition, local first."""
-    return [(scope, label, margin, holds)
-            for scope, check in (("local", check_local), ("global", check_global))
-            for label, (margin, holds) in check(cert)[1].items()]
-
-
 def _print_margin_table(cert) -> None:
     print(f"{'condition':38s} {'margin':>14s}  holds")
-    for scope, label, margin, holds in _conditions(cert):
+    for scope, label, margin, holds in conditions(cert):
         print(f"[{scope}] {label:30s} {margin:+14.6e}  {'yes' if holds else 'NO'}")
     print(f"local verdict:  {'PASS' if cert.local_pass else 'FAIL'}")
     print(f"global verdict: {'PASS' if cert.global_pass else 'FAIL'}")
@@ -91,10 +88,10 @@ def _print_margin_table(cert) -> None:
 
 def _failing_line(cert) -> str:
     return "failing conditions: " + "; ".join(
-        label for _, label, _, holds in _conditions(cert) if not holds)
+        label for _, label, _, holds in conditions(cert) if not holds)
 
 
-def _cmd_certify(cfg: RunConfig, base_dir: Path, force: bool) -> int:
+def _cmd_certify(cfg: RunConfig, base_dir: Path) -> int:
     data = assemble_data(cfg, base_dir)
     cert = compute_certificate(data, cfg.certify)
     residual = data.compatibility_residual()
@@ -115,7 +112,7 @@ def _synth_y(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, np.pi, cfg.synth_ny + 1)
 
 
-def _cmd_forward(cfg: RunConfig, base_dir: Path, force: bool) -> int:
+def _cmd_forward(cfg: RunConfig, base_dir: Path) -> int:
     if cfg.scenario_name is not None:
         scn = assemble_scenario(cfg)
         if scn.truth_a is None:
@@ -154,8 +151,7 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
                 data, cfg.certify, tol_F=cfg.tol_F, max_iters=cfg.max_iters,
                 theta=cfg.theta, force=force or cfg.force)
     except CertificateFailure as err:
-        (cfg.output_dir / "certificate.json").write_text(
-            err.certificate.to_json() + "\n", encoding="utf-8")
+        write_json(cfg.output_dir / "certificate.json", asdict(err.certificate))
         print(f"certificate failed: {err}", file=sys.stderr)
         print(_failing_line(err.certificate), file=sys.stderr)
         return EXIT_CERT_FAIL
@@ -163,10 +159,12 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     write_field_csv(cfg.output_dir / "a.csv", result.a)
     y = _synth_y(cfg)
     write_synth_csv(cfg.output_dir / "u_synth.csv", result.u_modes, y)
-    write_history_csv(cfg.output_dir / "history.csv", result.F_diff_history,
-                      result.ratio_history)
-    (cfg.output_dir / "certificate.json").write_text(
-        result.certificate.to_json() + "\n", encoding="utf-8")
+    # q_hat of sweep i is F_diff_i / F_diff_{i-1}: none for the first sweep
+    q_hat = [float("nan"), *result.ratio_history]
+    write_table_csv(cfg.output_dir / "history.csv", ["iter", "F_diff", "q_hat"],
+                    [[i, f, q] for i, (f, q) in enumerate(zip(result.F_diff_history, q_hat),
+                                                          start=1)])
+    write_json(cfg.output_dir / "certificate.json", asdict(result.certificate))
 
     summary = {
         "converged": result.converged,
@@ -215,7 +213,7 @@ def _warn_compatibility(data) -> None:
         warnings.warn(message, RuntimeWarning)
 
 
-def _cmd_mms(cfg: RunConfig, base_dir: Path, force: bool) -> int:
+def _cmd_mms(cfg: RunConfig, base_dir: Path) -> int:
     if cfg.scenario_name is None:
         print("error: mms studies need a scenario config", file=sys.stderr)
         return EXIT_ERROR
@@ -244,8 +242,7 @@ def _mms_studies(cfg: RunConfig) -> None:
 
     strong_rows = []
     for row in rows[-2:]:
-        result = row["result"]
-        d = strong_diagnostics(result, result.a.grid)
+        d = strong_diagnostics(row["result"])
         strong_rows.append([row["N"], d["u_sq_Q"], d["lap_u_sq_Q"], d["u_t_sq_Q"],
                             d["u_yy_sq_Q"], d["a_sq_GT"]])
     write_table_csv(cfg.output_dir / "strong_diagnostics.csv",

@@ -11,7 +11,7 @@ from pathlib import Path
 from .certificates import CertifyOptions
 from .errors import ConfigurationError
 from .fileio import read_field_csv, read_mode_profiles_csv, read_modes_csv, read_profile_csv
-from .grids import Domain, Grid, build_grid
+from .grids import Domain, Grid
 from .problem import ProblemData
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
 from .sinebasis import OmegaData, SpectralParams
@@ -111,7 +111,6 @@ _SCHEMA = {
     "output": {
         "dir": (_string, _REQUIRED, None),
         "synth_ny": (_int, 32, (lambda v: v >= 2, "must be >= 2")),
-        "formats": (lambda v: v, None, None),  # retired and ignored; old configs carry it
     },
 }
 
@@ -189,7 +188,7 @@ def load_config(path) -> RunConfig:
 
     data = cfg.get("data")
     return RunConfig(
-        grid=build_grid(Domain((domain["Lx"],), domain["T"]), Nx=grid["Nx"], Nt=grid["Nt"]),
+        grid=Grid(Domain(domain["Lx"], domain["T"]), Nx=grid["Nx"], Nt=grid["Nt"]),
         params=SpectralParams(K=spectral["K"], epsilon=spectral["epsilon"], Ny=grid["Ny_quad"]),
         theta=cfg["scheme"]["theta"],
         certify=CertifyOptions(**cfg["certify"]),

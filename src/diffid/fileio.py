@@ -279,15 +279,6 @@ def write_synth_csv(path, u: ModeFieldSet, y: np.ndarray) -> None:
                     (u.synthesize_y(y, level=n) for n in range(grid.Nt + 1)))
 
 
-def write_history_csv(path, F_diff_history, ratio_history) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "F_diff", "q_hat"])
-        for i, f in enumerate(F_diff_history, start=1):
-            q = ratio_history[i - 2] if i >= 2 and i - 2 < len(ratio_history) else float("nan")
-            writer.writerow([i, _fmt(f), _fmt(q)])
-
-
 def write_table_csv(path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

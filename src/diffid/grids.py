@@ -1,8 +1,8 @@
 """Uniform space-time grids, fields, quadrature, and finite differences.
 
-The spatial domain is the interval (0, Lx); grids are uniform in x and t
-with boundary nodes stored explicitly so homogeneous Dirichlet conditions
-can be enforced and checked.  All integrals are composite trapezoidal,
+The spatial domain is the interval (0, Lx): Domain(Lx, T), and
+Grid(domain, Nx, Nt) is uniform in x and t with boundary nodes stored
+explicitly so homogeneous Dirichlet conditions can be enforced and checked.  All integrals are composite trapezoidal,
 consistent with the second-order difference stencils used everywhere else.
 
 Batch axes: the quadrature and stencil functions act on the trailing space
@@ -27,22 +27,16 @@ from .errors import ConfigurationError, DataError
 
 @dataclass(frozen=True)
 class Domain:
-    """Space-time box: (0, Lx) in space, (0, T) in time; lengths is (Lx,)."""
+    """Space-time box: the interval (0, Lx) in space, (0, T) in time."""
 
-    lengths: tuple[float, ...]
+    Lx: float
     T: float
 
     def __post_init__(self):
-        if len(self.lengths) != 1:
-            raise ConfigurationError(f"domain must be 1-dimensional, got {len(self.lengths)} lengths")
-        if any(L <= 0 for L in self.lengths):
-            raise ConfigurationError(f"domain lengths must be positive, got {self.lengths}")
+        if self.Lx <= 0:
+            raise ConfigurationError(f"interval length must be positive, got {self.Lx}")
         if self.T <= 0:
             raise ConfigurationError(f"final time must be positive, got {self.T}")
-
-    @property
-    def Lx(self) -> float:
-        return self.lengths[0]
 
 
 @dataclass(frozen=True)
@@ -84,11 +78,6 @@ class Grid:
     @property
     def field_shape(self) -> tuple[int, ...]:
         return (self.Nt + 1,) + self.space_shape
-
-
-def build_grid(domain: Domain, Nx: int, Nt: int) -> Grid:
-    """Build a uniform grid; counts below 2 are configuration errors."""
-    return Grid(domain=domain, Nx=Nx, Nt=Nt)
 
 
 @dataclass(frozen=True)

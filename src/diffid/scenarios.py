@@ -29,7 +29,7 @@ import numpy as np
 
 from .certificates import CertifyOptions, compute_Psi
 from .errors import ConfigurationError, DataError
-from .grids import Grid, ScalarField, build_grid, diff, interior_margin_mask, l2_sq_GT, laplacian_x
+from .grids import Grid, ScalarField, diff, interior_margin_mask, l2_sq_GT, laplacian_x
 from .inversion import InversionResult, iterate, run_inversion
 from .parabolic import forced_modes
 from .problem import ProblemData
@@ -139,7 +139,7 @@ def convergence_study(name: str, grid: Grid, params: SpectralParams, scale: floa
     rows = []
     prev_err = float("nan")
     for N in levels:
-        level = build_grid(grid.domain, Nx=N, Nt=max(8, round(grid.Nt * N / grid.Nx)))
+        level = Grid(grid.domain, Nx=N, Nt=max(8, round(grid.Nt * N / grid.Nx)))
         scn = build_scenario(name, level, params, scale=scale)
         result = run_inversion(scn.data, options, tol_F=tol_F, max_iters=max_iters,
                                theta=theta, force=True)
@@ -191,21 +191,22 @@ def uniqueness_probe(scenario: Scenario, options: CertifyOptions = CertifyOption
     return _masked_rel_l2(zero_start.a.values, res_warm.a.values, mask)
 
 
-def strong_diagnostics(result: InversionResult, grid: Grid) -> dict:
+def strong_diagnostics(result: InversionResult) -> dict:
     """Squared norms of the strong-solution quantities over the full cylinder:
     u, Lap_x u, u_t, u_yy (all spectrally via Parseval, over the result's
-    mode rows), and the coefficient."""
+    mode rows), and the coefficient; u and the coefficient are the result's
+    own norms."""
     u = result.u_modes
-    lam = u.eigenvalues
+    grid = u.grid
     sq_GT = l2_sq_GT(u.values, grid)
     dt_sq = l2_sq_GT(diff(u.values, grid.dt, axis=1), grid)
     lap_sq = l2_sq_GT(laplacian_x(u.values, grid), grid)
 
     half_pi = np.pi / 2.0
     return {
-        "u_sq_Q": half_pi * mode_sum(sq_GT),
+        "u_sq_Q": result.norms["u_sq_Q"],
         "lap_u_sq_Q": half_pi * mode_sum(lap_sq),
         "u_t_sq_Q": half_pi * mode_sum(dt_sq),
-        "u_yy_sq_Q": half_pi * mode_sum(sq_GT, lam, 2.0),
-        "a_sq_GT": float(l2_sq_GT(result.a.values, grid)),
+        "u_yy_sq_Q": half_pi * mode_sum(sq_GT, u.eigenvalues, 2.0),
+        "a_sq_GT": result.norms["a_sq_GT"],
     }

@@ -272,30 +272,31 @@ def mode_sum(terms: np.ndarray, lam: np.ndarray | None = None, power: float = 0.
     return float(total)
 
 
-def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0,
-              measure: str = "GT") -> float:
+def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0) -> float:
     """Weighted mode sum sum_k lambda_k^{2 tau} (|v_k|^2 [+ |grad v_k|^2]).
 
     mode_values is a ModeFieldSet, weighted by its rows' modes, or an array
-    of modes 1..K: (K, Nx+2) with measure="G", (K, Nt+1, Nx+2) with
-    measure="GT".  Level 1 adds the spatial-gradient term.  The value is the
-    squared-norm convention used by the certificate formulas.
+    of modes 1..K.  The shape picks the measure: (K, Nx+2) is over G,
+    (K, Nt+1, Nx+2) and every ModeFieldSet over G_T.  Level 1 adds the
+    spatial-gradient term.  The value is the squared-norm convention used by
+    the certificate formulas.
     """
     if isinstance(mode_values, ModeFieldSet):
-        lam, v = mode_values.eigenvalues, mode_values.values
+        v = mode_values.values
     else:
         v = np.asarray(mode_values, dtype=float)
-        lam = eigenvalues(v.shape[0])
-    if measure == "G":
+    if v.shape[1:] == grid.space_shape:
         parts = l2_sq_G(v, grid)
         if level == 1:
             parts = parts + l2_sq_G(grad_x(v, grid), grid)
-    elif measure == "GT":
+    elif v.shape[1:] == grid.field_shape:
         parts = l2_sq_GT(v, grid)
         if level == 1:
             parts = parts + l2_sq_GT(v, grid, grad=True)
     else:
-        raise ConfigurationError(f"unknown measure {measure!r}")
+        raise DataError(f"mode stack of shape {v.shape} is neither (K, {grid.Nx + 2}) "
+                        f"nor (K, {grid.Nt + 1}, {grid.Nx + 2})")
+    lam = mode_values.eigenvalues if isinstance(mode_values, ModeFieldSet) else eigenvalues(len(v))
     return mode_sum(parts, lam, 2.0 * tau)
 
 

@@ -14,12 +14,12 @@ import pytest
 from diffid import (
     CertifyOptions,
     Domain,
+    Grid,
     ModeFieldSet,
     OmegaData,
     ProblemData,
     ScalarField,
     SpectralParams,
-    build_grid,
     build_scenario,
     compute_Psi,
     compute_certificate,
@@ -90,7 +90,7 @@ def test_criterion_3_mode_solver_order():
     t0 = time.perf_counter()
     errs = {}
     for N in (32, 64, 128):
-        grid = build_grid(Domain((np.pi,), 1.0), Nx=N, Nt=N)
+        grid = Grid(Domain(np.pi, 1.0), Nx=N, Nt=N)
         u = march_modes(np.zeros((1,) + grid.field_shape), np.sin(grid.x)[None, :], grid)[0]
         exact = np.exp(-2.0 * grid.t)[:, None] * np.sin(grid.x)[None, :]
         errs[N] = float(np.max(np.abs(u - exact)))
@@ -103,7 +103,7 @@ def test_criterion_3_mode_solver_order():
 
 def test_criterion_4_coefficient_formula():
     t0 = time.perf_counter()
-    grid = build_grid(Domain((np.pi,), 1.0), Nx=128, Nt=128)
+    grid = Grid(Domain(np.pi, 1.0), Nx=128, Nt=128)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=256))
     Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.omega, grid)
     a = reconstruct_a(scn.truth_u_modes, Psi, scn.data.psi,
@@ -131,7 +131,7 @@ def test_criterion_5_full_inversion(mmsa_study):
 
 def test_criterion_6_contraction_law():
     t0 = time.perf_counter()
-    grid = build_grid(Domain((np.pi,), 0.5), Nx=64, Nt=64)
+    grid = Grid(Domain(np.pi, 0.5), Nx=64, Nt=64)
     params = SpectralParams(K=8, Ny=256)
     scn = build_scenario("MMS-A", grid, params, scale=3e-3)
     cert = compute_certificate(scn.data, CertifyOptions())
@@ -155,7 +155,8 @@ def test_criterion_6_contraction_law():
 def test_criterion_7_uniqueness(mmsa_study):
     t0 = time.perf_counter()
     scn, _ = mmsa_study[128]
-    distance = uniqueness_probe(scn)
+    with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
+        distance = uniqueness_probe(scn)
     elapsed = time.perf_counter() - t0
     ok = distance <= 1e-8 and elapsed <= 120.0
     report(7, ok, f"rel-L2 distance between initializations = {distance:.2e}, "
@@ -219,11 +220,11 @@ def test_criterion_9_certificate_correctness():
     t0 = time.perf_counter()
     from diffid import first_dirichlet_eigenvalue
 
-    g_int = build_grid(Domain((2.0,), 1.0), Nx=8, Nt=4)
+    g_int = Grid(Domain(2.0, 1.0), Nx=8, Nt=4)
     cp_int_ok = abs(1.0 / first_dirichlet_eigenvalue(g_int) - (2.0 / np.pi) ** 2) <= 1e-12
 
     def constant_data(Lx, T, f_amp):
-        grid = build_grid(Domain((Lx,), T), Nx=32, Nt=16)
+        grid = Grid(Domain(Lx, T), Nx=32, Nt=16)
         params = SpectralParams(K=2, Ny=64)
         om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
         f_vals = np.zeros((2,) + grid.field_shape)
@@ -254,7 +255,7 @@ def test_criterion_9_certificate_correctness():
              and c2.local_pass and c2.global_pass)
 
     # config 3: NULL scenario: R = 0, Psi_M ~ 0, both verdicts pass
-    grid = build_grid(Domain((np.pi,), 0.5), Nx=32, Nt=16)
+    grid = Grid(Domain(np.pi, 0.5), Nx=32, Nt=16)
     scn = build_scenario("NULL", grid, SpectralParams(K=2, Ny=64))
     c3 = compute_certificate(scn.data, CertifyOptions())
     hand3 = c3.R == 0.0 and c3.Psi_M <= 1e-12 and c3.local_pass and c3.global_pass
@@ -282,7 +283,7 @@ def test_criterion_11_strong_diagnostics(mmsa_eps5):
     for N, (scn, result) in mmsa_eps5.items():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            diags[N] = strong_diagnostics(result, result.a.grid)
+            diags[N] = strong_diagnostics(result)
     finite = all(np.isfinite(v) for d in diags.values() for v in d.values())
     rel_changes = {
         key: abs(diags[128][key] - diags[64][key]) / abs(diags[128][key])

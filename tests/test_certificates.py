@@ -1,4 +1,5 @@
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,21 +11,21 @@ from diffid import (
     CertifyOptions,
     ConfigurationError,
     Domain,
+    Grid,
     ModeFieldSet,
     OmegaData,
     ProblemData,
     ScalarField,
     SpectralParams,
-    build_grid,
     build_scenario,
-    check_global,
-    check_local,
     compute_Psi,
     compute_certificate,
-    estimate_sobolev_constant,
+    conditions,
     first_dirichlet_eigenvalue,
 )
+from diffid.certificates import Certificate
 from diffid.errors import DivisionHazardError
+from diffid.fileio import write_json
 from diffid.grids import interior_margin_mask
 from diffid.sinebasis import frac_norm
 
@@ -32,7 +33,7 @@ from diffid.sinebasis import frac_norm
 def constant_psi_data(Lx=np.pi, T=1.0, Nx=32, Nt=16, f_const=0.0, K=2, epsilon=1.0):
     """psi = 1 everywhere with a constant first source mode: every certificate
     constant is hand-computable."""
-    grid = build_grid(Domain((Lx,), T), Nx=Nx, Nt=Nt)
+    grid = Grid(Domain(Lx, T), Nx=Nx, Nt=Nt)
     params = SpectralParams(K=K, epsilon=epsilon, Ny=64)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     f_vals = np.zeros((K,) + grid.field_shape)
@@ -48,7 +49,7 @@ def constant_psi_data(Lx=np.pi, T=1.0, Nx=32, Nt=16, f_const=0.0, K=2, epsilon=1
 
 
 def test_Psi_mmsa_equals_two():
-    grid = build_grid(Domain((np.pi,), 1.0), Nx=128, Nt=128)
+    grid = Grid(Domain(np.pi, 1.0), Nx=128, Nt=128)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=256))
     Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.omega, grid)
     mask = interior_margin_mask(grid, 2)
@@ -58,7 +59,7 @@ def test_Psi_mmsa_equals_two():
 def test_Psi_caloric_measurement_vanishes():
     # psi = e^{-t} cos(x - pi/2) = e^{-t} sin x satisfies psi_t = psi_xx, so
     # with f = 0 the numerator vanishes up to FD error
-    grid = build_grid(Domain((np.pi,), 1.0), Nx=128, Nt=128)
+    grid = Grid(Domain(np.pi, 1.0), Nx=128, Nt=128)
     params = SpectralParams(K=2, Ny=64)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     psi = ScalarField.from_function(grid, lambda t, x: np.exp(-t) * np.sin(x))
@@ -68,7 +69,7 @@ def test_Psi_caloric_measurement_vanishes():
 
 
 def test_Psi_scale_invariance():
-    grid = build_grid(Domain((np.pi,), 0.5), Nx=48, Nt=24)
+    grid = Grid(Domain(np.pi, 0.5), Nx=48, Nt=24)
     params = SpectralParams(K=2, Ny=64)
     scn = build_scenario("MMS-A", grid, params)
     Psi1 = compute_Psi(scn.data.psi, scn.data.f_modes, scn.omega, grid)
@@ -80,7 +81,7 @@ def test_Psi_scale_invariance():
 
 
 def test_Psi_division_hazard_names_node():
-    grid = build_grid(Domain((np.pi,), 1.0), Nx=16, Nt=8)
+    grid = Grid(Domain(np.pi, 1.0), Nx=16, Nt=8)
     params = SpectralParams(K=1, Ny=64)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     psi = ScalarField(grid, np.zeros(grid.field_shape))
@@ -95,7 +96,7 @@ def test_Psi_division_hazard_names_node():
 def test_q_invariant_under_rescaling_whole_data_set(name, N, K, T, s):
     # psi, f and phi all times s: A_eps and B scale by 1/s and 1/s^2, R and
     # R1 by s^2, and Psi is a ratio, so q_local and q_global are unchanged
-    grid = build_grid(Domain((np.pi,), T), Nx=N, Nt=N)
+    grid = Grid(Domain(np.pi, T), Nx=N, Nt=N)
     data = build_scenario(name, grid, SpectralParams(K=K, Ny=64)).data
     rescaled = replace(data.scaled(s), psi=ScalarField(grid, s * data.psi.values))
     base = compute_certificate(data, CertifyOptions())
@@ -104,15 +105,12 @@ def test_q_invariant_under_rescaling_whole_data_set(name, N, K, T, s):
     assert cert.q_global == pytest.approx(base.q_global, rel=1e-10, abs=0.0)
 
 
-def test_poincare_constant_interval_and_rectangle():
-    g1 = build_grid(Domain((np.pi,), 1.0), Nx=8, Nt=4)
+def test_poincare_constant_of_interval():
+    g1 = Grid(Domain(np.pi, 1.0), Nx=8, Nt=4)
     assert abs(1.0 / first_dirichlet_eigenvalue(g1) - 1.0) <= 1e-12
-    g2 = build_grid(Domain((2.0,), 1.0), Nx=8, Nt=4)
+    g2 = Grid(Domain(2.0, 1.0), Nx=8, Nt=4)
     assert 1.0 / first_dirichlet_eigenvalue(g2) == pytest.approx(
         (2.0 / np.pi) ** 2, abs=1e-12)
-    # G is an interval: a rectangle domain is rejected before any constant
-    with pytest.raises(ConfigurationError, match="1-dimensional"):
-        Domain((np.pi, np.pi / 2), 1.0)
 
 
 def test_A_eps_closed_form():
@@ -132,14 +130,15 @@ def test_zero_Psi_M_local_time_condition_any_T():
 
 
 def test_failing_q_names_condition():
-    grid = build_grid(Domain((np.pi,), 0.5), Nx=32, Nt=16)
+    grid = Grid(Domain(np.pi, 0.5), Nx=32, Nt=16)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=64))
     cert = compute_certificate(scn.data, CertifyOptions())
     assert cert.q_local > 1.0
-    passed, conditions = check_local(cert)
-    assert not passed
-    assert conditions["4*R*B < 1"] == (1.0 - cert.q_local, False)
-    margin, holds = conditions["2*Psi_M*T <= A_eps*C_S"]
+    assert not cert.local_pass
+    local = {label: (margin, holds) for scope, label, margin, holds in conditions(cert)
+             if scope == "local"}
+    assert local["4*R*B < 1"] == (1.0 - cert.q_local, False)
+    margin, holds = local["2*Psi_M*T <= A_eps*C_S"]
     assert margin > 0 and holds
 
 
@@ -160,21 +159,21 @@ def test_homothety_flips_global_poincare_condition():
 
 
 def test_R_terms_scale_quadratically():
-    grid = build_grid(Domain((np.pi,), 0.5), Nx=32, Nt=16)
+    grid = Grid(Domain(np.pi, 0.5), Nx=32, Nt=16)
     params = SpectralParams(K=3, Ny=64)
     rng = np.random.default_rng(13)
     phi = rng.standard_normal((3,) + grid.space_shape)
     s = 3.0
     for tau, level in ((params.tau1, 1), (params.tau1, 0), (params.tau2, 0)):
-        base = frac_norm(phi, grid, tau, level=level, measure="G")
-        scaled = frac_norm(s * phi, grid, tau, level=level, measure="G")
+        base = frac_norm(phi, grid, tau, level=level)
+        scaled = frac_norm(s * phi, grid, tau, level=level)
         assert scaled == pytest.approx(s**2 * base, rel=1e-12)
 
 
 def test_q_local_scale_covariance_with_fixed_Psi():
     # with f = 0 the lifted source is unaffected by data scaling, so scaling
     # phi alone multiplies every R-term, hence q, by s^2 exactly
-    grid = build_grid(Domain((np.pi,), 0.5), Nx=32, Nt=16)
+    grid = Grid(Domain(np.pi, 0.5), Nx=32, Nt=16)
     params = SpectralParams(K=2, Ny=64)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     rng = np.random.default_rng(3)
@@ -195,7 +194,7 @@ def test_increasing_T_never_rescues_local_verdict():
     params = SpectralParams(K=4, Ny=64)
     certs = []
     for T in (0.25, 0.5, 1.0):
-        grid = build_grid(Domain((np.pi,), T), Nx=32, Nt=16)
+        grid = Grid(Domain(np.pi, T), Nx=32, Nt=16)
         scn = build_scenario("MMS-A", grid, params)
         certs.append(compute_certificate(scn.data, CertifyOptions()))
     for prev, cur in zip(certs, certs[1:]):
@@ -203,12 +202,12 @@ def test_increasing_T_never_rescues_local_verdict():
         assert not (cur.local_pass and not prev.local_pass)
 
 
-def test_certificate_json_roundtrip():
-    from diffid.certificates import Certificate
-
+def test_certificate_json_roundtrip(tmp_path):
     data = constant_psi_data(f_const=0.5)
     cert = compute_certificate(data, CertifyOptions())
-    back = Certificate.from_json(cert.to_json())
+    path = tmp_path / "certificate.json"
+    write_json(path, asdict(cert))
+    back = Certificate(**json.loads(path.read_text(encoding="utf-8")))
     assert back == cert
     # floats survive the round trip exactly (repr carries 17 significant digits)
     assert back.A_eps == cert.A_eps
@@ -217,14 +216,43 @@ def test_certificate_json_roundtrip():
 def test_check_global_margins():
     data = constant_psi_data(f_const=1.0, Lx=2.0)
     cert = compute_certificate(data, CertifyOptions())
-    passed, conditions = check_global(cert)
-    assert passed == cert.global_pass
-    assert conditions == {
-        "2*Psi_M^2*C_P <= A_eps^2*C_S^2": (
-            cert.A_eps**2 * cert.C_S**2 - 2.0 * cert.Psi_M**2 * cert.C_P,
-            cert.cond_global_poincare),
+    assert [row[1:] for row in conditions(cert) if row[0] == "global"] == [
+        ("2*Psi_M^2*C_P <= A_eps^2*C_S^2",
+         cert.A_eps**2 * cert.C_S**2 - 2.0 * cert.Psi_M**2 * cert.C_P, cert.cond_global_poincare),
+        ("4*R1*B < 1", 1.0 - cert.q_global, cert.cond_global_q),
+    ]
+
+
+def _separate_checks(cert):
+    """The local and the global condition table, label -> (margin, verdict),
+    as two separate checks, flattened local first: the reference order."""
+    local = {
+        "2*Psi_M*T <= A_eps*C_S": (cert.A_eps * cert.C_S - 2.0 * cert.Psi_M * cert.T,
+                                   cert.cond_local_T),
+        "T <= 1": (1.0 - cert.T, cert.cond_T_le_1),
+        "4*R*B < 1": (1.0 - cert.q_local, cert.cond_local_q),
+    }
+    glob = {
+        "2*Psi_M^2*C_P <= A_eps^2*C_S^2": (cert.A_eps**2 * cert.C_S**2
+                                           - 2.0 * cert.Psi_M**2 * cert.C_P,
+                                           cert.cond_global_poincare),
         "4*R1*B < 1": (1.0 - cert.q_global, cert.cond_global_q),
     }
+    return [(scope, label, margin, holds) for scope, table in (("local", local), ("global", glob))
+            for label, (margin, holds) in table.items()]
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(SCENARIO_NAMES), N=st.integers(8, 24), T=st.floats(0.1, 2.0),
+       scale=st.sampled_from([1e-3, 1.0, 10.0]), C_S=st.floats(0.1, 10.0))
+def test_conditions_match_separate_checks(name, N, T, scale, C_S):
+    grid = Grid(Domain(np.pi, T), Nx=N, Nt=N)
+    data = build_scenario(name, grid, SpectralParams(K=2, Ny=64), scale=scale).data
+    cert = compute_certificate(data, CertifyOptions(C_S=C_S))
+    rows = conditions(cert)
+    assert rows == _separate_checks(cert)
+    assert cert.local_pass == all(holds for scope, _, _, holds in rows if scope == "local")
+    assert cert.global_pass == all(holds for scope, _, _, holds in rows if scope == "global")
 
 
 def test_invalid_options():
@@ -232,9 +260,3 @@ def test_invalid_options():
         CertifyOptions(C_S=0.0)
     with pytest.raises(ConfigurationError):
         CertifyOptions(boundary_margin=0)
-
-
-def test_sobolev_probe_is_plausible_lower_bound():
-    grid = build_grid(Domain((np.pi,), 1.0), Nx=32, Nt=32)
-    est = estimate_sobolev_constant(grid, trials=50, seed=1)
-    assert 0.0 < est < 10.0

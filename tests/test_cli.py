@@ -1,17 +1,19 @@
+import csv
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diffid
-from diffid import Domain, SpectralParams, build_grid, build_scenario
+from diffid import Domain, Grid, SpectralParams, build_scenario, compute_certificate, run_inversion
 from diffid.cli import main
-from diffid.config import load_config
+from diffid.config import assemble_scenario, load_config
 from diffid.problem import COMPATIBILITY_RTOL
 from diffid.errors import ConfigurationError
 from diffid.fileio import (
@@ -77,19 +79,24 @@ def test_certify_readme_config_prints_failing_conditions(tmp_path, capsys):
     cfg["picard"]["max_iters"] = 30
     code = main(["certify", "--config", str(write_config(tmp_path, cfg))])
     assert code == 2
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "failing conditions: 4*R*B < 1; 4*R1*B < 1"
-    table = {line.split("] ")[1].rsplit(None, 2)[0]: line.rsplit(None, 1)[1]
-             for line in lines if line.startswith("[")}
-    assert table == {"2*Psi_M*T <= A_eps*C_S": "yes", "T <= 1": "yes", "4*R*B < 1": "NO",
-                     "2*Psi_M^2*C_P <= A_eps^2*C_S^2": "yes", "4*R1*B < 1": "NO"}
+    assert capsys.readouterr().out == (
+        "condition                                      margin  holds\n"
+        "[local] 2*Psi_M*T <= A_eps*C_S          +5.665284e+01  yes\n"
+        "[local] T <= 1                          +5.000000e-01  yes\n"
+        "[local] 4*R*B < 1                       -1.040019e+06  NO\n"
+        "[global] 2*Psi_M^2*C_P <= A_eps^2*C_S^2  +3.432161e+03  yes\n"
+        "[global] 4*R1*B < 1                      -3.482974e+05  NO\n"
+        "local verdict:  FAIL\n"
+        "global verdict: FAIL\n"
+        "data compatibility residual: 0.000000e+00\n"
+        "failing conditions: 4*R*B < 1; 4*R1*B < 1\n")
 
 
 @pytest.mark.parametrize("scenario, incompatible", [("MMS-A", False), ("NULL", True)])
 def test_certify_reports_data_compatibility(tmp_path, capsys, scenario, incompatible):
     out = tmp_path / "out"
     main(["certify", "--config", str(write_config(tmp_path, base_config(out, scenario)))])
-    data = build_scenario(scenario, build_grid(Domain((np.pi,), 0.5), Nx=24, Nt=24),
+    data = build_scenario(scenario, Grid(Domain(np.pi, 0.5), Nx=24, Nt=24),
                           SpectralParams(K=3, Ny=128)).data
     residual = data.compatibility_residual()
     assert json.loads((out / "certificate.json").read_text())["compatibility_residual"] == residual
@@ -118,8 +125,35 @@ def test_domain_dim_2_exits_one_on_every_command(tmp_path, capsys):
     cfg["domain"]["dim"] = 2
     path = str(write_config(tmp_path, cfg))
     for command in ("certify", "forward", "invert", "mms"):
-        assert main([command, "--config", path, "--force"]) == 1, command
+        assert main([command, "--config", path] + ["--force"] * (command == "invert")) == 1
         assert "domain.dim" in capsys.readouterr().err, command
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["certify"], "the following arguments are required: --config"),
+    (["frob", "--config", "{path}"], "invalid choice: 'frob'"),
+    (["certify", "--config", "{path}", "--force"], "unrecognized arguments: --force"),
+    (["forward", "--config", "{path}", "--force"], "unrecognized arguments: --force"),
+    (["mms", "--config", "{path}", "--force"], "unrecognized arguments: --force"),
+], ids=["no-command", "no-config", "unknown-command", "certify-force", "forward-force",
+        "mms-force"])
+def test_usage_errors_exit_one(tmp_path, capsys, argv, message):
+    path = str(write_config(tmp_path, base_config(tmp_path / "out")))
+    assert main([arg.format(path=path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: diffid")
+    assert message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["invert", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: diffid")
+    assert ("--force" in out) == (argv[0] == "invert")
 
 
 def test_cli_import_loads_no_scipy():
@@ -281,11 +315,11 @@ def test_config_accepts_integral_float(tmp_path):
     assert load_config(write_config(tmp_path, cfg)).grid.Nx == 16
 
 
-def test_config_ignores_removed_output_formats_key(tmp_path):
-    for formats in ("csv", ["csv", "json"], ["xml"]):
-        cfg = base_config(tmp_path / "out")
-        cfg["output"]["formats"] = formats
-        assert load_config(write_config(tmp_path, cfg)).synth_ny == 8
+def test_config_rejects_output_formats_key(tmp_path):
+    cfg = base_config(tmp_path / "out")
+    cfg["output"]["formats"] = ["csv"]
+    with pytest.raises(ConfigurationError, match=r"unknown key output\.formats"):
+        load_config(write_config(tmp_path, cfg))
 
 
 def test_both_scenario_and_data_rejected(tmp_path):
@@ -311,7 +345,7 @@ def test_forward_mmsa_residual_refines(tmp_path):
         cfg = base_config(out, scenario="MMS-A", N=N)
         code = main(["forward", "--config", str(write_config(tmp_path, cfg, f"c{N}.json"))])
         assert code == 0
-        grid = build_grid(Domain((np.pi,), 0.5), Nx=N, Nt=N)
+        grid = Grid(Domain(np.pi, 0.5), Nx=N, Nt=N)
         norms[N] = diffid.l2_norm_GT(read_field_csv(out / "residual.csv", grid))
     assert norms[24] <= 1e-3
     assert norms[24] / norms[48] >= 3.0
@@ -331,6 +365,42 @@ def test_invert_requires_certificate_or_force(tmp_path):
     assert summary["recovery_error_a"] <= 0.05
     for name in ("a.csv", "u_synth.csv", "history.csv", "certificate.json"):
         assert (out / name).exists()
+
+
+def _reference_json(payload) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+def test_certificate_and_history_bytes(tmp_path):
+    # every certificate.json is json.dumps(indent=2) of the certificate's
+    # fields, and history.csv a csv-module table with floats as "%.17g"
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(out, scenario="MMS-A", N=24))
+    cfg = load_config(path)
+    data = assemble_scenario(cfg).data
+    cert = compute_certificate(data, cfg.certify)
+
+    assert main(["certify", "--config", str(path)]) == 2
+    assert (out / "certificate.json").read_bytes() == _reference_json(
+        {**asdict(cert), "compatibility_residual": data.compatibility_residual()})
+
+    assert main(["invert", "--config", str(path)]) == 2
+    assert (out / "certificate.json").read_bytes() == _reference_json(asdict(cert))
+
+    assert main(["invert", "--config", str(path), "--force"]) == 0
+    assert (out / "certificate.json").read_bytes() == _reference_json(asdict(cert))
+    with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
+        result = run_inversion(data, cfg.certify, tol_F=cfg.tol_F, max_iters=cfg.max_iters,
+                               theta=cfg.theta, force=True)
+    reference = tmp_path / "history.csv"
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "F_diff", "q_hat"])
+        for i, f in enumerate(result.F_diff_history, start=1):
+            q = result.ratio_history[i - 2] if i >= 2 else float("nan")
+            writer.writerow([i, format(f, ".17g"), format(q, ".17g")])
+    assert result.iterations >= 3
+    assert (out / "history.csv").read_bytes() == reference.read_bytes()
 
 
 def test_invert_summary_keeps_warnings(tmp_path):
@@ -365,7 +435,7 @@ def test_invert_reports_data_compatibility(tmp_path, scenario, force, incompatib
     args = ["invert", "--config", str(write_config(tmp_path, base_config(out, scenario)))]
     assert main(args + ["--force"] * force) == 0
     summary = json.loads((out / "summary.json").read_text())
-    data = build_scenario(scenario, build_grid(Domain((np.pi,), 0.5), Nx=24, Nt=24),
+    data = build_scenario(scenario, Grid(Domain(np.pi, 0.5), Nx=24, Nt=24),
                           SpectralParams(K=3, Ny=128)).data
     assert summary["compatibility_residual"] == data.compatibility_residual()
     bound = COMPATIBILITY_RTOL * diffid.l2_norm_G(data.psi.values[0], data.grid)
@@ -441,7 +511,7 @@ def test_invert_divergence_is_a_result(tmp_path, capsys):
 
 def write_mmsa_data(tmp_path, out, N=24, K=3):
     """Write the MMS-A data as CSV files; return a data-mode config for them."""
-    grid = build_grid(Domain((np.pi,), 0.5), Nx=N, Nt=N)
+    grid = Grid(Domain(np.pi, 0.5), Nx=N, Nt=N)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=K, Ny=128))
     write_field_csv(tmp_path / "psi.csv", scn.data.psi)
     write_modes_csv(tmp_path / "f.csv", scn.data.f_modes)

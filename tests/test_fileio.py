@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from diffid import Domain, ModeFieldSet, ScalarField, SpectralParams, build_grid, fileio
+from diffid import Domain, Grid, ModeFieldSet, ScalarField, SpectralParams, fileio
 from diffid.errors import DataError
 from diffid.fileio import (
     _ROWS_PER_WRITE,
@@ -19,17 +19,17 @@ from diffid.fileio import (
     read_modes_csv,
     read_profile_csv,
     write_field_csv,
-    write_history_csv,
     write_mode_profiles_csv,
     write_modes_csv,
     write_profile_csv,
     write_synth_csv,
+    write_table_csv,
 )
 
 
 @pytest.fixture
 def grid():
-    return build_grid(Domain((np.pi,), 0.5), Nx=6, Nt=4)
+    return Grid(Domain(np.pi, 0.5), Nx=6, Nt=4)
 
 
 def test_field_roundtrip_bitwise(tmp_path, grid):
@@ -98,7 +98,7 @@ def test_read_rejects_missing_cells(tmp_path, grid):
 
 
 def test_grid_mismatch_detected(tmp_path, grid):
-    other = build_grid(Domain((np.pi,), 0.5), Nx=8, Nt=4)
+    other = Grid(Domain(np.pi, 0.5), Nx=8, Nt=4)
     field = ScalarField(other, np.ones(other.field_shape))
     path = tmp_path / "field.csv"
     write_field_csv(path, field)
@@ -107,12 +107,12 @@ def test_grid_mismatch_detected(tmp_path, grid):
 
 
 def test_history_format(tmp_path):
+    # history.csv is a table: integers as they are, floats "%.17g", CRLF
     path = tmp_path / "history.csv"
-    write_history_csv(path, [1.0, 0.25, 0.05], [0.25, 0.2])
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "iter,F_diff,q_hat"
-    assert lines[1].startswith("1,1,")  # nan ratio for the first sweep
-    assert float(lines[2].split(",")[2]) == 0.25
+    write_table_csv(path, ["iter", "F_diff", "q_hat"],
+                    [[1, 1.0, float("nan")], [2, 0.25, 0.25], [3, 0.05, 0.2]])
+    assert path.read_bytes() == (b"iter,F_diff,q_hat\r\n1,1,nan\r\n2,0.25,0.25\r\n"
+                                 b"3,0.050000000000000003,0.20000000000000001\r\n")
 
 
 def reference_grid_csv(path, header, axes, values):
@@ -138,7 +138,7 @@ def _bits(a):
 
 @st.composite
 def grid_case(draw, elements=any_float):
-    grid = build_grid(Domain((np.pi,), draw(st.sampled_from([0.5, 1.0, 0.3]))),
+    grid = Grid(Domain(np.pi, draw(st.sampled_from([0.5, 1.0, 0.3]))),
                       Nx=draw(st.integers(2, 6)), Nt=draw(st.integers(2, 5)))
     K = draw(st.integers(1, 4))
     values = draw(hnp.arrays(np.float64, (K,) + grid.field_shape, elements=elements))
@@ -186,7 +186,7 @@ def test_writers_match_reference_bytes(tmp_path_factory, case, y):
 def test_slices_longer_than_one_write_match_reference_bytes(tmp_path):
     # 42 x nodes times 30 y nodes: 1260 rows per time level, written in
     # pieces of _ROWS_PER_WRITE rows with a partial last piece
-    grid = build_grid(Domain((np.pi,), 1.0), Nx=40, Nt=3)
+    grid = Grid(Domain(np.pi, 1.0), Nx=40, Nt=3)
     y = np.linspace(0.0, np.pi, 30)
     u = ModeFieldSet(grid, SpectralParams(K=3), np.random.default_rng(5).standard_normal(
         (1,) + grid.field_shape), np.array([2]))
@@ -209,7 +209,7 @@ def test_writer_checks_each_slice_and_the_slice_count(tmp_path, grid):
 
 
 def test_synth_levels_match_whole_array_synthesis():
-    grid = build_grid(Domain((np.pi,), 0.5), Nx=30, Nt=12)
+    grid = Grid(Domain(np.pi, 0.5), Nx=30, Nt=12)
     params = SpectralParams(K=16, Ny=64)
     y = np.linspace(0.0, np.pi, 33)
     rng = np.random.default_rng(6)
@@ -226,7 +226,7 @@ def test_synth_levels_match_whole_array_synthesis():
 
 
 def test_write_synth_csv_never_holds_u_of_t_x_y(tmp_path):
-    grid = build_grid(Domain((np.pi,), 0.5), Nx=64, Nt=64)
+    grid = Grid(Domain(np.pi, 0.5), Nx=64, Nt=64)
     params = SpectralParams(K=16, Ny=64)
     y = np.linspace(0.0, np.pi, 33)
     u = ModeFieldSet(grid, params, np.random.default_rng(7).standard_normal(
@@ -269,7 +269,7 @@ def test_readers_roundtrip_bitwise(tmp_path_factory, case, y):
 
 
 # t = 0, 1, 2 and x = 0, 1, 2, 3 with value 10 t + x + 0.5
-FIELD_GRID = build_grid(Domain((3.0,), 2.0), Nx=2, Nt=2)
+FIELD_GRID = Grid(Domain(3.0, 2.0), Nx=2, Nt=2)
 FIELD_ROWS = [f"{t},{x},{10 * t + x + 0.5}" for t in range(3) for x in range(4)]
 FIELD_VALUES = 10 * FIELD_GRID.t[:, None] + FIELD_GRID.x + 0.5
 
@@ -364,23 +364,30 @@ def test_reader_accepts_quoted_cells_and_blank_lines(tmp_path):
 
 
 MALFORMED = [
-    ("", "no data rows"),
-    ("\r\n\r\n", "no data rows"),
-    ("0,1\r\n1\r\n", "omega.csv"),
-    ("0,1\r\n1,abc\r\n", "omega.csv"),
-    ("0\r\n1\r\n", "omega.csv: data rows have 1 columns, the header 2"),
-    ("0,1\r\n1,nan\r\n", "omega.csv: non-finite cell in data row 1,nan"),
-    ("0,1\r\ninf,0\r\n", "omega.csv: non-finite cell in data row inf,0"),
-    ("0,0\r\n1,0\r\n1,0\r\n", "omega.csv: y nodes must be strictly increasing"),
-    ("-1.7976931348623157e308,0\r\n1.7976931348623157e308,0\r\n0,0\r\n",
-     "omega.csv: y nodes must be strictly increasing"),
+    pytest.param("", "no data rows", id="empty"),
+    pytest.param("\r\n\r\n", "no data rows", id="blank-lines"),
+    pytest.param("0,1\r\n1\r\n", "omega.csv: malformed data row 2: 1 columns, the header 2",
+                 id="short-row"),
+    pytest.param("0,1\r\n1,abc\r\n", "omega.csv: malformed data row 2: 'abc' is not a number",
+                 id="text-cell"),
+    pytest.param("0\r\n1\r\n", "omega.csv: data rows have 1 columns, the header 2",
+                 id="one-column"),
+    pytest.param("0,1\r\n1,nan\r\n", "omega.csv: non-finite cell in data row 1,nan",
+                 id="nan-cell"),
+    pytest.param("0,1\r\ninf,0\r\n", "omega.csv: non-finite cell in data row inf,0",
+                 id="inf-cell"),
+    pytest.param("0,0\r\n1,0\r\n1,0\r\n", "omega.csv: y nodes must be strictly increasing",
+                 id="repeated-y"),
+    pytest.param("-1.7976931348623157e308,0\r\n1.7976931348623157e308,0\r\n0,0\r\n",
+                 "omega.csv: y nodes must be strictly increasing", id="extreme-y-out-of-order"),
     # a short row after SMALL_BLOCK rows: a parse error in one block, a block
     # of short rows in small blocks
-    ("\r\n".join(["0,0"] * SMALL_BLOCK + ["1"]) + "\r\n",
-     r"omega.csv: (malformed data row 6: 1 columns, the header 2"
-     r"|data rows have 1 columns, the header 2, from data row 6)"),
-    ("\r\n".join(["0,0"] * SMALL_BLOCK + ["1,nan"]) + "\r\n",
-     "omega.csv: non-finite cell in data row 1,nan"),
+    pytest.param("\r\n".join(["0,0"] * SMALL_BLOCK + ["1"]) + "\r\n",
+                 r"omega.csv: (malformed data row 6: 1 columns, the header 2"
+                 r"|data rows have 1 columns, the header 2, from data row 6)",
+                 id="short-row-after-a-block"),
+    pytest.param("\r\n".join(["0,0"] * SMALL_BLOCK + ["1,nan"]) + "\r\n",
+                 "omega.csv: non-finite cell in data row 1,nan", id="nan-cell-after-a-block"),
 ]
 
 
@@ -495,7 +502,7 @@ def test_read_modes_csv_holds_one_block_not_the_file(tmp_path, monkeypatch):
     # K = 16, N = 64: 68,640 rows, which the default 65,536-row block would
     # nearly hold whole, so read it in blocks of 4096 (one block is 131 kB,
     # the value stack 549 kB); the whole file's rows alone are 4 stacks
-    grid = build_grid(Domain((np.pi,), 0.5), Nx=64, Nt=64)
+    grid = Grid(Domain(np.pi, 0.5), Nx=64, Nt=64)
     params = SpectralParams(K=16, Ny=64)
     values = np.random.default_rng(8).standard_normal((16,) + grid.field_shape)
     write_modes_csv(tmp_path / "f.csv", ModeFieldSet(grid, params, values))

@@ -8,7 +8,6 @@ from diffid import (
     Domain,
     Grid,
     ScalarField,
-    build_grid,
     grad_x,
     interior_margin_mask,
     l2_norm_G,
@@ -19,35 +18,35 @@ from diffid.grids import diff, l2_sq_G, l2_sq_GT
 
 
 def grid_1d(Nx=128, Nt=128, Lx=np.pi, T=1.0):
-    return build_grid(Domain((Lx,), T), Nx=Nx, Nt=Nt)
+    return Grid(Domain(Lx, T), Nx=Nx, Nt=Nt)
 
 
 def test_build_grid_spacing():
-    g = build_grid(Domain((np.pi,), 1.0), Nx=3, Nt=4)
+    g = Grid(Domain(np.pi, 1.0), Nx=3, Nt=4)
     assert g.hx == pytest.approx(np.pi / 4, abs=1e-15)
     assert g.dt == pytest.approx(0.25, abs=1e-15)
 
-    g = build_grid(Domain((1.0,), 1.0), Nx=99, Nt=10)
+    g = Grid(Domain(1.0, 1.0), Nx=99, Nt=10)
     assert g.hx == pytest.approx(0.01, abs=1e-15)
 
 
 def test_build_grid_rejects_small_counts():
-    with pytest.raises(ConfigurationError):
-        build_grid(Domain((np.pi,), 1.0), Nx=1, Nt=4)
-    with pytest.raises(ConfigurationError):
-        build_grid(Domain((np.pi,), 1.0), Nx=4, Nt=1)
-    with pytest.raises(ConfigurationError):
-        Domain((0.0,), 1.0)
-    with pytest.raises(ConfigurationError):
-        Domain((np.pi,), -1.0)
+    with pytest.raises(ConfigurationError, match="Nx=1"):
+        Grid(Domain(np.pi, 1.0), Nx=1, Nt=4)
+    with pytest.raises(ConfigurationError, match="Nt=1"):
+        Grid(Domain(np.pi, 1.0), Nx=4, Nt=1)
 
 
 def test_domain_is_an_interval():
-    for lengths in ((), (np.pi, np.pi)):
-        with pytest.raises(ConfigurationError, match="1-dimensional"):
-            Domain(lengths, 1.0)
-    g = build_grid(Domain((np.pi,), 1.0), Nx=8, Nt=4)
-    assert g.space_shape == (10,)
+    d = Domain(np.pi, 0.5)
+    assert (d.Lx, d.T) == (np.pi, 0.5)
+    for Lx in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="interval length must be positive"):
+            Domain(Lx, 1.0)
+    for T in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="final time must be positive"):
+            Domain(np.pi, T)
+    assert Grid(d, Nx=8, Nt=4).space_shape == (10,)
 
 
 def test_integrate_constant_exact():

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from diffid import (
     Domain,
+    Grid,
     ModeFieldSet,
     OmegaData,
     ScalarField,
     SpectralParams,
-    build_grid,
     l2_norm_G,
     march_modes,
     overdetermination_residual,
@@ -21,7 +21,7 @@ from diffid.errors import ConfigurationError, NumericalBlowupError
 
 
 def grid_1d(Nx=128, Nt=128, T=1.0):
-    return build_grid(Domain((np.pi,), T), Nx=Nx, Nt=Nt)
+    return Grid(Domain(np.pi, T), Nx=Nx, Nt=Nt)
 
 
 def march_one(k, g, source=None, initial=None, theta=0.5, reaction=None):
@@ -288,7 +288,7 @@ def test_reaction_march_peaks_below_four_stacks():
 def test_spectral_blowup_names_first_bad_step(Nt, data, theta, value):
     # the bad value sits in mode 3 of a K = 4 stack; mode 4 goes bad at an
     # earlier step, but the error names the first bad mode
-    g = build_grid(Domain((np.pi,), 1.0), Nx=12, Nt=Nt)
+    g = Grid(Domain(np.pi, 1.0), Nx=12, Nt=Nt)
     step = data.draw(st.integers(1, Nt))
     node = data.draw(st.integers(1, g.Nx))
     S = np.zeros((4,) + g.field_shape)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import grid_and_stack
@@ -8,10 +10,10 @@ from diffid import (
     ConfigurationError,
     Domain,
     F_functional,
+    Grid,
     ModeFieldSet,
     OmegaData,
     SpectralParams,
-    build_grid,
     frac_norm,
     sine_coeffs,
     synthesize,
@@ -162,7 +164,7 @@ def test_omega_boundary_check():
 
 
 def make_grid(Nx=64, Nt=16, T=1.0):
-    return build_grid(Domain((np.pi,), T), Nx=Nx, Nt=Nt)
+    return Grid(Domain(np.pi, T), Nx=Nx, Nt=Nt)
 
 
 def test_frac_norm_single_modes():
@@ -171,23 +173,23 @@ def test_frac_norm_single_modes():
     v1 = np.zeros((1,) + g.space_shape)
     v1[0] = amp * np.sin(g.x)
     for tau in (0.0, 0.25, 1.0):
-        assert frac_norm(v1, g, tau, level=0, measure="G") == pytest.approx(1.0, abs=1e-9)
+        assert frac_norm(v1, g, tau, level=0) == pytest.approx(1.0, abs=1e-9)
 
     v2 = np.zeros((2,) + g.space_shape)
     v2[1] = amp * np.sin(g.x)
-    assert frac_norm(v2, g, 0.5, level=0, measure="G") == pytest.approx(4.0, abs=1e-8)
+    assert frac_norm(v2, g, 0.5, level=0) == pytest.approx(4.0, abs=1e-8)
 
     v12 = np.zeros((2,) + g.space_shape)
     v12[0] = amp * np.sin(g.x)
     v12[1] = amp * np.sin(g.x)
-    assert frac_norm(v12, g, 0.0, level=0, measure="G") == pytest.approx(2.0, abs=1e-8)
+    assert frac_norm(v12, g, 0.0, level=0) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_frac_norm_monotone_in_tau():
     g = make_grid(Nx=32)
     rng = np.random.default_rng(5)
     v = rng.standard_normal((4,) + g.space_shape)
-    vals = [frac_norm(v, g, tau, level=0, measure="G") for tau in (0.0, 0.3, 0.6, 1.0)]
+    vals = [frac_norm(v, g, tau, level=0) for tau in (0.0, 0.3, 0.6, 1.0)]
     assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
 
 
@@ -317,8 +319,23 @@ def _ref_F(modes):
 def test_batched_mode_norms_match_slice_loops(case, tau, eps):
     grid, stack = case
     for level in (0, 1):
-        assert frac_norm(stack, grid, tau, level, "GT") == _ref_frac_norm(stack, grid, tau, level, "GT")
-        assert frac_norm(stack[:, 0], grid, tau, level, "G") == _ref_frac_norm(
+        assert frac_norm(stack, grid, tau, level) == _ref_frac_norm(stack, grid, tau, level, "GT")
+        assert frac_norm(stack[:, 0], grid, tau, level) == _ref_frac_norm(
             stack[:, 0], grid, tau, level, "G")
     modes = ModeFieldSet(grid, SpectralParams(K=stack.shape[0], epsilon=eps), stack)
     assert F_functional(modes) == _ref_F(modes)
+
+
+def test_frac_norm_measure_follows_the_rank():
+    # (K, Nx+2) is over G, (K, Nt+1, Nx+2) and a ModeFieldSet over G_T
+    g = make_grid(Nx=16, Nt=8)
+    stack = np.random.default_rng(7).standard_normal((3,) + g.field_shape)
+    modes = ModeFieldSet(g, SpectralParams(K=3), stack)
+    for level in (0, 1):
+        assert frac_norm(stack[:, 0], g, 0.5, level) == _ref_frac_norm(stack[:, 0], g, 0.5,
+                                                                       level, "G")
+        assert frac_norm(stack, g, 0.5, level) == _ref_frac_norm(stack, g, 0.5, level, "GT")
+        assert frac_norm(modes, g, 0.5, level) == frac_norm(stack, g, 0.5, level)
+    for bad in (stack[0, 0], stack[..., None], stack[:, :-1], stack[:, 0, :-1]):
+        with pytest.raises(DataError, match=re.escape(f"mode stack of shape {bad.shape}")):
+            frac_norm(bad, g, 0.5)
