@@ -10,16 +10,7 @@ from .errors import (
     DivisionHazardError,
     NumericalBlowupError,
 )
-from .grids import (
-    Domain,
-    Grid,
-    ScalarField,
-    grad_x,
-    interior_margin_mask,
-    l2_norm_G,
-    l2_norm_GT,
-    laplacian_x,
-)
+from .grids import Domain, Grid, ScalarField, interior_margin_mask
 from .sinebasis import (
     F_functional,
     ModeFieldSet,

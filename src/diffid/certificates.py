@@ -1,6 +1,8 @@
 """Solvability certificates: the constants entering the local and global
 contraction conditions, with pass/fail verdicts, and conditions(cert), the
-one list of those conditions with the margin by which each inequality holds.
+margin by which each inequality holds.  Each condition is written once, in
+_CONDITIONS; the verdicts, the consistency check of a certificate read from
+a file and the margins all read that table.
 
 Conventions baked in here and recorded in each certificate's provenance:
 the four terms of R/R1 are squared weighted-mode norms (see frac_norm); sup
@@ -13,11 +15,13 @@ constant, and the certificate is conditional on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DivisionHazardError
-from .grids import Grid, ScalarField, diff, interior_margin_mask, laplacian_x
+from .errors import (ConfigurationError, DataError, DivisionHazardError, check_integer,
+                     check_positive)
+from .grids import Grid, ScalarField, diff, diff2, interior_margin_mask
 from .problem import ProblemData
 from .sinebasis import ModeFieldSet, OmegaData, frac_norm
 
@@ -29,12 +33,29 @@ class CertifyOptions:
     psi_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.C_S <= 0:
-            raise ConfigurationError(f"C_S must be positive, got {self.C_S}")
-        if self.boundary_margin < 1:
-            raise ConfigurationError("boundary_margin must be at least 1 cell")
-        if self.psi_floor <= 0:
-            raise ConfigurationError("psi_floor must be positive")
+        check_positive("C_S", self.C_S)
+        check_integer("boundary_margin", self.boundary_margin, 1)
+        check_positive("psi_floor", self.psi_floor)
+
+
+# the paper's five solvability conditions, local first, as rows (scope,
+# label, cond_* field, lhs, rhs, strict): the condition is lhs < rhs when
+# strict, lhs <= rhs otherwise, and lhs and rhs read the constants off a
+# Certificate or anything with its attributes
+_CONDITIONS = (
+    ("local", "2*Psi_M*T <= A_eps*C_S", "cond_local_T",
+     lambda c: 2.0 * c.Psi_M * c.T, lambda c: c.A_eps * c.C_S, False),
+    ("local", "T <= 1", "cond_T_le_1", lambda c: c.T, lambda c: 1.0, False),
+    ("local", "4*R*B < 1", "cond_local_q", lambda c: c.q_local, lambda c: 1.0, True),
+    ("global", "2*Psi_M^2*C_P <= A_eps^2*C_S^2", "cond_global_poincare",
+     lambda c: 2.0 * c.Psi_M**2 * c.C_P, lambda c: c.A_eps**2 * c.C_S**2, False),
+    ("global", "4*R1*B < 1", "cond_global_q", lambda c: c.q_global, lambda c: 1.0, True),
+)
+
+
+def _verdict(fields: dict, scope: str) -> bool:
+    """True when every condition of the scope holds in fields (cond_* -> bool)."""
+    return all(fields[field] for s, _, field, *_ in _CONDITIONS if s == scope)
 
 
 @dataclass(frozen=True)
@@ -66,10 +87,9 @@ class Certificate:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ConfigurationError(f"certificate constant {name} = {v} is not a finite nonnegative number")
-        if self.local_pass != (self.cond_local_T and self.cond_T_le_1 and self.cond_local_q):
-            raise ConfigurationError("local verdict inconsistent with its conditions")
-        if self.global_pass != (self.cond_global_poincare and self.cond_global_q):
-            raise ConfigurationError("global verdict inconsistent with its conditions")
+        for scope in ("local", "global"):
+            if getattr(self, f"{scope}_pass") != _verdict(vars(self), scope):
+                raise ConfigurationError(f"{scope} verdict inconsistent with its conditions")
 
 
 def first_dirichlet_eigenvalue(grid: Grid) -> float:
@@ -101,7 +121,7 @@ def compute_Psi(psi: ScalarField, f_modes: ModeFieldSet, omega: OmegaData,
     if omega.K < f_modes.K:
         raise DataError(f"omega carries {omega.K} coefficients, need {f_modes.K}")
     dpsi_dt = diff(vals, grid.dt, axis=0)
-    lap = laplacian_x(vals, grid)
+    lap = diff2(vals, grid.hx, axis=-1)
     numer = -dpsi_dt + lap + omega.measure(f_modes.values, f_modes.modes)
     out = np.zeros_like(vals)
     np.divide(numer[:, 1:-1], vals[:, 1:-1], out=out[:, 1:-1])
@@ -152,11 +172,11 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
 
         C_P = 1.0 / first_dirichlet_eigenvalue(grid)
 
-        cond_local_T = bool(2.0 * Psi_M * T <= A_eps * C_S)
-        cond_T_le_1 = bool(T <= 1.0)
-        cond_local_q = bool(q_local < 1.0)
-        cond_global_poincare = bool(2.0 * Psi_M**2 * C_P <= A_eps**2 * C_S**2)
-        cond_global_q = bool(q_global < 1.0)
+        constants = SimpleNamespace(A_eps=A_eps, C_S=C_S, C_P=C_P, Psi_M=Psi_M, T=T,
+                                    q_local=q_local, q_global=q_global)
+        conds = {field: bool(lhs(constants) < rhs(constants) if strict
+                             else lhs(constants) <= rhs(constants))
+                 for _, _, field, lhs, rhs, strict in _CONDITIONS}
 
     provenance = (
         f"R-terms are squared weighted-mode norms; sup over nodes >= {margin} cells "
@@ -175,13 +195,9 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
         q_local=float(q_local),
         q_global=float(q_global),
         T=float(T),
-        cond_local_T=cond_local_T,
-        cond_T_le_1=cond_T_le_1,
-        cond_local_q=cond_local_q,
-        cond_global_poincare=cond_global_poincare,
-        cond_global_q=cond_global_q,
-        local_pass=cond_local_T and cond_T_le_1 and cond_local_q,
-        global_pass=cond_global_poincare and cond_global_q,
+        **conds,
+        local_pass=_verdict(conds, "local"),
+        global_pass=_verdict(conds, "global"),
         boundary_margin=margin,
         provenance=provenance,
     )
@@ -189,14 +205,7 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
 
 def conditions(cert: Certificate) -> list[tuple[str, str, float, bool]]:
     """(scope, label, margin, holds) of every condition, local first: the
-    inequality's signed margin (positive means it holds) and the
+    inequality's signed margin rhs - lhs (positive means it holds) and the
     certificate's own verdict on it."""
-    return [
-        ("local", "2*Psi_M*T <= A_eps*C_S",
-         cert.A_eps * cert.C_S - 2.0 * cert.Psi_M * cert.T, cert.cond_local_T),
-        ("local", "T <= 1", 1.0 - cert.T, cert.cond_T_le_1),
-        ("local", "4*R*B < 1", 1.0 - cert.q_local, cert.cond_local_q),
-        ("global", "2*Psi_M^2*C_P <= A_eps^2*C_S^2",
-         cert.A_eps**2 * cert.C_S**2 - 2.0 * cert.Psi_M**2 * cert.C_P, cert.cond_global_poincare),
-        ("global", "4*R1*B < 1", 1.0 - cert.q_global, cert.cond_global_q),
-    ]
+    return [(scope, label, rhs(cert) - lhs(cert), getattr(cert, field))
+            for scope, label, field, lhs, rhs, _ in _CONDITIONS]

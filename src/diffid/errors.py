@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two argument checks
+that the library's constructors share."""
+
+import math
+from numbers import Integral
 
 
 class DiffidError(Exception):
@@ -36,3 +40,15 @@ class CertificateFailure(DiffidError):
     def __init__(self, message, certificate=None):
         super().__init__(message)
         self.certificate = certificate
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ConfigurationError naming name unless value is a finite number > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name}={value} is not a finite positive number")
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise ConfigurationError naming name unless value is an integer >= minimum."""
+    if not isinstance(value, Integral) or value < minimum:
+        raise ConfigurationError(f"{name}={value} is not an integer >= {minimum}")

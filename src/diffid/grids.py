@@ -5,15 +5,14 @@ Grid(domain, Nx, Nt) is uniform in x and t with boundary nodes stored
 explicitly so homogeneous Dirichlet conditions can be enforced and checked.  All integrals are composite trapezoidal,
 consistent with the second-order difference stencils used everywhere else.
 
-Batch axes: the quadrature and stencil functions act on the trailing space
-axis and treat every leading axis as a batch axis, so a mode stack
-(K, Nt+1, Nx+2) goes through one call.  l2_sq_GT also takes the axis just
-before the space axis as time.  Each batched result is bitwise equal to the
-per-slice one.
-
-Two kernels carry every norm: diff, the second-order difference along any
-axis (into a caller's buffer when one is given), and l2_sq_G, the squared
-L2(G) norm of each space slice, which never forms v**2.
+Four kernels carry every derivative and norm: two differences along any
+axis, diff (first derivative, into a caller's buffer when one is given) and
+diff2 (second derivative), and two squared L2 norms, l2_sq_G of each space
+slice, which never forms v**2, and l2_sq_GT over the space-time cylinder.
+Each acts on its axes and treats every other axis as a batch axis, so a
+mode stack (K, Nt+1, Nx+2) goes through one call, and each batched result
+is bitwise equal to the per-slice one.  A gradient norm is the norm of
+diff(v, grid.hx, axis=-1), and a norm is the square root of its square.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, check_integer, check_positive
 
 
 @dataclass(frozen=True)
@@ -33,10 +32,8 @@ class Domain:
     T: float
 
     def __post_init__(self):
-        if self.Lx <= 0:
-            raise ConfigurationError(f"interval length must be positive, got {self.Lx}")
-        if self.T <= 0:
-            raise ConfigurationError(f"final time must be positive, got {self.T}")
+        check_positive("Lx", self.Lx)
+        check_positive("T", self.T)
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,8 @@ class Grid:
     Nt: int
 
     def __post_init__(self):
-        if self.Nx < 2 or self.Nt < 2:
-            raise ConfigurationError(f"node/step counts must be >= 2, got Nx={self.Nx}, Nt={self.Nt}")
+        check_integer("Nx", self.Nx, 2)
+        check_integer("Nt", self.Nt, 2)
 
     @property
     def hx(self) -> float:
@@ -106,11 +103,6 @@ class ScalarField:
         return cls(grid, np.zeros(grid.field_shape))
 
 
-def _check_space_axes(v: np.ndarray, grid: Grid) -> None:
-    if v.shape[-1:] != grid.space_shape:
-        raise DataError(f"trailing axis of shape {v.shape} does not match grid space shape {grid.space_shape}")
-
-
 def l2_sq_G(values: np.ndarray, grid: Grid):
     """Squared L2(G) norm of each space slice: the trapezoid over G of v**2,
     computed as the dot product of the interior nodes plus half of the two
@@ -118,28 +110,20 @@ def l2_sq_G(values: np.ndarray, grid: Grid):
     reads inf, never nan).  It equals np.trapezoid(v**2, dx=hx) within
     1e-14 relative."""
     v = np.asarray(values, dtype=float)
-    _check_space_axes(v, grid)
+    if v.shape[-1:] != grid.space_shape:
+        raise DataError(f"trailing axis of shape {v.shape} does not match grid space shape "
+                        f"{grid.space_shape}")
     inner = v[..., 1:-1]
     ends = v[..., 0] * v[..., 0] + v[..., -1] * v[..., -1]
     out = (np.einsum("...i,...i->...", inner, inner) + 0.5 * ends) * grid.hx
     return float(out) if np.ndim(out) == 0 else out
 
 
-def l2_norm_G(slice_values: np.ndarray, grid: Grid) -> float:
-    """L2(G) norm of a space slice."""
-    return float(np.sqrt(l2_sq_G(slice_values, grid)))
-
-
-def l2_norm_GT(fld: ScalarField) -> float:
-    """L2(G_T) norm, trapezoidal in time as well."""
-    return float(np.sqrt(l2_sq_GT(fld.values, fld.grid)))
-
-
-def l2_sq_GT(values: np.ndarray, grid: Grid, grad: bool = False):
-    """Squared L2 norm over the space-time cylinder of v, or of |grad_x v|
-    with grad=True; values are (..., Nt+1, Nx+2), trapezoidal in time."""
-    v = np.asarray(values, dtype=float)
-    per_t = l2_sq_G(grad_x(v, grid) if grad else v, grid)
+def l2_sq_GT(values: np.ndarray, grid: Grid):
+    """Squared L2 norm over the space-time cylinder of each (Nt+1, Nx+2)
+    block of the (..., Nt+1, Nx+2) values: l2_sq_G of each time level,
+    trapezoidal in time."""
+    per_t = l2_sq_G(values, grid)
     out = np.trapezoid(per_t, dx=grid.dt, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -165,28 +149,15 @@ def diff(values: np.ndarray, h: float, axis: int, out: np.ndarray | None = None)
     return out
 
 
-def grad_x(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """d/dx along the trailing space axis: second-order central in the
-    interior, one-sided second-order at boundary nodes."""
-    return diff(values, grid.hx, axis=-1)
-
-
-def _second_derivative(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second derivative along one axis: central inside, one-sided second-order
-    (exact for cubics) at the two boundary nodes."""
+def diff2(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Second derivative along one axis with step h: central inside, one-sided
+    second-order (exact for cubics) at the two end nodes."""
     v = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
     out = np.empty_like(v)
     out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
     return np.moveaxis(out, 0, axis)
-
-
-def laplacian_x(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spatial Laplacian along the trailing space axis via second differences."""
-    v = np.asarray(values, dtype=float)
-    _check_space_axes(v, grid)
-    return _second_derivative(v, grid.hx, axis=-1)
 
 
 def interior_margin_mask(grid: Grid, margin: int) -> np.ndarray:

@@ -106,22 +106,37 @@ class InversionResult:
     """Outcome of run_inversion.  stop_reason is "converged" (F_diff fell
     below tol_F), "max_iters" (the sweep budget ran out) or "diverged" (a
     sweep ran away).  u_modes is the compact stack of the swept modes;
-    u_modes.full() is the dense one."""
+    u_modes.full() is the dense one.  F_diff_history holds the energy of
+    each kept sweep; the sweep count, the ratios and the margin derive from
+    it and the certificate."""
 
     a: ScalarField
     u_modes: ModeFieldSet
     certificate: Certificate
     F_diff_history: tuple[float, ...]
-    ratio_history: tuple[float, ...]
-    iterations: int
     stop_reason: str
     residual_norm: float
     norms: dict
-    margin: int
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.F_diff_history)
+
+    @property
+    def ratio_history(self) -> tuple[float, ...]:
+        """F_diff_i / F_diff_{i-1} of each kept sweep after the first whose
+        predecessor is positive."""
+        h = self.F_diff_history
+        return tuple(cur / prev for prev, cur in zip(h, h[1:]) if prev > 0.0)
+
+    @property
+    def margin(self) -> int:
+        """The certificate's boundary margin, which reconstruct_a used."""
+        return self.certificate.boundary_margin
 
 
 def solution_norms(u: ModeFieldSet, a: ScalarField) -> dict:
@@ -133,7 +148,7 @@ def solution_norms(u: ModeFieldSet, a: ScalarField) -> dict:
 
     sq_GT = l2_sq_GT(u.values, grid)
     dt_sq = l2_sq_GT(diff(u.values, grid.dt, axis=1), grid)
-    grad_sq_GT = l2_sq_GT(u.values, grid, grad=True)
+    grad_sq_GT = l2_sq_GT(diff(u.values, grid.hx, axis=-1), grid)
 
     return {
         "u_sq_Q": np.pi / 2.0 * mode_sum(sq_GT),
@@ -179,7 +194,6 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
     start = initial if initial is not None else ModeFieldSet.empty(grid, params)
     u = start.rows(forced_modes(data.phi_modes, data.f_modes, start))
     F_diffs: list[float] = []
-    ratios: list[float] = []
     stop_reason = "max_iters"
     for _ in range(max_iters):
         try:
@@ -190,8 +204,6 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
         if not (np.isfinite(f_diff) and f_diff <= _RUNAWAY * first):
             stop_reason = "diverged"
             break
-        if F_diffs and F_diffs[-1] > 0.0:
-            ratios.append(f_diff / F_diffs[-1])
         F_diffs.append(f_diff)
         u = swept
         if f_diff <= tol_F:
@@ -207,10 +219,7 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
         u_modes=u,
         certificate=cert,
         F_diff_history=tuple(F_diffs),
-        ratio_history=tuple(ratios),
-        iterations=len(F_diffs),
         stop_reason=stop_reason,
         residual_norm=residual_norm,
         norms=solution_norms(u, a),
-        margin=options.boundary_margin,
     )

@@ -5,9 +5,9 @@
 advanced by a theta-scheme (theta = 0.5 is Crank-Nicolson).  Since a does not
 depend on y, the modes share the grid, theta and a, and differ only in
 lambda_k = k^2 and their data; march_modes advances the stack of mode rows it
-is given (all of 1..K, or the excited ones that the sweep loop and the
-forward solve carry), and each row's result does not depend on which other
-rows are in the stack.
+is given, each labelled with its mode number (the excited modes that the
+sweep loop and the forward solve carry), and each row's result does not
+depend on which other rows are in the stack.
 
 Without a reaction term (every Picard sweep lags the coefficient into the
 source) the step operator I + theta dt (-Lap_h + lambda_k) is the same at
@@ -37,16 +37,16 @@ import warnings
 import numpy as np
 
 from .errors import ConfigurationError, NumericalBlowupError
-from .grids import Grid, ScalarField, l2_norm_GT
+from .grids import Grid, ScalarField, l2_sq_GT
 from .sinebasis import ModeFieldSet, OmegaData, SpectralParams, eigenvalues
 from .tridiag import solve_in_place
 
 
 def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: float = 0.5,
-                reaction: np.ndarray | None = None, modes: np.ndarray | None = None) -> np.ndarray:
+                reaction: np.ndarray | None = None, *, modes: np.ndarray) -> np.ndarray:
     """Time-march every row of the stack; row i of the (E, Nt+1, Nx+2) source
-    stack and of the (E, Nx+2) initial stack is mode modes[i], by default
-    mode i+1.  reaction, a (Nt+1, Nx+2) field, adds the a-term; None drops it.
+    stack and of the (E, Nx+2) initial stack is mode modes[i].  reaction, a
+    (Nt+1, Nx+2) field, adds the a-term; None drops it.
 
     Returns the (E, Nt+1, Nx+2) solution stack.  Raises NumericalBlowupError
     naming the mode of the first row with a non-finite value and that row's
@@ -63,7 +63,7 @@ def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: f
     if phi_modes.shape != (K,) + grid.space_shape:
         raise ConfigurationError(
             f"initial stack shape {phi_modes.shape} != {(K,) + grid.space_shape}")
-    modes = np.arange(1, K + 1) if modes is None else np.asarray(modes)
+    modes = np.asarray(modes)
     if modes.shape != (K,) or modes.dtype.kind not in "iu" or np.any(modes < 1):
         raise ConfigurationError(f"mode numbers {modes} are not {K} positive integers")
     lam = eigenvalues(modes)
@@ -212,4 +212,4 @@ def overdetermination_residual(u: ModeFieldSet, omega: OmegaData,
     """Residual of the integral measurement: (pi/2) sum_k u_k omega_k - psi
     over u's rows, returned as a field together with its L2(G_T) norm."""
     res = ScalarField(u.grid, omega.measure(u.values, u.modes) - psi.values)
-    return res, l2_norm_GT(res)
+    return res, float(np.sqrt(l2_sq_GT(res.values, u.grid)))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError
-from .grids import Grid, ScalarField, l2_norm_G
+from .grids import Grid, ScalarField, l2_sq_G
 from .sinebasis import ModeFieldSet, OmegaData, SpectralParams
 
 
@@ -50,14 +50,16 @@ class ProblemData:
 
     def compatibility_residual(self) -> float:
         """L2(G) norm of (pi/2) sum_k phi_k omega_k - psi(0, .)."""
-        return l2_norm_G(self.omega.measure(self.phi_modes) - self.psi.values[0], self.grid)
+        modes = np.arange(1, self.params.K + 1)
+        residual = self.omega.measure(self.phi_modes, modes) - self.psi.values[0]
+        return float(np.sqrt(l2_sq_G(residual, self.grid)))
 
     def compatibility_warning(self) -> str | None:
         """The message reporting a compatibility residual above COMPATIBILITY_RTOL
         times ||psi(0, .)||, or None.  Never an error: NULL is inconsistent on
         purpose, and so are scaled scenarios (phi scaled, psi kept)."""
         residual = self.compatibility_residual()
-        bound = COMPATIBILITY_RTOL * l2_norm_G(self.psi.values[0], self.grid)
+        bound = COMPATIBILITY_RTOL * float(np.sqrt(l2_sq_G(self.psi.values[0], self.grid)))
         if residual > bound:
             return (f"data compatibility residual {residual:.3e} exceeds "
                     f"{COMPATIBILITY_RTOL:g} * ||psi(0, .)|| = {bound:.3e}: phi and psi(0) disagree")

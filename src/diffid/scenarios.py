@@ -29,7 +29,7 @@ import numpy as np
 
 from .certificates import CertifyOptions, compute_Psi
 from .errors import ConfigurationError, DataError
-from .grids import Grid, ScalarField, diff, interior_margin_mask, l2_sq_GT, laplacian_x
+from .grids import Grid, ScalarField, diff, diff2, interior_margin_mask, l2_sq_GT
 from .inversion import InversionResult, iterate, run_inversion
 from .parabolic import forced_modes
 from .problem import ProblemData
@@ -47,9 +47,6 @@ class Scenario:
     """
 
     name: str
-    grid: Grid
-    params: SpectralParams
-    omega: OmegaData
     data: ProblemData
     truth_a: ScalarField | None
     truth_u_modes: ModeFieldSet | None
@@ -85,8 +82,8 @@ def build_scenario(name: str, grid: Grid, params: SpectralParams,
     data = ProblemData(grid=grid, psi=psi, f_modes=f_modes, phi_modes=phi,
                        omega=omega, params=params)
     if scale != 1.0:
-        return Scenario(name, grid, params, omega, data.scaled(scale), None, None, scale)
-    return Scenario(name, grid, params, omega, data, truth_a, truth_u, scale)
+        return Scenario(name, data.scaled(scale), None, None, scale)
+    return Scenario(name, data, truth_a, truth_u, scale)
 
 
 def _masked_rel_l2(values: np.ndarray, truth: np.ndarray, mask: np.ndarray,
@@ -101,15 +98,14 @@ def _masked_rel_l2(values: np.ndarray, truth: np.ndarray, mask: np.ndarray,
     return float(dev / ref) if ref > 0 else float(dev)
 
 
-def recovery_error(result: InversionResult, scenario: Scenario,
-                   margin: int | None = None, which: str = "a") -> float:
-    """Relative interior L2(G_T) error of the recovered field against truth;
-    for u, over all K modes, of which only those either stack holds can be
-    nonzero."""
+def recovery_error(result: InversionResult, scenario: Scenario, which: str = "a") -> float:
+    """Relative L2(G_T) error of the recovered field against truth over the
+    nodes inside the result's margin; for u, over all K modes, of which only
+    those either stack holds can be nonzero."""
     if scenario.truth_a is None:
         raise DataError(f"scenario {scenario.name!r} at scale {scenario.scale} has no truth fields")
     grid = result.a.grid
-    mask = interior_margin_mask(grid, result.margin if margin is None else margin)
+    mask = interior_margin_mask(grid, result.margin)
     if which == "a":
         return _masked_rel_l2(result.a.values, scenario.truth_a.values, mask)
     if which == "u":
@@ -200,7 +196,7 @@ def strong_diagnostics(result: InversionResult) -> dict:
     grid = u.grid
     sq_GT = l2_sq_GT(u.values, grid)
     dt_sq = l2_sq_GT(diff(u.values, grid.dt, axis=1), grid)
-    lap_sq = l2_sq_GT(laplacian_x(u.values, grid), grid)
+    lap_sq = l2_sq_GT(diff2(u.values, grid.hx, axis=-1), grid)
 
     half_pi = np.pi / 2.0
     return {

@@ -24,8 +24,8 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
-from .grids import Grid, _second_derivative, diff, grad_x, l2_sq_G, l2_sq_GT
+from .errors import ConfigurationError, DataError, check_integer, check_positive
+from .grids import Grid, diff, diff2, l2_sq_G, l2_sq_GT
 
 #: default tolerance on |omega(0)|, |omega(pi)| relative to max|omega|
 OMEGA_BOUNDARY_TOL = 1e-9
@@ -44,13 +44,12 @@ class SpectralParams:
     Ny: int | None = None
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ConfigurationError(f"K must be >= 1, got {self.K}")
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
+        check_integer("K", self.K, 1)
+        check_positive("epsilon", self.epsilon)
         if self.Ny is None:
             object.__setattr__(self, "Ny", max(4 * self.K, 64))
-        elif self.Ny < 4 * self.K:
+        check_integer("Ny", self.Ny, 1)
+        if self.Ny < 4 * self.K:
             raise ConfigurationError(f"Ny={self.Ny} under-resolves mode K={self.K}; need Ny >= 4K")
 
     @property
@@ -121,11 +120,11 @@ class OmegaData:
         """||omega''|| in L2(0, pi)."""
         return float(np.sqrt(np.trapezoid(self.omega_dd**2, self.y)))
 
-    def measure(self, stack: np.ndarray, modes: np.ndarray | None = None) -> np.ndarray:
+    def measure(self, stack: np.ndarray, modes: np.ndarray) -> np.ndarray:
         """The integral measurement (pi/2) sum_i omega_{k_i} v_i of a stack of
         mode rows v_i along the leading axis, row i holding mode k_i =
-        modes[i] (by default i+1)."""
-        weights = self.omega_coeffs[_modes(modes, len(stack)) - 1]
+        modes[i]."""
+        weights = self.omega_coeffs[np.asarray(modes) - 1]
         return (np.pi / 2.0) * np.tensordot(weights, stack, axes=(0, 0))
 
     @classmethod
@@ -154,7 +153,7 @@ class OmegaData:
         lam = eigenvalues(K)
         c_ibp = -lam * (np.pi / 2.0) * coeffs
         if omega_dd is None:
-            dd = _second_derivative(omega, h[0], axis=0)
+            dd = diff2(omega, h[0], axis=0)
             return cls(y, omega, dd, coeffs, c_ibp.copy(), c_ibp)
         omega_dd = np.asarray(omega_dd, dtype=float)
         return cls(y, omega, omega_dd, coeffs, _coupling_quadrature(y, omega_dd, K), c_ibp)
@@ -286,16 +285,15 @@ def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0) -> float:
     else:
         v = np.asarray(mode_values, dtype=float)
     if v.shape[1:] == grid.space_shape:
-        parts = l2_sq_G(v, grid)
-        if level == 1:
-            parts = parts + l2_sq_G(grad_x(v, grid), grid)
+        sq = l2_sq_G
     elif v.shape[1:] == grid.field_shape:
-        parts = l2_sq_GT(v, grid)
-        if level == 1:
-            parts = parts + l2_sq_GT(v, grid, grad=True)
+        sq = l2_sq_GT
     else:
         raise DataError(f"mode stack of shape {v.shape} is neither (K, {grid.Nx + 2}) "
                         f"nor (K, {grid.Nt + 1}, {grid.Nx + 2})")
+    parts = sq(v, grid)
+    if level == 1:
+        parts = parts + sq(diff(v, grid.hx, axis=-1), grid)
     lam = mode_values.eigenvalues if isinstance(mode_values, ModeFieldSet) else eigenvalues(len(v))
     return mode_sum(parts, lam, 2.0 * tau)
 

@@ -91,7 +91,8 @@ def test_criterion_3_mode_solver_order():
     errs = {}
     for N in (32, 64, 128):
         grid = Grid(Domain(np.pi, 1.0), Nx=N, Nt=N)
-        u = march_modes(np.zeros((1,) + grid.field_shape), np.sin(grid.x)[None, :], grid)[0]
+        u = march_modes(np.zeros((1,) + grid.field_shape), np.sin(grid.x)[None, :], grid,
+                        modes=np.array([1]))[0]
         exact = np.exp(-2.0 * grid.t)[:, None] * np.sin(grid.x)[None, :]
         errs[N] = float(np.max(np.abs(u - exact)))
     order = float(np.log2(errs[64] / errs[128]))
@@ -105,9 +106,9 @@ def test_criterion_4_coefficient_formula():
     t0 = time.perf_counter()
     grid = Grid(Domain(np.pi, 1.0), Nx=128, Nt=128)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=256))
-    Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.omega, grid)
+    Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.data.omega, grid)
     a = reconstruct_a(scn.truth_u_modes, Psi, scn.data.psi,
-                      scn.omega.couplings[:4], margin=2)
+                      scn.data.omega.couplings[:4], margin=2)
     mask = interior_margin_mask(grid, 2)
     worst = float(np.max(np.abs(a.values[:, mask] - 1.0)))
     elapsed = time.perf_counter() - t0

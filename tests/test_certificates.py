@@ -51,7 +51,7 @@ def constant_psi_data(Lx=np.pi, T=1.0, Nx=32, Nt=16, f_const=0.0, K=2, epsilon=1
 def test_Psi_mmsa_equals_two():
     grid = Grid(Domain(np.pi, 1.0), Nx=128, Nt=128)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=256))
-    Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.omega, grid)
+    Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.data.omega, grid)
     mask = interior_margin_mask(grid, 2)
     assert np.max(np.abs(Psi.values[:, mask] - 2.0)) <= 1e-2
 
@@ -72,11 +72,11 @@ def test_Psi_scale_invariance():
     grid = Grid(Domain(np.pi, 0.5), Nx=48, Nt=24)
     params = SpectralParams(K=2, Ny=64)
     scn = build_scenario("MMS-A", grid, params)
-    Psi1 = compute_Psi(scn.data.psi, scn.data.f_modes, scn.omega, grid)
+    Psi1 = compute_Psi(scn.data.psi, scn.data.f_modes, scn.data.omega, grid)
     s = 7.3
     psi_s = ScalarField(grid, s * scn.data.psi.values)
     f_s = ModeFieldSet(grid, params, s * scn.data.f_modes.values, scn.data.f_modes.modes)
-    Psi2 = compute_Psi(psi_s, f_s, scn.omega, grid)
+    Psi2 = compute_Psi(psi_s, f_s, scn.data.omega, grid)
     assert np.max(np.abs(Psi1.values - Psi2.values)) <= 1e-12
 
 
@@ -211,6 +211,22 @@ def test_certificate_json_roundtrip(tmp_path):
     assert back == cert
     # floats survive the round trip exactly (repr carries 17 significant digits)
     assert back.A_eps == cert.A_eps
+
+
+@pytest.mark.parametrize("scope, conds", [
+    ("local", ["cond_local_T", "cond_T_le_1", "cond_local_q"]),
+    ("global", ["cond_global_poincare", "cond_global_q"]),
+])
+def test_certificate_with_inconsistent_verdict_names_scope(scope, conds):
+    """A certificate.json whose verdict disagrees with its cond_* fields does
+    not construct: a flipped verdict, every condition holding under a FAIL,
+    and every condition failing under a PASS."""
+    fields = asdict(compute_certificate(constant_psi_data(f_const=0.5), CertifyOptions()))
+    flipped = {**fields, f"{scope}_pass": not fields[f"{scope}_pass"]}
+    for bad in [flipped] + [{**fields, **dict.fromkeys(conds, not verdict),
+                             f"{scope}_pass": verdict} for verdict in (True, False)]:
+        with pytest.raises(ConfigurationError, match=f"^{scope} verdict inconsistent"):
+            Certificate(**bad)
 
 
 def test_check_global_margins():

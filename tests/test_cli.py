@@ -16,6 +16,7 @@ from diffid.cli import main
 from diffid.config import assemble_scenario, load_config
 from diffid.problem import COMPATIBILITY_RTOL
 from diffid.errors import ConfigurationError
+from diffid.grids import l2_sq_G, l2_sq_GT
 from diffid.fileio import (
     read_field_csv,
     write_field_csv,
@@ -102,7 +103,7 @@ def test_certify_reports_data_compatibility(tmp_path, capsys, scenario, incompat
     assert json.loads((out / "certificate.json").read_text())["compatibility_residual"] == residual
     captured = capsys.readouterr()
     assert f"data compatibility residual: {residual:.6e}" in captured.out.splitlines()
-    bound = COMPATIBILITY_RTOL * diffid.l2_norm_G(data.psi.values[0], data.grid)
+    bound = COMPATIBILITY_RTOL * np.sqrt(l2_sq_G(data.psi.values[0], data.grid))
     if incompatible:
         assert residual > bound
         assert captured.err == f"warning: {data.compatibility_warning()}\n"
@@ -266,6 +267,16 @@ def test_readme_example_config_loads(tmp_path):
     assert documented == [f"{s}.{k}" for s, keys in _SCHEMA.items() for k in keys]
 
 
+def test_readme_library_example_runs(capsys):
+    """The README's python block runs as written; it forces the run past the
+    failing certificate of the README grid, which warns."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
+        exec(example, {})
+    assert capsys.readouterr().out.splitlines()[1] == "[1]"
+
+
 @pytest.mark.parametrize("section, key, hint", [
     ("domain", "Ly", None),
     ("grid", "Ny", None),
@@ -346,7 +357,7 @@ def test_forward_mmsa_residual_refines(tmp_path):
         code = main(["forward", "--config", str(write_config(tmp_path, cfg, f"c{N}.json"))])
         assert code == 0
         grid = Grid(Domain(np.pi, 0.5), Nx=N, Nt=N)
-        norms[N] = diffid.l2_norm_GT(read_field_csv(out / "residual.csv", grid))
+        norms[N] = np.sqrt(l2_sq_GT(read_field_csv(out / "residual.csv", grid).values, grid))
     assert norms[24] <= 1e-3
     assert norms[24] / norms[48] >= 3.0
 
@@ -438,7 +449,7 @@ def test_invert_reports_data_compatibility(tmp_path, scenario, force, incompatib
     data = build_scenario(scenario, Grid(Domain(np.pi, 0.5), Nx=24, Nt=24),
                           SpectralParams(K=3, Ny=128)).data
     assert summary["compatibility_residual"] == data.compatibility_residual()
-    bound = COMPATIBILITY_RTOL * diffid.l2_norm_G(data.psi.values[0], data.grid)
+    bound = COMPATIBILITY_RTOL * np.sqrt(l2_sq_G(data.psi.values[0], data.grid))
     compat = [w for w in summary["warnings"] if w.startswith("data compatibility residual")]
     if incompatible:
         assert summary["compatibility_residual"] > bound
@@ -516,7 +527,7 @@ def write_mmsa_data(tmp_path, out, N=24, K=3):
     write_field_csv(tmp_path / "psi.csv", scn.data.psi)
     write_modes_csv(tmp_path / "f.csv", scn.data.f_modes)
     write_mode_profiles_csv(tmp_path / "phi.csv", scn.data.phi_modes, grid.x)
-    write_profile_csv(tmp_path / "omega.csv", scn.omega.y, scn.omega.omega)
+    write_profile_csv(tmp_path / "omega.csv", scn.data.omega.y, scn.data.omega.omega)
     cfg = base_config(out, N=N, K=K)
     del cfg["scenario"]
     cfg["data"] = {"psi_file": "psi.csv", "f_file": "f.csv",

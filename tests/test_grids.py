@@ -4,17 +4,15 @@ from conftest import grid_and_stack
 from hypothesis import given, settings
 
 from diffid import (
+    CertifyOptions,
     ConfigurationError,
     Domain,
     Grid,
     ScalarField,
-    grad_x,
+    SpectralParams,
     interior_margin_mask,
-    l2_norm_G,
-    l2_norm_GT,
-    laplacian_x,
 )
-from diffid.grids import diff, l2_sq_G, l2_sq_GT
+from diffid.grids import diff, diff2, l2_sq_G, l2_sq_GT
 
 
 def grid_1d(Nx=128, Nt=128, Lx=np.pi, T=1.0):
@@ -41,12 +39,33 @@ def test_domain_is_an_interval():
     d = Domain(np.pi, 0.5)
     assert (d.Lx, d.T) == (np.pi, 0.5)
     for Lx in (0.0, -1.0):
-        with pytest.raises(ConfigurationError, match="interval length must be positive"):
+        with pytest.raises(ConfigurationError, match="Lx=.* not a finite positive number"):
             Domain(Lx, 1.0)
     for T in (0.0, -1.0):
-        with pytest.raises(ConfigurationError, match="final time must be positive"):
+        with pytest.raises(ConfigurationError, match="T=.* not a finite positive number"):
             Domain(np.pi, T)
     assert Grid(d, Nx=8, Nt=4).space_shape == (10,)
+
+
+@pytest.mark.parametrize("make, field", [
+    pytest.param(lambda: Domain(np.nan, 0.5), "Lx", id="Domain-Lx-nan"),
+    pytest.param(lambda: Domain(3.0, np.inf), "T", id="Domain-T-inf"),
+    pytest.param(lambda: SpectralParams(K=4, epsilon=np.nan), "epsilon",
+                 id="SpectralParams-epsilon-nan"),
+    pytest.param(lambda: SpectralParams(K=2.5), "K", id="SpectralParams-K-2.5"),
+    pytest.param(lambda: SpectralParams(K=2, Ny=64.5), "Ny", id="SpectralParams-Ny-64.5"),
+    pytest.param(lambda: Grid(Domain(np.pi, 1.0), Nx=4.5, Nt=4), "Nx", id="Grid-Nx-4.5"),
+    pytest.param(lambda: Grid(Domain(np.pi, 1.0), Nx=4, Nt=4.0), "Nt", id="Grid-Nt-4.0"),
+    pytest.param(lambda: CertifyOptions(C_S=np.nan), "C_S", id="CertifyOptions-C_S-nan"),
+    pytest.param(lambda: CertifyOptions(C_S=np.inf), "C_S", id="CertifyOptions-C_S-inf"),
+    pytest.param(lambda: CertifyOptions(psi_floor=np.nan), "psi_floor",
+                 id="CertifyOptions-psi_floor-nan"),
+    pytest.param(lambda: CertifyOptions(boundary_margin=1.5), "boundary_margin",
+                 id="CertifyOptions-boundary_margin-1.5"),
+])
+def test_constructors_reject_nonfinite_and_nonintegral(make, field):
+    with pytest.raises(ConfigurationError, match=rf"^{field}="):
+        make()
 
 
 def test_integrate_constant_exact():
@@ -63,15 +82,15 @@ def test_integrate_sin():
 
 def test_l2_norm_G_sin():
     g = grid_1d(Nx=128)
-    assert l2_norm_G(np.sin(g.x), g) == pytest.approx(np.sqrt(np.pi / 2), abs=1e-3)
-    assert l2_norm_G(np.zeros(g.space_shape), g) == 0.0
+    assert np.sqrt(l2_sq_G(np.sin(g.x), g)) == pytest.approx(np.sqrt(np.pi / 2), abs=1e-3)
+    assert l2_sq_G(np.zeros(g.space_shape), g) == 0.0
 
 
 def test_l2_norm_GT_separable():
     g = grid_1d(Nx=128, Nt=128, T=1.0)
     f = ScalarField.from_function(g, lambda t, x: np.exp(-t) * np.sin(x))
     exact = np.sqrt((np.pi / 2) * (1 - np.exp(-2)) / 2)
-    assert l2_norm_GT(f) == pytest.approx(exact, abs=1e-3)
+    assert np.sqrt(l2_sq_GT(f.values, g)) == pytest.approx(exact, abs=1e-3)
 
 
 def test_l2_norm_GT_refinement_order():
@@ -80,33 +99,33 @@ def test_l2_norm_GT_refinement_order():
     for n in (32, 64, 128):
         g = grid_1d(Nx=n, Nt=n)
         f = ScalarField.from_function(g, lambda t, x: np.exp(-t) * np.sin(x))
-        errs.append(abs(l2_norm_GT(f) ** 2 - exact_sq))
+        errs.append(abs(l2_sq_GT(f.values, g) - exact_sq))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(orders) >= 1.8
 
 
 def test_grad_linear_exact():
     g = grid_1d(Nx=33)
-    d = grad_x(2.0 * g.x, g)
+    d = diff(2.0 * g.x, g.hx, axis=-1)
     assert np.max(np.abs(d - 2.0)) < 1e-12
 
 
 def test_grad_quadratic_exact():
     g = grid_1d(Nx=41, Lx=2.0)
     v = 3.0 * g.x**2 - g.x + 0.5
-    d = grad_x(v, g)
+    d = diff(v, g.hx, axis=-1)
     assert np.max(np.abs(d - (6.0 * g.x - 1.0))) < 1e-10
 
 
 def test_grad_sin():
     g = grid_1d(Nx=128)
-    d = grad_x(np.sin(g.x), g)
+    d = diff(np.sin(g.x), g.hx, axis=-1)
     assert np.max(np.abs(d - np.cos(g.x))) < 1e-3
 
 
 def test_laplacian_quadratic_exact():
     g = grid_1d(Nx=25)
-    lap = laplacian_x(g.x**2, g)
+    lap = diff2(g.x**2, g.hx, axis=-1)
     assert np.max(np.abs(lap - 2.0)) < 1e-9
 
 
@@ -130,9 +149,9 @@ def test_interior_margin_mask():
 
 def _ref_sq_GT(v, grid, grad=False):
     """The per-time-slice loop the batched l2_sq_GT replaced, kept as the
-    reference: one squared norm of each space slice, then one trapezoid in
-    time."""
-    per_t = np.array([l2_sq_G(grad_x(v[n], grid) if grad else v[n], grid)
+    reference: one squared norm of each space slice (or of its x-derivative),
+    then one trapezoid in time."""
+    per_t = np.array([l2_sq_G(diff(v[n], grid.hx, axis=-1) if grad else v[n], grid)
                       for n in range(v.shape[0])])
     return float(np.trapezoid(per_t, dx=grid.dt))
 
@@ -143,17 +162,18 @@ def test_l2_sq_GT_batched_matches_slice_loop(case):
     grid, stack = case
     for grad in (False, True):
         ref = np.array([_ref_sq_GT(v, grid, grad) for v in stack])
-        assert np.array_equal(l2_sq_GT(stack, grid, grad=grad), ref)
-        assert l2_sq_GT(stack[0], grid, grad=grad) == ref[0]
+        values = diff(stack, grid.hx, axis=-1) if grad else stack
+        assert np.array_equal(l2_sq_GT(values, grid), ref)
+        assert l2_sq_GT(values[0], grid) == ref[0]
 
 
 @settings(max_examples=30, deadline=None)
 @given(case=grid_and_stack())
 def test_stencils_batched_match_per_slice(case):
     grid, stack = case
-    for fn in (laplacian_x, grad_x):
-        per_slice = np.array([[fn(s, grid) for s in v] for v in stack])
-        assert np.array_equal(fn(stack, grid), per_slice)
+    for fn in (diff2, diff):
+        per_slice = np.array([[fn(s, grid.hx, axis=-1) for s in v] for v in stack])
+        assert np.array_equal(fn(stack, grid.hx, axis=-1), per_slice)
 
 
 @settings(max_examples=60, deadline=None)

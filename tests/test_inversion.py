@@ -52,7 +52,7 @@ def test_source_with_zero_previous_is_f():
 def test_source_single_mode_algebra():
     # with omega = sin y: S_1 = f_1 - Psi u_1 + (pi/(2 psi)) u_1^2 on the interior
     scn = mmsa(N=32, K=2)
-    data, grid = scn.data, scn.grid
+    data, grid = scn.data, scn.data.grid
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
     prev = ModeFieldSet(grid, data.params, scn.truth_u_modes.full().values.copy())
     S = picard_source(prev, Psi, data.psi, data.f_modes, data.omega.couplings[:2])
@@ -71,7 +71,7 @@ def test_source_scaling_degrees():
     # doubling the previous iterate doubles the Psi term and quadruples the
     # coupling-series term
     scn = mmsa(N=24, K=2)
-    data, grid = scn.data, scn.grid
+    data, grid = scn.data, scn.data.grid
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
     c = data.omega.couplings[:2]
     prev = ModeFieldSet(grid, data.params, scn.truth_u_modes.full().values.copy())
@@ -190,7 +190,7 @@ def test_sweeping_excited_modes_matches_full_stack(problem):
 
 def test_reconstruct_zero_modes_gives_Psi():
     scn = mmsa(N=48, K=2)
-    data, grid = scn.data, scn.grid
+    data, grid = scn.data, scn.data.grid
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
     a = reconstruct_a(ModeFieldSet.empty(grid, data.params).full(), Psi, data.psi,
                       data.omega.couplings[:2], margin=2)
@@ -200,7 +200,7 @@ def test_reconstruct_zero_modes_gives_Psi():
 
 def test_reconstruct_exact_mmsa_fields():
     scn = mmsa(N=128, T=1.0, K=4)
-    data, grid = scn.data, scn.grid
+    data, grid = scn.data, scn.data.grid
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
     a = reconstruct_a(scn.truth_u_modes, Psi, data.psi, data.omega.couplings[:4], margin=2)
     mask = interior_margin_mask(grid, 2)
@@ -209,7 +209,7 @@ def test_reconstruct_exact_mmsa_fields():
 
 def test_reconstruct_joint_rescale_invariance():
     scn = mmsa(N=32, K=2)
-    data, grid = scn.data, scn.grid
+    data, grid = scn.data, scn.data.grid
     c = data.omega.couplings[:2]
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
     a1 = reconstruct_a(scn.truth_u_modes, Psi, data.psi, c, margin=2)
@@ -226,7 +226,7 @@ def test_reconstruct_joint_rescale_invariance():
 
 def test_reconstruction_extrapolation_is_constant():
     scn = mmsa(N=32, K=2)
-    data, grid = scn.data, scn.grid
+    data, grid = scn.data, scn.data.grid
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
     a = reconstruct_a(scn.truth_u_modes, Psi, data.psi, data.omega.couplings[:2], margin=3)
     assert np.array_equal(a.values[:, 0], a.values[:, 3])
@@ -269,7 +269,7 @@ def test_fixed_point_one_extra_sweep():
 
 def test_reconstruction_identity_bitwise():
     scn = mmsa(N=32, K=3)
-    data, grid = scn.data, scn.grid
+    data, grid = scn.data, scn.data.grid
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = run_inversion(data, tol_F=1e-10, max_iters=30, force=True)
@@ -388,7 +388,7 @@ def test_march_blowup_is_a_diverged_result():
     # the lagged product of a 1e160 start overflows inside the first march,
     # before any sweep energy exists: the run stops as diverged, from the start
     scn = mmsa(N=16, K=2)
-    start = ModeFieldSet(scn.grid, scn.params, 1e160 * scn.truth_u_modes.values,
+    start = ModeFieldSet(scn.data.grid, scn.data.params, 1e160 * scn.truth_u_modes.values,
                          scn.truth_u_modes.modes)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -400,7 +400,7 @@ def test_march_blowup_is_a_diverged_result():
 
 def test_initial_iterate_must_match_the_data():
     scn = mmsa(N=16, K=2)
-    for grid, K in ((scn.grid, 4), (Grid(Domain(np.pi, 0.5), Nx=16, Nt=8), 2)):
+    for grid, K in ((scn.data.grid, 4), (Grid(Domain(np.pi, 0.5), Nx=16, Nt=8), 2)):
         start = ModeFieldSet(grid, SpectralParams(K=K), np.ones((1,) + grid.field_shape),
                              np.array([K]))
         with pytest.raises(DataError, match="initial iterate"):

@@ -13,6 +13,7 @@ from diffid import (
     SpectralParams,
     build_scenario,
     compute_Psi,
+    compute_certificate,
     convergence_study,
     recovery_error,
     run_inversion,
@@ -20,7 +21,7 @@ from diffid import (
     uniqueness_probe,
 )
 from diffid.errors import DataError
-from diffid.grids import interior_margin_mask, laplacian_x
+from diffid.grids import diff2, interior_margin_mask
 from diffid.inversion import InversionResult, solution_norms
 
 
@@ -49,22 +50,22 @@ def test_mmsa_numerator_identity():
     # checked through the discrete reconstruction path on fine grids elsewhere;
     # here the closed forms are verified directly on the grid
     scn = make_scenario("MMS-A", N=32)
-    t, x = scn.grid.t, scn.grid.x
+    t, x = scn.data.grid.t, scn.data.grid.x
     psi = scn.data.psi.values
     assert np.max(np.abs(psi - (np.pi / 2) * np.exp(-t)[:, None] * np.sin(x)[None, :])) <= 1e-15
     # (f, omega) = 2 psi for omega = sin y
-    w = scn.omega.omega_coeffs[: scn.params.K]
+    w = scn.data.omega.omega_coeffs[: scn.data.params.K]
     f_om = (np.pi / 2.0) * np.tensordot(w, scn.data.f_modes.full().values, axes=(0, 0))
     assert np.max(np.abs(f_om - 2.0 * psi)) <= 1e-10
     # (u, omega'') = sum_j c_j u_j = -psi
-    series = np.tensordot(scn.omega.couplings[:scn.params.K],
+    series = np.tensordot(scn.data.omega.couplings[:scn.data.params.K],
                           scn.truth_u_modes.full().values, axes=(0, 0))
     assert np.max(np.abs(series + psi)) <= 1e-10
 
 
 def test_mmsb_truth_coefficient():
     scn = make_scenario("MMS-B", N=32)
-    t, x = scn.grid.t, scn.grid.x
+    t, x = scn.data.grid.t, scn.data.grid.x
     expected = 1.0 + t[:, None] * np.sin(x)[None, :]
     assert np.max(np.abs(scn.truth_a.values - expected)) == 0.0
 
@@ -73,10 +74,10 @@ def test_truth_satisfies_discrete_forward_operator():
     prev = None
     for N in (64, 128):
         scn = make_scenario("MMS-A", N=N)
-        grid = scn.grid
+        grid = scn.data.grid
         u1 = scn.truth_u_modes.values[0]
         dudt = np.gradient(u1, grid.dt, axis=0, edge_order=2)
-        lap = np.stack([laplacian_x(u1[n], grid) for n in range(grid.Nt + 1)])
+        lap = np.stack([diff2(u1[n], grid.hx, axis=-1) for n in range(grid.Nt + 1)])
         resid = dudt - lap + u1 + scn.truth_a.values * u1 - scn.data.f_modes.values[0]
         worst = np.max(np.abs(resid[:, 1:-1]))
         if prev is not None:
@@ -87,7 +88,7 @@ def test_truth_satisfies_discrete_forward_operator():
 
 def test_null_scenario_is_exact_fixed_point():
     scn = make_scenario("NULL", N=48)
-    Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.omega, scn.grid)
+    Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.data.omega, scn.data.grid)
     assert np.max(np.abs(Psi.values)) <= 1e-12
     res = run_inversion(scn.data, tol_F=1e-10, max_iters=5)
     assert res.converged
@@ -98,33 +99,28 @@ def test_null_scenario_is_exact_fixed_point():
 
 def test_recovery_error_basics():
     scn = make_scenario("MMS-A", N=32)
-    grid = scn.grid
+    grid = scn.data.grid
+    cert = compute_certificate(scn.data, CertifyOptions(boundary_margin=2))
     # a result that equals the truth bitwise has zero error
     dummy = InversionResult(
         a=ScalarField(grid, scn.truth_a.values.copy()),
         u_modes=scn.truth_u_modes,
-        certificate=None,
+        certificate=cert,
         F_diff_history=(),
-        ratio_history=(),
-        iterations=0,
         stop_reason="converged",
         residual_norm=0.0,
         norms={},
-        margin=2,
     )
     assert recovery_error(dummy, scn, which="a") == 0.0
 
     shifted = InversionResult(
         a=ScalarField(grid, scn.truth_a.values + 0.01),
         u_modes=scn.truth_u_modes,
-        certificate=None,
+        certificate=cert,
         F_diff_history=(),
-        ratio_history=(),
-        iterations=0,
         stop_reason="converged",
         residual_norm=0.0,
         norms={},
-        margin=2,
     )
     # truth_a is identically 1, so a constant 0.01 shift is a 1% relative error
     assert recovery_error(shifted, scn, which="a") == pytest.approx(0.01, rel=1e-12)
@@ -132,11 +128,11 @@ def test_recovery_error_basics():
 
 def test_recovery_error_rescale_invariance():
     scn = make_scenario("MMS-A", N=32)
-    mask = interior_margin_mask(scn.grid, 2)
+    mask = interior_margin_mask(scn.data.grid, 2)
     from diffid.scenarios import _masked_rel_l2
 
     rng = np.random.default_rng(2)
-    approx = scn.truth_a.values + 0.01 * rng.standard_normal(scn.grid.field_shape)
+    approx = scn.truth_a.values + 0.01 * rng.standard_normal(scn.data.grid.field_shape)
     e1 = _masked_rel_l2(approx, scn.truth_a.values, mask)
     e2 = _masked_rel_l2(5.0 * approx, 5.0 * scn.truth_a.values, mask)
     assert e2 == pytest.approx(e1, rel=1e-12)
@@ -144,8 +140,8 @@ def test_recovery_error_rescale_invariance():
 
 def test_scaled_scenario_has_no_truth():
     scn = make_scenario("MMS-A", N=32)
-    grid = scn.grid
-    scaled = build_scenario("MMS-A", grid, scn.params, scale=0.01)
+    grid = scn.data.grid
+    scaled = build_scenario("MMS-A", grid, scn.data.params, scale=0.01)
     assert scaled.truth_a is None
     assert np.max(np.abs(scaled.data.f_modes.values)) == pytest.approx(
         0.01 * np.max(np.abs(scn.data.f_modes.values)), rel=1e-12)
@@ -163,7 +159,7 @@ def test_convergence_study_monotone():
         rows = convergence_study("MMS-A", grid, params)
     # levels Nx//4, Nx//2, Nx with Nt scaled in proportion
     assert [(row["N"], row["result"].a.grid.Nt) for row in rows] == [(16, 8), (32, 16), (64, 32)]
-    assert all(row["scenario"].grid == row["result"].a.grid for row in rows)
+    assert all(row["scenario"].data.grid == row["result"].a.grid for row in rows)
     errs = [row["err_a"] for row in rows]
     assert errs[0] > errs[1] > errs[2]
     assert np.isnan(rows[0]["order_a"]) and rows[-1]["order_a"] >= 1.0
@@ -221,9 +217,9 @@ def test_uniqueness_probe_reuses_zero_start_and_passes_theta(monkeypatch):
         runs.append(kwargs.get("initial") is None)
         return real_run(*args, **kwargs)
 
-    def march_spy(sources, phi_modes, grid, theta=0.5, reaction=None, modes=None):
+    def march_spy(sources, phi_modes, grid, theta=0.5, reaction=None, *, modes):
         thetas.append(theta)
-        return real_march(sources, phi_modes, grid, theta, reaction, modes)
+        return real_march(sources, phi_modes, grid, theta, reaction, modes=modes)
 
     monkeypatch.setattr(scenarios, "run_inversion", run_spy)
     monkeypatch.setattr(inversion, "march_modes", march_spy)
@@ -251,12 +247,9 @@ def single_mode_result(grid, params, mode_field, row=0):
         u_modes=modes,
         certificate=None,
         F_diff_history=(),
-        ratio_history=(),
-        iterations=1,
         stop_reason="converged",
         residual_norm=0.0,
         norms=solution_norms(modes, a),
-        margin=2,
     )
 
 
