@@ -129,8 +129,9 @@ def _cmd_forward(cfg: RunConfig, base_dir: Path) -> int:
 
     with _recording_warnings() as caught:
         _warn_compatibility(data)
+        # nothing reads f after the solve: march into its stack
         u = solve_forward(a, data.f_modes, data.phi_modes, cfg.grid, cfg.params,
-                          theta=cfg.theta)
+                          theta=cfg.theta, overwrite_f=True)
         res_field, res_norm = overdetermination_residual(u, data.omega, data.psi)
     y = _synth_y(cfg)
     write_modes_csv(cfg.output_dir / "u_modes.csv", u)

@@ -17,16 +17,20 @@ The omega profile is the one input whose nodes come from the file:
 read_profile_csv.
 
 Both directions stream.  Every input is parsed by _row_blocks, _ROWS_PER_READ
-rows at a time, and the writer takes one leading-index slice at a time from
-any iterable: write_modes_csv passes the stack's rows with one shared zero
-slice for each mode it does not hold, and write_synth_csv synthesises
-u(t, x, y) one time level at a time.  So a big file costs the arrays it
-fills or is written from plus one block or slice, never a copy of the file.
+rows at a time, and a grid reader checks "every node once" with a node seen
+mask and a row count, not a count per node.  The writer takes one
+leading-index slice at a time from any iterable: write_modes_csv passes the
+stack's rows with one shared zero slice for each mode it does not hold, and
+write_synth_csv synthesises u(t, x, y) one time level at a time; its format
+strings are built from the coordinate text a piece at a time.  So a big
+file costs the arrays it fills or is written from, one byte a node when
+read, plus one block or slice, never a copy of the file.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -54,9 +58,11 @@ _ROWS_PER_WRITE = 512
 
 
 #: data rows per np.loadtxt call of _row_blocks, the input-side counterpart of
-#: _ROWS_PER_WRITE: a block of a four-column file is 2 MB, so reading holds the
-#: destination array plus one block, never a whole file's rows.
-_ROWS_PER_READ = 65536
+#: _ROWS_PER_WRITE: a block of a four-column file is 512 kB, so reading holds
+#: the destination array plus one block, never a whole file's rows.  Blocks
+#: of 65,536 rows (2 MB, plus loadtxt's parse buffers) put the peak resident
+#: memory of a data-mode forward run at K = 16, Nx = Nt = 128 2.3 MB higher.
+_ROWS_PER_READ = 16384
 
 
 def _write_grid_csv(path, header: list[str], axes, slices) -> None:
@@ -66,14 +72,17 @@ def _write_grid_csv(path, header: list[str], axes, slices) -> None:
     per node of axes[0], each shaped like the product of the other axes; an
     array of the whole product is one.  Each slice is written in pieces of
     at most _ROWS_PER_WRITE rows, each one format string with the trailing
-    coordinates as literal text; memory is bounded by one slice."""
+    coordinates as literal text.  The format strings are built a piece at a
+    time from the coordinate text of the trailing axes, and each piece's
+    values become Python floats on their own, so memory is one slice plus
+    the format strings."""
     cols = [["%.17g" % c for c in np.asarray(axis, dtype=float).tolist()] for axis in axes]
     shape = tuple(map(len, cols[1:]))
-    tails = [""]
-    for col in cols[1:]:   # last axis fastest
-        tails = [tail + "," + c for tail in tails for c in col]
-    pieces = [(i, "".join(["%s" + tail + ",%.17g\r\n" for tail in tails[i:i + _ROWS_PER_WRITE]]))
-              for i in range(0, len(tails), _ROWS_PER_WRITE)]
+    # the trailing coordinates of each row, last axis fastest
+    tails = map("".join, itertools.product(*[["," + c for c in col] for col in cols[1:]]))
+    batches = iter(lambda: list(itertools.islice(tails, _ROWS_PER_WRITE)), [])
+    pieces = [(i * _ROWS_PER_WRITE, "".join(["%s" + tail + ",%.17g\r\n" for tail in batch]))
+              for i, batch in enumerate(batches)]
     count = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -84,9 +93,9 @@ def _write_grid_csv(path, header: list[str], axes, slices) -> None:
                                  f"match the {len(cols[0])} slices of shape {shape}")
             head = cols[0][count]
             count += 1
-            row = block.ravel().tolist()
+            row = block.ravel()
             for i, template in pieces:
-                part = row[i:i + _ROWS_PER_WRITE]
+                part = row[i:i + _ROWS_PER_WRITE].tolist()
                 fields = [head] * (2 * len(part))
                 fields[1::2] = part
                 fh.write(template % tuple(fields))
@@ -172,28 +181,41 @@ def _read_grid_csv(path, header: list[str], axes) -> np.ndarray:
     """The inverse of _write_grid_csv: the values on the product of ``axes``.
     Rows may come in any order, but each coordinate must lie within 1e-9 of
     a node of its uniform axis and each node must appear exactly once.  The
-    file is read a block at a time: memory is the values, a node count and
-    one block with its node indices."""
+    file is read a block at a time, and a node seen mask and the number of
+    rows read decide "exactly once": every node is seen and there are as
+    many rows as nodes.  So memory is the values, one byte a node and one
+    block with its node indices; only a file that fails is read again, for
+    each node's count (_bad_count)."""
     axes = [np.asarray(axis, dtype=float) for axis in axes]
     shape = tuple(map(len, axes))
     values = np.empty(math.prod(shape))
-    counts = np.zeros(len(values), dtype=np.intp)
+    seen = np.zeros(len(values), dtype=bool)
+    rows_read = 0
     for rows in _row_blocks(path, header):
         flat = _block_nodes(path, header, axes, rows)
         values[flat] = rows[:, -1]
-        # in file order a block covers a run of nodes: count over that window
-        lo = flat.min()
-        flat -= lo
-        window = np.bincount(flat)
-        counts[lo:lo + len(window)] += window
-        del rows, flat, window  # free this block before the next one is read
-    bad = np.flatnonzero(counts != 1)
-    if bad.size:
-        node = ", ".join(f"{name} = {axis[i]:.15g}" for name, axis, i
-                         in zip(header, axes, np.unravel_index(bad[0], shape)))
-        raise DataError(f"{path}: node {node} appears {counts[bad[0]]} times; "
-                        "every node of the configured grid must appear once")
+        seen[flat] = True
+        rows_read += len(rows)
+        del rows, flat  # free this block before the next one is read
+    if rows_read != len(values) or not seen.all():
+        raise DataError(_bad_count(path, header, axes))
     return values.reshape(shape)
+
+
+def _bad_count(path, header: list[str], axes) -> str:
+    """What is wrong with a grid file whose rows do not cover each node of
+    ``axes`` exactly once: the lowest node that does not appear once, with
+    its count.  The error path of _read_grid_csv, which reads the file again
+    to count each node's rows."""
+    shape = tuple(map(len, axes))
+    counts = np.zeros(math.prod(shape), dtype=np.intp)
+    for rows in _row_blocks(path, header):
+        np.add.at(counts, _block_nodes(path, header, axes, rows), 1)
+    bad = np.flatnonzero(counts != 1)[0]
+    node = ", ".join(f"{name} = {axis[i]:.15g}" for name, axis, i
+                     in zip(header, axes, np.unravel_index(bad, shape)))
+    return (f"{path}: node {node} appears {counts[bad]} times; "
+            "every node of the configured grid must appear once")
 
 
 def _block_nodes(path, header: list[str], axes, rows: np.ndarray) -> np.ndarray:

@@ -27,6 +27,14 @@ vectorised passes with no loop over x.  The step builds its diagonal from
 a^{n+1} and its right-hand side, mixed source included, in the output level
 it solves for, so the march holds its output plus a few (K, Nx) work
 arrays, and nothing is factored ahead or stored across steps.
+
+A step reads source levels n and n+1 only, and the march keeps level n
+aside before the step overwrites it, so the output may be the source stack
+itself (march_modes' numpy-style out): a known-a march then holds one stack,
+not two.  solve_forward marches into f on request (overwrite_f, after
+scipy's overwrite_b), as the forward command does; by default no input is
+written.  The reaction-free march transforms the whole source stack before
+it writes any output, so there too out may be the sources.
 """
 
 from __future__ import annotations
@@ -43,14 +51,18 @@ from .tridiag import solve_in_place
 
 
 def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: float = 0.5,
-                reaction: np.ndarray | None = None, *, modes: np.ndarray) -> np.ndarray:
+                reaction: np.ndarray | None = None, *, modes: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Time-march every row of the stack; row i of the (E, Nt+1, Nx+2) source
     stack and of the (E, Nx+2) initial stack is mode modes[i].  reaction, a
     (Nt+1, Nx+2) field, adds the a-term; None drops it.
 
-    Returns the (E, Nt+1, Nx+2) solution stack.  Raises NumericalBlowupError
-    naming the mode of the first row with a non-finite value and that row's
-    first non-finite step.
+    Returns the (E, Nt+1, Nx+2) solution stack, written into out when given
+    (a float64 array of the source stack's shape), else into a new array.
+    out may be the source stack itself, which the march then overwrites;
+    otherwise it must share no memory with the inputs, which the march
+    leaves unchanged.  Raises NumericalBlowupError naming the mode of the
+    first row with a non-finite value and that row's first non-finite step.
     """
     if not 0.5 <= theta <= 1.0:
         raise ConfigurationError(f"theta must lie in [0.5, 1], got {theta}")
@@ -67,11 +79,12 @@ def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: f
     if modes.shape != (K,) or modes.dtype.kind not in "iu" or np.any(modes < 1):
         raise ConfigurationError(f"mode numbers {modes} are not {K} positive integers")
     lam = eigenvalues(modes)
-
-    out = np.zeros(sources.shape)
-    if reaction is None:
-        _march_spectral(out, sources, phi_modes, lam, grid, theta)
-    else:
+    if out is None:
+        out = np.empty(sources.shape)
+    elif out.shape != sources.shape or out.dtype != np.float64:
+        raise ConfigurationError(f"output stack {out.dtype} {out.shape} is not float64 "
+                                 f"{sources.shape}")
+    if reaction is not None:
         reaction = np.asarray(reaction, dtype=float)
         if reaction.shape != grid.field_shape:
             raise ConfigurationError(f"reaction shape {reaction.shape} != {grid.field_shape}")
@@ -81,6 +94,13 @@ def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: f
                 f"dt*max(-a) = {grid.dt * (-a_min):.3g} > 1; negative reaction may be under-resolved",
                 RuntimeWarning,
             )
+
+    # both marches write every interior node and read only the sources'
+    # interior columns
+    out[:, :, 0] = out[:, :, -1] = 0.0
+    if reaction is None:
+        _march_spectral(out, sources, phi_modes, lam, grid, theta)
+    else:
         with np.errstate(all="ignore"):
             _march_tridiagonal(out, sources, phi_modes, lam, reaction, grid, theta)
 
@@ -121,9 +141,9 @@ def _dirichlet_symbol(n: int, h: float) -> np.ndarray:
 
 def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
                     lam: np.ndarray, grid: Grid, theta: float) -> None:
-    """Reaction-free theta march in DST-I coordinates, written into the zeroed
-    stack out; lam holds each row's lambda_k.  Per lane with symbol mu,
-    v^{n+1} = amp v^n + p dt (theta S^{n+1} + (1-theta) S^n), where
+    """Reaction-free theta march in DST-I coordinates, written into out, whose
+    boundary columns are zero; lam holds each row's lambda_k.  Per lane with
+    symbol mu, v^{n+1} = amp v^n + p dt (theta S^{n+1} + (1-theta) S^n), where
     p = 1/(1 + theta dt mu) and amp = (1 - (1-theta) dt mu) p.
 
     The recurrence overwrites the transformed source stack one time level at
@@ -158,24 +178,30 @@ def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
 def _march_tridiagonal(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
                        lam: np.ndarray, a: np.ndarray, grid: Grid, theta: float) -> None:
     """Theta march of the whole stack with the known reaction a, written into
-    the zeroed stack out; lam holds each row's lambda_k.  A blowup runs on as
-    inf/nan for march_modes to report."""
+    out, whose boundary columns are zero; lam holds each row's lambda_k.
+    Each step reads source levels n and n+1 and writes level n+1 of out, so
+    the march keeps source level n aside: out may then be the source stack
+    itself.  A blowup runs on as inf/nan for march_modes to report."""
     dt, r = grid.dt, grid.dt / grid.hx**2
     c0 = 2.0 * r + dt * lam[:, None]   # (K, 1)
     off = np.full(grid.Nx - 1, -theta * r)
 
+    prev = sources[:, 0, 1:-1].copy()   # source level n
     out[:, 0, 1:-1] = phi_modes[:, 1:-1]
     for n in range(grid.Nt):
         v, x = out[:, n], out[:, n + 1, 1:-1]
         # the mixed source dt (theta S^{n+1} + (1-theta) S^n), staged in the
         # level the step then solves for in place
-        np.multiply(sources[:, n + 1, 1:-1], theta, out=x)
-        x += (1.0 - theta) * sources[:, n, 1:-1]
+        nxt = sources[:, n + 1, 1:-1].copy()
+        np.multiply(nxt, theta, out=x)
+        prev *= 1.0 - theta
+        x += prev
         x *= dt
         x += (v[:, 1:-1] * (1.0 - (1.0 - theta) * (c0 + dt * a[n, 1:-1]))
               + (1.0 - theta) * r * (v[:, :-2] + v[:, 2:]))
         diag = (1.0 + theta * c0) + theta * dt * a[n + 1, 1:-1]
         solve_in_place(off, diag, off, x)
+        prev = nxt
 
 
 def forced_modes(phi_modes: np.ndarray, *stacks: ModeFieldSet) -> np.ndarray:
@@ -191,15 +217,22 @@ def forced_modes(phi_modes: np.ndarray, *stacks: ModeFieldSet) -> np.ndarray:
 
 
 def solve_forward(a: ScalarField | None, f_modes: ModeFieldSet, phi_modes: np.ndarray,
-                  grid: Grid, params: SpectralParams, theta: float = 0.5) -> ModeFieldSet:
+                  grid: Grid, params: SpectralParams, theta: float = 0.5,
+                  overwrite_f: bool = False) -> ModeFieldSet:
     """Solve the decoupled mode equations with a known reaction coefficient.
-    Only the forced modes are marched; the result is their compact stack."""
+    Only the forced modes are marched; the result is their compact stack.
+    With overwrite_f the march writes the result into the source rows it
+    reads (march_modes' out), so f_modes may be left holding the result and
+    must not be read again; this saves a stack when f_modes is not needed
+    after the solve."""
     modes = forced_modes(phi_modes, f_modes)
     if not len(modes):
         return ModeFieldSet.empty(grid, params)
+    sources = f_modes.rows(modes).values
     try:
-        values = march_modes(f_modes.rows(modes).values, phi_modes[modes - 1], grid, theta,
-                             reaction=None if a is None else a.values, modes=modes)
+        values = march_modes(sources, phi_modes[modes - 1], grid, theta,
+                             reaction=None if a is None else a.values, modes=modes,
+                             out=sources if overwrite_f else None)
     except NumericalBlowupError as err:
         raise NumericalBlowupError(f"forward solve failed: {err}",
                                    mode=err.mode, step=err.step) from err

@@ -482,6 +482,39 @@ def test_grid_readers_reject_bad_rows_in_small_blocks(tmp_path, grid, name, edit
     test_grid_readers_reject_bad_rows(tmp_path, grid, name, edit, message)
 
 
+@pytest.mark.parametrize("name", ["f.csv", "phi.csv"])
+@pytest.mark.parametrize("lost, kept, count", [(3, 17, 0), (17, 3, 2)],
+                         ids=["missing-first", "repeated-first"])
+def test_grid_readers_name_the_lowest_node_not_seen_once(tmp_path, grid, name, lost, kept,
+                                                         count):
+    # row `kept` in place of row `lost`: as many rows as nodes, node 3 seen 0
+    # or 2 times and node 17 the other; the lowest, node 3, is named
+    path = tmp_path / name
+    read, _ = _write_grid_file(path, grid, K=3)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    node = ", ".join(f"{h} = {float(c):.15g}"
+                     for h, c in zip(header.split(",")[:-1], rows[3].split(",")[:-1]))
+
+    def edit(rows):
+        rows[lost] = rows[kept]
+        return rows
+
+    _edit_rows(path, edit)
+    with pytest.raises(DataError, match=rf"{name}: node {node} appears {count} times; every "
+                       "node of the configured grid must appear once$"):
+        read()
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("name", ["f.csv", "phi.csv"])
+@pytest.mark.parametrize("lost, kept, count", [(3, 17, 0), (17, 3, 2)],
+                         ids=["missing-first", "repeated-first"])
+def test_grid_readers_name_the_lowest_node_not_seen_once_in_small_blocks(
+        tmp_path, grid, name, lost, kept, count):
+    test_grid_readers_name_the_lowest_node_not_seen_once(tmp_path, grid, name, lost, kept,
+                                                         count)
+
+
 @pytest.mark.parametrize("name", ["psi.csv", "f.csv", "phi.csv"])
 @pytest.mark.parametrize("K", [1, 3])
 def test_grid_readers_accept_shuffled_rows(tmp_path, grid, name, K):
@@ -499,8 +532,8 @@ def test_grid_readers_accept_shuffled_rows_in_small_blocks(tmp_path, grid, name,
 
 
 def test_read_modes_csv_holds_one_block_not_the_file(tmp_path, monkeypatch):
-    # K = 16, N = 64: 68,640 rows, which the default 65,536-row block would
-    # nearly hold whole, so read it in blocks of 4096 (one block is 131 kB,
+    # K = 16, N = 64: 68,640 rows, of which the default 16,384-row block
+    # holds a quarter, so read it in blocks of 4096 (one block is 131 kB,
     # the value stack 549 kB); the whole file's rows alone are 4 stacks
     grid = Grid(Domain(np.pi, 0.5), Nx=64, Nt=64)
     params = SpectralParams(K=16, Ny=64)
@@ -515,3 +548,44 @@ def test_read_modes_csv_holds_one_block_not_the_file(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert np.array_equal(back.values, values)
     assert peak < 3 * values.nbytes, f"peak {peak} B, value stack {values.nbytes} B"
+
+
+def _readme_stack():
+    """A random dense mode stack of the README size, K = 16, Nx = Nt = 128
+    (2.15 MB)."""
+    grid = Grid(Domain(np.pi, 0.5), Nx=128, Nt=128)
+    params = SpectralParams(K=16, Ny=64)
+    values = np.random.default_rng(10).standard_normal((16,) + grid.field_shape)
+    return ModeFieldSet(grid, params, values)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_modes_csv_at_the_default_block_holds_no_node_count(tmp_path):
+    # besides the values a read holds one byte a node and one 16,384-row
+    # block with loadtxt's buffers (3.5 MB in all, 1.6 stacks), never a
+    # count per node as large as the values
+    stack = _readme_stack()
+    write_modes_csv(tmp_path / "f.csv", stack)
+    back, peak = _traced_peak(lambda: read_modes_csv(tmp_path / "f.csv", stack.grid,
+                                                     stack.params))
+    assert np.array_equal(back.values, stack.values)
+    assert peak < 2 * stack.values.nbytes, f"peak {peak} B, stack {stack.values.nbytes} B"
+
+
+def test_write_modes_csv_never_holds_all_coordinate_text(tmp_path):
+    # the format strings of one slice (16,770 rows) and one piece's floats,
+    # 0.9 MB, never the coordinate text of every row or a whole slice's
+    # floats at once
+    stack = _readme_stack()
+    _, peak = _traced_peak(lambda: write_modes_csv(tmp_path / "u_modes.csv", stack))
+    assert peak < 0.6 * stack.values.nbytes, f"peak {peak} B, stack {stack.values.nbytes} B"
+    assert np.array_equal(read_modes_csv(tmp_path / "u_modes.csv", stack.grid,
+                                         stack.params).values, stack.values)

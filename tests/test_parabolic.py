@@ -281,6 +281,63 @@ def test_reaction_march_peaks_below_four_stacks():
     assert peak < 1.25 * S.nbytes, f"peak {peak} B, one stack {S.nbytes} B"
 
 
+def test_reaction_march_into_its_sources_holds_no_second_stack():
+    # with out=sources the known-a march keeps one (K, Nx) source level
+    # aside; its peak is the finite check's boolean stack (an eighth of a
+    # stack) and a few work levels.  K = 16, N = 128: a 2.15 MB stack
+    g = grid_1d(Nx=128, Nt=128, T=0.5)
+    rng = np.random.default_rng(11)
+    S = rng.standard_normal((16,) + g.field_shape)
+    phi = rng.standard_normal((16,) + g.space_shape)
+    a = rng.random(g.field_shape)
+    S0, phi0, modes = S.copy(), phi.copy(), np.arange(1, 17)
+    fresh = march_modes(S, phi, g, reaction=a, modes=modes)
+    assert np.array_equal(S, S0) and np.array_equal(phi, phi0)
+    tracemalloc.start()
+    try:
+        got = march_modes(S, phi, g, reaction=a, modes=modes, out=S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is S and got.tobytes() == fresh.tobytes()
+    assert peak < 0.25 * S.nbytes, f"peak {peak} B, one stack {S.nbytes} B"
+
+
+def test_march_into_out_matches_the_allocating_march():
+    # both paths, out a separate all-NaN stack or the sources themselves; a
+    # misshapen out is rejected
+    g = grid_1d(Nx=24, Nt=12)
+    rng = np.random.default_rng(12)
+    S = rng.standard_normal((3,) + g.field_shape)
+    phi = rng.standard_normal((3,) + g.space_shape)
+    modes = np.array([1, 4, 6])
+    for a in (None, rng.random(g.field_shape)):
+        fresh = march_modes(S, phi, g, reaction=a, modes=modes)
+        out = np.full(S.shape, np.nan)
+        assert march_modes(S, phi, g, reaction=a, modes=modes, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
+        own = S.copy()
+        march_modes(own, phi, g, reaction=a, modes=modes, out=own)
+        assert own.tobytes() == fresh.tobytes()
+    for bad in (np.empty(S.shape[:-1] + (g.Nx + 1,)), np.empty(S.shape, dtype=np.float32)):
+        with pytest.raises(ConfigurationError, match="output stack"):
+            march_modes(S, phi, g, modes=modes, out=bad)
+
+
+def test_solve_forward_overwrites_f_only_on_request():
+    g = grid_1d(Nx=16, Nt=8)
+    params = SpectralParams(K=4, Ny=64)
+    rng = np.random.default_rng(13)
+    f = ModeFieldSet(g, params, rng.standard_normal((4,) + g.field_shape))
+    phi = rng.standard_normal((4,) + g.space_shape)
+    a = ScalarField(g, rng.random(g.field_shape))
+    f0 = f.values.copy()
+    kept = solve_forward(a, f, phi, g, params)
+    assert np.array_equal(f.values, f0)
+    into_f = solve_forward(a, f, phi, g, params, overwrite_f=True)
+    assert into_f.values is f.values and into_f.values.tobytes() == kept.values.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=30, deadline=None)
 @given(Nt=st.integers(2, 16), data=st.data(),
