@@ -21,10 +21,12 @@ rows at a time, and a grid reader checks "every node once" with a node seen
 mask and a row count, not a count per node.  The writer takes one
 leading-index slice at a time from any iterable: write_modes_csv passes the
 stack's rows with one shared zero slice for each mode it does not hold, and
-write_synth_csv synthesises u(t, x, y) one time level at a time; its format
-strings are built from the coordinate text a piece at a time.  So a big
-file costs the arrays it fills or is written from, one byte a node when
-read, plus one block or slice, never a copy of the file.
+write_synth_csv synthesises u(t, x, y) one time level at a time.  It writes
+bytes, with no text layer to encode: each piece of a slice is a bytes
+template built once from the trailing coordinates' text, with the leading
+coordinate spliced in per slice.  So a big file costs the arrays it fills
+or is written from, one byte a node when read, plus one block or slice,
+never a copy of the file.
 """
 
 from __future__ import annotations
@@ -47,12 +49,12 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-#: rows per write of _write_grid_csv.  A piece of text (at most ~100 bytes a
-#: row) and its encoded copy stay below glibc's default 128 kB mmap and trim
-#: thresholds, so the heap reuses one region for every piece.  A whole slice
-#: at once (~240 kB of text for the README config's u_synth.csv, twice with
-#: the encoded copy) crosses them: unless an earlier large free has raised the
-#: thresholds, every time level is then mapped, or trimmed and faulted in,
+#: rows per write of _write_grid_csv.  A piece's spliced template and its
+#: formatted bytes (at most ~100 bytes a row) are each under 64 kB, below
+#: glibc's default 128 kB mmap and trim thresholds, so the heap reuses one
+#: region for every piece.  A whole slice at once (~240 kB for the README
+#: config's u_synth.csv) crosses them: unless an earlier large free has raised
+#: the thresholds, every time level is then mapped, or trimmed and faulted in,
 #: afresh (about 14 000 extra page faults for that file).
 _ROWS_PER_WRITE = 512
 
@@ -70,22 +72,24 @@ def _write_grid_csv(path, header: list[str], axes, slices) -> None:
     coordinates then value, all "%.17g" (so a mode index k prints as an
     integer).  ``slices`` is any iterable of the leading-index slices, one
     per node of axes[0], each shaped like the product of the other axes; an
-    array of the whole product is one.  Each slice is written in pieces of
-    at most _ROWS_PER_WRITE rows, each one format string with the trailing
-    coordinates as literal text.  The format strings are built a piece at a
-    time from the coordinate text of the trailing axes, and each piece's
-    values become Python floats on their own, so memory is one slice plus
-    the format strings."""
-    cols = [["%.17g" % c for c in np.asarray(axis, dtype=float).tolist()] for axis in axes]
+    array of the whole product is one.  Each slice is written as bytes in
+    pieces of at most _ROWS_PER_WRITE rows.  A piece is one bytes template,
+    built once from the coordinate text of the trailing axes, whose rows
+    read NUL, trailing coordinates, ",%.17g" and CRLF; per slice the NUL is
+    replaced by the slice's leading coordinate (coordinate text holds no
+    NUL and no "%") and the piece's values are formatted into that copy.
+    So memory is one slice, the templates, and one spliced template and
+    formatted piece at a time."""
+    cols = [[b"%.17g" % c for c in np.asarray(axis, dtype=float).tolist()] for axis in axes]
     shape = tuple(map(len, cols[1:]))
     # the trailing coordinates of each row, last axis fastest
-    tails = map("".join, itertools.product(*[["," + c for c in col] for col in cols[1:]]))
+    tails = map(b"".join, itertools.product(*[[b"," + c for c in col] for col in cols[1:]]))
     batches = iter(lambda: list(itertools.islice(tails, _ROWS_PER_WRITE)), [])
-    pieces = [(i * _ROWS_PER_WRITE, "".join(["%s" + tail + ",%.17g\r\n" for tail in batch]))
+    pieces = [(i * _ROWS_PER_WRITE, b"".join([b"\0" + tail + b",%.17g\r\n" for tail in batch]))
               for i, batch in enumerate(batches)]
     count = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode("utf-8"))
         for block in slices:
             block = np.asarray(block, dtype=float)
             if count == len(cols[0]) or block.shape != shape:
@@ -94,11 +98,8 @@ def _write_grid_csv(path, header: list[str], axes, slices) -> None:
             head = cols[0][count]
             count += 1
             row = block.ravel()
-            for i, template in pieces:
-                part = row[i:i + _ROWS_PER_WRITE].tolist()
-                fields = [head] * (2 * len(part))
-                fields[1::2] = part
-                fh.write(template % tuple(fields))
+            for i, piece in pieces:
+                fh.write(piece.replace(b"\0", head) % tuple(row[i:i + _ROWS_PER_WRITE].tolist()))
     if count != len(cols[0]):
         raise ValueError(f"{path}: {count} slices for {len(cols[0])} nodes of {header[0]}")
 
@@ -279,8 +280,10 @@ def write_modes_csv(path, modes: ModeFieldSet) -> None:
 
 
 def read_modes_csv(path, grid: Grid, params: SpectralParams) -> ModeFieldSet:
+    # every value comes from a row _row_blocks has checked finite
     return ModeFieldSet(grid, params, _read_grid_csv(
-        path, ["k", "t", "x", "value"], [range(1, params.K + 1), grid.t, grid.x]))
+        path, ["k", "t", "x", "value"], [range(1, params.K + 1), grid.t, grid.x]),
+        check_finite=False)
 
 
 def write_mode_profiles_csv(path, phi_modes: np.ndarray, x: np.ndarray) -> None:

@@ -104,14 +104,14 @@ def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: f
         with np.errstate(all="ignore"):
             _march_tridiagonal(out, sources, phi_modes, lam, reaction, grid, theta)
 
-    # the whole contiguous stack: on the strided view of steps 1..Nt numpy
-    # would add a 64 kB buffer
-    finite = np.isfinite(out).all(axis=2)[:, 1:]
-    if not finite.all():
-        row = int(np.argmin(finite.all(axis=1)))
-        k, step = int(modes[row]), int(np.argmin(finite[row])) + 1
-        raise NumericalBlowupError(f"mode {k}: non-finite values at time step {step}",
-                                   mode=k, step=step)
+    # steps 1..Nt of one mode at a time: a boolean work array of one mode's
+    # (Nt, Nx+2) nodes, not of the whole stack
+    for k, rows in zip(modes.tolist(), out[:, 1:]):
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            step = int(np.argmin(finite)) + 1
+            raise NumericalBlowupError(f"mode {k}: non-finite values at time step {step}",
+                                       mode=k, step=step)
     return out
 
 

@@ -189,7 +189,8 @@ class ModeFieldSet:
     dense (K, Nt+1, Nx+2) stack.
 
     The values are checked finite unless check_finite is False, which is for
-    a stack its producer has just checked (march_modes scans its output).
+    a stack its producer has just checked (march_modes scans its output, and
+    read_modes_csv's reader each row).
     """
 
     grid: Grid

@@ -147,12 +147,15 @@ def grid_case(draw, elements=any_float):
 
 @settings(max_examples=40, deadline=None)
 @given(case=grid_case(),
-       y=hnp.arrays(np.float64, st.integers(4, 7), elements=any_float))
-def test_writers_match_reference_bytes(tmp_path_factory, case, y):
+       y=hnp.arrays(np.float64, st.integers(4, 7), elements=any_float), data=st.data())
+def test_writers_match_reference_bytes(tmp_path_factory, case, y, data):
     tmp = tmp_path_factory.mktemp("bytes")
     grid, values = case
     K = values.shape[0]
     ks = range(1, K + 1)
+    # a leading axis of any floats, so the leading coordinate spliced into
+    # each row's template is checked against the reference text too
+    lead = data.draw(hnp.arrays(np.float64, len(grid.t), elements=any_float))
     # a stand-in for ScalarField and an unchecked ModeFieldSet, so non-finite
     # cells reach the writer; one row of mode K for u_synth.csv, whose
     # per-level synthesis has the bits of the whole array
@@ -171,9 +174,9 @@ def test_writers_match_reference_bytes(tmp_path_factory, case, y):
          ["k", "x", "value"], [ks, grid.x], values[:, 0]),
         (write_synth_csv, (one_row, y),
          ["t", "x", "y", "value"], [grid.t, grid.x, y], synth),
-        (_write_grid_csv, (["t", "x", "y", "value"], [grid.t, grid.x, y[:K]],
+        (_write_grid_csv, (["t", "x", "y", "value"], [lead, grid.x, y[:K]],
                            values.transpose(1, 2, 0)),
-         ["t", "x", "y", "value"], [grid.t, grid.x, y[:K]], values.transpose(1, 2, 0)),
+         ["t", "x", "y", "value"], [lead, grid.x, y[:K]], values.transpose(1, 2, 0)),
     ]
     for n, (writer, args, header, axes, expected) in enumerate(cases):
         got, ref = tmp / f"got{n}.csv", tmp / f"ref{n}.csv"

@@ -283,8 +283,8 @@ def test_reaction_march_peaks_below_four_stacks():
 
 def test_reaction_march_into_its_sources_holds_no_second_stack():
     # with out=sources the known-a march keeps one (K, Nx) source level
-    # aside; its peak is the finite check's boolean stack (an eighth of a
-    # stack) and a few work levels.  K = 16, N = 128: a 2.15 MB stack
+    # aside; its peak is a few work levels and the finite check's boolean
+    # array of one mode's rows.  K = 16, N = 128: a 2.15 MB stack
     g = grid_1d(Nx=128, Nt=128, T=0.5)
     rng = np.random.default_rng(11)
     S = rng.standard_normal((16,) + g.field_shape)
@@ -301,6 +301,25 @@ def test_reaction_march_into_its_sources_holds_no_second_stack():
         tracemalloc.stop()
     assert got is S and got.tobytes() == fresh.tobytes()
     assert peak < 0.25 * S.nbytes, f"peak {peak} B, one stack {S.nbytes} B"
+
+
+def test_march_finite_check_holds_one_mode_of_booleans():
+    # the output check scans one mode's (Nt, Nx+2) rows at a time: a
+    # boolean array of the whole stack, an eighth of a stack, would put the
+    # peak of the in-place known-a march above 1/16 of a stack.  K = 16,
+    # Nx = 64, Nt = 512: a 4.3 MB stack, one mode's booleans 34 kB
+    g = grid_1d(Nx=64, Nt=512, T=0.5)
+    rng = np.random.default_rng(13)
+    S = rng.standard_normal((16,) + g.field_shape)
+    phi = rng.standard_normal((16,) + g.space_shape)
+    a = rng.random(g.field_shape)
+    tracemalloc.start()
+    try:
+        march_modes(S, phi, g, reaction=a, modes=np.arange(1, 17), out=S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < S.nbytes / 16, f"peak {peak} B, one stack {S.nbytes} B"
 
 
 def test_march_into_out_matches_the_allocating_march():
