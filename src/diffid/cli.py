@@ -129,9 +129,9 @@ def _cmd_forward(cfg: RunConfig, base_dir: Path) -> int:
 
     with _recording_warnings() as caught:
         _warn_compatibility(data)
-        # nothing reads f after the solve: march into its stack
+        # marches into f's stack, which nothing reads after the solve
         u = solve_forward(a, data.f_modes, data.phi_modes, cfg.grid, cfg.params,
-                          theta=cfg.theta, overwrite_f=True)
+                          theta=cfg.theta)
         res_field, res_norm = overdetermination_residual(u, data.omega, data.psi)
     y = _synth_y(cfg)
     write_modes_csv(cfg.output_dir / "u_modes.csv", u)
@@ -235,9 +235,8 @@ def _mms_studies(cfg: RunConfig) -> None:
                       int(row["converged"]), row["order_a"]] for row in rows])
 
     top = rows[-1]
-    distance = uniqueness_probe(top["scenario"], cfg.certify, tol_F=cfg.tol_F,
-                                max_iters=cfg.max_iters, theta=cfg.theta,
-                                zero_start=top["result"])
+    distance = uniqueness_probe(top["scenario"], top["result"], cfg.certify, tol_F=cfg.tol_F,
+                                max_iters=cfg.max_iters, theta=cfg.theta)
     write_table_csv(cfg.output_dir / "uniqueness.csv",
                     ["scenario", "distance"], [[cfg.scenario_name, distance]])
 

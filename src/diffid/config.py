@@ -151,6 +151,9 @@ def load_config(path) -> RunConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as err:
         raise ConfigurationError(f"config file not found: {path}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"config file is not UTF-8 text: {path}: byte "
+                                 f"0x{err.object[err.start]:02x} ({err.reason})") from err
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):

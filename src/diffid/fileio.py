@@ -12,20 +12,20 @@ One function pair knows the grid layout: _write_grid_csv and its inverse
 _read_grid_csv, which reads a file against the node lists the config
 defines (grid.t, grid.x, k = 1..K).  Rows may come in any order; an
 off-grid coordinate and a missing or repeated node are rejected with a
-DataError naming the file, and so is a non-finite cell in any input file.
-The omega profile is the one input whose nodes come from the file:
-read_profile_csv.
+DataError naming the file, and so are a non-finite cell and bytes that are
+not UTF-8 text in any input file.  The omega profile is the one input whose
+nodes come from the file: read_profile_csv.
 
 Both directions stream.  Every input is parsed by _row_blocks, _ROWS_PER_READ
-rows at a time, and a grid reader checks "every node once" with a node seen
-mask and a row count, not a count per node.  The writer takes one
-leading-index slice at a time from any iterable: write_modes_csv passes the
-stack's rows with one shared zero slice for each mode it does not hold, and
-write_synth_csv synthesises u(t, x, y) one time level at a time.  It writes
-bytes, with no text layer to encode: each piece of a slice is a bytes
-template built once from the trailing coordinates' text, with the leading
-coordinate spliced in per slice.  So a big file costs the arrays it fills
-or is written from, one byte a node when read, plus one block or slice,
+rows at a time, and a grid reader checks "every node once" with a row count
+and its value array, whose NaN start records the nodes not read.  The
+writer takes one leading-index slice at a time from any iterable:
+write_modes_csv passes the stack's rows with one shared zero slice for each
+mode it does not hold, and write_synth_csv synthesises u(t, x, y) one time
+level at a time.  It writes bytes, with no text layer to encode: each piece
+of a slice is a bytes template built once from the trailing coordinates'
+text, with the leading coordinate spliced in per slice.  So a big file
+costs the arrays it fills or is written from plus one block or slice,
 never a copy of the file.
 """
 
@@ -107,43 +107,48 @@ def _write_grid_csv(path, header: list[str], axes, slices) -> None:
 def _row_blocks(path, expected_header: list[str]):
     """The data rows of an input file as float arrays of at most
     _ROWS_PER_READ rows each, in file order.  Checks the header, then each
-    block's column count and cells; a file without data rows is an error."""
-    with open(path, encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or [h.strip() for h in header] != expected_header:
-            raise DataError(
-                f"{path}: expected header {','.join(expected_header)}, got {header}")
-        first = 1  # data row number of the block's first row
-        while True:
-            try:
-                with warnings.catch_warnings():
-                    # an empty last block, and blank lines (not counted as rows)
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                            UserWarning)
-                    warnings.filterwarnings("ignore", "Input line .* contained no data",
-                                            UserWarning)
-                    rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                                      ndmin=2, dtype=float, max_rows=_ROWS_PER_READ)
-            except ValueError as err:
-                raise DataError(f"{path}: " + (_bad_row(path, len(expected_header), first)
-                                               or f"malformed data row ({err})")) from err
-            if not len(rows):
-                if first == 1:
-                    raise DataError(f"{path}: no data rows")
-                return
-            if rows.shape[1] != len(expected_header):
-                raise DataError(f"{path}: data rows have {rows.shape[1]} columns, "
-                                f"the header {len(expected_header)}, from data row {first}")
-            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-            if bad.size:
-                raise DataError(f"{path}: non-finite cell in data row "
-                                + ",".join(f"{c:.15g}" for c in rows[bad[0]]))
-            count = len(rows)
-            yield rows
-            del rows  # free this block before the next one is read
-            if count < _ROWS_PER_READ:
-                return
-            first += count
+    block's column count and cells; a file without data rows, and one that
+    is not UTF-8 text, is an error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None or [h.strip() for h in header] != expected_header:
+                raise DataError(
+                    f"{path}: expected header {','.join(expected_header)}, got {header}")
+            first = 1  # data row number of the block's first row
+            while True:
+                try:
+                    with warnings.catch_warnings():
+                        # an empty last block, and blank lines (not counted as rows)
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                                UserWarning)
+                        warnings.filterwarnings("ignore", "Input line .* contained no data",
+                                                UserWarning)
+                        rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                          ndmin=2, dtype=float, max_rows=_ROWS_PER_READ)
+                except ValueError as err:  # a UnicodeDecodeError too, which _bad_row meets again
+                    raise DataError(f"{path}: " + (_bad_row(path, len(expected_header), first)
+                                                   or f"malformed data row ({err})")) from err
+                if not len(rows):
+                    if first == 1:
+                        raise DataError(f"{path}: no data rows")
+                    return
+                if rows.shape[1] != len(expected_header):
+                    raise DataError(f"{path}: data rows have {rows.shape[1]} columns, "
+                                    f"the header {len(expected_header)}, from data row {first}")
+                bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+                if bad.size:
+                    raise DataError(f"{path}: non-finite cell in data row "
+                                    + ",".join(f"{c:.15g}" for c in rows[bad[0]]))
+                count = len(rows)
+                yield rows
+                del rows  # free this block before the next one is read
+                if count < _ROWS_PER_READ:
+                    return
+                first += count
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text: byte 0x{err.object[err.start]:02x} "
+                        f"({err.reason})") from err
 
 
 def _bad_row(path, columns: int, first: int) -> str | None:
@@ -152,7 +157,9 @@ def _bad_row(path, columns: int, first: int) -> str | None:
     if none is found.  The error path of _row_blocks: numpy's own row index
     counts from the block, 0-based for a cell it cannot convert and 1-based
     for a changed column count."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        # numpy's warning for an empty cell, reported here as not a number
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         reader = csv.reader(fh)
         next(reader)   # the header, checked already
         for number, cells in enumerate((cells for cells in reader if cells), start=1):
@@ -167,38 +174,33 @@ def _bad_row(path, columns: int, first: int) -> str | None:
 
 
 def _is_number(cell: str) -> bool:
-    """Whether np.loadtxt reads the cell as a float: float() does, less the
-    digit-group underscores and non-ASCII digits that numpy rejects."""
-    if not cell.isascii() or "_" in cell:
-        return False
+    """Whether np.loadtxt, as _row_blocks calls it, reads the cell as one
+    float: numpy's own parse of the cell alone."""
     try:
-        float(cell)
+        return np.loadtxt([cell], delimiter=",", quotechar='"', comments=None,
+                          ndmin=2, dtype=float).shape == (1, 1)
     except ValueError:
         return False
-    return True
 
 
 def _read_grid_csv(path, header: list[str], axes) -> np.ndarray:
     """The inverse of _write_grid_csv: the values on the product of ``axes``.
     Rows may come in any order, but each coordinate must lie within 1e-9 of
     a node of its uniform axis and each node must appear exactly once.  The
-    file is read a block at a time, and a node seen mask and the number of
-    rows read decide "exactly once": every node is seen and there are as
-    many rows as nodes.  So memory is the values, one byte a node and one
-    block with its node indices; only a file that fails is read again, for
-    each node's count (_bad_count)."""
+    file is read a block at a time into values that start as NaN; every cell
+    read is finite, so as many rows as nodes and no NaN left means each node
+    appeared once.  Memory is the values and one block with its node indices;
+    only a file that fails is read again, for each node's count (_bad_count)."""
     axes = [np.asarray(axis, dtype=float) for axis in axes]
     shape = tuple(map(len, axes))
-    values = np.empty(math.prod(shape))
-    seen = np.zeros(len(values), dtype=bool)
+    values = np.full(math.prod(shape), np.nan)
     rows_read = 0
     for rows in _row_blocks(path, header):
         flat = _block_nodes(path, header, axes, rows)
         values[flat] = rows[:, -1]
-        seen[flat] = True
         rows_read += len(rows)
         del rows, flat  # free this block before the next one is read
-    if rows_read != len(values) or not seen.all():
+    if rows_read != len(values) or np.isnan(values.min()):
         raise DataError(_bad_count(path, header, axes))
     return values.reshape(shape)
 

@@ -92,16 +92,6 @@ class ScalarField:
             raise DataError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        """Evaluate fn(t, x) on the tensor grid."""
-        tt, xx = np.meshgrid(grid.t, grid.x, indexing="ij")
-        return cls(grid, fn(tt, xx))
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros(grid.field_shape))
-
 
 def l2_sq_G(values: np.ndarray, grid: Grid):
     """Squared L2(G) norm of each space slice: the trapezoid over G of v**2,

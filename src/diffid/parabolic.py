@@ -31,10 +31,9 @@ arrays, and nothing is factored ahead or stored across steps.
 A step reads source levels n and n+1 only, and the march keeps level n
 aside before the step overwrites it, so the output may be the source stack
 itself (march_modes' numpy-style out): a known-a march then holds one stack,
-not two.  solve_forward marches into f on request (overwrite_f, after
-scipy's overwrite_b), as the forward command does; by default no input is
-written.  The reaction-free march transforms the whole source stack before
-it writes any output, so there too out may be the sources.
+not two.  solve_forward always marches into the rows of f it reads.  The
+reaction-free march transforms the whole source stack before it writes any
+output, so there too out may be the sources.
 """
 
 from __future__ import annotations
@@ -216,23 +215,20 @@ def forced_modes(phi_modes: np.ndarray, *stacks: ModeFieldSet) -> np.ndarray:
     return np.flatnonzero(live) + 1
 
 
-def solve_forward(a: ScalarField | None, f_modes: ModeFieldSet, phi_modes: np.ndarray,
-                  grid: Grid, params: SpectralParams, theta: float = 0.5,
-                  overwrite_f: bool = False) -> ModeFieldSet:
-    """Solve the decoupled mode equations with a known reaction coefficient.
-    Only the forced modes are marched; the result is their compact stack.
-    With overwrite_f the march writes the result into the source rows it
-    reads (march_modes' out), so f_modes may be left holding the result and
-    must not be read again; this saves a stack when f_modes is not needed
-    after the solve."""
+def solve_forward(a: ScalarField, f_modes: ModeFieldSet, phi_modes: np.ndarray,
+                  grid: Grid, params: SpectralParams, theta: float = 0.5) -> ModeFieldSet:
+    """Solve the decoupled mode equations with the known reaction coefficient
+    a.  Only the forced modes are marched; the result is their compact
+    stack, marched into the stack that f_modes.rows(modes) returns.  When
+    f_modes holds exactly the forced rows that is f_modes' own array, which
+    is then left holding the result and must not be read again."""
     modes = forced_modes(phi_modes, f_modes)
     if not len(modes):
         return ModeFieldSet.empty(grid, params)
     sources = f_modes.rows(modes).values
     try:
-        values = march_modes(sources, phi_modes[modes - 1], grid, theta,
-                             reaction=None if a is None else a.values, modes=modes,
-                             out=sources if overwrite_f else None)
+        values = march_modes(sources, phi_modes[modes - 1], grid, theta, reaction=a.values,
+                             modes=modes, out=sources)
     except NumericalBlowupError as err:
         raise NumericalBlowupError(f"forward solve failed: {err}",
                                    mode=err.mode, step=err.step) from err

@@ -160,22 +160,16 @@ def convergence_study(name: str, grid: Grid, params: SpectralParams, scale: floa
     return rows
 
 
-def uniqueness_probe(scenario: Scenario, options: CertifyOptions = CertifyOptions(),
-                     tol_F: float = 1e-10, max_iters: int = 50, theta: float = 0.5,
-                     zero_start: InversionResult | None = None) -> float:
+def uniqueness_probe(scenario: Scenario, zero_start: InversionResult,
+                     options: CertifyOptions = CertifyOptions(), tol_F: float = 1e-10,
+                     max_iters: int = 50, theta: float = 0.5) -> float:
     """Distance between coefficients recovered from two different starting
-    iterates: zero modes versus twice the result of one sweep from zero.
-    The second start is off the zero-start trajectory (u^1 itself is on
-    it, and would replay the same iterates to a distance of exactly 0).
-
-    zero_start is the caller's finished zero-start inversion of this
-    scenario with the same options, tol_F, max_iters and theta; it is run
-    here when not given.
-    """
+    iterates: zero modes, whose finished inversion of this scenario with the
+    same options, tol_F, max_iters and theta is zero_start, versus twice the
+    result of one sweep from zero.  The second start is off the zero-start
+    trajectory (u^1 itself is on it, and would replay the same iterates to a
+    distance of exactly 0)."""
     data = scenario.data
-    if zero_start is None:
-        zero_start = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters,
-                                   theta=theta, force=True)
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, data.grid, floor=options.psi_floor)
     zero = ModeFieldSet.empty(data.grid, data.params)
     warm, _ = iterate(zero.rows(forced_modes(data.phi_modes, data.f_modes)), data, Psi,

@@ -101,24 +101,16 @@ def synthesize(coeffs: np.ndarray, y: np.ndarray, modes: np.ndarray | None = Non
 
 @dataclass(frozen=True)
 class OmegaData:
-    """The measurement weight: samples of omega and omega'', its sine
-    coefficients, and the couplings c_j = (sin(j y), omega'')."""
+    """The measurement weight: the sine coefficients of omega, the couplings
+    c_j = (sin(j y), omega''), and ||omega''|| in L2(0, pi)."""
 
-    y: np.ndarray = field(repr=False)
-    omega: np.ndarray = field(repr=False)
-    omega_dd: np.ndarray = field(repr=False)
     omega_coeffs: np.ndarray = field(repr=False)
     couplings: np.ndarray = field(repr=False)
-    couplings_ibp: np.ndarray = field(repr=False)
+    omega_dd_l2: float
 
     @property
     def K(self) -> int:
         return len(self.couplings)
-
-    @property
-    def omega_dd_l2(self) -> float:
-        """||omega''|| in L2(0, pi)."""
-        return float(np.sqrt(np.trapezoid(self.omega_dd**2, self.y)))
 
     def measure(self, stack: np.ndarray, modes: np.ndarray) -> np.ndarray:
         """The integral measurement (pi/2) sum_i omega_{k_i} v_i of a stack of
@@ -150,13 +142,13 @@ class OmegaData:
                 f"rebuilding omega'' by second differences; steps range from "
                 f"{h.min():.6g} to {h.max():.6g}")
         coeffs = sine_coeffs(omega, K, y)
-        lam = eigenvalues(K)
-        c_ibp = -lam * (np.pi / 2.0) * coeffs
         if omega_dd is None:
-            dd = diff2(omega, h[0], axis=0)
-            return cls(y, omega, dd, coeffs, c_ibp.copy(), c_ibp)
-        omega_dd = np.asarray(omega_dd, dtype=float)
-        return cls(y, omega, omega_dd, coeffs, _coupling_quadrature(y, omega_dd, K), c_ibp)
+            omega_dd = diff2(omega, h[0], axis=0)
+            couplings = -eigenvalues(K) * (np.pi / 2.0) * coeffs
+        else:
+            omega_dd = np.asarray(omega_dd, dtype=float)
+            couplings = _coupling_quadrature(y, omega_dd, K)
+        return cls(coeffs, couplings, float(np.sqrt(np.trapezoid(omega_dd**2, y))))
 
     @classmethod
     def from_callables(cls, fn, fn_dd, params: SpectralParams) -> "OmegaData":
@@ -250,14 +242,10 @@ class ModeFieldSet:
             raise DataError(f"mode rows {self.modes} and {other.modes} differ")
         return ModeFieldSet(self.grid, self.params, self.values - other.values, self.modes)
 
-    def synthesize_y(self, y: np.ndarray, level: int | None = None) -> np.ndarray:
-        """Sample u(t, x, y) = sum_k u_k(t, x) sin(k y) on the given y nodes:
-        the (Nt+1, Nx+2, len(y)) array, or its (Nx+2, len(y)) slice at one
-        time level.  A one-row stack gives the same bits either way; with
-        several rows a slice may group the BLAS sum over k otherwise than the
-        whole array, which moves last bits only."""
-        values = self.values if level is None else self.values[:, level]
-        return synthesize(values, y, self.modes)
+    def synthesize_y(self, y: np.ndarray, level: int) -> np.ndarray:
+        """Sample u(t, x, y) = sum_k u_k(t, x) sin(k y) at one time level on
+        the given y nodes: the (Nx+2, len(y)) slice."""
+        return synthesize(self.values[:, level], y, self.modes)
 
 
 def mode_sum(terms: np.ndarray, lam: np.ndarray | None = None, power: float = 0.0) -> float:

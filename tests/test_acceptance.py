@@ -79,7 +79,9 @@ def test_criterion_2_coupling_identity():
     worst = 0.0
     for omega, omega_dd in zip(cases, cases_dd):
         om = OmegaData.from_profiles(y, omega, K, omega_dd=omega_dd)
-        worst = max(worst, float(np.max(np.abs(om.couplings - om.couplings_ibp))))
+        # the integration-by-parts identity c_j = -j^2 (pi/2) omega_j
+        ibp = -np.arange(1, K + 1) ** 2 * (np.pi / 2) * om.omega_coeffs
+        worst = max(worst, float(np.max(np.abs(om.couplings - ibp))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 1.0
     report(2, ok, f"max |c_j quadrature - identity| = {worst:.2e} over 3 weights, "
@@ -155,9 +157,9 @@ def test_criterion_6_contraction_law():
 
 def test_criterion_7_uniqueness(mmsa_study):
     t0 = time.perf_counter()
-    scn, _ = mmsa_study[128]
+    scn, result = mmsa_study[128]
     with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
-        distance = uniqueness_probe(scn)
+        distance = uniqueness_probe(scn, result)
     elapsed = time.perf_counter() - t0
     ok = distance <= 1e-8 and elapsed <= 120.0
     report(7, ok, f"rel-L2 distance between initializations = {distance:.2e}, "

@@ -62,7 +62,7 @@ def test_Psi_caloric_measurement_vanishes():
     grid = Grid(Domain(np.pi, 1.0), Nx=128, Nt=128)
     params = SpectralParams(K=2, Ny=64)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
-    psi = ScalarField.from_function(grid, lambda t, x: np.exp(-t) * np.sin(x))
+    psi = ScalarField(grid, np.exp(-grid.t)[:, None] * np.sin(grid.x)[None, :])
     Psi = compute_Psi(psi, ModeFieldSet.empty(grid, params), om, grid)
     mask = interior_margin_mask(grid, 2)
     assert np.max(np.abs(Psi.values[:, mask])) <= 1e-3

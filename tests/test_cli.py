@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import diffid
-from diffid import Domain, Grid, SpectralParams, build_scenario, compute_certificate, run_inversion
+from diffid import (Domain, Grid, ScalarField, SpectralParams, build_scenario,
+                    compute_certificate, run_inversion)
 from diffid.cli import main
 from diffid.config import assemble_scenario, load_config
 from diffid.problem import COMPATIBILITY_RTOL
@@ -166,15 +167,35 @@ def test_cli_import_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
-def test_mms_loads_no_numpy_ma(tmp_path):
-    # np.unique (so np.union1d) imports numpy.ma, 1.4 MB of peak memory
+#: modules no run needs: importing numpy.ma, numpy.random, numpy.polynomial
+#: or numpy.fft costs 1.3, 6.3, 0.6 or 0.2 MB of peak memory (np.unique, so
+#: np.union1d, imports numpy.ma), and difflib serves only a config error
+UNUSED_MODULES = ("numpy.ma", "numpy.random", "numpy.polynomial", "numpy.fft", "difflib")
+
+
+@pytest.mark.parametrize("command", ["setup", "certify", "forward-data", "invert-force", "mms"])
+def test_runs_load_no_unused_modules(tmp_path, command):
     src = str(Path(diffid.__file__).resolve().parents[1])
-    config = write_config(tmp_path, base_config(tmp_path / "out", N=24, K=2))
-    probe = (f"import sys, diffid.cli; diffid.cli.main(['mms', '--config', {str(config)!r}]); "
-             "print('numpy.ma' in sys.modules)")
+    config = str(write_config(tmp_path, base_config(tmp_path / "out", N=24, K=2)))
+    if command == "setup":  # the import and config load that bench times as setup_s
+        run = f"from diffid.config import load_config; load_config({config!r}); code = 0"
+    else:
+        if command == "certify":  # NULL passes the certificate
+            config = str(write_config(tmp_path, base_config(tmp_path / "out", scenario="NULL")))
+        elif command == "forward-data":
+            cfg = write_mmsa_data(tmp_path, tmp_path / "out")
+            grid = load_config(write_config(tmp_path, cfg)).grid
+            write_field_csv(tmp_path / "a.csv", ScalarField(grid, np.ones(grid.field_shape)))
+            cfg["data"]["a_file"] = "a.csv"
+            config = str(write_config(tmp_path, cfg))
+        argv = {"certify": ["certify"], "forward-data": ["forward"],
+                "invert-force": ["invert", "--force"], "mms": ["mms"]}[command]
+        run = f"code = diffid.cli.main({argv + ['--config', config]!r})"
+    probe = (f"import sys, diffid.cli; {run}; "
+             f"print(code, [m for m in {UNUSED_MODULES!r} if m in sys.modules])")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout.strip().splitlines()[-1] == "False"
+    assert run.stdout.strip().splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -303,6 +324,14 @@ def test_config_rejects_unknown_key(tmp_path, capsys, section, key, hint):
     assert main(["invert", "--config", str(path)]) == 1
     assert f"{section}.{key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"domain": \xff}')
+    assert main(["certify", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: config file is not UTF-8 text: {path}: "
+                                       "byte 0xff (invalid start byte)\n")
 
 
 def test_config_rejects_unknown_section(tmp_path):
@@ -527,7 +556,8 @@ def write_mmsa_data(tmp_path, out, N=24, K=3):
     write_field_csv(tmp_path / "psi.csv", scn.data.psi)
     write_modes_csv(tmp_path / "f.csv", scn.data.f_modes)
     write_mode_profiles_csv(tmp_path / "phi.csv", scn.data.phi_modes, grid.x)
-    write_profile_csv(tmp_path / "omega.csv", scn.data.omega.y, scn.data.omega.omega)
+    y = scn.data.params.y
+    write_profile_csv(tmp_path / "omega.csv", y, np.sin(y))
     cfg = base_config(out, N=N, K=K)
     del cfg["scenario"]
     cfg["data"] = {"psi_file": "psi.csv", "f_file": "f.csv",

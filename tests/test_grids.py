@@ -88,7 +88,7 @@ def test_l2_norm_G_sin():
 
 def test_l2_norm_GT_separable():
     g = grid_1d(Nx=128, Nt=128, T=1.0)
-    f = ScalarField.from_function(g, lambda t, x: np.exp(-t) * np.sin(x))
+    f = ScalarField(g, np.exp(-g.t)[:, None] * np.sin(g.x)[None, :])
     exact = np.sqrt((np.pi / 2) * (1 - np.exp(-2)) / 2)
     assert np.sqrt(l2_sq_GT(f.values, g)) == pytest.approx(exact, abs=1e-3)
 
@@ -98,7 +98,7 @@ def test_l2_norm_GT_refinement_order():
     errs = []
     for n in (32, 64, 128):
         g = grid_1d(Nx=n, Nt=n)
-        f = ScalarField.from_function(g, lambda t, x: np.exp(-t) * np.sin(x))
+        f = ScalarField(g, np.exp(-g.t)[:, None] * np.sin(g.x)[None, :])
         errs.append(abs(l2_sq_GT(f.values, g) - exact_sq))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(orders) >= 1.8

@@ -58,8 +58,7 @@ def test_stationary_solution():
     # phi = sin x with S = (1 + lambda_1) sin x holds the profile steady;
     # the discrete fixed point is offset by ~hx^2/24, so a fine x-grid is used.
     g = grid_1d(Nx=1024, Nt=16, T=0.25)
-    source = ScalarField.from_function(g, lambda t, x: 2.0 * np.sin(x))
-    u = march_one(1, g, source=source.values, initial=np.sin(g.x))
+    u = march_one(1, g, source=2.0 * np.sin(g.x), initial=np.sin(g.x))
     assert np.max(np.abs(u - np.sin(g.x)[None, :])) <= 1e-6
 
 
@@ -70,8 +69,8 @@ def test_refinement_order():
 
 def test_dirichlet_boundary_exact_zero():
     g = grid_1d(Nx=24, Nt=12)
-    source = ScalarField.from_function(g, lambda t, x: np.cos(t) * x * (np.pi - x))
-    u = march_one(2, g, source=source.values, initial=np.sin(2 * g.x))
+    source = np.cos(g.t)[:, None] * g.x * (np.pi - g.x)
+    u = march_one(2, g, source=source, initial=np.sin(2 * g.x))
     assert np.all(u[:, 0] == 0.0)
     assert np.all(u[:, -1] == 0.0)
 
@@ -92,22 +91,22 @@ def test_l2_stability_nonnegative_reaction(theta):
 
 def test_mode_decoupling_bitwise():
     g = grid_1d(Nx=32, Nt=16)
-    params = SpectralParams(K=3, Ny=64)
+    modes = np.arange(1, 4)
     rng = np.random.default_rng(21)
     f_vals = rng.standard_normal((3,) + g.field_shape)
     phi = rng.standard_normal((3,) + g.space_shape)
     phi[:, 0] = phi[:, -1] = 0.0
 
-    u1 = solve_forward(None, ModeFieldSet(g, params, f_vals), phi, g, params)
+    u1 = march_modes(f_vals, phi, g, modes=modes)
 
     f_vals2 = f_vals.copy()
     f_vals2[1] *= -3.0  # change mode 2's data only
     phi2 = phi.copy()
     phi2[2] += 1.0
     phi2[:, 0] = phi2[:, -1] = 0.0
-    u2 = solve_forward(None, ModeFieldSet(g, params, f_vals2), phi2, g, params)
+    u2 = march_modes(f_vals2, phi2, g, modes=modes)
 
-    assert np.array_equal(u1.values[0], u2.values[0])
+    assert np.array_equal(u1[0], u2[0])
 
 
 def test_forward_mode2_decay():
@@ -116,7 +115,7 @@ def test_forward_mode2_decay():
     f = ModeFieldSet.empty(g, params)
     phi = np.zeros((2,) + g.space_shape)
     phi[1] = np.sin(g.x)
-    u = solve_forward(None, f, phi, g, params)
+    u = solve_forward(ScalarField(g, np.zeros(g.field_shape)), f, phi, g, params)
     exact = np.exp(-5.0 * g.t)[:, None] * np.sin(g.x)[None, :]
     assert u.modes.tolist() == [2]  # only the mode phi excites is marched
     assert np.max(np.abs(u.full().values[1] - exact)) <= 5e-4
@@ -176,11 +175,11 @@ def test_overdetermination_residual_linearity():
     params = SpectralParams(K=1, Ny=64)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     u = ModeFieldSet.empty(g, params)
-    zero = ScalarField.zeros(g)
+    zero = ScalarField(g, np.zeros(g.field_shape))
     _, norm0 = overdetermination_residual(u, om, zero)
     assert norm0 == 0.0
 
-    delta = ScalarField.from_function(g, lambda t, x: 0.01 * np.sin(x) * (1 + t))
+    delta = ScalarField(g, 0.01 * np.sin(g.x)[None, :] * (1 + g.t)[:, None])
     _, norm1 = overdetermination_residual(u, om, delta)
     assert norm1 == pytest.approx(np.sqrt(l2_sq_GT(delta.values, g)), rel=1e-12)
 
@@ -343,18 +342,21 @@ def test_march_into_out_matches_the_allocating_march():
             march_modes(S, phi, g, modes=modes, out=bad)
 
 
-def test_solve_forward_overwrites_f_only_on_request():
+def test_solve_forward_writes_into_f_rows():
     g = grid_1d(Nx=16, Nt=8)
     params = SpectralParams(K=4, Ny=64)
     rng = np.random.default_rng(13)
     f = ModeFieldSet(g, params, rng.standard_normal((4,) + g.field_shape))
     phi = rng.standard_normal((4,) + g.space_shape)
     a = ScalarField(g, rng.random(g.field_shape))
+    fresh = march_modes(f.values, phi, g, reaction=a.values, modes=f.modes)
+    u = solve_forward(a, f, phi, g, params)
+    assert u.values is f.values and u.values.tobytes() == fresh.tobytes()
+    # f holds other rows than the forced modes: the march gets its own stack
+    f = ModeFieldSet(g, params, rng.standard_normal((1,) + g.field_shape), np.array([2]))
     f0 = f.values.copy()
-    kept = solve_forward(a, f, phi, g, params)
-    assert np.array_equal(f.values, f0)
-    into_f = solve_forward(a, f, phi, g, params, overwrite_f=True)
-    assert into_f.values is f.values and into_f.values.tobytes() == kept.values.tobytes()
+    u = solve_forward(a, f, phi, g, params)
+    assert u.modes.tolist() == [1, 2, 3, 4] and np.array_equal(f.values, f0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -184,20 +184,21 @@ def test_uniqueness_probe_mmsa():
     # runs reach the fixed point along different iterates
     scn = make_scenario("MMS-A", N=48, K=4)
     with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
-        distance = uniqueness_probe(scn)
+        distance = uniqueness_probe(scn, run_inversion(scn.data, force=True))
     assert 0.0 < distance <= 1e-8
 
 
 def test_uniqueness_probe_null():
     scn = make_scenario("NULL", N=32, K=2)
-    assert uniqueness_probe(scn) == 0.0
+    assert uniqueness_probe(scn, run_inversion(scn.data, force=True)) == 0.0
 
 
 def test_uniqueness_probe_reports_on_failing_certificate():
     # T > 1 fails the certificate outright; the probe still reports a distance
     scn = make_scenario("MMS-A", N=24, T=2.0, K=2)
     with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
-        d = uniqueness_probe(scn, max_iters=8)
+        d = uniqueness_probe(scn, run_inversion(scn.data, max_iters=8, force=True),
+                             max_iters=8)
     assert np.isfinite(d)
 
 
@@ -225,15 +226,8 @@ def test_uniqueness_probe_reuses_zero_start_and_passes_theta(monkeypatch):
     monkeypatch.setattr(inversion, "march_modes", march_spy)
 
     with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
-        given = uniqueness_probe(scn, max_iters=8, theta=0.8, zero_start=zero)
+        uniqueness_probe(scn, zero, max_iters=8, theta=0.8)
     assert runs == [False]  # only the warm-start inversion is run
-    assert thetas and set(thetas) == {0.8}
-
-    runs.clear()
-    thetas.clear()
-    with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
-        assert uniqueness_probe(scn, max_iters=8, theta=0.8) == given
-    assert runs == [True, False]
     assert thetas and set(thetas) == {0.8}
 
 
