@@ -10,12 +10,11 @@ import contextlib
 import sys
 import warnings
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
 from .certificates import compute_certificate, conditions
-from .config import RunConfig, assemble_data, assemble_scenario, load_config
+from .config import RunConfig, assemble_data, load_config
 from .errors import CertificateFailure, DiffidError
 from .fileio import (
     read_field_csv,
@@ -62,14 +61,13 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out = cfg.output_dir
         out.mkdir(parents=True, exist_ok=True)
-        base_dir = Path(args.config).resolve().parent
         handler = {
             "certify": _cmd_certify,
             "forward": _cmd_forward,
             "invert": _cmd_invert,
             "mms": _cmd_mms,
         }[args.command]
-        return handler(cfg, base_dir, **options)
+        return handler(cfg, **options)
     except DiffidError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
@@ -91,15 +89,14 @@ def _failing_line(cert) -> str:
         label for _, label, _, holds in conditions(cert) if not holds)
 
 
-def _cmd_certify(cfg: RunConfig, base_dir: Path) -> int:
-    data = assemble_data(cfg, base_dir)
+def _cmd_certify(cfg: RunConfig) -> int:
+    data, _ = assemble_data(cfg)
     cert = compute_certificate(data, cfg.certify)
-    residual = data.compatibility_residual()
+    residual, message = data.compatibility()
     write_json(cfg.output_dir / "certificate.json",
                {**asdict(cert), "compatibility_residual": residual})
     _print_margin_table(cert)
     print(f"data compatibility residual: {residual:.6e}")
-    message = data.compatibility_warning()
     if message is not None:
         print(f"warning: {message}", file=sys.stderr)
     if cert.local_pass or cert.global_pass:
@@ -112,23 +109,21 @@ def _synth_y(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, np.pi, cfg.synth_ny + 1)
 
 
-def _cmd_forward(cfg: RunConfig, base_dir: Path) -> int:
-    if cfg.scenario_name is not None:
-        scn = assemble_scenario(cfg)
-        if scn.truth_a is None:
-            print("error: a scaled scenario carries no coefficient to solve with",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        data, a = scn.data, scn.truth_a
+def _cmd_forward(cfg: RunConfig) -> int:
+    if cfg.data_files is not None and "a_file" not in cfg.data_files:
+        print("error: forward runs in data mode need data.a_file", file=sys.stderr)
+        return EXIT_ERROR
+    data, scn = assemble_data(cfg)
+    if scn is None:
+        a = read_field_csv(cfg.data_files["a_file"], cfg.grid)
+    elif scn.truth_a is None:
+        print("error: a scaled scenario carries no coefficient to solve with", file=sys.stderr)
+        return EXIT_ERROR
     else:
-        if "a_file" not in cfg.data_files:
-            print("error: forward runs in data mode need data.a_file", file=sys.stderr)
-            return EXIT_ERROR
-        data = assemble_data(cfg, base_dir)
-        a = read_field_csv(base_dir / cfg.data_files["a_file"], cfg.grid)
+        a = scn.truth_a
 
     with _recording_warnings() as caught:
-        _warn_compatibility(data)
+        _, message = data.compatibility()
         # marches into f's stack, which nothing reads after the solve
         u = solve_forward(a, data.f_modes, data.phi_modes, cfg.grid, cfg.params,
                           theta=cfg.theta)
@@ -137,17 +132,17 @@ def _cmd_forward(cfg: RunConfig, base_dir: Path) -> int:
     write_modes_csv(cfg.output_dir / "u_modes.csv", u)
     write_synth_csv(cfg.output_dir / "u_synth.csv", u, y)
     write_field_csv(cfg.output_dir / "residual.csv", res_field)
-    write_json(cfg.output_dir / "summary.json", {"warnings": _recorded_warnings(caught)})
+    write_json(cfg.output_dir / "summary.json",
+               {"warnings": ([message] if message else []) + _recorded_warnings(caught)})
     print(f"forward solve done; overdetermination residual = {res_norm:.6e}")
     return EXIT_OK
 
 
-def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
-    scn = assemble_scenario(cfg) if cfg.scenario_name is not None else None
-    data = scn.data if scn is not None else assemble_data(cfg, base_dir)
+def _cmd_invert(cfg: RunConfig, force: bool) -> int:
+    data, scn = assemble_data(cfg)
     try:
         with _recording_warnings() as caught:
-            _warn_compatibility(data)
+            residual, message = data.compatibility()
             result = run_inversion(
                 data, cfg.certify, tol_F=cfg.tol_F, max_iters=cfg.max_iters,
                 theta=cfg.theta, force=force or cfg.force)
@@ -172,7 +167,7 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
         "stop_reason": result.stop_reason,
         "iterations": result.iterations,
         "residual_norm": result.residual_norm,
-        "compatibility_residual": data.compatibility_residual(),
+        "compatibility_residual": residual,
         "certificate_local_pass": result.certificate.local_pass,
         "certificate_global_pass": result.certificate.global_pass,
         "norms": result.norms,
@@ -180,7 +175,7 @@ def _cmd_invert(cfg: RunConfig, base_dir: Path, force: bool) -> int:
     if scn is not None and scn.truth_a is not None:
         summary["recovery_error_a"] = recovery_error(result, scn, which="a")
         summary["recovery_error_u"] = recovery_error(result, scn, which="u")
-    summary["warnings"] = _recorded_warnings(caught)
+    summary["warnings"] = ([message] if message else []) + _recorded_warnings(caught)
     write_json(cfg.output_dir / "summary.json", summary)
 
     if not result.converged:
@@ -208,13 +203,7 @@ def _recorded_warnings(caught) -> list[str]:
     return list(dict.fromkeys(str(w.message) for w in caught))
 
 
-def _warn_compatibility(data) -> None:
-    message = data.compatibility_warning()
-    if message is not None:
-        warnings.warn(message, RuntimeWarning)
-
-
-def _cmd_mms(cfg: RunConfig, base_dir: Path) -> int:
+def _cmd_mms(cfg: RunConfig) -> int:
     if cfg.scenario_name is None:
         print("error: mms studies need a scenario config", file=sys.stderr)
         return EXIT_ERROR

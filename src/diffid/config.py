@@ -28,7 +28,7 @@ class RunConfig:
     force: bool
     scenario_name: str | None
     scenario_scale: float
-    data_files: dict | None
+    data_files: dict[str, Path] | None  # resolved against the config file's directory
     output_dir: Path
     synth_ny: int
 
@@ -148,7 +148,7 @@ def _read_section(section: str, body: dict) -> dict:
 
 def load_config(path) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError as err:
         raise ConfigurationError(f"config file not found: {path}") from err
     except UnicodeDecodeError as err:
@@ -190,6 +190,7 @@ def load_config(path) -> RunConfig:
         raise _invalid("domain.Lx", "must be pi for a scenario", domain["Lx"])
 
     data = cfg.get("data")
+    config_dir = Path(path).resolve().parent
     return RunConfig(
         grid=Grid(Domain(domain["Lx"], domain["T"]), Nx=grid["Nx"], Nt=grid["Nt"]),
         params=SpectralParams(K=spectral["K"], epsilon=spectral["epsilon"], Ny=grid["Ny_quad"]),
@@ -200,24 +201,21 @@ def load_config(path) -> RunConfig:
         force=cfg["picard"]["force_on_failed_certificate"],
         scenario_name=None if scenario is None else scenario["name"],
         scenario_scale=1.0 if scenario is None else scenario["scale"],
-        data_files=None if data is None else {k: v for k, v in data.items() if v is not None},
+        data_files=None if data is None else {k: config_dir / v for k, v in data.items()
+                                              if v is not None},
         output_dir=Path(cfg["output"]["dir"]),
         synth_ny=cfg["output"]["synth_ny"],
     )
 
 
-def assemble_scenario(cfg: RunConfig) -> Scenario:
-    if cfg.scenario_name is None:
-        raise ConfigurationError("config: this command needs a scenario, not data files")
-    return build_scenario(cfg.scenario_name, cfg.grid, cfg.params, scale=cfg.scenario_scale)
-
-
-def assemble_data(cfg: RunConfig, base_dir: Path) -> ProblemData:
-    """Problem data from either the named scenario or the data files."""
+def assemble_data(cfg: RunConfig) -> tuple[ProblemData, Scenario | None]:
+    """Problem data from either the named scenario or the data files, with
+    the scenario (None in data mode)."""
     if cfg.scenario_name is not None:
-        return assemble_scenario(cfg).data
+        scn = build_scenario(cfg.scenario_name, cfg.grid, cfg.params, scale=cfg.scenario_scale)
+        return scn.data, scn
 
-    files = {k: _resolve(base_dir, v) for k, v in cfg.data_files.items()}
+    files = cfg.data_files
     psi = read_field_csv(files["psi_file"], cfg.grid)
     f_modes = read_modes_csv(files["f_file"], cfg.grid, cfg.params)
     phi_modes = read_mode_profiles_csv(files["phi_file"], cfg.grid, cfg.params)
@@ -229,9 +227,4 @@ def assemble_data(cfg: RunConfig, base_dir: Path) -> ProblemData:
             f"omega profile has {len(y) - 1} subintervals; need at least 4K = {4 * cfg.params.K}")
     omega = OmegaData.from_profiles(y, omega_vals, cfg.params.K)
     return ProblemData(grid=cfg.grid, psi=psi, f_modes=f_modes,
-                       phi_modes=phi_modes, omega=omega, params=cfg.params)
-
-
-def _resolve(base_dir: Path, value: str) -> Path:
-    p = Path(value)
-    return p if p.is_absolute() else base_dir / p
+                       phi_modes=phi_modes, omega=omega, params=cfg.params), None

@@ -5,8 +5,8 @@ column varying fastest: space-time fields t,x,value, y-profiles
 y,value, and mode bundles an integer k column first.  Output lines end in
 CRLF (as the csv module writes them) and floats print as "%.17g", 17
 significant digits, so a written field re-reads bitwise identical.  Input
-lines may end in LF or CRLF; quoted numeric cells ("1.5") and blank lines
-are accepted.
+lines may end in LF or CRLF; a leading UTF-8 byte-order mark, quoted
+numeric cells ("1.5") and blank lines are accepted.
 
 One function pair knows the grid layout: _write_grid_csv and its inverse
 _read_grid_csv, which reads a file against the node lists the config
@@ -110,7 +110,7 @@ def _row_blocks(path, expected_header: list[str]):
     block's column count and cells; a file without data rows, and one that
     is not UTF-8 text, is an error."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), None)
             if header is None or [h.strip() for h in header] != expected_header:
                 raise DataError(
@@ -138,7 +138,7 @@ def _row_blocks(path, expected_header: list[str]):
                                     f"the header {len(expected_header)}, from data row {first}")
                 bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
                 if bad.size:
-                    raise DataError(f"{path}: non-finite cell in data row "
+                    raise DataError(f"{path}: non-finite cell in data row {first + bad[0]}: "
                                     + ",".join(f"{c:.15g}" for c in rows[bad[0]]))
                 count = len(rows)
                 yield rows
@@ -157,7 +157,7 @@ def _bad_row(path, columns: int, first: int) -> str | None:
     if none is found.  The error path of _row_blocks: numpy's own row index
     counts from the block, 0-based for a cell it cannot convert and 1-based
     for a changed column count."""
-    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+    with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
         # numpy's warning for an empty cell, reported here as not a number
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         reader = csv.reader(fh)

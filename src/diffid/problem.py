@@ -12,7 +12,7 @@ from .grids import Grid, ScalarField, l2_sq_G
 from .sinebasis import ModeFieldSet, OmegaData, SpectralParams
 
 
-#: bound on compatibility_residual relative to ||psi(0, .)|| in L2(G), above
+#: bound on the compatibility residual relative to ||psi(0, .)|| in L2(G), above
 #: which the data's phi and psi(0) are reported as disagreeing
 COMPATIBILITY_RTOL = 1e-6
 
@@ -48,19 +48,17 @@ class ProblemData:
                                 self.f_modes.modes)
         return replace(self, f_modes=f_scaled, phi_modes=s * self.phi_modes)
 
-    def compatibility_residual(self) -> float:
-        """L2(G) norm of (pi/2) sum_k phi_k omega_k - psi(0, .)."""
+    def compatibility(self) -> tuple[float, str | None]:
+        """The L2(G) norm of (pi/2) sum_k phi_k omega_k - psi(0, .), and the
+        message reporting it above COMPATIBILITY_RTOL times ||psi(0, .)||, or
+        None.  Never an error: NULL is inconsistent on purpose, and so are
+        scaled scenarios (phi scaled, psi kept)."""
         modes = np.arange(1, self.params.K + 1)
-        residual = self.omega.measure(self.phi_modes, modes) - self.psi.values[0]
-        return float(np.sqrt(l2_sq_G(residual, self.grid)))
-
-    def compatibility_warning(self) -> str | None:
-        """The message reporting a compatibility residual above COMPATIBILITY_RTOL
-        times ||psi(0, .)||, or None.  Never an error: NULL is inconsistent on
-        purpose, and so are scaled scenarios (phi scaled, psi kept)."""
-        residual = self.compatibility_residual()
+        mismatch = self.omega.measure(self.phi_modes, modes) - self.psi.values[0]
+        residual = float(np.sqrt(l2_sq_G(mismatch, self.grid)))
         bound = COMPATIBILITY_RTOL * float(np.sqrt(l2_sq_G(self.psi.values[0], self.grid)))
         if residual > bound:
-            return (f"data compatibility residual {residual:.3e} exceeds "
-                    f"{COMPATIBILITY_RTOL:g} * ||psi(0, .)|| = {bound:.3e}: phi and psi(0) disagree")
-        return None
+            return residual, (f"data compatibility residual {residual:.3e} exceeds "
+                              f"{COMPATIBILITY_RTOL:g} * ||psi(0, .)|| = {bound:.3e}: "
+                              "phi and psi(0) disagree")
+        return residual, None

@@ -14,7 +14,7 @@ import diffid
 from diffid import (Domain, Grid, ScalarField, SpectralParams, build_scenario,
                     compute_certificate, run_inversion)
 from diffid.cli import main
-from diffid.config import assemble_scenario, load_config
+from diffid.config import assemble_data, load_config
 from diffid.problem import COMPATIBILITY_RTOL
 from diffid.errors import ConfigurationError
 from diffid.grids import l2_sq_G, l2_sq_GT
@@ -100,16 +100,17 @@ def test_certify_reports_data_compatibility(tmp_path, capsys, scenario, incompat
     main(["certify", "--config", str(write_config(tmp_path, base_config(out, scenario)))])
     data = build_scenario(scenario, Grid(Domain(np.pi, 0.5), Nx=24, Nt=24),
                           SpectralParams(K=3, Ny=128)).data
-    residual = data.compatibility_residual()
+    residual, message = data.compatibility()
     assert json.loads((out / "certificate.json").read_text())["compatibility_residual"] == residual
     captured = capsys.readouterr()
     assert f"data compatibility residual: {residual:.6e}" in captured.out.splitlines()
     bound = COMPATIBILITY_RTOL * np.sqrt(l2_sq_G(data.psi.values[0], data.grid))
     if incompatible:
         assert residual > bound
-        assert captured.err == f"warning: {data.compatibility_warning()}\n"
+        assert captured.err == f"warning: {message}\n"
     else:
         assert residual <= 1e-12 * bound
+        assert message is None
         assert captured.err == ""
 
 
@@ -334,6 +335,13 @@ def test_config_that_is_not_utf8_exits_one(tmp_path, capsys):
                                        "byte 0xff (invalid start byte)\n")
 
 
+def test_config_with_a_byte_order_mark_loads(tmp_path):
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_config(marked) == load_config(path)
+
+
 def test_config_rejects_unknown_section(tmp_path):
     cfg = base_config(tmp_path / "out")
     cfg["scenarios"] = {"name": "MMS-A"}
@@ -417,12 +425,12 @@ def test_certificate_and_history_bytes(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, base_config(out, scenario="MMS-A", N=24))
     cfg = load_config(path)
-    data = assemble_scenario(cfg).data
+    data, _ = assemble_data(cfg)
     cert = compute_certificate(data, cfg.certify)
 
     assert main(["certify", "--config", str(path)]) == 2
     assert (out / "certificate.json").read_bytes() == _reference_json(
-        {**asdict(cert), "compatibility_residual": data.compatibility_residual()})
+        {**asdict(cert), "compatibility_residual": data.compatibility()[0]})
 
     assert main(["invert", "--config", str(path)]) == 2
     assert (out / "certificate.json").read_bytes() == _reference_json(asdict(cert))
@@ -477,17 +485,18 @@ def test_invert_reports_data_compatibility(tmp_path, scenario, force, incompatib
     summary = json.loads((out / "summary.json").read_text())
     data = build_scenario(scenario, Grid(Domain(np.pi, 0.5), Nx=24, Nt=24),
                           SpectralParams(K=3, Ny=128)).data
-    assert summary["compatibility_residual"] == data.compatibility_residual()
+    residual, message = data.compatibility()
+    assert summary["compatibility_residual"] == residual
     bound = COMPATIBILITY_RTOL * np.sqrt(l2_sq_G(data.psi.values[0], data.grid))
     compat = [w for w in summary["warnings"] if w.startswith("data compatibility residual")]
     if incompatible:
         assert summary["compatibility_residual"] > bound
-        assert summary["warnings"] == compat and len(compat) == 1
+        assert summary["warnings"] == compat == [message]
         assert re.fullmatch(r"data compatibility residual \S+ exceeds 1e-06 \* \|\|psi\(0, \.\)\|\| "
                             r"= \S+: phi and psi\(0\) disagree", compat[0])
     else:
         assert summary["compatibility_residual"] <= 1e-12 * bound
-        assert compat == []
+        assert compat == [] and message is None
     if scenario == "NULL":
         # zero truth u, zero result u: an absolute error of exactly 0
         assert summary["recovery_error_u"] == 0.0
@@ -563,6 +572,28 @@ def write_mmsa_data(tmp_path, out, N=24, K=3):
     cfg["data"] = {"psi_file": "psi.csv", "f_file": "f.csv",
                    "phi_file": "phi.csv", "omega_file": "omega.csv"}
     return cfg
+
+
+def test_data_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
+    # a relative data path names a file from the config file's directory,
+    # whatever the working directory; an absolute one is taken as is
+    cfg = write_mmsa_data(tmp_path, tmp_path / "out")
+    plain = write_config(tmp_path, cfg)
+    for sub in ("configs", "elsewhere"):
+        (tmp_path / sub).mkdir()
+    cfg["data"] = {k: f"../{v}" for k, v in DATA_FILES.items()}
+    cfg["data"]["omega_file"] = str(tmp_path / "omega.csv")
+    cfg["output"]["dir"] = str(tmp_path / "out_nested")
+    nested = write_config(tmp_path / "configs", cfg)
+    files = load_config(nested).data_files
+    assert {k: v.resolve() for k, v in files.items()} == {
+        k: (tmp_path / v).resolve() for k, v in DATA_FILES.items()}
+
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert main(["certify", "--config", str(plain)]) == 2
+    assert main(["certify", "--config", "../configs/config.json"]) == 2
+    assert ((tmp_path / "out_nested" / "certificate.json").read_bytes()
+            == (tmp_path / "out" / "certificate.json").read_bytes())
 
 
 def test_invert_data_file_mode_matches_scenario(tmp_path):

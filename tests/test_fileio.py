@@ -330,6 +330,20 @@ def test_short_row_in_a_later_block_is_located(tmp_path):
         read_field_csv(path, FIELD_GRID)
 
 
+def test_reader_skips_a_byte_order_mark(tmp_path, grid):
+    psi, omega = tmp_path / "psi.csv", tmp_path / "omega.csv"
+    _write_grid_file(psi, grid, K=1)
+    y = np.linspace(0.0, np.pi, 9)
+    write_profile_csv(omega, y, np.sin(y))
+    for path in (psi, omega):
+        (tmp_path / f"bom-{path.name}").write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert np.array_equal(_bits(read_field_csv(tmp_path / "bom-psi.csv", grid).values),
+                          _bits(read_field_csv(psi, grid).values))
+    for marked, plain in zip(read_profile_csv(tmp_path / "bom-omega.csv"),
+                             read_profile_csv(omega)):
+        assert np.array_equal(_bits(marked), _bits(plain))
+
+
 @pytest.mark.parametrize("cell", ["abc", "1_0", "\u0661", "1d5", '"1,5"'])
 def test_unreadable_cell_is_named(tmp_path, cell):
     # float() reads "1_0" and the Arabic-Indic digit one, numpy does not
@@ -363,9 +377,10 @@ MALFORMED = [
     # does not: the row named is the one numpy cannot read
     pytest.param("0,\xa00\r\n1,abc\r\n", "omega.csv: malformed data row 2: 'abc' is not a number",
                  id="non-ascii-space-then-text-cell"),
-    pytest.param("0,1\r\n1,nan\r\n", "omega.csv: non-finite cell in data row 1,nan",
-                 id="nan-cell"),
-    pytest.param("0,1\r\ninf,0\r\n", "omega.csv: non-finite cell in data row inf,0",
+    # a non-finite cell's row is named by its data row number, blank lines skipped
+    pytest.param("0,0\r\n\r\n1,2\r\n2,nan\r\n3,0\r\n",
+                 "omega.csv: non-finite cell in data row 3: 2,nan$", id="nan-cell"),
+    pytest.param("0,1\r\ninf,0\r\n", "omega.csv: non-finite cell in data row 2: inf,0$",
                  id="inf-cell"),
     pytest.param("0,0\r\n1,0\r\n1,0\r\n", "omega.csv: y nodes must be strictly increasing",
                  id="repeated-y"),
@@ -378,7 +393,11 @@ MALFORMED = [
                  r"|data rows have 1 columns, the header 2, from data row 6)",
                  id="short-row-after-a-block"),
     pytest.param("\r\n".join(["0,0"] * SMALL_BLOCK + ["1,nan"]) + "\r\n",
-                 "omega.csv: non-finite cell in data row 1,nan", id="nan-cell-after-a-block"),
+                 "omega.csv: non-finite cell in data row 6: 1,nan$", id="nan-cell-after-a-block"),
+    # in small blocks, the third row of the second block, after a blank line
+    pytest.param("\r\n".join(["0,0"] * 7 + ["", "1,nan", "2,0"]) + "\r\n",
+                 "omega.csv: non-finite cell in data row 8: 1,nan$",
+                 id="nan-cell-inside-a-later-block"),
 ]
 
 
@@ -459,7 +478,7 @@ BAD_ROWS = [
     (_set(7, -2, "-1.7976931348623157e308"), r"x = -1\.79769313486232e\+308 is not one of"),
     (lambda rows: rows + rows[3:4], r"node k = 1, (t = 0, )?x = 1\.34\S* appears 2 times"),
     (lambda rows: rows[:-1], r"node k = 3, (t = 0\.5, )?x = 3\.14\S* appears 0 times"),
-    (_set(5, -1, "nan"), r"non-finite cell in data row 1,(0,)?\d\S*,nan$"),
+    (_set(5, -1, "nan"), r"non-finite cell in data row 6: 1,(0,)?\d\S*,nan$"),
 ]
 BAD_ROW_IDS = ["k-from-0", "k-from-2", "k-2.7", "off-grid", "huge", "duplicate", "missing",
                "nan"]

@@ -42,7 +42,8 @@ def test_unknown_scenario():
 @pytest.mark.parametrize("name", ["MMS-A", "MMS-B"])
 def test_compatibility_identity(name):
     scn = make_scenario(name)
-    assert scn.data.compatibility_residual() <= 1e-10
+    residual, message = scn.data.compatibility()
+    assert residual <= 1e-10 and message is None
 
 
 def test_mmsa_numerator_identity():
