@@ -94,7 +94,7 @@ class Certificate:
 
 def first_dirichlet_eigenvalue(grid: Grid) -> float:
     """Exact lambda_1 of -d^2/dx^2 on the interval (0, Lx)."""
-    return np.float64(np.pi / grid.domain.Lx) ** 2
+    return np.float64(np.pi / grid.Lx) ** 2
 
 
 def _check_psi_floor(psi_values: np.ndarray, region: np.ndarray, floor: float) -> None:
@@ -146,7 +146,7 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
         Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=options.psi_floor)
     psi_vals = np.abs(data.psi.values[region])
     tau1, tau2 = data.params.tau1, data.params.tau2
-    T = grid.domain.T
+    T = grid.T
     C_S = np.float64(options.C_S)
 
     # numpy float64 throughout: a constant beyond float range becomes inf or

@@ -11,7 +11,7 @@ from pathlib import Path
 from .certificates import CertifyOptions
 from .errors import ConfigurationError
 from .fileio import read_field_csv, read_mode_profiles_csv, read_modes_csv, read_profile_csv
-from .grids import Domain, Grid
+from .grids import Grid
 from .problem import ProblemData
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
 from .sinebasis import OmegaData, SpectralParams
@@ -192,7 +192,7 @@ def load_config(path) -> RunConfig:
     data = cfg.get("data")
     config_dir = Path(path).resolve().parent
     return RunConfig(
-        grid=Grid(Domain(domain["Lx"], domain["T"]), Nx=grid["Nx"], Nt=grid["Nt"]),
+        grid=Grid(domain["Lx"], domain["T"], grid["Nx"], grid["Nt"]),
         params=SpectralParams(K=spectral["K"], epsilon=spectral["epsilon"], Ny=grid["Ny_quad"]),
         theta=cfg["scheme"]["theta"],
         certify=CertifyOptions(**cfg["certify"]),

@@ -1,9 +1,10 @@
 """Uniform space-time grids, fields, quadrature, and finite differences.
 
-The spatial domain is the interval (0, Lx): Domain(Lx, T), and
-Grid(domain, Nx, Nt) is uniform in x and t with boundary nodes stored
-explicitly so homogeneous Dirichlet conditions can be enforced and checked.  All integrals are composite trapezoidal,
-consistent with the second-order difference stencils used everywhere else.
+Grid(Lx, T, Nx, Nt) covers the space-time cylinder (0, T) x (0, Lx),
+uniform in x and t with boundary nodes stored explicitly so homogeneous
+Dirichlet conditions can be enforced and checked.  All integrals are
+composite trapezoidal, consistent with the second-order difference stencils
+used everywhere else.
 
 Four kernels carry every derivative and norm: two differences along any
 axis, diff (first derivative, into a caller's buffer when one is given) and
@@ -25,48 +26,39 @@ from .errors import ConfigurationError, DataError, check_integer, check_positive
 
 
 @dataclass(frozen=True)
-class Domain:
-    """Space-time box: the interval (0, Lx) in space, (0, T) in time."""
-
-    Lx: float
-    T: float
-
-    def __post_init__(self):
-        check_positive("Lx", self.Lx)
-        check_positive("T", self.T)
-
-
-@dataclass(frozen=True)
 class Grid:
-    """Uniform grid with Nx interior nodes and Nt time steps.
+    """Uniform grid on (0, T) x (0, Lx) with Nx interior nodes and Nt time steps.
 
     Spatial node i sits at i*hx for i = 0..Nx+1, so hx = Lx/(Nx+1); time node
     n sits at n*dt for n = 0..Nt with dt = T/Nt.
     """
 
-    domain: Domain
+    Lx: float
+    T: float
     Nx: int
     Nt: int
 
     def __post_init__(self):
+        check_positive("Lx", self.Lx)
+        check_positive("T", self.T)
         check_integer("Nx", self.Nx, 2)
         check_integer("Nt", self.Nt, 2)
 
     @property
     def hx(self) -> float:
-        return self.domain.Lx / (self.Nx + 1)
+        return self.Lx / (self.Nx + 1)
 
     @property
     def dt(self) -> float:
-        return self.domain.T / self.Nt
+        return self.T / self.Nt
 
     @property
     def x(self) -> np.ndarray:
-        return np.linspace(0.0, self.domain.Lx, self.Nx + 2)
+        return np.linspace(0.0, self.Lx, self.Nx + 2)
 
     @property
     def t(self) -> np.ndarray:
-        return np.linspace(0.0, self.domain.T, self.Nt + 1)
+        return np.linspace(0.0, self.T, self.Nt + 1)
 
     @property
     def space_shape(self) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ NULL    f = 0, phi = 0 with the caloric measurement psi = 1 + x^2 + 2t
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def build_scenario(name: str, grid: Grid, params: SpectralParams,
                    scale: float = 1.0) -> Scenario:
     if name not in SCENARIO_NAMES:
         raise ConfigurationError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-    if not math.isclose(grid.domain.Lx, math.pi, rel_tol=1e-9):
+    if not math.isclose(grid.Lx, math.pi, rel_tol=1e-9):
         raise DataError(f"scenario {name} is defined on G = (0, pi)")
 
     omega = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
@@ -121,21 +121,22 @@ def convergence_study(name: str, grid: Grid, params: SpectralParams, scale: floa
                       options: CertifyOptions = CertifyOptions(), tol_F: float = 1e-10,
                       max_iters: int = 50, theta: float = 0.5) -> list[dict]:
     """Run the full inversion on grid and on coarser levels, Nx = N for N in
-    Nx//4, Nx//2, Nx (at least 8, duplicates dropped) with Nt scaled in
-    proportion.  Each level's row holds N, err_a, err_u, residual,
-    iterations, converged, the observed order_a against the level before,
-    and the level's scenario and result.  Errors are NaN for a scaled
-    scenario, which has no truth.  A grid with fewer than three distinct
-    levels (Nx < 18) is a ConfigurationError."""
-    levels = sorted({max(8, grid.Nx // 4), max(8, grid.Nx // 2), grid.Nx})
-    if len(levels) < 3 or levels[-1] > grid.Nx:
-        raise ConfigurationError(
-            f"a convergence study needs three distinct levels Nx//4, Nx//2, Nx of at "
-            f"least 8; grid.Nx = {grid.Nx} gives {levels}")
+    Nx//4, Nx//2, Nx with Nt = round(Nt * N / Nx).  Each level's row holds N,
+    err_a, err_u, residual, iterations, converged, the observed order_a
+    against the level before, and the level's scenario and result.  Errors
+    are NaN for a scaled scenario, which has no truth.  A level with Nx or Nt
+    below 8 is a ConfigurationError that names grid.Nx or grid.Nt."""
+    sizes = [(N, round(grid.Nt * N / grid.Nx)) for N in (grid.Nx // 4, grid.Nx // 2, grid.Nx)]
+    for axis, counts in zip(("Nx", "Nt"), zip(*sizes)):
+        if counts[0] < 8:
+            raise ConfigurationError(
+                f"a convergence study needs levels Nx//4, Nx//2, Nx with Nt scaled in "
+                f"proportion, each at least 8; grid.{axis} = {counts[-1]} gives "
+                f"{axis} = {list(counts)}")
     rows = []
     prev_err = float("nan")
-    for N in levels:
-        level = Grid(grid.domain, Nx=N, Nt=max(8, round(grid.Nt * N / grid.Nx)))
+    for N, Nt in sizes:
+        level = replace(grid, Nx=N, Nt=Nt)
         scn = build_scenario(name, level, params, scale=scale)
         result = run_inversion(scn.data, options, tol_F=tol_F, max_iters=max_iters,
                                theta=theta, force=True)

@@ -13,7 +13,6 @@ import pytest
 
 from diffid import (
     CertifyOptions,
-    Domain,
     Grid,
     ModeFieldSet,
     OmegaData,
@@ -92,7 +91,7 @@ def test_criterion_3_mode_solver_order():
     t0 = time.perf_counter()
     errs = {}
     for N in (32, 64, 128):
-        grid = Grid(Domain(np.pi, 1.0), Nx=N, Nt=N)
+        grid = Grid(np.pi, 1.0, Nx=N, Nt=N)
         u = march_modes(np.zeros((1,) + grid.field_shape), np.sin(grid.x)[None, :], grid,
                         modes=np.array([1]))[0]
         exact = np.exp(-2.0 * grid.t)[:, None] * np.sin(grid.x)[None, :]
@@ -106,7 +105,7 @@ def test_criterion_3_mode_solver_order():
 
 def test_criterion_4_coefficient_formula():
     t0 = time.perf_counter()
-    grid = Grid(Domain(np.pi, 1.0), Nx=128, Nt=128)
+    grid = Grid(np.pi, 1.0, Nx=128, Nt=128)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=256))
     Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.data.omega, grid)
     a = reconstruct_a(scn.truth_u_modes, Psi, scn.data.psi,
@@ -134,7 +133,7 @@ def test_criterion_5_full_inversion(mmsa_study):
 
 def test_criterion_6_contraction_law():
     t0 = time.perf_counter()
-    grid = Grid(Domain(np.pi, 0.5), Nx=64, Nt=64)
+    grid = Grid(np.pi, 0.5, Nx=64, Nt=64)
     params = SpectralParams(K=8, Ny=256)
     scn = build_scenario("MMS-A", grid, params, scale=3e-3)
     cert = compute_certificate(scn.data, CertifyOptions())
@@ -223,11 +222,11 @@ def test_criterion_9_certificate_correctness():
     t0 = time.perf_counter()
     from diffid import first_dirichlet_eigenvalue
 
-    g_int = Grid(Domain(2.0, 1.0), Nx=8, Nt=4)
+    g_int = Grid(2.0, 1.0, Nx=8, Nt=4)
     cp_int_ok = abs(1.0 / first_dirichlet_eigenvalue(g_int) - (2.0 / np.pi) ** 2) <= 1e-12
 
     def constant_data(Lx, T, f_amp):
-        grid = Grid(Domain(Lx, T), Nx=32, Nt=16)
+        grid = Grid(Lx, T, Nx=32, Nt=16)
         params = SpectralParams(K=2, Ny=64)
         om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
         f_vals = np.zeros((2,) + grid.field_shape)
@@ -258,7 +257,7 @@ def test_criterion_9_certificate_correctness():
              and c2.local_pass and c2.global_pass)
 
     # config 3: NULL scenario: R = 0, Psi_M ~ 0, both verdicts pass
-    grid = Grid(Domain(np.pi, 0.5), Nx=32, Nt=16)
+    grid = Grid(np.pi, 0.5, Nx=32, Nt=16)
     scn = build_scenario("NULL", grid, SpectralParams(K=2, Ny=64))
     c3 = compute_certificate(scn.data, CertifyOptions())
     hand3 = c3.R == 0.0 and c3.Psi_M <= 1e-12 and c3.local_pass and c3.global_pass

@@ -10,7 +10,6 @@ from diffid import (
     SCENARIO_NAMES,
     CertifyOptions,
     ConfigurationError,
-    Domain,
     Grid,
     ModeFieldSet,
     OmegaData,
@@ -33,7 +32,7 @@ from diffid.sinebasis import frac_norm
 def constant_psi_data(Lx=np.pi, T=1.0, Nx=32, Nt=16, f_const=0.0, K=2, epsilon=1.0):
     """psi = 1 everywhere with a constant first source mode: every certificate
     constant is hand-computable."""
-    grid = Grid(Domain(Lx, T), Nx=Nx, Nt=Nt)
+    grid = Grid(Lx, T, Nx=Nx, Nt=Nt)
     params = SpectralParams(K=K, epsilon=epsilon, Ny=64)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     f_vals = np.zeros((K,) + grid.field_shape)
@@ -49,7 +48,7 @@ def constant_psi_data(Lx=np.pi, T=1.0, Nx=32, Nt=16, f_const=0.0, K=2, epsilon=1
 
 
 def test_Psi_mmsa_equals_two():
-    grid = Grid(Domain(np.pi, 1.0), Nx=128, Nt=128)
+    grid = Grid(np.pi, 1.0, Nx=128, Nt=128)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=256))
     Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.data.omega, grid)
     mask = interior_margin_mask(grid, 2)
@@ -59,7 +58,7 @@ def test_Psi_mmsa_equals_two():
 def test_Psi_caloric_measurement_vanishes():
     # psi = e^{-t} cos(x - pi/2) = e^{-t} sin x satisfies psi_t = psi_xx, so
     # with f = 0 the numerator vanishes up to FD error
-    grid = Grid(Domain(np.pi, 1.0), Nx=128, Nt=128)
+    grid = Grid(np.pi, 1.0, Nx=128, Nt=128)
     params = SpectralParams(K=2, Ny=64)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     psi = ScalarField(grid, np.exp(-grid.t)[:, None] * np.sin(grid.x)[None, :])
@@ -69,7 +68,7 @@ def test_Psi_caloric_measurement_vanishes():
 
 
 def test_Psi_scale_invariance():
-    grid = Grid(Domain(np.pi, 0.5), Nx=48, Nt=24)
+    grid = Grid(np.pi, 0.5, Nx=48, Nt=24)
     params = SpectralParams(K=2, Ny=64)
     scn = build_scenario("MMS-A", grid, params)
     Psi1 = compute_Psi(scn.data.psi, scn.data.f_modes, scn.data.omega, grid)
@@ -81,7 +80,7 @@ def test_Psi_scale_invariance():
 
 
 def test_Psi_division_hazard_names_node():
-    grid = Grid(Domain(np.pi, 1.0), Nx=16, Nt=8)
+    grid = Grid(np.pi, 1.0, Nx=16, Nt=8)
     params = SpectralParams(K=1, Ny=64)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     psi = ScalarField(grid, np.zeros(grid.field_shape))
@@ -96,7 +95,7 @@ def test_Psi_division_hazard_names_node():
 def test_q_invariant_under_rescaling_whole_data_set(name, N, K, T, s):
     # psi, f and phi all times s: A_eps and B scale by 1/s and 1/s^2, R and
     # R1 by s^2, and Psi is a ratio, so q_local and q_global are unchanged
-    grid = Grid(Domain(np.pi, T), Nx=N, Nt=N)
+    grid = Grid(np.pi, T, Nx=N, Nt=N)
     data = build_scenario(name, grid, SpectralParams(K=K, Ny=64)).data
     rescaled = replace(data.scaled(s), psi=ScalarField(grid, s * data.psi.values))
     base = compute_certificate(data, CertifyOptions())
@@ -106,9 +105,9 @@ def test_q_invariant_under_rescaling_whole_data_set(name, N, K, T, s):
 
 
 def test_poincare_constant_of_interval():
-    g1 = Grid(Domain(np.pi, 1.0), Nx=8, Nt=4)
+    g1 = Grid(np.pi, 1.0, Nx=8, Nt=4)
     assert abs(1.0 / first_dirichlet_eigenvalue(g1) - 1.0) <= 1e-12
-    g2 = Grid(Domain(2.0, 1.0), Nx=8, Nt=4)
+    g2 = Grid(2.0, 1.0, Nx=8, Nt=4)
     assert 1.0 / first_dirichlet_eigenvalue(g2) == pytest.approx(
         (2.0 / np.pi) ** 2, abs=1e-12)
 
@@ -130,7 +129,7 @@ def test_zero_Psi_M_local_time_condition_any_T():
 
 
 def test_failing_q_names_condition():
-    grid = Grid(Domain(np.pi, 0.5), Nx=32, Nt=16)
+    grid = Grid(np.pi, 0.5, Nx=32, Nt=16)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=64))
     cert = compute_certificate(scn.data, CertifyOptions())
     assert cert.q_local > 1.0
@@ -159,7 +158,7 @@ def test_homothety_flips_global_poincare_condition():
 
 
 def test_R_terms_scale_quadratically():
-    grid = Grid(Domain(np.pi, 0.5), Nx=32, Nt=16)
+    grid = Grid(np.pi, 0.5, Nx=32, Nt=16)
     params = SpectralParams(K=3, Ny=64)
     rng = np.random.default_rng(13)
     phi = rng.standard_normal((3,) + grid.space_shape)
@@ -173,7 +172,7 @@ def test_R_terms_scale_quadratically():
 def test_q_local_scale_covariance_with_fixed_Psi():
     # with f = 0 the lifted source is unaffected by data scaling, so scaling
     # phi alone multiplies every R-term, hence q, by s^2 exactly
-    grid = Grid(Domain(np.pi, 0.5), Nx=32, Nt=16)
+    grid = Grid(np.pi, 0.5, Nx=32, Nt=16)
     params = SpectralParams(K=2, Ny=64)
     om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
     rng = np.random.default_rng(3)
@@ -194,7 +193,7 @@ def test_increasing_T_never_rescues_local_verdict():
     params = SpectralParams(K=4, Ny=64)
     certs = []
     for T in (0.25, 0.5, 1.0):
-        grid = Grid(Domain(np.pi, T), Nx=32, Nt=16)
+        grid = Grid(np.pi, T, Nx=32, Nt=16)
         scn = build_scenario("MMS-A", grid, params)
         certs.append(compute_certificate(scn.data, CertifyOptions()))
     for prev, cur in zip(certs, certs[1:]):
@@ -262,7 +261,7 @@ def _separate_checks(cert):
 @given(name=st.sampled_from(SCENARIO_NAMES), N=st.integers(8, 24), T=st.floats(0.1, 2.0),
        scale=st.sampled_from([1e-3, 1.0, 10.0]), C_S=st.floats(0.1, 10.0))
 def test_conditions_match_separate_checks(name, N, T, scale, C_S):
-    grid = Grid(Domain(np.pi, T), Nx=N, Nt=N)
+    grid = Grid(np.pi, T, Nx=N, Nt=N)
     data = build_scenario(name, grid, SpectralParams(K=2, Ny=64), scale=scale).data
     cert = compute_certificate(data, CertifyOptions(C_S=C_S))
     rows = conditions(cert)

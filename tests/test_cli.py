@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diffid
-from diffid import (Domain, Grid, ScalarField, SpectralParams, build_scenario,
+from diffid import (Grid, ScalarField, SpectralParams, build_scenario,
                     compute_certificate, run_inversion)
 from diffid.cli import main
 from diffid.config import assemble_data, load_config
@@ -98,7 +98,7 @@ def test_certify_readme_config_prints_failing_conditions(tmp_path, capsys):
 def test_certify_reports_data_compatibility(tmp_path, capsys, scenario, incompatible):
     out = tmp_path / "out"
     main(["certify", "--config", str(write_config(tmp_path, base_config(out, scenario)))])
-    data = build_scenario(scenario, Grid(Domain(np.pi, 0.5), Nx=24, Nt=24),
+    data = build_scenario(scenario, Grid(np.pi, 0.5, Nx=24, Nt=24),
                           SpectralParams(K=3, Ny=128)).data
     residual, message = data.compatibility()
     assert json.loads((out / "certificate.json").read_text())["compatibility_residual"] == residual
@@ -177,7 +177,7 @@ UNUSED_MODULES = ("numpy.ma", "numpy.random", "numpy.polynomial", "numpy.fft", "
 @pytest.mark.parametrize("command", ["setup", "certify", "forward-data", "invert-force", "mms"])
 def test_runs_load_no_unused_modules(tmp_path, command):
     src = str(Path(diffid.__file__).resolve().parents[1])
-    config = str(write_config(tmp_path, base_config(tmp_path / "out", N=24, K=2)))
+    config = str(write_config(tmp_path, base_config(tmp_path / "out", N=32, K=2)))
     if command == "setup":  # the import and config load that bench times as setup_s
         run = f"from diffid.config import load_config; load_config({config!r}); code = 0"
     else:
@@ -282,7 +282,7 @@ def test_readme_example_config_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     cfg = load_config(write_config(tmp_path, json.loads(example)))
-    assert (cfg.grid.Nx, cfg.grid.Nt, cfg.grid.domain.T) == (128, 128, 0.5)
+    assert (cfg.grid.Nx, cfg.grid.Nt, cfg.grid.T) == (128, 128, 0.5)
     assert (cfg.params.K, cfg.params.Ny, cfg.theta) == (16, 256, 0.5)
     assert cfg.scenario_name == "MMS-A"
     documented = re.findall(r"^\| `(\w+\.\w+)` \|", readme, re.M)
@@ -393,7 +393,7 @@ def test_forward_mmsa_residual_refines(tmp_path):
         cfg = base_config(out, scenario="MMS-A", N=N)
         code = main(["forward", "--config", str(write_config(tmp_path, cfg, f"c{N}.json"))])
         assert code == 0
-        grid = Grid(Domain(np.pi, 0.5), Nx=N, Nt=N)
+        grid = Grid(np.pi, 0.5, Nx=N, Nt=N)
         norms[N] = np.sqrt(l2_sq_GT(read_field_csv(out / "residual.csv", grid).values, grid))
     assert norms[24] <= 1e-3
     assert norms[24] / norms[48] >= 3.0
@@ -483,7 +483,7 @@ def test_invert_reports_data_compatibility(tmp_path, scenario, force, incompatib
     args = ["invert", "--config", str(write_config(tmp_path, base_config(out, scenario)))]
     assert main(args + ["--force"] * force) == 0
     summary = json.loads((out / "summary.json").read_text())
-    data = build_scenario(scenario, Grid(Domain(np.pi, 0.5), Nx=24, Nt=24),
+    data = build_scenario(scenario, Grid(np.pi, 0.5, Nx=24, Nt=24),
                           SpectralParams(K=3, Ny=128)).data
     residual, message = data.compatibility()
     assert summary["compatibility_residual"] == residual
@@ -560,7 +560,7 @@ def test_invert_divergence_is_a_result(tmp_path, capsys):
 
 def write_mmsa_data(tmp_path, out, N=24, K=3):
     """Write the MMS-A data as CSV files; return a data-mode config for them."""
-    grid = Grid(Domain(np.pi, 0.5), Nx=N, Nt=N)
+    grid = Grid(np.pi, 0.5, Nx=N, Nt=N)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=K, Ny=128))
     write_field_csv(tmp_path / "psi.csv", scn.data.psi)
     write_modes_csv(tmp_path / "f.csv", scn.data.f_modes)
@@ -729,7 +729,7 @@ def test_mms_summary_keeps_warnings(tmp_path):
 
 def test_mms_null_zeros(tmp_path):
     out = tmp_path / "out"
-    cfg = base_config(out, scenario="NULL", N=24, K=2)
+    cfg = base_config(out, scenario="NULL", N=32, K=2)
     code = main(["mms", "--config", str(write_config(tmp_path, cfg))])
     assert code == 0
     conv = np.loadtxt(out / "convergence.csv", delimiter=",", skiprows=1)
@@ -739,11 +739,16 @@ def test_mms_null_zeros(tmp_path):
     assert json.loads((out / "summary.json").read_text())["warnings"] == []
 
 
-@pytest.mark.parametrize("N", [6, 8, 16])
-def test_mms_rejects_grid_with_fewer_than_three_levels(tmp_path, capsys, N):
+@pytest.mark.parametrize("Nx, Nt, named", [
+    (6, 6, "grid.Nx = 6"), (8, 8, "grid.Nx = 8"), (16, 16, "grid.Nx = 16"),
+    (24, 24, "grid.Nx = 24"), (64, 16, "grid.Nt = 16")], ids=["6", "8", "16", "24", "Nx64-Nt16"])
+def test_mms_rejects_grid_with_fewer_than_three_levels(tmp_path, capsys, Nx, Nt, named):
+    # levels Nx//4, Nx//2, Nx, with Nt in proportion, each need Nx and Nt of at least 8
     out = tmp_path / "out"
-    cfg = base_config(out, scenario="MMS-A", N=N, K=2)
+    cfg = base_config(out, scenario="MMS-A", K=2)
+    cfg["grid"].update(Nx=Nx, Nt=Nt)
     code = main(["mms", "--config", str(write_config(tmp_path, cfg))])
     assert code == 1
-    assert f"grid.Nx = {N}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and named in err
     assert not (out / "convergence.csv").exists()

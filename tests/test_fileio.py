@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from diffid import Domain, Grid, ModeFieldSet, ScalarField, SpectralParams, fileio
+from diffid import Grid, ModeFieldSet, ScalarField, SpectralParams, fileio
 from diffid.errors import DataError
 from diffid.fileio import (
     _ROWS_PER_WRITE,
@@ -29,7 +29,7 @@ from diffid.fileio import (
 
 @pytest.fixture
 def grid():
-    return Grid(Domain(np.pi, 0.5), Nx=6, Nt=4)
+    return Grid(np.pi, 0.5, Nx=6, Nt=4)
 
 
 def test_field_roundtrip_bitwise(tmp_path, grid):
@@ -98,7 +98,7 @@ def test_read_rejects_missing_cells(tmp_path, grid):
 
 
 def test_grid_mismatch_detected(tmp_path, grid):
-    other = Grid(Domain(np.pi, 0.5), Nx=8, Nt=4)
+    other = Grid(np.pi, 0.5, Nx=8, Nt=4)
     field = ScalarField(other, np.ones(other.field_shape))
     path = tmp_path / "field.csv"
     write_field_csv(path, field)
@@ -138,8 +138,8 @@ def _bits(a):
 
 @st.composite
 def grid_case(draw, elements=any_float):
-    grid = Grid(Domain(np.pi, draw(st.sampled_from([0.5, 1.0, 0.3]))),
-                      Nx=draw(st.integers(2, 6)), Nt=draw(st.integers(2, 5)))
+    grid = Grid(np.pi, draw(st.sampled_from([0.5, 1.0, 0.3])),
+                Nx=draw(st.integers(2, 6)), Nt=draw(st.integers(2, 5)))
     K = draw(st.integers(1, 4))
     values = draw(hnp.arrays(np.float64, (K,) + grid.field_shape, elements=elements))
     return grid, values
@@ -188,7 +188,7 @@ def test_writers_match_reference_bytes(tmp_path_factory, case, y, data):
 def test_slices_longer_than_one_write_match_reference_bytes(tmp_path):
     # 42 x nodes times 30 y nodes: 1260 rows per time level, written in
     # pieces of _ROWS_PER_WRITE rows with a partial last piece
-    grid = Grid(Domain(np.pi, 1.0), Nx=40, Nt=3)
+    grid = Grid(np.pi, 1.0, Nx=40, Nt=3)
     y = np.linspace(0.0, np.pi, 30)
     u = ModeFieldSet(grid, SpectralParams(K=3), np.random.default_rng(5).standard_normal(
         (1,) + grid.field_shape), np.array([2]))
@@ -211,7 +211,7 @@ def test_writer_checks_each_slice_and_the_slice_count(tmp_path, grid):
 
 
 def test_write_synth_csv_never_holds_u_of_t_x_y(tmp_path):
-    grid = Grid(Domain(np.pi, 0.5), Nx=64, Nt=64)
+    grid = Grid(np.pi, 0.5, Nx=64, Nt=64)
     params = SpectralParams(K=16, Ny=64)
     y = np.linspace(0.0, np.pi, 33)
     u = ModeFieldSet(grid, params, np.random.default_rng(7).standard_normal(
@@ -254,7 +254,7 @@ def test_readers_roundtrip_bitwise(tmp_path_factory, case, y):
 
 
 # t = 0, 1, 2 and x = 0, 1, 2, 3 with value 10 t + x + 0.5
-FIELD_GRID = Grid(Domain(3.0, 2.0), Nx=2, Nt=2)
+FIELD_GRID = Grid(3.0, 2.0, Nx=2, Nt=2)
 FIELD_ROWS = [f"{t},{x},{10 * t + x + 0.5}" for t in range(3) for x in range(4)]
 FIELD_VALUES = 10 * FIELD_GRID.t[:, None] + FIELD_GRID.x + 0.5
 
@@ -556,7 +556,7 @@ def test_read_modes_csv_holds_one_block_not_the_file(tmp_path, monkeypatch):
     # K = 16, N = 64: 68,640 rows, of which the default 16,384-row block
     # holds a quarter, so read it in blocks of 4096 (one block is 131 kB,
     # the value stack 549 kB); the whole file's rows alone are 4 stacks
-    grid = Grid(Domain(np.pi, 0.5), Nx=64, Nt=64)
+    grid = Grid(np.pi, 0.5, Nx=64, Nt=64)
     params = SpectralParams(K=16, Ny=64)
     values = np.random.default_rng(8).standard_normal((16,) + grid.field_shape)
     write_modes_csv(tmp_path / "f.csv", ModeFieldSet(grid, params, values))
@@ -574,7 +574,7 @@ def test_read_modes_csv_holds_one_block_not_the_file(tmp_path, monkeypatch):
 def _readme_stack():
     """A random dense mode stack of the README size, K = 16, Nx = Nt = 128
     (2.15 MB)."""
-    grid = Grid(Domain(np.pi, 0.5), Nx=128, Nt=128)
+    grid = Grid(np.pi, 0.5, Nx=128, Nt=128)
     params = SpectralParams(K=16, Ny=64)
     values = np.random.default_rng(10).standard_normal((16,) + grid.field_shape)
     return ModeFieldSet(grid, params, values)

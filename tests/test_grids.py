@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from diffid import (
     CertifyOptions,
     ConfigurationError,
-    Domain,
     Grid,
     ScalarField,
     SpectralParams,
@@ -16,46 +15,45 @@ from diffid.grids import diff, diff2, l2_sq_G, l2_sq_GT
 
 
 def grid_1d(Nx=128, Nt=128, Lx=np.pi, T=1.0):
-    return Grid(Domain(Lx, T), Nx=Nx, Nt=Nt)
+    return Grid(Lx, T, Nx=Nx, Nt=Nt)
 
 
 def test_build_grid_spacing():
-    g = Grid(Domain(np.pi, 1.0), Nx=3, Nt=4)
+    g = Grid(np.pi, 1.0, Nx=3, Nt=4)
     assert g.hx == pytest.approx(np.pi / 4, abs=1e-15)
     assert g.dt == pytest.approx(0.25, abs=1e-15)
 
-    g = Grid(Domain(1.0, 1.0), Nx=99, Nt=10)
+    g = Grid(1.0, 1.0, Nx=99, Nt=10)
     assert g.hx == pytest.approx(0.01, abs=1e-15)
 
 
 def test_build_grid_rejects_small_counts():
     with pytest.raises(ConfigurationError, match="Nx=1"):
-        Grid(Domain(np.pi, 1.0), Nx=1, Nt=4)
+        Grid(np.pi, 1.0, Nx=1, Nt=4)
     with pytest.raises(ConfigurationError, match="Nt=1"):
-        Grid(Domain(np.pi, 1.0), Nx=4, Nt=1)
+        Grid(np.pi, 1.0, Nx=4, Nt=1)
 
 
-def test_domain_is_an_interval():
-    d = Domain(np.pi, 0.5)
-    assert (d.Lx, d.T) == (np.pi, 0.5)
+def test_grid_spans_an_interval():
+    g = Grid(np.pi, 0.5, Nx=8, Nt=4)
+    assert (g.Lx, g.T, g.space_shape) == (np.pi, 0.5, (10,))
     for Lx in (0.0, -1.0):
         with pytest.raises(ConfigurationError, match="Lx=.* not a finite positive number"):
-            Domain(Lx, 1.0)
+            Grid(Lx, 1.0, Nx=8, Nt=4)
     for T in (0.0, -1.0):
         with pytest.raises(ConfigurationError, match="T=.* not a finite positive number"):
-            Domain(np.pi, T)
-    assert Grid(d, Nx=8, Nt=4).space_shape == (10,)
+            Grid(np.pi, T, Nx=8, Nt=4)
 
 
 @pytest.mark.parametrize("make, field", [
-    pytest.param(lambda: Domain(np.nan, 0.5), "Lx", id="Domain-Lx-nan"),
-    pytest.param(lambda: Domain(3.0, np.inf), "T", id="Domain-T-inf"),
+    pytest.param(lambda: Grid(np.nan, 0.5, Nx=4, Nt=4), "Lx", id="Grid-Lx-nan"),
+    pytest.param(lambda: Grid(3.0, np.inf, Nx=4, Nt=4), "T", id="Grid-T-inf"),
     pytest.param(lambda: SpectralParams(K=4, epsilon=np.nan), "epsilon",
                  id="SpectralParams-epsilon-nan"),
     pytest.param(lambda: SpectralParams(K=2.5), "K", id="SpectralParams-K-2.5"),
     pytest.param(lambda: SpectralParams(K=2, Ny=64.5), "Ny", id="SpectralParams-Ny-64.5"),
-    pytest.param(lambda: Grid(Domain(np.pi, 1.0), Nx=4.5, Nt=4), "Nx", id="Grid-Nx-4.5"),
-    pytest.param(lambda: Grid(Domain(np.pi, 1.0), Nx=4, Nt=4.0), "Nt", id="Grid-Nt-4.0"),
+    pytest.param(lambda: Grid(np.pi, 1.0, Nx=4.5, Nt=4), "Nx", id="Grid-Nx-4.5"),
+    pytest.param(lambda: Grid(np.pi, 1.0, Nx=4, Nt=4.0), "Nt", id="Grid-Nt-4.0"),
     pytest.param(lambda: CertifyOptions(C_S=np.nan), "C_S", id="CertifyOptions-C_S-nan"),
     pytest.param(lambda: CertifyOptions(C_S=np.inf), "C_S", id="CertifyOptions-C_S-inf"),
     pytest.param(lambda: CertifyOptions(psi_floor=np.nan), "psi_floor",

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from diffid import (
     CertifyOptions,
-    Domain,
     F_functional,
     Grid,
     ModeFieldSet,
@@ -35,7 +34,7 @@ from diffid.problem import ProblemData
 
 
 def mmsa(N=64, T=0.5, K=8, scale=1.0):
-    grid = Grid(Domain(np.pi, T), Nx=N, Nt=N)
+    grid = Grid(np.pi, T, Nx=N, Nt=N)
     params = SpectralParams(K=K, Ny=max(4 * K, 256))
     return build_scenario("MMS-A", grid, params, scale=scale)
 
@@ -96,7 +95,7 @@ def test_first_sweep_is_pure_linear_solve():
 
 
 def test_zero_data_fixed_point_immediately():
-    grid = Grid(Domain(np.pi, 0.5), Nx=24, Nt=12)
+    grid = Grid(np.pi, 0.5, Nx=24, Nt=12)
     scn = build_scenario("NULL", grid, SpectralParams(K=2, Ny=64))
     data = scn.data
     Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid)
@@ -111,7 +110,7 @@ def test_zero_data_fixed_point_immediately():
 @example(Nx=96, Nt=40, K=16, T=1.0)
 def test_null_is_a_one_sweep_fixed_point(Nx, Nt, K, T):
     # f = phi = 0: the first sweep returns u = 0 exactly, so a is Psi itself
-    grid = Grid(Domain(np.pi, T), Nx=Nx, Nt=Nt)
+    grid = Grid(np.pi, T, Nx=Nx, Nt=Nt)
     data = build_scenario("NULL", grid, SpectralParams(K=K)).data
     res = run_inversion(data, tol_F=1e-10, max_iters=5)
     assert res.stop_reason == "converged" and res.iterations == 1
@@ -147,8 +146,8 @@ def sparse_mode_problem(draw):
     """MMS-A's psi and omega with random f and phi rows, a random subset of
     them zero, and an optional starting iterate with its own nonzero rows."""
     K = draw(st.integers(1, 16))
-    grid = Grid(Domain(np.pi, 0.5), Nx=draw(st.integers(8, 96)),
-                      Nt=draw(st.integers(4, 48)))
+    grid = Grid(np.pi, 0.5, Nx=draw(st.integers(8, 96)),
+                Nt=draw(st.integers(4, 48)))
     params = SpectralParams(K=K)
     base = build_scenario("MMS-A", grid, params).data
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -294,7 +293,7 @@ def test_contraction_on_certified_run():
 
 def test_zero_measurement_rejected():
     # f = 0, phi = 0 with psi identically zero is a division hazard, not a run
-    grid = Grid(Domain(np.pi, 0.5), Nx=16, Nt=8)
+    grid = Grid(np.pi, 0.5, Nx=16, Nt=8)
     params = SpectralParams(K=2, Ny=64)
     from diffid import OmegaData, ProblemData
     from diffid.errors import DivisionHazardError
@@ -332,7 +331,7 @@ def test_norm_bundle_finite_and_positive():
 
 @pytest.mark.parametrize("name, modes", [("MMS-A", [1]), ("MMS-B", [1]), ("NULL", [])])
 def test_result_holds_only_the_excited_rows(name, modes):
-    grid = Grid(Domain(np.pi, 0.5), Nx=24, Nt=12)
+    grid = Grid(np.pi, 0.5, Nx=24, Nt=12)
     scn = build_scenario(name, grid, SpectralParams(K=16))
     assert scn.data.f_modes.modes.tolist() == modes
     assert scn.truth_u_modes.modes.tolist() == modes
@@ -348,7 +347,7 @@ def test_result_holds_only_the_excited_rows(name, modes):
 def test_compact_and_dense_stacks_give_bitwise_equal_norms():
     # every sum over k runs in ascending k, where a zero row adds exactly 0;
     # np.sum's pairwise order over 16 rows would group them otherwise
-    grid = Grid(Domain(np.pi, 0.5), Nx=24, Nt=12)
+    grid = Grid(np.pi, 0.5, Nx=24, Nt=12)
     params = SpectralParams(K=16, epsilon=0.7, Ny=64)
     rng = np.random.default_rng(10)
     a = ScalarField(grid, rng.random(grid.field_shape))
@@ -369,7 +368,7 @@ def test_compact_and_dense_stacks_give_bitwise_equal_norms():
 def test_run_inversion_peaks_below_one_dense_stack():
     # MMS-B excites mode 1 only: no step of the run may build a dense
     # (K, Nt+1, Nx+2) stack, which at N = 96, K = 16 is 1.2 MB
-    grid = Grid(Domain(np.pi, 0.5), Nx=96, Nt=96)
+    grid = Grid(np.pi, 0.5, Nx=96, Nt=96)
     params = SpectralParams(K=16, Ny=256)
     scn = build_scenario("MMS-B", grid, params)
     dense_bytes = params.K * np.prod(grid.field_shape) * 8
@@ -401,7 +400,7 @@ def test_march_blowup_is_a_diverged_result():
 
 def test_initial_iterate_must_match_the_data():
     scn = mmsa(N=16, K=2)
-    for grid, K in ((scn.data.grid, 4), (Grid(Domain(np.pi, 0.5), Nx=16, Nt=8), 2)):
+    for grid, K in ((scn.data.grid, 4), (Grid(np.pi, 0.5, Nx=16, Nt=8), 2)):
         start = ModeFieldSet(grid, SpectralParams(K=K), np.ones((1,) + grid.field_shape),
                              np.array([K]))
         with pytest.raises(DataError, match="initial iterate"):

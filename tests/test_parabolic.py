@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffid import (
-    Domain,
     Grid,
     ModeFieldSet,
     OmegaData,
@@ -21,7 +20,7 @@ from diffid.grids import l2_sq_G, l2_sq_GT
 
 
 def grid_1d(Nx=128, Nt=128, T=1.0):
-    return Grid(Domain(np.pi, T), Nx=Nx, Nt=Nt)
+    return Grid(np.pi, T, Nx=Nx, Nt=Nt)
 
 
 def march_one(k, g, source=None, initial=None, theta=0.5, reaction=None):
@@ -366,7 +365,7 @@ def test_solve_forward_writes_into_f_rows():
 def test_spectral_blowup_names_first_bad_step(Nt, data, theta, value):
     # the bad value sits in mode 3 of a K = 4 stack; mode 4 goes bad at an
     # earlier step, but the error names the first bad mode
-    g = Grid(Domain(np.pi, 1.0), Nx=12, Nt=Nt)
+    g = Grid(np.pi, 1.0, Nx=12, Nt=Nt)
     step = data.draw(st.integers(1, Nt))
     node = data.draw(st.integers(1, g.Nx))
     S = np.zeros((4,) + g.field_shape)

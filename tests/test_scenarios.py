@@ -6,7 +6,6 @@ import pytest
 from diffid import (
     CertifyOptions,
     ConfigurationError,
-    Domain,
     Grid,
     ModeFieldSet,
     ScalarField,
@@ -26,16 +25,16 @@ from diffid.inversion import InversionResult, solution_norms
 
 
 def make_scenario(name, N=64, T=0.5, K=4):
-    grid = Grid(Domain(np.pi, T), Nx=N, Nt=N)
+    grid = Grid(np.pi, T, Nx=N, Nt=N)
     return build_scenario(name, grid, SpectralParams(K=K, Ny=256))
 
 
 def test_unknown_scenario():
-    grid = Grid(Domain(np.pi, 0.5), Nx=16, Nt=8)
+    grid = Grid(np.pi, 0.5, Nx=16, Nt=8)
     with pytest.raises(ConfigurationError):
         build_scenario("MMS-C", grid, SpectralParams(K=2, Ny=64))
     with pytest.raises(DataError):
-        build_scenario("MMS-A", Grid(Domain(1.0, 0.5), Nx=16, Nt=8),
+        build_scenario("MMS-A", Grid(1.0, 0.5, Nx=16, Nt=8),
                        SpectralParams(K=2, Ny=64))
 
 
@@ -155,7 +154,7 @@ def test_scaled_scenario_has_no_truth():
 
 def test_convergence_study_monotone():
     params = SpectralParams(K=4, Ny=256)
-    grid = Grid(Domain(np.pi, 0.5), Nx=64, Nt=32)
+    grid = Grid(np.pi, 0.5, Nx=64, Nt=32)
     with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
         rows = convergence_study("MMS-A", grid, params)
     # levels Nx//4, Nx//2, Nx with Nt scaled in proportion
@@ -165,14 +164,14 @@ def test_convergence_study_monotone():
     assert errs[0] > errs[1] > errs[2]
     assert np.isnan(rows[0]["order_a"]) and rows[-1]["order_a"] >= 1.0
     with pytest.raises(ConfigurationError, match="grid.Nx = 16"):
-        convergence_study("MMS-A", Grid(Domain(np.pi, 0.5), Nx=16, Nt=16), params)
+        convergence_study("MMS-A", Grid(np.pi, 0.5, Nx=16, Nt=16), params)
 
 
 def test_convergence_study_null_zero_error():
     params = SpectralParams(K=2, Ny=64)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rows = convergence_study("NULL", Grid(Domain(np.pi, 0.5), Nx=32, Nt=32),
+        rows = convergence_study("NULL", Grid(np.pi, 0.5, Nx=32, Nt=32),
                                  params)
     assert [row["N"] for row in rows] == [8, 16, 32]
     for row in rows:
@@ -249,7 +248,7 @@ def single_mode_result(grid, params, mode_field, row=0):
 
 
 def test_strong_diagnostics_single_mode():
-    grid = Grid(Domain(np.pi, 1.0), Nx=128, Nt=128)
+    grid = Grid(np.pi, 1.0, Nx=128, Nt=128)
     params = SpectralParams(K=1, Ny=64)
     field = np.exp(-grid.t)[:, None] * np.sin(grid.x)[None, :]
     res = single_mode_result(grid, params, field)
@@ -261,7 +260,7 @@ def test_strong_diagnostics_single_mode():
 
 
 def test_strong_diagnostics_zero_solution():
-    grid = Grid(Domain(np.pi, 1.0), Nx=16, Nt=8)
+    grid = Grid(np.pi, 1.0, Nx=16, Nt=8)
     params = SpectralParams(K=2, Ny=64)
     res = single_mode_result(grid, params, np.zeros(grid.field_shape))
     d = strong_diagnostics(res)
@@ -271,7 +270,7 @@ def test_strong_diagnostics_zero_solution():
 def test_strong_diagnostics_weights_last_mode():
     # all energy in mode 2: u_yy carries lambda_2^2 = 16 times the u norm, and
     # no epsilon value makes the diagnostics warn
-    grid = Grid(Domain(np.pi, 1.0), Nx=16, Nt=8)
+    grid = Grid(np.pi, 1.0, Nx=16, Nt=8)
     params = SpectralParams(K=2, epsilon=5.0, Ny=64)
     res = single_mode_result(grid, params, np.sin(grid.x)[None, :], row=1)
     with warnings.catch_warnings():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from diffid import (
     ConfigurationError,
-    Domain,
     F_functional,
     Grid,
     ModeFieldSet,
@@ -165,7 +164,7 @@ def test_omega_boundary_check():
 
 
 def make_grid(Nx=64, Nt=16, T=1.0):
-    return Grid(Domain(np.pi, T), Nx=Nx, Nt=Nt)
+    return Grid(np.pi, T, Nx=Nx, Nt=Nt)
 
 
 def test_frac_norm_single_modes():
