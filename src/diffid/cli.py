@@ -15,7 +15,7 @@ import numpy as np
 
 from .certificates import compute_certificate, conditions
 from .config import RunConfig, assemble_data, load_config
-from .errors import CertificateFailure, DiffidError
+from .errors import CertificateFailure, ConfigurationError, DiffidError
 from .fileio import (
     read_field_csv,
     write_field_csv,
@@ -111,14 +111,12 @@ def _synth_y(cfg: RunConfig) -> np.ndarray:
 
 def _cmd_forward(cfg: RunConfig) -> int:
     if cfg.data_files is not None and "a_file" not in cfg.data_files:
-        print("error: forward runs in data mode need data.a_file", file=sys.stderr)
-        return EXIT_ERROR
+        raise ConfigurationError("forward runs in data mode need data.a_file")
     data, scn = assemble_data(cfg)
     if scn is None:
         a = read_field_csv(cfg.data_files["a_file"], cfg.grid)
     elif scn.truth_a is None:
-        print("error: a scaled scenario carries no coefficient to solve with", file=sys.stderr)
-        return EXIT_ERROR
+        raise ConfigurationError("a scaled scenario carries no coefficient to solve with")
     else:
         a = scn.truth_a
 
@@ -205,8 +203,7 @@ def _recorded_warnings(caught) -> list[str]:
 
 def _cmd_mms(cfg: RunConfig) -> int:
     if cfg.scenario_name is None:
-        print("error: mms studies need a scenario config", file=sys.stderr)
-        return EXIT_ERROR
+        raise ConfigurationError("mms studies need a scenario config")
 
     with _recording_warnings() as caught:
         _mms_studies(cfg)

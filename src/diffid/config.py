@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .certificates import CertifyOptions
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 from .fileio import read_field_csv, read_mode_profiles_csv, read_modes_csv, read_profile_csv
 from .grids import Grid
 from .problem import ProblemData
@@ -219,12 +219,13 @@ def assemble_data(cfg: RunConfig) -> tuple[ProblemData, Scenario | None]:
     psi = read_field_csv(files["psi_file"], cfg.grid)
     f_modes = read_modes_csv(files["f_file"], cfg.grid, cfg.params)
     phi_modes = read_mode_profiles_csv(files["phi_file"], cfg.grid, cfg.params)
-    y, omega_vals = read_profile_csv(files["omega_file"])
-    if not math.isclose(y[0], 0.0, abs_tol=1e-12) or not math.isclose(y[-1], math.pi, rel_tol=1e-9):
-        raise ConfigurationError("omega profile must span [0, pi]")
-    if len(y) - 1 < 4 * cfg.params.K:
-        raise ConfigurationError(
-            f"omega profile has {len(y) - 1} subintervals; need at least 4K = {4 * cfg.params.K}")
-    omega = OmegaData.from_profiles(y, omega_vals, cfg.params.K)
+    try:
+        omega_vals = read_profile_csv(files["omega_file"], cfg.params)
+    except DataError as err:
+        raise DataError(f"{err} (grid.Ny_quad = {cfg.params.Ny} sets omega's y nodes)") from err
+    try:
+        omega = OmegaData.from_profiles(cfg.params.y, omega_vals, cfg.params.K)
+    except DataError as err:
+        raise DataError(f"{files['omega_file']}: {err}") from err
     return ProblemData(grid=cfg.grid, psi=psi, f_modes=f_modes,
                        phi_modes=phi_modes, omega=omega, params=cfg.params), None

@@ -9,12 +9,12 @@ lines may end in LF or CRLF; a leading UTF-8 byte-order mark, quoted
 numeric cells ("1.5") and blank lines are accepted.
 
 One function pair knows the grid layout: _write_grid_csv and its inverse
-_read_grid_csv, which reads a file against the node lists the config
-defines (grid.t, grid.x, k = 1..K).  Rows may come in any order; an
-off-grid coordinate and a missing or repeated node are rejected with a
-DataError naming the file, and so are a non-finite cell and bytes that are
-not UTF-8 text in any input file.  The omega profile is the one input whose
-nodes come from the file: read_profile_csv.
+_read_grid_csv, which reads every input file against the node lists the
+config defines (grid.t, grid.x, k = 1..K, and the y quadrature nodes
+params.y for the omega profile).  Rows may come in any order; an off-grid
+coordinate and a missing or repeated node are rejected with a DataError
+naming the file, and so are a non-finite cell and bytes that are not UTF-8
+text in any input file.
 
 Both directions stream.  Every input is parsed by _row_blocks, _ROWS_PER_READ
 rows at a time, and a grid reader checks "every node once" with a row count
@@ -263,12 +263,9 @@ def write_profile_csv(path, y: np.ndarray, values: np.ndarray) -> None:
     _write_grid_csv(path, ["y", "value"], [y], values)
 
 
-def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.concatenate(list(_row_blocks(path, ["y", "value"])))
-    y = rows[:, 0]
-    if np.any(y[1:] <= y[:-1]):
-        raise DataError(f"{path}: y nodes must be strictly increasing")
-    return y, rows[:, 1]
+def read_profile_csv(path, params: SpectralParams) -> np.ndarray:
+    """The profile on the y quadrature nodes params.y."""
+    return _read_grid_csv(path, ["y", "value"], [params.y])
 
 
 def write_modes_csv(path, modes: ModeFieldSet) -> None:

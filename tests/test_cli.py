@@ -386,6 +386,14 @@ def test_forward_null_zero_fields(tmp_path):
     assert np.max(np.abs(rows[:, 3])) == 0.0
 
 
+def test_forward_scaled_scenario_exits_1(tmp_path, capsys):
+    cfg = base_config(tmp_path / "out", scenario="MMS-A")
+    cfg["scenario"]["scale"] = 0.5
+    assert main(["forward", "--config", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == ("error: a scaled scenario carries no coefficient to "
+                                       "solve with\n")
+
+
 def test_forward_mmsa_residual_refines(tmp_path):
     norms = {}
     for N in (24, 48):
@@ -667,16 +675,38 @@ def _nonuniform_omega(tmp_path, cfg):
     write_profile_csv(tmp_path / "omega.csv", y, np.sin(y))
 
 
+def _omega_on(y, at_zero=0.0):
+    """Write omega = sin y on the given nodes, with omega(0) = at_zero."""
+    def edit(tmp_path, cfg):
+        write_profile_csv(tmp_path / "omega.csv", y, np.sin(y) + at_zero * (y == 0))
+    return edit
+
+
 def _config_grid_disagrees(tmp_path, cfg):
     cfg["grid"]["Nx"] = cfg["grid"]["Nt"] = 32
+
+
+def _config_ny_quad_256(tmp_path, cfg):
+    cfg["grid"]["Ny_quad"] = 256  # omega.csv keeps its 129 nodes
 
 
 @pytest.mark.parametrize("edit, message", [
     (_config_grid_disagrees, r"psi\.csv: t = \S+ is not one of the 33 configured nodes"),
     (_shift_mode_labels(-1), r"phi\.csv: k = 0 is not one of the 3 configured nodes"),
     (_shift_mode_labels(+1), r"phi\.csv: k = 4 is not one of the 3 configured nodes"),
-    (_nonuniform_omega, r"omega's y nodes must be uniformly spaced"),
-], ids=["grid", "k-from-0", "k-from-2", "omega-nonuniform"])
+    (_nonuniform_omega, r"omega\.csv: y = 0\.0322512248659579 is not one of the 129 "
+     r"configured nodes 0\.\.3\.14159265358979 \(grid\.Ny_quad = 128 sets omega's y nodes\)"),
+    (_config_ny_quad_256, r"omega\.csv: node y = 0\.0122718463030851 appears 0 times; every "
+     r"node of the configured grid must appear once \(grid\.Ny_quad = 256 sets omega's y "
+     r"nodes\)"),
+    (_omega_on(np.linspace(0.0, np.pi, 33)), r"omega\.csv: node y = 0\.0245436926061703 "
+     r"appears 0 times; .* \(grid\.Ny_quad = 128 sets omega's y nodes\)"),
+    (_omega_on(np.linspace(0.0, 3.0, 129)), r"omega\.csv: y = 0\.0234375 is not one of the "
+     r"129 configured nodes .* \(grid\.Ny_quad = 128 sets omega's y nodes\)"),
+    (_omega_on(np.linspace(0.0, np.pi, 129), at_zero=0.01),
+     r"omega\.csv: omega must vanish at y=0 and y=pi, got 1\.000e-02, \S+"),
+], ids=["grid", "k-from-0", "k-from-2", "omega-nonuniform", "omega-129-nodes-Ny_quad-256",
+        "omega-33-nodes", "omega-y-0-to-3", "omega-nonzero-at-0"])
 def test_invert_data_mode_bad_input_exits_1(tmp_path, capsys, edit, message):
     cfg = write_mmsa_data(tmp_path, tmp_path / "out")
     edit(tmp_path, cfg)
@@ -737,6 +767,12 @@ def test_mms_null_zeros(tmp_path):
     # NULL's truth u and recovered u both hold no rows: err_u is exactly 0
     assert np.array_equal(conv[:, 2], np.zeros(3))
     assert json.loads((out / "summary.json").read_text())["warnings"] == []
+
+
+def test_mms_data_config_exits_1(tmp_path, capsys):
+    cfg = write_mmsa_data(tmp_path, tmp_path / "out")
+    assert main(["mms", "--config", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == "error: mms studies need a scenario config\n"
 
 
 @pytest.mark.parametrize("Nx, Nt, named", [

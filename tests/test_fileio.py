@@ -51,13 +51,12 @@ def test_field_deterministic_bytes(tmp_path, grid):
 
 
 def test_profile_roundtrip(tmp_path):
-    y = np.linspace(0, np.pi, 65)
+    params = SpectralParams(K=3, Ny=64)
+    y = params.y
     vals = np.sin(y) * np.exp(y / 10)
     path = tmp_path / "omega.csv"
     write_profile_csv(path, y, vals)
-    y2, v2 = read_profile_csv(path)
-    assert np.array_equal(y2, y)
-    assert np.array_equal(v2, vals)
+    assert np.array_equal(read_profile_csv(path, params), vals)
 
 
 def test_modes_roundtrip(tmp_path, grid):
@@ -228,8 +227,8 @@ def test_write_synth_csv_never_holds_u_of_t_x_y(tmp_path):
 
 @settings(max_examples=40, deadline=None)
 @given(case=grid_case(elements=finite_float),
-       y=st.lists(finite_float, min_size=2, max_size=8, unique=True))
-def test_readers_roundtrip_bitwise(tmp_path_factory, case, y):
+       omega=hnp.arrays(np.float64, st.integers(5, 9), elements=finite_float))
+def test_readers_roundtrip_bitwise(tmp_path_factory, case, omega):
     tmp = tmp_path_factory.mktemp("roundtrip")
     grid, values = case
     params = SpectralParams(K=values.shape[0], Ny=64)
@@ -246,11 +245,9 @@ def test_readers_roundtrip_bitwise(tmp_path_factory, case, y):
     assert np.array_equal(_bits(read_mode_profiles_csv(tmp / "phi.csv", grid, params)),
                           _bits(values[:, 0]))
 
-    y = np.array(sorted(y))  # unique=True draws no -0.0 next to 0.0
-    write_profile_csv(tmp / "omega.csv", y, y[::-1])
-    y_back, v_back = read_profile_csv(tmp / "omega.csv")
-    assert np.array_equal(_bits(y_back), _bits(y))
-    assert np.array_equal(_bits(v_back), _bits(y[::-1]))
+    profile = SpectralParams(K=1, Ny=len(omega) - 1)
+    write_profile_csv(tmp / "omega.csv", profile.y, omega)
+    assert np.array_equal(_bits(read_profile_csv(tmp / "omega.csv", profile)), _bits(omega))
 
 
 # t = 0, 1, 2 and x = 0, 1, 2, 3 with value 10 t + x + 0.5
@@ -261,6 +258,10 @@ FIELD_VALUES = 10 * FIELD_GRID.t[:, None] + FIELD_GRID.x + 0.5
 #: a block size below every test file's row count; each reader test that
 #: runs with the default block size runs again with it (*_in_small_blocks)
 SMALL_BLOCK = 5
+
+#: the omega profile's y nodes 0, pi/4, ..., pi and their text as written
+PROFILE = SpectralParams(K=1, Ny=4)
+Y = [format(y, ".17g") for y in PROFILE.y]
 
 
 @pytest.fixture
@@ -333,70 +334,72 @@ def test_short_row_in_a_later_block_is_located(tmp_path):
 def test_reader_skips_a_byte_order_mark(tmp_path, grid):
     psi, omega = tmp_path / "psi.csv", tmp_path / "omega.csv"
     _write_grid_file(psi, grid, K=1)
-    y = np.linspace(0.0, np.pi, 9)
-    write_profile_csv(omega, y, np.sin(y))
+    write_profile_csv(omega, PROFILE.y, np.sin(PROFILE.y))
     for path in (psi, omega):
         (tmp_path / f"bom-{path.name}").write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert np.array_equal(_bits(read_field_csv(tmp_path / "bom-psi.csv", grid).values),
                           _bits(read_field_csv(psi, grid).values))
-    for marked, plain in zip(read_profile_csv(tmp_path / "bom-omega.csv"),
-                             read_profile_csv(omega)):
-        assert np.array_equal(_bits(marked), _bits(plain))
+    assert np.array_equal(_bits(read_profile_csv(tmp_path / "bom-omega.csv", PROFILE)),
+                          _bits(read_profile_csv(omega, PROFILE)))
 
 
 @pytest.mark.parametrize("cell", ["abc", "1_0", "\u0661", "1d5", '"1,5"'])
 def test_unreadable_cell_is_named(tmp_path, cell):
     # float() reads "1_0" and the Arabic-Indic digit one, numpy does not
     path = tmp_path / "omega.csv"
-    path.write_text(f"y,value\n0,0\n\n1,{cell}\n2,0\n", encoding="utf-8")
+    path.write_text(f"y,value\n{Y[0]},0\n\n{Y[1]},{cell}\n{Y[2]},0\n", encoding="utf-8")
     with pytest.raises(DataError, match="omega.csv: malformed data row 2: "):
-        read_profile_csv(path)
+        read_profile_csv(path, PROFILE)
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
 def test_reader_accepts_quoted_cells_and_blank_lines(tmp_path):
     path = tmp_path / "omega.csv"
-    path.write_bytes(b'y,value\r\n\r\n"0","1.5"\r\n\n1,"-2e-3"\r\n\r\n')
-    y, values = read_profile_csv(path)
-    assert np.array_equal(y, [0.0, 1.0])
-    assert np.array_equal(values, [1.5, -2e-3])
+    path.write_bytes(f'y,value\r\n\r\n"{Y[0]}","1.5"\r\n\n{Y[1]},"-2e-3"\r\n\r\n"{Y[2]}",0\r\n'
+                     f'{Y[3]},1\n\n{Y[4]},"2"\r\n\r\n'.encode())
+    assert np.array_equal(read_profile_csv(path, PROFILE), [1.5, -2e-3, 0.0, 1.0, 2.0])
 
 
 MALFORMED = [
     pytest.param("", "no data rows", id="empty"),
     pytest.param("\r\n\r\n", "no data rows", id="blank-lines"),
-    pytest.param("0,1\r\n1\r\n", "omega.csv: malformed data row 2: 1 columns, the header 2",
-                 id="short-row"),
-    pytest.param("0,1\r\n1,abc\r\n", "omega.csv: malformed data row 2: 'abc' is not a number",
-                 id="text-cell"),
-    pytest.param("0,1\r\n1,\r\n", "omega.csv: malformed data row 2: '' is not a number",
-                 id="empty-cell"),
-    pytest.param("0\r\n1\r\n", "omega.csv: data rows have 1 columns, the header 2",
+    pytest.param(f"{Y[0]},1\r\n{Y[1]}\r\n",
+                 "omega.csv: malformed data row 2: 1 columns, the header 2", id="short-row"),
+    pytest.param(f"{Y[0]},1\r\n{Y[1]},abc\r\n",
+                 "omega.csv: malformed data row 2: 'abc' is not a number", id="text-cell"),
+    pytest.param(f"{Y[0]},1\r\n{Y[1]},\r\n",
+                 "omega.csv: malformed data row 2: '' is not a number", id="empty-cell"),
+    pytest.param(f"{Y[0]}\r\n{Y[1]}\r\n", "omega.csv: data rows have 1 columns, the header 2",
                  id="one-column"),
     # numpy reads a cell with a leading no-break space, float() less ASCII
     # does not: the row named is the one numpy cannot read
-    pytest.param("0,\xa00\r\n1,abc\r\n", "omega.csv: malformed data row 2: 'abc' is not a number",
+    pytest.param(f"{Y[0]},\xa00\r\n{Y[1]},abc\r\n",
+                 "omega.csv: malformed data row 2: 'abc' is not a number",
                  id="non-ascii-space-then-text-cell"),
     # a non-finite cell's row is named by its data row number, blank lines skipped
-    pytest.param("0,0\r\n\r\n1,2\r\n2,nan\r\n3,0\r\n",
-                 "omega.csv: non-finite cell in data row 3: 2,nan$", id="nan-cell"),
-    pytest.param("0,1\r\ninf,0\r\n", "omega.csv: non-finite cell in data row 2: inf,0$",
+    pytest.param(f"{Y[0]},0\r\n\r\n{Y[1]},2\r\n{Y[2]},nan\r\n{Y[3]},0\r\n",
+                 r"omega.csv: non-finite cell in data row 3: 1\.5707963267949,nan$", id="nan-cell"),
+    pytest.param(f"{Y[0]},1\r\ninf,0\r\n", "omega.csv: non-finite cell in data row 2: inf,0$",
                  id="inf-cell"),
-    pytest.param("0,0\r\n1,0\r\n1,0\r\n", "omega.csv: y nodes must be strictly increasing",
-                 id="repeated-y"),
-    pytest.param("-1.7976931348623157e308,0\r\n1.7976931348623157e308,0\r\n0,0\r\n",
-                 "omega.csv: y nodes must be strictly increasing", id="extreme-y-out-of-order"),
+    # every node once, in any order: a node given twice is named with its
+    # count, an extreme y as off the configured nodes
+    pytest.param("".join(f"{Y[i]},0\r\n" for i in (4, 0, 1, 3, 1)),
+                 r"omega.csv: node y = 0.785398163397448 appears 2 times; every node of the "
+                 "configured grid must appear once$", id="repeated-y"),
+    pytest.param(f"{Y[0]},0\r\n-1.7976931348623157e308,0\r\n1.7976931348623157e308,0\r\n",
+                 r"omega.csv: y = -1.79769313486232e\+308 is not one of the 5 configured nodes "
+                 r"0\.\.3\.14159265358979$", id="extreme-y-out-of-order"),
     # a short row after SMALL_BLOCK rows: a parse error in one block, a block
     # of short rows in small blocks
-    pytest.param("\r\n".join(["0,0"] * SMALL_BLOCK + ["1"]) + "\r\n",
+    pytest.param("\r\n".join([f"{Y[0]},0"] * SMALL_BLOCK + [Y[1]]) + "\r\n",
                  r"omega.csv: (malformed data row 6: 1 columns, the header 2"
                  r"|data rows have 1 columns, the header 2, from data row 6)",
                  id="short-row-after-a-block"),
-    pytest.param("\r\n".join(["0,0"] * SMALL_BLOCK + ["1,nan"]) + "\r\n",
-                 "omega.csv: non-finite cell in data row 6: 1,nan$", id="nan-cell-after-a-block"),
+    pytest.param("\r\n".join([f"{Y[0]},0"] * SMALL_BLOCK + ["0,nan"]) + "\r\n",
+                 "omega.csv: non-finite cell in data row 6: 0,nan$", id="nan-cell-after-a-block"),
     # in small blocks, the third row of the second block, after a blank line
-    pytest.param("\r\n".join(["0,0"] * 7 + ["", "1,nan", "2,0"]) + "\r\n",
-                 "omega.csv: non-finite cell in data row 8: 1,nan$",
+    pytest.param("\r\n".join([f"{Y[0]},0"] * 7 + ["", "0,nan", f"{Y[1]},0"]) + "\r\n",
+                 "omega.csv: non-finite cell in data row 8: 0,nan$",
                  id="nan-cell-inside-a-later-block"),
 ]
 
@@ -407,7 +410,7 @@ def test_reader_rejects_malformed_data(tmp_path, body, message):
     path = tmp_path / "omega.csv"
     path.write_text("y,value\r\n" + body, encoding="utf-8", newline="")
     with pytest.raises(DataError, match=message):
-        read_profile_csv(path)
+        read_profile_csv(path, PROFILE)
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -425,7 +428,7 @@ def test_reader_rejects_input_that_is_not_utf8(tmp_path, body):
     path = tmp_path / "omega.csv"
     path.write_bytes(b"y,value\r\n" + body)
     with pytest.raises(DataError, match=r"omega\.csv: not UTF-8 text: byte 0xff"):
-        read_profile_csv(path)
+        read_profile_csv(path, PROFILE)
 
 
 def _write_grid_file(path, grid, K):
