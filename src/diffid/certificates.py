@@ -19,11 +19,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (ConfigurationError, DataError, DivisionHazardError, check_integer,
-                     check_positive)
+from .errors import ConfigurationError, DivisionHazardError, check_integer, check_positive
 from .grids import Grid, ScalarField, diff, diff2, interior_margin_mask
 from .problem import ProblemData
-from .sinebasis import ModeFieldSet, OmegaData, frac_norm
+from .sinebasis import frac_norm
 
 
 @dataclass(frozen=True)
@@ -97,32 +96,24 @@ def first_dirichlet_eigenvalue(grid: Grid) -> float:
     return np.float64(np.pi / grid.Lx) ** 2
 
 
-def _check_psi_floor(psi_values: np.ndarray, region: np.ndarray, floor: float) -> None:
-    """Raise DivisionHazardError naming the first node of region (broadcast
-    against psi_values) where |psi| < floor."""
-    hazard = (np.abs(psi_values) < floor) & region
-    if np.any(hazard):
-        node = tuple(int(i) for i in np.argwhere(hazard)[0])
-        raise DivisionHazardError(
-            f"|psi| < {floor:g} at grid node {node}; cannot divide", node=node)
-
-
-def compute_Psi(psi: ScalarField, f_modes: ModeFieldSet, omega: OmegaData,
-                grid: Grid, floor: float = 1e-12) -> ScalarField:
+def compute_Psi(data: ProblemData, floor: float) -> ScalarField:
     """The lifted source field (-psi_t + Lap psi + (f, omega)) / psi.
 
     Evaluated at every strictly interior node (the iteration needs it there);
     boundary nodes are set to zero since the mode solves never read them.
-    A node where |psi| drops below the floor is a division hazard.
+    A node where |psi| drops below the floor is a division hazard, raised as
+    DivisionHazardError naming the first such node.
     """
-    vals = psi.values
-    _check_psi_floor(vals, interior_margin_mask(grid, 1), floor)
+    grid, vals, f_modes = data.grid, data.psi.values, data.f_modes
+    hazard = (np.abs(vals) < floor) & interior_margin_mask(grid, 1)
+    if np.any(hazard):
+        node = tuple(int(i) for i in np.argwhere(hazard)[0])
+        raise DivisionHazardError(f"|psi| < {floor:g} at grid node {node}; cannot divide",
+                                  node=node)
 
-    if omega.K < f_modes.K:
-        raise DataError(f"omega carries {omega.K} coefficients, need {f_modes.K}")
     dpsi_dt = diff(vals, grid.dt, axis=0)
     lap = diff2(vals, grid.hx, axis=-1)
-    numer = -dpsi_dt + lap + omega.measure(f_modes.values, f_modes.modes)
+    numer = -dpsi_dt + lap + data.omega.measure(f_modes.values, f_modes.modes)
     out = np.zeros_like(vals)
     np.divide(numer[:, 1:-1], vals[:, 1:-1], out=out[:, 1:-1])
     return ScalarField(grid, out)
@@ -143,7 +134,7 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
     region = np.broadcast_to(mask, grid.field_shape)
 
     if Psi is None:
-        Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=options.psi_floor)
+        Psi = compute_Psi(data, options.psi_floor)
     psi_vals = np.abs(data.psi.values[region])
     tau1, tau2 = data.params.tau1, data.params.tau2
     T = grid.T

@@ -68,10 +68,7 @@ def main(argv=None) -> int:
             "mms": _cmd_mms,
         }[args.command]
         return handler(cfg, **options)
-    except DiffidError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as err:
+    except (DiffidError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -171,8 +168,7 @@ def _cmd_invert(cfg: RunConfig, force: bool) -> int:
         "norms": result.norms,
     }
     if scn is not None and scn.truth_a is not None:
-        summary["recovery_error_a"] = recovery_error(result, scn, which="a")
-        summary["recovery_error_u"] = recovery_error(result, scn, which="u")
+        summary["recovery_error_a"], summary["recovery_error_u"] = recovery_error(result, scn)
     summary["warnings"] = ([message] if message else []) + _recorded_warnings(caught)
     write_json(cfg.output_dir / "summary.json", summary)
 

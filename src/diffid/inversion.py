@@ -3,11 +3,12 @@
 Each sweep advances the modes through the linear parabolic solve with the
 coefficient fully lagged into the source:
 
-    S_k = f_k - Psi * u_k^{i-1} - (sum_j c_j u_j^{i-1} / psi) * u_k^{i-1},
+    S_k = f_k - a(u^{i-1}) u_k^{i-1},   a(u) = Psi + (sum_j c_j u_j) / psi,
 
-starting from u^0 = 0 (or a given iterate), and the recovered coefficient is
-defined (not fitted) by a = Psi + (sum_j c_j u_j) / psi once the
-sweep-to-sweep energy F(u^i - u^{i-1}) drops below tolerance.
+starting from u^0 = 0 (or a given iterate).  The recovered coefficient is
+defined (not fitted) by the same formula, a(u^i), once the sweep-to-sweep
+energy F(u^i - u^{i-1}) drops below tolerance: picard_source and
+reconstruct_a both evaluate it through one helper, _coefficient.
 Non-convergence is a result, not an exception, so certificate-violating
 inputs can still be studied; a sweep whose energy runs away (see _RUNAWAY)
 stops the loop as well.
@@ -22,8 +23,8 @@ gives the dense stack.  The series is summed row by row in ascending k, so
 the compact stack gives the same bits as the dense one would.
 
 The division by psi is guarded once per run: compute_Psi rejects psi below
-the floor at every interior node, and the helpers below divide by the same
-psi on those nodes only.
+the floor at every interior node, and _coefficient divides by the same psi on
+those nodes only.
 """
 
 from __future__ import annotations
@@ -48,36 +49,33 @@ from .sinebasis import F_functional, ModeFieldSet, mode_sum
 _RUNAWAY = 2.0**104
 
 
-def _series_over_psi(u: ModeFieldSet, psi: ScalarField, couplings: np.ndarray) -> np.ndarray:
-    """(sum_j c_j u_j) / psi over u's rows on interior nodes, zero on the
-    spatial boundary; psi has passed compute_Psi's floor check on those
-    nodes.  Summed one row at a time in ascending j: a zero row adds exactly
-    0, whereas a BLAS contraction groups its terms by the row count."""
+def _coefficient(u: ModeFieldSet, data: ProblemData, Psi: ScalarField) -> np.ndarray:
+    """The coefficient formula a = Psi + (sum_j c_j u_j) / psi over u's rows,
+    the series divided on interior nodes only (a = Psi on the spatial
+    boundary); psi has passed compute_Psi's floor check on those nodes.
+    Summed one row at a time in ascending j: a zero row adds exactly 0,
+    whereas a BLAS contraction groups its terms by the row count."""
     series = np.zeros(u.grid.field_shape)
-    for c_j, u_j in zip(couplings[u.modes - 1], u.values):
+    for c_j, u_j in zip(data.omega.couplings[u.modes - 1], u.values):
         series += c_j * u_j
-    out = np.zeros_like(series)
-    np.divide(series[:, 1:-1], psi.values[:, 1:-1], out=out[:, 1:-1])
-    return out
+    a = Psi.values.copy()
+    a[:, 1:-1] += series[:, 1:-1] / data.psi.values[:, 1:-1]
+    return a
 
 
-def picard_source(prev: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
-                  f_modes: ModeFieldSet, couplings: np.ndarray) -> np.ndarray:
-    """Source stack for the next sweep, one row per row of prev; the coupling
-    series is evaluated once and reused for every k.  Psi comes from
-    compute_Psi of this psi."""
-    ratio = _series_over_psi(prev, psi, couplings)
-    lag = Psi.values + ratio
-    return f_modes.rows(prev.modes).values - lag[None, ...] * prev.values
+def picard_source(prev: ModeFieldSet, data: ProblemData, Psi: ScalarField) -> np.ndarray:
+    """Source stack f_k - a(prev) * prev_k for the next sweep, one row per
+    row of prev, with the coefficient of prev evaluated once for every k.
+    Psi comes from compute_Psi of data."""
+    return data.f_modes.rows(prev.modes).values - _coefficient(prev, data, Psi)[None] * prev.values
 
 
 def iterate(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,
             theta: float = 0.5) -> tuple[ModeFieldSet, float]:
     """One sweep: u^{i+1} from u^i by one march of u's mode rows, and the
     energy F(u^{i+1} - u^i).  An empty stack (nothing excited) marches
-    nothing.  Psi comes from compute_Psi of data.psi."""
-    couplings = data.omega.couplings[: data.params.K]
-    sources = picard_source(u, Psi, data.psi, data.f_modes, couplings)
+    nothing.  Psi comes from compute_Psi of data."""
+    sources = picard_source(u, data, Psi)
     if len(u.modes):
         sources = march_modes(sources, data.phi_modes[u.modes - 1], data.grid,
                               theta=theta, modes=u.modes)
@@ -86,19 +84,16 @@ def iterate(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,
     return new, F_functional(new - u)
 
 
-def reconstruct_a(u: ModeFieldSet, Psi: ScalarField, psi: ScalarField,
-                  couplings: np.ndarray, margin: int = 2) -> ScalarField:
-    """Coefficient formula a = Psi + (sum_j c_j u_j)/psi on the interior
+def reconstruct_a(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,
+                  margin: int) -> ScalarField:
+    """The coefficient of u, the one picard_source lags, on the interior
     margin; nodes outside the margin copy the nearest margin node.  Psi
-    comes from compute_Psi of this psi."""
-    grid = u.grid
-    ratio = _series_over_psi(u, psi, couplings)
-    a_vals = Psi.values + ratio
-
-    lo, hi = margin, grid.Nx + 2 - margin
+    comes from compute_Psi of data."""
+    a_vals = _coefficient(u, data, Psi)
+    lo, hi = margin, u.grid.Nx + 2 - margin
     a_vals[:, :lo] = a_vals[:, lo:lo + 1]
     a_vals[:, hi:] = a_vals[:, hi - 1:hi]
-    return ScalarField(grid, a_vals)
+    return ScalarField(u.grid, a_vals)
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,7 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
     if initial is not None and (initial.grid != grid or initial.K != params.K):
         raise DataError(f"initial iterate (K = {initial.K}, {initial.grid}) does not match "
                         f"the data (K = {params.K}, {grid})")
-    Psi = compute_Psi(data.psi, data.f_modes, data.omega, grid, floor=options.psi_floor)
+    Psi = compute_Psi(data, options.psi_floor)
     cert = compute_certificate(data, options, Psi=Psi)
     if not cert.local_pass:
         if not force:
@@ -210,8 +205,7 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
             stop_reason = "converged"
             break
 
-    couplings = data.omega.couplings[: params.K]
-    a = reconstruct_a(u, Psi, data.psi, couplings, margin=options.boundary_margin)
+    a = reconstruct_a(u, data, Psi, options.boundary_margin)
     _, residual_norm = overdetermination_residual(u, data.omega, data.psi)
 
     return InversionResult(

@@ -98,23 +98,21 @@ def _masked_rel_l2(values: np.ndarray, truth: np.ndarray, mask: np.ndarray,
     return float(dev / ref) if ref > 0 else float(dev)
 
 
-def recovery_error(result: InversionResult, scenario: Scenario, which: str = "a") -> float:
-    """Relative L2(G_T) error of the recovered field against truth over the
-    nodes inside the result's margin; for u, over all K modes, of which only
-    those either stack holds can be nonzero."""
+def recovery_error(result: InversionResult, scenario: Scenario) -> tuple[float, float]:
+    """(err_a, err_u): the relative L2(G_T) errors of the recovered a and u
+    against truth over the nodes inside the result's margin; err_u is taken
+    over all K modes, of which only those either stack holds can be
+    nonzero."""
     if scenario.truth_a is None:
         raise DataError(f"scenario {scenario.name!r} at scale {scenario.scale} has no truth fields")
     grid = result.a.grid
     mask = interior_margin_mask(grid, result.margin)
-    if which == "a":
-        return _masked_rel_l2(result.a.values, scenario.truth_a.values, mask)
-    if which == "u":
-        u, truth = result.u_modes, scenario.truth_u_modes
-        # a set union, not np.union1d: np.unique imports numpy.ma (1.4 MB)
-        modes = np.array(sorted({*u.modes.tolist(), *truth.modes.tolist()}), dtype=int)
-        return _masked_rel_l2(u.rows(modes).values, truth.rows(modes).values, mask,
-                              count=u.K * (grid.Nt + 1) * int(np.count_nonzero(mask)))
-    raise ConfigurationError(f"which must be 'a' or 'u', got {which!r}")
+    u, truth = result.u_modes, scenario.truth_u_modes
+    # a set union, not np.union1d: np.unique imports numpy.ma (1.4 MB)
+    modes = np.array(sorted({*u.modes.tolist(), *truth.modes.tolist()}), dtype=int)
+    return (_masked_rel_l2(result.a.values, scenario.truth_a.values, mask),
+            _masked_rel_l2(u.rows(modes).values, truth.rows(modes).values, mask,
+                           count=u.K * (grid.Nt + 1) * int(np.count_nonzero(mask))))
 
 
 def convergence_study(name: str, grid: Grid, params: SpectralParams, scale: float = 1.0,
@@ -141,8 +139,7 @@ def convergence_study(name: str, grid: Grid, params: SpectralParams, scale: floa
         result = run_inversion(scn.data, options, tol_F=tol_F, max_iters=max_iters,
                                theta=theta, force=True)
         if scn.truth_a is not None:
-            err_a = recovery_error(result, scn, which="a")
-            err_u = recovery_error(result, scn, which="u")
+            err_a, err_u = recovery_error(result, scn)
         else:
             err_a = err_u = float("nan")
         order = float(np.log2(prev_err / err_a)) if prev_err > 0 and err_a > 0 else float("nan")
@@ -171,7 +168,7 @@ def uniqueness_probe(scenario: Scenario, zero_start: InversionResult,
     trajectory (u^1 itself is on it, and would replay the same iterates to a
     distance of exactly 0)."""
     data = scenario.data
-    Psi = compute_Psi(data.psi, data.f_modes, data.omega, data.grid, floor=options.psi_floor)
+    Psi = compute_Psi(data, options.psi_floor)
     zero = ModeFieldSet.empty(data.grid, data.params)
     warm, _ = iterate(zero.rows(forced_modes(data.phi_modes, data.f_modes)), data, Psi,
                       theta=theta)

@@ -288,15 +288,14 @@ def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0) -> float:
 
 
 def F_functional(modes: ModeFieldSet) -> float:
-    """Contraction energy: sum_k lambda_k^{(1+eps)/2} [ ||D_t u_k||^2_{GT}
+    """Contraction energy: sum_k lambda_k^{2 tau1} [ ||D_t u_k||^2_{GT}
     + sup_t ||grad u_k||^2_G + lambda_k sup_t ||u_k||^2_G ] over the stack's
     rows, in ascending k.  A zero row adds exactly 0, so a compact stack
     gives the bits of its full() stack."""
     grid, v = modes.grid, modes.values
-    eps = modes.params.epsilon
     buf = diff(v, grid.dt, axis=1)  # D_t v, then D_x v in the same buffer
     dt_term = l2_sq_GT(buf, grid)
     grad_term = np.max(l2_sq_G(diff(v, grid.hx, axis=-1, out=buf), grid), axis=1)
     l2_term = np.max(l2_sq_G(v, grid), axis=1)
     lam = modes.eigenvalues
-    return mode_sum(dt_term + grad_term + lam * l2_term, lam, (1.0 + eps) / 2.0)
+    return mode_sum(dt_term + grad_term + lam * l2_term, lam, 2.0 * modes.params.tau1)

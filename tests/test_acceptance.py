@@ -107,9 +107,8 @@ def test_criterion_4_coefficient_formula():
     t0 = time.perf_counter()
     grid = Grid(np.pi, 1.0, Nx=128, Nt=128)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=256))
-    Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.data.omega, grid)
-    a = reconstruct_a(scn.truth_u_modes, Psi, scn.data.psi,
-                      scn.data.omega.couplings[:4], margin=2)
+    Psi = compute_Psi(scn.data, 1e-12)
+    a = reconstruct_a(scn.truth_u_modes, scn.data, Psi, 2)
     mask = interior_margin_mask(grid, 2)
     worst = float(np.max(np.abs(a.values[:, mask] - 1.0)))
     elapsed = time.perf_counter() - t0
@@ -121,7 +120,7 @@ def test_criterion_5_full_inversion(mmsa_study):
     t0 = time.perf_counter()
     errs = {}
     for N, (scn, result) in mmsa_study.items():
-        errs[N] = recovery_error(result, scn, which="a")
+        errs[N] = recovery_error(result, scn)[0]
     scn128, res128 = mmsa_study[128]
     monotone = errs[32] > errs[64] > errs[128]
     elapsed = time.perf_counter() - t0

@@ -50,7 +50,7 @@ def constant_psi_data(Lx=np.pi, T=1.0, Nx=32, Nt=16, f_const=0.0, K=2, epsilon=1
 def test_Psi_mmsa_equals_two():
     grid = Grid(np.pi, 1.0, Nx=128, Nt=128)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=256))
-    Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.data.omega, grid)
+    Psi = compute_Psi(scn.data, 1e-12)
     mask = interior_margin_mask(grid, 2)
     assert np.max(np.abs(Psi.values[:, mask] - 2.0)) <= 1e-2
 
@@ -60,9 +60,9 @@ def test_Psi_caloric_measurement_vanishes():
     # with f = 0 the numerator vanishes up to FD error
     grid = Grid(np.pi, 1.0, Nx=128, Nt=128)
     params = SpectralParams(K=2, Ny=64)
-    om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
-    psi = ScalarField(grid, np.exp(-grid.t)[:, None] * np.sin(grid.x)[None, :])
-    Psi = compute_Psi(psi, ModeFieldSet.empty(grid, params), om, grid)
+    data = replace(build_scenario("NULL", grid, params).data,
+                   psi=ScalarField(grid, np.exp(-grid.t)[:, None] * np.sin(grid.x)[None, :]))
+    Psi = compute_Psi(data, 1e-12)
     mask = interior_margin_mask(grid, 2)
     assert np.max(np.abs(Psi.values[:, mask])) <= 1e-3
 
@@ -71,21 +71,22 @@ def test_Psi_scale_invariance():
     grid = Grid(np.pi, 0.5, Nx=48, Nt=24)
     params = SpectralParams(K=2, Ny=64)
     scn = build_scenario("MMS-A", grid, params)
-    Psi1 = compute_Psi(scn.data.psi, scn.data.f_modes, scn.data.omega, grid)
+    Psi1 = compute_Psi(scn.data, 1e-12)
     s = 7.3
-    psi_s = ScalarField(grid, s * scn.data.psi.values)
-    f_s = ModeFieldSet(grid, params, s * scn.data.f_modes.values, scn.data.f_modes.modes)
-    Psi2 = compute_Psi(psi_s, f_s, scn.data.omega, grid)
+    scaled = replace(scn.data, psi=ScalarField(grid, s * scn.data.psi.values),
+                     f_modes=ModeFieldSet(grid, params, s * scn.data.f_modes.values,
+                                          scn.data.f_modes.modes))
+    Psi2 = compute_Psi(scaled, 1e-12)
     assert np.max(np.abs(Psi1.values - Psi2.values)) <= 1e-12
 
 
 def test_Psi_division_hazard_names_node():
     grid = Grid(np.pi, 1.0, Nx=16, Nt=8)
     params = SpectralParams(K=1, Ny=64)
-    om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
-    psi = ScalarField(grid, np.zeros(grid.field_shape))
+    data = replace(build_scenario("NULL", grid, params).data,
+                   psi=ScalarField(grid, np.zeros(grid.field_shape)))
     with pytest.raises(DivisionHazardError) as err:
-        compute_Psi(psi, ModeFieldSet.empty(grid, params), om, grid)
+        compute_Psi(data, 1e-12)
     assert err.value.node is not None
 
 

@@ -184,7 +184,7 @@ def test_runs_load_no_unused_modules(tmp_path, command):
         if command == "certify":  # NULL passes the certificate
             config = str(write_config(tmp_path, base_config(tmp_path / "out", scenario="NULL")))
         elif command == "forward-data":
-            cfg = write_mmsa_data(tmp_path, tmp_path / "out")
+            cfg = write_mms_data(tmp_path, tmp_path / "out")
             grid = load_config(write_config(tmp_path, cfg)).grid
             write_field_csv(tmp_path / "a.csv", ScalarField(grid, np.ones(grid.field_shape)))
             cfg["data"]["a_file"] = "a.csv"
@@ -566,10 +566,11 @@ def test_invert_divergence_is_a_result(tmp_path, capsys):
     assert np.all(np.isfinite(a))
 
 
-def write_mmsa_data(tmp_path, out, N=24, K=3):
-    """Write the MMS-A data as CSV files; return a data-mode config for them."""
+def write_mms_data(tmp_path, out, name="MMS-A", N=24, K=3):
+    """Write the data of scenario name as CSV files; return a data-mode
+    config for them."""
     grid = Grid(np.pi, 0.5, Nx=N, Nt=N)
-    scn = build_scenario("MMS-A", grid, SpectralParams(K=K, Ny=128))
+    scn = build_scenario(name, grid, SpectralParams(K=K, Ny=128))
     write_field_csv(tmp_path / "psi.csv", scn.data.psi)
     write_modes_csv(tmp_path / "f.csv", scn.data.f_modes)
     write_mode_profiles_csv(tmp_path / "phi.csv", scn.data.phi_modes, grid.x)
@@ -585,7 +586,7 @@ def write_mmsa_data(tmp_path, out, N=24, K=3):
 def test_data_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
     # a relative data path names a file from the config file's directory,
     # whatever the working directory; an absolute one is taken as is
-    cfg = write_mmsa_data(tmp_path, tmp_path / "out")
+    cfg = write_mms_data(tmp_path, tmp_path / "out")
     plain = write_config(tmp_path, cfg)
     for sub in ("configs", "elsewhere"):
         (tmp_path / sub).mkdir()
@@ -604,25 +605,31 @@ def test_data_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
             == (tmp_path / "out" / "certificate.json").read_bytes())
 
 
-def test_invert_data_file_mode_matches_scenario(tmp_path):
-    # write the MMS-A fields to CSV, run in data mode, compare to scenario mode
+@pytest.mark.parametrize("name", ["MMS-A", "MMS-B"])
+def test_invert_data_file_mode_matches_scenario(tmp_path, name):
+    # write the scenario's fields to CSV, run in data mode, compare to
+    # scenario mode: the same sweeps, and a to within last bits
     out_data = tmp_path / "out_data"
-    cfg = write_mmsa_data(tmp_path, out_data)
+    cfg = write_mms_data(tmp_path, out_data, name)
     assert main(["invert", "--config", str(write_config(tmp_path, cfg)), "--force"]) == 0
 
     out_scn = tmp_path / "out_scn"
-    cfg2 = base_config(out_scn, N=24, K=3)
+    cfg2 = base_config(out_scn, scenario=name, N=24, K=3)
     path2 = write_config(tmp_path, cfg2, "c2.json")
     assert main(["invert", "--config", str(path2), "--force"]) == 0
 
     grid = load_config(path2).grid
     a_data = read_field_csv(out_data / "a.csv", grid).values
     a_scn = read_field_csv(out_scn / "a.csv", grid).values
-    assert np.max(np.abs(a_data - a_scn)) <= 1e-8
+    assert np.max(np.abs(a_data - a_scn)) <= 1e-14 * np.max(np.abs(a_scn))
+    summary_data = json.loads((out_data / "summary.json").read_text())
+    summary_scn = json.loads((out_scn / "summary.json").read_text())
+    for key in ("iterations", "stop_reason"):
+        assert summary_data[key] == summary_scn[key]
 
 
 def test_forward_data_mode_matches_scenario(tmp_path, capsys):
-    cfg = write_mmsa_data(tmp_path, tmp_path / "out_data")
+    cfg = write_mms_data(tmp_path, tmp_path / "out_data")
     cfg_path = write_config(tmp_path, cfg)
     psi = (tmp_path / "psi.csv").read_bytes()
     (tmp_path / "psi.csv").unlink()  # the a_file check comes before any read
@@ -644,7 +651,7 @@ def test_forward_data_mode_matches_scenario(tmp_path, capsys):
 def test_forward_summary_keeps_reaction_warning(tmp_path):
     # a = -60 with dt = 0.5/24: dt*max(-a) = 1.25 > 1, which the march warns about
     out = tmp_path / "out"
-    cfg = write_mmsa_data(tmp_path, out)
+    cfg = write_mms_data(tmp_path, out)
     grid = load_config(write_config(tmp_path, cfg)).grid
     write_field_csv(tmp_path / "a.csv", diffid.ScalarField(grid, np.full(grid.field_shape, -60.0)))
     cfg["data"]["a_file"] = "a.csv"
@@ -708,7 +715,7 @@ def _config_ny_quad_256(tmp_path, cfg):
 ], ids=["grid", "k-from-0", "k-from-2", "omega-nonuniform", "omega-129-nodes-Ny_quad-256",
         "omega-33-nodes", "omega-y-0-to-3", "omega-nonzero-at-0"])
 def test_invert_data_mode_bad_input_exits_1(tmp_path, capsys, edit, message):
-    cfg = write_mmsa_data(tmp_path, tmp_path / "out")
+    cfg = write_mms_data(tmp_path, tmp_path / "out")
     edit(tmp_path, cfg)
     assert main(["invert", "--config", str(write_config(tmp_path, cfg)), "--force"]) == 1
     err = capsys.readouterr().err
@@ -770,7 +777,7 @@ def test_mms_null_zeros(tmp_path):
 
 
 def test_mms_data_config_exits_1(tmp_path, capsys):
-    cfg = write_mmsa_data(tmp_path, tmp_path / "out")
+    cfg = write_mms_data(tmp_path, tmp_path / "out")
     assert main(["mms", "--config", str(write_config(tmp_path, cfg))]) == 1
     assert capsys.readouterr().err == "error: mms studies need a scenario config\n"
 

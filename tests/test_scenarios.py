@@ -88,20 +88,20 @@ def test_truth_satisfies_discrete_forward_operator():
 
 def test_null_scenario_is_exact_fixed_point():
     scn = make_scenario("NULL", N=48)
-    Psi = compute_Psi(scn.data.psi, scn.data.f_modes, scn.data.omega, scn.data.grid)
+    Psi = compute_Psi(scn.data, 1e-12)
     assert np.max(np.abs(Psi.values)) <= 1e-12
     res = run_inversion(scn.data, tol_F=1e-10, max_iters=5)
     assert res.converged
     assert res.iterations == 1
     assert np.max(np.abs(res.a.values)) <= 1e-12
-    assert recovery_error(res, scn, which="a") <= 1e-10
+    assert recovery_error(res, scn)[0] <= 1e-10
 
 
 def test_recovery_error_basics():
     scn = make_scenario("MMS-A", N=32)
     grid = scn.data.grid
     cert = compute_certificate(scn.data, CertifyOptions(boundary_margin=2))
-    # a result that equals the truth bitwise has zero error
+    # a result that equals the truth bitwise, a and u, has zero errors
     dummy = InversionResult(
         a=ScalarField(grid, scn.truth_a.values.copy()),
         u_modes=scn.truth_u_modes,
@@ -111,7 +111,7 @@ def test_recovery_error_basics():
         residual_norm=0.0,
         norms={},
     )
-    assert recovery_error(dummy, scn, which="a") == 0.0
+    assert recovery_error(dummy, scn) == (0.0, 0.0)
 
     shifted = InversionResult(
         a=ScalarField(grid, scn.truth_a.values + 0.01),
@@ -123,7 +123,7 @@ def test_recovery_error_basics():
         norms={},
     )
     # truth_a is identically 1, so a constant 0.01 shift is a 1% relative error
-    assert recovery_error(shifted, scn, which="a") == pytest.approx(0.01, rel=1e-12)
+    assert recovery_error(shifted, scn)[0] == pytest.approx(0.01, rel=1e-12)
 
 
 def test_recovery_error_rescale_invariance():
