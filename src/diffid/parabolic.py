@@ -145,9 +145,11 @@ def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
     symbol mu, v^{n+1} = amp v^n + p dt (theta S^{n+1} + (1-theta) S^n), where
     p = 1/(1 + theta dt mu) and amp = (1 - (1-theta) dt mu) p.
 
-    The recurrence overwrites the transformed source stack one time level at
-    a time, and the transform back writes straight into out, so the march
-    holds no full-stack temporaries.
+    The mixed sources overwrite the transformed source stack in three
+    whole-stack operations, after (1-theta) S^n is staged in out's interior,
+    which the transform back overwrites; the recurrence then runs over the
+    levels in place.  By then the sources are transformed, so out may be the
+    source stack, and the march holds no full-stack temporaries.
     """
     dt, Q = grid.dt, _sine_matrix(grid.Nx)
     mu = _dirichlet_symbol(grid.Nx, grid.hx)[None, :] + lam[:, None]
@@ -159,16 +161,18 @@ def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
     # contiguous block; it holds S_hat, then v_hat level by level
     v_hat = np.empty((grid.Nt + 1, len(sources), grid.Nx))
     np.matmul(sources[:, :, 1:-1], Q, out=v_hat.transpose(1, 0, 2))
-    for n in range(grid.Nt, 0, -1):   # backwards: level n-1 still holds S_hat
-        mixed = v_hat[n]
-        mixed *= theta
-        mixed += (1.0 - theta) * v_hat[n - 1]
-        mixed *= pdt
+    lagged = out[:, 1:, 1:-1].transpose(1, 0, 2)
+    np.multiply(v_hat[:-1], 1.0 - theta, out=lagged)
+    mixed = v_hat[1:]
+    mixed *= theta
+    mixed += lagged
+    mixed *= pdt
     # a stack of (1, Nx) @ Q vector products: one (K, Nx) @ Q matrix product
     # differs in the last bits
     np.matmul(phi_modes[:, None, 1:-1], Q, out=v_hat[0, :, None, :])
+    step = np.empty_like(amp)
     for n in range(1, grid.Nt + 1):
-        v_hat[n] += amp * v_hat[n - 1]
+        v_hat[n] += np.multiply(amp, v_hat[n - 1], out=step)
 
     out[:, 0, 1:-1] = phi_modes[:, 1:-1]
     np.matmul(v_hat[1:].transpose(1, 0, 2), Q, out=out[:, 1:, 1:-1])

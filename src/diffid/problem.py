@@ -38,7 +38,7 @@ class ProblemData:
         if self.f_modes.params.K != self.params.K:
             raise DataError("f mode count does not match spectral parameters")
         if self.omega.K < self.params.K:
-            raise DataError(f"omega carries {self.omega.K} couplings, need {self.params.K}")
+            raise DataError(f"omega carries {self.omega.K} sine coefficients, need {self.params.K}")
         object.__setattr__(self, "phi_modes", phi)
 
     def scaled(self, s: float) -> "ProblemData":

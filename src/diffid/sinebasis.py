@@ -1,5 +1,11 @@
-"""Sine eigenbasis on (0, pi): analysis/synthesis, weight couplings, and the
+"""Sine eigenbasis on (0, pi): analysis/synthesis, the weight omega, and the
 weighted mode norms used by the solvability certificates.
+
+omega enters through its sine coefficients omega_k alone: the measurement
+is (pi/2) sum_k omega_k u_k, and the couplings c_j = (sin(j y), omega'') of
+the coefficient formula are -j^2 (pi/2) omega_j, since omega vanishes at
+y = 0 and y = pi.  Both weight u_j by the same omega_j, however omega
+arrives (sampled from a scenario's callables or read from omega.csv).
 
 Mode k has eigenvalue k^2.  Fractional-power norms are evaluated as raw
 weighted sums sum_k lambda_k^{2*tau} * (|v_k|^2 [+ |grad v_k|^2]) without the
@@ -101,16 +107,21 @@ def synthesize(coeffs: np.ndarray, y: np.ndarray, modes: np.ndarray | None = Non
 
 @dataclass(frozen=True)
 class OmegaData:
-    """The measurement weight: the sine coefficients of omega, the couplings
-    c_j = (sin(j y), omega''), and ||omega''|| in L2(0, pi)."""
+    """The measurement weight: the sine coefficients of omega and ||omega''||
+    in L2(0, pi)."""
 
     omega_coeffs: np.ndarray = field(repr=False)
-    couplings: np.ndarray = field(repr=False)
     omega_dd_l2: float
 
     @property
     def K(self) -> int:
-        return len(self.couplings)
+        return len(self.omega_coeffs)
+
+    @property
+    def couplings(self) -> np.ndarray:
+        """c_j = (sin(j y), omega'') = -lambda_j (pi/2) omega_j, j = 1..K,
+        by parts, since omega vanishes at both ends."""
+        return -eigenvalues(self.K) * (np.pi / 2.0) * self.omega_coeffs
 
     def measure(self, stack: np.ndarray, modes: np.ndarray) -> np.ndarray:
         """The integral measurement (pi/2) sum_i omega_{k_i} v_i of a stack of
@@ -122,13 +133,13 @@ class OmegaData:
     @classmethod
     def from_profiles(cls, y: np.ndarray, omega: np.ndarray, K: int,
                       omega_dd: np.ndarray | None = None) -> "OmegaData":
-        """Build from sampled omega (and omega'' when available).
+        """Build from sampled omega, and omega'' when available.
 
-        Without omega'' samples the couplings come from the integration-by-parts
-        identity c_j = -lambda_j (pi/2) omega_j, which needs only omega itself;
-        omega'' (whose norm enters the certificate) is then rebuilt by second
-        differences.  The y nodes must be uniform: those differences and the
-        coupling quadrature's endpoint correction both assume one step.
+        The sine coefficients come from omega alone.  omega'' enters only
+        through its norm, which the certificate reads: from the given samples,
+        or else rebuilt from omega by second differences.  The y nodes must
+        be uniform: those differences assume one step, and the config's
+        grid.Ny_quad nodes, on which data-mode omega is read, are uniform.
         """
         y = np.asarray(y, dtype=float)
         omega = np.asarray(omega, dtype=float)
@@ -138,37 +149,18 @@ class OmegaData:
         h = np.diff(y)
         if not np.max(np.abs(h - h[0])) <= 1e-9 * max(abs(y[-1]), 1.0):
             raise DataError(
-                f"omega's y nodes must be uniformly spaced for the y quadrature and for "
-                f"rebuilding omega'' by second differences; steps range from "
+                f"omega's y nodes must be uniformly spaced, as the grid.Ny_quad nodes are, "
+                f"for rebuilding omega'' by second differences; steps range from "
                 f"{h.min():.6g} to {h.max():.6g}")
-        coeffs = sine_coeffs(omega, K, y)
         if omega_dd is None:
             omega_dd = diff2(omega, h[0], axis=0)
-            couplings = -eigenvalues(K) * (np.pi / 2.0) * coeffs
-        else:
-            omega_dd = np.asarray(omega_dd, dtype=float)
-            couplings = _coupling_quadrature(y, omega_dd, K)
-        return cls(coeffs, couplings, float(np.sqrt(np.trapezoid(omega_dd**2, y))))
+        omega_dd = np.asarray(omega_dd, dtype=float)
+        return cls(sine_coeffs(omega, K, y), float(np.sqrt(np.trapezoid(omega_dd**2, y))))
 
     @classmethod
     def from_callables(cls, fn, fn_dd, params: SpectralParams) -> "OmegaData":
         y = params.y
         return cls.from_profiles(y, fn(y), params.K, omega_dd=fn_dd(y))
-
-
-def _coupling_quadrature(y: np.ndarray, omega_dd: np.ndarray, K: int) -> np.ndarray:
-    """Trapezoid of sin(j y) * omega'', j = 1..K, with the Euler-Maclaurin
-    endpoint correction -h^2/12 [f'(pi) - f'(0)] on the uniform nodes y.
-
-    Since sin(j y) vanishes at both ends, f' there is j * (+-1)^j * omega'',
-    so the correction needs no derivatives of omega''.  Without it the bare
-    trapezoid error grows like h^2 * j and the integration-by-parts identity
-    cannot be met at 1e-8 for polynomial-type weights.
-    """
-    h = y[1] - y[0]
-    j = np.arange(1, K + 1, dtype=float)
-    t = np.trapezoid(_sine_table(j, y) * omega_dd, y, axis=-1)
-    return t - h**2 / 12.0 * j * ((-1.0) ** j * omega_dd[-1] - omega_dd[0])
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from diffid import (
 )
 from diffid.errors import ConfigurationError, NumericalBlowupError
 from diffid.grids import l2_sq_G, l2_sq_GT
+from diffid.parabolic import _dirichlet_symbol, _sine_matrix
 
 
 def grid_1d(Nx=128, Nt=128, T=1.0):
@@ -242,6 +243,47 @@ def test_spectral_march_matches_thomas_reference(Nx, Nt, K, theta, seed):
         assert rel_max_diff(u[k - 1], ref[k - 1]) <= 1e-12
     assert np.all(u[:, :, 0] == 0.0) and np.all(u[:, :, -1] == 0.0)
     assert np.array_equal(u[:, 0, 1:-1], phi[:, 1:-1])
+
+
+def level_loop_march(S, phi, g, theta):
+    """The reaction-free march with the source mixing and the recurrence
+    written as per-level loops: the reference whose bits the batched march
+    keeps."""
+    K = len(S)
+    Q = _sine_matrix(g.Nx)
+    mu = _dirichlet_symbol(g.Nx, g.hx)[None, :] + (np.arange(1, K + 1) ** 2.0)[:, None]
+    p = 1.0 / (1.0 + theta * g.dt * mu)
+    amp = (1.0 - (1.0 - theta) * g.dt * mu) * p
+    pdt = p * g.dt
+    v_hat = np.empty((g.Nt + 1, K, g.Nx))
+    np.matmul(S[:, :, 1:-1], Q, out=v_hat.transpose(1, 0, 2))
+    for n in range(g.Nt, 0, -1):
+        mixed = v_hat[n]
+        mixed *= theta
+        mixed += (1.0 - theta) * v_hat[n - 1]
+        mixed *= pdt
+    np.matmul(phi[:, None, 1:-1], Q, out=v_hat[0, :, None, :])
+    for n in range(1, g.Nt + 1):
+        v_hat[n] += amp * v_hat[n - 1]
+    out = np.zeros(S.shape)
+    out[:, 0, 1:-1] = phi[:, 1:-1]
+    np.matmul(v_hat[1:].transpose(1, 0, 2), Q, out=out[:, 1:, 1:-1])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(Nx=st.integers(4, 200), Nt=st.integers(2, 48), K=st.integers(1, 16),
+       theta=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_spectral_march_keeps_the_level_loop_bits(Nx, Nt, K, theta, seed):
+    # into a new stack and into the sources themselves
+    g = grid_1d(Nx=Nx, Nt=Nt, T=0.5)
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((K,) + g.field_shape)
+    phi = rng.standard_normal((K,) + g.space_shape)
+    ref = level_loop_march(S, phi, g, theta).tobytes()
+    modes = np.arange(1, K + 1)
+    assert march_modes(S, phi, g, theta, modes=modes).tobytes() == ref
+    assert march_modes(S, phi, g, theta, modes=modes, out=S).tobytes() == ref
 
 
 @settings(max_examples=30, deadline=None)

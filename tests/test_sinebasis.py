@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import grid_and_stack
+from conftest import grid_and_stack, smooth_weights
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,19 +125,11 @@ def test_couplings_zero_omega():
 
 
 def test_coupling_identity_smooth_omegas():
-    # quadrature against omega'' must agree with -lambda_j (pi/2) omega_j;
-    # polynomial-type weights need the quadrature resolved well past 4K
-    params = SpectralParams(K=32, Ny=4096)
-    y = params.y
-    cases = [
-        (np.sin(y) + 0.3 * np.sin(3 * y), -np.sin(y) - 2.7 * np.sin(3 * y)),
-        (y * (np.pi - y), -2.0 * np.ones_like(y)),
-        ((y * (np.pi - y)) ** 2, 2 * np.pi**2 - 12 * np.pi * y + 12 * y**2),
-    ]
-    for omega, omega_dd in cases:
-        om = OmegaData.from_profiles(y, omega, 32, omega_dd=omega_dd)
-        ibp = -np.arange(1, 33) ** 2 * (np.pi / 2) * om.omega_coeffs
-        assert np.max(np.abs(om.couplings - ibp)) <= 1e-8
+    # polynomial-type weights need the y quadrature resolved well past 4K
+    y, cases = smooth_weights(32, 4096)
+    for omega, exact in cases:
+        om = OmegaData.from_profiles(y, omega, 32)
+        assert np.max(np.abs(om.couplings - exact)) <= 1e-8
 
 
 def test_omega_nonuniform_nodes_rejected():
@@ -146,8 +138,8 @@ def test_omega_nonuniform_nodes_rejected():
     y = np.pi * (s + 0.05 * np.sin(2 * np.pi * s))
     with pytest.raises(DataError, match="uniformly spaced"):
         OmegaData.from_profiles(y, np.sin(y), 4)
-    # the coupling quadrature's endpoint correction assumes the same step:
-    # it would give c_1 = -1.57055 here, not -pi/2
+    # with omega'' given no differences are taken, but omega is still read on
+    # the config's uniform grid.Ny_quad nodes, and no others
     with pytest.raises(DataError, match="uniformly spaced"):
         OmegaData.from_profiles(y, np.sin(y) + 0.3 * np.sin(3 * y), 4,
                                 omega_dd=-np.sin(y) - 2.7 * np.sin(3 * y))
