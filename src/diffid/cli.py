@@ -216,23 +216,24 @@ def _mms_studies(cfg: RunConfig) -> None:
                     [[row["N"], row["err_a"], row["err_u"], row["residual"], row["iterations"],
                       int(row["converged"]), row["order_a"]] for row in rows])
 
-    top = rows[-1]
-    distance = uniqueness_probe(top["scenario"], top["result"], cfg.certify, tol_F=cfg.tol_F,
+    # the probe reads only the top level's data and coefficient, and the strong
+    # diagnostics (run after it, so the recorded warnings keep their order) the
+    # two finest levels' mode stacks and norms: the rest of the finished levels
+    # is released before the probe runs
+    levels = [row["N"] for row in rows]
+    data, a = rows[-1]["scenario"].data, rows[-1]["result"].a
+    finest = [(row["N"], row["result"].u_modes, row["result"].norms) for row in rows[-2:]]
+    del rows
+    distance = uniqueness_probe(data, a, cfg.certify, tol_F=cfg.tol_F,
                                 max_iters=cfg.max_iters, theta=cfg.theta)
     write_table_csv(cfg.output_dir / "uniqueness.csv",
                     ["scenario", "distance"], [[cfg.scenario_name, distance]])
-
-    strong_rows = []
-    for row in rows[-2:]:
-        d = strong_diagnostics(row["result"])
-        strong_rows.append([row["N"], d["u_sq_Q"], d["lap_u_sq_Q"], d["u_t_sq_Q"],
-                            d["u_yy_sq_Q"], d["a_sq_GT"]])
     write_table_csv(cfg.output_dir / "strong_diagnostics.csv",
                     ["N", "u_sq_Q", "lap_u_sq_Q", "u_t_sq_Q", "u_yy_sq_Q", "a_sq_GT"],
-                    strong_rows)
+                    [[N, *strong_diagnostics(u, norms).values()] for N, u, norms in finest])
 
     print(f"mms studies written for {cfg.scenario_name}: "
-          f"levels {[row['N'] for row in rows]}, uniqueness distance {distance:.3e}")
+          f"levels {levels}, uniqueness distance {distance:.3e}")
 
 
 if __name__ == "__main__":

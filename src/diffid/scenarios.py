@@ -158,33 +158,32 @@ def convergence_study(name: str, grid: Grid, params: SpectralParams, scale: floa
     return rows
 
 
-def uniqueness_probe(scenario: Scenario, zero_start: InversionResult,
+def uniqueness_probe(data: ProblemData, a: ScalarField,
                      options: CertifyOptions = CertifyOptions(), tol_F: float = 1e-10,
                      max_iters: int = 50, theta: float = 0.5) -> float:
     """Distance between coefficients recovered from two different starting
-    iterates: zero modes, whose finished inversion of this scenario with the
-    same options, tol_F, max_iters and theta is zero_start, versus twice the
-    result of one sweep from zero.  The second start is off the zero-start
+    iterates: zero modes, whose finished inversion of data with the same
+    options, tol_F, max_iters and theta recovered a, versus twice the result
+    of one sweep from zero.  The second start is off the zero-start
     trajectory (u^1 itself is on it, and would replay the same iterates to a
     distance of exactly 0)."""
-    data = scenario.data
-    Psi = compute_Psi(data, options.psi_floor)
     zero = ModeFieldSet.empty(data.grid, data.params)
-    warm, _ = iterate(zero.rows(forced_modes(data.phi_modes, data.f_modes)), data, Psi,
-                      theta=theta)
-    start = ModeFieldSet(data.grid, data.params, 2.0 * warm.values, warm.modes)
+    # Psi is dropped after the sweep: run_inversion computes its own
+    warm, _ = iterate(zero.rows(forced_modes(data.phi_modes, data.f_modes)), data,
+                      compute_Psi(data, options.psi_floor), theta=theta)
+    np.multiply(warm.values, 2.0, out=warm.values)  # in place, the bits of 2.0 * warm.values
+    start = ModeFieldSet(data.grid, data.params, warm.values, warm.modes)
     res_warm = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters,
                              theta=theta, force=True, initial=start)
     mask = interior_margin_mask(data.grid, options.boundary_margin)
-    return _masked_rel_l2(zero_start.a.values, res_warm.a.values, mask)
+    return _masked_rel_l2(a.values, res_warm.a.values, mask)
 
 
-def strong_diagnostics(result: InversionResult) -> dict:
+def strong_diagnostics(u: ModeFieldSet, norms: dict) -> dict:
     """Squared norms of the strong-solution quantities over the full cylinder:
-    u, Lap_x u, u_t, u_yy (all spectrally via Parseval, over the result's
-    mode rows), and the coefficient; u and the coefficient are the result's
-    own norms."""
-    u = result.u_modes
+    u, Lap_x u, u_t, u_yy (all spectrally via Parseval, over u's mode rows),
+    and the coefficient, in that order; u's and the coefficient's are taken
+    from norms, the solution_norms bundle of u and its coefficient."""
     grid = u.grid
     sq_GT = l2_sq_GT(u.values, grid)
     dt_sq = l2_sq_GT(diff(u.values, grid.dt, axis=1), grid)
@@ -192,9 +191,9 @@ def strong_diagnostics(result: InversionResult) -> dict:
 
     half_pi = np.pi / 2.0
     return {
-        "u_sq_Q": result.norms["u_sq_Q"],
+        "u_sq_Q": norms["u_sq_Q"],
         "lap_u_sq_Q": half_pi * mode_sum(lap_sq),
         "u_t_sq_Q": half_pi * mode_sum(dt_sq),
         "u_yy_sq_Q": half_pi * mode_sum(sq_GT, u.eigenvalues, 2.0),
-        "a_sq_GT": result.norms["a_sq_GT"],
+        "a_sq_GT": norms["a_sq_GT"],
     }

@@ -145,7 +145,7 @@ def test_criterion_7_uniqueness(mmsa_study):
     t0 = time.perf_counter()
     scn, result = mmsa_study[128]
     with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
-        distance = uniqueness_probe(scn, result)
+        distance = uniqueness_probe(scn.data, result.a)
     elapsed = time.perf_counter() - t0
     ok = distance <= 1e-8 and elapsed <= 120.0
     report(7, ok, f"rel-L2 distance between initializations = {distance:.2e}, "
@@ -272,7 +272,7 @@ def test_criterion_11_strong_diagnostics(mmsa_eps5):
     for N, (scn, result) in mmsa_eps5.items():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            diags[N] = strong_diagnostics(result)
+            diags[N] = strong_diagnostics(result.u_modes, result.norms)
     finite = all(np.isfinite(v) for d in diags.values() for v in d.values())
     rel_changes = {
         key: abs(diags[128][key] - diags[64][key]) / abs(diags[128][key])

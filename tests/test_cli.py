@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -606,6 +607,18 @@ def test_data_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
             == (tmp_path / "out" / "certificate.json").read_bytes())
 
 
+def test_relative_output_dir_is_under_the_working_directory(tmp_path, monkeypatch):
+    # unlike a data path, a relative output.dir is taken as given: it names a
+    # directory under the working directory, not under the config file's
+    for sub in ("configs", "elsewhere"):
+        (tmp_path / sub).mkdir()
+    write_config(tmp_path / "configs", base_config("rel_out", scenario="NULL", K=2))
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert main(["certify", "--config", "../configs/config.json"]) == 0
+    assert (tmp_path / "elsewhere" / "rel_out" / "certificate.json").is_file()
+    assert not (tmp_path / "configs" / "rel_out").exists()
+
+
 @pytest.mark.parametrize("name, N, K, Ny", [
     pytest.param(name, N, K, Ny, id=name + tag)
     for N, K, Ny, tag in ((24, 3, 128, ""), (48, 4, 64, "-Ny64"))
@@ -765,6 +778,28 @@ def test_mms_summary_keeps_warnings(tmp_path):
     warned = json.loads((out / "summary.json").read_text())["warnings"]
     failed = [w for w in warned if w.startswith("running despite failed certificate")]
     assert failed and len(set(warned)) == len(warned)
+
+
+def test_mms_holds_one_level_at_a_time(tmp_path):
+    # once convergence.csv is written, mms keeps only the top level's data
+    # and coefficient for the uniqueness probe, and the two finest levels'
+    # mode stacks and norms for the strong diagnostics.  MMS-B at N = 64
+    # peaks near 16 fields of (Nt+1)(Nx+2) doubles; holding every finished
+    # level through the probe peaked near 22
+    warm = base_config(tmp_path / "warm", scenario="MMS-B", N=32)
+    # a first run imports modules lazily (locale, codecs), which the trace would count
+    assert main(["mms", "--config", str(write_config(tmp_path, warm, "warm.json"))]) == 0
+    N = 64
+    cfg = write_config(tmp_path, base_config(tmp_path / "out", scenario="MMS-B", N=N))
+    tracemalloc.start()
+    try:
+        code = main(["mms", "--config", str(cfg)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = (N + 1) * (N + 2) * 8
+    assert code == 0
+    assert peak < 18.5 * field, f"peak {peak / field:.2f} fields of {field} B"
 
 
 def test_mms_null_zeros(tmp_path):

@@ -1,7 +1,6 @@
 import tracemalloc
 import warnings
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -373,9 +372,8 @@ def test_compact_and_dense_stacks_give_bitwise_equal_norms():
                          * 10.0 ** rng.integers(-3, 4, size=(len(modes), 1, 1)), modes)
         dense = u.full()
         assert solution_norms(u, a) == solution_norms(dense, a)
-        assert (strong_diagnostics(SimpleNamespace(u_modes=u, a=a, norms=solution_norms(u, a)))
-                == strong_diagnostics(SimpleNamespace(u_modes=dense, a=a,
-                                                      norms=solution_norms(dense, a))))
+        assert (strong_diagnostics(u, solution_norms(u, a))
+                == strong_diagnostics(dense, solution_norms(dense, a)))
         assert F_functional(u) == F_functional(dense)
         for tau, level in ((0.3, 1), (0.8, 0)):
             assert frac_norm(u, grid, tau, level) == frac_norm(dense, grid, tau, level)

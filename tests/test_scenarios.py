@@ -184,20 +184,20 @@ def test_uniqueness_probe_mmsa():
     # runs reach the fixed point along different iterates
     scn = make_scenario("MMS-A", N=48, K=4)
     with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
-        distance = uniqueness_probe(scn, run_inversion(scn.data, force=True))
+        distance = uniqueness_probe(scn.data, run_inversion(scn.data, force=True).a)
     assert 0.0 < distance <= 1e-8
 
 
 def test_uniqueness_probe_null():
     scn = make_scenario("NULL", N=32, K=2)
-    assert uniqueness_probe(scn, run_inversion(scn.data, force=True)) == 0.0
+    assert uniqueness_probe(scn.data, run_inversion(scn.data, force=True).a) == 0.0
 
 
 def test_uniqueness_probe_reports_on_failing_certificate():
     # T > 1 fails the certificate outright; the probe still reports a distance
     scn = make_scenario("MMS-A", N=24, T=2.0, K=2)
     with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
-        d = uniqueness_probe(scn, run_inversion(scn.data, max_iters=8, force=True),
+        d = uniqueness_probe(scn.data, run_inversion(scn.data, max_iters=8, force=True).a,
                              max_iters=8)
     assert np.isfinite(d)
 
@@ -226,33 +226,25 @@ def test_uniqueness_probe_reuses_zero_start_and_passes_theta(monkeypatch):
     monkeypatch.setattr(inversion, "march_modes", march_spy)
 
     with pytest.warns(RuntimeWarning, match="running despite failed certificate"):
-        uniqueness_probe(scn, zero, max_iters=8, theta=0.8)
+        uniqueness_probe(scn.data, zero.a, max_iters=8, theta=0.8)
     assert runs == [False]  # only the warm-start inversion is run
     assert thetas and set(thetas) == {0.8}
 
 
-def single_mode_result(grid, params, mode_field, row=0):
+def single_mode_stack(grid, params, mode_field, row=0):
+    """A dense stack with mode_field in one row, and its norms with a = 0."""
     vals = np.zeros((params.K,) + grid.field_shape)
     vals[row] = mode_field
     modes = ModeFieldSet(grid, params, vals)
-    a = ScalarField(grid, np.zeros(grid.field_shape))
-    return InversionResult(
-        a=a,
-        u_modes=modes,
-        certificate=None,
-        F_diff_history=(),
-        stop_reason="converged",
-        residual_norm=0.0,
-        norms=solution_norms(modes, a),
-    )
+    return modes, solution_norms(modes, ScalarField(grid, np.zeros(grid.field_shape)))
 
 
 def test_strong_diagnostics_single_mode():
     grid = Grid(np.pi, 1.0, Nx=128, Nt=128)
     params = SpectralParams(K=1, Ny=64)
     field = np.exp(-grid.t)[:, None] * np.sin(grid.x)[None, :]
-    res = single_mode_result(grid, params, field)
-    d = strong_diagnostics(res)
+    u, norms = single_mode_stack(grid, params, field)
+    d = strong_diagnostics(u, norms)
     exact = (np.pi / 2) ** 2 * (1 - np.exp(-2)) / 2
     assert d["u_sq_Q"] == pytest.approx(exact, abs=1e-3)
     assert d["u_yy_sq_Q"] == pytest.approx(exact, abs=1e-3)
@@ -262,8 +254,8 @@ def test_strong_diagnostics_single_mode():
 def test_strong_diagnostics_zero_solution():
     grid = Grid(np.pi, 1.0, Nx=16, Nt=8)
     params = SpectralParams(K=2, Ny=64)
-    res = single_mode_result(grid, params, np.zeros(grid.field_shape))
-    d = strong_diagnostics(res)
+    u, norms = single_mode_stack(grid, params, np.zeros(grid.field_shape))
+    d = strong_diagnostics(u, norms)
     assert all(v == 0.0 for v in d.values())
 
 
@@ -272,8 +264,8 @@ def test_strong_diagnostics_weights_last_mode():
     # no epsilon value makes the diagnostics warn
     grid = Grid(np.pi, 1.0, Nx=16, Nt=8)
     params = SpectralParams(K=2, epsilon=5.0, Ny=64)
-    res = single_mode_result(grid, params, np.sin(grid.x)[None, :], row=1)
+    u, norms = single_mode_stack(grid, params, np.sin(grid.x)[None, :], row=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        d = strong_diagnostics(res)
+        d = strong_diagnostics(u, norms)
     assert d["u_yy_sq_Q"] == 16.0 * d["u_sq_Q"] > 0.0
