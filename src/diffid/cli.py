@@ -120,8 +120,7 @@ def _cmd_forward(cfg: RunConfig) -> int:
     with _recording_warnings() as caught:
         _, message = data.compatibility()
         # marches into f's stack, which nothing reads after the solve
-        u = solve_forward(a, data.f_modes, data.phi_modes, cfg.grid, cfg.params,
-                          theta=cfg.theta)
+        u = solve_forward(a, data.f_modes, data.phi_modes, theta=cfg.theta)
         res_field, res_norm = overdetermination_residual(u, data.omega, data.psi)
     y = _synth_y(cfg)
     write_modes_csv(cfg.output_dir / "u_modes.csv", u)

@@ -72,15 +72,13 @@ def picard_source(prev: ModeFieldSet, data: ProblemData, Psi: ScalarField) -> np
 
 def iterate(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,
             theta: float = 0.5) -> tuple[ModeFieldSet, float]:
-    """One sweep: u^{i+1} from u^i by one march of u's mode rows, and the
-    energy F(u^{i+1} - u^i).  An empty stack (nothing excited) marches
-    nothing.  Psi comes from compute_Psi of data."""
-    sources = picard_source(u, data, Psi)
-    if len(u.modes):
-        sources = march_modes(sources, data.phi_modes[u.modes - 1], data.grid,
-                              theta=theta, modes=u.modes)
-    # march_modes has checked every swept value finite
-    new = ModeFieldSet(data.grid, data.params, sources, u.modes, check_finite=False)
+    """One sweep: u^{i+1} from u^i by one march of u's mode rows, in place in
+    the fresh source stack, and the energy F(u^{i+1} - u^i).  Psi comes from
+    compute_Psi of data."""
+    # the march scans its output, which overwrites the sources
+    sources = ModeFieldSet(data.grid, data.params, picard_source(u, data, Psi), u.modes,
+                           check_finite=False)
+    new = march_modes(sources, data.phi_modes, theta=theta)
     return new, F_functional(new - u)
 
 

@@ -24,16 +24,16 @@ unconditionally stable for a >= 0 while each step stays one tridiagonal
 solve per mode.  Each step solves the (K, Nx) systems of the whole stack at
 once by parallel cyclic reduction (tridiag.solve_in_place): ceil(log2 Nx)
 vectorised passes with no loop over x.  The step builds its diagonal from
-a^{n+1} and its right-hand side, mixed source included, in the output level
-it solves for, so the march holds its output plus a few (K, Nx) work
-arrays, and nothing is factored ahead or stored across steps.
+a^{n+1} and its right-hand side, mixed source included, in the level it
+solves for, so the march holds its stack plus a few (K, Nx) work arrays, and
+nothing is factored ahead or stored across steps.
 
-A step reads source levels n and n+1 only, and the march keeps level n
-aside before the step overwrites it, so the output may be the source stack
-itself (march_modes' numpy-style out): a known-a march then holds one stack,
-not two.  solve_forward always marches into the rows of f it reads.  The
-reaction-free march transforms the whole source stack before it writes any
-output, so there too out may be the sources.
+Every march runs in place: march_modes overwrites the source stack it is
+given with the solution, so a march holds one stack, not two.  A step of the
+known-a march reads source levels n and n+1 only and keeps level n aside
+before it overwrites it; the reaction-free march transforms the whole source
+stack before it writes any solution.  The Picard sweep marches the fresh
+source stack picard_source builds, and solve_forward the rows of f it reads.
 """
 
 from __future__ import annotations
@@ -45,44 +45,31 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalBlowupError
 from .grids import Grid, ScalarField, l2_sq_GT
-from .sinebasis import ModeFieldSet, OmegaData, SpectralParams, eigenvalues
+from .sinebasis import ModeFieldSet, OmegaData
 from .tridiag import solve_in_place
 
 
-def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: float = 0.5,
-                reaction: np.ndarray | None = None, *, modes: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Time-march every row of the stack; row i of the (E, Nt+1, Nx+2) source
-    stack and of the (E, Nx+2) initial stack is mode modes[i].  reaction, a
-    (Nt+1, Nx+2) field, adds the a-term; None drops it.
+def march_modes(sources: ModeFieldSet, phi_modes: np.ndarray, theta: float = 0.5,
+                reaction: np.ndarray | None = None) -> ModeFieldSet:
+    """Time-march every row of the source stack in place.  The grid and each
+    row's mode k come from the stack; row i starts from row k-1 of
+    phi_modes, the dense (K, Nx+2) initial stack.  reaction, a (Nt+1, Nx+2)
+    field, adds the a-term; None drops it.
 
-    Returns the (E, Nt+1, Nx+2) solution stack, written into out when given
-    (a float64 array of the source stack's shape), else into a new array.
-    out may be the source stack itself, which the march then overwrites;
-    otherwise it must share no memory with the inputs, which the march
-    leaves unchanged.  Raises NumericalBlowupError naming the mode of the
-    first row with a non-finite value and that row's first non-finite step.
+    Overwrites sources.values with the solution and returns the stack that
+    wraps it; an empty stack returns at once.  Raises NumericalBlowupError
+    naming the mode of the first row with a non-finite value and that row's
+    first non-finite step.
     """
     if not 0.5 <= theta <= 1.0:
         raise ConfigurationError(f"theta must lie in [0.5, 1], got {theta}")
-    sources = np.asarray(sources, dtype=float)
+    grid, modes, values = sources.grid, sources.modes, sources.values
     phi_modes = np.asarray(phi_modes, dtype=float)
-    K = sources.shape[0] if sources.ndim == 3 else 0
-    if K < 1 or sources.shape[1:] != grid.field_shape:
+    if phi_modes.shape != (sources.K,) + grid.space_shape:
         raise ConfigurationError(
-            f"source stack shape {sources.shape} != (K,) + {grid.field_shape} with K >= 1")
-    if phi_modes.shape != (K,) + grid.space_shape:
-        raise ConfigurationError(
-            f"initial stack shape {phi_modes.shape} != {(K,) + grid.space_shape}")
-    modes = np.asarray(modes)
-    if modes.shape != (K,) or modes.dtype.kind not in "iu" or np.any(modes < 1):
-        raise ConfigurationError(f"mode numbers {modes} are not {K} positive integers")
-    lam = eigenvalues(modes)
-    if out is None:
-        out = np.empty(sources.shape)
-    elif out.shape != sources.shape or out.dtype != np.float64:
-        raise ConfigurationError(f"output stack {out.dtype} {out.shape} is not float64 "
-                                 f"{sources.shape}")
+            f"initial stack shape {phi_modes.shape} != {(sources.K,) + grid.space_shape}")
+    if not len(modes):
+        return sources
     if reaction is not None:
         reaction = np.asarray(reaction, dtype=float)
         if reaction.shape != grid.field_shape:
@@ -96,22 +83,23 @@ def march_modes(sources: np.ndarray, phi_modes: np.ndarray, grid: Grid, theta: f
 
     # both marches write every interior node and read only the sources'
     # interior columns
-    out[:, :, 0] = out[:, :, -1] = 0.0
+    values[:, :, 0] = values[:, :, -1] = 0.0
+    phi, lam = phi_modes[modes - 1], sources.eigenvalues
     if reaction is None:
-        _march_spectral(out, sources, phi_modes, lam, grid, theta)
+        _march_spectral(values, phi, lam, grid, theta)
     else:
         with np.errstate(all="ignore"):
-            _march_tridiagonal(out, sources, phi_modes, lam, reaction, grid, theta)
+            _march_tridiagonal(values, phi, lam, reaction, grid, theta)
 
     # steps 1..Nt of one mode at a time: a boolean work array of one mode's
     # (Nt, Nx+2) nodes, not of the whole stack
-    for k, rows in zip(modes.tolist(), out[:, 1:]):
+    for k, rows in zip(modes.tolist(), values[:, 1:]):
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             step = int(np.argmin(finite)) + 1
             raise NumericalBlowupError(f"mode {k}: non-finite values at time step {step}",
                                        mode=k, step=step)
-    return out
+    return ModeFieldSet(grid, sources.params, values, modes, check_finite=False)
 
 
 @functools.lru_cache(maxsize=8)
@@ -138,18 +126,19 @@ def _dirichlet_symbol(n: int, h: float) -> np.ndarray:
     return (4.0 / h**2) * np.sin(m * np.pi / (2 * (n + 1))) ** 2
 
 
-def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
-                    lam: np.ndarray, grid: Grid, theta: float) -> None:
-    """Reaction-free theta march in DST-I coordinates, written into out, whose
-    boundary columns are zero; lam holds each row's lambda_k.  Per lane with
-    symbol mu, v^{n+1} = amp v^n + p dt (theta S^{n+1} + (1-theta) S^n), where
-    p = 1/(1 + theta dt mu) and amp = (1 - (1-theta) dt mu) p.
+def _march_spectral(stack: np.ndarray, phi: np.ndarray, lam: np.ndarray, grid: Grid,
+                    theta: float) -> None:
+    """Reaction-free theta march in DST-I coordinates of the source stack into
+    itself, whose boundary columns are zero; row i starts from phi[i] and
+    has lambda_k lam[i].  Per lane with symbol mu, v^{n+1} = amp v^n
+    + p dt (theta S^{n+1} + (1-theta) S^n), where p = 1/(1 + theta dt mu)
+    and amp = (1 - (1-theta) dt mu) p.
 
     The mixed sources overwrite the transformed source stack in three
-    whole-stack operations, after (1-theta) S^n is staged in out's interior,
-    which the transform back overwrites; the recurrence then runs over the
-    levels in place.  By then the sources are transformed, so out may be the
-    source stack, and the march holds no full-stack temporaries.
+    whole-stack operations, after (1-theta) S^n is staged in the stack's
+    interior, which the transform back overwrites; the recurrence then runs
+    over the levels in place.  Besides the stack the march holds the one
+    transform buffer.
     """
     dt, Q = grid.dt, _sine_matrix(grid.Nx)
     mu = _dirichlet_symbol(grid.Nx, grid.hx)[None, :] + lam[:, None]
@@ -159,9 +148,9 @@ def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
 
     # time-major (Nt+1, K, Nx), so each level the recurrence touches is one
     # contiguous block; it holds S_hat, then v_hat level by level
-    v_hat = np.empty((grid.Nt + 1, len(sources), grid.Nx))
-    np.matmul(sources[:, :, 1:-1], Q, out=v_hat.transpose(1, 0, 2))
-    lagged = out[:, 1:, 1:-1].transpose(1, 0, 2)
+    v_hat = np.empty((grid.Nt + 1, len(stack), grid.Nx))
+    np.matmul(stack[:, :, 1:-1], Q, out=v_hat.transpose(1, 0, 2))
+    lagged = stack[:, 1:, 1:-1].transpose(1, 0, 2)
     np.multiply(v_hat[:-1], 1.0 - theta, out=lagged)
     mixed = v_hat[1:]
     mixed *= theta
@@ -169,33 +158,33 @@ def _march_spectral(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
     mixed *= pdt
     # a stack of (1, Nx) @ Q vector products: one (K, Nx) @ Q matrix product
     # differs in the last bits
-    np.matmul(phi_modes[:, None, 1:-1], Q, out=v_hat[0, :, None, :])
+    np.matmul(phi[:, None, 1:-1], Q, out=v_hat[0, :, None, :])
     step = np.empty_like(amp)
     for n in range(1, grid.Nt + 1):
         v_hat[n] += np.multiply(amp, v_hat[n - 1], out=step)
 
-    out[:, 0, 1:-1] = phi_modes[:, 1:-1]
-    np.matmul(v_hat[1:].transpose(1, 0, 2), Q, out=out[:, 1:, 1:-1])
+    stack[:, 0, 1:-1] = phi[:, 1:-1]
+    np.matmul(v_hat[1:].transpose(1, 0, 2), Q, out=stack[:, 1:, 1:-1])
 
 
-def _march_tridiagonal(out: np.ndarray, sources: np.ndarray, phi_modes: np.ndarray,
-                       lam: np.ndarray, a: np.ndarray, grid: Grid, theta: float) -> None:
-    """Theta march of the whole stack with the known reaction a, written into
-    out, whose boundary columns are zero; lam holds each row's lambda_k.
-    Each step reads source levels n and n+1 and writes level n+1 of out, so
-    the march keeps source level n aside: out may then be the source stack
-    itself.  A blowup runs on as inf/nan for march_modes to report."""
+def _march_tridiagonal(stack: np.ndarray, phi: np.ndarray, lam: np.ndarray, a: np.ndarray,
+                       grid: Grid, theta: float) -> None:
+    """Theta march with the known reaction a of the source stack into itself,
+    whose boundary columns are zero; row i starts from phi[i] and has
+    lambda_k lam[i].  Each step reads source levels n and n+1 and overwrites
+    level n+1, so the march keeps source level n aside.  A blowup runs on as
+    inf/nan for march_modes to report."""
     dt, r = grid.dt, grid.dt / grid.hx**2
     c0 = 2.0 * r + dt * lam[:, None]   # (K, 1)
     off = np.full(grid.Nx - 1, -theta * r)
 
-    prev = sources[:, 0, 1:-1].copy()   # source level n
-    out[:, 0, 1:-1] = phi_modes[:, 1:-1]
+    prev = stack[:, 0, 1:-1].copy()   # source level n
+    stack[:, 0, 1:-1] = phi[:, 1:-1]
     for n in range(grid.Nt):
-        v, x = out[:, n], out[:, n + 1, 1:-1]
+        v, x = stack[:, n], stack[:, n + 1, 1:-1]
         # the mixed source dt (theta S^{n+1} + (1-theta) S^n), staged in the
         # level the step then solves for in place
-        nxt = sources[:, n + 1, 1:-1].copy()
+        nxt = stack[:, n + 1, 1:-1].copy()
         np.multiply(nxt, theta, out=x)
         prev *= 1.0 - theta
         x += prev
@@ -220,24 +209,19 @@ def forced_modes(phi_modes: np.ndarray, *stacks: ModeFieldSet) -> np.ndarray:
 
 
 def solve_forward(a: ScalarField, f_modes: ModeFieldSet, phi_modes: np.ndarray,
-                  grid: Grid, params: SpectralParams, theta: float = 0.5) -> ModeFieldSet:
+                  theta: float = 0.5) -> ModeFieldSet:
     """Solve the decoupled mode equations with the known reaction coefficient
-    a.  Only the forced modes are marched; the result is their compact
-    stack, marched into the stack that f_modes.rows(modes) returns.  When
-    f_modes holds exactly the forced rows that is f_modes' own array, which
-    is then left holding the result and must not be read again."""
-    modes = forced_modes(phi_modes, f_modes)
-    if not len(modes):
-        return ModeFieldSet.empty(grid, params)
-    sources = f_modes.rows(modes).values
+    a on f_modes' grid.  Only the forced modes are marched; the result is
+    their compact stack, marched in place in the stack that
+    f_modes.rows(modes) returns.  When f_modes holds exactly the forced rows
+    that is f_modes itself, which is then left holding the result and must
+    not be read again."""
     try:
-        values = march_modes(sources, phi_modes[modes - 1], grid, theta, reaction=a.values,
-                             modes=modes, out=sources)
+        return march_modes(f_modes.rows(forced_modes(phi_modes, f_modes)), phi_modes, theta,
+                           reaction=a.values)
     except NumericalBlowupError as err:
         raise NumericalBlowupError(f"forward solve failed: {err}",
                                    mode=err.mode, step=err.step) from err
-    # march_modes has checked every marched value finite
-    return ModeFieldSet(grid, params, values, modes, check_finite=False)
 
 
 def overdetermination_residual(u: ModeFieldSet, omega: OmegaData,

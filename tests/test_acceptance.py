@@ -80,8 +80,8 @@ def test_criterion_3_mode_solver_order():
     errs = {}
     for N in (32, 64, 128):
         grid = Grid(np.pi, 1.0, Nx=N, Nt=N)
-        u = march_modes(np.zeros((1,) + grid.field_shape), np.sin(grid.x)[None, :], grid,
-                        modes=np.array([1]))[0]
+        sources = ModeFieldSet(grid, SpectralParams(K=1), np.zeros((1,) + grid.field_shape))
+        u = march_modes(sources, np.sin(grid.x)[None, :]).values[0]
         exact = np.exp(-2.0 * grid.t)[:, None] * np.sin(grid.x)[None, :]
         errs[N] = float(np.max(np.abs(u - exact)))
     order = float(np.log2(errs[64] / errs[128]))

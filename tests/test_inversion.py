@@ -107,9 +107,8 @@ def test_first_sweep_is_pure_linear_solve():
     data = scn.data
     Psi = compute_Psi(data, 1e-12)
     u1, _ = iterate(ModeFieldSet.empty(data.grid, data.params).full(), data, Psi)
-    f = data.f_modes.full()
-    assert np.array_equal(u1.values, march_modes(f.values, data.phi_modes, data.grid,
-                                                 modes=f.modes))
+    f = ModeFieldSet(data.grid, data.params, data.f_modes.full().values.copy())
+    assert np.array_equal(u1.values, march_modes(f, data.phi_modes).values)
 
 
 def test_zero_data_fixed_point_immediately():

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,21 @@ def grid_1d(Nx=128, Nt=128, T=1.0):
     return Grid(np.pi, T, Nx=Nx, Nt=Nt)
 
 
+def mode_stack(g, values, modes=None):
+    """values as the stack of mode rows modes (1..len(values) by default),
+    K the largest mode; the march scans its own output, so values may hold
+    non-finite numbers.  The stack wraps values itself, which a march
+    overwrites."""
+    modes = np.arange(1, len(values) + 1) if modes is None else np.asarray(modes)
+    return ModeFieldSet(g, SpectralParams(K=int(modes.max())), values, modes, check_finite=False)
+
+
+def march(g, S, phi, theta=0.5, reaction=None, modes=None):
+    """The solution array of march_modes on the stack mode_stack wraps
+    around S, which the march overwrites."""
+    return march_modes(mode_stack(g, S, modes), phi, theta, reaction).values
+
+
 def march_one(k, g, source=None, initial=None, theta=0.5, reaction=None):
     """Mode k alone: row k-1 of a K = k stack whose other rows are zero."""
     sources = np.zeros((k,) + g.field_shape)
@@ -32,7 +48,7 @@ def march_one(k, g, source=None, initial=None, theta=0.5, reaction=None):
         sources[k - 1] = source
     if initial is not None:
         phis[k - 1] = initial
-    return march_modes(sources, phis, g, theta, reaction, modes=np.arange(1, k + 1))[k - 1]
+    return march(g, sources, phis, theta, reaction)[k - 1]
 
 
 def decay_error(Nx, Nt):
@@ -49,8 +65,7 @@ def test_analytic_decay():
 
 def test_zero_data_stays_zero():
     g = grid_1d(Nx=32, Nt=16)
-    u = march_modes(np.zeros((3,) + g.field_shape), np.zeros((3,) + g.space_shape), g,
-                    modes=np.arange(1, 4))
+    u = march(g, np.zeros((3,) + g.field_shape), np.zeros((3,) + g.space_shape))
     assert np.max(np.abs(u)) == 0.0
 
 
@@ -91,20 +106,19 @@ def test_l2_stability_nonnegative_reaction(theta):
 
 def test_mode_decoupling_bitwise():
     g = grid_1d(Nx=32, Nt=16)
-    modes = np.arange(1, 4)
     rng = np.random.default_rng(21)
     f_vals = rng.standard_normal((3,) + g.field_shape)
     phi = rng.standard_normal((3,) + g.space_shape)
     phi[:, 0] = phi[:, -1] = 0.0
 
-    u1 = march_modes(f_vals, phi, g, modes=modes)
+    u1 = march(g, f_vals.copy(), phi)
 
     f_vals2 = f_vals.copy()
     f_vals2[1] *= -3.0  # change mode 2's data only
     phi2 = phi.copy()
     phi2[2] += 1.0
     phi2[:, 0] = phi2[:, -1] = 0.0
-    u2 = march_modes(f_vals2, phi2, g, modes=modes)
+    u2 = march(g, f_vals2, phi2)
 
     assert np.array_equal(u1[0], u2[0])
 
@@ -115,7 +129,7 @@ def test_forward_mode2_decay():
     f = ModeFieldSet.empty(g, params)
     phi = np.zeros((2,) + g.space_shape)
     phi[1] = np.sin(g.x)
-    u = solve_forward(ScalarField(g, np.zeros(g.field_shape)), f, phi, g, params)
+    u = solve_forward(ScalarField(g, np.zeros(g.field_shape)), f, phi)
     exact = np.exp(-5.0 * g.t)[:, None] * np.sin(g.x)[None, :]
     assert u.modes.tolist() == [2]  # only the mode phi excites is marched
     assert np.max(np.abs(u.full().values[1] - exact)) <= 5e-4
@@ -131,7 +145,7 @@ def test_forward_with_reaction_manufactured():
     f_vals[0] = 2.0 * np.exp(-g.t)[:, None] * np.sin(g.x)[None, :]
     phi = np.zeros((2,) + g.space_shape)
     phi[0] = np.sin(g.x)
-    u = solve_forward(a, ModeFieldSet(g, params, f_vals), phi, g, params).full()
+    u = solve_forward(a, ModeFieldSet(g, params, f_vals), phi).full()
     exact = np.exp(-g.t)[:, None] * np.sin(g.x)[None, :]
     assert np.max(np.abs(u.values[0] - exact)) <= 5e-4
     assert np.max(np.abs(u.values[1])) <= 1e-12
@@ -237,7 +251,7 @@ def test_spectral_march_matches_thomas_reference(Nx, Nt, K, theta, seed):
     rng = np.random.default_rng(seed)
     S = rng.standard_normal((K,) + g.field_shape)
     phi = rng.standard_normal((K,) + g.space_shape)
-    u = march_modes(S, phi, g, theta, modes=np.arange(1, K + 1))
+    u = march(g, S.copy(), phi, theta)
     ref = thomas_march(S, phi, np.zeros(g.field_shape), g, theta)
     for k in range(1, K + 1):
         assert rel_max_diff(u[k - 1], ref[k - 1]) <= 1e-12
@@ -275,15 +289,12 @@ def level_loop_march(S, phi, g, theta):
 @given(Nx=st.integers(4, 200), Nt=st.integers(2, 48), K=st.integers(1, 16),
        theta=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_spectral_march_keeps_the_level_loop_bits(Nx, Nt, K, theta, seed):
-    # into a new stack and into the sources themselves
     g = grid_1d(Nx=Nx, Nt=Nt, T=0.5)
     rng = np.random.default_rng(seed)
     S = rng.standard_normal((K,) + g.field_shape)
     phi = rng.standard_normal((K,) + g.space_shape)
     ref = level_loop_march(S, phi, g, theta).tobytes()
-    modes = np.arange(1, K + 1)
-    assert march_modes(S, phi, g, theta, modes=modes).tobytes() == ref
-    assert march_modes(S, phi, g, theta, modes=modes, out=S).tobytes() == ref
+    assert march(g, S, phi, theta).tobytes() == ref
 
 
 @settings(max_examples=30, deadline=None)
@@ -296,14 +307,14 @@ def test_reaction_march_matches_per_mode_reference(Nx, Nt, K, theta, seed):
     S = rng.standard_normal((K,) + g.field_shape)
     phi = rng.standard_normal((K,) + g.space_shape)
     a = 10.0 * rng.random(g.field_shape)
-    u = march_modes(S, phi, g, theta, reaction=a, modes=np.arange(1, K + 1))
+    u = march(g, S.copy(), phi, theta, reaction=a)
     ref = thomas_march(S, phi, a, g, theta)
     for k in range(1, K + 1):
         assert rel_max_diff(u[k - 1], ref[k - 1]) <= 1e-13
 
 
 def test_reaction_march_peaks_below_four_stacks():
-    # besides its output the known-a march holds a few (K, Nx) work levels
+    # besides its stack the known-a march holds a few (K, Nx) work levels
     # of the step being solved, never an (Nt, K, Nx) array; at N = 64 those
     # levels and numpy's fixed per-call buffers stay well below a quarter
     # stack (at N = 32 they alone are 0.3 stacks)
@@ -312,9 +323,10 @@ def test_reaction_march_peaks_below_four_stacks():
     S = rng.standard_normal((16,) + g.field_shape)
     phi = rng.standard_normal((16,) + g.space_shape)
     a = rng.random(g.field_shape)
+    sources = mode_stack(g, S)
     tracemalloc.start()
     try:
-        march_modes(S, phi, g, reaction=a, modes=np.arange(1, 17))
+        march_modes(sources, phi, reaction=a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,25 +334,64 @@ def test_reaction_march_peaks_below_four_stacks():
 
 
 def test_reaction_march_into_its_sources_holds_no_second_stack():
-    # with out=sources the known-a march keeps one (K, Nx) source level
-    # aside; its peak is a few work levels and the finite check's boolean
-    # array of one mode's rows.  K = 16, N = 128: a 2.15 MB stack
+    # the known-a march overwrites its sources and keeps one (K, Nx) source
+    # level aside; its peak is a few work levels and the finite check's
+    # boolean array of one mode's rows.  K = 16, N = 128: a 2.15 MB stack
     g = grid_1d(Nx=128, Nt=128, T=0.5)
     rng = np.random.default_rng(11)
     S = rng.standard_normal((16,) + g.field_shape)
     phi = rng.standard_normal((16,) + g.space_shape)
     a = rng.random(g.field_shape)
-    S0, phi0, modes = S.copy(), phi.copy(), np.arange(1, 17)
-    fresh = march_modes(S, phi, g, reaction=a, modes=modes)
-    assert np.array_equal(S, S0) and np.array_equal(phi, phi0)
+    phi0 = phi.copy()
+    fresh = march(g, S.copy(), phi, reaction=a)
+    assert np.array_equal(phi, phi0)
+    sources = mode_stack(g, S)
     tracemalloc.start()
     try:
-        got = march_modes(S, phi, g, reaction=a, modes=modes, out=S)
+        got = march_modes(sources, phi, reaction=a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got is S and got.tobytes() == fresh.tobytes()
+    assert got.values is S and S.tobytes() == fresh.tobytes()
+    assert np.array_equal(got.modes, sources.modes) and got.params == sources.params
     assert peak < 0.25 * S.nbytes, f"peak {peak} B, one stack {S.nbytes} B"
+
+
+def test_spectral_march_holds_its_stack_and_one_transform_buffer():
+    # the reaction-free march overwrites its sources; besides them it holds
+    # one (Nt+1, K, Nx) transform buffer, a few (K, Nx) lane arrays, the
+    # finite check's booleans of one mode and numpy's per-call buffers: a
+    # fifth of a stack, where a second stack would double the peak.  K = 16,
+    # N = 64: a 0.55 MB stack and a 0.53 MB buffer.  The cached sine matrix
+    # is built before the trace
+    g = grid_1d(Nx=64, Nt=64, T=0.5)
+    rng = np.random.default_rng(17)
+    S = rng.standard_normal((16,) + g.field_shape)
+    phi = rng.standard_normal((16,) + g.space_shape)
+    buffer = (g.Nt + 1) * len(S) * g.Nx * S.itemsize
+    sources = mode_stack(g, S)
+    _sine_matrix(g.Nx)
+    tracemalloc.start()
+    try:
+        got = march_modes(sources, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.values is S
+    assert peak < buffer + 0.25 * S.nbytes, f"peak {peak} B, buffer {buffer} B"
+
+
+def test_empty_stack_marches_to_empty_stack():
+    # nothing to march: no warning, not even for a reaction the march would
+    # call under-resolved, and no error
+    g = grid_1d(Nx=16, Nt=4, T=1.0)  # dt = 0.25
+    params = SpectralParams(K=3)
+    phi = np.zeros((3,) + g.space_shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reaction in (None, np.full(g.field_shape, -1e6)):
+            u = march_modes(ModeFieldSet.empty(g, params), phi, reaction=reaction)
+            assert u.values.shape == (0,) + g.field_shape and len(u.modes) == 0
 
 
 def test_march_finite_check_holds_one_mode_of_booleans():
@@ -353,34 +404,14 @@ def test_march_finite_check_holds_one_mode_of_booleans():
     S = rng.standard_normal((16,) + g.field_shape)
     phi = rng.standard_normal((16,) + g.space_shape)
     a = rng.random(g.field_shape)
+    sources = mode_stack(g, S)
     tracemalloc.start()
     try:
-        march_modes(S, phi, g, reaction=a, modes=np.arange(1, 17), out=S)
+        march_modes(sources, phi, reaction=a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < S.nbytes / 16, f"peak {peak} B, one stack {S.nbytes} B"
-
-
-def test_march_into_out_matches_the_allocating_march():
-    # both paths, out a separate all-NaN stack or the sources themselves; a
-    # misshapen out is rejected
-    g = grid_1d(Nx=24, Nt=12)
-    rng = np.random.default_rng(12)
-    S = rng.standard_normal((3,) + g.field_shape)
-    phi = rng.standard_normal((3,) + g.space_shape)
-    modes = np.array([1, 4, 6])
-    for a in (None, rng.random(g.field_shape)):
-        fresh = march_modes(S, phi, g, reaction=a, modes=modes)
-        out = np.full(S.shape, np.nan)
-        assert march_modes(S, phi, g, reaction=a, modes=modes, out=out) is out
-        assert out.tobytes() == fresh.tobytes()
-        own = S.copy()
-        march_modes(own, phi, g, reaction=a, modes=modes, out=own)
-        assert own.tobytes() == fresh.tobytes()
-    for bad in (np.empty(S.shape[:-1] + (g.Nx + 1,)), np.empty(S.shape, dtype=np.float32)):
-        with pytest.raises(ConfigurationError, match="output stack"):
-            march_modes(S, phi, g, modes=modes, out=bad)
 
 
 def test_solve_forward_writes_into_f_rows():
@@ -390,13 +421,13 @@ def test_solve_forward_writes_into_f_rows():
     f = ModeFieldSet(g, params, rng.standard_normal((4,) + g.field_shape))
     phi = rng.standard_normal((4,) + g.space_shape)
     a = ScalarField(g, rng.random(g.field_shape))
-    fresh = march_modes(f.values, phi, g, reaction=a.values, modes=f.modes)
-    u = solve_forward(a, f, phi, g, params)
+    fresh = march(g, f.values.copy(), phi, reaction=a.values)
+    u = solve_forward(a, f, phi)
     assert u.values is f.values and u.values.tobytes() == fresh.tobytes()
     # f holds other rows than the forced modes: the march gets its own stack
     f = ModeFieldSet(g, params, rng.standard_normal((1,) + g.field_shape), np.array([2]))
     f0 = f.values.copy()
-    u = solve_forward(a, f, phi, g, params)
+    u = solve_forward(a, f, phi)
     assert u.modes.tolist() == [1, 2, 3, 4] and np.array_equal(f.values, f0)
 
 
@@ -414,44 +445,44 @@ def test_spectral_blowup_names_first_bad_step(Nt, data, theta, value):
     S[2, step, node] = value
     S[3, 1, node] = value
     with pytest.raises(NumericalBlowupError) as err:
-        march_modes(S, np.zeros((4,) + g.space_shape), g, theta, modes=np.arange(1, 5))
+        march(g, S, np.zeros((4,) + g.space_shape), theta)
     assert err.value.mode == 3
     assert err.value.step == step
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_march_of_mode_rows_matches_full_stack_and_names_true_mode():
-    # rows for modes 3 and 5 march as rows 3 and 5 of a K = 5 stack do, and a
-    # blowup in the second row is reported as mode 5
+    # rows for modes 3 and 5 march as rows 3 and 5 of a K = 5 stack do,
+    # each from its own row of the dense initial stack, and a blowup in the
+    # second row is reported as mode 5
     g = grid_1d(Nx=16, Nt=8)
     rng = np.random.default_rng(5)
     S = rng.standard_normal((5,) + g.field_shape)
     phi = rng.standard_normal((5,) + g.space_shape)
     rows = np.array([3, 5])
-    full = march_modes(S, phi, g, modes=np.arange(1, 6))
-    assert np.array_equal(march_modes(S[rows - 1], phi[rows - 1], g, modes=rows), full[rows - 1])
+    full = march(g, S.copy(), phi)
+    assert np.array_equal(march(g, S[rows - 1], phi, modes=rows), full[rows - 1])
     bad = S[rows - 1]
     bad[1, 4, 7] = np.nan
     with pytest.raises(NumericalBlowupError) as err:
-        march_modes(bad, phi[rows - 1], g, modes=rows)
+        march(g, bad, phi, modes=rows)
     assert (err.value.mode, err.value.step) == (5, 4)
-    with pytest.raises(ConfigurationError, match="mode numbers"):
-        march_modes(S[:2], phi[:2], g, modes=np.array([0, 1]))
+    with pytest.raises(ConfigurationError, match="initial stack"):
+        march(g, S[rows - 1], phi[rows - 1], modes=rows)
 
 
 def test_march_modes_rejects_bad_theta_and_shapes():
+    # the stack's own shape and mode numbers are ModeFieldSet's to check
     g = grid_1d(Nx=8, Nt=4)
-    S = np.zeros((3,) + g.field_shape)
+    sources = mode_stack(g, np.zeros((3,) + g.field_shape))
     phi = np.zeros((3,) + g.space_shape)
     for theta in (0.4, 1.1):
         with pytest.raises(ConfigurationError, match="theta"):
-            march_modes(S, phi, g, theta, modes=np.arange(1, 4))
-    for bad_S, bad_phi in ((S, phi[:2]),                           # K differs
-                           (S[:, :-1], phi),                       # Nt+1 rows off
-                           (S[:, :, :-1], phi),                    # Nx+2 columns off
-                           (S[0], phi[0]),                         # no mode axis
-                           (S[:0], phi[:0])):                      # K = 0
-        with pytest.raises(ConfigurationError):
-            march_modes(bad_S, bad_phi, g, modes=np.arange(1, 4))
+            march_modes(sources, phi, theta)
+    for bad_phi in (phi[:2],             # K differs
+                    phi[:, :-1],         # Nx+2 columns off
+                    phi[0]):             # no mode axis
+        with pytest.raises(ConfigurationError, match="initial stack"):
+            march_modes(sources, bad_phi)
     with pytest.raises(ConfigurationError, match="reaction"):
-        march_modes(S, phi, g, reaction=np.zeros(g.space_shape), modes=np.arange(1, 4))
+        march_modes(sources, phi, reaction=np.zeros(g.space_shape))

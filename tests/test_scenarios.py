@@ -218,9 +218,9 @@ def test_uniqueness_probe_reuses_zero_start_and_passes_theta(monkeypatch):
         runs.append(kwargs.get("initial") is None)
         return real_run(*args, **kwargs)
 
-    def march_spy(sources, phi_modes, grid, theta=0.5, reaction=None, *, modes):
+    def march_spy(sources, phi_modes, theta=0.5, reaction=None):
         thetas.append(theta)
-        return real_march(sources, phi_modes, grid, theta, reaction, modes=modes)
+        return real_march(sources, phi_modes, theta, reaction)
 
     monkeypatch.setattr(scenarios, "run_inversion", run_spy)
     monkeypatch.setattr(inversion, "march_modes", march_spy)
