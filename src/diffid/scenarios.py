@@ -60,7 +60,7 @@ def build_scenario(name: str, grid: Grid, params: SpectralParams,
     if not math.isclose(grid.Lx, math.pi, rel_tol=1e-9):
         raise DataError(f"scenario {name} is defined on G = (0, pi)")
 
-    omega = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
+    omega = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
     t, x = grid.t, grid.x
     decay = np.exp(-t)[:, None] * np.sin(x)[None, :]
 

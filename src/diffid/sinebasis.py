@@ -1,11 +1,11 @@
 """Sine eigenbasis on (0, pi): analysis/synthesis, the weight omega, and the
 weighted mode norms used by the solvability certificates.
 
-omega enters through its sine coefficients omega_k alone: the measurement
-is (pi/2) sum_k omega_k u_k, and the couplings c_j = (sin(j y), omega'') of
-the coefficient formula are -j^2 (pi/2) omega_j, since omega vanishes at
-y = 0 and y = pi.  Both weight u_j by the same omega_j, however omega
-arrives (sampled from a scenario's callables or read from omega.csv).
+omega enters through its K sine coefficients omega_k alone: the
+measurement is (pi/2) sum_k omega_k u_k, the couplings c_j = (sin(j y),
+omega'') are -j^2 (pi/2) omega_j, since omega vanishes at y = 0 and y = pi,
+and the certificate's ||omega''|| is the norm of the K-term series.  A
+scenario's sin(y) and omega.csv share the grid.Ny_quad + 1 nodes.
 
 Mode k has eigenvalue k^2.  Fractional-power norms are evaluated as raw
 weighted sums sum_k lambda_k^{2*tau} * (|v_k|^2 [+ |grad v_k|^2]) without the
@@ -31,7 +31,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError, check_integer, check_positive
-from .grids import Grid, diff, diff2, l2_sq_G, l2_sq_GT
+from .grids import Grid, diff, l2_sq_G, l2_sq_GT
 
 #: default tolerance on |omega(0)|, |omega(pi)| relative to max|omega|
 OMEGA_BOUNDARY_TOL = 1e-9
@@ -107,11 +107,10 @@ def synthesize(coeffs: np.ndarray, y: np.ndarray, modes: np.ndarray | None = Non
 
 @dataclass(frozen=True)
 class OmegaData:
-    """The measurement weight: the sine coefficients of omega and ||omega''||
-    in L2(0, pi)."""
+    """The measurement weight as its K sine coefficients omega_k, from which
+    the measurement, the couplings and the certificate's ||omega''|| derive."""
 
     omega_coeffs: np.ndarray = field(repr=False)
-    omega_dd_l2: float
 
     @property
     def K(self) -> int:
@@ -123,6 +122,13 @@ class OmegaData:
         by parts, since omega vanishes at both ends."""
         return -eigenvalues(self.K) * (np.pi / 2.0) * self.omega_coeffs
 
+    @property
+    def omega_dd_l2(self) -> float:
+        """||omega''|| in L2(0, pi) of omega's K-term sine series, by Parseval:
+        exact for a weight of at most K sine modes, below the continuous norm
+        otherwise, and sharp for c_j = (sin(j y), P_K omega''), j <= K."""
+        return float(np.sqrt(np.pi / 2.0 * np.sum((eigenvalues(self.K) * self.omega_coeffs) ** 2)))
+
     def measure(self, stack: np.ndarray, modes: np.ndarray) -> np.ndarray:
         """The integral measurement (pi/2) sum_i omega_{k_i} v_i of a stack of
         mode rows v_i along the leading axis, row i holding mode k_i =
@@ -131,36 +137,16 @@ class OmegaData:
         return (np.pi / 2.0) * np.tensordot(weights, stack, axes=(0, 0))
 
     @classmethod
-    def from_profiles(cls, y: np.ndarray, omega: np.ndarray, K: int,
-                      omega_dd: np.ndarray | None = None) -> "OmegaData":
-        """Build from sampled omega, and omega'' when available.
-
-        The sine coefficients come from omega alone.  omega'' enters only
-        through its norm, which the certificate reads: from the given samples,
-        or else rebuilt from omega by second differences.  The y nodes must
-        be uniform: those differences assume one step, and the config's
-        grid.Ny_quad nodes, on which data-mode omega is read, are uniform.
-        """
+    def from_profiles(cls, y: np.ndarray, omega: np.ndarray, K: int) -> "OmegaData":
+        """Build from omega sampled on the nodes y: its first K sine
+        coefficients.  omega must vanish at both ends, relative to
+        max|omega|, for the couplings' integration by parts to hold."""
         y = np.asarray(y, dtype=float)
         omega = np.asarray(omega, dtype=float)
-        scale = max(float(np.max(np.abs(omega))), 1.0)
+        scale = float(np.max(np.abs(omega)))
         if abs(omega[0]) > OMEGA_BOUNDARY_TOL * scale or abs(omega[-1]) > OMEGA_BOUNDARY_TOL * scale:
             raise DataError(f"omega must vanish at y=0 and y=pi, got {omega[0]:.3e}, {omega[-1]:.3e}")
-        h = np.diff(y)
-        if not np.max(np.abs(h - h[0])) <= 1e-9 * max(abs(y[-1]), 1.0):
-            raise DataError(
-                f"omega's y nodes must be uniformly spaced, as the grid.Ny_quad nodes are, "
-                f"for rebuilding omega'' by second differences; steps range from "
-                f"{h.min():.6g} to {h.max():.6g}")
-        if omega_dd is None:
-            omega_dd = diff2(omega, h[0], axis=0)
-        omega_dd = np.asarray(omega_dd, dtype=float)
-        return cls(sine_coeffs(omega, K, y), float(np.sqrt(np.trapezoid(omega_dd**2, y))))
-
-    @classmethod
-    def from_callables(cls, fn, fn_dd, params: SpectralParams) -> "OmegaData":
-        y = params.y
-        return cls.from_profiles(y, fn(y), params.K, omega_dd=fn_dd(y))
+        return cls(sine_coeffs(omega, K, y))
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ def test_criterion_9_certificate_correctness():
     def constant_data(Lx, T, f_amp):
         grid = Grid(Lx, T, Nx=32, Nt=16)
         params = SpectralParams(K=2, Ny=64)
-        om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
+        om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
         f_vals = np.zeros((2,) + grid.field_shape)
         f_vals[0] = f_amp
         return ProblemData(grid=grid, psi=ScalarField(grid, np.ones(grid.field_shape)),

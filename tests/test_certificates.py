@@ -34,7 +34,7 @@ def constant_psi_data(Lx=np.pi, T=1.0, Nx=32, Nt=16, f_const=0.0, K=2, epsilon=1
     constant is hand-computable."""
     grid = Grid(Lx, T, Nx=Nx, Nt=Nt)
     params = SpectralParams(K=K, epsilon=epsilon, Ny=64)
-    om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
+    om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
     f_vals = np.zeros((K,) + grid.field_shape)
     f_vals[0] = f_const
     return ProblemData(
@@ -175,7 +175,7 @@ def test_q_local_scale_covariance_with_fixed_Psi():
     # phi alone multiplies every R-term, hence q, by s^2 exactly
     grid = Grid(np.pi, 0.5, Nx=32, Nt=16)
     params = SpectralParams(K=2, Ny=64)
-    om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
+    om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
     rng = np.random.default_rng(3)
     phi = rng.standard_normal((2,) + grid.space_shape)
     psi = ScalarField(grid, np.ones(grid.field_shape))

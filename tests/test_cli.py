@@ -623,25 +623,33 @@ def test_relative_output_dir_is_under_the_working_directory(tmp_path, monkeypatc
     pytest.param(name, N, K, Ny, id=name + tag)
     for N, K, Ny, tag in ((24, 3, 128, ""), (48, 4, 64, "-Ny64"))
     for name in ("MMS-A", "MMS-B")])
-def test_invert_data_file_mode_matches_scenario(tmp_path, name, N, K, Ny):
+def test_invert_data_file_mode_matches_scenario(tmp_path, capsys, name, N, K, Ny):
     # write the scenario's fields to CSV, run in data mode, compare to
-    # scenario mode: both take the couplings from omega's sine coefficients,
-    # so the outputs agree byte for byte
-    out_data = tmp_path / "out_data"
-    cfg = write_mms_data(tmp_path, out_data, name, N, K, Ny)
-    assert main(["invert", "--config", str(write_config(tmp_path, cfg)), "--force"]) == 0
+    # scenario mode: both reduce omega to the same sine coefficients, from
+    # which the couplings and the certificate's ||omega''|| both come, so
+    # certify and invert agree byte for byte
+    out_data, out_scn = tmp_path / "out_data", tmp_path / "out_scn"
+    cfg_data = write_config(tmp_path, write_mms_data(tmp_path, out_data, name, N, K, Ny))
+    cfg_scn = base_config(out_scn, scenario=name, N=N, K=K)
+    cfg_scn["grid"]["Ny_quad"] = Ny
+    cfg_scn = write_config(tmp_path, cfg_scn, "c2.json")
 
-    out_scn = tmp_path / "out_scn"
-    cfg2 = base_config(out_scn, scenario=name, N=N, K=K)
-    cfg2["grid"]["Ny_quad"] = Ny
-    assert main(["invert", "--config", str(write_config(tmp_path, cfg2, "c2.json")),
-                 "--force"]) == 0
+    printed = []
+    for cfg in (cfg_data, cfg_scn):
+        code = main(["certify", "--config", str(cfg)])
+        printed.append((code, capsys.readouterr()))
+    assert printed[0] == printed[1]
+    certificates = [(out / "certificate.json").read_bytes() for out in (out_data, out_scn)]
+    assert certificates[0] == certificates[1]
 
-    for file in ("a.csv", "u_synth.csv", "history.csv"):
+    for cfg in (cfg_data, cfg_scn):
+        assert main(["invert", "--config", str(cfg), "--force"]) == 0
+    for file in ("a.csv", "u_synth.csv", "history.csv", "certificate.json"):
         assert (out_data / file).read_bytes() == (out_scn / file).read_bytes(), file
     summary_data = json.loads((out_data / "summary.json").read_text())
     summary_scn = json.loads((out_scn / "summary.json").read_text())
-    assert summary_data["stop_reason"] == summary_scn["stop_reason"]
+    for key in ("stop_reason", "warnings"):
+        assert summary_data[key] == summary_scn[key], key
 
 
 def test_forward_data_mode_matches_scenario(tmp_path, capsys):
@@ -660,8 +668,9 @@ def test_forward_data_mode_matches_scenario(tmp_path, capsys):
     assert main(["forward", "--config", str(write_config(tmp_path, cfg))]) == 0
     scn_cfg = base_config(tmp_path / "out_scn", N=24, K=3)
     assert main(["forward", "--config", str(write_config(tmp_path, scn_cfg, "c2.json"))]) == 0
-    assert ((tmp_path / "out_data" / "u_modes.csv").read_bytes()
-            == (tmp_path / "out_scn" / "u_modes.csv").read_bytes())
+    for file in ("u_modes.csv", "u_synth.csv", "residual.csv", "summary.json"):
+        assert ((tmp_path / "out_data" / file).read_bytes()
+                == (tmp_path / "out_scn" / file).read_bytes()), file
 
 
 def test_forward_summary_keeps_reaction_warning(tmp_path):
@@ -705,6 +714,12 @@ def _omega_on(y, at_zero=0.0):
     return edit
 
 
+def _tiny_cos_omega(tmp_path, cfg):
+    # the end check is relative to max|omega|: a tiny weight gets no pass
+    y = np.linspace(0.0, np.pi, 129)
+    write_profile_csv(tmp_path / "omega.csv", y, 1e-10 * np.cos(y))
+
+
 def _config_grid_disagrees(tmp_path, cfg):
     cfg["grid"]["Nx"] = cfg["grid"]["Nt"] = 32
 
@@ -728,8 +743,10 @@ def _config_ny_quad_256(tmp_path, cfg):
      r"129 configured nodes .* \(grid\.Ny_quad = 128 sets omega's y nodes\)"),
     (_omega_on(np.linspace(0.0, np.pi, 129), at_zero=0.01),
      r"omega\.csv: omega must vanish at y=0 and y=pi, got 1\.000e-02, \S+"),
+    (_tiny_cos_omega,
+     r"omega\.csv: omega must vanish at y=0 and y=pi, got 1\.000e-10, -1\.000e-10"),
 ], ids=["grid", "k-from-0", "k-from-2", "omega-nonuniform", "omega-129-nodes-Ny_quad-256",
-        "omega-33-nodes", "omega-y-0-to-3", "omega-nonzero-at-0"])
+        "omega-33-nodes", "omega-y-0-to-3", "omega-nonzero-at-0", "omega-1e-10-cos"])
 def test_invert_data_mode_bad_input_exits_1(tmp_path, capsys, edit, message):
     cfg = write_mms_data(tmp_path, tmp_path / "out")
     edit(tmp_path, cfg)

@@ -312,7 +312,7 @@ def test_zero_measurement_rejected():
     from diffid import OmegaData, ProblemData
     from diffid.errors import DivisionHazardError
 
-    om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
+    om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
     data = ProblemData(grid=grid, psi=ScalarField(grid, np.zeros(grid.field_shape)),
                        f_modes=ModeFieldSet.empty(grid, params),
                        phi_modes=np.zeros((2,) + grid.space_shape),

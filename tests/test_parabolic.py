@@ -175,7 +175,7 @@ def test_blowup_reported_with_step():
 def test_overdetermination_residual_exact_fields():
     g = grid_1d(Nx=64, Nt=32, T=1.0)
     params = SpectralParams(K=2, Ny=128)
-    om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
+    om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
     vals = np.zeros((2,) + g.field_shape)
     vals[0] = np.exp(-g.t)[:, None] * np.sin(g.x)[None, :]
     u = ModeFieldSet(g, params, vals)
@@ -187,7 +187,7 @@ def test_overdetermination_residual_exact_fields():
 def test_overdetermination_residual_linearity():
     g = grid_1d(Nx=32, Nt=16)
     params = SpectralParams(K=1, Ny=64)
-    om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
+    om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
     u = ModeFieldSet.empty(g, params)
     zero = ScalarField(g, np.zeros(g.field_shape))
     _, norm0 = overdetermination_residual(u, om, zero)

@@ -100,7 +100,7 @@ def test_parseval_band_limited():
 
 def test_couplings_sin():
     params = SpectralParams(K=6, Ny=256)
-    om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
+    om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
     c = om.couplings[:6]
     assert c[0] == pytest.approx(-np.pi / 2, abs=1e-10)
     assert np.max(np.abs(c[1:])) < 1e-10
@@ -108,8 +108,7 @@ def test_couplings_sin():
 
 def test_couplings_sin2():
     params = SpectralParams(K=6, Ny=256)
-    om = OmegaData.from_callables(
-        lambda y: np.sin(2 * y), lambda y: -4.0 * np.sin(2 * y), params)
+    om = OmegaData.from_profiles(params.y, np.sin(2 * params.y), params.K)
     c = om.couplings[:6]
     assert c[1] == pytest.approx(-2.0 * np.pi, abs=1e-10)
     mask = np.ones(6, dtype=bool)
@@ -119,9 +118,9 @@ def test_couplings_sin2():
 
 def test_couplings_zero_omega():
     params = SpectralParams(K=4, Ny=128)
-    om = OmegaData.from_profiles(params.y, np.zeros_like(params.y), 4,
-                                 omega_dd=np.zeros_like(params.y))
+    om = OmegaData.from_profiles(params.y, np.zeros_like(params.y), 4)
     assert np.max(np.abs(om.couplings)) == 0.0
+    assert om.omega_dd_l2 == 0.0
 
 
 def test_coupling_identity_smooth_omegas():
@@ -132,27 +131,36 @@ def test_coupling_identity_smooth_omegas():
         assert np.max(np.abs(om.couplings - exact)) <= 1e-8
 
 
-def test_omega_nonuniform_nodes_rejected():
-    # second differences with h = y[1] - y[0] would put ||omega''|| at 0.940, not 1.253
+def test_omega_dd_l2_parseval():
+    # ||omega''|| is the norm of omega's K-term sine series, exact for a weight
+    # of at most K modes: omega = sin y + 0.3 sin 3y gives pi/2 (1 + 2.7^2)
+    exact = np.sqrt(np.pi / 2 * 8.29)
+    y = SpectralParams(K=4, Ny=128).y
+    om = OmegaData.from_profiles(y, np.sin(y) + 0.3 * np.sin(3 * y), 4)
+    assert om.omega_dd_l2 == pytest.approx(exact, rel=1e-12, abs=0)
+    # on non-uniform nodes only the trapezoid coefficients move
     s = np.linspace(0.0, 1.0, 129)
     y = np.pi * (s + 0.05 * np.sin(2 * np.pi * s))
-    with pytest.raises(DataError, match="uniformly spaced"):
-        OmegaData.from_profiles(y, np.sin(y), 4)
-    # with omega'' given no differences are taken, but omega is still read on
-    # the config's uniform grid.Ny_quad nodes, and no others
-    with pytest.raises(DataError, match="uniformly spaced"):
-        OmegaData.from_profiles(y, np.sin(y) + 0.3 * np.sin(3 * y), 4,
-                                omega_dd=-np.sin(y) - 2.7 * np.sin(3 * y))
-    y = SpectralParams(K=4, Ny=128).y
-    om = OmegaData.from_profiles(y, np.sin(y), 4, omega_dd=-np.sin(y))
-    assert om.omega_dd_l2 == pytest.approx(np.sqrt(np.pi / 2), rel=1e-3)
+    om = OmegaData.from_profiles(y, np.sin(y) + 0.3 * np.sin(3 * y), 4)
+    assert om.omega_dd_l2 == pytest.approx(exact, rel=1e-3)
+    # any other weight reads below the continuous norm, from below as K grows:
+    # y (pi - y) has omega'' = -2, ||omega''|| = 2 sqrt(pi)
+    y = SpectralParams(K=32, Ny=4096).y
+    norms = [OmegaData.from_profiles(y, y * (np.pi - y), K).omega_dd_l2
+             for K in (1, 2, 4, 8, 16, 32)]
+    assert np.all(np.diff(norms[1:]) > 0) and norms[1] >= norms[0]
+    assert norms[-1] < 2 * np.sqrt(np.pi)
+    assert norms[4] == pytest.approx(3.4998, abs=1e-4)
 
 
 def test_omega_boundary_check():
+    # the check is relative to max|omega|, so omega's units do not decide it
     params = SpectralParams(K=4, Ny=128)
-    with pytest.raises(DataError):
-        OmegaData.from_profiles(params.y, np.cos(params.y), 4,
-                                omega_dd=-np.cos(params.y))
+    for scale in (1.0, 1e-10):
+        with pytest.raises(DataError, match="vanish"):
+            OmegaData.from_profiles(params.y, scale * np.cos(params.y), 4)
+        om = OmegaData.from_profiles(params.y, scale * np.sin(params.y), 4)
+        assert om.couplings[0] == pytest.approx(-scale * np.pi / 2, rel=1e-12)
 
 
 def make_grid(Nx=64, Nt=16, T=1.0):
@@ -215,7 +223,7 @@ def test_mode_rows_select_and_scatter():
     # contraction over several nonzero rows may group them otherwise, which
     # moves last bits only
     assert F_functional(compact) == F_functional(full)
-    om = OmegaData.from_callables(np.sin, lambda y: -np.sin(y), params)
+    om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
     for got, dense in ((compact.synthesize_y(params.y, g.Nt),
                         full.synthesize_y(params.y, g.Nt)),
                        (om.measure(compact.values, compact.modes),
