@@ -1,8 +1,10 @@
 """Solvability certificates: the constants entering the local and global
 contraction conditions, with pass/fail verdicts, and conditions(cert), the
 margin by which each inequality holds.  Each condition is written once, in
-_CONDITIONS; the verdicts, the consistency check of a certificate read from
-a file and the margins all read that table.
+_CONDITIONS; a Certificate derives B, q_local, q_global, its cond_* flags
+and both verdicts from its constants through that table, so one read back
+from a file carries the verdicts of the constants it holds, and the margins
+read the same table.
 
 Conventions baked in here and recorded in each certificate's provenance:
 the four terms of R/R1 are squared weighted-mode norms (see frac_norm); sup
@@ -14,8 +16,7 @@ constant, and the certificate is conditional on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from types import SimpleNamespace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class CertifyOptions:
 # the paper's five solvability conditions, local first, as rows (scope,
 # label, cond_* field, lhs, rhs, strict): the condition is lhs < rhs when
 # strict, lhs <= rhs otherwise, and lhs and rhs read the constants off a
-# Certificate or anything with its attributes
+# Certificate
 _CONDITIONS = (
     ("local", "2*Psi_M*T <= A_eps*C_S", "cond_local_T",
      lambda c: 2.0 * c.Psi_M * c.T, lambda c: c.A_eps * c.C_S, False),
@@ -52,43 +53,51 @@ _CONDITIONS = (
 )
 
 
-def _verdict(fields: dict, scope: str) -> bool:
-    """True when every condition of the scope holds in fields (cond_* -> bool)."""
-    return all(fields[field] for s, _, field, *_ in _CONDITIONS if s == scope)
-
-
 @dataclass(frozen=True)
 class Certificate:
+    """The solvability constants; B = 2 A_eps^2 C_S^2, q_local = 4 R B,
+    q_global = 4 R1 B, one cond_* flag per _CONDITIONS row and both verdicts
+    are derived from them on construction, and are not arguments."""
     epsilon: float
     A_eps: float
     C_S: float
     C_P: float
-    B: float
+    B: float = field(init=False)
     Psi_M: float
     R: float
     R1: float
-    q_local: float
-    q_global: float
+    q_local: float = field(init=False)
+    q_global: float = field(init=False)
     T: float
-    cond_local_T: bool
-    cond_T_le_1: bool
-    cond_local_q: bool
-    cond_global_poincare: bool
-    cond_global_q: bool
-    local_pass: bool
-    global_pass: bool
+    cond_local_T: bool = field(init=False)
+    cond_T_le_1: bool = field(init=False)
+    cond_local_q: bool = field(init=False)
+    cond_global_poincare: bool = field(init=False)
+    cond_global_q: bool = field(init=False)
+    local_pass: bool = field(init=False)
+    global_pass: bool = field(init=False)
     boundary_margin: int
     provenance: str
 
     def __post_init__(self):
+        # numpy float64, so B beyond float range is inf or nan, which the check
+        # below rejects by name (a Python float power raises OverflowError)
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = float(2.0 * np.float64(self.A_eps)**2 * np.float64(self.C_S)**2)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "q_local", 4.0 * self.R * B)
+        object.__setattr__(self, "q_global", 4.0 * self.R1 * B)
         for name in ("A_eps", "C_S", "C_P", "B", "Psi_M", "R", "R1",
                      "q_local", "q_global", "T"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ConfigurationError(f"certificate constant {name} = {v} is not a finite nonnegative number")
+        for _, _, flag, lhs, rhs, strict in _CONDITIONS:
+            object.__setattr__(self, flag, bool(lhs(self) < rhs(self) if strict
+                                                else lhs(self) <= rhs(self)))
         for scope in ("local", "global"):
-            if getattr(self, f"{scope}_pass") != _verdict(vars(self), scope):
-                raise ConfigurationError(f"{scope} verdict inconsistent with its conditions")
+            object.__setattr__(self, f"{scope}_pass", all(
+                getattr(self, flag) for s, _, flag, *_ in _CONDITIONS if s == scope))
 
 
 def first_dirichlet_eigenvalue(grid: Grid) -> float:
@@ -119,26 +128,20 @@ def compute_Psi(data: ProblemData, floor: float) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def compute_certificate(data: ProblemData, options: CertifyOptions,
-                        Psi: ScalarField | None = None) -> Certificate:
-    """Evaluate every solvability constant and the local/global conditions.
-
-    Psi, when given, must be compute_Psi of the same data and psi floor; it
-    is computed here otherwise.  Its psi-floor check covers every interior
-    node, so it covers the boundary-margin region used below.
-    """
+def compute_certificate(data: ProblemData, options: CertifyOptions) -> Certificate:
+    """Evaluate every solvability constant; the Certificate derives the
+    conditions from them.  compute_Psi's psi-floor check covers every
+    interior node, so it covers the boundary-margin region used below."""
     grid = data.grid
     eps = data.params.epsilon
     margin = options.boundary_margin
     mask = interior_margin_mask(grid, margin)
     region = np.broadcast_to(mask, grid.field_shape)
 
-    if Psi is None:
-        Psi = compute_Psi(data, options.psi_floor)
+    Psi = compute_Psi(data, options.psi_floor)
     psi_vals = np.abs(data.psi.values[region])
     tau1, tau2 = data.params.tau1, data.params.tau2
     T = grid.T
-    C_S = np.float64(options.C_S)
 
     # numpy float64 throughout: a constant beyond float range becomes inf or
     # nan, which Certificate rejects by name, where a Python float power
@@ -147,7 +150,6 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
         inv_psi_max = np.max(1.0 / psi_vals)
         A_eps = (np.sqrt(np.pi) * np.sqrt(1.0 + 1.0 / (2.0 * eps))
                  * data.omega.omega_dd_l2 * inv_psi_max)
-        B = 2.0 * A_eps**2 * C_S**2
 
         Psi_M = np.max(np.abs(Psi.values[region]))
 
@@ -158,16 +160,8 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
 
         R = phi_1_tau1 + 8.0 * Psi_M**2 * T * phi_0_tau1 + phi_0_tau2 + 4.0 * f_tau1
         R1 = phi_1_tau1 + phi_0_tau2 + 4.0 * f_tau1
-        q_local = 4.0 * R * B
-        q_global = 4.0 * R1 * B
 
         C_P = 1.0 / first_dirichlet_eigenvalue(grid)
-
-        constants = SimpleNamespace(A_eps=A_eps, C_S=C_S, C_P=C_P, Psi_M=Psi_M, T=T,
-                                    q_local=q_local, q_global=q_global)
-        conds = {field: bool(lhs(constants) < rhs(constants) if strict
-                             else lhs(constants) <= rhs(constants))
-                 for _, _, field, lhs, rhs, strict in _CONDITIONS}
 
     provenance = (
         f"R-terms are squared weighted-mode norms; sup over nodes >= {margin} cells "
@@ -179,16 +173,10 @@ def compute_certificate(data: ProblemData, options: CertifyOptions,
         A_eps=float(A_eps),
         C_S=options.C_S,
         C_P=float(C_P),
-        B=float(B),
         Psi_M=float(Psi_M),
         R=float(R),
         R1=float(R1),
-        q_local=float(q_local),
-        q_global=float(q_global),
         T=float(T),
-        **conds,
-        local_pass=_verdict(conds, "local"),
-        global_pass=_verdict(conds, "global"),
         boundary_margin=margin,
         provenance=provenance,
     )

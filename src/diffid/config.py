@@ -65,6 +65,7 @@ def _string(value) -> str:
 
 _REQUIRED = object()
 _POSITIVE = (lambda v: v > 0, "must be positive")
+_PATH = (lambda v: v != "", "must be a non-empty path")
 
 # section -> key -> (parser, default or _REQUIRED, (check, requirement) or
 # None).  A parser raises ValueError(requirement); the parser and the check
@@ -102,11 +103,11 @@ _SCHEMA = {
         "scale": (_number, 1.0, _POSITIVE),
     },
     "data": {
-        "psi_file": (_string, _REQUIRED, None),
-        "f_file": (_string, _REQUIRED, None),
-        "phi_file": (_string, _REQUIRED, None),
-        "omega_file": (_string, _REQUIRED, None),
-        "a_file": (_string, None, None),
+        "psi_file": (_string, _REQUIRED, _PATH),
+        "f_file": (_string, _REQUIRED, _PATH),
+        "phi_file": (_string, _REQUIRED, _PATH),
+        "omega_file": (_string, _REQUIRED, _PATH),
+        "a_file": (_string, None, _PATH),
     },
     "output": {
         "dir": (_string, _REQUIRED, None),
@@ -227,5 +228,4 @@ def assemble_data(cfg: RunConfig) -> tuple[ProblemData, Scenario | None]:
         omega = OmegaData.from_profiles(cfg.params.y, omega_vals, cfg.params.K)
     except DataError as err:
         raise DataError(f"{files['omega_file']}: {err}") from err
-    return ProblemData(grid=cfg.grid, psi=psi, f_modes=f_modes,
-                       phi_modes=phi_modes, omega=omega, params=cfg.params), None
+    return ProblemData(psi=psi, f_modes=f_modes, phi_modes=phi_modes, omega=omega), None

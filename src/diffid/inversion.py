@@ -173,8 +173,7 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
     if initial is not None and (initial.grid != grid or initial.K != params.K):
         raise DataError(f"initial iterate (K = {initial.K}, {initial.grid}) does not match "
                         f"the data (K = {params.K}, {grid})")
-    Psi = compute_Psi(data, options.psi_floor)
-    cert = compute_certificate(data, options, Psi=Psi)
+    cert = compute_certificate(data, options)
     if not cert.local_pass:
         if not force:
             raise CertificateFailure(
@@ -184,6 +183,7 @@ def run_inversion(data: ProblemData, options: CertifyOptions = CertifyOptions(),
             f"running despite failed certificate (q_local = {cert.q_local:.6g})",
             RuntimeWarning)
 
+    Psi = compute_Psi(data, options.psi_floor)
     start = initial if initial is not None else ModeFieldSet.empty(grid, params)
     u = start.rows(forced_modes(data.phi_modes, data.f_modes, start))
     F_diffs: list[float] = []

@@ -1,5 +1,6 @@
 """Bundled inverse-problem data: the measurement psi, source and initial
-modes, the weight omega, and the spectral parameters, all on one grid."""
+modes, and the weight omega, all on psi's grid; the spectral parameters are
+the source stack's."""
 
 from __future__ import annotations
 
@@ -19,27 +20,33 @@ COMPATIBILITY_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class ProblemData:
-    grid: Grid
+    """Its grid is psi's and its params are f_modes'; f must lie on that grid,
+    phi hold K finite rows on it, and omega carry exactly K sine coefficients."""
     psi: ScalarField
     f_modes: ModeFieldSet  # compact: the modes it does not hold are zero
     phi_modes: np.ndarray = field(repr=False)  # (K, Nx+2)
     omega: OmegaData
-    params: SpectralParams
 
     def __post_init__(self):
+        if self.f_modes.grid != self.grid:
+            raise DataError(f"f grid {self.f_modes.grid} does not match psi grid {self.grid}")
         phi = np.asarray(self.phi_modes, dtype=float)
         expected = (self.params.K,) + self.grid.space_shape
         if phi.shape != expected:
             raise DataError(f"phi mode stack shape {phi.shape} != {expected}")
         if not np.all(np.isfinite(phi)):
             raise DataError("phi modes contain non-finite values")
-        if self.psi.grid != self.grid or self.f_modes.grid != self.grid:
-            raise DataError("psi/f grids do not match the problem grid")
-        if self.f_modes.params.K != self.params.K:
-            raise DataError("f mode count does not match spectral parameters")
-        if self.omega.K < self.params.K:
-            raise DataError(f"omega carries {self.omega.K} sine coefficients, need {self.params.K}")
+        if self.omega.K != self.params.K:
+            raise DataError(f"omega carries {self.omega.K} sine coefficients, need K = {self.params.K}")
         object.__setattr__(self, "phi_modes", phi)
+
+    @property
+    def grid(self) -> Grid:
+        return self.psi.grid
+
+    @property
+    def params(self) -> SpectralParams:
+        return self.f_modes.params
 
     def scaled(self, s: float) -> "ProblemData":
         """Scale phi and f by s, leaving psi and omega untouched; f keeps its

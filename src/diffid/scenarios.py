@@ -79,8 +79,7 @@ def build_scenario(name: str, grid: Grid, params: SpectralParams,
         truth_a = ScalarField(grid, a_star)
         truth_u = ModeFieldSet(grid, params, decay[None], np.array([1]))
 
-    data = ProblemData(grid=grid, psi=psi, f_modes=f_modes, phi_modes=phi,
-                       omega=omega, params=params)
+    data = ProblemData(psi=psi, f_modes=f_modes, phi_modes=phi, omega=omega)
     if scale != 1.0:
         return Scenario(name, data.scaled(scale), None, None, scale)
     return Scenario(name, data, truth_a, truth_u, scale)

@@ -218,10 +218,9 @@ def test_criterion_9_certificate_correctness():
         om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
         f_vals = np.zeros((2,) + grid.field_shape)
         f_vals[0] = f_amp
-        return ProblemData(grid=grid, psi=ScalarField(grid, np.ones(grid.field_shape)),
+        return ProblemData(psi=ScalarField(grid, np.ones(grid.field_shape)),
                            f_modes=ModeFieldSet(grid, params, f_vals),
-                           phi_modes=np.zeros((2,) + grid.space_shape),
-                           omega=om, params=params)
+                           phi_modes=np.zeros((2,) + grid.space_shape), omega=om)
 
     A_hand = np.pi * np.sqrt(0.75)
 

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from diffid import (
     first_dirichlet_eigenvalue,
 )
 from diffid.certificates import Certificate
-from diffid.errors import DivisionHazardError
+from diffid.errors import DataError, DivisionHazardError
 from diffid.fileio import write_json
 from diffid.grids import interior_margin_mask
 from diffid.sinebasis import frac_norm
@@ -38,13 +38,33 @@ def constant_psi_data(Lx=np.pi, T=1.0, Nx=32, Nt=16, f_const=0.0, K=2, epsilon=1
     f_vals = np.zeros((K,) + grid.field_shape)
     f_vals[0] = f_const
     return ProblemData(
-        grid=grid,
         psi=ScalarField(grid, np.ones(grid.field_shape)),
         f_modes=ModeFieldSet(grid, params, f_vals),
         phi_modes=np.zeros((K,) + grid.space_shape),
         omega=om,
-        params=params,
     )
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param(lambda g, p: {"f_modes": ModeFieldSet.empty(Grid(np.pi, 1.0, Nx=32, Nt=8), p)},
+                 "f grid .* does not match psi grid", id="f-grid"),
+    pytest.param(lambda g, p: {"phi_modes": np.zeros((3,) + g.space_shape)},
+                 r"phi mode stack shape \(3, 34\) != \(2, 34\)", id="phi-shape"),
+    pytest.param(lambda g, p: {"phi_modes": np.full((2,) + g.space_shape, np.nan)},
+                 "phi modes contain non-finite values", id="phi-nan"),
+    pytest.param(lambda g, p: {"omega": OmegaData.from_profiles(p.y, np.sin(p.y), 3)},
+                 "omega carries 3 sine coefficients, need K = 2", id="omega-K-above"),
+    pytest.param(lambda g, p: {"omega": OmegaData.from_profiles(p.y, np.sin(p.y), 1)},
+                 "omega carries 1 sine coefficients, need K = 2", id="omega-K-below"),
+])
+def test_problem_data_rejects_mismatched_parts(change, message):
+    """ProblemData's grid is psi's and its K is f's; every other part must
+    agree with them."""
+    base = constant_psi_data()
+    parts = {"psi": base.psi, "f_modes": base.f_modes, "phi_modes": base.phi_modes,
+             "omega": base.omega}
+    with pytest.raises(DataError, match=message):
+        ProblemData(**{**parts, **change(base.grid, base.params)})
 
 
 def test_Psi_mmsa_equals_two():
@@ -181,8 +201,8 @@ def test_q_local_scale_covariance_with_fixed_Psi():
     psi = ScalarField(grid, np.ones(grid.field_shape))
 
     def cert_for(scale):
-        data = ProblemData(grid=grid, psi=psi, f_modes=ModeFieldSet.empty(grid, params),
-                           phi_modes=scale * phi, omega=om, params=params)
+        data = ProblemData(psi=psi, f_modes=ModeFieldSet.empty(grid, params),
+                           phi_modes=scale * phi, omega=om)
         return compute_certificate(data, CertifyOptions())
 
     c1, c2 = cert_for(1.0), cert_for(2.5)
@@ -202,31 +222,42 @@ def test_increasing_T_never_rescues_local_verdict():
         assert not (cur.local_pass and not prev.local_pass)
 
 
+def _init_fields(written: dict) -> dict:
+    """The constructor arguments of a Certificate among a certificate.json's keys."""
+    return {f.name: written[f.name] for f in fields(Certificate) if f.init}
+
+
 def test_certificate_json_roundtrip(tmp_path):
     data = constant_psi_data(f_const=0.5)
     cert = compute_certificate(data, CertifyOptions())
     path = tmp_path / "certificate.json"
     write_json(path, asdict(cert))
-    back = Certificate(**json.loads(path.read_text(encoding="utf-8")))
+    written = json.loads(path.read_text(encoding="utf-8"))
+    back = Certificate(**_init_fields(written))
     assert back == cert
-    # floats survive the round trip exactly (repr carries 17 significant digits)
-    assert back.A_eps == cert.A_eps
+    assert asdict(back) == written
+    assert list(asdict(back)) == list(written)
+    # floats survive the round trip exactly (repr carries 17 significant
+    # digits), and the derived constants are the float64 products
+    A, C, R, R1 = (np.float64(written[k]) for k in ("A_eps", "C_S", "R", "R1"))
+    B = 2.0 * A**2 * C**2
+    assert (back.B, back.q_local, back.q_global) == (B, 4.0 * R * B, 4.0 * R1 * B)
 
 
-@pytest.mark.parametrize("scope, conds", [
-    ("local", ["cond_local_T", "cond_T_le_1", "cond_local_q"]),
-    ("global", ["cond_global_poincare", "cond_global_q"]),
-])
-def test_certificate_with_inconsistent_verdict_names_scope(scope, conds):
-    """A certificate.json whose verdict disagrees with its cond_* fields does
-    not construct: a flipped verdict, every condition holding under a FAIL,
-    and every condition failing under a PASS."""
-    fields = asdict(compute_certificate(constant_psi_data(f_const=0.5), CertifyOptions()))
-    flipped = {**fields, f"{scope}_pass": not fields[f"{scope}_pass"]}
-    for bad in [flipped] + [{**fields, **dict.fromkeys(conds, not verdict),
-                             f"{scope}_pass": verdict} for verdict in (True, False)]:
-        with pytest.raises(ConfigurationError, match=f"^{scope} verdict inconsistent"):
-            Certificate(**bad)
+@pytest.mark.parametrize("key", ["q_local", "cond_local_q", "cond_global_poincare",
+                                 "local_pass", "global_pass"])
+def test_certificate_read_back_rederives_edited_fields(tmp_path, key):
+    """Certificate(**init fields) of an edited certificate.json derives its
+    verdicts from the constants again, so the edit shows as a difference."""
+    original = asdict(compute_certificate(constant_psi_data(f_const=0.5), CertifyOptions()))
+    value = original[key]
+    edited = {**original, key: (not value) if isinstance(value, bool) else 2.0 * value + 1.0}
+    path = tmp_path / "certificate.json"
+    write_json(path, edited)
+    written = json.loads(path.read_text(encoding="utf-8"))
+    back = Certificate(**_init_fields(written))
+    assert asdict(back) != written
+    assert asdict(back) == original
 
 
 def test_check_global_margins():

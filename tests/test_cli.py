@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 import diffid
 from diffid import (Grid, ScalarField, SpectralParams, build_scenario,
                     compute_certificate, run_inversion)
+from diffid.certificates import Certificate
 from diffid.cli import main
 from diffid.config import assemble_data, load_config
 from diffid.problem import COMPATIBILITY_RTOL
@@ -251,6 +252,9 @@ DATA_FILES = {"psi_file": "psi.csv", "f_file": "f.csv", "phi_file": "phi.csv",
     ("data", "phi_file", ["phi.csv"]),
     ("data", "omega_file", None),
     ("data", "a_file", None),
+    # a data path must name a file: "" would resolve to the config's directory
+    ("data", "psi_file", ""),
+    ("data", "a_file", ""),
     ("grid", "Nx", "16"),
     ("spectral", "K", True),
 ])
@@ -458,6 +462,23 @@ def test_certificate_and_history_bytes(tmp_path):
             writer.writerow([i, format(f, ".17g"), format(q, ".17g")])
     assert result.iterations >= 3
     assert (out / "history.csv").read_bytes() == reference.read_bytes()
+
+
+def test_certify_and_invert_write_one_certificate(tmp_path):
+    """certify and invert --force on one data-mode config write the same
+    certificate.json but for certify's compatibility_residual, and each
+    rebuilds from its constants through Certificate."""
+    out_certify, out_invert = tmp_path / "certify", tmp_path / "invert"
+    cfg = write_mms_data(tmp_path, out_certify, "MMS-B")
+    assert main(["certify", "--config", str(write_config(tmp_path, cfg))]) == 2
+    cfg["output"]["dir"] = str(out_invert)
+    assert main(["invert", "--config", str(write_config(tmp_path, cfg)), "--force"]) == 0
+    certified = json.loads((out_certify / "certificate.json").read_text())
+    inverted = json.loads((out_invert / "certificate.json").read_text())
+    assert certified.pop("compatibility_residual") >= 0.0
+    assert certified == inverted
+    init = [f.name for f in fields(Certificate) if f.init]
+    assert asdict(Certificate(**{k: inverted[k] for k in init})) == inverted
 
 
 def test_invert_summary_keeps_warnings(tmp_path):

@@ -175,8 +175,8 @@ def sparse_mode_problem(draw):
         return scale * rng.standard_normal((K,) + shape) * live.reshape((K,) + (1,) * len(shape))
 
     f_modes = ModeFieldSet(grid, params, rows(grid.field_shape))
-    data = ProblemData(grid=grid, psi=base.psi, f_modes=f_modes, phi_modes=rows(grid.space_shape),
-                       omega=base.omega, params=params)
+    data = ProblemData(psi=base.psi, f_modes=f_modes, phi_modes=rows(grid.space_shape),
+                       omega=base.omega)
     initial = ModeFieldSet(grid, params, rows(grid.field_shape)) if draw(st.booleans()) else None
     return data, initial, draw(st.floats(0.5, 1.0)), draw(st.integers(1, 6))
 
@@ -313,10 +313,9 @@ def test_zero_measurement_rejected():
     from diffid.errors import DivisionHazardError
 
     om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
-    data = ProblemData(grid=grid, psi=ScalarField(grid, np.zeros(grid.field_shape)),
+    data = ProblemData(psi=ScalarField(grid, np.zeros(grid.field_shape)),
                        f_modes=ModeFieldSet.empty(grid, params),
-                       phi_modes=np.zeros((2,) + grid.space_shape),
-                       omega=om, params=params)
+                       phi_modes=np.zeros((2,) + grid.space_shape), omega=om)
     with pytest.raises(DivisionHazardError):
         run_inversion(data, tol_F=1e-10, max_iters=5, force=True)
 
