@@ -41,14 +41,17 @@ class CertifyOptions:
 # the paper's five solvability conditions, local first, as rows (scope,
 # label, cond_* field, lhs, rhs, strict): the condition is lhs < rhs when
 # strict, lhs <= rhs otherwise, and lhs and rhs read the constants off a
-# Certificate
+# Certificate.  Powers are numpy float64, evaluated under np.errstate, so a
+# side beyond float range reads inf and its condition fails (a Python float
+# power raises OverflowError)
 _CONDITIONS = (
     ("local", "2*Psi_M*T <= A_eps*C_S", "cond_local_T",
      lambda c: 2.0 * c.Psi_M * c.T, lambda c: c.A_eps * c.C_S, False),
     ("local", "T <= 1", "cond_T_le_1", lambda c: c.T, lambda c: 1.0, False),
     ("local", "4*R*B < 1", "cond_local_q", lambda c: c.q_local, lambda c: 1.0, True),
     ("global", "2*Psi_M^2*C_P <= A_eps^2*C_S^2", "cond_global_poincare",
-     lambda c: 2.0 * c.Psi_M**2 * c.C_P, lambda c: c.A_eps**2 * c.C_S**2, False),
+     lambda c: 2.0 * np.float64(c.Psi_M)**2 * c.C_P,
+     lambda c: np.float64(c.A_eps)**2 * np.float64(c.C_S)**2, False),
     ("global", "4*R1*B < 1", "cond_global_q", lambda c: c.q_global, lambda c: 1.0, True),
 )
 
@@ -92,9 +95,10 @@ class Certificate:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ConfigurationError(f"certificate constant {name} = {v} is not a finite nonnegative number")
-        for _, _, flag, lhs, rhs, strict in _CONDITIONS:
-            object.__setattr__(self, flag, bool(lhs(self) < rhs(self) if strict
-                                                else lhs(self) <= rhs(self)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _, _, flag, lhs, rhs, strict in _CONDITIONS:
+                object.__setattr__(self, flag, bool(lhs(self) < rhs(self) if strict
+                                                    else lhs(self) <= rhs(self)))
         for scope in ("local", "global"):
             object.__setattr__(self, f"{scope}_pass", all(
                 getattr(self, flag) for s, _, flag, *_ in _CONDITIONS if s == scope))
@@ -186,5 +190,6 @@ def conditions(cert: Certificate) -> list[tuple[str, str, float, bool]]:
     """(scope, label, margin, holds) of every condition, local first: the
     inequality's signed margin rhs - lhs (positive means it holds) and the
     certificate's own verdict on it."""
-    return [(scope, label, rhs(cert) - lhs(cert), getattr(cert, field))
-            for scope, label, field, lhs, rhs, _ in _CONDITIONS]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [(scope, label, float(rhs(cert) - lhs(cert)), getattr(cert, field))
+                for scope, label, field, lhs, rhs, _ in _CONDITIONS]

@@ -1,12 +1,18 @@
 """Command-line front end: certify | forward | invert | mms, each driven by a
 JSON config.  Exit codes: 0 success, 1 usage/data error, 2 certificate
 failure, 3 non-convergence.
+
+Each command returns (exit code, summary), and main records every
+RuntimeWarning the command raises, each distinct message once, in the order
+first raised.  A summary dict (forward, invert, mms) goes to summary.json with
+the messages appended under "warnings"; a summary of None (certify, and invert
+at a failed certificate) prints them on stderr as "warning: <message>" lines.
+A usage, data or I/O error prints one "error: <message>" line instead.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 import warnings
 from dataclasses import asdict
@@ -59,15 +65,24 @@ def main(argv=None) -> int:
     options = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = load_config(args.config)
-        out = cfg.output_dir
-        out.mkdir(parents=True, exist_ok=True)
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
         handler = {
             "certify": _cmd_certify,
             "forward": _cmd_forward,
             "invert": _cmd_invert,
             "mms": _cmd_mms,
         }[args.command]
-        return handler(cfg, **options)
+        with warnings.catch_warnings(record=True) as caught:
+            # "always": a message already shown in this process is kept too
+            warnings.simplefilter("always", RuntimeWarning)
+            code, summary = handler(cfg, **options)
+        recorded = list(dict.fromkeys(str(w.message) for w in caught))
+        if summary is None:
+            for message in recorded:
+                print(f"warning: {message}", file=sys.stderr)
+        else:
+            write_json(cfg.output_dir / "summary.json", {**summary, "warnings": recorded})
+        return code
     except (DiffidError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
@@ -86,27 +101,25 @@ def _failing_line(cert) -> str:
         label for _, label, _, holds in conditions(cert) if not holds)
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
+def _cmd_certify(cfg: RunConfig) -> tuple[int, None]:
     data, _ = assemble_data(cfg)
     cert = compute_certificate(data, cfg.certify)
-    residual, message = data.compatibility()
+    residual = data.compatibility()
     write_json(cfg.output_dir / "certificate.json",
                {**asdict(cert), "compatibility_residual": residual})
     _print_margin_table(cert)
     print(f"data compatibility residual: {residual:.6e}")
-    if message is not None:
-        print(f"warning: {message}", file=sys.stderr)
     if cert.local_pass or cert.global_pass:
-        return EXIT_OK
+        return EXIT_OK, None
     print(_failing_line(cert))
-    return EXIT_CERT_FAIL
+    return EXIT_CERT_FAIL, None
 
 
 def _synth_y(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, np.pi, cfg.synth_ny + 1)
 
 
-def _cmd_forward(cfg: RunConfig) -> int:
+def _cmd_forward(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.data_files is not None and "a_file" not in cfg.data_files:
         raise ConfigurationError("forward runs in data mode need data.a_file")
     data, scn = assemble_data(cfg)
@@ -117,34 +130,29 @@ def _cmd_forward(cfg: RunConfig) -> int:
     else:
         a = scn.truth_a
 
-    with _recording_warnings() as caught:
-        _, message = data.compatibility()
-        # marches into f's stack, which nothing reads after the solve
-        u = solve_forward(a, data.f_modes, data.phi_modes, theta=cfg.theta)
-        res_field, res_norm = overdetermination_residual(u, data.omega, data.psi)
+    data.compatibility()
+    # marches into f's stack, which nothing reads after the solve
+    u = solve_forward(a, data.f_modes, data.phi_modes, theta=cfg.theta)
+    res_field, res_norm = overdetermination_residual(u, data.omega, data.psi)
     y = _synth_y(cfg)
     write_modes_csv(cfg.output_dir / "u_modes.csv", u)
     write_synth_csv(cfg.output_dir / "u_synth.csv", u, y)
     write_field_csv(cfg.output_dir / "residual.csv", res_field)
-    write_json(cfg.output_dir / "summary.json",
-               {"warnings": ([message] if message else []) + _recorded_warnings(caught)})
     print(f"forward solve done; overdetermination residual = {res_norm:.6e}")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def _cmd_invert(cfg: RunConfig, force: bool) -> int:
+def _cmd_invert(cfg: RunConfig, force: bool) -> tuple[int, dict | None]:
     data, scn = assemble_data(cfg)
+    residual = data.compatibility()
     try:
-        with _recording_warnings() as caught:
-            residual, message = data.compatibility()
-            result = run_inversion(
-                data, cfg.certify, tol_F=cfg.tol_F, max_iters=cfg.max_iters,
-                theta=cfg.theta, force=force or cfg.force)
+        result = run_inversion(data, cfg.certify, tol_F=cfg.tol_F, max_iters=cfg.max_iters,
+                               theta=cfg.theta, force=force or cfg.force)
     except CertificateFailure as err:
         write_json(cfg.output_dir / "certificate.json", asdict(err.certificate))
         print(f"certificate failed: {err}", file=sys.stderr)
         print(_failing_line(err.certificate), file=sys.stderr)
-        return EXIT_CERT_FAIL
+        return EXIT_CERT_FAIL, None
 
     write_field_csv(cfg.output_dir / "a.csv", result.a)
     y = _synth_y(cfg)
@@ -168,45 +176,21 @@ def _cmd_invert(cfg: RunConfig, force: bool) -> int:
     }
     if scn is not None and scn.truth_a is not None:
         summary["recovery_error_a"], summary["recovery_error_u"] = recovery_error(result, scn)
-    summary["warnings"] = ([message] if message else []) + _recorded_warnings(caught)
-    write_json(cfg.output_dir / "summary.json", summary)
 
     if not result.converged:
         verdict = "diverged after" if result.stop_reason == "diverged" else "did not converge in"
         last = f"{result.F_diff_history[-1]:.3e}" if result.F_diff_history else "none"
         print(f"{verdict} {result.iterations} sweeps (last kept F_diff = {last})",
               file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_NO_CONVERGENCE, summary
     print(f"converged in {result.iterations} sweeps; "
           f"residual = {result.residual_norm:.6e}")
-    return EXIT_OK
+    return EXIT_OK, summary
 
 
-@contextlib.contextmanager
-def _recording_warnings():
-    """Record every RuntimeWarning raised in the block into the yielded list."""
-    with warnings.catch_warnings(record=True) as caught:
-        # "always": a message already shown in this process is kept too
-        warnings.simplefilter("always", RuntimeWarning)
-        yield caught
-
-
-def _recorded_warnings(caught) -> list[str]:
-    """Each distinct warning message once, in the order first raised."""
-    return list(dict.fromkeys(str(w.message) for w in caught))
-
-
-def _cmd_mms(cfg: RunConfig) -> int:
+def _cmd_mms(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.scenario_name is None:
         raise ConfigurationError("mms studies need a scenario config")
-
-    with _recording_warnings() as caught:
-        _mms_studies(cfg)
-    write_json(cfg.output_dir / "summary.json", {"warnings": _recorded_warnings(caught)})
-    return EXIT_OK
-
-
-def _mms_studies(cfg: RunConfig) -> None:
     rows = convergence_study(cfg.scenario_name, cfg.grid, cfg.params,
                              scale=cfg.scenario_scale, options=cfg.certify, tol_F=cfg.tol_F,
                              max_iters=cfg.max_iters, theta=cfg.theta)
@@ -233,6 +217,7 @@ def _mms_studies(cfg: RunConfig) -> None:
 
     print(f"mms studies written for {cfg.scenario_name}: "
           f"levels {levels}, uniqueness distance {distance:.3e}")
+    return EXIT_OK, {}
 
 
 if __name__ == "__main__":

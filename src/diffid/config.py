@@ -110,7 +110,7 @@ _SCHEMA = {
         "a_file": (_string, None, _PATH),
     },
     "output": {
-        "dir": (_string, _REQUIRED, None),
+        "dir": (_string, _REQUIRED, _PATH),
         "synth_ny": (_int, 32, (lambda v: v >= 2, "must be >= 2")),
     },
 }

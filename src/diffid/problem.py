@@ -4,6 +4,7 @@ the source stack's."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,17 +56,17 @@ class ProblemData:
                                 self.f_modes.modes)
         return replace(self, f_modes=f_scaled, phi_modes=s * self.phi_modes)
 
-    def compatibility(self) -> tuple[float, str | None]:
-        """The L2(G) norm of (pi/2) sum_k phi_k omega_k - psi(0, .), and the
-        message reporting it above COMPATIBILITY_RTOL times ||psi(0, .)||, or
-        None.  Never an error: NULL is inconsistent on purpose, and so are
-        scaled scenarios (phi scaled, psi kept)."""
+    def compatibility(self) -> float:
+        """The L2(G) norm of (pi/2) sum_k phi_k omega_k - psi(0, .), with a
+        RuntimeWarning when it exceeds COMPATIBILITY_RTOL times ||psi(0, .)||.
+        Never an error: NULL is inconsistent on purpose, and so are scaled
+        scenarios (phi scaled, psi kept)."""
         modes = np.arange(1, self.params.K + 1)
         mismatch = self.omega.measure(self.phi_modes, modes) - self.psi.values[0]
         residual = float(np.sqrt(l2_sq_G(mismatch, self.grid)))
         bound = COMPATIBILITY_RTOL * float(np.sqrt(l2_sq_G(self.psi.values[0], self.grid)))
         if residual > bound:
-            return residual, (f"data compatibility residual {residual:.3e} exceeds "
-                              f"{COMPATIBILITY_RTOL:g} * ||psi(0, .)|| = {bound:.3e}: "
-                              "phi and psi(0) disagree")
-        return residual, None
+            warnings.warn(f"data compatibility residual {residual:.3e} exceeds "
+                          f"{COMPATIBILITY_RTOL:g} * ||psi(0, .)|| = {bound:.3e}: "
+                          "phi and psi(0) disagree", RuntimeWarning)
+        return residual

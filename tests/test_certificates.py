@@ -270,6 +270,17 @@ def test_check_global_margins():
     ]
 
 
+
+def test_condition_side_beyond_float_range_fails_the_condition():
+    """A finite Psi_M whose square leaves float range fails the Poincare
+    condition with a margin of -inf, and is not an error."""
+    cert = Certificate(epsilon=1.0, A_eps=1.0, C_S=1.0, C_P=1.0, Psi_M=1e200, R=1e-3,
+                       R1=1e-3, T=0.5, boundary_margin=2, provenance="")
+    assert not cert.cond_global_poincare and not cert.global_pass
+    rows = {label: (margin, holds) for _, label, margin, holds in conditions(cert)}
+    assert rows["2*Psi_M^2*C_P <= A_eps^2*C_S^2"] == (-np.inf, False)
+    assert rows["4*R1*B < 1"] == (1.0 - cert.q_global, True)
+
 def _separate_checks(cert):
     """The local and the global condition table, label -> (margin, verdict),
     as two separate checks, flattened local first: the reference order."""

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -96,23 +97,32 @@ def test_certify_readme_config_prints_failing_conditions(tmp_path, capsys):
         "failing conditions: 4*R*B < 1; 4*R1*B < 1\n")
 
 
+def _compatibility(scenario, N=24, K=3, scale=1.0):
+    """The scenario's compatibility residual and the messages it warns with."""
+    data = build_scenario(scenario, Grid(np.pi, 0.5, Nx=N, Nt=N),
+                          SpectralParams(K=K, Ny=128), scale=scale).data
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        residual = data.compatibility()
+    bound = COMPATIBILITY_RTOL * np.sqrt(l2_sq_G(data.psi.values[0], data.grid))
+    return residual, bound, [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("scenario, incompatible", [("MMS-A", False), ("NULL", True)])
 def test_certify_reports_data_compatibility(tmp_path, capsys, scenario, incompatible):
+    """certify prints the residual, and above the bound one warning line."""
     out = tmp_path / "out"
     main(["certify", "--config", str(write_config(tmp_path, base_config(out, scenario)))])
-    data = build_scenario(scenario, Grid(np.pi, 0.5, Nx=24, Nt=24),
-                          SpectralParams(K=3, Ny=128)).data
-    residual, message = data.compatibility()
+    residual, bound, messages = _compatibility(scenario)
     assert json.loads((out / "certificate.json").read_text())["compatibility_residual"] == residual
     captured = capsys.readouterr()
     assert f"data compatibility residual: {residual:.6e}" in captured.out.splitlines()
-    bound = COMPATIBILITY_RTOL * np.sqrt(l2_sq_G(data.psi.values[0], data.grid))
     if incompatible:
-        assert residual > bound
-        assert captured.err == f"warning: {message}\n"
+        assert residual > bound and len(messages) == 1
+        assert captured.err == f"warning: {messages[0]}\n"
     else:
         assert residual <= 1e-12 * bound
-        assert message is None
+        assert messages == []
         assert captured.err == ""
 
 
@@ -255,6 +265,8 @@ DATA_FILES = {"psi_file": "psi.csv", "f_file": "f.csv", "phi_file": "phi.csv",
     # a data path must name a file: "" would resolve to the config's directory
     ("data", "psi_file", ""),
     ("data", "a_file", ""),
+    # "" would make the working directory the output directory
+    ("output", "dir", ""),
     ("grid", "Nx", "16"),
     ("spectral", "K", True),
 ])
@@ -443,7 +455,7 @@ def test_certificate_and_history_bytes(tmp_path):
 
     assert main(["certify", "--config", str(path)]) == 2
     assert (out / "certificate.json").read_bytes() == _reference_json(
-        {**asdict(cert), "compatibility_residual": data.compatibility()[0]})
+        {**asdict(cert), "compatibility_residual": data.compatibility()})
 
     assert main(["invert", "--config", str(path)]) == 2
     assert (out / "certificate.json").read_bytes() == _reference_json(asdict(cert))
@@ -513,23 +525,35 @@ def test_invert_reports_data_compatibility(tmp_path, scenario, force, incompatib
     args = ["invert", "--config", str(write_config(tmp_path, base_config(out, scenario)))]
     assert main(args + ["--force"] * force) == 0
     summary = json.loads((out / "summary.json").read_text())
-    data = build_scenario(scenario, Grid(np.pi, 0.5, Nx=24, Nt=24),
-                          SpectralParams(K=3, Ny=128)).data
-    residual, message = data.compatibility()
+    residual, bound, messages = _compatibility(scenario)
     assert summary["compatibility_residual"] == residual
-    bound = COMPATIBILITY_RTOL * np.sqrt(l2_sq_G(data.psi.values[0], data.grid))
     compat = [w for w in summary["warnings"] if w.startswith("data compatibility residual")]
     if incompatible:
         assert summary["compatibility_residual"] > bound
-        assert summary["warnings"] == compat == [message]
+        assert summary["warnings"] == compat == messages
         assert re.fullmatch(r"data compatibility residual \S+ exceeds 1e-06 \* \|\|psi\(0, \.\)\|\| "
                             r"= \S+: phi and psi\(0\) disagree", compat[0])
     else:
         assert summary["compatibility_residual"] <= 1e-12 * bound
-        assert compat == [] and message is None
+        assert compat == messages == []
     if scenario == "NULL":
         # zero truth u, zero result u: an absolute error of exactly 0
         assert summary["recovery_error_u"] == 0.0
+
+
+def test_failed_certificate_prints_the_compatibility_warning(tmp_path, capsys):
+    """invert without --force stops at the failed certificate (exit 2) with
+    no summary.json, so the compatibility warning is printed on stderr."""
+    out = tmp_path / "out"
+    cfg = base_config(out, N=32)
+    cfg["scenario"]["scale"] = 2.0
+    assert main(["invert", "--config", str(write_config(tmp_path, cfg))]) == 2
+    _, _, messages = _compatibility("MMS-A", N=32, scale=2.0)
+    err = capsys.readouterr().err.splitlines()
+    assert len(messages) == 1 and messages[0].startswith("data compatibility residual")
+    assert [line for line in err if line.startswith("warning:")] == [f"warning: {messages[0]}"]
+    assert err[0].startswith("certificate failed:")
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("scenario, edit", [

@@ -20,7 +20,7 @@ from diffid import (
     uniqueness_probe,
 )
 from diffid.errors import DataError
-from diffid.grids import diff2, interior_margin_mask
+from diffid.grids import diff2, interior_margin_mask, l2_sq_G
 from diffid.inversion import InversionResult, solution_norms
 
 
@@ -41,8 +41,24 @@ def test_unknown_scenario():
 @pytest.mark.parametrize("name", ["MMS-A", "MMS-B"])
 def test_compatibility_identity(name):
     scn = make_scenario(name)
-    residual, message = scn.data.compatibility()
-    assert residual <= 1e-10 and message is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = scn.data.compatibility()
+    assert isinstance(residual, float) and residual <= 1e-10
+
+
+@pytest.mark.parametrize("name, scale", [("NULL", 1.0), ("MMS-A", 2.0), ("MMS-B", 1e-3)])
+def test_compatibility_warns_when_phi_and_psi_disagree(name, scale):
+    """NULL is inconsistent on purpose, and a scaled scenario scales phi but
+    keeps psi: each returns its residual as a float and warns once."""
+    grid = Grid(np.pi, 0.5, Nx=32, Nt=32)
+    data = build_scenario(name, grid, SpectralParams(K=3, Ny=128), scale=scale).data
+    with pytest.warns(RuntimeWarning) as record:
+        residual = data.compatibility()
+    assert isinstance(residual, float) and residual > 0.0
+    assert [str(w.message) for w in record] == [
+        f"data compatibility residual {residual:.3e} exceeds 1e-06 * ||psi(0, .)|| = "
+        f"{1e-6 * np.sqrt(l2_sq_G(data.psi.values[0], grid)):.3e}: phi and psi(0) disagree"]
 
 
 def test_mmsa_numerator_identity():
