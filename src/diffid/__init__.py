@@ -10,7 +10,7 @@ from .errors import (
     DivisionHazardError,
     NumericalBlowupError,
 )
-from .grids import Grid, ScalarField, interior_margin_mask
+from .grids import Grid, ScalarField
 from .sinebasis import (
     F_functional,
     ModeFieldSet,

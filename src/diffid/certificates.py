@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DivisionHazardError, check_integer, check_positive
-from .grids import Grid, ScalarField, diff, diff2, interior_margin_mask
+from .grids import Grid, ScalarField, diff, diff2
 from .problem import ProblemData
 from .sinebasis import frac_norm
 
@@ -95,6 +95,8 @@ class Certificate:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ConfigurationError(f"certificate constant {name} = {v} is not a finite nonnegative number")
+        if self.C_P == 0:  # C_P = 1/lambda_1 > 0; a zero reads inf * 0 = nan below
+            raise ConfigurationError("certificate constant C_P = 0.0 is not positive")
         with np.errstate(over="ignore", invalid="ignore"):
             for _, _, flag, lhs, rhs, strict in _CONDITIONS:
                 object.__setattr__(self, flag, bool(lhs(self) < rhs(self) if strict
@@ -118,17 +120,18 @@ def compute_Psi(data: ProblemData, floor: float) -> ScalarField:
     DivisionHazardError naming the first such node.
     """
     grid, vals, f_modes = data.grid, data.psi.values, data.f_modes
-    hazard = (np.abs(vals) < floor) & interior_margin_mask(grid, 1)
+    x = grid.interior(1)
+    hazard = np.abs(vals[:, x]) < floor
     if np.any(hazard):
-        node = tuple(int(i) for i in np.argwhere(hazard)[0])
+        node = tuple(int(i) for i in np.argwhere(hazard)[0] + (0, x.start))
         raise DivisionHazardError(f"|psi| < {floor:g} at grid node {node}; cannot divide",
                                   node=node)
 
     dpsi_dt = diff(vals, grid.dt, axis=0)
-    lap = diff2(vals, grid.hx, axis=-1)
+    lap = diff2(vals, grid.hx)
     numer = -dpsi_dt + lap + data.omega.measure(f_modes.values, f_modes.modes)
     out = np.zeros_like(vals)
-    np.divide(numer[:, 1:-1], vals[:, 1:-1], out=out[:, 1:-1])
+    np.divide(numer[:, x], vals[:, x], out=out[:, x])
     return ScalarField(grid, out)
 
 
@@ -139,11 +142,10 @@ def compute_certificate(data: ProblemData, options: CertifyOptions) -> Certifica
     grid = data.grid
     eps = data.params.epsilon
     margin = options.boundary_margin
-    mask = interior_margin_mask(grid, margin)
-    region = np.broadcast_to(mask, grid.field_shape)
+    x = grid.interior(margin)
 
     Psi = compute_Psi(data, options.psi_floor)
-    psi_vals = np.abs(data.psi.values[region])
+    psi_vals = np.abs(data.psi.values[:, x])
     tau1, tau2 = data.params.tau1, data.params.tau2
     T = grid.T
 
@@ -155,7 +157,7 @@ def compute_certificate(data: ProblemData, options: CertifyOptions) -> Certifica
         A_eps = (np.sqrt(np.pi) * np.sqrt(1.0 + 1.0 / (2.0 * eps))
                  * data.omega.omega_dd_l2 * inv_psi_max)
 
-        Psi_M = np.max(np.abs(Psi.values[region]))
+        Psi_M = np.max(np.abs(Psi.values[:, x]))
 
         phi_1_tau1 = frac_norm(data.phi_modes, grid, tau1, level=1)
         phi_0_tau1 = frac_norm(data.phi_modes, grid, tau1, level=0)

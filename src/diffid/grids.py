@@ -1,18 +1,18 @@
 """Uniform space-time grids, fields, quadrature, and finite differences.
 
-Grid(Lx, T, Nx, Nt) covers the space-time cylinder (0, T) x (0, Lx),
-uniform in x and t with boundary nodes stored explicitly so homogeneous
-Dirichlet conditions can be enforced and checked.  All integrals are
-composite trapezoidal, consistent with the second-order difference stencils
-used everywhere else.
+Grid(Lx, T, Nx, Nt) covers the cylinder (0, T) x G, G = (0, Lx), uniform in
+x and t with boundary nodes stored explicitly so homogeneous Dirichlet
+conditions can be enforced and checked; Grid.interior(margin) alone turns a
+boundary margin into x-nodes.  All integrals are composite trapezoidal,
+consistent with the second-order difference stencils used everywhere else.
 
-Four kernels carry every derivative and norm: two differences along any
-axis, diff (first derivative, into a caller's buffer when one is given) and
-diff2 (second derivative), and two squared L2 norms, l2_sq_G of each space
-slice, which never forms v**2, and l2_sq_GT over the space-time cylinder.
-Each acts on its axes and treats every other axis as a batch axis, so a
-mode stack (K, Nt+1, Nx+2) goes through one call, and each batched result
-is bitwise equal to the per-slice one.  A gradient norm is the norm of
+Four kernels carry every derivative and norm: diff, the first derivative
+along any axis (into a caller's buffer when one is given), diff2, the second
+derivative along x, and two squared L2 norms, l2_sq_G of each space slice,
+which never forms v**2, and l2_sq_GT over the space-time cylinder.  Each acts
+on its axes and treats every other axis as a batch axis, so a mode stack
+(K, Nt+1, Nx+2) goes through one call, and each batched result is bitwise
+equal to the per-slice one.  A gradient norm is the norm of
 diff(v, grid.hx, axis=-1), and a norm is the square root of its square.
 """
 
@@ -61,12 +61,18 @@ class Grid:
         return np.linspace(0.0, self.T, self.Nt + 1)
 
     @property
-    def space_shape(self) -> tuple[int, ...]:
-        return (self.Nx + 2,)
+    def field_shape(self) -> tuple[int, int]:
+        return (self.Nt + 1, self.Nx + 2)
 
-    @property
-    def field_shape(self) -> tuple[int, ...]:
-        return (self.Nt + 1,) + self.space_shape
+    def interior(self, margin: int) -> slice:
+        """The x-nodes at least margin cells from both ends of G; a margin
+        must leave one, so it lies in [0, (Nx + 1) // 2]."""
+        largest = (self.Nx + 1) // 2
+        if not 0 <= margin <= largest:
+            raise ConfigurationError(
+                f"certify.boundary_margin = {margin} leaves no x-node on a grid with "
+                f"Nx = {self.Nx}; it must lie in [0, {largest}]")
+        return slice(margin, self.Nx + 2 - margin)
 
 
 @dataclass(frozen=True)
@@ -92,9 +98,8 @@ def l2_sq_G(values: np.ndarray, grid: Grid):
     reads inf, never nan).  It equals np.trapezoid(v**2, dx=hx) within
     1e-14 relative."""
     v = np.asarray(values, dtype=float)
-    if v.shape[-1:] != grid.space_shape:
-        raise DataError(f"trailing axis of shape {v.shape} does not match grid space shape "
-                        f"{grid.space_shape}")
+    if v.shape[-1:] != (grid.Nx + 2,):
+        raise DataError(f"shape {v.shape} does not end in the grid's {grid.Nx + 2} x-nodes")
     inner = v[..., 1:-1]
     ends = v[..., 0] * v[..., 0] + v[..., -1] * v[..., -1]
     out = (np.einsum("...i,...i->...", inner, inner) + 0.5 * ends) * grid.hx
@@ -131,24 +136,12 @@ def diff(values: np.ndarray, h: float, axis: int, out: np.ndarray | None = None)
     return out
 
 
-def diff2(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second derivative along one axis with step h: central inside, one-sided
-    second-order (exact for cubics) at the two end nodes."""
-    v = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
+def diff2(v: np.ndarray, h: float) -> np.ndarray:
+    """Second derivative along x, the last axis, with step h: central inside,
+    one-sided second-order (exact for cubics) at the two end nodes."""
+    v = np.asarray(v, dtype=float)
     out = np.empty_like(v)
-    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-    return np.moveaxis(out, 0, axis)
-
-
-def interior_margin_mask(grid: Grid, margin: int) -> np.ndarray:
-    """Boolean mask over space nodes at distance >= margin cells from the boundary."""
-    if margin < 0:
-        raise ConfigurationError(f"margin must be nonnegative, got {margin}")
-    mask = np.zeros(grid.space_shape, dtype=bool)
-    hi_x = grid.Nx + 2 - margin
-    if margin >= hi_x:
-        raise ConfigurationError(f"margin {margin} leaves no interior nodes on the x axis")
-    mask[margin:hi_x] = True
-    return mask
+    out[..., 1:-1] = (v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]) / h**2
+    out[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / h**2
+    out[..., -1] = (2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]) / h**2
+    return out

@@ -59,7 +59,8 @@ def _coefficient(u: ModeFieldSet, data: ProblemData, Psi: ScalarField) -> np.nda
     for c_j, u_j in zip(data.omega.couplings[u.modes - 1], u.values):
         series += c_j * u_j
     a = Psi.values.copy()
-    a[:, 1:-1] += series[:, 1:-1] / data.psi.values[:, 1:-1]
+    x = u.grid.interior(1)
+    a[:, x] += series[:, x] / data.psi.values[:, x]
     return a
 
 
@@ -84,13 +85,13 @@ def iterate(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,
 
 def reconstruct_a(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,
                   margin: int) -> ScalarField:
-    """The coefficient of u, the one picard_source lags, on the interior
-    margin; nodes outside the margin copy the nearest margin node.  Psi
-    comes from compute_Psi of data."""
+    """The coefficient of u, the one picard_source lags, on
+    u.grid.interior(margin); nodes outside it copy the nearest node inside.
+    Psi comes from compute_Psi of data."""
     a_vals = _coefficient(u, data, Psi)
-    lo, hi = margin, u.grid.Nx + 2 - margin
-    a_vals[:, :lo] = a_vals[:, lo:lo + 1]
-    a_vals[:, hi:] = a_vals[:, hi - 1:hi]
+    x = u.grid.interior(margin)
+    a_vals[:, :x.start] = a_vals[:, x.start:x.start + 1]
+    a_vals[:, x.stop:] = a_vals[:, x.stop - 1:x.stop]
     return ScalarField(u.grid, a_vals)
 
 

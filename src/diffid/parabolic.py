@@ -56,18 +56,18 @@ def march_modes(sources: ModeFieldSet, phi_modes: np.ndarray, theta: float = 0.5
     phi_modes, the dense (K, Nx+2) initial stack.  reaction, a (Nt+1, Nx+2)
     field, adds the a-term; None drops it.
 
-    Overwrites sources.values with the solution and returns the stack that
-    wraps it; an empty stack returns at once.  Raises NumericalBlowupError
-    naming the mode of the first row with a non-finite value and that row's
-    first non-finite step.
+    Overwrites sources.values with the solution and returns sources; an
+    empty stack returns at once.  Raises NumericalBlowupError naming the
+    mode of the first row with a non-finite value and that row's first
+    non-finite step.
     """
     if not 0.5 <= theta <= 1.0:
         raise ConfigurationError(f"theta must lie in [0.5, 1], got {theta}")
     grid, modes, values = sources.grid, sources.modes, sources.values
     phi_modes = np.asarray(phi_modes, dtype=float)
-    if phi_modes.shape != (sources.K,) + grid.space_shape:
+    if phi_modes.shape != (sources.K, grid.Nx + 2):
         raise ConfigurationError(
-            f"initial stack shape {phi_modes.shape} != {(sources.K,) + grid.space_shape}")
+            f"initial stack shape {phi_modes.shape} != {(sources.K, grid.Nx + 2)}")
     if not len(modes):
         return sources
     if reaction is not None:
@@ -99,7 +99,7 @@ def march_modes(sources: ModeFieldSet, phi_modes: np.ndarray, theta: float = 0.5
             step = int(np.argmin(finite)) + 1
             raise NumericalBlowupError(f"mode {k}: non-finite values at time step {step}",
                                        mode=k, step=step)
-    return ModeFieldSet(grid, sources.params, values, modes, check_finite=False)
+    return sources
 
 
 @functools.lru_cache(maxsize=8)

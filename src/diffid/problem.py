@@ -32,7 +32,7 @@ class ProblemData:
         if self.f_modes.grid != self.grid:
             raise DataError(f"f grid {self.f_modes.grid} does not match psi grid {self.grid}")
         phi = np.asarray(self.phi_modes, dtype=float)
-        expected = (self.params.K,) + self.grid.space_shape
+        expected = (self.params.K, self.grid.Nx + 2)
         if phi.shape != expected:
             raise DataError(f"phi mode stack shape {phi.shape} != {expected}")
         if not np.all(np.isfinite(phi)):

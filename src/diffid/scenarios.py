@@ -29,7 +29,7 @@ import numpy as np
 
 from .certificates import CertifyOptions, compute_Psi
 from .errors import ConfigurationError, DataError
-from .grids import Grid, ScalarField, diff, diff2, interior_margin_mask, l2_sq_GT
+from .grids import Grid, ScalarField, diff, diff2, l2_sq_GT
 from .inversion import InversionResult, iterate, run_inversion
 from .parabolic import forced_modes
 from .problem import ProblemData
@@ -64,7 +64,7 @@ def build_scenario(name: str, grid: Grid, params: SpectralParams,
     t, x = grid.t, grid.x
     decay = np.exp(-t)[:, None] * np.sin(x)[None, :]
 
-    phi = np.zeros((params.K,) + grid.space_shape)
+    phi = np.zeros((params.K, grid.Nx + 2))
     if name == "NULL":
         psi = ScalarField(grid, 1.0 + x[None, :] ** 2 + 2.0 * t[:, None])
         truth_a = ScalarField(grid, np.zeros(grid.field_shape))
@@ -85,15 +85,16 @@ def build_scenario(name: str, grid: Grid, params: SpectralParams,
     return Scenario(name, data, truth_a, truth_u, scale)
 
 
-def _masked_rel_l2(values: np.ndarray, truth: np.ndarray, mask: np.ndarray,
-                   count: int | None = None) -> float:
-    """Relative RMS over masked space nodes (absolute when the truth vanishes).
-    count is the number of nodes averaged over, when the arrays leave out
-    zero rows; by default it is the number of masked nodes they hold."""
-    dev = (values - truth)[..., mask]
+def _rel_l2(values: np.ndarray, truth: np.ndarray, x: slice, count: int | None = None) -> float:
+    """Relative RMS over the x-nodes of the slice x (absolute when the truth
+    vanishes).  count is the number of nodes averaged over, when the arrays
+    leave out zero rows; by default it is the number of nodes they hold."""
+    # integers, not the slice: np.sum reduces a copy and a view in different orders
+    nodes = np.arange(values.shape[-1])[x]
+    dev = (values - truth)[..., nodes]
     count = dev.size if count is None else count
     dev = np.sqrt(np.sum(dev**2) / count)
-    ref = np.sqrt(np.sum(truth[..., mask] ** 2) / count)
+    ref = np.sqrt(np.sum(truth[..., nodes] ** 2) / count)
     return float(dev / ref) if ref > 0 else float(dev)
 
 
@@ -105,13 +106,13 @@ def recovery_error(result: InversionResult, scenario: Scenario) -> tuple[float, 
     if scenario.truth_a is None:
         raise DataError(f"scenario {scenario.name!r} at scale {scenario.scale} has no truth fields")
     grid = result.a.grid
-    mask = interior_margin_mask(grid, result.margin)
+    x = grid.interior(result.margin)
     u, truth = result.u_modes, scenario.truth_u_modes
     # a set union, not np.union1d: np.unique imports numpy.ma (1.4 MB)
     modes = np.array(sorted({*u.modes.tolist(), *truth.modes.tolist()}), dtype=int)
-    return (_masked_rel_l2(result.a.values, scenario.truth_a.values, mask),
-            _masked_rel_l2(u.rows(modes).values, truth.rows(modes).values, mask,
-                           count=u.K * (grid.Nt + 1) * int(np.count_nonzero(mask))))
+    return (_rel_l2(result.a.values, scenario.truth_a.values, x),
+            _rel_l2(u.rows(modes).values, truth.rows(modes).values, x,
+                    count=u.K * (grid.Nt + 1) * len(range(grid.Nx + 2)[x])))
 
 
 def convergence_study(name: str, grid: Grid, params: SpectralParams, scale: float = 1.0,
@@ -122,7 +123,8 @@ def convergence_study(name: str, grid: Grid, params: SpectralParams, scale: floa
     err_a, err_u, residual, iterations, converged, the observed order_a
     against the level before, and the level's scenario and result.  Errors
     are NaN for a scaled scenario, which has no truth.  A level with Nx or Nt
-    below 8 is a ConfigurationError that names grid.Nx or grid.Nt."""
+    below 8, or a margin that leaves the coarsest level no x-node, is a
+    ConfigurationError naming grid.Nx, grid.Nt or certify.boundary_margin."""
     sizes = [(N, round(grid.Nt * N / grid.Nx)) for N in (grid.Nx // 4, grid.Nx // 2, grid.Nx)]
     for axis, counts in zip(("Nx", "Nt"), zip(*sizes)):
         if counts[0] < 8:
@@ -130,6 +132,7 @@ def convergence_study(name: str, grid: Grid, params: SpectralParams, scale: floa
                 f"a convergence study needs levels Nx//4, Nx//2, Nx with Nt scaled in "
                 f"proportion, each at least 8; grid.{axis} = {counts[-1]} gives "
                 f"{axis} = {list(counts)}")
+    replace(grid, Nx=sizes[0][0], Nt=sizes[0][1]).interior(options.boundary_margin)
     rows = []
     prev_err = float("nan")
     for N, Nt in sizes:
@@ -174,8 +177,7 @@ def uniqueness_probe(data: ProblemData, a: ScalarField,
     start = ModeFieldSet(data.grid, data.params, warm.values, warm.modes)
     res_warm = run_inversion(data, options, tol_F=tol_F, max_iters=max_iters,
                              theta=theta, force=True, initial=start)
-    mask = interior_margin_mask(data.grid, options.boundary_margin)
-    return _masked_rel_l2(a.values, res_warm.a.values, mask)
+    return _rel_l2(a.values, res_warm.a.values, data.grid.interior(options.boundary_margin))
 
 
 def strong_diagnostics(u: ModeFieldSet, norms: dict) -> dict:
@@ -186,7 +188,7 @@ def strong_diagnostics(u: ModeFieldSet, norms: dict) -> dict:
     grid = u.grid
     sq_GT = l2_sq_GT(u.values, grid)
     dt_sq = l2_sq_GT(diff(u.values, grid.dt, axis=1), grid)
-    lap_sq = l2_sq_GT(diff2(u.values, grid.hx, axis=-1), grid)
+    lap_sq = l2_sq_GT(diff2(u.values, grid.hx), grid)
 
     half_pi = np.pi / 2.0
     return {

@@ -251,7 +251,7 @@ def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0) -> float:
         v = mode_values.values
     else:
         v = np.asarray(mode_values, dtype=float)
-    if v.shape[1:] == grid.space_shape:
+    if v.shape[1:] == (grid.Nx + 2,):
         sq = l2_sq_G
     elif v.shape[1:] == grid.field_shape:
         sq = l2_sq_GT

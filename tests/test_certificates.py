@@ -25,7 +25,6 @@ from diffid import (
 from diffid.certificates import Certificate
 from diffid.errors import DataError, DivisionHazardError
 from diffid.fileio import write_json
-from diffid.grids import interior_margin_mask
 from diffid.sinebasis import frac_norm
 
 
@@ -40,7 +39,7 @@ def constant_psi_data(Lx=np.pi, T=1.0, Nx=32, Nt=16, f_const=0.0, K=2, epsilon=1
     return ProblemData(
         psi=ScalarField(grid, np.ones(grid.field_shape)),
         f_modes=ModeFieldSet(grid, params, f_vals),
-        phi_modes=np.zeros((K,) + grid.space_shape),
+        phi_modes=np.zeros((K, grid.Nx + 2)),
         omega=om,
     )
 
@@ -48,9 +47,9 @@ def constant_psi_data(Lx=np.pi, T=1.0, Nx=32, Nt=16, f_const=0.0, K=2, epsilon=1
 @pytest.mark.parametrize("change, message", [
     pytest.param(lambda g, p: {"f_modes": ModeFieldSet.empty(Grid(np.pi, 1.0, Nx=32, Nt=8), p)},
                  "f grid .* does not match psi grid", id="f-grid"),
-    pytest.param(lambda g, p: {"phi_modes": np.zeros((3,) + g.space_shape)},
+    pytest.param(lambda g, p: {"phi_modes": np.zeros((3, g.Nx + 2))},
                  r"phi mode stack shape \(3, 34\) != \(2, 34\)", id="phi-shape"),
-    pytest.param(lambda g, p: {"phi_modes": np.full((2,) + g.space_shape, np.nan)},
+    pytest.param(lambda g, p: {"phi_modes": np.full((2, g.Nx + 2), np.nan)},
                  "phi modes contain non-finite values", id="phi-nan"),
     pytest.param(lambda g, p: {"omega": OmegaData.from_profiles(p.y, np.sin(p.y), 3)},
                  "omega carries 3 sine coefficients, need K = 2", id="omega-K-above"),
@@ -71,8 +70,8 @@ def test_Psi_mmsa_equals_two():
     grid = Grid(np.pi, 1.0, Nx=128, Nt=128)
     scn = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=256))
     Psi = compute_Psi(scn.data, 1e-12)
-    mask = interior_margin_mask(grid, 2)
-    assert np.max(np.abs(Psi.values[:, mask] - 2.0)) <= 1e-2
+    inner = grid.interior(2)
+    assert np.max(np.abs(Psi.values[:, inner] - 2.0)) <= 1e-2
 
 
 def test_Psi_caloric_measurement_vanishes():
@@ -83,8 +82,8 @@ def test_Psi_caloric_measurement_vanishes():
     data = replace(build_scenario("NULL", grid, params).data,
                    psi=ScalarField(grid, np.exp(-grid.t)[:, None] * np.sin(grid.x)[None, :]))
     Psi = compute_Psi(data, 1e-12)
-    mask = interior_margin_mask(grid, 2)
-    assert np.max(np.abs(Psi.values[:, mask])) <= 1e-3
+    inner = grid.interior(2)
+    assert np.max(np.abs(Psi.values[:, inner])) <= 1e-3
 
 
 def test_Psi_scale_invariance():
@@ -182,7 +181,7 @@ def test_R_terms_scale_quadratically():
     grid = Grid(np.pi, 0.5, Nx=32, Nt=16)
     params = SpectralParams(K=3, Ny=64)
     rng = np.random.default_rng(13)
-    phi = rng.standard_normal((3,) + grid.space_shape)
+    phi = rng.standard_normal((3, grid.Nx + 2))
     s = 3.0
     for tau, level in ((params.tau1, 1), (params.tau1, 0), (params.tau2, 0)):
         base = frac_norm(phi, grid, tau, level=level)
@@ -197,7 +196,7 @@ def test_q_local_scale_covariance_with_fixed_Psi():
     params = SpectralParams(K=2, Ny=64)
     om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
     rng = np.random.default_rng(3)
-    phi = rng.standard_normal((2,) + grid.space_shape)
+    phi = rng.standard_normal((2, grid.Nx + 2))
     psi = ScalarField(grid, np.ones(grid.field_shape))
 
     def cert_for(scale):
@@ -280,6 +279,14 @@ def test_condition_side_beyond_float_range_fails_the_condition():
     rows = {label: (margin, holds) for _, label, margin, holds in conditions(cert)}
     assert rows["2*Psi_M^2*C_P <= A_eps^2*C_S^2"] == (-np.inf, False)
     assert rows["4*R1*B < 1"] == (1.0 - cert.q_global, True)
+
+
+@pytest.mark.parametrize("C_P", [0.0, -1.0])
+def test_certificate_rejects_a_poincare_constant_that_is_not_positive(C_P):
+    # C_P = 1/lambda_1 > 0; a zero would read 2*Psi_M^2*C_P as inf * 0 = nan
+    with pytest.raises(ConfigurationError, match=r"^certificate constant C_P = "):
+        Certificate(epsilon=1.0, A_eps=1.0, C_S=1.0, C_P=C_P, Psi_M=1e200, R=1e-3,
+                    R1=1e-3, T=0.5, boundary_margin=2, provenance="")
 
 def _separate_checks(cert):
     """The local and the global condition table, label -> (margin, verdict),

@@ -895,3 +895,42 @@ def test_mms_rejects_grid_with_fewer_than_three_levels(tmp_path, capsys, Nx, Nt,
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and named in err
     assert not (out / "convergence.csv").exists()
+
+
+def test_mms_rejects_a_margin_that_leaves_the_coarsest_level_no_node(tmp_path, capsys):
+    # Nx = 32 has the coarsest level Nx = 8, whose margin may be at most 4
+    out = tmp_path / "out"
+    cfg = base_config(out, scenario="MMS-A", N=32, K=3)
+    cfg["certify"]["boundary_margin"] = 5
+    assert main(["mms", "--config", str(write_config(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: certify\.boundary_margin = 5 [^\n]*Nx = 8[^\n]*\[0, 4\]\n",
+                        err), err
+    assert not (out / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "config file not found"),
+    ("{\"domain\": ", "config is not valid JSON"),
+    ("[1, 2]", "config: the top level must be an object"),
+    ("{\"domain\": [1]}", "config: section 'domain' must be an object"),
+], ids=["missing", "not-json", "top-level-list", "section-list"])
+def test_config_that_cannot_be_read_exits_one(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main(["certify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(message)}[^\n]*\n", err), err
+
+
+def test_mms_on_a_scaled_scenario_reports_nan_errors(tmp_path):
+    # a scaled scenario has no truth pair: every level runs, with no error to report
+    out = tmp_path / "out"
+    cfg = base_config(out, scenario="MMS-B", N=32, K=3)
+    cfg["scenario"]["scale"] = 0.5
+    assert main(["mms", "--config", str(write_config(tmp_path, cfg))]) == 0
+    with open(out / "convergence.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["N"] for row in rows] == ["8", "16", "32"]
+    assert all(row[key] == "nan" for row in rows for key in ("err_a", "err_u", "order_a"))

@@ -72,7 +72,7 @@ def test_modes_roundtrip(tmp_path, grid):
 def test_mode_profiles_roundtrip(tmp_path, grid):
     params = SpectralParams(K=2, Ny=64)
     rng = np.random.default_rng(3)
-    phi = rng.standard_normal((2,) + grid.space_shape)
+    phi = rng.standard_normal((2, grid.Nx + 2))
     path = tmp_path / "phi.csv"
     write_mode_profiles_csv(path, phi, grid.x)
     back = read_mode_profiles_csv(path, grid, params)
@@ -201,7 +201,7 @@ def test_slices_longer_than_one_write_match_reference_bytes(tmp_path):
 def test_writer_checks_each_slice_and_the_slice_count(tmp_path, grid):
     path = tmp_path / "psi.csv"
     axes = [grid.t, grid.x]
-    good = np.zeros(grid.space_shape)
+    good = np.zeros(grid.Nx + 2)
     for slices, message in (([good] * 4 + [good[:-1]], r"slice 4 of shape \(7,\)"),
                             ([good] * 6, r"slice 5 of shape"),
                             ([good] * 4, r"4 slices for 5 nodes of t")):
@@ -444,7 +444,7 @@ def _write_grid_file(path, grid, K):
         values = rng.standard_normal((K,) + grid.field_shape)
         write_modes_csv(path, ModeFieldSet(grid, params, values))
         return lambda: read_modes_csv(path, grid, params).values, values
-    values = rng.standard_normal((K,) + grid.space_shape)
+    values = rng.standard_normal((K, grid.Nx + 2))
     write_mode_profiles_csv(path, values, grid.x)
     return lambda: read_mode_profiles_csv(path, grid, params), values
 

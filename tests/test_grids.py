@@ -9,8 +9,8 @@ from diffid import (
     Grid,
     ScalarField,
     SpectralParams,
-    interior_margin_mask,
 )
+from diffid.errors import DataError
 from diffid.grids import diff, diff2, l2_sq_G, l2_sq_GT
 
 
@@ -36,7 +36,7 @@ def test_build_grid_rejects_small_counts():
 
 def test_grid_spans_an_interval():
     g = Grid(np.pi, 0.5, Nx=8, Nt=4)
-    assert (g.Lx, g.T, g.space_shape) == (np.pi, 0.5, (10,))
+    assert (g.Lx, g.T, g.field_shape) == (np.pi, 0.5, (5, 10))
     for Lx in (0.0, -1.0):
         with pytest.raises(ConfigurationError, match="Lx=.* not a finite positive number"):
             Grid(Lx, 1.0, Nx=8, Nt=4)
@@ -69,8 +69,8 @@ def test_constructors_reject_nonfinite_and_nonintegral(make, field):
 def test_integrate_constant_exact():
     # the trapezoid with step hx over the Nx+2 nodes spans exactly (0, Lx)
     g = grid_1d(Nx=17)
-    assert np.trapezoid(np.ones(g.space_shape), dx=g.hx) == pytest.approx(np.pi, abs=1e-12)
-    assert np.trapezoid(np.zeros(g.space_shape), dx=g.hx) == 0.0
+    assert np.trapezoid(np.ones(g.Nx + 2), dx=g.hx) == pytest.approx(np.pi, abs=1e-12)
+    assert np.trapezoid(np.zeros(g.Nx + 2), dx=g.hx) == 0.0
 
 
 def test_integrate_sin():
@@ -81,7 +81,14 @@ def test_integrate_sin():
 def test_l2_norm_G_sin():
     g = grid_1d(Nx=128)
     assert np.sqrt(l2_sq_G(np.sin(g.x), g)) == pytest.approx(np.sqrt(np.pi / 2), abs=1e-3)
-    assert l2_sq_G(np.zeros(g.space_shape), g) == 0.0
+    assert l2_sq_G(np.zeros(g.Nx + 2), g) == 0.0
+
+
+def test_l2_sq_G_rejects_a_trailing_axis_off_the_grid():
+    g = grid_1d(Nx=8, Nt=4)
+    for v in (np.zeros(9), np.zeros((5, 11)), np.float64(1.0)):
+        with pytest.raises(DataError, match=r"does not end in the grid's 10 x-nodes"):
+            l2_sq_G(v, g)
 
 
 def test_l2_norm_GT_separable():
@@ -123,7 +130,7 @@ def test_grad_sin():
 
 def test_laplacian_quadratic_exact():
     g = grid_1d(Nx=25)
-    lap = diff2(g.x**2, g.hx, axis=-1)
+    lap = diff2(g.x**2, g.hx)
     assert np.max(np.abs(lap - 2.0)) < 1e-9
 
 
@@ -137,12 +144,15 @@ def test_field_validation():
         ScalarField(g, bad)
 
 
-def test_interior_margin_mask():
+def test_grid_interior():
     g = grid_1d(Nx=6, Nt=4)  # nodes 0..7
-    mask = interior_margin_mask(g, 2)
-    assert mask.tolist() == [False, False, True, True, True, True, False, False]
-    with pytest.raises(ConfigurationError):
-        interior_margin_mask(g, 5)
+    assert np.arange(8)[g.interior(2)].tolist() == [2, 3, 4, 5]
+    assert (g.interior(0), g.interior(3)) == (slice(0, 8), slice(3, 5))
+    assert np.arange(9)[grid_1d(Nx=7).interior(4)].tolist() == [4]
+    for margin in (-1, 4):
+        with pytest.raises(ConfigurationError,
+                           match=rf"certify\.boundary_margin = {margin} .* Nx = 6.*\[0, 3\]"):
+            g.interior(margin)
 
 
 def _ref_sq_GT(v, grid, grad=False):
@@ -169,9 +179,9 @@ def test_l2_sq_GT_batched_matches_slice_loop(case):
 @given(case=grid_and_stack())
 def test_stencils_batched_match_per_slice(case):
     grid, stack = case
-    for fn in (diff2, diff):
-        per_slice = np.array([[fn(s, grid.hx, axis=-1) for s in v] for v in stack])
-        assert np.array_equal(fn(stack, grid.hx, axis=-1), per_slice)
+    for fn in (diff2, lambda v, h: diff(v, h, axis=-1)):
+        per_slice = np.array([[fn(s, grid.hx) for s in v] for v in stack])
+        assert np.array_equal(fn(stack, grid.hx), per_slice)
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,4 +207,4 @@ def test_l2_sq_G_matches_trapezoid_of_square(case):
     assert got.shape == ref.shape
     assert np.all(np.abs(got - ref) <= 1e-14 * ref)
     assert l2_sq_G(stack[0, 0], grid) == got[0, 0]
-    assert l2_sq_G(np.zeros(grid.space_shape), grid) == 0.0
+    assert l2_sq_G(np.zeros(grid.Nx + 2), grid) == 0.0

@@ -27,8 +27,7 @@ from diffid import (
     run_inversion,
     strong_diagnostics,
 )
-from diffid.errors import CertificateFailure, DataError
-from diffid.grids import interior_margin_mask
+from diffid.errors import CertificateFailure, ConfigurationError, DataError
 from diffid.inversion import solution_norms
 from diffid.problem import ProblemData
 
@@ -134,8 +133,8 @@ def test_null_is_a_one_sweep_fixed_point(Nx, Nt, K, T):
     assert res.F_diff_history == (0.0,)
     assert not np.any(res.u_modes.values)
     Psi = compute_Psi(data, 1e-12)
-    mask = interior_margin_mask(grid, res.margin)
-    assert np.array_equal(res.a.values[:, mask], Psi.values[:, mask])
+    inner = grid.interior(res.margin)
+    assert np.array_equal(res.a.values[:, inner], Psi.values[:, inner])
 
 
 def _full_stack_loop(data, Psi, tol_F, max_iters, theta, initial, margin):
@@ -175,7 +174,7 @@ def sparse_mode_problem(draw):
         return scale * rng.standard_normal((K,) + shape) * live.reshape((K,) + (1,) * len(shape))
 
     f_modes = ModeFieldSet(grid, params, rows(grid.field_shape))
-    data = ProblemData(psi=base.psi, f_modes=f_modes, phi_modes=rows(grid.space_shape),
+    data = ProblemData(psi=base.psi, f_modes=f_modes, phi_modes=rows((grid.Nx + 2,)),
                        omega=base.omega)
     initial = ModeFieldSet(grid, params, rows(grid.field_shape)) if draw(st.booleans()) else None
     return data, initial, draw(st.floats(0.5, 1.0)), draw(st.integers(1, 6))
@@ -210,8 +209,8 @@ def test_reconstruct_zero_modes_gives_Psi():
     data, grid = scn.data, scn.data.grid
     Psi = compute_Psi(data, 1e-12)
     a = reconstruct_a(ModeFieldSet.empty(grid, data.params).full(), data, Psi, 2)
-    mask = interior_margin_mask(grid, 2)
-    assert np.array_equal(a.values[:, mask], Psi.values[:, mask])
+    inner = grid.interior(2)
+    assert np.array_equal(a.values[:, inner], Psi.values[:, inner])
 
 
 def test_reconstruct_exact_mmsa_fields():
@@ -219,8 +218,22 @@ def test_reconstruct_exact_mmsa_fields():
     data, grid = scn.data, scn.data.grid
     Psi = compute_Psi(data, 1e-12)
     a = reconstruct_a(scn.truth_u_modes, data, Psi, 2)
-    mask = interior_margin_mask(grid, 2)
-    assert np.max(np.abs(a.values[:, mask] - 1.0)) <= 1e-2
+    inner = grid.interior(2)
+    assert np.max(np.abs(a.values[:, inner] - 1.0)) <= 1e-2
+
+
+def test_reconstruct_copies_the_nodes_outside_the_margin():
+    # Nx = 16 has x-nodes 0..17, so a margin leaves a node up to (16 + 1) // 2 = 8
+    scn = build_scenario("MMS-B", Grid(np.pi, 0.5, Nx=16, Nt=16), SpectralParams(K=2, Ny=64))
+    Psi = compute_Psi(scn.data, 1e-12)
+    for margin in (2, 8):
+        a = reconstruct_a(scn.truth_u_modes, scn.data, Psi, margin).values
+        assert np.array_equal(a[:, :margin], np.repeat(a[:, margin:margin + 1], margin, axis=1))
+        assert np.array_equal(a[:, 18 - margin:], np.repeat(a[:, 17 - margin:18 - margin],
+                                                            margin, axis=1))
+    with pytest.raises(ConfigurationError,
+                       match=r"certify\.boundary_margin = 9 .*Nx = 16.*\[0, 8\]"):
+        reconstruct_a(scn.truth_u_modes, scn.data, Psi, 9)
 
 
 def test_reconstruct_joint_rescale_invariance():
@@ -315,7 +328,7 @@ def test_zero_measurement_rejected():
     om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
     data = ProblemData(psi=ScalarField(grid, np.zeros(grid.field_shape)),
                        f_modes=ModeFieldSet.empty(grid, params),
-                       phi_modes=np.zeros((2,) + grid.space_shape), omega=om)
+                       phi_modes=np.zeros((2, grid.Nx + 2)), omega=om)
     with pytest.raises(DivisionHazardError):
         run_inversion(data, tol_F=1e-10, max_iters=5, force=True)
 

@@ -43,7 +43,7 @@ def march(g, S, phi, theta=0.5, reaction=None, modes=None):
 def march_one(k, g, source=None, initial=None, theta=0.5, reaction=None):
     """Mode k alone: row k-1 of a K = k stack whose other rows are zero."""
     sources = np.zeros((k,) + g.field_shape)
-    phis = np.zeros((k,) + g.space_shape)
+    phis = np.zeros((k, g.Nx + 2))
     if source is not None:
         sources[k - 1] = source
     if initial is not None:
@@ -65,7 +65,7 @@ def test_analytic_decay():
 
 def test_zero_data_stays_zero():
     g = grid_1d(Nx=32, Nt=16)
-    u = march(g, np.zeros((3,) + g.field_shape), np.zeros((3,) + g.space_shape))
+    u = march(g, np.zeros((3,) + g.field_shape), np.zeros((3, g.Nx + 2)))
     assert np.max(np.abs(u)) == 0.0
 
 
@@ -94,9 +94,9 @@ def test_dirichlet_boundary_exact_zero():
 def test_l2_stability_nonnegative_reaction(theta):
     g = grid_1d(Nx=48, Nt=24, T=2.0)
     rng = np.random.default_rng(9)
-    a_profile = rng.random(g.space_shape) * 2.0
+    a_profile = rng.random(g.Nx + 2) * 2.0
     reaction = np.broadcast_to(a_profile, g.field_shape)
-    phi = rng.standard_normal(g.space_shape)
+    phi = rng.standard_normal(g.Nx + 2)
     phi[0] = phi[-1] = 0.0
     u = march_one(1, g, initial=phi, theta=theta, reaction=reaction)
     norms = [np.sqrt(l2_sq_G(u[n], g)) for n in range(g.Nt + 1)]
@@ -108,7 +108,7 @@ def test_mode_decoupling_bitwise():
     g = grid_1d(Nx=32, Nt=16)
     rng = np.random.default_rng(21)
     f_vals = rng.standard_normal((3,) + g.field_shape)
-    phi = rng.standard_normal((3,) + g.space_shape)
+    phi = rng.standard_normal((3, g.Nx + 2))
     phi[:, 0] = phi[:, -1] = 0.0
 
     u1 = march(g, f_vals.copy(), phi)
@@ -127,7 +127,7 @@ def test_forward_mode2_decay():
     g = grid_1d(Nx=128, Nt=128, T=1.0)
     params = SpectralParams(K=2, Ny=64)
     f = ModeFieldSet.empty(g, params)
-    phi = np.zeros((2,) + g.space_shape)
+    phi = np.zeros((2, g.Nx + 2))
     phi[1] = np.sin(g.x)
     u = solve_forward(ScalarField(g, np.zeros(g.field_shape)), f, phi)
     exact = np.exp(-5.0 * g.t)[:, None] * np.sin(g.x)[None, :]
@@ -143,7 +143,7 @@ def test_forward_with_reaction_manufactured():
     a = ScalarField(g, np.ones(g.field_shape))
     f_vals = np.zeros((2,) + g.field_shape)
     f_vals[0] = 2.0 * np.exp(-g.t)[:, None] * np.sin(g.x)[None, :]
-    phi = np.zeros((2,) + g.space_shape)
+    phi = np.zeros((2, g.Nx + 2))
     phi[0] = np.sin(g.x)
     u = solve_forward(a, ModeFieldSet(g, params, f_vals), phi).full()
     exact = np.exp(-g.t)[:, None] * np.sin(g.x)[None, :]
@@ -170,6 +170,22 @@ def test_blowup_reported_with_step():
             march_one(1, g, initial=np.sin(g.x), theta=theta, reaction=a)
     assert err.value.mode == 1
     assert err.value.step is not None
+
+
+def test_forward_solve_failure_names_mode_and_step():
+    # theta = 1 and a = -(1 + dt (1 + mu_1)) / dt, mu_1 the least eigenvalue of
+    # the discrete -d^2/dx^2, make mode 1's implicit step singular: the march
+    # runs away, and solve_forward re-raises the blowup under its own prefix
+    g = Grid(np.pi, 0.5, Nx=16, Nt=64)
+    mu_1 = 4.0 / g.hx**2 * np.sin(np.pi / (2 * (g.Nx + 1)))**2
+    a = ScalarField(g, np.full(g.field_shape, -(1.0 + g.dt * (1.0 + mu_1)) / g.dt))
+    f = ModeFieldSet.empty(g, SpectralParams(K=1))
+    with pytest.warns(RuntimeWarning, match="negative reaction"):
+        with pytest.raises(NumericalBlowupError, match=r"^forward solve failed: mode 1: "
+                           r"non-finite values at time step 19$") as err:
+            solve_forward(a, f, np.sin(g.x)[None], theta=1.0)
+    assert (err.value.mode, err.value.step) == (1, 19)
+    assert isinstance(err.value.__cause__, NumericalBlowupError)
 
 
 def test_overdetermination_residual_exact_fields():
@@ -250,7 +266,7 @@ def test_spectral_march_matches_thomas_reference(Nx, Nt, K, theta, seed):
     g = grid_1d(Nx=Nx, Nt=Nt, T=0.5)
     rng = np.random.default_rng(seed)
     S = rng.standard_normal((K,) + g.field_shape)
-    phi = rng.standard_normal((K,) + g.space_shape)
+    phi = rng.standard_normal((K, g.Nx + 2))
     u = march(g, S.copy(), phi, theta)
     ref = thomas_march(S, phi, np.zeros(g.field_shape), g, theta)
     for k in range(1, K + 1):
@@ -292,7 +308,7 @@ def test_spectral_march_keeps_the_level_loop_bits(Nx, Nt, K, theta, seed):
     g = grid_1d(Nx=Nx, Nt=Nt, T=0.5)
     rng = np.random.default_rng(seed)
     S = rng.standard_normal((K,) + g.field_shape)
-    phi = rng.standard_normal((K,) + g.space_shape)
+    phi = rng.standard_normal((K, g.Nx + 2))
     ref = level_loop_march(S, phi, g, theta).tobytes()
     assert march(g, S, phi, theta).tobytes() == ref
 
@@ -305,7 +321,7 @@ def test_reaction_march_matches_per_mode_reference(Nx, Nt, K, theta, seed):
     g = grid_1d(Nx=Nx, Nt=Nt, T=0.5)
     rng = np.random.default_rng(seed)
     S = rng.standard_normal((K,) + g.field_shape)
-    phi = rng.standard_normal((K,) + g.space_shape)
+    phi = rng.standard_normal((K, g.Nx + 2))
     a = 10.0 * rng.random(g.field_shape)
     u = march(g, S.copy(), phi, theta, reaction=a)
     ref = thomas_march(S, phi, a, g, theta)
@@ -321,7 +337,7 @@ def test_reaction_march_peaks_below_four_stacks():
     g = grid_1d(Nx=64, Nt=64, T=0.5)
     rng = np.random.default_rng(9)
     S = rng.standard_normal((16,) + g.field_shape)
-    phi = rng.standard_normal((16,) + g.space_shape)
+    phi = rng.standard_normal((16, g.Nx + 2))
     a = rng.random(g.field_shape)
     sources = mode_stack(g, S)
     tracemalloc.start()
@@ -340,7 +356,7 @@ def test_reaction_march_into_its_sources_holds_no_second_stack():
     g = grid_1d(Nx=128, Nt=128, T=0.5)
     rng = np.random.default_rng(11)
     S = rng.standard_normal((16,) + g.field_shape)
-    phi = rng.standard_normal((16,) + g.space_shape)
+    phi = rng.standard_normal((16, g.Nx + 2))
     a = rng.random(g.field_shape)
     phi0 = phi.copy()
     fresh = march(g, S.copy(), phi, reaction=a)
@@ -367,7 +383,7 @@ def test_spectral_march_holds_its_stack_and_one_transform_buffer():
     g = grid_1d(Nx=64, Nt=64, T=0.5)
     rng = np.random.default_rng(17)
     S = rng.standard_normal((16,) + g.field_shape)
-    phi = rng.standard_normal((16,) + g.space_shape)
+    phi = rng.standard_normal((16, g.Nx + 2))
     buffer = (g.Nt + 1) * len(S) * g.Nx * S.itemsize
     sources = mode_stack(g, S)
     _sine_matrix(g.Nx)
@@ -386,7 +402,7 @@ def test_empty_stack_marches_to_empty_stack():
     # call under-resolved, and no error
     g = grid_1d(Nx=16, Nt=4, T=1.0)  # dt = 0.25
     params = SpectralParams(K=3)
-    phi = np.zeros((3,) + g.space_shape)
+    phi = np.zeros((3, g.Nx + 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for reaction in (None, np.full(g.field_shape, -1e6)):
@@ -402,7 +418,7 @@ def test_march_finite_check_holds_one_mode_of_booleans():
     g = grid_1d(Nx=64, Nt=512, T=0.5)
     rng = np.random.default_rng(13)
     S = rng.standard_normal((16,) + g.field_shape)
-    phi = rng.standard_normal((16,) + g.space_shape)
+    phi = rng.standard_normal((16, g.Nx + 2))
     a = rng.random(g.field_shape)
     sources = mode_stack(g, S)
     tracemalloc.start()
@@ -419,7 +435,7 @@ def test_solve_forward_writes_into_f_rows():
     params = SpectralParams(K=4, Ny=64)
     rng = np.random.default_rng(13)
     f = ModeFieldSet(g, params, rng.standard_normal((4,) + g.field_shape))
-    phi = rng.standard_normal((4,) + g.space_shape)
+    phi = rng.standard_normal((4, g.Nx + 2))
     a = ScalarField(g, rng.random(g.field_shape))
     fresh = march(g, f.values.copy(), phi, reaction=a.values)
     u = solve_forward(a, f, phi)
@@ -445,7 +461,7 @@ def test_spectral_blowup_names_first_bad_step(Nt, data, theta, value):
     S[2, step, node] = value
     S[3, 1, node] = value
     with pytest.raises(NumericalBlowupError) as err:
-        march(g, S, np.zeros((4,) + g.space_shape), theta)
+        march(g, S, np.zeros((4, g.Nx + 2)), theta)
     assert err.value.mode == 3
     assert err.value.step == step
 
@@ -458,7 +474,7 @@ def test_march_of_mode_rows_matches_full_stack_and_names_true_mode():
     g = grid_1d(Nx=16, Nt=8)
     rng = np.random.default_rng(5)
     S = rng.standard_normal((5,) + g.field_shape)
-    phi = rng.standard_normal((5,) + g.space_shape)
+    phi = rng.standard_normal((5, g.Nx + 2))
     rows = np.array([3, 5])
     full = march(g, S.copy(), phi)
     assert np.array_equal(march(g, S[rows - 1], phi, modes=rows), full[rows - 1])
@@ -475,7 +491,7 @@ def test_march_modes_rejects_bad_theta_and_shapes():
     # the stack's own shape and mode numbers are ModeFieldSet's to check
     g = grid_1d(Nx=8, Nt=4)
     sources = mode_stack(g, np.zeros((3,) + g.field_shape))
-    phi = np.zeros((3,) + g.space_shape)
+    phi = np.zeros((3, g.Nx + 2))
     for theta in (0.4, 1.1):
         with pytest.raises(ConfigurationError, match="theta"):
             march_modes(sources, phi, theta)
@@ -485,4 +501,6 @@ def test_march_modes_rejects_bad_theta_and_shapes():
         with pytest.raises(ConfigurationError, match="initial stack"):
             march_modes(sources, bad_phi)
     with pytest.raises(ConfigurationError, match="reaction"):
-        march_modes(sources, phi, reaction=np.zeros(g.space_shape))
+        march_modes(sources, phi, reaction=np.zeros(g.Nx + 2))
+    # the march overwrites the stack it is given and returns that stack
+    assert march_modes(sources, phi) is sources

@@ -170,16 +170,16 @@ def make_grid(Nx=64, Nt=16, T=1.0):
 def test_frac_norm_single_modes():
     g = make_grid()
     amp = np.sqrt(2.0 / np.pi)  # normalizes ||amp sin x||_{L2(0,pi)} to 1
-    v1 = np.zeros((1,) + g.space_shape)
+    v1 = np.zeros((1, g.Nx + 2))
     v1[0] = amp * np.sin(g.x)
     for tau in (0.0, 0.25, 1.0):
         assert frac_norm(v1, g, tau, level=0) == pytest.approx(1.0, abs=1e-9)
 
-    v2 = np.zeros((2,) + g.space_shape)
+    v2 = np.zeros((2, g.Nx + 2))
     v2[1] = amp * np.sin(g.x)
     assert frac_norm(v2, g, 0.5, level=0) == pytest.approx(4.0, abs=1e-8)
 
-    v12 = np.zeros((2,) + g.space_shape)
+    v12 = np.zeros((2, g.Nx + 2))
     v12[0] = amp * np.sin(g.x)
     v12[1] = amp * np.sin(g.x)
     assert frac_norm(v12, g, 0.0, level=0) == pytest.approx(2.0, abs=1e-8)
@@ -188,7 +188,7 @@ def test_frac_norm_single_modes():
 def test_frac_norm_monotone_in_tau():
     g = make_grid(Nx=32)
     rng = np.random.default_rng(5)
-    v = rng.standard_normal((4,) + g.space_shape)
+    v = rng.standard_normal((4, g.Nx + 2))
     vals = [frac_norm(v, g, tau, level=0) for tau in (0.0, 0.3, 0.6, 1.0)]
     assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
 
@@ -234,6 +234,21 @@ def test_mode_rows_select_and_scatter():
             ModeFieldSet(g, params, vals[: len(bad)], bad)
     with pytest.raises(DataError, match="differ"):
         compact - full
+
+
+def test_mode_stack_rejects_a_bad_shape_and_non_finite_values():
+    g = make_grid(Nx=12, Nt=6)
+    params = SpectralParams(K=3, Ny=64)
+    vals = np.zeros((3,) + g.field_shape)
+    for shape in ((2,) + g.field_shape, (3, g.Nt + 1, g.Nx + 1), g.field_shape):
+        with pytest.raises(DataError, match="mode stack shape"):
+            ModeFieldSet(g, params, np.zeros(shape))
+    for bad in (np.nan, np.inf):
+        vals[1, 2, 3] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            ModeFieldSet(g, params, vals)
+        # a producer that has checked its own values skips the scan
+        assert ModeFieldSet(g, params, vals, check_finite=False).values is vals
 
 
 def test_rows_fill_absent_modes_with_zeros():
