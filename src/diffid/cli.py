@@ -7,7 +7,8 @@ RuntimeWarning the command raises, each distinct message once, in the order
 first raised.  A summary dict (forward, invert, mms) goes to summary.json with
 the messages appended under "warnings"; a summary of None (certify, and invert
 at a failed certificate) prints them on stderr as "warning: <message>" lines.
-A usage, data or I/O error prints one "error: <message>" line instead.
+A usage, data or I/O error, and running out of memory, prints one
+"error: <message>" line instead.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ def main(argv=None) -> int:
         return code
     except (DiffidError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as err:  # numpy's names the array it could not allocate
+        print(f"error: out of memory{f': {err}' if str(err) else ''}", file=sys.stderr)
         return EXIT_ERROR
 
 

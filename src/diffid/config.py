@@ -147,6 +147,26 @@ def _read_section(section: str, body: dict) -> dict:
     return values
 
 
+def _check_array_sizes(Nx: int, Nt: int, params: SpectralParams, synth_ny: int) -> None:
+    """Reject sizes that make one of a run's arrays larger than numpy can
+    address.  numpy raises MemoryError for an array this machine cannot hold,
+    which the CLI reports, but ValueError ("Maximum allowed size exceeded")
+    for one of more than sys.maxsize bytes, so such a size must fail here,
+    naming its keys.  These are the largest arrays each size enters."""
+    K, Ny = params.K, params.Ny
+    for array, keys, shape in (
+            ("a mode stack", "spectral.K x (grid.Nt + 1) x (grid.Nx + 2)", (K, Nt + 1, Nx + 2)),
+            ("the x sine transform", "grid.Nx x grid.Nx", (Nx, Nx)),
+            ("omega's sine table", "spectral.K x (grid.Ny_quad + 1)", (K, Ny + 1)),
+            ("a u_synth time level", "(grid.Nx + 2) x (output.synth_ny + 1)",
+             (Nx + 2, synth_ny + 1)),
+            ("u_synth's sine table", "spectral.K x (output.synth_ny + 1)", (K, synth_ny + 1))):
+        if 8 * math.prod(shape) > sys.maxsize:
+            raise ConfigurationError(
+                f"config: {keys} = {' x '.join(f'{n:.6g}' for n in shape)} makes {array} "
+                f"of over sys.maxsize = {sys.maxsize} bytes, which numpy cannot address")
+
+
 def load_config(path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
@@ -189,12 +209,14 @@ def load_config(path) -> RunConfig:
     scenario = cfg.get("scenario")
     if scenario is not None and not math.isclose(domain["Lx"], math.pi, rel_tol=1e-9):
         raise _invalid("domain.Lx", "must be pi for a scenario", domain["Lx"])
+    params = SpectralParams(K=spectral["K"], epsilon=spectral["epsilon"], Ny=grid["Ny_quad"])
+    _check_array_sizes(grid["Nx"], grid["Nt"], params, cfg["output"]["synth_ny"])
 
     data = cfg.get("data")
     config_dir = Path(path).resolve().parent
     return RunConfig(
         grid=Grid(domain["Lx"], domain["T"], grid["Nx"], grid["Nt"]),
-        params=SpectralParams(K=spectral["K"], epsilon=spectral["epsilon"], Ny=grid["Ny_quad"]),
+        params=params,
         theta=cfg["scheme"]["theta"],
         certify=CertifyOptions(**cfg["certify"]),
         tol_F=cfg["picard"]["tol_F"],

@@ -16,9 +16,12 @@ coordinate and a missing or repeated node are rejected with a DataError
 naming the file, and so are a non-finite cell and bytes that are not UTF-8
 text in any input file.
 
-Both directions stream.  Every input is parsed by _row_blocks, _ROWS_PER_READ
-rows at a time, and a grid reader checks "every node once" with a row count
-and its value array, whose NaN start records the nodes not read.  The
+Both directions stream.  Every input is parsed by _row_blocks in blocks of
+_ROWS_PER_READ = 4,096 rows: 128 kB for the widest input, a four-column mode
+file, which is glibc's default mmap threshold.  Reading the README-size
+f.csv so peaks at 1.13 times its value stack (1.50 in blocks of 16,384
+rows).  A grid reader checks "every node once" with a row count and its
+value array, whose NaN start records the nodes not read.  The
 writer takes one leading-index slice at a time from any iterable:
 write_modes_csv passes the stack's rows with one shared zero slice for each
 mode it does not hold, and write_synth_csv synthesises u(t, x, y) one time
@@ -60,11 +63,15 @@ _ROWS_PER_WRITE = 512
 
 
 #: data rows per np.loadtxt call of _row_blocks, the input-side counterpart of
-#: _ROWS_PER_WRITE: a block of a four-column file is 512 kB, so reading holds
-#: the destination array plus one block, never a whole file's rows.  Blocks
-#: of 65,536 rows (2 MB, plus loadtxt's parse buffers) put the peak resident
-#: memory of a data-mode forward run at K = 16, Nx = Nt = 128 2.3 MB higher.
-_ROWS_PER_READ = 16384
+#: _ROWS_PER_WRITE: a block of the widest input, a four-column mode file, is
+#: 128 kB, glibc's default mmap threshold, and reading holds the destination
+#: array plus one block, never a whole file's rows.  At K = 16,
+#: Nx = Nt = 128 the traced peak of read_modes_csv is 1.13 times its 2.15 MB
+#: value stack (1.50 at 16,384 rows; 1.07 at 2,048 and 1.04 at 1,024 rows,
+#: which read about 5 % slower), and the peak resident memory of a data-mode
+#: forward run is 0.2-0.75 MB lower than at 16,384 rows, a figure that also
+#: follows heap layout.
+_ROWS_PER_READ = 4096
 
 
 def _write_grid_csv(path, header: list[str], axes, slices) -> None:

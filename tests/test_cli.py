@@ -269,6 +269,13 @@ DATA_FILES = {"psi_file": "psi.csv", "f_file": "f.csv", "phi_file": "phi.csv",
     ("output", "dir", ""),
     ("grid", "Nx", "16"),
     ("spectral", "K", True),
+    # sizes that give an array of over sys.maxsize bytes, where numpy raises
+    # ValueError before it allocates anything (output.synth_ny's only after
+    # invert has written a.csv)
+    ("grid", "Nx", 1e300),
+    ("grid", "Nt", 1e300),
+    ("grid", "Ny_quad", 1e300),
+    ("output", "synth_ny", 1e300),
 ])
 def test_config_rejects_out_of_range_values(tmp_path, capsys, section, key, value):
     """A bad value fails load_config and exits 1 with one error line, each
@@ -907,6 +914,24 @@ def test_mms_rejects_a_margin_that_leaves_the_coarsest_level_no_node(tmp_path, c
     assert re.fullmatch(r"error: certify\.boundary_margin = 5 [^\n]*Nx = 8[^\n]*\[0, 4\]\n",
                         err), err
     assert not (out / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,) "
+                 "and data type float64"),
+     "error: out of memory: Unable to allocate 8.00 TiB for an array with shape "
+     "(1099511627776,) and data type float64\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_one_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                              error, line):
+    def assemble(cfg):
+        raise error
+
+    monkeypatch.setattr("diffid.cli.assemble_data", assemble)
+    cfg = base_config(tmp_path / "out", N=16, K=2)
+    assert main(["certify", "--config", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == line
 
 
 @pytest.mark.parametrize("text, message", [

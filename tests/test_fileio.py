@@ -1,5 +1,6 @@
 import csv
 import itertools
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -555,15 +556,14 @@ def test_grid_readers_accept_shuffled_rows_in_small_blocks(tmp_path, grid, name,
     test_grid_readers_accept_shuffled_rows(tmp_path, grid, name, K)
 
 
-def test_read_modes_csv_holds_one_block_not_the_file(tmp_path, monkeypatch):
-    # K = 16, N = 64: 68,640 rows, of which the default 16,384-row block
-    # holds a quarter, so read it in blocks of 4096 (one block is 131 kB,
-    # the value stack 549 kB); the whole file's rows alone are 4 stacks
+def test_read_modes_csv_holds_one_block_not_the_file(tmp_path):
+    # K = 16, N = 64: 68,640 rows, 17 blocks of the default 4,096 rows (one
+    # block is 131 kB, the value stack 549 kB); the whole file's rows alone
+    # are 4 stacks
     grid = Grid(np.pi, 0.5, Nx=64, Nt=64)
     params = SpectralParams(K=16, Ny=64)
     values = np.random.default_rng(8).standard_normal((16,) + grid.field_shape)
     write_modes_csv(tmp_path / "f.csv", ModeFieldSet(grid, params, values))
-    monkeypatch.setattr(fileio, "_ROWS_PER_READ", 4096)
     tracemalloc.start()
     try:
         back = read_modes_csv(tmp_path / "f.csv", grid, params)
@@ -593,15 +593,42 @@ def _traced_peak(call):
 
 
 def test_read_modes_csv_at_the_default_block_holds_no_node_count(tmp_path):
-    # besides the values a read holds one byte a node and one 16,384-row
-    # block with loadtxt's buffers (3.5 MB in all, 1.6 stacks), never a
-    # count per node as large as the values
+    # besides the values a read holds one 4,096-row block with its node
+    # indices and loadtxt's buffers (2.4 MB in all, 1.13 stacks; 1.50 in
+    # 16,384-row blocks), never a count per node as large as the values
     stack = _readme_stack()
     write_modes_csv(tmp_path / "f.csv", stack)
     back, peak = _traced_peak(lambda: read_modes_csv(tmp_path / "f.csv", stack.grid,
                                                      stack.params))
     assert np.array_equal(back.values, stack.values)
-    assert peak < 2 * stack.values.nbytes, f"peak {peak} B, stack {stack.values.nbytes} B"
+    assert peak < 1.3 * stack.values.nbytes, f"peak {peak} B, stack {stack.values.nbytes} B"
+
+
+def test_read_field_csv_at_the_default_block_holds_one_block(tmp_path):
+    # a 3-column psi.csv of the README grid (16,770 rows, a 134 kB field):
+    # one 4,096-row block with its node indices and loadtxt's buffers is
+    # 1.85 fields more (2.85 fields in all; 7.97 in 16,384-row blocks)
+    grid = _readme_stack().grid
+    field = ScalarField(grid, np.random.default_rng(11).standard_normal(grid.field_shape))
+    write_field_csv(tmp_path / "psi.csv", field)
+    back, peak = _traced_peak(lambda: read_field_csv(tmp_path / "psi.csv", grid))
+    assert np.array_equal(back.values, field.values)
+    assert peak < 4 * field.values.nbytes, f"peak {peak} B, field {field.values.nbytes} B"
+
+
+def test_file_of_whole_default_blocks_reads_back_and_names_a_missing_node(tmp_path):
+    # 64 time levels of _ROWS_PER_READ / 64 x-nodes (64 at the default
+    # 4,096 rows) fill one block exactly, so the reader's next read is empty;
+    # the file without its last row is short
+    grid = Grid(np.pi, 0.5, Nx=fileio._ROWS_PER_READ // 64 - 2, Nt=63)
+    assert math.prod(grid.field_shape) == fileio._ROWS_PER_READ
+    path = tmp_path / "psi.csv"
+    read, values = _write_grid_file(path, grid, K=1)
+    assert np.array_equal(_bits(read()), _bits(values))
+    _edit_rows(path, lambda rows: rows[:-1])
+    node = f"t = {grid.T:.15g}, x = {grid.Lx:.15g}"
+    with pytest.raises(DataError, match=rf"psi\.csv: node {node} appears 0 times"):
+        read()
 
 
 def test_write_modes_csv_never_holds_all_coordinate_text(tmp_path):
