@@ -116,8 +116,19 @@ _SCHEMA = {
 }
 
 
+def _shown(value) -> str:
+    """repr(value), but an integer beyond 2**53, where floats stop being
+    exact, in .6g as _check_array_sizes prints sizes; through decimal, since
+    4 * spectral.K can leave float range."""
+    if not isinstance(value, int) or isinstance(value, bool) or abs(value) <= 2**53:
+        return repr(value)
+    from decimal import Context
+
+    return f"{Context(prec=6).create_decimal(value).normalize():g}"
+
+
 def _invalid(key: str, requirement: str, value) -> ConfigurationError:
-    return ConfigurationError(f"config: {key} {requirement}, got {value!r}")
+    return ConfigurationError(f"config: {key} {requirement}, got {_shown(value)}")
 
 
 def _hint(name: str, known, prefix: str = "") -> str:
@@ -198,11 +209,11 @@ def load_config(path) -> RunConfig:
     domain, grid, spectral = cfg["domain"], cfg["grid"], cfg["spectral"]
     margin = cfg["certify"]["boundary_margin"]
     if grid["Ny_quad"] is not None and grid["Ny_quad"] < 4 * spectral["K"]:
-        raise _invalid("grid.Ny_quad", f"must be >= 4 * spectral.K = {4 * spectral['K']}",
+        raise _invalid("grid.Ny_quad", f"must be >= 4 * spectral.K = {_shown(4 * spectral['K'])}",
                        grid["Ny_quad"])
     if 2 * margin >= grid["Nx"] + 2:
         raise _invalid("certify.boundary_margin", "must be <= (grid.Nx + 1) // 2 = "
-                       f"{(grid['Nx'] + 1) // 2} to leave interior nodes", margin)
+                       f"{_shown((grid['Nx'] + 1) // 2)} to leave interior nodes", margin)
     if domain["T"] / grid["Nt"] < sys.float_info.min:
         raise _invalid("domain.T", f"must be >= grid.Nt * {sys.float_info.min:.6g} so that the "
                        "time step T / grid.Nt is a normal float", domain["T"])

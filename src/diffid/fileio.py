@@ -30,11 +30,19 @@ of a slice is a bytes template built once from the trailing coordinates'
 text, with the leading coordinate spliced in per slice.  So a big file
 costs the arrays it fills or is written from plus one block or slice,
 never a copy of the file.
+
+A grid file is written on two CPUs when it has two or more pieces, the
+process runs one thread and it may run on two or more CPUs: a forked helper
+(diffid.forked) formats every other piece and sends it through a pipe.
+numpy's BLAS pool is a thread, so this needs OPENBLAS_NUM_THREADS=1 (or
+OMP_/MKL_NUM_THREADS=1 for the BLAS in use), as the benchmark sets it.  The
+bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -86,7 +94,15 @@ def _write_grid_csv(path, header: list[str], axes, slices) -> None:
     replaced by the slice's leading coordinate (coordinate text holds no
     NUL and no "%") and the piece's values are formatted into that copy.
     So memory is one slice, the templates, and one spliced template and
-    formatted piece at a time."""
+    formatted piece at a time.
+
+    A file of two or more pieces is written on two CPUs when
+    forked.can_fork() holds: a forked helper iterates its own copy of
+    ``slices`` (so a copy must yield the same values, as an array or a
+    generator over arrays does), formats every other piece in file order
+    and sends each through a pipe, while this process formats the other
+    pieces, checks every slice and writes every piece in order.  The bytes
+    are the same either way."""
     cols = [[b"%.17g" % c for c in np.asarray(axis, dtype=float).tolist()] for axis in axes]
     shape = tuple(map(len, cols[1:]))
     # the trailing coordinates of each row, last axis fastest
@@ -94,21 +110,38 @@ def _write_grid_csv(path, header: list[str], axes, slices) -> None:
     batches = iter(lambda: list(itertools.islice(tails, _ROWS_PER_WRITE)), [])
     pieces = [(i * _ROWS_PER_WRITE, b"".join([b"\0" + tail + b",%.17g\r\n" for tail in batch]))
               for i, batch in enumerate(batches)]
+    texts = functools.partial(_texts, path, header[0], cols[0], shape, pieces, slices)
+    helper = None
+    if len(cols[0]) * len(pieces) >= 2:
+        from .forked import Helper  # here, so a run without such a file never loads it
+
+        helper = Helper.start(text for text in texts(2, 1) if text is not None)
+    try:
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode("utf-8"))
+            for text in texts(2 if helper else 1, 0):
+                fh.write(helper.received(path) if text is None else text)
+    finally:
+        if helper:
+            helper.close()
+
+
+def _texts(path, name: str, lead: list[bytes], shape: tuple, pieces, slices, step, first):
+    """The file's pieces in order, each slice checked: the piece j of the
+    file formatted if j % step == first, else None."""
     count = 0
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode("utf-8"))
-        for block in slices:
-            block = np.asarray(block, dtype=float)
-            if count == len(cols[0]) or block.shape != shape:
-                raise ValueError(f"{path}: slice {count} of shape {block.shape} does not "
-                                 f"match the {len(cols[0])} slices of shape {shape}")
-            head = cols[0][count]
-            count += 1
-            row = block.ravel()
-            for i, piece in pieces:
-                fh.write(piece.replace(b"\0", head) % tuple(row[i:i + _ROWS_PER_WRITE].tolist()))
-    if count != len(cols[0]):
-        raise ValueError(f"{path}: {count} slices for {len(cols[0])} nodes of {header[0]}")
+    for block in slices:
+        block = np.asarray(block, dtype=float)
+        if count == len(lead) or block.shape != shape:
+            raise ValueError(f"{path}: slice {count} of shape {block.shape} does not "
+                             f"match the {len(lead)} slices of shape {shape}")
+        row = block.ravel()
+        for j, (i, piece) in enumerate(pieces, start=count * len(pieces)):
+            yield (piece.replace(b"\0", lead[count]) % tuple(row[i:i + _ROWS_PER_WRITE].tolist())
+                   if j % step == first else None)
+        count += 1
+    if count != len(lead):
+        raise ValueError(f"{path}: {count} slices for {len(lead)} nodes of {name}")
 
 
 def _row_blocks(path, expected_header: list[str]):

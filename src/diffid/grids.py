@@ -123,16 +123,20 @@ def diff(values: np.ndarray, h: float, axis: int, out: np.ndarray | None = None)
     f = np.asarray(values, dtype=float)
     if out is None:
         out = np.empty_like(f)
-    f0, o = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(f0[2:], f0[:-2], out=o[1:-1])
-    o[1:-1] /= 2.0 * h
-    first, last = o[0, ...], o[-1, ...]  # views, also for 1-d values
-    np.multiply(f0[0], -1.5 / h, out=first)
-    first += (2.0 / h) * f0[1]
-    first += (-0.5 / h) * f0[2]
-    np.multiply(f0[-3], 0.5 / h, out=last)
-    last += (-2.0 / h) * f0[-2]
-    last += (1.5 / h) * f0[-1]
+    before = (slice(None),) * range(f.ndim)[axis]  # IndexError for an axis f lacks
+
+    def at(index):  # the axis indexed in place, every other axis whole
+        return before + (index, ...)
+
+    np.subtract(f[at(slice(2, None))], f[at(slice(None, -2))], out=out[at(slice(1, -1))])
+    out[at(slice(1, -1))] /= 2.0 * h
+    first, last = out[at(0)], out[at(-1)]  # views, also for 1-d values
+    np.multiply(f[at(0)], -1.5 / h, out=first)
+    first += (2.0 / h) * f[at(1)]
+    first += (-0.5 / h) * f[at(2)]
+    np.multiply(f[at(-3)], 0.5 / h, out=last)
+    last += (-2.0 / h) * f[at(-2)]
+    last += (1.5 / h) * f[at(-1)]
     return out
 
 

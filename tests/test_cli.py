@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import asdict, fields
@@ -296,6 +297,28 @@ def test_config_rejects_out_of_range_values(tmp_path, capsys, section, key, valu
     err = capsys.readouterr().err
     assert re.fullmatch(rf"error: config: [^\n]*{name}[^\n]*\n", err), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edits, name, shown", [
+    ({("grid", "Ny_quad"): 1e300, ("spectral", "K"): 1e300}, "grid.Ny_quad",
+     "4 * spectral.K = 4e+300, got 1e+300"),
+    # 4 * spectral.K beyond float range
+    ({("grid", "Ny_quad"): 1e300, ("spectral", "K"): 1e308}, "grid.Ny_quad",
+     "4 * spectral.K = 4e+308, got 1e+300"),
+    ({("grid", "Nx"): 1e300, ("certify", "boundary_margin"): 1e300}, "certify.boundary_margin",
+     "(grid.Nx + 1) // 2 = 5e+299 to leave interior nodes, got 1e+300"),
+], ids=["Ny_quad-K", "Ny_quad-K-past-float", "margin-Nx"])
+def test_config_prints_huge_integers_of_cross_key_rules_compactly(tmp_path, capsys, edits,
+                                                                  name, shown):
+    """A rule that spans keys prints the integers beyond 2**53 that it names
+    in .6g, not in full: one short error line naming the key."""
+    cfg = base_config(tmp_path / "out")
+    for (section, key), value in edits.items():
+        cfg[section][key] = value
+    assert main(["certify", "--config", str(write_config(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: config: {re.escape(name)} [^\n]*\n", err), err
+    assert shown in err and len(err) < 200, err
 
 
 def test_readme_example_config_loads(tmp_path):
@@ -959,3 +982,63 @@ def test_mms_on_a_scaled_scenario_reports_nan_errors(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [row["N"] for row in rows] == ["8", "16", "32"]
     assert all(row[key] == "nan" for row in rows for key in ("err_a", "err_u", "order_a"))
+
+
+def _child_pids(pid: int) -> list[int]:
+    """The pids whose parent is pid: from /proc/<pid>/task/<pid>/children
+    where the kernel provides it, else from every process's stat line."""
+    try:
+        return [int(p) for p in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+    except FileNotFoundError:
+        pass
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()  # after "pid (comm)"
+        except OSError:  # the process has gone
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a process that has not exited: a zombie, which waits
+    for its new parent to reap it, has exited."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists() or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc and two CPUs, where the writer forks its helper")
+def test_killing_invert_mid_write_leaves_no_process(tmp_path):
+    """A CLI killed while its helper writes u_synth.csv leaves neither
+    process running: the helper's next write to the pipe fails."""
+    out = tmp_path / "out"
+    cfg = base_config(out, N=32, K=2)
+    cfg["output"]["synth_ny"] = 550  # 618,222 rows, about 43 MB
+    src = str(Path(diffid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.Popen([sys.executable, "-m", "diffid.cli", "invert", "--force", "--config",
+                             str(write_config(tmp_path, cfg))], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        synth = out / "u_synth.csv"
+        deadline = time.monotonic() + 60
+        while not (synth.exists() and synth.stat().st_size) and proc.poll() is None:
+            assert time.monotonic() < deadline, "u_synth.csv never started"
+            time.sleep(0.002)
+        helpers = _child_pids(proc.pid)
+        written = synth.stat().st_size
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    assert len(helpers) == 1 and written < 40e6, (helpers, written)
+    deadline = time.monotonic() + 2
+    while _running(helpers[0]) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(helpers[0])
+    assert not _running(proc.pid)

@@ -1,7 +1,14 @@
 import csv
 import itertools
+import json
 import math
+import os
+import re
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from diffid import Grid, ModeFieldSet, ScalarField, SpectralParams, fileio
+from diffid import Grid, ModeFieldSet, ScalarField, SpectralParams, fileio, forked
 from diffid.errors import DataError
 from diffid.fileio import (
     _ROWS_PER_WRITE,
@@ -640,3 +647,186 @@ def test_write_modes_csv_never_holds_all_coordinate_text(tmp_path):
     assert peak < 0.6 * stack.values.nbytes, f"peak {peak} B, stack {stack.values.nbytes} B"
     assert np.array_equal(read_modes_csv(tmp_path / "u_modes.csv", stack.grid,
                                          stack.params).values, stack.values)
+
+
+# The two-CPU writer.  pytest's own process may hold a BLAS pool, in which
+# _write_grid_csv never forks, so the helper path runs in a child interpreter
+# with BLAS pinned to one thread, as bench/run.py pins it.
+
+#: a child interpreter's environment in which numpy starts no thread
+PINNED_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                  [str(Path(fileio.__file__).resolve().parents[1]), str(Path(__file__).parent)]),
+              "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+WRITERS = ["write_field_csv", "write_profile_csv", "write_modes_csv",
+           "write_mode_profiles_csv", "write_synth_csv"]
+#: a one-piece file; 600 x-nodes, so a slice of one row per x-node is two
+#: pieces with a ragged last one; 1,100 x-nodes, three pieces and more
+PIECE_CASES = {"one-piece": (6, 1, 1), "ragged": (598, 2, 2), "many-pieces": (1098, 3, 3)}
+SLICE_MESSAGES = [r"slice 4 of shape \(7,\)", r"slice 5 of shape", r"4 slices for 5 nodes of t"]
+
+
+def _writer_cases(case: str):
+    """(writer, args, header, axes, values) of each grid writer on one of
+    PIECE_CASES: Nx, K and the number of y nodes.  Values hold every
+    EXTREMES float, NaN and both infinities.  A one-piece file of a
+    space-time field or of u_synth.csv needs one time level, which no Grid
+    has, so those writers get a one-level stand-in for the grid."""
+    Nx, K, ny = PIECE_CASES[case]
+    grid = Grid(np.pi, 0.5, Nx=Nx, Nt=2)
+    values = np.random.default_rng(Nx).standard_normal((K,) + grid.field_shape)
+    values.flat[:12] = EXTREMES + [np.nan, np.inf, -np.inf]
+    ks = range(1, K + 1)
+    y = np.linspace(0.0, np.pi, ny)
+    profile_y = grid.x[:1] if case == "one-piece" else grid.x
+    one_row = ModeFieldSet(grid, SpectralParams(K=K), values[-1:], np.array([K]),
+                           check_finite=False)
+    levels = 1 if case == "one-piece" else grid.Nt + 1
+    # the grid's first `levels` time levels
+    levels_grid = SimpleNamespace(t=grid.t[:levels], x=grid.x, Nt=levels - 1)
+    with np.errstate(all="ignore"):
+        synth = np.stack([one_row.synthesize_y(y, n) for n in range(levels)])
+    return {
+        "write_field_csv": ((SimpleNamespace(grid=levels_grid, values=values[0, :levels]),),
+                            ["t", "x", "value"], [levels_grid.t, grid.x], values[0, :levels]),
+        "write_profile_csv": ((profile_y, values[0, 0, :len(profile_y)]), ["y", "value"],
+                              [profile_y], values[0, 0, :len(profile_y)]),
+        "write_modes_csv": ((ModeFieldSet(grid, SpectralParams(K=K), values,
+                                          check_finite=False),),
+                            ["k", "t", "x", "value"], [ks, grid.t, grid.x], values),
+        "write_mode_profiles_csv": ((values[:, 0], grid.x), ["k", "x", "value"],
+                                    [ks, grid.x], values[:, 0]),
+        "write_synth_csv": ((SimpleNamespace(grid=levels_grid, synthesize_y=one_row.synthesize_y),
+                             y), ["t", "x", "y", "value"], [levels_grid.t, grid.x, y], synth),
+    }
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def two_cpu_run(out: str) -> dict:
+    """The child interpreter's part: writes each case under ``out``, beside
+    its reference file, and reports for each how often the writer forked,
+    what it raised and whether a child was left."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    os.fork = counted_fork
+    report = {"can_fork": forked.can_fork()}
+
+    def run(name, call):
+        forks.clear()
+        error = None
+        try:
+            with np.errstate(all="ignore"):
+                call()
+        except (ValueError, OSError) as err:
+            error = [type(err).__name__, str(err)]
+        report[name] = {"forks": len(forks), "error": error, "no_child_left": _no_child_left()}
+
+    for case in PIECE_CASES:
+        for writer, (args, header, axes, values) in _writer_cases(case).items():
+            run(f"{case}-{writer}", lambda: getattr(fileio, writer)(f"{out}/{case}-{writer}.csv",
+                                                                    *args))
+            reference_grid_csv(f"{out}/{case}-{writer}.ref", header, axes, values)
+    grid = Grid(np.pi, 0.5, Nx=6, Nt=4)
+    good = np.zeros(grid.Nx + 2)
+    for n, slices in enumerate(([good] * 4 + [good[:-1]], [good] * 6, [good] * 4)):
+        run(f"message-{n}", lambda: _write_grid_csv(f"{out}/psi.csv", ["t", "x", "value"],
+                                                    [grid.t, grid.x], iter(slices)))
+    parent = os.getpid()
+
+    def dying():  # the helper's copy ends at once
+        for _ in grid.t:
+            if os.getpid() != parent:
+                os._exit(0)
+            yield good
+
+    run("dying-helper", lambda: _write_grid_csv(f"{out}/dying.csv", ["t", "x", "value"],
+                                                [grid.t, grid.x], dying()))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        run("second-thread", lambda: write_field_csv(
+            f"{out}/thread.csv", ScalarField(grid, np.ones(grid.field_shape))))
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    return report
+
+
+@pytest.fixture(scope="module")
+def two_cpu(tmp_path_factory):
+    out = tmp_path_factory.mktemp("two_cpu")
+    probe = "import json, sys, test_fileio; print(json.dumps(test_fileio.two_cpu_run(sys.argv[1])))"
+    run = subprocess.run([sys.executable, "-c", probe, str(out)], capture_output=True, text=True,
+                         env=PINNED_ENV, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return out, json.loads(run.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("case", list(PIECE_CASES))
+@pytest.mark.parametrize("writer", WRITERS)
+def test_two_cpu_writers_match_reference_bytes(two_cpu, case, writer):
+    out, report = two_cpu
+    name = f"{case}-{writer}"
+    assert report[name]["error"] is None
+    assert (out / f"{name}.csv").read_bytes() == (out / f"{name}.ref").read_bytes()
+    assert report[name]["no_child_left"]
+    # a one-piece file has nothing to share; every other file forks one helper
+    assert report[name]["forks"] == (report["can_fork"] and case != "one-piece")
+
+
+def test_two_cpu_writer_forks_with_blas_pinned(two_cpu):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: the writer never forks")
+    assert two_cpu[1]["can_fork"]
+
+
+@pytest.mark.parametrize("n, message", enumerate(SLICE_MESSAGES))
+def test_two_cpu_writer_checks_each_slice_and_the_slice_count(two_cpu, n, message):
+    result = two_cpu[1][f"message-{n}"]
+    assert result["error"][0] == "ValueError" and re.search(message, result["error"][1])
+    assert result["forks"] == two_cpu[1]["can_fork"] and result["no_child_left"]
+
+
+def test_a_helper_that_dies_is_an_os_error_naming_the_file(two_cpu):
+    result = two_cpu[1]["dying-helper"]
+    if not two_cpu[1]["can_fork"]:
+        pytest.skip("the writer cannot fork here")
+    assert result["error"][0] == "OSError" and "dying.csv" in result["error"][1]
+    assert result["no_child_left"]
+
+
+def test_two_cpu_writer_never_forks_beside_a_second_thread(two_cpu):
+    out, report = two_cpu
+    assert report["second-thread"] == {"forks": 0, "error": None, "no_child_left": True}
+    assert (out / "thread.csv").read_bytes().count(b"\r\n") == 1 + 5 * 8
+
+
+def test_writer_never_forks_beside_a_second_thread(tmp_path, grid, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called while a second thread runs")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        write_field_csv(tmp_path / "psi.csv", ScalarField(grid, np.full(grid.field_shape, 0.5)))
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    reference_grid_csv(tmp_path / "ref.csv", ["t", "x", "value"], [grid.t, grid.x],
+                       np.full(grid.field_shape, 0.5))
+    assert (tmp_path / "psi.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
