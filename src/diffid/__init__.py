@@ -16,7 +16,6 @@ from .sinebasis import (
     ModeFieldSet,
     OmegaData,
     SpectralParams,
-    frac_norm,
     sine_coeffs,
     synthesize,
 )
@@ -33,7 +32,6 @@ from .certificates import (
     compute_Psi,
     compute_certificate,
     conditions,
-    first_dirichlet_eigenvalue,
 )
 from .inversion import (
     InversionResult,

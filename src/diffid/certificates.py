@@ -7,11 +7,13 @@ from a file carries the verdicts of the constants it holds, and the margins
 read the same table.
 
 Conventions baked in here and recorded in each certificate's provenance:
-the four terms of R/R1 are squared weighted-mode norms (see frac_norm); sup
-over (t, x) means max over grid nodes at least boundary_margin cells from the
-spatial boundary, since an admissible measurement vanishes on the boundary
-and the literal supremum of 1/|psi| would be infinite; C_S is a supplied
-constant, and the certificate is conditional on it.
+the four terms of R/R1 are raw sums sum_k lambda_k^{2 tau} (|v_k|^2
+[+ |grad v_k|^2]) by mode_sum, phi's rows over G and f's over G_T, with no
+pi/2 Parseval factor, so the tau1 weight is lambda_k^{(1+eps)/2} as in the
+contraction estimates; sup over (t, x) is the max over nodes at least
+boundary_margin cells from the spatial boundary, where psi vanishes and
+1/|psi| is unbounded; C_S is supplied, and the certificate is conditional
+on it.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DivisionHazardError, check_integer, check_positive
-from .grids import Grid, ScalarField, diff, diff2
+from .grids import ScalarField, diff, diff2, l2_sq_G, l2_sq_GT
 from .problem import ProblemData
-from .sinebasis import frac_norm
+from .sinebasis import eigenvalues, mode_sum
 
 
 @dataclass(frozen=True)
@@ -106,26 +108,22 @@ class Certificate:
                 getattr(self, flag) for s, _, flag, *_ in _CONDITIONS if s == scope))
 
 
-def first_dirichlet_eigenvalue(grid: Grid) -> float:
-    """Exact lambda_1 of -d^2/dx^2 on the interval (0, Lx)."""
-    return np.float64(np.pi / grid.Lx) ** 2
-
-
 def compute_Psi(data: ProblemData, floor: float) -> ScalarField:
     """The lifted source field (-psi_t + Lap psi + (f, omega)) / psi.
 
     Evaluated at every strictly interior node (the iteration needs it there);
     boundary nodes are set to zero since the mode solves never read them.
     A node where |psi| drops below the floor is a division hazard, raised as
-    DivisionHazardError naming the first such node.
+    DivisionHazardError naming certify.psi_floor and the first such node.
     """
     grid, vals, f_modes = data.grid, data.psi.values, data.f_modes
     x = grid.interior(1)
     hazard = np.abs(vals[:, x]) < floor
     if np.any(hazard):
-        node = tuple(int(i) for i in np.argwhere(hazard)[0] + (0, x.start))
-        raise DivisionHazardError(f"|psi| < {floor:g} at grid node {node}; cannot divide",
-                                  node=node)
+        n, i = (int(j) for j in np.argwhere(hazard)[0] + (0, x.start))
+        raise DivisionHazardError(
+            f"|psi| < certify.psi_floor = {floor:g} at grid node ({n}, {i}), "
+            f"t = {grid.t[n]:.6g}, x = {grid.x[i]:.6g}; cannot divide")
 
     dpsi_dt = diff(vals, grid.dt, axis=0)
     lap = diff2(vals, grid.hx)
@@ -159,15 +157,20 @@ def compute_certificate(data: ProblemData, options: CertifyOptions) -> Certifica
 
         Psi_M = np.max(np.abs(Psi.values[:, x]))
 
-        phi_1_tau1 = frac_norm(data.phi_modes, grid, tau1, level=1)
-        phi_0_tau1 = frac_norm(data.phi_modes, grid, tau1, level=0)
-        phi_0_tau2 = frac_norm(data.phi_modes, grid, tau2, level=0)
-        f_tau1 = frac_norm(data.f_modes, grid, tau1, level=0)
+        phi = data.phi_modes
+        phi_sq = l2_sq_G(phi, grid)
+        grad_sq = l2_sq_G(diff(phi, grid.hx, axis=-1), grid)
+        lam = eigenvalues(len(phi))
+        phi_1_tau1 = mode_sum(phi_sq + grad_sq, lam, 2.0 * tau1)
+        phi_0_tau1 = mode_sum(phi_sq, lam, 2.0 * tau1)
+        phi_0_tau2 = mode_sum(phi_sq, lam, 2.0 * tau2)
+        f_tau1 = mode_sum(l2_sq_GT(data.f_modes.values, grid), data.f_modes.eigenvalues,
+                          2.0 * tau1)
 
         R = phi_1_tau1 + 8.0 * Psi_M**2 * T * phi_0_tau1 + phi_0_tau2 + 4.0 * f_tau1
         R1 = phi_1_tau1 + phi_0_tau2 + 4.0 * f_tau1
 
-        C_P = 1.0 / first_dirichlet_eigenvalue(grid)
+        C_P = 1.0 / np.float64(np.pi / grid.Lx) ** 2  # 1/lambda_1 of (0, Lx)
 
     provenance = (
         f"R-terms are squared weighted-mode norms; sup over nodes >= {margin} cells "

@@ -130,7 +130,8 @@ def _cmd_forward(cfg: RunConfig) -> tuple[int, dict]:
     if scn is None:
         a = read_field_csv(cfg.data_files["a_file"], cfg.grid)
     elif scn.truth_a is None:
-        raise ConfigurationError("a scaled scenario carries no coefficient to solve with")
+        raise ConfigurationError("forward needs scenario.scale = 1: a scaled scenario carries "
+                                 f"no coefficient to solve with, got {cfg.scenario_scale!r}")
     else:
         a = scn.truth_a
 
@@ -194,7 +195,7 @@ def _cmd_invert(cfg: RunConfig, force: bool) -> tuple[int, dict | None]:
 
 def _cmd_mms(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.scenario_name is None:
-        raise ConfigurationError("mms studies need a scenario config")
+        raise ConfigurationError("mms studies need a 'scenario' section, not 'data'")
     rows = convergence_study(cfg.scenario_name, cfg.grid, cfg.params,
                              scale=cfg.scenario_scale, options=cfg.certify, tol_F=cfg.tol_F,
                              max_iters=cfg.max_iters, theta=cfg.theta)

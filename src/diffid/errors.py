@@ -20,18 +20,9 @@ class DataError(DiffidError):
 class DivisionHazardError(DiffidError):
     """The measurement field dropped below the division floor at an evaluated node."""
 
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
 
 class NumericalBlowupError(DiffidError):
     """A time-stepping sweep produced non-finite values."""
-
-    def __init__(self, message, mode=None, step=None):
-        super().__init__(message)
-        self.mode = mode
-        self.step = step
 
 
 class CertificateFailure(DiffidError):

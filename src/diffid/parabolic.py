@@ -97,8 +97,7 @@ def march_modes(sources: ModeFieldSet, phi_modes: np.ndarray, theta: float = 0.5
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             step = int(np.argmin(finite)) + 1
-            raise NumericalBlowupError(f"mode {k}: non-finite values at time step {step}",
-                                       mode=k, step=step)
+            raise NumericalBlowupError(f"mode {k}: non-finite values at time step {step}")
     return sources
 
 
@@ -220,8 +219,7 @@ def solve_forward(a: ScalarField, f_modes: ModeFieldSet, phi_modes: np.ndarray,
         return march_modes(f_modes.rows(forced_modes(phi_modes, f_modes)), phi_modes, theta,
                            reaction=a.values)
     except NumericalBlowupError as err:
-        raise NumericalBlowupError(f"forward solve failed: {err}",
-                                   mode=err.mode, step=err.step) from err
+        raise NumericalBlowupError(f"forward solve failed: {err}") from err
 
 
 def overdetermination_residual(u: ModeFieldSet, omega: OmegaData,

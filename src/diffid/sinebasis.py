@@ -1,5 +1,5 @@
 """Sine eigenbasis on (0, pi): analysis/synthesis, the weight omega, and the
-weighted mode norms used by the solvability certificates.
+weighted mode sums that every lambda-weighted norm is built from.
 
 omega enters through its K sine coefficients omega_k alone: the
 measurement is (pi/2) sum_k omega_k u_k, the couplings c_j = (sin(j y),
@@ -7,11 +7,9 @@ omega'') are -j^2 (pi/2) omega_j, since omega vanishes at y = 0 and y = pi,
 and the certificate's ||omega''|| is the norm of the K-term series.  A
 scenario's sin(y) and omega.csv share the grid.Ny_quad + 1 nodes.
 
-Mode k has eigenvalue k^2.  Fractional-power norms are evaluated as raw
-weighted sums sum_k lambda_k^{2*tau} * (|v_k|^2 [+ |grad v_k|^2]) without the
-pi/2 Parseval factor, so that the tau1 weight equals lambda_k^{(1+eps)/2}
-exactly as it appears in the contraction estimates.  Reductions over k run in
-ascending order for bit-reproducibility.
+Mode k has eigenvalue k^2.  Every lambda-weighted norm (F_functional here,
+the certificate's R-terms, the inversion's norm bundle) is mode_sum over the
+per-row squared norms of grids.l2_sq_G or l2_sq_GT.
 
 A ModeFieldSet holds only the rows it carries, each labelled with its mode
 number; the modes it does not hold are zero.  Every function here weights a
@@ -236,33 +234,6 @@ def mode_sum(terms: np.ndarray, lam: np.ndarray | None = None, power: float = 0.
     for k in range(len(terms)):
         total += terms[k] if lam is None else lam[k] ** power * terms[k]
     return float(total)
-
-
-def frac_norm(mode_values, grid: Grid, tau: float, level: int = 0) -> float:
-    """Weighted mode sum sum_k lambda_k^{2 tau} (|v_k|^2 [+ |grad v_k|^2]).
-
-    mode_values is a ModeFieldSet, weighted by its rows' modes, or an array
-    of modes 1..K.  The shape picks the measure: (K, Nx+2) is over G,
-    (K, Nt+1, Nx+2) and every ModeFieldSet over G_T.  Level 1 adds the
-    spatial-gradient term.  The value is the squared-norm convention used by
-    the certificate formulas.
-    """
-    if isinstance(mode_values, ModeFieldSet):
-        v = mode_values.values
-    else:
-        v = np.asarray(mode_values, dtype=float)
-    if v.shape[1:] == (grid.Nx + 2,):
-        sq = l2_sq_G
-    elif v.shape[1:] == grid.field_shape:
-        sq = l2_sq_GT
-    else:
-        raise DataError(f"mode stack of shape {v.shape} is neither (K, {grid.Nx + 2}) "
-                        f"nor (K, {grid.Nt + 1}, {grid.Nx + 2})")
-    parts = sq(v, grid)
-    if level == 1:
-        parts = parts + sq(diff(v, grid.hx, axis=-1), grid)
-    lam = mode_values.eigenvalues if isinstance(mode_values, ModeFieldSet) else eigenvalues(len(v))
-    return mode_sum(parts, lam, 2.0 * tau)
 
 
 def F_functional(modes: ModeFieldSet) -> float:

@@ -207,10 +207,6 @@ def test_criterion_8_time_poincare():
 
 def test_criterion_9_certificate_correctness():
     t0 = time.perf_counter()
-    from diffid import first_dirichlet_eigenvalue
-
-    g_int = Grid(2.0, 1.0, Nx=8, Nt=4)
-    cp_int_ok = abs(1.0 / first_dirichlet_eigenvalue(g_int) - (2.0 / np.pi) ** 2) <= 1e-12
 
     def constant_data(Lx, T, f_amp):
         grid = Grid(Lx, T, Nx=32, Nt=16)
@@ -241,6 +237,7 @@ def test_criterion_9_certificate_correctness():
     hand2 = (abs(c2.R - 0.01) <= 1e-12
              and abs(c2.q_local - 0.06 * np.pi**2) <= 1e-10
              and c2.local_pass and c2.global_pass)
+    cp_int_ok = abs(c2.C_P - (2.0 / np.pi) ** 2) <= 1e-12
 
     # config 3: NULL scenario: R = 0, Psi_M ~ 0, both verdicts pass
     grid = Grid(np.pi, 0.5, Nx=32, Nt=16)

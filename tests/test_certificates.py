@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -20,12 +21,11 @@ from diffid import (
     compute_Psi,
     compute_certificate,
     conditions,
-    first_dirichlet_eigenvalue,
 )
 from diffid.certificates import Certificate
 from diffid.errors import DataError, DivisionHazardError
 from diffid.fileio import write_json
-from diffid.sinebasis import frac_norm
+from diffid.grids import diff, l2_sq_G, l2_sq_GT
 
 
 def constant_psi_data(Lx=np.pi, T=1.0, Nx=32, Nt=16, f_const=0.0, K=2, epsilon=1.0):
@@ -104,9 +104,10 @@ def test_Psi_division_hazard_names_node():
     params = SpectralParams(K=1, Ny=64)
     data = replace(build_scenario("NULL", grid, params).data,
                    psi=ScalarField(grid, np.zeros(grid.field_shape)))
-    with pytest.raises(DivisionHazardError) as err:
+    with pytest.raises(DivisionHazardError, match=re.escape(
+            f"|psi| < certify.psi_floor = 1e-12 at grid node (0, 1), t = 0, "
+            f"x = {grid.x[1]:.6g}; cannot divide")):
         compute_Psi(data, 1e-12)
-    assert err.value.node is not None
 
 
 @settings(max_examples=25, deadline=None)
@@ -125,11 +126,10 @@ def test_q_invariant_under_rescaling_whole_data_set(name, N, K, T, s):
 
 
 def test_poincare_constant_of_interval():
-    g1 = Grid(np.pi, 1.0, Nx=8, Nt=4)
-    assert abs(1.0 / first_dirichlet_eigenvalue(g1) - 1.0) <= 1e-12
-    g2 = Grid(2.0, 1.0, Nx=8, Nt=4)
-    assert 1.0 / first_dirichlet_eigenvalue(g2) == pytest.approx(
-        (2.0 / np.pi) ** 2, abs=1e-12)
+    cert = compute_certificate(constant_psi_data(Nx=8, Nt=4), CertifyOptions())
+    assert abs(cert.C_P - 1.0) <= 1e-12
+    cert = compute_certificate(constant_psi_data(Lx=2.0, Nx=8, Nt=4), CertifyOptions())
+    assert cert.C_P == pytest.approx((2.0 / np.pi) ** 2, abs=1e-12)
 
 
 def test_A_eps_closed_form():
@@ -177,16 +177,110 @@ def test_homothety_flips_global_poincare_condition():
     assert certs[2.0].C_P == pytest.approx(certs[4.0].C_P / 4.0, rel=1e-12)
 
 
+def _ref_frac_norm(v, grid, tau, level, measure, modes=None):
+    """sum_k lambda_k^{2 tau} (|v_k|^2 [+ |grad v_k|^2]) as a per-mode loop:
+    rows of modes 1..K unless modes are given, over G (level 0 or 1) or
+    over G_T (level 0)."""
+    lam = (np.arange(1, len(v) + 1) if modes is None else np.asarray(modes)).astype(float) ** 2
+    total = 0.0
+    for k in range(len(v)):
+        if measure == "G":
+            part = l2_sq_G(v[k], grid)
+            if level == 1:
+                part += l2_sq_G(diff(v[k], grid.hx, axis=-1), grid)
+        else:
+            part = l2_sq_GT(v[k], grid)
+        total += lam[k] ** (2.0 * tau) * part
+    return float(total)
+
+
+def _ref_R_R1(data, Psi_M):
+    """R and R1 of the data from the per-mode reference, at the certificate's
+    own Psi_M: phi's rows over G, f's over G_T."""
+    grid, p = data.grid, data.params
+    phi, f = data.phi_modes, data.f_modes
+    phi_1_tau1 = _ref_frac_norm(phi, grid, p.tau1, 1, "G")
+    phi_0_tau1 = _ref_frac_norm(phi, grid, p.tau1, 0, "G")
+    phi_0_tau2 = _ref_frac_norm(phi, grid, p.tau2, 0, "G")
+    f_tau1 = _ref_frac_norm(f.values, grid, p.tau1, 0, "GT", f.modes)
+    R = (phi_1_tau1 + 8.0 * np.float64(Psi_M)**2 * grid.T * phi_0_tau1 + phi_0_tau2
+         + 4.0 * f_tau1)
+    return float(R), phi_1_tau1 + phi_0_tau2 + 4.0 * f_tau1
+
+
+def random_data(rng, Nx, Nt, K, f_modes, epsilon=1.0):
+    """psi in [1, 2), random phi over several decades and f rows of the given
+    modes, on (0, pi) x (0, 0.5)."""
+    grid = Grid(np.pi, 0.5, Nx=Nx, Nt=Nt)
+    params = SpectralParams(K=K, epsilon=epsilon, Ny=max(64, 4 * K))
+    f = ModeFieldSet(grid, params, rng.standard_normal((len(f_modes),) + grid.field_shape)
+                     * 10.0 ** rng.uniform(-3, 3), np.asarray(f_modes, dtype=int))
+    phi = rng.standard_normal((K, Nx + 2)) * 10.0 ** rng.uniform(-5, 5, size=(K, 1))
+    return ProblemData(psi=ScalarField(grid, 1.0 + rng.random(grid.field_shape)), f_modes=f,
+                       phi_modes=phi, omega=OmegaData(rng.standard_normal(K)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(Nx=st.integers(4, 40), Nt=st.integers(4, 40), K=st.integers(1, 16),
+       eps=st.floats(0.05, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_R_terms_match_per_mode_reference(Nx, Nt, K, eps, seed):
+    # R and R1 have the bits of the per-mode loop, for a compact f (of no
+    # rows too) and for its full() stack
+    rng = np.random.default_rng(seed)
+    modes = np.sort(rng.choice(np.arange(1, K + 1), size=rng.integers(0, K + 1), replace=False))
+    data = random_data(rng, Nx, Nt, K, modes, epsilon=eps)
+    options = CertifyOptions(boundary_margin=1)
+    cert = compute_certificate(data, options)
+    assert (cert.R, cert.R1) == _ref_R_R1(data, cert.Psi_M)
+    dense = replace(data, f_modes=data.f_modes.full())
+    dense_cert = compute_certificate(dense, options)
+    assert (dense_cert.R, dense_cert.R1) == _ref_R_R1(dense, dense_cert.Psi_M)
+    assert dense_cert.R1 == cert.R1
+
+
+def test_R_terms_of_single_modes():
+    # phi_k = sqrt(2/pi) sin x has unit norm over G and a gradient of norm ~1,
+    # so with psi = 1 and f = 0 (Psi_M = 0) R = R1 = lambda_k^{2 tau1} * 2 +
+    # lambda_k^{2 tau2}; eps = 1 gives tau1 = 1/2, tau2 = 1
+    grid = Grid(np.pi, 0.5, Nx=256, Nt=8)
+    params = SpectralParams(K=2, Ny=64)
+    psi = ScalarField(grid, np.ones(grid.field_shape))
+    om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
+    unit = np.sqrt(2.0 / np.pi) * np.sin(grid.x)
+    for rows, expected in (([1, 0], 2.0 + 1.0), ([0, 1], 4.0 * 2.0 + 16.0),
+                           ([1, 1], 3.0 + 24.0)):
+        phi = np.array(rows, dtype=float)[:, None] * unit
+        data = ProblemData(psi=psi, f_modes=ModeFieldSet.empty(grid, params),
+                           phi_modes=phi, omega=om)
+        cert = compute_certificate(data, CertifyOptions())
+        assert cert.Psi_M == 0.0
+        assert cert.R == cert.R1 == pytest.approx(expected, rel=1e-4)
+
+
+def test_R1_nondecreasing_in_epsilon():
+    # lambda_k >= 1 and tau1, tau2 grow with eps, so every R1-term does
+    rng = np.random.default_rng(5)
+    data = random_data(rng, 24, 12, 4, [2, 3])
+    R1 = []
+    for eps in (0.1, 0.5, 1.0, 3.0):
+        params = SpectralParams(K=4, epsilon=eps, Ny=64)
+        f = ModeFieldSet(data.grid, params, data.f_modes.values, data.f_modes.modes)
+        R1.append(compute_certificate(replace(data, f_modes=f), CertifyOptions()).R1)
+    assert all(a <= b for a, b in zip(R1, R1[1:]))
+
+
 def test_R_terms_scale_quadratically():
-    grid = Grid(np.pi, 0.5, Nx=32, Nt=16)
-    params = SpectralParams(K=3, Ny=64)
+    # phi and f times s with psi kept: R1 is a sum of squared norms of phi and
+    # f, so it scales by s^2; with f = 0, Psi does not move and R does too
     rng = np.random.default_rng(13)
-    phi = rng.standard_normal((3, grid.Nx + 2))
     s = 3.0
-    for tau, level in ((params.tau1, 1), (params.tau1, 0), (params.tau2, 0)):
-        base = frac_norm(phi, grid, tau, level=level)
-        scaled = frac_norm(s * phi, grid, tau, level=level)
-        assert scaled == pytest.approx(s**2 * base, rel=1e-12)
+    for f_modes in ([1, 3], []):
+        data = random_data(rng, 32, 16, 3, f_modes)
+        base = compute_certificate(data, CertifyOptions())
+        scaled = compute_certificate(data.scaled(s), CertifyOptions())
+        assert scaled.R1 == pytest.approx(s**2 * base.R1, rel=1e-12)
+        if not f_modes:
+            assert scaled.R == pytest.approx(s**2 * base.R, rel=1e-12)
 
 
 def test_q_local_scale_covariance_with_fixed_Psi():

@@ -437,8 +437,9 @@ def test_forward_scaled_scenario_exits_1(tmp_path, capsys):
     cfg = base_config(tmp_path / "out", scenario="MMS-A")
     cfg["scenario"]["scale"] = 0.5
     assert main(["forward", "--config", str(write_config(tmp_path, cfg))]) == 1
-    assert capsys.readouterr().err == ("error: a scaled scenario carries no coefficient to "
-                                       "solve with\n")
+    assert capsys.readouterr().err == ("error: forward needs scenario.scale = 1: a scaled "
+                                       "scenario carries no coefficient to solve with, "
+                                       "got 0.5\n")
 
 
 def test_forward_mmsa_residual_refines(tmp_path):
@@ -909,7 +910,22 @@ def test_mms_null_zeros(tmp_path):
 def test_mms_data_config_exits_1(tmp_path, capsys):
     cfg = write_mms_data(tmp_path, tmp_path / "out")
     assert main(["mms", "--config", str(write_config(tmp_path, cfg))]) == 1
-    assert capsys.readouterr().err == "error: mms studies need a scenario config\n"
+    assert capsys.readouterr().err == "error: mms studies need a 'scenario' section, not 'data'\n"
+
+
+@pytest.mark.parametrize("command", [["certify"], ["invert", "--force"]])
+def test_psi_below_its_floor_names_the_key_and_node(tmp_path, capsys, command):
+    # one zero interior node in psi.csv: the error line names certify.psi_floor
+    # and the node by its indices, t and x
+    cfg = write_mms_data(tmp_path, tmp_path / "out", N=16, K=2)
+    grid = Grid(np.pi, 0.5, Nx=16, Nt=16)
+    psi = read_field_csv(tmp_path / "psi.csv", grid).values.copy()
+    psi[3, 5] = 0.0
+    write_field_csv(tmp_path / "psi.csv", ScalarField(grid, psi))
+    assert main([command[0], "--config", str(write_config(tmp_path, cfg)), *command[1:]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: |psi| < certify.psi_floor = 1e-12 at grid node (3, 5), "
+        f"t = {grid.t[3]:.6g}, x = {grid.x[5]:.6g}; cannot divide\n")
 
 
 @pytest.mark.parametrize("Nx, Nt, named", [

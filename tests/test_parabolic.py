@@ -166,10 +166,9 @@ def test_blowup_reported_with_step():
     a_sing = -(1.0 / (theta * g.dt) + 2.0 / g.hx**2 + 1.0)
     a = np.full(g.field_shape, a_sing)
     with pytest.warns(RuntimeWarning):
-        with pytest.raises(NumericalBlowupError) as err:
+        with pytest.raises(NumericalBlowupError,
+                           match=r"^mode 1: non-finite values at time step \d+$"):
             march_one(1, g, initial=np.sin(g.x), theta=theta, reaction=a)
-    assert err.value.mode == 1
-    assert err.value.step is not None
 
 
 def test_forward_solve_failure_names_mode_and_step():
@@ -184,7 +183,6 @@ def test_forward_solve_failure_names_mode_and_step():
         with pytest.raises(NumericalBlowupError, match=r"^forward solve failed: mode 1: "
                            r"non-finite values at time step 19$") as err:
             solve_forward(a, f, np.sin(g.x)[None], theta=1.0)
-    assert (err.value.mode, err.value.step) == (1, 19)
     assert isinstance(err.value.__cause__, NumericalBlowupError)
 
 
@@ -460,10 +458,9 @@ def test_spectral_blowup_names_first_bad_step(Nt, data, theta, value):
     S = np.zeros((4,) + g.field_shape)
     S[2, step, node] = value
     S[3, 1, node] = value
-    with pytest.raises(NumericalBlowupError) as err:
+    with pytest.raises(NumericalBlowupError,
+                       match=rf"^mode 3: non-finite values at time step {step}$"):
         march(g, S, np.zeros((4, g.Nx + 2)), theta)
-    assert err.value.mode == 3
-    assert err.value.step == step
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -480,9 +477,8 @@ def test_march_of_mode_rows_matches_full_stack_and_names_true_mode():
     assert np.array_equal(march(g, S[rows - 1], phi, modes=rows), full[rows - 1])
     bad = S[rows - 1]
     bad[1, 4, 7] = np.nan
-    with pytest.raises(NumericalBlowupError) as err:
+    with pytest.raises(NumericalBlowupError, match=r"^mode 5: non-finite values at time step 4$"):
         march(g, bad, phi, modes=rows)
-    assert (err.value.mode, err.value.step) == (5, 4)
     with pytest.raises(ConfigurationError, match="initial stack"):
         march(g, S[rows - 1], phi[rows - 1], modes=rows)
 
