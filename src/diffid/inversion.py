@@ -19,8 +19,8 @@ zero; the loop sweeps only the other, excited modes (parabolic.forced_modes
 of phi, f and the start), and its cost scales with their number.  The result
 keeps that compact stack: the reconstruction, the measurement residual and
 the norm bundle all run on the swept rows, and InversionResult.u_modes.full()
-gives the dense stack.  The series is summed row by row in ascending k, so
-the compact stack gives the same bits as the dense one would.
+gives the dense stack.  The series is a mode_sum, so the compact stack gives
+the same bits as the dense one would.
 
 The division by psi is guarded once per run: compute_Psi rejects psi below
 the floor at every interior node, and _coefficient divides by the same psi on
@@ -53,11 +53,8 @@ def _coefficient(u: ModeFieldSet, data: ProblemData, Psi: ScalarField) -> np.nda
     """The coefficient formula a = Psi + (sum_j c_j u_j) / psi over u's rows,
     the series divided on interior nodes only (a = Psi on the spatial
     boundary); psi has passed compute_Psi's floor check on those nodes.
-    Summed one row at a time in ascending j: a zero row adds exactly 0,
-    whereas a BLAS contraction groups its terms by the row count."""
-    series = np.zeros(u.grid.field_shape)
-    for c_j, u_j in zip(data.omega.couplings[u.modes - 1], u.values):
-        series += c_j * u_j
+    The series is a mode_sum, so zero rows do not change a bit."""
+    series = mode_sum(u.values, data.omega.couplings[u.modes - 1])
     a = Psi.values.copy()
     x = u.grid.interior(1)
     a[:, x] += series[:, x] / data.psi.values[:, x]

@@ -257,6 +257,16 @@ def test_R_terms_of_single_modes():
         assert cert.R == cert.R1 == pytest.approx(expected, rel=1e-4)
 
 
+def test_zero_mode_with_an_overflowing_weight_adds_nothing_to_R():
+    # MMS-B excites mode 1 only; at eps = 2000 mode 2's weight 4^(2 tau1) is
+    # beyond float range, and its zero phi row must not make R inf * 0 = NaN
+    grid = Grid(np.pi, 0.5, Nx=16, Nt=16)
+    certs = [compute_certificate(build_scenario("MMS-B", grid, SpectralParams(
+        K=K, epsilon=2000.0, Ny=64)).data, CertifyOptions()) for K in (1, 2)]
+    assert np.isfinite(certs[1].R) and certs[1].R == certs[0].R
+    assert certs[1].R1 == certs[0].R1
+
+
 def test_R1_nondecreasing_in_epsilon():
     # lambda_k >= 1 and tau1, tau2 grow with eps, so every R1-term does
     rng = np.random.default_rng(5)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import diffid
-from diffid import (Grid, ScalarField, SpectralParams, build_scenario,
-                    compute_certificate, run_inversion)
+from diffid import (CertifyOptions, Grid, ModeFieldSet, OmegaData, ProblemData, ScalarField,
+                    SpectralParams, build_scenario, compute_certificate, run_inversion)
 from diffid.certificates import Certificate
 from diffid.cli import main
 from diffid.config import assemble_data, load_config
@@ -77,6 +77,17 @@ def test_certify_failure_names_condition(tmp_path, capsys):
     code = main(["certify", "--config", str(write_config(tmp_path, cfg))])
     assert code == 2
     assert "4*R*B < 1" in capsys.readouterr().out
+
+
+def test_certify_with_an_overflowing_zero_mode_weight_is_a_verdict(tmp_path, capsys):
+    # MMS-B at K = 2 leaves mode 2 zero; at eps = 2000 its weight overflows,
+    # which made R = nan and exit 1 before zero rows were skipped
+    cfg = base_config(tmp_path / "out", scenario="MMS-B", N=16, K=2)
+    cfg["spectral"]["epsilon"] = 2000.0
+    code = main(["certify", "--config", str(write_config(tmp_path, cfg))])
+    captured = capsys.readouterr()
+    assert code == 2 and "error:" not in captured.out + captured.err
+    assert np.isfinite(json.loads((tmp_path / "out" / "certificate.json").read_text())["R"])
 
 
 def test_certify_readme_config_prints_failing_conditions(tmp_path, capsys):
@@ -747,6 +758,45 @@ def test_forward_data_mode_matches_scenario(tmp_path, capsys):
     for file in ("u_modes.csv", "u_synth.csv", "residual.csv", "summary.json"):
         assert ((tmp_path / "out_data" / file).read_bytes()
                 == (tmp_path / "out_scn" / file).read_bytes()), file
+
+
+def test_invert_data_mode_matches_the_library_on_compact_rows(tmp_path):
+    # f and phi excite modes 1, 3, 6 and 8 of K = 8; read_modes_csv returns
+    # the dense stack of f, zero rows included, and every sum over its rows
+    # skips them, so data mode writes the a and certificate of the compact
+    # data.  Seed 1 fails where the measurement of f was a BLAS contraction
+    grid = Grid(np.pi, 0.5, Nx=24, Nt=24)
+    params = SpectralParams(K=8, Ny=64)
+    rng = np.random.default_rng(1)
+    modes = np.array([1, 3, 6, 8])
+    envelope = np.sin(grid.x) * (1.0 + grid.t[:, None])
+    f = ModeFieldSet(grid, params, 1e-2 * rng.standard_normal((4, 1, 1)) * envelope, modes)
+    phi = np.zeros((8, grid.Nx + 2))
+    phi[modes - 1] = 1e-2 * rng.standard_normal((4, 1)) * np.sin(grid.x)
+    psi = ScalarField(grid, 1.0 + 0.1 * rng.random() * np.sin(grid.x) * grid.t[:, None])
+    y = params.y
+    omega_profile = np.sin(y) + 0.5 * np.sin(3 * y) + 0.25 * np.sin(6 * y)
+    data = ProblemData(psi=psi, f_modes=f, phi_modes=phi,
+                       omega=OmegaData.from_profiles(y, omega_profile, params.K))
+    write_field_csv(tmp_path / "psi.csv", psi)
+    write_modes_csv(tmp_path / "f.csv", f)
+    write_mode_profiles_csv(tmp_path / "phi.csv", phi, grid.x)
+    write_profile_csv(tmp_path / "omega.csv", y, omega_profile)
+    cfg = base_config(tmp_path / "out", N=24, K=8)
+    cfg["grid"]["Ny_quad"] = 64
+    del cfg["scenario"]
+    cfg["data"] = dict(DATA_FILES)
+    assert main(["invert", "--config", str(write_config(tmp_path, cfg)), "--force"]) == 0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = run_inversion(data, tol_F=1e-10, max_iters=40, force=True)
+    assert result.converged
+    write_field_csv(tmp_path / "library_a.csv", result.a)
+    assert (tmp_path / "out" / "a.csv").read_bytes() == (tmp_path / "library_a.csv").read_bytes()
+    cert = asdict(compute_certificate(data, CertifyOptions()))
+    written = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    assert {key: written[key] for key in cert} == cert
 
 
 def test_forward_summary_keeps_reaction_warning(tmp_path):

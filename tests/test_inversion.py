@@ -1,6 +1,6 @@
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from diffid import (
     forced_modes,
     iterate,
     march_modes,
+    overdetermination_residual,
     picard_source,
     reconstruct_a,
     recovery_error,
@@ -371,10 +372,10 @@ def test_result_holds_only_the_excited_rows(name, modes):
 
 
 def test_compact_and_dense_stacks_give_bitwise_equal_norms():
-    # every sum over k runs in ascending k, where a zero row adds exactly 0;
-    # np.sum's pairwise order over 16 rows would group them otherwise.  As a
-    # source, the stacks give the certificate the same R1; R also reads Psi,
-    # whose measurement of f is a BLAS contraction that may move last bits
+    # every sum over mode rows is a mode_sum, in ascending k with zero rows
+    # skipped; np.sum's pairwise order or a BLAS contraction over 16 rows
+    # would group them otherwise.  As a source or an iterate, the stacks give
+    # the same certificate, Psi, measurement, residual, coefficient and source
     grid = Grid(np.pi, 0.5, Nx=24, Nt=12)
     params = SpectralParams(K=16, epsilon=0.7, Ny=64)
     rng = np.random.default_rng(10)
@@ -392,8 +393,20 @@ def test_compact_and_dense_stacks_give_bitwise_equal_norms():
                 == strong_diagnostics(dense, solution_norms(dense, a)))
         assert F_functional(u) == F_functional(dense)
         data = ProblemData(psi=psi, f_modes=u, phi_modes=phi, omega=omega)
-        assert (compute_certificate(data, CertifyOptions()).R1
-                == compute_certificate(replace(data, f_modes=dense), CertifyOptions()).R1)
+        dense_data = replace(data, f_modes=dense)
+        assert (asdict(compute_certificate(data, CertifyOptions()))
+                == asdict(compute_certificate(dense_data, CertifyOptions())))
+        Psi = compute_Psi(data, 1e-12)
+        assert np.array_equal(Psi.values, compute_Psi(dense_data, 1e-12).values)
+        assert np.array_equal(omega.measure(u.values, u.modes),
+                              omega.measure(dense.values, dense.modes))
+        res, res_norm = overdetermination_residual(u, omega, psi)
+        dense_res, dense_res_norm = overdetermination_residual(dense, omega, psi)
+        assert np.array_equal(res.values, dense_res.values) and res_norm == dense_res_norm
+        assert np.array_equal(reconstruct_a(u, data, Psi, 2).values,
+                              reconstruct_a(dense, dense_data, Psi, 2).values)
+        assert np.array_equal(picard_source(u, data, Psi),
+                              picard_source(dense, dense_data, Psi)[u.modes - 1])
 
 
 def test_run_inversion_peaks_below_one_dense_stack():
