@@ -22,6 +22,13 @@ the norm bundle all run on the swept rows, and InversionResult.u_modes.full()
 gives the dense stack.  The series is a mode_sum, so the compact stack gives
 the same bits as the dense one would.
 
+A sweep holds three mode stacks: the iterate u^{i-1}, the fresh source
+stack, which the march overwrites with u^i, and the march's transform
+buffer.  picard_source forms a u_k in the source stack itself, and
+F_functional(u^i, u^{i-1}) differences one row at a time, so neither the
+product nor the difference is ever a stack of its own.  The iterate stays
+whole, since a sweep that runs away is dropped and the loop keeps it.
+
 The division by psi is guarded once per run: compute_Psi rejects psi below
 the floor at every interior node, and _coefficient divides by the same psi on
 those nodes only.
@@ -64,20 +71,26 @@ def _coefficient(u: ModeFieldSet, data: ProblemData, Psi: ScalarField) -> np.nda
 def picard_source(prev: ModeFieldSet, data: ProblemData, Psi: ScalarField) -> np.ndarray:
     """Source stack f_k - a(prev) * prev_k for the next sweep, one row per
     row of prev, with the coefficient of prev evaluated once for every k.
+    The product a * prev_k fills the one fresh stack, and each of its rows
+    is then subtracted in place from f's row (0 for a mode f does not hold).
     Psi comes from compute_Psi of data."""
-    return data.f_modes.rows(prev.modes).values - _coefficient(prev, data, Psi)[None] * prev.values
+    source = _coefficient(prev, data, Psi)[None] * prev.values
+    for k, row in zip(prev.modes, source):
+        np.subtract(data.f_modes.row(k), row, out=row)
+    return source
 
 
 def iterate(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,
             theta: float = 0.5) -> tuple[ModeFieldSet, float]:
     """One sweep: u^{i+1} from u^i by one march of u's mode rows, in place in
-    the fresh source stack, and the energy F(u^{i+1} - u^i).  Psi comes from
-    compute_Psi of data."""
+    the fresh source stack, and the energy F(u^{i+1} - u^i), which
+    F_functional(new, u) forms row by row and leaves u as it was.  Psi comes
+    from compute_Psi of data."""
     # the march scans its output, which overwrites the sources
     sources = ModeFieldSet(data.grid, data.params, picard_source(u, data, Psi), u.modes,
                            check_finite=False)
     new = march_modes(sources, data.phi_modes, theta=theta)
-    return new, F_functional(new - u)
+    return new, F_functional(new, u)
 
 
 def reconstruct_a(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,

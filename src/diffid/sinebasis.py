@@ -9,7 +9,9 @@ scenario's sin(y) and omega.csv share the grid.Ny_quad + 1 nodes.
 
 Mode k has eigenvalue k^2.  Every lambda-weighted norm (F_functional here,
 the certificate's R-terms, the inversion's norm bundle) is mode_sum over the
-per-row squared norms of grids.l2_sq_G or l2_sq_GT.
+per-row squared norms of grids.l2_sq_G or l2_sq_GT.  F_functional(new, old)
+is the energy of the difference new - old, which it forms one row at a time
+in a row buffer, so a sweep's energy builds no difference stack.
 
 A ModeFieldSet holds only the rows it carries, each labelled with its mode
 number; the modes it does not hold are zero.  Every function here weights a
@@ -153,8 +155,8 @@ class ModeFieldSet:
     modes[i], and every mode the stack does not hold is zero.  modes
     defaults to 1..K, the dense stack; a compact stack holds some of the
     modes in ascending order, and the empty stack (empty()) is the zero
-    field.  rows() aligns a stack to other mode numbers, and full() gives the
-    dense (K, Nt+1, Nx+2) stack.
+    field.  row(k) is one mode's row, rows() aligns a stack to other mode
+    numbers, and full() gives the dense (K, Nt+1, Nx+2) stack.
 
     The values are checked finite unless check_finite is False, which is for
     a stack its producer has just checked (march_modes scans its output, and
@@ -213,10 +215,10 @@ class ModeFieldSet:
         included."""
         return self.rows(np.arange(1, self.K + 1))
 
-    def __sub__(self, other: "ModeFieldSet") -> "ModeFieldSet":
-        if not np.array_equal(self.modes, other.modes):
-            raise DataError(f"mode rows {self.modes} and {other.modes} differ")
-        return ModeFieldSet(self.grid, self.params, self.values - other.values, self.modes)
+    def row(self, k: int) -> np.ndarray | float:
+        """Mode k's row, or 0.0 when the stack does not hold it."""
+        i = int(np.searchsorted(self.modes, k))
+        return self.values[i] if i < len(self.modes) and self.modes[i] == k else 0.0
 
     def synthesize_y(self, y: np.ndarray, level: int) -> np.ndarray:
         """Sample u(t, x, y) = sum_k u_k(t, x) sin(k y) at one time level on
@@ -239,15 +241,24 @@ def mode_sum(terms: np.ndarray, weights: np.ndarray | None = None, power: float 
     return total if total.ndim else float(total)
 
 
-def F_functional(modes: ModeFieldSet) -> float:
-    """Contraction energy: sum_k lambda_k^{2 tau1} [ ||D_t u_k||^2_{GT}
-    + sup_t ||grad u_k||^2_G + lambda_k sup_t ||u_k||^2_G ] over the stack's
-    rows, in ascending k.  A zero row adds exactly 0, so a compact stack
-    gives the bits of its full() stack."""
-    grid, v = modes.grid, modes.values
-    buf = diff(v, grid.dt, axis=1)  # D_t v, then D_x v in the same buffer
-    dt_term = l2_sq_GT(buf, grid)
-    grad_term = np.max(l2_sq_G(diff(v, grid.hx, axis=-1, out=buf), grid), axis=1)
-    l2_term = np.max(l2_sq_G(v, grid), axis=1)
-    lam = modes.eigenvalues
-    return mode_sum(dt_term + grad_term + lam * l2_term, lam, 2.0 * modes.params.tau1)
+def F_functional(new: ModeFieldSet, old: ModeFieldSet) -> float:
+    """Contraction energy of the difference w = new - old: sum_k
+    lambda_k^{2 tau1} [ ||D_t w_k||^2_{GT} + sup_t ||grad w_k||^2_G
+    + lambda_k sup_t ||w_k||^2_G ] over new's rows, in ascending k.  A mode
+    old does not hold is zero there, so F_functional(u, ModeFieldSet.empty(
+    u.grid, u.params)) is the energy of u; a mode of old that new lacks is a
+    DataError.  Each row's difference goes into one reused row buffer and
+    its derivatives into another, so no stack is built.  A zero row adds
+    exactly 0, so a compact stack gives the bits of its full() stack."""
+    extra = sorted(set(old.modes.tolist()) - set(new.modes.tolist()))
+    if extra:
+        raise DataError(f"old holds mode rows {extra} that new ({new.modes}) does not")
+    grid, lam = new.grid, new.eigenvalues
+    w, buf = np.empty(grid.field_shape), np.empty(grid.field_shape)
+    terms = np.empty(len(lam))
+    for i, (k, row) in enumerate(zip(new.modes, new.values)):
+        np.subtract(row, old.row(k), out=w)
+        dt_term = l2_sq_GT(diff(w, grid.dt, axis=0, out=buf), grid)
+        grad_term = np.max(l2_sq_G(diff(w, grid.hx, axis=-1, out=buf), grid))
+        terms[i] = dt_term + grad_term + lam[i] * np.max(l2_sq_G(w, grid))
+    return mode_sum(terms, lam, 2.0 * new.params.tau1)

@@ -391,7 +391,9 @@ def test_compact_and_dense_stacks_give_bitwise_equal_norms():
         assert solution_norms(u, a) == solution_norms(dense, a)
         assert (strong_diagnostics(u, solution_norms(u, a))
                 == strong_diagnostics(dense, solution_norms(dense, a)))
-        assert F_functional(u) == F_functional(dense)
+        zero = ModeFieldSet.empty(grid, params)
+        assert F_functional(u, zero) == F_functional(dense, zero)
+        assert F_functional(dense, u) == 0.0
         data = ProblemData(psi=psi, f_modes=u, phi_modes=phi, omega=omega)
         dense_data = replace(data, f_modes=dense)
         assert (asdict(compute_certificate(data, CertifyOptions()))
@@ -426,6 +428,76 @@ def test_run_inversion_peaks_below_one_dense_stack():
         tracemalloc.stop()
     assert res.converged
     assert peak < dense_bytes, f"peak {peak} B, one dense stack {dense_bytes} B"
+
+
+def _seeded_pair(seed, N, K=16, Ny=256):
+    """A seeded smooth a >= 0 and K excited modes u*_k, with the data derived
+    from them, built as the benchmark's forward-data inputs are:
+    f_k = u_t - u_xx + k^2 u + a u, phi_k = u_k(0) and psi = (pi/2) sum_k
+    omega_k u_k for omega = sin y + c2 sin 2y + c3 sin 3y."""
+    rng = np.random.default_rng(seed)
+    t, x = np.linspace(0.0, 0.5, N + 1), np.linspace(0.0, np.pi, N + 2)
+    tt, xx = t[:, None], x[None, :]
+    r = rng.uniform(-1.0, 1.0, 3)
+    a = (1.0 + 0.25 * r[0] * (1.0 + tt) * np.sin(xx)
+         + 0.25 * r[1] * np.exp(-tt) * np.cos(2.0 * xx + np.pi * r[2]))
+    m = np.arange(1, 5, dtype=float)
+    u = np.empty((K, N + 1, N + 2))
+    f = np.empty_like(u)
+    for k in range(1, K + 1):
+        amp = rng.choice([-1.0, 1.0]) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0)) / k**2
+        rate = 1.0 + 0.1 * rng.uniform(-1.0, 1.0)
+        b = rng.choice([-1.0, 1.0], m.size) / m**2
+        profile = b @ np.sin(np.outer(m, x))
+        curvature = (b * m**2) @ np.sin(np.outer(m, x))
+        decay = amp * np.exp(-rate * tt)
+        u[k - 1] = decay * profile
+        f[k - 1] = decay * ((k * k - rate + a) * profile + curvature)
+    c = np.concatenate([[1.0], rng.uniform(-0.2, 0.2, 2)])
+    grid, params = Grid(np.pi, 0.5, Nx=N, Nt=N), SpectralParams(K=K, Ny=Ny)
+    omega = c @ np.sin(np.outer(np.arange(1, 4), params.y))
+    return ProblemData(psi=ScalarField(grid, (np.pi / 2.0) * np.tensordot(c, u[:3], axes=(0, 0))),
+                       f_modes=ModeFieldSet(grid, params, f), phi_modes=u[:, 0, :].copy(),
+                       omega=OmegaData.from_profiles(params.y, omega, K))
+
+
+def test_run_inversion_peaks_near_three_stacks_above_the_data():
+    # a sweep holds the iterate, the source stack the march overwrites with
+    # the next iterate, and the march's transform buffer: no a * u product
+    # beside the source and no difference stack for the energy (4.2 stacks
+    # when it built both)
+    data = _seeded_pair(1, 128)
+    stack_bytes = data.f_modes.values.nbytes
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = run_inversion(data, force=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged and res.iterations == 7
+    assert peak <= 3.2 * stack_bytes, f"peak {peak / stack_bytes:.2f} stacks"
+
+
+def test_dropped_sweep_leaves_the_last_kept_iterate_whole():
+    # the loop keeps the iterate a runaway sweep started from, so the energy
+    # of that sweep must not be formed in the iterate's storage
+    grid = Grid(np.pi, 0.5, Nx=32, Nt=32)
+    data = build_scenario("MMS-A", grid, SpectralParams(K=4, Ny=128), scale=10.0).data
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = run_inversion(data, tol_F=1e-10, max_iters=40, force=True)
+    assert res.stop_reason == "diverged"
+    Psi = compute_Psi(data, 1e-12)
+    u = ModeFieldSet.empty(data.grid, data.params).rows(res.u_modes.modes)
+    for f_diff in res.F_diff_history:
+        u, replayed = iterate(u, data, Psi)
+        assert replayed == f_diff
+    assert np.array_equal(res.u_modes.modes, u.modes)
+    assert np.array_equal(res.u_modes.values, u.values)
+    _, dropped = iterate(u, data, Psi)
+    assert dropped > 2.0**104 * res.F_diff_history[0]
 
 
 def test_march_blowup_is_a_diverged_result():

@@ -16,7 +16,7 @@ from diffid import (
 )
 from diffid.errors import DataError
 from diffid.grids import diff, l2_sq_G, l2_sq_GT
-from diffid.sinebasis import eigenvalues
+from diffid.sinebasis import eigenvalues, mode_sum
 
 
 def test_eigenvalues():
@@ -170,12 +170,16 @@ def test_F_functional_static_mode():
     vals = np.zeros((1,) + g.field_shape)
     vals[0, :] = np.sin(g.x)
     modes = ModeFieldSet(g, params, vals)
-    assert F_functional(modes) == pytest.approx(np.pi, abs=1e-3)
+    zero = ModeFieldSet.empty(g, params)
+    assert F_functional(modes, zero) == pytest.approx(np.pi, abs=1e-3)
     doubled = ModeFieldSet(g, params, 2.0 * vals)
-    assert F_functional(doubled) == pytest.approx(4.0 * F_functional(modes), rel=1e-12)
+    assert F_functional(doubled, zero) == pytest.approx(4.0 * F_functional(modes, zero), rel=1e-12)
+    # the energy of the difference: 2u - u is u, and u - u is zero
+    assert F_functional(doubled, modes) == F_functional(modes, zero)
+    assert F_functional(modes, modes) == 0.0
 
-    assert F_functional(ModeFieldSet.empty(g, params)) == 0.0
-    assert F_functional(ModeFieldSet.empty(g, params).full()) == 0.0
+    assert F_functional(zero, zero) == 0.0
+    assert F_functional(zero.full(), zero) == 0.0
 
 
 def test_mode_rows_select_and_scatter():
@@ -193,7 +197,8 @@ def test_mode_rows_select_and_scatter():
     # mode_sum skips zero rows, so the energy and the measurement of a stack
     # do not depend on them; synthesize's matrix product over several nonzero
     # rows may group them otherwise, which moves last bits only
-    assert F_functional(compact) == F_functional(full)
+    zero = ModeFieldSet.empty(g, params)
+    assert F_functional(compact, zero) == F_functional(full, zero)
     om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
     assert np.array_equal(om.measure(compact.values, compact.modes),
                           om.measure(full.values, full.modes))
@@ -202,8 +207,11 @@ def test_mode_rows_select_and_scatter():
     for bad in (np.array([3, 2]), np.array([0, 1]), np.array([5]), np.array([1.0, 2.0])):
         with pytest.raises(DataError, match="mode numbers"):
             ModeFieldSet(g, params, vals[: len(bad)], bad)
-    with pytest.raises(DataError, match="differ"):
-        compact - full
+    # the energy of new - old reads a mode old lacks as zero, but old may not
+    # hold a mode new lacks
+    assert F_functional(full, compact) == 0.0
+    with pytest.raises(DataError, match=r"old holds mode rows \[1, 3\] that new"):
+        F_functional(compact, full)
 
 
 def test_mode_stack_rejects_a_bad_shape_and_non_finite_values():
@@ -249,8 +257,9 @@ def test_F_functional_triangle_inequality():
     for _ in range(5):
         u = ModeFieldSet(g, params, 0.1 * rng.standard_normal((3,) + g.field_shape))
         v = ModeFieldSet(g, params, 0.1 * rng.standard_normal((3,) + g.field_shape))
-        lhs = np.sqrt(F_functional(ModeFieldSet(g, params, u.values + v.values)))
-        rhs = np.sqrt(F_functional(u)) + np.sqrt(F_functional(v))
+        zero = ModeFieldSet.empty(g, params)
+        lhs = np.sqrt(F_functional(u, v))
+        rhs = np.sqrt(F_functional(u, zero)) + np.sqrt(F_functional(v, zero))
         assert lhs <= rhs + 1e-10
 
 
@@ -288,4 +297,48 @@ def _ref_F(modes):
 def test_batched_mode_norms_match_slice_loops(case, eps):
     grid, stack = case
     modes = ModeFieldSet(grid, SpectralParams(K=stack.shape[0], epsilon=eps), stack)
-    assert F_functional(modes) == _ref_F(modes)
+    assert F_functional(modes, ModeFieldSet.empty(grid, modes.params)) == _ref_F(modes)
+
+
+def _stack_F(modes):
+    """F of one whole stack, as F_functional computed it before it took the
+    pair (new, old): whole-stack derivatives and norms, then one mode_sum."""
+    grid, v = modes.grid, modes.values
+    buf = diff(v, grid.dt, axis=1)
+    dt_term = l2_sq_GT(buf, grid)
+    grad_term = np.max(l2_sq_G(diff(v, grid.hx, axis=-1, out=buf), grid), axis=1)
+    l2_term = np.max(l2_sq_G(v, grid), axis=1)
+    lam = modes.eigenvalues
+    return mode_sum(dt_term + grad_term + lam * l2_term, lam, 2.0 * modes.params.tau1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.integers(1, 16), data=st.data())
+def test_F_of_a_pair_is_F_of_the_difference_stack(K, data):
+    # F_functional(new, old) differences row by row; it gives the bits of the
+    # whole-stack F of new - old, with old's missing rows read as zero
+    grid = Grid(np.pi, data.draw(st.floats(0.1, 2.0)), Nx=data.draw(st.integers(2, 40)),
+                Nt=data.draw(st.integers(2, 16)))
+    params = SpectralParams(K=K, epsilon=data.draw(st.floats(0.1, 5.0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    live = data.draw(st.lists(st.booleans(), min_size=K, max_size=K))
+    modes = np.arange(1, K + 1)[np.array(live)]
+    kept = data.draw(st.lists(st.booleans(), min_size=len(modes), max_size=len(modes)))
+    old_modes = modes[np.array(kept, dtype=bool)]
+
+    def stack(rows):
+        scale = 10.0 ** rng.integers(-3, 4, size=(len(rows), 1, 1))
+        return ModeFieldSet(grid, params, rng.standard_normal((len(rows),) + grid.field_shape)
+                            * scale, rows)
+
+    new, old = stack(modes), stack(old_modes)
+    if data.draw(st.booleans()):
+        new = new.full()
+        if data.draw(st.booleans()):
+            old = old.full()
+    if data.draw(st.booleans()):  # new's rows equal to old's: zero rows of the difference
+        shared = np.isin(new.modes, old.modes)
+        new.values[shared] = old.rows(new.modes).values[shared]
+    difference = ModeFieldSet(grid, params, new.values - old.rows(new.modes).values, new.modes)
+    assert F_functional(new, old) == _stack_F(difference)
+    assert F_functional(new, ModeFieldSet.empty(grid, params)) == _stack_F(new)
