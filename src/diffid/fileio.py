@@ -21,22 +21,20 @@ _ROWS_PER_READ = 4,096 rows: 128 kB for the widest input, a four-column mode
 file, which is glibc's default mmap threshold.  Reading the README-size
 f.csv so peaks at 1.13 times its value stack (1.50 in blocks of 16,384
 rows).  A grid reader checks "every node once" with a row count and its
-value array, whose NaN start records the nodes not read.  The
-writer takes one leading-index slice at a time from any iterable:
-write_modes_csv passes the stack's rows with one shared zero slice for each
-mode it does not hold, and write_synth_csv synthesises u(t, x, y) one time
-level at a time.  It writes bytes, with no text layer to encode: each piece
-of a slice is a bytes template built once from the trailing coordinates'
-text, with the leading coordinate spliced in per slice.  So a big file
-costs the arrays it fills or is written from plus one block or slice,
-never a copy of the file.
+value array, whose NaN start records the nodes not read.  The writer
+takes the values as one array or as a function of the leading index that
+returns one slice (write_modes_csv looks up the stack's rows, and
+write_synth_csv synthesises u(t, x, y) one time level at a time), and
+writes bytes from templates built once, with no text layer to encode.  So a
+big file costs the arrays it fills or is written from plus one block or
+slice, never a copy of the file.
 
 A grid file is written on two CPUs when it has two or more pieces, the
 process runs one thread and it may run on two or more CPUs: a forked helper
-(diffid.forked) formats every other piece and sends it through a pipe.
-numpy's BLAS pool is a thread, so this needs OPENBLAS_NUM_THREADS=1 (or
-OMP_/MKL_NUM_THREADS=1 for the BLAS in use), as the benchmark sets it.  The
-bytes are the same either way.
+(diffid.forked) formats the second half of the pieces into a temporary file
+that is then appended to the first.  numpy's BLAS pool is a thread, so this
+needs OPENBLAS_NUM_THREADS=1 (or OMP_/MKL_NUM_THREADS=1 for the BLAS in
+use), as the benchmark sets it.  The bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -85,63 +83,64 @@ _ROWS_PER_READ = 4096
 def _write_grid_csv(path, header: list[str], axes, slices) -> None:
     """One row per node of the product of ``axes`` (last axis fastest):
     coordinates then value, all "%.17g" (so a mode index k prints as an
-    integer).  ``slices`` is any iterable of the leading-index slices, one
-    per node of axes[0], each shaped like the product of the other axes; an
-    array of the whole product is one.  Each slice is written as bytes in
-    pieces of at most _ROWS_PER_WRITE rows.  A piece is one bytes template,
-    built once from the coordinate text of the trailing axes, whose rows
-    read NUL, trailing coordinates, ",%.17g" and CRLF; per slice the NUL is
-    replaced by the slice's leading coordinate (coordinate text holds no
-    NUL and no "%") and the piece's values are formatted into that copy.
-    So memory is one slice, the templates, and one spliced template and
-    formatted piece at a time.
+    integer).  ``slices`` is an array of the whole product, or a function of
+    the leading index that returns one slice, shaped like the product of the
+    other axes.  The file is written in pieces of at most _ROWS_PER_WRITE
+    rows of one slice, each from a bytes template built once from the
+    trailing coordinates' text, whose rows read NUL, trailing coordinates,
+    ",%.17g" and CRLF; per slice the NUL is replaced by the leading
+    coordinate (coordinate text holds no NUL and no "%") and the values are
+    formatted into that copy.  So memory is one slice, the templates, and
+    one spliced template and formatted piece at a time.
 
-    A file of two or more pieces is written on two CPUs when
-    forked.can_fork() holds: a forked helper iterates its own copy of
-    ``slices`` (so a copy must yield the same values, as an array or a
-    generator over arrays does), formats every other piece in file order
-    and sends each through a pipe, while this process formats the other
-    pieces, checks every slice and writes every piece in order.  The bytes
+    With forked.can_fork(), a file of two or more pieces splits at
+    total // 2: a forked helper formats the second half, building only its
+    slices, while this process formats the first half and then appends the
+    helper's file.  If the helper does not exit 0, this process formats the
+    second half itself, so the bytes, and the ValueError of a bad slice,
     are the same either way."""
     cols = [[b"%.17g" % c for c in np.asarray(axis, dtype=float).tolist()] for axis in axes]
     shape = tuple(map(len, cols[1:]))
+    if not callable(slices):
+        values = np.asarray(slices, dtype=float)
+        if values.shape != (len(cols[0]),) + shape:
+            raise ValueError(f"{path}: values of shape {values.shape} do not match the axes "
+                             f"{','.join(header[:-1])} of shape {(len(cols[0]),) + shape}")
+        slices = values.__getitem__
     # the trailing coordinates of each row, last axis fastest
     tails = map(b"".join, itertools.product(*[[b"," + c for c in col] for col in cols[1:]]))
     batches = iter(lambda: list(itertools.islice(tails, _ROWS_PER_WRITE)), [])
-    pieces = [(i * _ROWS_PER_WRITE, b"".join([b"\0" + tail + b",%.17g\r\n" for tail in batch]))
-              for i, batch in enumerate(batches)]
-    texts = functools.partial(_texts, path, header[0], cols[0], shape, pieces, slices)
-    helper = None
-    if len(cols[0]) * len(pieces) >= 2:
-        from .forked import Helper  # here, so a run without such a file never loads it
-
-        helper = Helper.start(text for text in texts(2, 1) if text is not None)
-    try:
-        with open(path, "wb") as fh:
+    pieces = [b"".join([b"\0" + tail + b",%.17g\r\n" for tail in batch]) for batch in batches]
+    texts = functools.partial(_texts, path, cols[0], shape, pieces, slices)
+    total = len(cols[0]) * len(pieces)
+    with open(path, "wb") as fh:
+        helper = None
+        if total >= 2:
+            from .forked import Helper  # here, so a run without such a file never loads it
+            helper = Helper.start(path, texts(total // 2, total))
+        try:
             fh.write((",".join(header) + "\r\n").encode("utf-8"))
-            for text in texts(2 if helper else 1, 0):
-                fh.write(helper.received(path) if text is None else text)
-    finally:
-        if helper:
-            helper.close()
+            fh.writelines(texts(0, total // 2))
+            if not (helper and helper.append_to(fh)):
+                fh.writelines(texts(total // 2, total))
+        finally:
+            if helper:
+                helper.close()
 
 
-def _texts(path, name: str, lead: list[bytes], shape: tuple, pieces, slices, step, first):
-    """The file's pieces in order, each slice checked: the piece j of the
-    file formatted if j % step == first, else None."""
-    count = 0
-    for block in slices:
-        block = np.asarray(block, dtype=float)
-        if count == len(lead) or block.shape != shape:
-            raise ValueError(f"{path}: slice {count} of shape {block.shape} does not "
-                             f"match the {len(lead)} slices of shape {shape}")
-        row = block.ravel()
-        for j, (i, piece) in enumerate(pieces, start=count * len(pieces)):
-            yield (piece.replace(b"\0", lead[count]) % tuple(row[i:i + _ROWS_PER_WRITE].tolist())
-                   if j % step == first else None)
-        count += 1
-    if count != len(lead):
-        raise ValueError(f"{path}: {count} slices for {len(lead)} nodes of {name}")
+def _texts(path, lead: list[bytes], shape: tuple, pieces, slices, start: int, stop: int):
+    """Pieces start to stop - 1 of the file in order, piece j being the piece
+    j % len(pieces) of slice j // len(pieces); each slice built once, checked."""
+    for j in range(start, stop):
+        n, p = divmod(j, len(pieces))
+        if p == 0 or j == start:
+            block = np.asarray(slices(n), dtype=float)
+            if block.shape != shape:
+                raise ValueError(f"{path}: slice {n} of shape {block.shape} does not "
+                                 f"match the {len(lead)} slices of shape {shape}")
+            row = block.ravel()
+        i = p * _ROWS_PER_WRITE
+        yield pieces[p].replace(b"\0", lead[n]) % tuple(row[i:i + _ROWS_PER_WRITE].tolist())
 
 
 def _row_blocks(path, expected_header: list[str]):
@@ -315,7 +314,7 @@ def write_modes_csv(path, modes: ModeFieldSet) -> None:
     held = dict(zip(modes.modes.tolist(), modes.values))
     zero = np.zeros(grid.field_shape)
     _write_grid_csv(path, ["k", "t", "x", "value"], [range(1, modes.K + 1), grid.t, grid.x],
-                    (held.get(k, zero) for k in range(1, modes.K + 1)))
+                    lambda n: held.get(n + 1, zero))
 
 
 def read_modes_csv(path, grid: Grid, params: SpectralParams) -> ModeFieldSet:
@@ -340,7 +339,7 @@ def write_synth_csv(path, u: ModeFieldSet, y: np.ndarray) -> None:
     written one time level at a time, so u(t, x, y) is never held whole."""
     grid = u.grid
     _write_grid_csv(path, ["t", "x", "y", "value"], [grid.t, grid.x, y],
-                    (u.synthesize_y(y, level=n) for n in range(grid.Nt + 1)))
+                    functools.partial(u.synthesize_y, y))
 
 
 def write_table_csv(path, header: list[str], rows: list[list]) -> None:

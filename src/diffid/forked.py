@@ -1,19 +1,21 @@
-"""A forked helper process that produces a stream of bytes for its parent.
+"""A forked helper process that formats the second half of a grid CSV file.
 
-_write_grid_csv hands it a lazy iterable of the pieces it should format:
-the helper iterates its own copy-on-write copy of that iterable and sends
-each piece, length-prefixed, through a pipe, while the parent formats the
-other pieces and writes every piece in order.  Fork is safe only while the
+The helper writes the pieces _write_grid_csv hands it into an unlinked
+temporary file beside the output file, while the parent formats the first
+half; the parent then waits and appends that file with one in-kernel copy
+(os.sendfile), so no byte passes through the parent.  The file is written
+with write calls and never mapped, so its pages sit in the reclaimable page
+cache and never count as resident memory.  Fork is safe only while the
 process runs one thread (no BLAS pool or other thread can hold a lock
 across it), so start() forks only then, and only on two or more CPUs.
-
-fileio imports this module only for a file of two or more pieces, so a run
-that writes no such file never compiles it.
+fileio imports this module only for a file of two or more pieces.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import tempfile
 
 
 def can_fork() -> bool:
@@ -28,53 +30,51 @@ def can_fork() -> bool:
 
 
 class Helper:
-    """A forked child that sends each bytes object of ``pieces`` in order.
-    The child ends only in os._exit, so it runs no atexit hook and flushes
-    no inherited buffer, and its copy of stdio and warnings state is
-    dropped unused."""
+    """A forked child that writes ``pieces`` in order into an unlinked
+    temporary file.  It ends only in os._exit (0 once all are written, 1 on
+    an exception): no atexit hook, no inherited buffer flushed, no traceback."""
 
-    def __init__(self, pid: int, reader):
-        self.pid, self.reader = pid, reader
+    def __init__(self, pid: int, spool):
+        self.pid, self.spool = pid, spool
 
     @classmethod
-    def start(cls, pieces) -> Helper | None:
+    def start(cls, path, pieces) -> Helper | None:
         """The helper, or None if can_fork() fails or no process can be
         started.  ``pieces`` is iterated in the child only."""
         if not can_fork():
             return None
-        read_fd, write_fd = os.pipe()
+        spool = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
         try:
             pid = os.fork()
         except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+            spool.close()
             return None
         if pid == 0:
-            code = 1
             try:
-                os.close(read_fd)
-                with open(write_fd, "wb") as out:
-                    for text in pieces:
-                        out.write(len(text).to_bytes(8, "little"))
-                        out.write(text)
-                code = 0
+                spool.writelines(pieces)
+                spool.flush()
+                os._exit(0)
             finally:
-                os._exit(code)
-        os.close(write_fd)
-        return cls(pid, open(read_fd, "rb"))
+                os._exit(1)
+        return cls(pid, spool)
 
-    def received(self, path) -> bytes:
-        """The helper's next piece; an OSError naming the file ``path`` if
-        its stream ends first."""
-        prefix = self.reader.read(8)
-        size = int.from_bytes(prefix, "little")
-        text = self.reader.read(size)
-        if len(prefix) == 8 and len(text) == size:
-            return text
-        raise OSError(f"{path}: the helper process formatting every other piece ended early")
+    def append_to(self, out) -> bool:
+        """Wait for the helper.  If it exited 0, append its file to the
+        binary file object ``out`` and return True; else return False, and
+        the caller formats those pieces itself."""
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status != 0:
+            return False
+        out.flush()
+        size, done = os.fstat(self.spool.fileno()).st_size, 0
+        while done < size:
+            done += os.sendfile(out.fileno(), self.spool.fileno(), done, size - done)
+        return True
 
     def close(self) -> None:
-        """Reap the helper.  The read end closes first, so a helper blocked
-        on a full pipe exits on EPIPE."""
-        self.reader.close()
-        os.waitpid(self.pid, 0)
+        """Kill and reap the helper if it still runs, and close its file."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        self.spool.close()

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import re
@@ -190,6 +191,24 @@ def test_cli_import_loads_no_scipy():
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert run.stdout.strip() == "[]"
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(tmp_path):
+    frozen = gc.get_freeze_count()
+    cfg = base_config(tmp_path / "out", N=16, K=2)
+    assert main(["invert", "--force", "--config", str(write_config(tmp_path, cfg))]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["certify"], 1)])
+def test_process_entry_freezes_the_collector_and_exits_with_mains_code(argv, code):
+    src = str(Path(diffid.__file__).resolve().parents[1])
+    probe = ("import atexit, gc, sys; from diffid import cli; "
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+             f"sys.argv = ['diffid', *{argv!r}]; cli.entry()")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == code and run.stdout.splitlines()[-1] == "frozen True"
 
 
 #: modules no run needs: importing numpy.ma, numpy.random, numpy.polynomial

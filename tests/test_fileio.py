@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -210,11 +211,12 @@ def test_writer_checks_each_slice_and_the_slice_count(tmp_path, grid):
     path = tmp_path / "psi.csv"
     axes = [grid.t, grid.x]
     good = np.zeros(grid.Nx + 2)
-    for slices, message in (([good] * 4 + [good[:-1]], r"slice 4 of shape \(7,\)"),
-                            ([good] * 6, r"slice 5 of shape"),
-                            ([good] * 4, r"4 slices for 5 nodes of t")):
+    for slices, message in ((lambda n: good[:-1] if n == 4 else good, r"slice 4 of shape \(7,\)"),
+                            (np.zeros((6, grid.Nx + 2)), r"psi\.csv: values of shape \(6, 8\) "
+                             r"do not match the axes t,x of shape \(5, 8\)"),
+                            (np.zeros((4, grid.Nx + 2)), r"values of shape \(4, 8\)")):
         with pytest.raises(ValueError, match=message):
-            _write_grid_csv(path, ["t", "x", "value"], axes, iter(slices))
+            _write_grid_csv(path, ["t", "x", "value"], axes, slices)
 
 
 def test_write_synth_csv_never_holds_u_of_t_x_y(tmp_path):
@@ -662,7 +664,13 @@ WRITERS = ["write_field_csv", "write_profile_csv", "write_modes_csv",
 #: a one-piece file; 600 x-nodes, so a slice of one row per x-node is two
 #: pieces with a ragged last one; 1,100 x-nodes, three pieces and more
 PIECE_CASES = {"one-piece": (6, 1, 1), "ragged": (598, 2, 2), "many-pieces": (1098, 3, 3)}
-SLICE_MESSAGES = [r"slice 4 of shape \(7,\)", r"slice 5 of shape", r"4 slices for 5 nodes of t"]
+#: the ValueError of a five-slice psi.csv (one piece a slice, split at piece
+#: 2) whose slice 4, in the helper's half, or slice 1, in the parent's half,
+#: is short, and of an array of four slices, rejected before any fork
+SLICE_MESSAGES = [r"slice 4 of shape \(7,\)", r"slice 1 of shape", r"values of shape"]
+#: 5 time levels of 1,100 x-nodes: three pieces a slice, 15 in all, split
+#: at piece 7, the second piece of slice 2
+SPLIT_GRID = Grid(np.pi, 0.5, Nx=1098, Nt=4)
 
 
 def _writer_cases(case: str):
@@ -708,29 +716,48 @@ def _no_child_left() -> bool:
     return False
 
 
+def _open_files() -> list[str]:
+    """What each of this process's file descriptors refers to; an unlinked
+    temporary file still open reads as "<directory>/#<inode> (deleted)"."""
+    files = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            files.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the descriptor of the listing itself, closed by now
+            pass
+    return sorted(files)
+
+
 def two_cpu_run(out: str) -> dict:
     """The child interpreter's part: writes each case under ``out``, beside
     its reference file, and reports for each how often the writer forked,
-    what it raised and whether a child was left."""
-    forks = []
+    what it raised, whether a child was left and whether it left a file
+    open.  A case whose name ends in "-one-cpu" runs with every fork
+    refused, as on one CPU."""
+    parent = os.getpid()
+    state = {"forks": 0, "refuse": False}
     real_fork = os.fork
 
     def counted_fork():
-        forks.append(os.getpid())
+        if state["refuse"]:
+            raise OSError("fork refused")
+        state["forks"] += 1
         return real_fork()
 
     os.fork = counted_fork
     report = {"can_fork": forked.can_fork()}
 
     def run(name, call):
-        forks.clear()
+        state.update(forks=0, refuse=name.endswith("-one-cpu"))
         error = None
+        files = _open_files()
         try:
             with np.errstate(all="ignore"):
                 call()
         except (ValueError, OSError) as err:
             error = [type(err).__name__, str(err)]
-        report[name] = {"forks": len(forks), "error": error, "no_child_left": _no_child_left()}
+        report[name] = {"forks": state["forks"], "error": error,
+                        "no_child_left": _no_child_left(), "no_file_left": _open_files() == files}
 
     for case in PIECE_CASES:
         for writer, (args, header, axes, values) in _writer_cases(case).items():
@@ -739,19 +766,38 @@ def two_cpu_run(out: str) -> dict:
             reference_grid_csv(f"{out}/{case}-{writer}.ref", header, axes, values)
     grid = Grid(np.pi, 0.5, Nx=6, Nt=4)
     good = np.zeros(grid.Nx + 2)
-    for n, slices in enumerate(([good] * 4 + [good[:-1]], [good] * 6, [good] * 4)):
-        run(f"message-{n}", lambda: _write_grid_csv(f"{out}/psi.csv", ["t", "x", "value"],
-                                                    [grid.t, grid.x], iter(slices)))
-    parent = os.getpid()
+    for n, slices in enumerate((lambda m: good[:-1] if m == 4 else good,
+                                lambda m: good[:-1] if m == 1 else good, np.zeros((4, 8)))):
+        for cpus in ("two-cpu", "one-cpu"):
+            run(f"message-{n}-{cpus}", lambda: _write_grid_csv(
+                f"{out}/psi.csv", ["t", "x", "value"], [grid.t, grid.x], slices))
+    # which process builds each slice, and a helper that kills itself or exits 1
+    values = np.random.default_rng(3).standard_normal(SPLIT_GRID.field_shape)
+    axes = [SPLIT_GRID.t, SPLIT_GRID.x]
+    reference_grid_csv(f"{out}/split.ref", ["t", "x", "value"], axes, values)
+    builders = {n: [] for n in range(len(SPLIT_GRID.t))}
 
-    def dying():  # the helper's copy ends at once
-        for _ in grid.t:
+    def logged(n):  # a helper's list is its own copy, so it writes its pid to the pipe
+        os.write(pipe_w, b"%d %d\n" % (n, os.getpid()))
+        return values[n]
+
+    pipe_r, pipe_w = os.pipe()
+    run("split", lambda: _write_grid_csv(f"{out}/split.csv", ["t", "x", "value"], axes, logged))
+    os.close(pipe_w)
+    with open(pipe_r, "rb") as log:
+        for line in log:
+            n, pid = map(int, line.split())
+            builders[n].append("parent" if pid == parent else "helper")
+    report["builders"] = {n: sorted(who) for n, who in builders.items()}
+    for death, die in (("killed", lambda: os.kill(os.getpid(), signal.SIGKILL)),
+                       ("exit-1", lambda: os._exit(1))):
+        def dying(n):
             if os.getpid() != parent:
-                os._exit(0)
-            yield good
+                die()
+            return values[n]
 
-    run("dying-helper", lambda: _write_grid_csv(f"{out}/dying.csv", ["t", "x", "value"],
-                                                [grid.t, grid.x], dying()))
+        run(f"{death}-helper", lambda: _write_grid_csv(f"{out}/{death}.csv", ["t", "x", "value"],
+                                                       axes, dying))
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -761,6 +807,7 @@ def two_cpu_run(out: str) -> dict:
     finally:
         release.set()
         thread.join(timeout=10)
+    report["files"] = sorted(os.listdir(out))
     return report
 
 
@@ -774,6 +821,10 @@ def two_cpu(tmp_path_factory):
     return out, json.loads(run.stdout.splitlines()[-1])
 
 
+def _clean(result) -> bool:
+    return result["no_child_left"] and result["no_file_left"]
+
+
 @pytest.mark.parametrize("case", list(PIECE_CASES))
 @pytest.mark.parametrize("writer", WRITERS)
 def test_two_cpu_writers_match_reference_bytes(two_cpu, case, writer):
@@ -781,7 +832,7 @@ def test_two_cpu_writers_match_reference_bytes(two_cpu, case, writer):
     name = f"{case}-{writer}"
     assert report[name]["error"] is None
     assert (out / f"{name}.csv").read_bytes() == (out / f"{name}.ref").read_bytes()
-    assert report[name]["no_child_left"]
+    assert _clean(report[name])
     # a one-piece file has nothing to share; every other file forks one helper
     assert report[name]["forks"] == (report["can_fork"] and case != "one-piece")
 
@@ -792,24 +843,42 @@ def test_two_cpu_writer_forks_with_blas_pinned(two_cpu):
     assert two_cpu[1]["can_fork"]
 
 
+def test_two_cpu_writer_builds_each_slice_in_one_process(two_cpu):
+    out, report = two_cpu
+    assert (out / "split.csv").read_bytes() == (out / "split.ref").read_bytes()
+    assert report["split"]["error"] is None and _clean(report["split"])
+    if not report["can_fork"]:
+        pytest.skip("the writer cannot fork here")
+    # slice 2 holds the split: its first piece is the parent's, the rest the helper's
+    assert report["builders"] == {"0": ["parent"], "1": ["parent"], "2": ["helper", "parent"],
+                                  "3": ["helper"], "4": ["helper"]}
+
+
 @pytest.mark.parametrize("n, message", enumerate(SLICE_MESSAGES))
 def test_two_cpu_writer_checks_each_slice_and_the_slice_count(two_cpu, n, message):
-    result = two_cpu[1][f"message-{n}"]
-    assert result["error"][0] == "ValueError" and re.search(message, result["error"][1])
-    assert result["forks"] == two_cpu[1]["can_fork"] and result["no_child_left"]
+    two, one = two_cpu[1][f"message-{n}-two-cpu"], two_cpu[1][f"message-{n}-one-cpu"]
+    assert two["error"] == one["error"] and one["error"][0] == "ValueError"
+    assert re.search(message, one["error"][1]) and "psi.csv: " in one["error"][1]
+    # an array of the wrong shape is rejected before any fork
+    assert two["forks"] == (two_cpu[1]["can_fork"] and n != 2) and one["forks"] == 0
+    assert _clean(two) and _clean(one)
 
 
-def test_a_helper_that_dies_is_an_os_error_naming_the_file(two_cpu):
-    result = two_cpu[1]["dying-helper"]
-    if not two_cpu[1]["can_fork"]:
-        pytest.skip("the writer cannot fork here")
-    assert result["error"][0] == "OSError" and "dying.csv" in result["error"][1]
-    assert result["no_child_left"]
+@pytest.mark.parametrize("death", ["killed", "exit-1"])
+def test_a_helper_that_dies_costs_time_not_the_file(two_cpu, death):
+    out, report = two_cpu
+    result = report[f"{death}-helper"]
+    assert result["error"] is None and _clean(result)
+    assert result["forks"] == report["can_fork"]
+    assert (out / f"{death}.csv").read_bytes() == (out / "split.ref").read_bytes()
+    # no temporary file was ever left under a name beside the outputs
+    assert all(name.endswith((".csv", ".ref")) for name in report["files"])
 
 
 def test_two_cpu_writer_never_forks_beside_a_second_thread(two_cpu):
     out, report = two_cpu
-    assert report["second-thread"] == {"forks": 0, "error": None, "no_child_left": True}
+    assert report["second-thread"] == {"forks": 0, "error": None, "no_child_left": True,
+                                       "no_file_left": True}
     assert (out / "thread.csv").read_bytes().count(b"\r\n") == 1 + 5 * 8
 
 
