@@ -58,6 +58,36 @@ _CONDITIONS = (
 )
 
 
+# what each constant derives from: config keys, other constants, and the
+# data psi, f, phi and omega; a constant out of range names the keys and data
+_INPUTS = {
+    "A_eps": "spectral.epsilon spectral.K certify.boundary_margin omega psi",
+    "C_S": "certify.C_S",
+    "C_P": "domain.Lx",
+    "B": "certify.C_S A_eps",
+    "Psi_M": "domain.Lx domain.T grid.Nx grid.Nt certify.boundary_margin psi f omega",
+    "R": "R1 Psi_M",
+    "R1": "spectral.epsilon spectral.K domain.Lx domain.T grid.Nx grid.Nt phi f",
+    "q_local": "R B",
+    "q_global": "R1 B",
+    "T": "domain.T",
+}
+
+
+def _derivation(name: str) -> str:
+    """The config keys and data that a constant derives from, through the
+    constants it derives from, each once in first-named order."""
+    def leaves(n):
+        return [leaf for part in _INPUTS[n].split()
+                for leaf in (leaves(part) if part in _INPUTS else [part])]
+
+    names = list(dict.fromkeys(leaves(name)))
+    data = [n for n in names if "." not in n]
+    return (f"{name} derives from {', '.join(names)}" + (
+        f"; {', '.join(data)} come from the data.*_file inputs, or scenario.name and "
+        "scenario.scale" if data else ""))
+
+
 @dataclass(frozen=True)
 class Certificate:
     """The solvability constants; B = 2 A_eps^2 C_S^2, q_local = 4 R B,
@@ -96,7 +126,8 @@ class Certificate:
                      "q_local", "q_global", "T"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
-                raise ConfigurationError(f"certificate constant {name} = {v} is not a finite nonnegative number")
+                raise ConfigurationError(f"certificate constant {name} = {v} is not a finite "
+                                         f"nonnegative number; {_derivation(name)}")
         if self.C_P == 0:  # C_P = 1/lambda_1 > 0; a zero reads inf * 0 = nan below
             raise ConfigurationError("certificate constant C_P = 0.0 is not positive")
         with np.errstate(over="ignore", invalid="ignore"):

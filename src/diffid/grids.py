@@ -7,13 +7,14 @@ boundary margin into x-nodes.  All integrals are composite trapezoidal,
 consistent with the second-order difference stencils used everywhere else.
 
 Four kernels carry every derivative and norm: diff, the first derivative
-along any axis (into a caller's buffer when one is given), diff2, the second
-derivative along x, and two squared L2 norms, l2_sq_G of each space slice,
-which never forms v**2, and l2_sq_GT over the space-time cylinder.  Each acts
-on its axes and treats every other axis as a batch axis, so a mode stack
-(K, Nt+1, Nx+2) goes through one call, and each batched result is bitwise
-equal to the per-slice one.  A gradient norm is the norm of
-diff(v, grid.hx, axis=-1), and a norm is the square root of its square.
+along any axis (into a caller's C-contiguous buffer when one is given), and
+diff2, the second derivative along x, each one flat pass over the values,
+and two squared L2 norms, l2_sq_G of each space slice, which never forms
+v**2, and l2_sq_GT over the space-time cylinder.  Each acts on its axes and
+treats every other axis as a batch axis, so a mode stack (K, Nt+1, Nx+2)
+goes through one call, and each batched result is bitwise equal to the
+per-slice one.  A gradient norm is the norm of diff(v, grid.hx, axis=-1),
+and a norm is the square root of its square.
 """
 
 from __future__ import annotations
@@ -116,36 +117,40 @@ def l2_sq_GT(values: np.ndarray, grid: Grid):
 
 
 def diff(values: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """First derivative along one axis with step h: second-order central inside,
-    one-sided second-order at the two end nodes.  Bitwise equal to
-    np.gradient(values, h, axis=axis, edge_order=2); out, when given, is a
-    float array of the values' shape that receives the result."""
-    f = np.asarray(values, dtype=float)
-    if out is None:
-        out = np.empty_like(f)
-    before = (slice(None),) * range(f.ndim)[axis]  # IndexError for an axis f lacks
-
-    def at(index):  # the axis indexed in place, every other axis whole
-        return before + (index, ...)
-
-    np.subtract(f[at(slice(2, None))], f[at(slice(None, -2))], out=out[at(slice(1, -1))])
-    out[at(slice(1, -1))] /= 2.0 * h
-    first, last = out[at(0)], out[at(-1)]  # views, also for 1-d values
-    np.multiply(f[at(0)], -1.5 / h, out=first)
-    first += (2.0 / h) * f[at(1)]
-    first += (-0.5 / h) * f[at(2)]
-    np.multiply(f[at(-3)], 0.5 / h, out=last)
-    last += (-2.0 / h) * f[at(-2)]
-    last += (1.5 / h) * f[at(-1)]
+    """First derivative along one axis with step h, bitwise equal to
+    np.gradient(values, h, axis=axis, edge_order=2): one flat pass over the
+    C-contiguous values takes the central differences at offsets +-S, S the
+    product of the axes after axis, and the one-sided end formulas then
+    overwrite the first and last slice along the axis, cross-row values
+    included.  out, when given, must be a C-contiguous float array of the
+    values' shape (ValueError otherwise: its reshape could be a copy)."""
+    f = np.ascontiguousarray(values, dtype=float)
+    out = np.empty_like(f) if out is None else out
+    if out.shape != f.shape or not out.flags.c_contiguous:
+        raise ValueError(f"diff: out must be a C-contiguous array of shape {f.shape}")
+    n, S = f.shape[axis], np.prod(f.shape[axis:][1:], dtype=int)  # IndexError for an axis f lacks
+    flat, inside = f.reshape(-1), out.reshape(-1)[S:f.size - S]
+    np.subtract(flat[2 * S:], flat[:f.size - 2 * S], out=inside)
+    inside /= 2.0 * h
+    f, out3 = f.reshape(-1, n, S), out.reshape(-1, n, S)
+    first, last = out3[:, 0], out3[:, -1]
+    np.multiply(f[:, 0], -1.5 / h, out=first)
+    first += (2.0 / h) * f[:, 1]
+    first += (-0.5 / h) * f[:, 2]
+    np.multiply(f[:, -3], 0.5 / h, out=last)
+    last += (-2.0 / h) * f[:, -2]
+    last += (1.5 / h) * f[:, -1]
     return out
 
 
 def diff2(v: np.ndarray, h: float) -> np.ndarray:
-    """Second derivative along x, the last axis, with step h: central inside,
-    one-sided second-order (exact for cubics) at the two end nodes."""
-    v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    out[..., 1:-1] = (v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]) / h**2
-    out[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / h**2
-    out[..., -1] = (2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]) / h**2
+    """Second derivative along x, the last axis, with step h, in one flat pass
+    as diff: central inside, one-sided second-order (exact for cubics) at the
+    two end nodes."""
+    v = np.ascontiguousarray(v, dtype=float)
+    out, flat = np.empty_like(v), v.reshape(-1)
+    out.reshape(-1)[1:-1] = (flat[:-2] - 2.0 * flat[1:-1] + flat[2:]) / h**2
+    v, out2 = v.reshape(-1, v.shape[-1]), out.reshape(-1, v.shape[-1])
+    out2[:, 0] = (2.0 * v[:, 0] - 5.0 * v[:, 1] + 4.0 * v[:, 2] - v[:, 3]) / h**2
+    out2[:, -1] = (2.0 * v[:, -1] - 5.0 * v[:, -2] + 4.0 * v[:, -3] - v[:, -4]) / h**2
     return out

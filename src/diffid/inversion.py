@@ -89,7 +89,7 @@ def iterate(u: ModeFieldSet, data: ProblemData, Psi: ScalarField,
     # the march scans its output, which overwrites the sources
     sources = ModeFieldSet(data.grid, data.params, picard_source(u, data, Psi), u.modes,
                            check_finite=False)
-    new = march_modes(sources, data.phi_modes, theta=theta)
+    new = march_modes(sources, data.phi_modes[u.modes - 1], theta=theta)
     return new, F_functional(new, u)
 
 

@@ -29,11 +29,11 @@ solves for, so the march holds its stack plus a few (K, Nx) work arrays, and
 nothing is factored ahead or stored across steps.
 
 Every march runs in place: march_modes overwrites the source stack it is
-given with the solution, so a march holds one stack, not two.  A step of the
-known-a march reads source levels n and n+1 only and keeps level n aside
-before it overwrites it; the reaction-free march transforms the whole source
-stack before it writes any solution.  The Picard sweep marches the fresh
-source stack picard_source builds, and solve_forward the rows of f it reads.
+given with the solution, so a march holds one stack, not two.  Both kernels
+take their extent from the stack: each marches any contiguous run of a
+parent grid's levels at that grid's dt and hx, so a time window needs no
+grid of its own.  The Picard sweep marches the fresh source stack
+picard_source builds, and solve_forward the rows of f it reads.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ from .sinebasis import ModeFieldSet, OmegaData
 from .tridiag import solve_in_place
 
 
-def march_modes(sources: ModeFieldSet, phi_modes: np.ndarray, theta: float = 0.5,
+def march_modes(sources: ModeFieldSet, start: np.ndarray, theta: float = 0.5,
                 reaction: np.ndarray | None = None) -> ModeFieldSet:
     """Time-march every row of the source stack in place.  The grid and each
-    row's mode k come from the stack; row i starts from row k-1 of
-    phi_modes, the dense (K, Nx+2) initial stack.  reaction, a (Nt+1, Nx+2)
-    field, adds the a-term; None drops it.
+    row's mode k come from the stack; row i starts from start[i], so start
+    holds one (Nx+2) row per stack row.  reaction, a (Nt+1, Nx+2) field,
+    adds the a-term; None drops it.
 
     Overwrites sources.values with the solution and returns sources; an
     empty stack returns at once.  Raises NumericalBlowupError naming the
@@ -64,10 +64,9 @@ def march_modes(sources: ModeFieldSet, phi_modes: np.ndarray, theta: float = 0.5
     if not 0.5 <= theta <= 1.0:
         raise ConfigurationError(f"theta must lie in [0.5, 1], got {theta}")
     grid, modes, values = sources.grid, sources.modes, sources.values
-    phi_modes = np.asarray(phi_modes, dtype=float)
-    if phi_modes.shape != (sources.K, grid.Nx + 2):
-        raise ConfigurationError(
-            f"initial stack shape {phi_modes.shape} != {(sources.K, grid.Nx + 2)}")
+    start = np.asarray(start, dtype=float)
+    if start.shape != (len(modes), grid.Nx + 2):
+        raise ConfigurationError(f"start rows shape {start.shape} != {(len(modes), grid.Nx + 2)}")
     if not len(modes):
         return sources
     if reaction is not None:
@@ -84,12 +83,11 @@ def march_modes(sources: ModeFieldSet, phi_modes: np.ndarray, theta: float = 0.5
     # both marches write every interior node and read only the sources'
     # interior columns
     values[:, :, 0] = values[:, :, -1] = 0.0
-    phi, lam = phi_modes[modes - 1], sources.eigenvalues
     if reaction is None:
-        _march_spectral(values, phi, lam, grid, theta)
+        _march_spectral(values, start, sources.eigenvalues, grid, theta)
     else:
         with np.errstate(all="ignore"):
-            _march_tridiagonal(values, phi, lam, reaction, grid, theta)
+            _march_tridiagonal(values, start, sources.eigenvalues, reaction, grid, theta)
 
     # steps 1..Nt of one mode at a time: a boolean work array of one mode's
     # (Nt, Nx+2) nodes, not of the whole stack
@@ -125,29 +123,31 @@ def _dirichlet_symbol(n: int, h: float) -> np.ndarray:
     return (4.0 / h**2) * np.sin(m * np.pi / (2 * (n + 1))) ** 2
 
 
-def _march_spectral(stack: np.ndarray, phi: np.ndarray, lam: np.ndarray, grid: Grid,
+def _march_spectral(stack: np.ndarray, start: np.ndarray, lam: np.ndarray, grid: Grid,
                     theta: float) -> None:
     """Reaction-free theta march in DST-I coordinates of the source stack into
-    itself, whose boundary columns are zero; row i starts from phi[i] and
-    has lambda_k lam[i].  Per lane with symbol mu, v^{n+1} = amp v^n
-    + p dt (theta S^{n+1} + (1-theta) S^n), where p = 1/(1 + theta dt mu)
-    and amp = (1 - (1-theta) dt mu) p.
+    itself, whose boundary columns are zero: any contiguous run of the parent
+    grid's levels, at its dt and hx.  Level 0 holds the source at the run's
+    first level, and start (row i's start row, lambda_k lam[i]) overwrites it.
+    Per lane with symbol mu, v^{n+1} = amp v^n + p dt (theta S^{n+1}
+    + (1-theta) S^n), where p = 1/(1 + theta dt mu), amp = (1 - (1-theta) dt mu) p.
 
     The mixed sources overwrite the transformed source stack in three
     whole-stack operations, after (1-theta) S^n is staged in the stack's
     interior, which the transform back overwrites; the recurrence then runs
     over the levels in place.  Besides the stack the march holds the one
-    transform buffer.
+    transform buffer.  A blowup runs on as inf/nan; the caller's scan names
+    the step within the run.
     """
-    dt, Q = grid.dt, _sine_matrix(grid.Nx)
-    mu = _dirichlet_symbol(grid.Nx, grid.hx)[None, :] + lam[:, None]
+    dt, Q = grid.dt, _sine_matrix(stack.shape[2] - 2)
+    mu = _dirichlet_symbol(len(Q), grid.hx)[None, :] + lam[:, None]
     p = 1.0 / (1.0 + theta * dt * mu)
     amp = (1.0 - (1.0 - theta) * dt * mu) * p
     pdt = p * dt
 
-    # time-major (Nt+1, K, Nx), so each level the recurrence touches is one
-    # contiguous block; it holds S_hat, then v_hat level by level
-    v_hat = np.empty((grid.Nt + 1, len(stack), grid.Nx))
+    # level-major (levels, K, Nx), so each level the recurrence touches is
+    # one contiguous block; it holds S_hat, then v_hat level by level
+    v_hat = np.empty((stack.shape[1], len(stack), len(Q)))
     np.matmul(stack[:, :, 1:-1], Q, out=v_hat.transpose(1, 0, 2))
     lagged = stack[:, 1:, 1:-1].transpose(1, 0, 2)
     np.multiply(v_hat[:-1], 1.0 - theta, out=lagged)
@@ -157,29 +157,29 @@ def _march_spectral(stack: np.ndarray, phi: np.ndarray, lam: np.ndarray, grid: G
     mixed *= pdt
     # a stack of (1, Nx) @ Q vector products: one (K, Nx) @ Q matrix product
     # differs in the last bits
-    np.matmul(phi[:, None, 1:-1], Q, out=v_hat[0, :, None, :])
+    np.matmul(start[:, None, 1:-1], Q, out=v_hat[0, :, None, :])
     step = np.empty_like(amp)
-    for n in range(1, grid.Nt + 1):
+    for n in range(1, len(v_hat)):
         v_hat[n] += np.multiply(amp, v_hat[n - 1], out=step)
 
-    stack[:, 0, 1:-1] = phi[:, 1:-1]
+    stack[:, 0, 1:-1] = start[:, 1:-1]
     np.matmul(v_hat[1:].transpose(1, 0, 2), Q, out=stack[:, 1:, 1:-1])
 
 
-def _march_tridiagonal(stack: np.ndarray, phi: np.ndarray, lam: np.ndarray, a: np.ndarray,
+def _march_tridiagonal(stack: np.ndarray, start: np.ndarray, lam: np.ndarray, a: np.ndarray,
                        grid: Grid, theta: float) -> None:
-    """Theta march with the known reaction a of the source stack into itself,
-    whose boundary columns are zero; row i starts from phi[i] and has
-    lambda_k lam[i].  Each step reads source levels n and n+1 and overwrites
+    """Theta march with the known reaction a, over the run's levels too, of
+    the source stack into itself, with the run, start and lam as in
+    _march_spectral.  Each step reads source levels n and n+1 and overwrites
     level n+1, so the march keeps source level n aside.  A blowup runs on as
-    inf/nan for march_modes to report."""
+    inf/nan; the caller's scan names the step within the run."""
     dt, r = grid.dt, grid.dt / grid.hx**2
     c0 = 2.0 * r + dt * lam[:, None]   # (K, 1)
-    off = np.full(grid.Nx - 1, -theta * r)
+    off = np.full(stack.shape[2] - 3, -theta * r)
 
     prev = stack[:, 0, 1:-1].copy()   # source level n
-    stack[:, 0, 1:-1] = phi[:, 1:-1]
-    for n in range(grid.Nt):
+    stack[:, 0, 1:-1] = start[:, 1:-1]
+    for n in range(stack.shape[1] - 1):
         v, x = stack[:, n], stack[:, n + 1, 1:-1]
         # the mixed source dt (theta S^{n+1} + (1-theta) S^n), staged in the
         # level the step then solves for in place
@@ -216,8 +216,8 @@ def solve_forward(a: ScalarField, f_modes: ModeFieldSet, phi_modes: np.ndarray,
     that is f_modes itself, which is then left holding the result and must
     not be read again."""
     try:
-        return march_modes(f_modes.rows(forced_modes(phi_modes, f_modes)), phi_modes, theta,
-                           reaction=a.values)
+        sources = f_modes.rows(forced_modes(phi_modes, f_modes))
+        return march_modes(sources, phi_modes[sources.modes - 1], theta, reaction=a.values)
     except NumericalBlowupError as err:
         raise NumericalBlowupError(f"forward solve failed: {err}") from err
 

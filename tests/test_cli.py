@@ -617,20 +617,44 @@ def test_failed_certificate_prints_the_compatibility_warning(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("scenario, edit", [
-    ("MMS-A", lambda cfg: cfg["scenario"].update(scale=1e200)),
-    ("NULL", lambda cfg: cfg["domain"].update(T=1e-200)),
-    ("NULL", lambda cfg: cfg["domain"].update(T=5e-324)),
+@pytest.mark.parametrize("scenario, edit, key", [
+    ("MMS-A", lambda cfg: cfg["scenario"].update(scale=1e200), "scenario.scale"),
+    ("NULL", lambda cfg: cfg["domain"].update(T=1e-200), "domain.T"),
+    ("NULL", lambda cfg: cfg["domain"].update(T=5e-324), "domain.T"),
 ], ids=["scale-1e200", "T-1e-200", "T-5e-324"])
-def test_extreme_magnitudes_exit_1(tmp_path, capsys, scenario, edit):
+def test_extreme_magnitudes_exit_1(tmp_path, capsys, scenario, edit, key):
     """Finite data beyond float range for the certificate constants, or a
-    time step below the smallest normal float, fail with one named error."""
+    time step below the smallest normal float, fail with one error naming
+    the key."""
     cfg = base_config(tmp_path / "out", scenario)
     edit(cfg)
     assert main(["certify", "--config", str(write_config(tmp_path, cfg))]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: (certificate constant \w+ = (inf|nan) is not a finite "
-                        r"nonnegative number|config: domain\.T [^\n]*)\n", err), err
+                        r"nonnegative number; \w+ derives from [^\n]*|config: domain\.T [^\n]*)\n",
+                        err), err
+    assert key in err, err
+
+
+@pytest.mark.parametrize("section, key, value, constant", [
+    ("certify", "C_S", 1e300, "B"),
+    ("domain", "T", 1e-300, "R"),
+    ("scenario", "scale", 1e300, "R"),
+])
+def test_overflowing_certificate_constant_names_its_inputs(tmp_path, capsys, section, key,
+                                                           value, constant):
+    """On MMS-B at N = 16, K = 3, each edit leaves a certificate constant
+    beyond float range; certify and invert --force exit 1 with one error
+    line that names the constant and the config keys it derives from."""
+    for argv in (["certify"], ["invert", "--force"]):
+        cfg = base_config(tmp_path / "out", "MMS-B", N=16, K=3)
+        cfg[section][key] = value
+        assert main(argv + ["--config", str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            f"error: certificate constant {constant} = inf is not a finite nonnegative number; "
+            f"{constant} derives from "), err
+        assert f"{section}.{key}" in err, err
 
 
 def test_invert_force_via_config_flag(tmp_path):

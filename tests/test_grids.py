@@ -184,18 +184,59 @@ def test_stencils_batched_match_per_slice(case):
         assert np.array_equal(fn(stack, grid.hx), per_slice)
 
 
+def views(stack):
+    """The stack, its transpose and a strided slice of it: one C-contiguous
+    array and two views that are not."""
+    return stack, stack.T, stack[:, ::2, 1:]
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=grid_and_stack())
 def test_diff_matches_np_gradient(case):
+    # every axis of at least 3 nodes, also of a view, which the flat pass
+    # copies into a C-contiguous array first
     grid, stack = case
-    for h, axis in ((grid.dt, 1), (grid.dt, -2), (grid.hx, 2), (grid.hx, -1)):
-        ref = np.gradient(stack, h, axis=axis, edge_order=2)
-        assert np.array_equal(diff(stack, h, axis), ref)
-        out = np.full_like(stack, np.nan)
-        assert diff(stack, h, axis, out=out) is out
-        assert np.array_equal(out, ref)
+    for v in views(stack):
+        for axis in [a for a in range(-v.ndim, v.ndim) if v.shape[a] >= 3]:
+            for h in (grid.dt, grid.hx):
+                ref = np.gradient(v, h, axis=axis, edge_order=2)
+                assert diff(v, h, axis).tobytes() == ref.tobytes()
+                out = np.full(v.shape, np.nan)
+                assert diff(v, h, axis, out=out) is out
+                assert out.tobytes() == ref.tobytes()
     assert np.array_equal(diff(stack[0, 0], grid.hx, 0),
                           np.gradient(stack[0, 0], grid.hx, edge_order=2))
+
+
+def test_diff_out_must_be_c_contiguous_of_the_values_shape():
+    # a reshaped out that is not C-contiguous would be a copy, so the result
+    # would never reach the caller's array
+    v = np.arange(60.0).reshape(3, 4, 5)
+    for out in (np.empty((5, 4, 3)).T, np.empty((3, 4, 10))[..., ::2],
+                np.empty((3, 4, 6))[..., :5], np.empty((3, 20))):
+        with pytest.raises(ValueError,
+                           match=r"out must be a C-contiguous array of shape \(3, 4, 5\)"):
+            diff(v, 0.5, -1, out=out)
+
+
+def diff2_reference(v, h):
+    """diff2 as it was written before its flat pass, slice by slice along x:
+    the reference its bits must equal."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty_like(v)
+    out[..., 1:-1] = (v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]) / h**2
+    out[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / h**2
+    out[..., -1] = (2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]) / h**2
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grid_and_stack())
+def test_diff2_matches_its_slice_formula(case):
+    grid, stack = case
+    for v in views(stack) + (stack[0, 0],):
+        if v.shape[-1] >= 4:
+            assert diff2(v, grid.hx).tobytes() == diff2_reference(v, grid.hx).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

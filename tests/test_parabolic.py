@@ -18,7 +18,7 @@ from diffid import (
 )
 from diffid.errors import ConfigurationError, NumericalBlowupError
 from diffid.grids import l2_sq_G, l2_sq_GT
-from diffid.parabolic import _dirichlet_symbol, _sine_matrix
+from diffid.parabolic import _dirichlet_symbol, _march_spectral, _march_tridiagonal, _sine_matrix
 
 
 def grid_1d(Nx=128, Nt=128, T=1.0):
@@ -255,6 +255,54 @@ def rel_max_diff(u, ref):
     return float(np.max(np.abs(u - ref)) / np.max(np.abs(ref)))
 
 
+def split_march(S, start, n, lam, a, g, theta):
+    """S marched in place in two runs of the parent grid's levels, split at
+    level n: levels 0..n from start, then levels n..Nt from the first run's
+    level n, with level n's source kept aside before the first run
+    overwrites it.  a, the reaction over every level, picks the known-a
+    kernel; None the spectral one."""
+    def run(lo, hi, first):
+        if a is None:
+            _march_spectral(S[:, lo:hi], first, lam, g, theta)
+        else:
+            _march_tridiagonal(S[:, lo:hi], first, lam, a[lo:hi], g, theta)
+
+    source_n = S[:, n].copy()
+    run(0, n + 1, start)
+    solution_n = S[:, n].copy()
+    S[:, n] = source_n
+    run(n, None, solution_n)
+    return S
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.sampled_from((64, 97, 128, 192)), K=st.integers(1, 16), theta=st.floats(0.5, 1.0),
+       known_a=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_march_split_at_a_level_matches_the_whole_march(N, K, theta, known_a, seed, data):
+    # each kernel marches any contiguous run of levels at the parent grid's
+    # dt: a run split at level n is the known-a march bit for bit, and the
+    # spectral march within 1e-14 relative, since the transforms' batch
+    # shapes change (7.1e-16 the largest seen over N in {64, 97, 128, 192})
+    g = grid_1d(Nx=N, Nt=N, T=0.5)
+    n = data.draw(st.sampled_from((1, N // 3, N // 2, N - 1)) | st.integers(1, N - 1))
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((K,) + g.field_shape)
+    S[:, :, 0] = S[:, :, -1] = 0.0
+    start = rng.standard_normal((K, g.Nx + 2))
+    lam = np.arange(1, K + 1.0) ** 2
+    a = rng.random(g.field_shape) if known_a else None
+    whole = S.copy()
+    if known_a:
+        _march_tridiagonal(whole, start, lam, a, g, theta)
+    else:
+        _march_spectral(whole, start, lam, g, theta)
+    split = split_march(S, start, n, lam, a, g, theta)
+    if known_a:
+        assert split.tobytes() == whole.tobytes()
+    else:
+        assert rel_max_diff(split, whole) <= 1e-14
+
+
 @settings(max_examples=40, deadline=None)
 @given(Nx=st.integers(4, 200), Nt=st.integers(2, 48), K=st.integers(1, 16),
        theta=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
@@ -400,7 +448,7 @@ def test_empty_stack_marches_to_empty_stack():
     # call under-resolved, and no error
     g = grid_1d(Nx=16, Nt=4, T=1.0)  # dt = 0.25
     params = SpectralParams(K=3)
-    phi = np.zeros((3, g.Nx + 2))
+    phi = np.zeros((0, g.Nx + 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for reaction in (None, np.full(g.field_shape, -1e6)):
@@ -466,21 +514,21 @@ def test_spectral_blowup_names_first_bad_step(Nt, data, theta, value):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_march_of_mode_rows_matches_full_stack_and_names_true_mode():
     # rows for modes 3 and 5 march as rows 3 and 5 of a K = 5 stack do,
-    # each from its own row of the dense initial stack, and a blowup in the
-    # second row is reported as mode 5
+    # each from its own start row, and a blowup in the second row is
+    # reported as mode 5
     g = grid_1d(Nx=16, Nt=8)
     rng = np.random.default_rng(5)
     S = rng.standard_normal((5,) + g.field_shape)
     phi = rng.standard_normal((5, g.Nx + 2))
     rows = np.array([3, 5])
     full = march(g, S.copy(), phi)
-    assert np.array_equal(march(g, S[rows - 1], phi, modes=rows), full[rows - 1])
+    assert np.array_equal(march(g, S[rows - 1], phi[rows - 1], modes=rows), full[rows - 1])
     bad = S[rows - 1]
     bad[1, 4, 7] = np.nan
     with pytest.raises(NumericalBlowupError, match=r"^mode 5: non-finite values at time step 4$"):
-        march(g, bad, phi, modes=rows)
-    with pytest.raises(ConfigurationError, match="initial stack"):
-        march(g, S[rows - 1], phi[rows - 1], modes=rows)
+        march(g, bad, phi[rows - 1], modes=rows)
+    with pytest.raises(ConfigurationError, match=r"start rows shape \(5, 18\) != \(2, 18\)"):
+        march(g, S[rows - 1], phi, modes=rows)  # the dense stack, not one row per stack row
 
 
 def test_march_modes_rejects_bad_theta_and_shapes():
@@ -491,11 +539,17 @@ def test_march_modes_rejects_bad_theta_and_shapes():
     for theta in (0.4, 1.1):
         with pytest.raises(ConfigurationError, match="theta"):
             march_modes(sources, phi, theta)
-    for bad_phi in (phi[:2],             # K differs
+    for bad_phi in (phi[:2],             # a row short
+                    np.zeros((4, g.Nx + 2)),  # a row over
                     phi[:, :-1],         # Nx+2 columns off
                     phi[0]):             # no mode axis
-        with pytest.raises(ConfigurationError, match="initial stack"):
+        with pytest.raises(ConfigurationError, match="start rows shape"):
             march_modes(sources, bad_phi)
+    # a compact stack starts from one row per stack row, not from the dense
+    # (K, Nx+2) stack
+    compact = mode_stack(g, np.zeros((2,) + g.field_shape), modes=[1, 3])
+    with pytest.raises(ConfigurationError, match=r"start rows shape \(3, 10\) != \(2, 10\)"):
+        march_modes(compact, phi)
     with pytest.raises(ConfigurationError, match="reaction"):
         march_modes(sources, phi, reaction=np.zeros(g.Nx + 2))
     # the march overwrites the stack it is given and returns that stack
