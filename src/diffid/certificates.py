@@ -191,7 +191,7 @@ def compute_certificate(data: ProblemData, options: CertifyOptions) -> Certifica
         phi = data.phi_modes
         phi_sq = l2_sq_G(phi, grid)
         grad_sq = l2_sq_G(diff(phi, grid.hx, axis=-1), grid)
-        lam = eigenvalues(len(phi))
+        lam = eigenvalues(np.arange(1, len(phi) + 1))
         phi_1_tau1 = mode_sum(phi_sq + grad_sq, lam, 2.0 * tau1)
         phi_0_tau1 = mode_sum(phi_sq, lam, 2.0 * tau1)
         phi_0_tau2 = mode_sum(phi_sq, lam, 2.0 * tau2)

@@ -319,9 +319,9 @@ def write_modes_csv(path, modes: ModeFieldSet) -> None:
 
 def read_modes_csv(path, grid: Grid, params: SpectralParams) -> ModeFieldSet:
     # every value comes from a row _row_blocks has checked finite
+    modes = np.arange(1, params.K + 1)
     return ModeFieldSet(grid, params, _read_grid_csv(
-        path, ["k", "t", "x", "value"], [range(1, params.K + 1), grid.t, grid.x]),
-        check_finite=False)
+        path, ["k", "t", "x", "value"], [modes, grid.t, grid.x]), modes, check_finite=False)
 
 
 def write_mode_profiles_csv(path, phi_modes: np.ndarray, x: np.ndarray) -> None:

@@ -175,7 +175,6 @@ def _march_tridiagonal(stack: np.ndarray, start: np.ndarray, lam: np.ndarray, a:
     inf/nan; the caller's scan names the step within the run."""
     dt, r = grid.dt, grid.dt / grid.hx**2
     c0 = 2.0 * r + dt * lam[:, None]   # (K, 1)
-    off = np.full(stack.shape[2] - 3, -theta * r)
 
     prev = stack[:, 0, 1:-1].copy()   # source level n
     stack[:, 0, 1:-1] = start[:, 1:-1]
@@ -191,7 +190,7 @@ def _march_tridiagonal(stack: np.ndarray, start: np.ndarray, lam: np.ndarray, a:
         x += (v[:, 1:-1] * (1.0 - (1.0 - theta) * (c0 + dt * a[n, 1:-1]))
               + (1.0 - theta) * r * (v[:, :-2] + v[:, 2:]))
         diag = (1.0 + theta * c0) + theta * dt * a[n + 1, 1:-1]
-        solve_in_place(off, diag, off, x)
+        solve_in_place(-theta * r, diag, x)
         prev = nxt
 
 

@@ -14,7 +14,9 @@ is the energy of the difference new - old, which it forms one row at a time
 in a row buffer, so a sweep's energy builds no difference stack.
 
 A ModeFieldSet holds only the rows it carries, each labelled with its mode
-number; the modes it does not hold are zero.  Every function here weights a
+number; the modes it does not hold are zero.  eigenvalues, synthesize and
+ModeFieldSet take the mode numbers themselves, never a count, so a dense
+stack passes np.arange(1, K + 1).  Every function here weights a
 stack by its own rows' modes, so no zero row is ever built; full() builds the
 dense (K, Nt+1, Nx+2) form for library callers, and the package itself never
 does (write_modes_csv writes absent modes from one zero slice).  Every sum
@@ -70,16 +72,10 @@ class SpectralParams:
         return np.linspace(0.0, np.pi, self.Ny + 1)
 
 
-def eigenvalues(modes) -> np.ndarray:
-    """Dirichlet eigenvalues k^2 of -d^2/dy^2 on (0, pi): of k = 1..K for a
-    count K, or of each mode number k in an array."""
-    k = np.arange(1, modes + 1) if np.ndim(modes) == 0 else np.asarray(modes)
-    return k.astype(float) ** 2
-
-
-def _modes(modes, count: int) -> np.ndarray:
-    """The mode numbers modes, or 1..count when modes is None."""
-    return np.arange(1, count + 1) if modes is None else np.asarray(modes)
+def eigenvalues(modes: np.ndarray) -> np.ndarray:
+    """Dirichlet eigenvalues k^2 of -d^2/dy^2 on (0, pi), one for each mode
+    number k in modes."""
+    return np.asarray(modes, dtype=float) ** 2
 
 
 def _sine_table(modes: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -95,14 +91,14 @@ def sine_coeffs(v: np.ndarray, K: int, y: np.ndarray) -> np.ndarray:
     return 2.0 / np.pi * np.trapezoid(v * _sine_table(np.arange(1, K + 1), y), y, axis=-1)
 
 
-def synthesize(coeffs: np.ndarray, y: np.ndarray, modes: np.ndarray | None = None) -> np.ndarray:
-    """Partial sum sum_i coeffs[i] * sin(modes[i] y) on the given nodes, by
-    default over modes 1..len(coeffs); coeffs of shape (E, ...) give a result
-    of shape (..., len(y)).  Not a mode_sum but a matrix product with the
-    sine table: 3 ms against 25 ms for a row loop on the README config's
-    u_synth.csv (16 rows, 2 cores); its grouping moves last bits only."""
+def synthesize(coeffs: np.ndarray, y: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """Partial sum sum_i coeffs[i] * sin(modes[i] y) on the given nodes;
+    coeffs of shape (E, ...) give a result of shape (..., len(y)).  Not a
+    mode_sum but a matrix product with the sine table: 3 ms against 25 ms
+    for a row loop on the README config's u_synth.csv (16 rows, 2 cores);
+    its grouping moves last bits only."""
     coeffs = np.asarray(coeffs, dtype=float)
-    table = _sine_table(_modes(modes, len(coeffs)), np.asarray(y, dtype=float))
+    table = _sine_table(modes, np.asarray(y, dtype=float))
     return np.tensordot(coeffs, table, axes=(0, 0))
 
 
@@ -121,14 +117,15 @@ class OmegaData:
     def couplings(self) -> np.ndarray:
         """c_j = (sin(j y), omega'') = -lambda_j (pi/2) omega_j, j = 1..K,
         by parts, since omega vanishes at both ends."""
-        return -eigenvalues(self.K) * (np.pi / 2.0) * self.omega_coeffs
+        return -eigenvalues(np.arange(1, self.K + 1)) * (np.pi / 2.0) * self.omega_coeffs
 
     @property
     def omega_dd_l2(self) -> float:
         """||omega''|| in L2(0, pi) of omega's K-term sine series, by Parseval:
         exact for a weight of at most K sine modes, below the continuous norm
         otherwise, and sharp for c_j = (sin(j y), P_K omega''), j <= K."""
-        return float(np.sqrt(np.pi / 2.0 * np.sum((eigenvalues(self.K) * self.omega_coeffs) ** 2)))
+        lam = eigenvalues(np.arange(1, self.K + 1))
+        return float(np.sqrt(np.pi / 2.0 * np.sum((lam * self.omega_coeffs) ** 2)))
 
     def measure(self, stack: np.ndarray, modes: np.ndarray) -> np.ndarray:
         """The integral measurement (pi/2) sum_i omega_{k_i} v_i of a stack of
@@ -152,10 +149,10 @@ class OmegaData:
 @dataclass(frozen=True)
 class ModeFieldSet:
     """Stack of mode fields u_k(t, x) sharing one grid; row i holds mode
-    modes[i], and every mode the stack does not hold is zero.  modes
-    defaults to 1..K, the dense stack; a compact stack holds some of the
-    modes in ascending order, and the empty stack (empty()) is the zero
-    field.  row(k) is one mode's row, rows() aligns a stack to other mode
+    modes[i], and every mode the stack does not hold is zero.  modes lists
+    the rows' mode numbers in ascending order: 1..K for the dense stack,
+    some of them for a compact one, none for the empty stack (empty()), the
+    zero field.  row(k) is one mode's row, rows() aligns a stack to other mode
     numbers, and full() gives the dense (K, Nt+1, Nx+2) stack.
 
     The values are checked finite unless check_finite is False, which is for
@@ -166,13 +163,13 @@ class ModeFieldSet:
     grid: Grid
     params: SpectralParams
     values: np.ndarray = field(repr=False)  # shape (len(modes), Nt+1, Nx+2)
-    modes: np.ndarray | None = field(default=None, repr=False)
+    modes: np.ndarray = field(repr=False)
     check_finite: InitVar[bool] = True
 
     def __post_init__(self, check_finite: bool):
         v = np.asarray(self.values, dtype=float)
         K = self.params.K
-        modes = _modes(self.modes, K)
+        modes = np.asarray(self.modes)
         if (modes.ndim != 1 or modes.dtype.kind not in "iu"
                 or np.any(modes < 1) or np.any(modes > K) or np.any(np.diff(modes) <= 0)):
             raise DataError(f"mode numbers {modes} are not ascending integers in 1..{K}")

@@ -1,9 +1,10 @@
-"""Batched tridiagonal solve by parallel cyclic reduction (Hockney, 1965).
+"""Batched symmetric tridiagonal solve by parallel cyclic reduction (Hockney, 1965).
 
-Storage convention:
-    lower = [b_1, ..., b_{n-1}]   (sub-diagonal)
-    diag  = [a_0, ..., a_{n-1}]
-    upper = [c_0, ..., c_{n-2}]   (super-diagonal)
+Storage convention, one coupling on both sides of the diagonal:
+    diag = [a_0, ..., a_{n-1}]
+    off  = [b_1, ..., b_{n-1}]   (A[i, i-1] = A[i-1, i] = b_i)
+The known-reaction theta step's operator -d^2/dx^2 + k^2 + a is self-adjoint,
+and on the uniform grid its coupling is the one number -theta dt/hx^2.
 
 Batch axes: each system lies along the trailing axis and every leading axis
 is a batch axis.  Every lane goes through the same elementwise operations
@@ -27,19 +28,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def solve_in_place(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                   rhs: np.ndarray) -> None:
-    """Overwrite rhs with the solution x of the systems (lower, diag, upper)
-    x = rhs.  diag and rhs are float arrays of the batch's full shape
-    (..., n), and diag is overwritten too; lower and upper broadcast
-    against them."""
+def solve_in_place(off: float | np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> None:
+    """Overwrite rhs with the solution x of the symmetric systems (off, diag,
+    off) x = rhs.  diag and rhs are float arrays of the batch's full shape
+    (..., n), and diag is overwritten too; off, a number or an array of the
+    n - 1 couplings, broadcasts against them."""
     shape, n = rhs.shape, rhs.shape[-1]
     # row i reads diag_i x_i - lo_i x_{i-s} - up_i x_{i+s} = rhs_i, a missing
-    # neighbour having a zero coupling
+    # neighbour having a zero coupling; the reduction makes lo and up differ
     lo = np.zeros(shape)
-    np.negative(lower, out=lo[..., 1:])
+    np.negative(off, out=lo[..., 1:])
     up = np.zeros(shape)
-    np.negative(upper, out=up[..., :-1])
+    np.negative(off, out=up[..., :-1])
     alpha, gamma, work, work2 = (np.empty(shape) for _ in range(4))
     s = 1
     while s < n:

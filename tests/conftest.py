@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from diffid import Grid, SpectralParams, build_scenario, run_inversion
+from diffid import (Grid, ModeFieldSet, OmegaData, ProblemData, ScalarField, SpectralParams,
+                    build_scenario, run_inversion)
 
 
 @st.composite
@@ -30,6 +31,40 @@ def smooth_weights(K, Ny):
     return y, [(np.sin(y) + 0.3 * np.sin(3 * y), sines),
                (y * (np.pi - y), np.where(odd, -4.0 / j, 0.0)),
                ((y * (np.pi - y)) ** 2, np.where(odd, 4 * np.pi**2 / j - 48.0 / j**3, 0.0))]
+
+
+def seeded_pair(seed, N, K=16, Ny=256):
+    """A seeded smooth a >= 0 and K excited modes u*_k, with the data derived
+    from them, built as the benchmark's forward-data inputs are:
+    f_k = u_t - u_xx + k^2 u + a u, phi_k = u_k(0) and psi = (pi/2) sum_k
+    omega_k u_k for omega = sin y + c2 sin 2y + c3 sin 3y.  Returns the
+    problem and omega sampled on params.y, the values of its omega.csv."""
+    rng = np.random.default_rng(seed)
+    t, x = np.linspace(0.0, 0.5, N + 1), np.linspace(0.0, np.pi, N + 2)
+    tt, xx = t[:, None], x[None, :]
+    r = rng.uniform(-1.0, 1.0, 3)
+    a = (1.0 + 0.25 * r[0] * (1.0 + tt) * np.sin(xx)
+         + 0.25 * r[1] * np.exp(-tt) * np.cos(2.0 * xx + np.pi * r[2]))
+    m = np.arange(1, 5, dtype=float)
+    u = np.empty((K, N + 1, N + 2))
+    f = np.empty_like(u)
+    for k in range(1, K + 1):
+        amp = rng.choice([-1.0, 1.0]) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0)) / k**2
+        rate = 1.0 + 0.1 * rng.uniform(-1.0, 1.0)
+        b = rng.choice([-1.0, 1.0], m.size) / m**2
+        profile = b @ np.sin(np.outer(m, x))
+        curvature = (b * m**2) @ np.sin(np.outer(m, x))
+        decay = amp * np.exp(-rate * tt)
+        u[k - 1] = decay * profile
+        f[k - 1] = decay * ((k * k - rate + a) * profile + curvature)
+    c = np.concatenate([[1.0], rng.uniform(-0.2, 0.2, 2)])
+    grid, params = Grid(np.pi, 0.5, Nx=N, Nt=N), SpectralParams(K=K, Ny=Ny)
+    omega = c @ np.sin(np.outer(np.arange(1, 4), params.y))
+    data = ProblemData(psi=ScalarField(grid, (np.pi / 2.0) * np.tensordot(c, u[:3], axes=(0, 0))),
+                       f_modes=ModeFieldSet(grid, params, f, np.arange(1, K + 1)),
+                       phi_modes=u[:, 0, :].copy(),
+                       omega=OmegaData.from_profiles(params.y, omega, K))
+    return data, omega
 
 
 def _invert(name, N, T=0.5, K=16, epsilon=1.0, tol_F=1e-10, max_iters=50, scale=1.0):

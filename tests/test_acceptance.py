@@ -48,11 +48,12 @@ def test_criterion_1_spectral_roundtrip():
     rng = np.random.default_rng(1)
     worst_round = 0.0
     worst_parseval = 0.0
+    modes = np.arange(1, K + 1)
     for _ in range(20):
         coeffs = rng.standard_normal(K)
-        v = synthesize(coeffs, y)
+        v = synthesize(coeffs, y, modes)
         back = sine_coeffs(v, K, y)
-        worst_round = max(worst_round, float(np.max(np.abs(synthesize(back, y) - v))))
+        worst_round = max(worst_round, float(np.max(np.abs(synthesize(back, y, modes) - v))))
         parseval = abs(float(np.trapezoid(v**2, y)) - (np.pi / 2) * float(np.sum(coeffs**2)))
         worst_parseval = max(worst_parseval, parseval)
     elapsed = time.perf_counter() - t0
@@ -80,7 +81,8 @@ def test_criterion_3_mode_solver_order():
     errs = {}
     for N in (32, 64, 128):
         grid = Grid(np.pi, 1.0, Nx=N, Nt=N)
-        sources = ModeFieldSet(grid, SpectralParams(K=1), np.zeros((1,) + grid.field_shape))
+        sources = ModeFieldSet(grid, SpectralParams(K=1), np.zeros((1,) + grid.field_shape),
+                               np.array([1]))
         u = march_modes(sources, np.sin(grid.x)[None, :]).values[0]
         exact = np.exp(-2.0 * grid.t)[:, None] * np.sin(grid.x)[None, :]
         errs[N] = float(np.max(np.abs(u - exact)))
@@ -215,7 +217,7 @@ def test_criterion_9_certificate_correctness():
         f_vals = np.zeros((2,) + grid.field_shape)
         f_vals[0] = f_amp
         return ProblemData(psi=ScalarField(grid, np.ones(grid.field_shape)),
-                           f_modes=ModeFieldSet(grid, params, f_vals),
+                           f_modes=ModeFieldSet(grid, params, f_vals, np.arange(1, params.K + 1)),
                            phi_modes=np.zeros((2, grid.Nx + 2)), omega=om)
 
     A_hand = np.pi * np.sqrt(0.75)

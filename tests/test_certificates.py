@@ -38,7 +38,7 @@ def constant_psi_data(Lx=np.pi, T=1.0, Nx=32, Nt=16, f_const=0.0, K=2, epsilon=1
     f_vals[0] = f_const
     return ProblemData(
         psi=ScalarField(grid, np.ones(grid.field_shape)),
-        f_modes=ModeFieldSet(grid, params, f_vals),
+        f_modes=ModeFieldSet(grid, params, f_vals, np.arange(1, params.K + 1)),
         phi_modes=np.zeros((K, grid.Nx + 2)),
         omega=om,
     )

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import seeded_pair
 
 import diffid
 from diffid import (CertifyOptions, Grid, ModeFieldSet, OmegaData, ProblemData, ScalarField,
@@ -801,6 +802,25 @@ def test_forward_data_mode_matches_scenario(tmp_path, capsys):
     for file in ("u_modes.csv", "u_synth.csv", "residual.csv", "summary.json"):
         assert ((tmp_path / "out_data" / file).read_bytes()
                 == (tmp_path / "out_scn" / file).read_bytes()), file
+
+
+def test_invert_data_mode_on_sixteen_excited_rows(tmp_path, capsys):
+    # the one CLI inversion whose sweeps march more than one row: the seeded
+    # 16-row problem converges in 7 sweeps
+    data, omega = seeded_pair(1, 128)
+    write_field_csv(tmp_path / "psi.csv", data.psi)
+    write_modes_csv(tmp_path / "f.csv", data.f_modes)
+    write_mode_profiles_csv(tmp_path / "phi.csv", data.phi_modes, data.grid.x)
+    write_profile_csv(tmp_path / "omega.csv", data.params.y, omega)
+    cfg = base_config(tmp_path / "out", N=128, K=16)
+    cfg["grid"]["Ny_quad"] = 256
+    cfg["picard"]["max_iters"] = 30
+    del cfg["scenario"]
+    cfg["data"] = dict(DATA_FILES)
+    assert main(["invert", "--config", str(write_config(tmp_path, cfg)), "--force"]) == 0
+    captured = capsys.readouterr()
+    assert re.search(r"^converged in 7 sweeps;", captured.out, re.MULTILINE), captured.out
+    assert "error:" not in captured.err
 
 
 def test_invert_data_mode_matches_the_library_on_compact_rows(tmp_path):

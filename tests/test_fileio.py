@@ -71,7 +71,8 @@ def test_profile_roundtrip(tmp_path):
 def test_modes_roundtrip(tmp_path, grid):
     params = SpectralParams(K=3, Ny=64)
     rng = np.random.default_rng(2)
-    modes = ModeFieldSet(grid, params, rng.standard_normal((3,) + grid.field_shape))
+    modes = ModeFieldSet(grid, params, rng.standard_normal((3,) + grid.field_shape),
+                         np.arange(1, params.K + 1))
     path = tmp_path / "f.csv"
     write_modes_csv(path, modes)
     back = read_modes_csv(path, grid, params)
@@ -166,7 +167,7 @@ def test_writers_match_reference_bytes(tmp_path_factory, case, y, data):
     lead = data.draw(hnp.arrays(np.float64, len(grid.t), elements=any_float))
     # a stand-in for ScalarField and an unchecked ModeFieldSet, so non-finite
     # cells reach the writer; one row of mode K for u_synth.csv
-    modes = ModeFieldSet(grid, SpectralParams(K=K), values, check_finite=False)
+    modes = ModeFieldSet(grid, SpectralParams(K=K), values, np.arange(1, K + 1), check_finite=False)
     one_row = ModeFieldSet(grid, SpectralParams(K=K), values[-1:], np.array([K]),
                            check_finite=False)
     with np.errstate(all="ignore"):
@@ -224,7 +225,7 @@ def test_write_synth_csv_never_holds_u_of_t_x_y(tmp_path):
     params = SpectralParams(K=16, Ny=64)
     y = np.linspace(0.0, np.pi, 33)
     u = ModeFieldSet(grid, params, np.random.default_rng(7).standard_normal(
-        (16,) + grid.field_shape))
+        (16,) + grid.field_shape), np.arange(1, params.K + 1))
     whole_bytes = 8 * (grid.Nt + 1) * (grid.Nx + 2) * len(y)
     tracemalloc.start()
     try:
@@ -247,7 +248,7 @@ def test_readers_roundtrip_bitwise(tmp_path_factory, case, omega):
     assert np.array_equal(_bits(read_field_csv(tmp / "psi.csv", grid).values),
                           _bits(values[0]))
 
-    write_modes_csv(tmp / "f.csv", ModeFieldSet(grid, params, values))
+    write_modes_csv(tmp / "f.csv", ModeFieldSet(grid, params, values, np.arange(1, params.K + 1)))
     assert np.array_equal(_bits(read_modes_csv(tmp / "f.csv", grid, params).values),
                           _bits(values))
 
@@ -452,7 +453,7 @@ def _write_grid_file(path, grid, K):
         return lambda: read_field_csv(path, grid).values, values
     if path.name == "f.csv":
         values = rng.standard_normal((K,) + grid.field_shape)
-        write_modes_csv(path, ModeFieldSet(grid, params, values))
+        write_modes_csv(path, ModeFieldSet(grid, params, values, np.arange(1, params.K + 1)))
         return lambda: read_modes_csv(path, grid, params).values, values
     values = rng.standard_normal((K, grid.Nx + 2))
     write_mode_profiles_csv(path, values, grid.x)
@@ -572,7 +573,8 @@ def test_read_modes_csv_holds_one_block_not_the_file(tmp_path):
     grid = Grid(np.pi, 0.5, Nx=64, Nt=64)
     params = SpectralParams(K=16, Ny=64)
     values = np.random.default_rng(8).standard_normal((16,) + grid.field_shape)
-    write_modes_csv(tmp_path / "f.csv", ModeFieldSet(grid, params, values))
+    write_modes_csv(tmp_path / "f.csv",
+                    ModeFieldSet(grid, params, values, np.arange(1, params.K + 1)))
     tracemalloc.start()
     try:
         back = read_modes_csv(tmp_path / "f.csv", grid, params)
@@ -589,7 +591,7 @@ def _readme_stack():
     grid = Grid(np.pi, 0.5, Nx=128, Nt=128)
     params = SpectralParams(K=16, Ny=64)
     values = np.random.default_rng(10).standard_normal((16,) + grid.field_shape)
-    return ModeFieldSet(grid, params, values)
+    return ModeFieldSet(grid, params, values, np.arange(1, params.K + 1))
 
 
 def _traced_peak(call):
@@ -698,7 +700,7 @@ def _writer_cases(case: str):
                             ["t", "x", "value"], [levels_grid.t, grid.x], values[0, :levels]),
         "write_profile_csv": ((profile_y, values[0, 0, :len(profile_y)]), ["y", "value"],
                               [profile_y], values[0, 0, :len(profile_y)]),
-        "write_modes_csv": ((ModeFieldSet(grid, SpectralParams(K=K), values,
+        "write_modes_csv": ((ModeFieldSet(grid, SpectralParams(K=K), values, np.arange(1, K + 1),
                                           check_finite=False),),
                             ["k", "t", "x", "value"], [ks, grid.t, grid.x], values),
         "write_mode_profiles_csv": ((values[:, 0], grid.x), ["k", "x", "value"],

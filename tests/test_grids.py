@@ -239,6 +239,16 @@ def test_diff2_matches_its_slice_formula(case):
             assert diff2(v, grid.hx).tobytes() == diff2_reference(v, grid.hx).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(129, 130), (16, 129, 130), (1, 193, 194)])
+def test_staged_diff2_gives_the_bits_of_the_one_expression_formula(shape):
+    # diff2 stages the central formula in its output: (-2 b) + a = a - 2 b
+    # exactly, so the staging moves no bit at the fields' own sizes
+    rng = np.random.default_rng(shape[-1])
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    h = np.pi / (shape[-1] - 1)
+    assert diff2(v, h).tobytes() == diff2_reference(v, h).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=grid_and_stack())
 def test_l2_sq_G_matches_trapezoid_of_square(case):

@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from conftest import seeded_pair
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -53,7 +54,8 @@ def test_source_single_mode_algebra():
     scn = mmsa(N=32, K=2)
     data, grid = scn.data, scn.data.grid
     Psi = compute_Psi(data, 1e-12)
-    prev = ModeFieldSet(grid, data.params, scn.truth_u_modes.full().values.copy())
+    dense = np.arange(1, data.params.K + 1)
+    prev = ModeFieldSet(grid, data.params, scn.truth_u_modes.full().values.copy(), dense)
     S = picard_source(prev, data, Psi)
 
     u1 = prev.values[0]
@@ -91,8 +93,9 @@ def test_source_scaling_degrees():
     scn = mmsa(N=24, K=2)
     data, grid = scn.data, scn.data.grid
     Psi = compute_Psi(data, 1e-12)
-    prev = ModeFieldSet(grid, data.params, scn.truth_u_modes.full().values.copy())
-    double = ModeFieldSet(grid, data.params, 2.0 * prev.values)
+    dense = np.arange(1, data.params.K + 1)
+    prev = ModeFieldSet(grid, data.params, scn.truth_u_modes.full().values.copy(), dense)
+    double = ModeFieldSet(grid, data.params, 2.0 * prev.values, dense)
 
     f = data.f_modes.full().values
     lag1 = f - picard_source(prev, data, Psi)
@@ -107,7 +110,8 @@ def test_first_sweep_is_pure_linear_solve():
     data = scn.data
     Psi = compute_Psi(data, 1e-12)
     u1, _ = iterate(ModeFieldSet.empty(data.grid, data.params).full(), data, Psi)
-    f = ModeFieldSet(data.grid, data.params, data.f_modes.full().values.copy())
+    f = ModeFieldSet(data.grid, data.params, data.f_modes.full().values.copy(),
+                     np.arange(1, data.params.K + 1))
     assert np.array_equal(u1.values, march_modes(f, data.phi_modes).values)
 
 
@@ -174,10 +178,11 @@ def sparse_mode_problem(draw):
         live = np.array(draw(st.lists(st.booleans(), min_size=K, max_size=K)))
         return scale * rng.standard_normal((K,) + shape) * live.reshape((K,) + (1,) * len(shape))
 
-    f_modes = ModeFieldSet(grid, params, rows(grid.field_shape))
+    f_modes = ModeFieldSet(grid, params, rows(grid.field_shape), np.arange(1, params.K + 1))
     data = ProblemData(psi=base.psi, f_modes=f_modes, phi_modes=rows((grid.Nx + 2,)),
                        omega=base.omega)
-    initial = ModeFieldSet(grid, params, rows(grid.field_shape)) if draw(st.booleans()) else None
+    initial = (ModeFieldSet(grid, params, rows(grid.field_shape), np.arange(1, params.K + 1))
+               if draw(st.booleans()) else None)
     return data, initial, draw(st.floats(0.5, 1.0)), draw(st.integers(1, 6))
 
 
@@ -430,43 +435,12 @@ def test_run_inversion_peaks_below_one_dense_stack():
     assert peak < dense_bytes, f"peak {peak} B, one dense stack {dense_bytes} B"
 
 
-def _seeded_pair(seed, N, K=16, Ny=256):
-    """A seeded smooth a >= 0 and K excited modes u*_k, with the data derived
-    from them, built as the benchmark's forward-data inputs are:
-    f_k = u_t - u_xx + k^2 u + a u, phi_k = u_k(0) and psi = (pi/2) sum_k
-    omega_k u_k for omega = sin y + c2 sin 2y + c3 sin 3y."""
-    rng = np.random.default_rng(seed)
-    t, x = np.linspace(0.0, 0.5, N + 1), np.linspace(0.0, np.pi, N + 2)
-    tt, xx = t[:, None], x[None, :]
-    r = rng.uniform(-1.0, 1.0, 3)
-    a = (1.0 + 0.25 * r[0] * (1.0 + tt) * np.sin(xx)
-         + 0.25 * r[1] * np.exp(-tt) * np.cos(2.0 * xx + np.pi * r[2]))
-    m = np.arange(1, 5, dtype=float)
-    u = np.empty((K, N + 1, N + 2))
-    f = np.empty_like(u)
-    for k in range(1, K + 1):
-        amp = rng.choice([-1.0, 1.0]) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0)) / k**2
-        rate = 1.0 + 0.1 * rng.uniform(-1.0, 1.0)
-        b = rng.choice([-1.0, 1.0], m.size) / m**2
-        profile = b @ np.sin(np.outer(m, x))
-        curvature = (b * m**2) @ np.sin(np.outer(m, x))
-        decay = amp * np.exp(-rate * tt)
-        u[k - 1] = decay * profile
-        f[k - 1] = decay * ((k * k - rate + a) * profile + curvature)
-    c = np.concatenate([[1.0], rng.uniform(-0.2, 0.2, 2)])
-    grid, params = Grid(np.pi, 0.5, Nx=N, Nt=N), SpectralParams(K=K, Ny=Ny)
-    omega = c @ np.sin(np.outer(np.arange(1, 4), params.y))
-    return ProblemData(psi=ScalarField(grid, (np.pi / 2.0) * np.tensordot(c, u[:3], axes=(0, 0))),
-                       f_modes=ModeFieldSet(grid, params, f), phi_modes=u[:, 0, :].copy(),
-                       omega=OmegaData.from_profiles(params.y, omega, K))
-
-
 def test_run_inversion_peaks_near_three_stacks_above_the_data():
     # a sweep holds the iterate, the source stack the march overwrites with
     # the next iterate, and the march's transform buffer: no a * u product
     # beside the source and no difference stack for the energy (4.2 stacks
     # when it built both)
-    data = _seeded_pair(1, 128)
+    data, _ = seeded_pair(1, 128)
     stack_bytes = data.f_modes.values.nbytes
     tracemalloc.start()
     try:

@@ -145,7 +145,7 @@ def test_forward_with_reaction_manufactured():
     f_vals[0] = 2.0 * np.exp(-g.t)[:, None] * np.sin(g.x)[None, :]
     phi = np.zeros((2, g.Nx + 2))
     phi[0] = np.sin(g.x)
-    u = solve_forward(a, ModeFieldSet(g, params, f_vals), phi).full()
+    u = solve_forward(a, ModeFieldSet(g, params, f_vals, np.arange(1, params.K + 1)), phi).full()
     exact = np.exp(-g.t)[:, None] * np.sin(g.x)[None, :]
     assert np.max(np.abs(u.values[0] - exact)) <= 5e-4
     assert np.max(np.abs(u.values[1])) <= 1e-12
@@ -192,7 +192,7 @@ def test_overdetermination_residual_exact_fields():
     om = OmegaData.from_profiles(params.y, np.sin(params.y), params.K)
     vals = np.zeros((2,) + g.field_shape)
     vals[0] = np.exp(-g.t)[:, None] * np.sin(g.x)[None, :]
-    u = ModeFieldSet(g, params, vals)
+    u = ModeFieldSet(g, params, vals, np.arange(1, params.K + 1))
     psi = ScalarField(g, (np.pi / 2) * vals[0])
     res, norm = overdetermination_residual(u, om, psi)
     assert norm <= 1e-12
@@ -480,7 +480,7 @@ def test_solve_forward_writes_into_f_rows():
     g = grid_1d(Nx=16, Nt=8)
     params = SpectralParams(K=4, Ny=64)
     rng = np.random.default_rng(13)
-    f = ModeFieldSet(g, params, rng.standard_normal((4,) + g.field_shape))
+    f = ModeFieldSet(g, params, rng.standard_normal((4,) + g.field_shape), np.arange(1, 5))
     phi = rng.standard_normal((4, g.Nx + 2))
     a = ScalarField(g, rng.random(g.field_shape))
     fresh = march(g, f.values.copy(), phi, reaction=a.values)

@@ -251,7 +251,7 @@ def single_mode_stack(grid, params, mode_field, row=0):
     """A dense stack with mode_field in one row, and its norms with a = 0."""
     vals = np.zeros((params.K,) + grid.field_shape)
     vals[row] = mode_field
-    modes = ModeFieldSet(grid, params, vals)
+    modes = ModeFieldSet(grid, params, vals, np.arange(1, params.K + 1))
     return modes, solution_norms(modes, ScalarField(grid, np.zeros(grid.field_shape)))
 
 

@@ -20,9 +20,10 @@ from diffid.sinebasis import eigenvalues, mode_sum
 
 
 def test_eigenvalues():
-    lam = eigenvalues(10)
+    lam = eigenvalues(np.arange(1, 11))
     assert lam.dtype == float
     assert np.array_equal(lam, np.arange(1, 11) ** 2)
+    assert np.array_equal(eigenvalues([3, 7]), [9.0, 49.0])
 
 
 def test_sine_coeff_orthonormal():
@@ -62,18 +63,18 @@ def test_synthesize_basics():
     params = SpectralParams(K=4, Ny=128)
     y = params.y
     coeffs = np.array([1.0, 0.0, 0.0, 0.0])
-    assert np.max(np.abs(synthesize(coeffs, y) - np.sin(y))) < 1e-14
+    assert np.max(np.abs(synthesize(coeffs, y, np.arange(1, 5)) - np.sin(y))) < 1e-14
 
 
 def test_analysis_synthesis_roundtrip():
     params = SpectralParams(K=16, Ny=128)
     y = params.y
     rng = np.random.default_rng(3)
-    coeffs = rng.standard_normal(16)
-    v = synthesize(coeffs, y)
+    coeffs, modes = rng.standard_normal(16), np.arange(1, 17)
+    v = synthesize(coeffs, y, modes)
     back = sine_coeffs(v, 16, y)
     assert np.max(np.abs(back - coeffs)) < 1e-10
-    assert np.max(np.abs(synthesize(back, y) - v)) < 1e-10
+    assert np.max(np.abs(synthesize(back, y, modes) - v)) < 1e-10
 
 
 def test_synthesize_parabola_tail():
@@ -81,7 +82,7 @@ def test_synthesize_parabola_tail():
     params = SpectralParams(K=K, Ny=4 * K)
     y = params.y
     v = y * (np.pi - y)
-    approx = synthesize(sine_coeffs(v, K, y), y)
+    approx = synthesize(sine_coeffs(v, K, y), y, np.arange(1, K + 1))
     assert np.max(np.abs(approx - v)) <= 1e-3
 
 
@@ -90,7 +91,7 @@ def test_parseval_band_limited():
     y = params.y
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(12)
-    v = synthesize(coeffs, y)
+    v = synthesize(coeffs, y, np.arange(1, 13))
     norm_sq = np.trapezoid(v**2, y)
     assert norm_sq == pytest.approx((np.pi / 2) * np.sum(coeffs**2), abs=1e-8)
 
@@ -169,10 +170,10 @@ def test_F_functional_static_mode():
     params = SpectralParams(K=1, epsilon=1.0, Ny=64)
     vals = np.zeros((1,) + g.field_shape)
     vals[0, :] = np.sin(g.x)
-    modes = ModeFieldSet(g, params, vals)
+    modes = ModeFieldSet(g, params, vals, np.arange(1, params.K + 1))
     zero = ModeFieldSet.empty(g, params)
     assert F_functional(modes, zero) == pytest.approx(np.pi, abs=1e-3)
-    doubled = ModeFieldSet(g, params, 2.0 * vals)
+    doubled = ModeFieldSet(g, params, 2.0 * vals, np.arange(1, params.K + 1))
     assert F_functional(doubled, zero) == pytest.approx(4.0 * F_functional(modes, zero), rel=1e-12)
     # the energy of the difference: 2u - u is u, and u - u is zero
     assert F_functional(doubled, modes) == F_functional(modes, zero)
@@ -187,7 +188,7 @@ def test_mode_rows_select_and_scatter():
     params = SpectralParams(K=4, epsilon=1.0, Ny=64)
     vals = np.random.default_rng(3).standard_normal((4,) + g.field_shape)
     vals[[0, 2]] = 0.0
-    full = ModeFieldSet(g, params, vals)
+    full = ModeFieldSet(g, params, vals, np.arange(1, params.K + 1))
     compact = full.rows(np.array([2, 4]))
     assert np.array_equal(compact.values, vals[[1, 3]])
     assert np.array_equal(compact.eigenvalues, [4.0, 16.0])
@@ -220,13 +221,25 @@ def test_mode_stack_rejects_a_bad_shape_and_non_finite_values():
     vals = np.zeros((3,) + g.field_shape)
     for shape in ((2,) + g.field_shape, (3, g.Nt + 1, g.Nx + 1), g.field_shape):
         with pytest.raises(DataError, match="mode stack shape"):
-            ModeFieldSet(g, params, np.zeros(shape))
+            ModeFieldSet(g, params, np.zeros(shape), np.arange(1, params.K + 1))
     for bad in (np.nan, np.inf):
         vals[1, 2, 3] = bad
         with pytest.raises(DataError, match="non-finite"):
-            ModeFieldSet(g, params, vals)
+            ModeFieldSet(g, params, vals, np.arange(1, params.K + 1))
         # a producer that has checked its own values skips the scan
-        assert ModeFieldSet(g, params, vals, check_finite=False).values is vals
+        assert ModeFieldSet(g, params, vals, np.arange(1, params.K + 1),
+                            check_finite=False).values is vals
+
+
+def test_mode_numbers_are_required():
+    # a stack, a synthesis and the eigenvalues all take the mode numbers,
+    # never a count or a default of 1..K
+    g = make_grid(Nx=4, Nt=2)
+    params = SpectralParams(K=2, Ny=64)
+    with pytest.raises(TypeError):
+        ModeFieldSet(g, params, np.zeros((2,) + g.field_shape))
+    with pytest.raises(TypeError):
+        synthesize(np.ones(2), params.y)
 
 
 def test_rows_fill_absent_modes_with_zeros():
@@ -255,8 +268,8 @@ def test_F_functional_triangle_inequality():
     params = SpectralParams(K=3, epsilon=1.0, Ny=64)
     rng = np.random.default_rng(17)
     for _ in range(5):
-        u = ModeFieldSet(g, params, 0.1 * rng.standard_normal((3,) + g.field_shape))
-        v = ModeFieldSet(g, params, 0.1 * rng.standard_normal((3,) + g.field_shape))
+        u = ModeFieldSet(g, params, 0.1 * rng.standard_normal((3,) + g.field_shape), [1, 2, 3])
+        v = ModeFieldSet(g, params, 0.1 * rng.standard_normal((3,) + g.field_shape), [1, 2, 3])
         zero = ModeFieldSet.empty(g, params)
         lhs = np.sqrt(F_functional(u, v))
         rhs = np.sqrt(F_functional(u, zero)) + np.sqrt(F_functional(v, zero))
@@ -296,7 +309,8 @@ def _ref_F(modes):
 @given(case=grid_and_stack(), eps=st.floats(0.1, 5.0))
 def test_batched_mode_norms_match_slice_loops(case, eps):
     grid, stack = case
-    modes = ModeFieldSet(grid, SpectralParams(K=stack.shape[0], epsilon=eps), stack)
+    modes = ModeFieldSet(grid, SpectralParams(K=stack.shape[0], epsilon=eps), stack,
+                         np.arange(1, len(stack) + 1))
     assert F_functional(modes, ModeFieldSet.empty(grid, modes.params)) == _ref_F(modes)
 
 

@@ -4,58 +4,72 @@ import pytest
 from diffid.tridiag import solve_in_place
 
 
-def solve(lower, diag, upper, rhs):
+def solve(off, diag, rhs):
     shape = np.broadcast_shapes(np.shape(diag), np.shape(rhs))
     diag = np.array(np.broadcast_to(diag, shape), dtype=float)
     x = np.array(np.broadcast_to(rhs, shape), dtype=float)
-    solve_in_place(lower, diag, upper, x)
+    solve_in_place(off, diag, x)
     return x
 
 
-def dense(lower, diag, upper):
-    A = np.diag(diag)
-    A += np.diag(lower, -1)
-    A += np.diag(upper, 1)
-    return A
+def dense(off, diag):
+    off = np.broadcast_to(off, len(diag) - 1)
+    return np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+
+
+def symmetric_system(rng, shape):
+    """Random couplings of the trailing axis and a diagonal that dominates
+    them: |diag_i| > |off_{i-1}| + |off_i|, like an implicit diffusion step."""
+    off = rng.standard_normal(shape[:-1] + (shape[-1] - 1,))
+    diag = 2.0 * np.max(np.abs(off), initial=0.0) + 1.0 + rng.random(shape)
+    return off, diag
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 17, 128, 129, 200])
 def test_solve_matches_dense_solve(n):
     rng = np.random.default_rng(42 + n)
-    diag = 4.0 + rng.random(n)
-    lower = rng.standard_normal(n - 1)
-    upper = rng.standard_normal(n - 1)
+    off, diag = symmetric_system(rng, (n,))
     rhs = rng.standard_normal(n)
-    x = solve(lower, diag, upper, rhs)
-    expected = np.linalg.solve(dense(lower, diag, upper), rhs)
+    x = solve(off, diag, rhs)
+    expected = np.linalg.solve(dense(off, diag), rhs)
     assert np.max(np.abs(x - expected)) < 1e-12
 
 
 def test_solve_identity():
     rhs = np.array([1.0, -2.0, 3.0])
-    x = solve(np.zeros(2), np.ones(3), np.zeros(2), rhs)
-    assert np.array_equal(x, rhs)
+    assert np.array_equal(solve(0.0, np.ones(3), rhs), rhs)
+    assert np.array_equal(solve(np.zeros(2), np.ones(3), rhs), rhs)
 
 
 def test_solve_batch_equals_per_system_solves():
     rng = np.random.default_rng(7)
     B, n = 6, 33
-    diag = 4.0 + rng.random((B, n))
-    lower = rng.standard_normal((B, n - 1))
-    upper = rng.standard_normal((B, n - 1))
+    off, diag = symmetric_system(rng, (B, n))
     rhs = rng.standard_normal((B, n))
-    x = solve(lower, diag, upper, rhs)
+    x = solve(off, diag, rhs)
     assert x.shape == (B, n)
     for i in range(B):
-        assert x[i].tobytes() == solve(lower[i], diag[i], upper[i], rhs[i]).tobytes()
-        expected = np.linalg.solve(dense(lower[i], diag[i], upper[i]), rhs[i])
+        assert x[i].tobytes() == solve(off[i], diag[i], rhs[i]).tobytes()
+        expected = np.linalg.solve(dense(off[i], diag[i]), rhs[i])
         assert np.max(np.abs(x[i] - expected)) < 1e-12
-    # off-diagonals shared by the whole batch broadcast against it
-    x = solve(lower[0], diag, upper[0], rhs)
+    # couplings shared by the whole batch broadcast against it
+    x = solve(off[0], diag, rhs)
     for i in range(B):
-        assert x[i].tobytes() == solve(lower[0], diag[i], upper[0], rhs[i]).tobytes()
-        expected = np.linalg.solve(dense(lower[0], diag[i], upper[0]), rhs[i])
+        assert x[i].tobytes() == solve(off[0], diag[i], rhs[i]).tobytes()
+        expected = np.linalg.solve(dense(off[0], diag[i]), rhs[i])
         assert np.max(np.abs(x[i] - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(2,), (17,), (4, 129), (3, 2, 64)])
+def test_scalar_off_gives_the_bits_of_its_array(shape):
+    # the theta step passes its one coupling -theta dt/hx^2 as a number
+    rng = np.random.default_rng(11)
+    c = -0.5 * rng.random()
+    diag = 1.0 + 2.0 * abs(c) + rng.random(shape)
+    rhs = rng.standard_normal(shape)
+    x = solve(c, diag, rhs)
+    assert x.tobytes() == solve(np.full(shape[-1] - 1, c), diag, rhs).tobytes()
+    assert x.tobytes() == solve(np.full(shape[:-1] + (shape[-1] - 1,), c), diag, rhs).tobytes()
 
 
 def test_solve_in_place_writes_its_arguments_only():
@@ -67,9 +81,9 @@ def test_solve_in_place_writes_its_arguments_only():
     diag = 3.0 + rng.random((K, n))
     stack = rng.standard_normal((K, 3, n + 2))
     x = stack[:, 1, 1:-1]
-    expected = [np.linalg.solve(dense(off, diag[k], off), x[k]) for k in range(K)]
+    expected = [np.linalg.solve(dense(off, diag[k]), x[k]) for k in range(K)]
     before = stack.copy()
-    solve_in_place(off, diag.copy(), off, x)
+    solve_in_place(off, diag.copy(), x)
     assert np.max(np.abs(x - np.array(expected))) < 1e-14
     assert np.array_equal(stack[:, [0, 2]], before[:, [0, 2]])
     assert np.array_equal(stack[:, 1, [0, -1]], before[:, 1, [0, -1]])
